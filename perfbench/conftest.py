@@ -1,0 +1,10 @@
+"""Puts ``src/`` on ``sys.path`` so ``pytest perfbench`` runs without PYTHONPATH."""
+
+from __future__ import annotations
+
+import pathlib
+import sys
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+if str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
