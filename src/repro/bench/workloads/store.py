@@ -1,4 +1,4 @@
-"""Workload: store open + full cache-hit check, sharded vs single-file.
+"""Workload: store open + full cache-hit check, and append scaling.
 
 The synthetic campaign has deliberately small configs and fat result
 payloads — the shape of a real einsim sweep — so the cost a layout pays
@@ -10,18 +10,28 @@ the ISSUE-9 acceptance scale (>=20k cells) and gates the speedup at 10x;
 smoke/quick record the speedup but skip the floor (small stores measure
 filesystem latency, not layout behaviour).
 
+The ``append`` condition times further puts into both layouts, once into
+stores of ``append_base`` records and once into the tier's ``records``.
+A put must cost the same however large the store is, so ``put_growth``
+(mean put time, large store over small) is gated at the full tier
+(25,000 vs 2,000 records) alongside the speedup floor.  The first put of
+each store is timed on its own: it pays the one-off pass over the index
+that finds the next commit sequence number, which belongs with opening
+the store rather than with the steady per-put cost.
+
 Correctness oracles in every tier: exact record counts through both
-layouts, identical key sets, and a byte-identity proof that
-``migrate(v1 -> v2)`` -> ``compact`` -> ``migrate(v2 -> v1)`` reproduces
-the original ``records.jsonl`` bit for bit.
+layouts (opened and appended), identical key sets, and a byte-identity
+proof that ``migrate(v1 -> v2)`` -> ``compact`` -> ``migrate(v2 -> v1)``
+reproduces the original ``records.jsonl`` bit for bit.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.bench.registry import (
     BenchContext,
@@ -32,6 +42,18 @@ from repro.bench.registry import (
 from repro.bench.schema import ORACLE_SKIPPED
 
 
+def _synthetic_cell(
+    index: int, result_ints: int
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The ``(config, result)`` of synthetic cell ``index``."""
+    config = {"cell": index, "kind": "bench-store", "seed": index % 7}
+    result = {
+        "counts": [(index * 31 + slot) % 997 for slot in range(result_ints)],
+        "num_words": 1000 + index,
+    }
+    return config, result
+
+
 def _write_synthetic_v1(directory: Path, records: int, result_ints: int) -> bytes:
     """Write a canonical v1 ``records.jsonl`` of ``records`` synthetic cells."""
     from repro.store import ResultRecord, content_key
@@ -39,11 +61,7 @@ def _write_synthetic_v1(directory: Path, records: int, result_ints: int) -> byte
     directory.mkdir(parents=True, exist_ok=True)
     lines = []
     for index in range(records):
-        config = {"cell": index, "kind": "bench-store", "seed": index % 7}
-        result = {
-            "counts": [(index * 31 + slot) % 997 for slot in range(result_ints)],
-            "num_words": 1000 + index,
-        }
+        config, result = _synthetic_cell(index, result_ints)
         record = ResultRecord(
             key=content_key(config), config=config, result=result
         )
@@ -51,6 +69,55 @@ def _write_synthetic_v1(directory: Path, records: int, result_ints: int) -> byte
     payload = "".join(lines).encode("utf-8")
     (directory / "records.jsonl").write_bytes(payload)
     return payload
+
+
+def _write_store_pair(
+    workdir: Path, name: str, records: int, result_ints: int
+) -> Tuple[Path, Path, bytes, int]:
+    """A v1 store of ``records`` synthetic cells and its v2 twin.
+
+    The twin holds the same record set, migrated through the real path;
+    the migration's record count comes last.
+    """
+    from repro.store import SHARDED, store_migrate
+
+    v1_dir = workdir / f"{name}-v1"
+    v1_bytes = _write_synthetic_v1(v1_dir, records, result_ints)
+    v2_dir = workdir / f"{name}-v2"
+    shutil.copytree(v1_dir, v2_dir)
+    migrated = store_migrate(v2_dir, SHARDED)["records"]
+    return v1_dir, v2_dir, v1_bytes, migrated
+
+
+def _time_appends(
+    directories: Sequence[Path], puts: int, result_ints: int
+) -> List[Tuple[float, float, int]]:
+    """Open each store and put ``puts`` new cells into it, one at a time.
+
+    Puts alternate between the stores, so a disk that slows down or speeds
+    up mid-run does so for all of them alike.  Returns, per store, the
+    first put's seconds, the mean seconds of the rest, and how many
+    records a reopen finds beyond the ones the store started with.
+    """
+    from repro.store import CampaignStore
+
+    stores = [CampaignStore(directory) for directory in directories]
+    before = [len(store) for store in stores]
+    seconds: List[List[float]] = [[] for _ in stores]
+    for index in range(puts):
+        for store, start, spent in zip(stores, before, seconds):
+            config, result = _synthetic_cell(start + index, result_ints)
+            began = time.perf_counter()
+            store.put(config, result)
+            spent.append(time.perf_counter() - began)
+    return [
+        (
+            spent[0],
+            sum(spent[1:]) / (puts - 1),
+            len(CampaignStore(directory)) - start,
+        )
+        for directory, start, spent in zip(directories, before, seconds)
+    ]
 
 
 def _open_and_hit_check(directory: Path, keys: list) -> int:
@@ -72,16 +139,15 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
 
     records = params["records"]
     floor = params["speedup_floor"]
+    ceiling = params["growth_ceiling"]
+    puts = params["append_puts"]
+    result_ints = params["result_ints"]
     workdir = Path(tempfile.mkdtemp(prefix="bench_store_"))
     try:
-        v1_dir = workdir / "v1"
-        v1_bytes = _write_synthetic_v1(v1_dir, records, params["result_ints"])
+        v1_dir, v2_dir, v1_bytes, migrated = _write_store_pair(
+            workdir, "large", records, result_ints
+        )
         keys = CampaignStore(v1_dir).keys()
-
-        # The sharded twin: same record set, migrated through the real path.
-        v2_dir = workdir / "v2"
-        shutil.copytree(v1_dir, v2_dir)
-        migrated = store_migrate(v2_dir, SHARDED)["records"]
 
         # Round-trip proof on a third copy: v1 -> v2 -> compact -> v1 must
         # reproduce the original records.jsonl byte for byte.
@@ -109,6 +175,32 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
         skipped = floor is None
         sharded_keys = CampaignStore(v2_dir).keys()
 
+        # Append scaling: the same number of puts into small and large
+        # stores of each layout.
+        small_v1, small_v2, _, _ = _write_store_pair(
+            workdir, "small", params["append_base"], result_ints
+        )
+        timed = _time_appends(
+            (small_v1, v1_dir, small_v2, v2_dir), puts, result_ints
+        )
+        appends: Dict[str, Any] = {}
+        growths: List[float] = []
+        for label, small, large in (
+            ("single_file", timed[0], timed[1]),
+            ("sharded", timed[2], timed[3]),
+        ):
+            growth = large[1] / max(small[1], 1e-12)
+            growths.append(growth)
+            appends.update(
+                {
+                    f"{label}_appended": small[2] + large[2],
+                    f"{label}_first_put_seconds_large": large[0],
+                    f"{label}_put_seconds_small": small[1],
+                    f"{label}_put_seconds_large": large[1],
+                    f"{label}_put_growth": growth,
+                }
+            )
+
         result = WorkloadResult()
         result.artifacts.update(
             {
@@ -117,7 +209,8 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
                 "v1_bytes": len(v1_bytes),
                 "skip_reason": (
                     None if floor is not None
-                    else f"{context.tier} tier does not gate the speedup floor"
+                    else f"{context.tier} tier does not gate the speedup "
+                    "floor or the put-growth ceiling"
                 ),
             }
         )
@@ -151,6 +244,19 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
                 ),
             },
         )
+        result.add(
+            "append",
+            metrics={**appends, "skipped_growth_gate": ceiling is None},
+            oracles={
+                "appended_count_exact": all(
+                    appended == puts for _, _, appended in timed
+                ),
+                "put_growth_ceiling": (
+                    ORACLE_SKIPPED if ceiling is None
+                    else max(growths) <= ceiling
+                ),
+            },
+        )
         return result
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -166,17 +272,31 @@ def _exact(metric: str, condition: str):
 register_workload(
     name="store-layouts",
     description=(
-        "campaign-store open + full cache-hit check, v2 sharded vs v1 "
-        "single-file, with migrate round-trip byte identity"
+        "campaign-store open + full cache-hit check and append scaling, "
+        "v2 sharded vs v1 single-file, with migrate round-trip byte identity"
     ),
     tiers={
-        "smoke": dict(records=64, result_ints=32, speedup_floor=None),
-        "quick": dict(records=2_000, result_ints=64, speedup_floor=None),
-        "full": dict(records=25_000, result_ints=64, speedup_floor=10.0),
+        "smoke": dict(
+            records=64, result_ints=32, speedup_floor=None,
+            append_base=32, append_puts=16, growth_ceiling=None,
+        ),
+        "quick": dict(
+            records=2_000, result_ints=64, speedup_floor=None,
+            append_base=2_000, append_puts=1_000, growth_ceiling=None,
+        ),
+        "full": dict(
+            records=25_000, result_ints=64, speedup_floor=10.0,
+            append_base=2_000, append_puts=1_000, growth_ceiling=1.5,
+        ),
     },
     run=_run,
     # Record counts are fully deterministic for a given tier — any layout
     # losing or duplicating records shows up here before it poisons caches.
-    gates=_exact("record_count", "single-file") + _exact("record_count", "sharded"),
+    gates=(
+        _exact("record_count", "single-file")
+        + _exact("record_count", "sharded")
+        + _exact("single_file_appended", "append")
+        + _exact("sharded_appended", "append")
+    ),
     tags=("core", "perf", "store"),
 )

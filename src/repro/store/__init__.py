@@ -19,11 +19,14 @@ four properties the scenario subsystem is built on:
 
 The package is layered: :mod:`repro.store.records` defines the canonical
 record model, :mod:`repro.store.locks` the advisory-lock primitive,
-:mod:`repro.store.layout` the on-disk engines (single-file **v1** and
-sharded-with-compacted-index **v2**), :mod:`repro.store.lifecycle` the
-administrative operations behind ``repro store`` (stat/verify/compact/
-gc/migrate), and :mod:`repro.store.store` the :class:`CampaignStore`
-facade everything else consumes.
+:mod:`repro.store.layout` the on-disk engine — one ``Segment`` type (a
+record file, its lock, an optional sidecar index) and the two layouts
+that arrange segments: single-file **v1** is one segment without a
+sidecar, sharded **v2** one segment with a sidecar per key prefix —
+:mod:`repro.store.lifecycle` the administrative operations behind
+``repro store`` (stat/verify/compact/gc/migrate), and
+:mod:`repro.store.store` the :class:`CampaignStore` facade everything
+else consumes.
 """
 
 from repro.exceptions import StoreError, StoreLockTimeoutError
@@ -60,7 +63,7 @@ from repro.store.records import (
     canonical_json,
     content_key,
 )
-from repro.store.store import CampaignStore, store_lock
+from repro.store.store import CampaignStore
 
 __all__ = [
     "DEFAULT_LOCK_TIMEOUT_S",
@@ -88,7 +91,6 @@ __all__ = [
     "resolve_lock_timeout",
     "store_compact",
     "store_gc",
-    "store_lock",
     "store_migrate",
     "store_stat",
     "store_verify",

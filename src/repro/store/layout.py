@@ -1,21 +1,24 @@
-"""Store layouts: the on-disk engines behind :class:`CampaignStore`.
+"""Store layouts: the on-disk engine behind :class:`CampaignStore`.
 
-Two layouts implement one contract (:class:`StoreLayout`):
+One engine, :class:`Segment`, does all the record I/O: a record file, its
+advisory lock, and an optional sidecar index.  The two layouts
+(:class:`StoreLayout` is their contract) only arrange segments:
 
-* :class:`SingleFileLayout` (**v1**) — one append-only ``records.jsonl``
-  under one store-wide advisory lock.  Kept bit-for-bit compatible with
-  every store the repository has ever written: a pre-existing campaign
-  directory opens, resumes, and re-serialises byte-identically.
-* :class:`ShardedLayout` (**v2**) — records routed to
-  ``segments/<prefix>.jsonl`` by the leading hex characters of their
-  content key, one advisory lock *per segment* (concurrent writers on
-  different shards never contend), plus a compacted JSONL sidecar index
-  per segment (``index/<prefix>.idx``) mapping
-  ``key -> (offset, length, seq, config)``.  Membership checks and
-  config-equality queries are O(1) dictionary lookups over the index and
-  never parse result payloads; record bodies load lazily on first access.
-  A ``MANIFEST.json`` format marker identifies the layout;
-  :func:`detect_layout` auto-detects it on open.
+* :class:`SingleFileLayout` (**v1**) — one segment at ``records.jsonl``
+  under ``records.lock``, without a sidecar, so opening parses and
+  verifies every record.  Kept bit-for-bit compatible with every store
+  the repository has ever written: a pre-existing campaign directory
+  opens, resumes, and re-serialises byte-identically.
+* :class:`ShardedLayout` (**v2**) — one segment per leading hex prefix of
+  the content key (``segments/<prefix>.jsonl`` under
+  ``segments/<prefix>.lock``), each with a compacted JSONL sidecar
+  (``index/<prefix>.idx``) mapping ``key -> (offset, length, seq,
+  config)``.  Concurrent writers on different shards never contend;
+  membership checks and config-equality queries are O(1) dictionary
+  lookups over the index and never parse result payloads; record bodies
+  load lazily on first access.  The layout adds routing, the global
+  commit order, the ``MANIFEST.json`` format marker
+  (:func:`detect_layout` auto-detects it on open) and ``gc``.
 
 Determinism contract
 --------------------
@@ -32,25 +35,36 @@ which keeps iteration deterministic for any fixed record set.
 Durability contract
 -------------------
 
-All of v1's machinery holds per segment in v2: appends are one
-``write``+``fsync`` to an ``O_APPEND`` fd under the segment lock,
-co-writers are deduplicated by content key after re-scanning the segment
-tail, a torn trailing line left by a crashed writer is repaired on open,
-and every record's content address is verified when its bytes are parsed
-— eagerly on open for v1, lazily on first load for v2 (``repro store
-verify`` forces the full check).  The sidecar index is *derived* state: a
-torn, stale, or corrupt index is rebuilt from the segment bytes, never
-trusted over them.
+Every segment, in either layout: appends are one ``write``+``fsync`` to
+an ``O_APPEND`` fd under the segment's lock, co-writers are deduplicated
+by content key after re-scanning the segment tail, a torn trailing line
+left by a crashed writer is repaired on open, and every record's content
+address is verified when its bytes are parsed — eagerly on open without
+a sidecar, lazily on first load with one (``repro store verify`` forces
+the full check).  A sidecar index is *derived* state: a torn, stale, or
+corrupt index is rebuilt from the segment bytes, never trusted over
+them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
+import shutil
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import StoreError
 from repro.obs import TRACER
@@ -59,7 +73,6 @@ from repro.store.records import (
     ResultRecord,
     StoreIntegrityError,
     canonical_json,
-    content_key,
     parse_record_line,
     reconcile,
 )
@@ -132,26 +145,25 @@ def write_manifest(
     directory: str, shard_prefix_chars: int = SHARD_PREFIX_CHARS
 ) -> None:
     """Atomically write the sharded-layout manifest (the v2 commit point)."""
-    path = os.path.join(directory, MANIFEST_FILENAME)
     payload = {
         "format": MANIFEST_FORMAT,
         "layout": SHARDED,
         "version": SHARDED_LAYOUT_VERSION,
         "shard_prefix_chars": shard_prefix_chars,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_durably(
+        os.path.join(directory, MANIFEST_FILENAME), text.encode("utf-8")
+    )
 
 
 #: Structural prefix of an index line: the key always leads, so opening a
 #: store can slice keys out of sidecar lines without a JSON parse per row.
 _INDEX_LINE_PREFIX = b'{"k":"'
 _KEY_HEX_CHARS = 64  # SHA-256
+
+#: The fields a lazy :class:`IndexEntry` decodes from its raw line.
+_LAZY_FIELDS = frozenset(("offset", "length", "seq", "config"))
 
 
 class IndexEntry:
@@ -172,7 +184,7 @@ class IndexEntry:
     corruption.
     """
 
-    __slots__ = ("key", "shard", "_raw", "_fields")
+    __slots__ = ("key", "shard", "offset", "length", "seq", "config", "_raw")
 
     def __init__(
         self,
@@ -185,10 +197,11 @@ class IndexEntry:
     ) -> None:
         self.key = key
         self.shard = shard
+        self.offset = offset
+        self.length = length
+        self.seq = seq
+        self.config = config
         self._raw: Optional[bytes] = None
-        self._fields: Optional[Tuple[int, int, int, Dict[str, Any]]] = (
-            offset, length, seq, config,
-        )
 
     @classmethod
     def lazy(cls, key: str, shard: str, raw: bytes) -> "IndexEntry":
@@ -197,55 +210,42 @@ class IndexEntry:
         entry.key = key
         entry.shard = shard
         entry._raw = raw
-        entry._fields = None
         return entry
 
-    def _decode(self) -> Tuple[int, int, int, Dict[str, Any]]:
-        fields = self._fields
-        if fields is None:
-            assert self._raw is not None
-            source = f"index entry for key {self.key}"
-            try:
-                payload = json.loads(self._raw)
-                fields = (
-                    int(payload["o"]), int(payload["l"]),
-                    int(payload["q"]), payload["c"],
-                )
-            except (ValueError, KeyError, TypeError) as error:
-                raise StoreIntegrityError(
-                    f"{source} (segment {self.shard}) is unparseable "
-                    f"({error}); rebuild the index with `repro store "
-                    "compact`"
-                ) from error
-            if (
-                payload.get("k") != self.key
-                or not isinstance(fields[3], dict)
-                or fields[0] < 0
-                or fields[1] <= 0
-                or not self.key.startswith(self.shard)
-            ):
-                raise StoreIntegrityError(
-                    f"{source} (segment {self.shard}) is inconsistent; "
-                    "rebuild the index with `repro store compact`"
-                )
-            self._fields = fields
-        return fields
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for unset slots: the fields of a lazy entry that has
+        # not been decoded yet (anything else fails the normal lookup).
+        if self._raw is not None and name in _LAZY_FIELDS:
+            self._decode(self._raw)
+        return object.__getattribute__(self, name)
 
-    @property
-    def offset(self) -> int:
-        return self._decode()[0]
-
-    @property
-    def length(self) -> int:
-        return self._decode()[1]
-
-    @property
-    def seq(self) -> int:
-        return self._decode()[2]
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return self._decode()[3]
+    def _decode(self, raw: bytes) -> None:
+        source = f"index entry for key {self.key}"
+        try:
+            payload = json.loads(raw)
+            offset, length = int(payload["o"]), int(payload["l"])
+            seq, config = int(payload["q"]), payload["c"]
+        except (ValueError, KeyError, TypeError) as error:
+            raise StoreIntegrityError(
+                f"{source} (segment {self.shard}) is unparseable "
+                f"({error}); rebuild the index with `repro store "
+                "compact`"
+            ) from error
+        if (
+            payload.get("k") != self.key
+            or not isinstance(config, dict)
+            or offset < 0
+            or length <= 0
+            or not self.key.startswith(self.shard)
+        ):
+            raise StoreIntegrityError(
+                f"{source} (segment {self.shard}) is inconsistent; "
+                "rebuild the index with `repro store compact`"
+            )
+        self.offset, self.length, self.seq, self.config = (
+            offset, length, seq, config,
+        )
+        self._raw = None
 
     def end(self) -> int:
         """First segment byte past this record (its newline included)."""
@@ -254,10 +254,9 @@ class IndexEntry:
     def to_json_line(self) -> str:
         # Fixed field order with the key first, matching
         # _INDEX_LINE_PREFIX so open can slice keys without parsing.
-        offset, length, seq, config = self._decode()
         return (
-            f'{{"k":"{self.key}","o":{offset},"l":{length},"q":{seq},'
-            f'"c":{canonical_json(config)}}}'
+            f'{{"k":"{self.key}","o":{self.offset},"l":{self.length},'
+            f'"q":{self.seq},"c":{canonical_json(self.config)}}}'
         )
 
     @classmethod
@@ -273,13 +272,521 @@ class IndexEntry:
         )
 
 
+# ---------------------------------------------------------------------------
+# the engine: one record file, its lock, an optional sidecar index
+# ---------------------------------------------------------------------------
+
+class Segment:
+    """One append-only record file, its advisory lock and optional sidecar.
+
+    The only copy of the store's record I/O: the locked ``O_APPEND``
+    write+fsync with ``ftruncate`` rollback, the tail scan with
+    content-key verification and torn-tail repair, the key ->
+    :class:`IndexEntry` map with the byte coverage it accounts for, lazy
+    record loads, and the canonical rewrite behind ``compact`` and
+    ``migrate``.  Refreshes, dedupe checks and sidecar rewrites look at
+    this segment's own map only, so a put costs the same however many
+    records other segments hold.
+
+    ``name`` is the key prefix every record here carries (empty for the
+    v1 segment, which holds every key).  ``take_seq`` hands out commit
+    sequence numbers for records the segment indexes; a layout passes its
+    store-wide counter so iteration follows commit order across segments
+    (without one, the segment numbers its records itself).  ``members``
+    and ``loaded``, if given, are store-wide maps shared with the other
+    segments: key -> entry, kept in step with this segment's own map (the
+    sharded layout's flat map for O(1) cache-hit checks), and key ->
+    parsed record (the record cache).  ``counter_prefix`` names the
+    tracer counters of the lock (``<prefix>.lock_*``) and, for
+    per-segment totals beside the store-wide ``store.appends``, of the
+    appends.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        lock_path: str,
+        lock_timeout_s: Optional[float] = None,
+        name: str = "",
+        sidecar_path: Optional[str] = None,
+        counter_prefix: str = "store",
+        take_seq: Optional[Callable[[], int]] = None,
+        members: Optional[Dict[str, IndexEntry]] = None,
+        loaded: Optional[Dict[str, ResultRecord]] = None,
+    ) -> None:
+        self.path = path
+        self.name = name
+        self.sidecar_path = sidecar_path
+        self._lock_path = lock_path
+        self._lock_timeout_s = lock_timeout_s
+        self._counter_prefix = counter_prefix
+        self._take_seq = (
+            take_seq if take_seq is not None else itertools.count().__next__
+        )
+        #: key -> index entry, in segment byte order (the membership map).
+        self.index: Dict[str, IndexEntry] = {}
+        #: A store-wide key -> entry map kept in step with ``index``, if any.
+        self._members = members
+        #: Parsed records, cached by key.
+        self._loaded: Dict[str, ResultRecord] = {} if loaded is None else loaded
+        #: Segment bytes accounted for by ``index``; bytes past it were
+        #: appended by other writers since our last look.
+        self.coverage = 0
+
+    def lock(self) -> Any:
+        """The exclusive advisory lock every write to this segment holds."""
+        return file_lock(
+            self._lock_path,
+            timeout_s=self._lock_timeout_s,
+            counter_prefix=self._counter_prefix + ".lock",
+        )
+
+    # -- read side ----------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def size(self) -> int:
+        """Bytes in the record file (0 while it does not exist)."""
+        return _file_size(self.path)
+
+    def index_size(self) -> int:
+        """Bytes in the sidecar index (0 without one)."""
+        return 0 if self.sidecar_path is None else _file_size(self.sidecar_path)
+
+    def get(self, key: str) -> Optional[ResultRecord]:
+        """The record stored under ``key`` (loaded lazily, then cached)."""
+        entry = self.index.get(key)
+        if entry is None:
+            return None
+        record = self._loaded.get(key)
+        if record is None:
+            record = self._loaded[key] = self._read(entry)
+        return record
+
+    def _load(self, entry: IndexEntry) -> ResultRecord:
+        """``entry``'s record, from the cache or read (uncached) from disk."""
+        cached = self._loaded.get(entry.key)
+        return cached if cached is not None else self._read(entry)
+
+    def _read(self, entry: IndexEntry) -> ResultRecord:
+        with open(self.path, "rb") as handle:
+            handle.seek(entry.offset)
+            line = handle.read(entry.length)
+        record = parse_record_line(line, self.path, entry.offset)
+        if record.key != entry.key:
+            raise StoreIntegrityError(
+                f"{self.path}: index entry for key {entry.key} points at a "
+                f"record with key {record.key} (byte {entry.offset}); the "
+                "sidecar index is stale — run `repro store compact`"
+            )
+        if TRACER.enabled:
+            TRACER.add("store.lazy_record_loads")
+        return record
+
+    # -- open ---------------------------------------------------------------
+    def load_index(self) -> bool:
+        """Adopt the sidecar rows, lock-free; True when they cover the file.
+
+        The hot path of a sharded open: no lock, no segment read, no
+        payload parse.  A segment they do not cover — no sidecar, a stale
+        one (a writer crashed between segment and index append), or one
+        distrusted as torn or corrupt — needs :meth:`recover`.
+        """
+        size = self.size()
+        adopted: Optional[Tuple[Dict[str, IndexEntry], int]] = ({}, 0)
+        if self.sidecar_path is not None:
+            adopted = self._read_sidecar(self.sidecar_path, size)
+            if adopted is None and TRACER.enabled:
+                TRACER.add("store.index.rebuilds")
+        self._replace_index(*(adopted or ({}, 0)))
+        return adopted is not None and self.coverage == size
+
+    def recover(self) -> None:
+        """Index what the sidecar misses under the lock; rewrite the sidecar."""
+        with self.lock():
+            self._scan_tail_locked()
+            self._write_index()
+
+    def _read_sidecar(
+        self, path: str, segment_size: int
+    ) -> Optional[Tuple[Dict[str, IndexEntry], int]]:
+        """Parse the sidecar at ``path`` into ``(index, coverage)``.
+
+        ``None`` demands a full rebuild.  A torn *final* line (a writer
+        crashed mid index append) is dropped — the segment tail scan
+        recovers the records it covered — but damage anywhere else
+        distrusts the whole sidecar.
+        """
+        if not os.path.exists(path):
+            return ({}, 0) if segment_size == 0 else None
+        raw = _read_bytes(path)
+        shard = self.name
+        index: Dict[str, IndexEntry] = {}
+        prefix_len = len(_INDEX_LINE_PREFIX)
+        key_end = prefix_len + _KEY_HEX_CHARS
+        lines = raw.split(b"\n")
+        # A final chunk with no terminating newline is a torn index append;
+        # drop it — the segment tail scan recovers the record it covered.
+        lines.pop()
+        last = len(lines) - 1
+        make_lazy = IndexEntry.lazy
+        for position, line in enumerate(lines):
+            # Fast structural check: the fixed field order puts the key
+            # first, so membership needs only a slice, not a JSON parse.
+            if (
+                line[:prefix_len] == _INDEX_LINE_PREFIX
+                and line[key_end:key_end + 2] == b'",'
+            ):
+                key = line[prefix_len:key_end].decode("ascii")
+                entry = make_lazy(key, shard, line)
+            else:
+                if not line.strip():
+                    continue
+                try:
+                    entry = IndexEntry.from_json_line(
+                        line.decode("utf-8"), shard
+                    )
+                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                    if position == last:
+                        break  # unparseable *final* line: torn-append case
+                    return None
+                key = entry.key
+            if not key.startswith(shard) or key in index:
+                return None
+            index[key] = entry
+        # Coverage comes from the final entry alone; interior rows decode
+        # lazily and are deep-checked by `verify`.  A final row that fails
+        # to decode is the torn-append case one more time: drop it and let
+        # the locked tail scan recover its record from the segment — but
+        # only the final row earns that forgiveness.
+        if not index:
+            return index, 0
+        try:
+            coverage = next(reversed(index.values())).end()
+        except StoreIntegrityError:
+            index.popitem()
+            if not index:
+                return index, 0
+            try:
+                coverage = next(reversed(index.values())).end()
+            except StoreIntegrityError:
+                return None
+        return (index, coverage) if coverage <= segment_size else None
+
+    # -- tail scan and repair -----------------------------------------------
+    def refresh_locked(self) -> None:
+        """Index records other writers appended since our last look.
+
+        Caller holds the lock.  The sidecar is kept ahead of what the scan
+        learned, so the next open takes the lock-free fast path.
+        """
+        if self._scan_tail_locked():
+            self._write_index()
+
+    def _scan_tail_locked(self) -> bool:
+        """Index bytes past ``coverage``; True if new records turned up.
+
+        Caller holds the lock.  Because every writer appends only while
+        holding it, a trailing line without its newline observed *under
+        the lock* can only be a crash artifact, repaired by
+        :meth:`_repair_tail_locked`; blank lines are absorbed, and damage
+        anywhere else raises :class:`StoreIntegrityError`.
+        """
+        if not os.path.exists(self.path):
+            return False
+        start = self.coverage
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            data = handle.read()
+        known = len(self.index)
+        position = 0
+        while position < len(data):
+            newline = data.find(b"\n", position)
+            if newline == -1:
+                self._repair_tail_locked(data[position:], start + position)
+                break
+            line = data[position:newline]
+            if line.strip():
+                self._index_line(line, start + position)
+            position = newline + 1
+            self.coverage = start + position
+        return len(self.index) > known
+
+    def _index_line(self, line: bytes, offset: int) -> None:
+        record = parse_record_line(line, self.path, offset)
+        if not record.key.startswith(self.name):
+            raise StoreIntegrityError(
+                f"{self.path} is corrupt at byte {offset}: record key "
+                f"{record.key} does not belong to segment {self.name!r}"
+            )
+        existing = self.index.get(record.key)
+        if existing is not None:
+            if self._load(existing).to_json_line() != record.to_json_line():
+                raise StoreIntegrityError(
+                    f"{self.path} holds two different results for key "
+                    f"{record.key} (second at byte {offset}); refusing to "
+                    "pick one silently"
+                )
+            return
+        self._add(
+            IndexEntry(
+                key=record.key,
+                shard=self.name,
+                offset=offset,
+                length=len(line),
+                seq=self._take_seq(),
+                config=record.config,
+            )
+        )
+        self._loaded[record.key] = record
+
+    def _repair_tail_locked(self, fragment: bytes, offset: int) -> None:
+        """Handle a trailing line with no newline (a crashed writer's append).
+
+        A crash-torn append is a strict prefix of one JSON object and can
+        never parse, so an unparseable fragment is truncated away (the cell
+        is re-simulated on resume).  A fragment that *does* parse is a
+        complete record missing only its newline: it is verified exactly
+        like any other line — failing loudly on a bad content address —
+        and then completed in place.
+        """
+        if not fragment.strip():
+            self.coverage = offset + len(fragment)  # stray whitespace
+            return
+        try:
+            ResultRecord.from_json_line(fragment.decode("utf-8"))
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            fd = os.open(self.path, os.O_RDWR)
+            try:
+                os.ftruncate(fd, offset)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self.coverage = offset
+            if TRACER.enabled:
+                TRACER.add("store.torn_tail_repairs")
+                TRACER.event(
+                    "store.torn_tail_repair",
+                    {"path": self.path, "offset": offset,
+                     "truncated_bytes": len(fragment)},
+                )
+            return
+        self._index_line(fragment, offset)  # raises on key/config mismatch
+        with open(self.path, "ab") as handle:  # repro-lint: ignore[RPR104] -- tail repair runs with the segment lock already held by its caller
+            handle.write(b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        self.coverage = offset + len(fragment) + 1
+        if TRACER.enabled:
+            TRACER.add("store.torn_tail_repairs")
+            TRACER.event(
+                "store.torn_tail_repair",
+                {"path": self.path, "offset": offset,
+                 "restored_newline": True},
+            )
+
+    # -- write side ---------------------------------------------------------
+    def append(self, record: ResultRecord) -> ResultRecord:
+        """Durably commit ``record`` (dedup-checked, locked, fsynced)."""
+        existing = self.get(record.key)
+        if existing is not None:
+            return reconcile(existing, record)
+        with self.lock():
+            # Another process may have committed this cell (or others) since
+            # we last looked; index the new tail before deciding to append.
+            self.refresh_locked()
+            existing = self.get(record.key)
+            if existing is not None:
+                return reconcile(existing, record)
+            line = record.to_json_line().encode("utf-8")
+            offset = self._append_locked(line + b"\n")
+            entry = IndexEntry(
+                key=record.key,
+                shard=self.name,
+                offset=offset,
+                length=len(line),
+                seq=self._take_seq(),
+                config=record.config,
+            )
+            if self.sidecar_path is not None:
+                # Unfsynced on purpose: the index is derived state, rebuilt
+                # from the segment if a crash tears it.
+                with open(self.sidecar_path, "ab") as handle:
+                    handle.write((entry.to_json_line() + "\n").encode("utf-8"))
+            self._add(entry)
+            self._loaded[record.key] = record
+            self.coverage = entry.end()
+        return record
+
+    def _append_locked(self, payload: bytes) -> int:
+        """One write+fsync to the O_APPEND fd.  Caller holds the lock.
+
+        Returns the byte offset the payload landed at.
+        """
+        append_start = time.perf_counter() if TRACER.enabled else 0.0
+        fd = os.open(  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
+            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        try:
+            start = os.fstat(fd).st_size
+            try:
+                written = 0
+                while written < len(payload):
+                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
+                    if chunk == 0:
+                        raise StoreError(
+                            f"zero-byte write appending to {self.path}"
+                        )
+                    written += chunk
+                fsync_start = time.perf_counter() if TRACER.enabled else 0.0
+                os.fsync(fd)
+                if TRACER.enabled:
+                    now = time.perf_counter()
+                    TRACER.add("store.appends")
+                    TRACER.add("store.bytes_appended", len(payload))
+                    if self._counter_prefix != "store":
+                        TRACER.add(self._counter_prefix + ".appends")
+                        TRACER.add(
+                            self._counter_prefix + ".bytes_appended",
+                            len(payload),
+                        )
+                    TRACER.add("store.fsync_s", now - fsync_start)
+                    TRACER.add("store.append_s", now - append_start)
+            except BaseException:
+                # A short/failed write leaves a torn fragment that later
+                # appends would turn into unrepairable *mid-file*
+                # corruption; roll it back while we still hold the lock.
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, start)
+                raise
+        finally:
+            os.close(fd)
+        return start
+
+    def rewrite(self, records: Iterable[Tuple[int, ResultRecord]]) -> int:
+        """Durably replace the file with ``records`` as canonical lines.
+
+        Each ``(seq, record)`` pair keeps its commit sequence number, in the
+        given order; the sidecar, if any, is rewritten to match.  Returns
+        the new size in bytes.  Callers other than a migration building a
+        fresh store hold the lock.
+        """
+        pieces: List[bytes] = []
+        entries: Dict[str, IndexEntry] = {}
+        offset = 0
+        for seq, record in records:
+            line = record.to_json_line().encode("utf-8")
+            pieces.append(line + b"\n")
+            entries[record.key] = IndexEntry(
+                key=record.key,
+                shard=self.name,
+                offset=offset,
+                length=len(line),
+                seq=seq,
+                config=record.config,
+            )
+            offset += len(line) + 1
+        _write_durably(self.path, b"".join(pieces))
+        self._replace_index(entries, offset)
+        self._write_index()
+        return offset
+
+    def compact_locked(self) -> Tuple[int, int]:
+        """Rewrite canonically in byte order, every ``seq`` kept.
+
+        Caller holds the lock.  Drops stray whitespace from the file and
+        stale or duplicate rows from the sidecar, which afterwards covers
+        the file exactly.  Returns ``(bytes_before, bytes_after)``.
+        """
+        before = self.size()
+        ordered = sorted(self.index.values(), key=lambda entry: entry.offset)
+        return before, self.rewrite(
+            (entry.seq, self._load(entry)) for entry in ordered
+        )
+
+    def _add(self, entry: IndexEntry) -> None:
+        self.index[entry.key] = entry
+        if self._members is not None:
+            self._members[entry.key] = entry
+
+    def _replace_index(
+        self, index: Dict[str, IndexEntry], coverage: int
+    ) -> None:
+        self.index, self.coverage = index, coverage
+        if self._members is not None:
+            self._members.update(index)
+
+    def _write_index(self) -> None:
+        """Atomically replace the sidecar (if any) with the current map."""
+        if self.sidecar_path is None:
+            return
+        ordered = sorted(self.index.values(), key=lambda entry: entry.offset)
+        payload = "".join(entry.to_json_line() + "\n" for entry in ordered)
+        _write_durably(self.sidecar_path, payload.encode("utf-8"))
+
+    # -- lifecycle ----------------------------------------------------------
+    def verify(self) -> List[str]:
+        """Load and content-verify every record; cross-check the map."""
+        problems: List[str] = []
+        size = self.size()
+        if size != self.coverage:
+            problems.append(
+                f"{self.path}: {size - self.coverage} bytes beyond index "
+                "coverage (reopen or compact to reconcile)"
+            )
+        elif size and _last_byte(self.path) != b"\n":
+            problems.append(
+                f"{self.path}: missing trailing newline (compact rewrites it)"
+            )
+        spans: List[Tuple[int, int]] = []
+        for entry in self.index.values():
+            try:
+                self._load(entry)
+                spans.append((entry.offset, entry.end()))
+            except StoreIntegrityError as error:
+                problems.append(str(error))
+        spans.sort()
+        position = 0
+        for start, stop in spans:
+            if start < position:
+                problems.append(
+                    f"{self.path}: index entries overlap at byte {start}"
+                )
+            position = stop
+        return problems
+
+
+# ---------------------------------------------------------------------------
+# layouts: how segments are arranged under a campaign directory
+# ---------------------------------------------------------------------------
+
+class _CommitSeq:
+    """A store's next commit sequence number, shared with its segments.
+
+    A holder rather than a layout method, so segments keep no reference
+    back to their layout: such a cycle would hold every loaded record
+    until the cyclic garbage collector happened to run.
+    """
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        self.next: Optional[int] = None
+
+    def take(self) -> int:
+        seq = self.next
+        assert seq is not None  # layouts start the sequence before scans
+        self.next = seq + 1
+        return seq
+
+
 class StoreLayout:
     """Contract a storage layout implements for :class:`CampaignStore`.
 
-    A layout owns the on-disk representation under one campaign directory:
-    membership, deterministic iteration order, (lazy) record loading,
-    locked durable appends, and the lifecycle operations ``verify`` /
-    ``compact`` / ``gc``.
+    A layout arranges :class:`Segment` objects under one campaign
+    directory: which segment a key routes to, the deterministic iteration
+    order (:meth:`_ordered`), and the lifecycle operations.  Membership,
+    loading, ``verify`` and ``compact`` are the segments' own.
     """
 
     name: str = "abstract"
@@ -287,6 +794,8 @@ class StoreLayout:
     def __init__(self, directory: str, lock_timeout_s: Optional[float] = None):
         self._directory = str(directory)
         self._lock_timeout_s = lock_timeout_s
+        #: Next commit sequence number, shared with every segment.
+        self._seq = _CommitSeq()
         os.makedirs(self._directory, exist_ok=True)
 
     @property
@@ -294,8 +803,41 @@ class StoreLayout:
         """The campaign directory this layout persists under."""
         return self._directory
 
-    def __len__(self) -> int:
+    def segments(self) -> List[Segment]:
+        """Every segment, in a deterministic order."""
         raise NotImplementedError
+
+    def _ordered(self) -> Iterable[IndexEntry]:
+        """Every index entry in the layout's deterministic iteration order."""
+        raise NotImplementedError
+
+    def _open_segments(self, segments: Sequence[Segment]) -> None:
+        # Every sidecar is adopted before any segment is scanned, so records
+        # a scan indexes take sequence numbers after all committed ones.
+        stale = [segment for segment in segments if not segment.load_index()]
+        if stale:
+            self._start_seq()
+        for segment in stale:
+            segment.recover()
+
+    def _start_seq(self) -> None:
+        """Materialise the next commit sequence number, once.
+
+        It decodes every index entry, which a read-only open never needs
+        to pay for, so it runs only before a segment may index a record.
+        """
+        if self._seq.next is None:
+            self._seq.next = 1 + max(
+                (
+                    entry.seq
+                    for segment in self.segments()
+                    for entry in segment.index.values()
+                ),
+                default=-1,
+            )
+
+    def __len__(self) -> int:
+        return sum(len(segment) for segment in self.segments())
 
     def has(self, key: str) -> bool:
         """O(1) membership: is ``key`` committed? (the cache-hit check)"""
@@ -303,7 +845,7 @@ class StoreLayout:
 
     def keys(self) -> List[str]:
         """All stored keys in the layout's deterministic iteration order."""
-        raise NotImplementedError
+        return [entry.key for entry in self._ordered()]
 
     def get(self, key: str) -> Optional[ResultRecord]:
         """The record stored under ``key`` (loaded lazily), or ``None``."""
@@ -322,7 +864,8 @@ class StoreLayout:
         The index-resident path config-equality queries filter on without
         deserialising result payloads.
         """
-        raise NotImplementedError
+        for entry in self._ordered():
+            yield entry.key, entry.config
 
     def append(self, record: ResultRecord) -> ResultRecord:
         """Durably commit ``record`` (dedup-checked, locked, fsynced)."""
@@ -330,248 +873,101 @@ class StoreLayout:
 
     def verify(self) -> List[str]:
         """Deep-check every byte; return human-readable problem strings."""
-        raise NotImplementedError
+        return [
+            problem
+            for segment in self.segments()
+            for problem in segment.verify()
+        ]
 
     def compact(self) -> Dict[str, Any]:
-        """Rewrite storage dropping garbage; return a summary dict."""
-        raise NotImplementedError
+        """Rewrite every segment canonically; return a summary dict.
+
+        Records are rewritten in byte order with every ``seq`` kept (hence
+        the iteration order), dropping stray whitespace and stale or
+        duplicate sidecar rows; afterwards every sidecar exactly covers
+        its segment, so subsequent opens take the lock-free fast path.
+        """
+        self._start_seq()
+        segments = 0
+        bytes_before = 0
+        bytes_after = 0
+        for segment in self.segments():
+            with segment.lock():
+                segment.refresh_locked()
+                if not len(segment) and not segment.size():
+                    continue
+                before, after = segment.compact_locked()
+            segments += 1
+            bytes_before += before
+            bytes_after += after
+        if TRACER.enabled:
+            TRACER.add("store.compactions")
+            TRACER.add("store.compaction.segments", segments)
+            TRACER.add(
+                "store.compaction.bytes_reclaimed", bytes_before - bytes_after
+            )
+        return {
+            "layout": self.name,
+            "segments_compacted": segments,
+            "bytes_before": bytes_before,
+            "bytes_after": bytes_after,
+            "records": len(self),
+        }
 
     def gc(self) -> Dict[str, Any]:
         """Remove dead artefacts (stale locks, tmp files, orphans)."""
         raise NotImplementedError
 
 
-# ---------------------------------------------------------------------------
-# v1: single records.jsonl under one store-wide lock
-# ---------------------------------------------------------------------------
-
 class SingleFileLayout(StoreLayout):
-    """v1: one append-only ``records.jsonl``, fully indexed in memory.
+    """v1: one segment at ``records.jsonl``, no sidecar, fully in memory.
 
     Opening scans the whole file under the store lock, verifying every
     record's content address and repairing a torn trailing line left by a
-    crashed writer — the exact machinery PR 4 hardened, unchanged, so
-    every existing campaign directory keeps its byte-for-byte guarantees.
+    crashed writer, so every existing campaign directory keeps its
+    byte-for-byte guarantees.
     """
 
     name = SINGLE_FILE
 
     def __init__(self, directory: str, lock_timeout_s: Optional[float] = None):
         super().__init__(directory, lock_timeout_s)
-        self._records: Dict[str, ResultRecord] = {}
-        self._order: List[str] = []
-        #: Byte offset up to which ``records.jsonl`` has been indexed; bytes
-        #: past it were appended by other writers since our last look.
-        self._scan_offset = 0
-        if os.path.exists(self.records_path):
-            with self._lock():
-                self._refresh_from_disk()
-
-    @property
-    def records_path(self) -> str:
-        """Path of the JSONL records file."""
-        return os.path.join(self._directory, RECORDS_FILENAME)
-
-    def _lock(self) -> Any:
-        return file_lock(
-            os.path.join(self._directory, LOCK_FILENAME),
-            timeout_s=self._lock_timeout_s,
+        self._segment = _single_file_segment(
+            self._directory, lock_timeout_s, self._seq.take
         )
+        self._open_segments([self._segment])
 
-    # -- read side ----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
+    @classmethod
+    def create(
+        cls,
+        directory: str,
+        records: Sequence[ResultRecord],
+        lock_timeout_s: Optional[float] = None,
+    ) -> "SingleFileLayout":
+        """Write ``records``, in order, as ``records.jsonl``, then reopen it.
+
+        Reopening parses and content-verifies every line it wrote.
+        """
+        _single_file_segment(directory, lock_timeout_s, None).rewrite(
+            enumerate(records)
+        )
+        return cls(directory, lock_timeout_s)
+
+    def segments(self) -> List[Segment]:
+        return [self._segment]
 
     def has(self, key: str) -> bool:
-        return key in self._records
-
-    def keys(self) -> List[str]:
-        return list(self._order)
+        return key in self._segment.index
 
     def get(self, key: str) -> Optional[ResultRecord]:
-        return self._records.get(key)
+        return self._segment.get(key)
 
-    def iter_configs(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        for key in self._order:
-            yield key, self._records[key].config
+    def _ordered(self) -> Iterable[IndexEntry]:
+        return list(self._segment.index.values())
 
-    # -- write side ---------------------------------------------------------
     def append(self, record: ResultRecord) -> ResultRecord:
-        existing = self._records.get(record.key)
-        if existing is not None:
-            return reconcile(existing, record)
-        with self._lock():
-            # Another process may have committed this cell (or others) since
-            # we last looked; index the new tail before deciding to append.
-            self._refresh_from_disk()
-            existing = self._records.get(record.key)
-            if existing is not None:
-                return reconcile(existing, record)
-            payload = (record.to_json_line() + "\n").encode("utf-8")
-            self._append_payload_locked(payload)
-            self._scan_offset += len(payload)
-        self._records[record.key] = record
-        self._order.append(record.key)
-        return record
-
-    def _append_payload_locked(self, payload: bytes) -> None:
-        """One write+fsync to the O_APPEND fd.  Caller holds the lock."""
-        append_start = time.perf_counter() if TRACER.enabled else 0.0
-        fd = os.open(  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the store lock around this call
-            self.records_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            start = os.fstat(fd).st_size
-            try:
-                written = 0
-                while written < len(payload):
-                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the store lock around this call
-                    if chunk == 0:
-                        raise StoreError(
-                            f"zero-byte write appending to {self.records_path}"
-                        )
-                    written += chunk
-                fsync_start = time.perf_counter() if TRACER.enabled else 0.0
-                os.fsync(fd)
-                if TRACER.enabled:
-                    now = time.perf_counter()
-                    TRACER.add("store.appends")
-                    TRACER.add("store.bytes_appended", len(payload))
-                    TRACER.add("store.fsync_s", now - fsync_start)
-                    TRACER.add("store.append_s", now - append_start)
-            except BaseException:
-                # A short/failed write leaves a torn fragment that later
-                # appends would turn into unrepairable *mid-file*
-                # corruption; roll it back while we still hold the lock.
-                with contextlib.suppress(OSError):
-                    os.ftruncate(fd, start)
-                raise
-        finally:
-            os.close(fd)
-
-    # -- internals ----------------------------------------------------------
-    def _refresh_from_disk(self) -> None:
-        """Index records appended since the last scan.  Caller holds the lock.
-
-        Because every writer appends only while holding the lock, a partial
-        trailing line observed *under the lock* can only be a crash artifact:
-        it is repaired in place (truncated, or completed with its missing
-        newline when the record itself survived intact).
-        """
-        if not os.path.exists(self.records_path):
-            return
-        with open(self.records_path, "rb") as handle:
-            handle.seek(self._scan_offset)
-            data = handle.read()
-        position = 0
-        while position < len(data):
-            newline = data.find(b"\n", position)
-            if newline == -1:
-                self._repair_tail(data[position:], self._scan_offset + position)
-                return
-            line = data[position:newline]
-            if line.strip():
-                self._index_line(line, self._scan_offset + position)
-            position = newline + 1
-        self._scan_offset += position
-
-    def _index_line(self, line: bytes, offset: int) -> None:
-        record = parse_record_line(line, self.records_path, offset)
-        existing = self._records.get(record.key)
-        if existing is not None:
-            if existing.to_json_line() != record.to_json_line():
-                raise StoreIntegrityError(
-                    f"{self.records_path} holds two different results for key "
-                    f"{record.key} (second at byte {offset}); refusing to "
-                    "pick one silently"
-                )
-            return
-        self._records[record.key] = record
-        self._order.append(record.key)
-
-    def _repair_tail(self, fragment: bytes, offset: int) -> None:
-        """Handle a trailing line with no newline (a crashed writer's append).
-
-        A crash-torn append is a strict prefix of one JSON object and can
-        never parse, so an unparseable fragment is truncated away (the cell
-        is re-simulated on resume).  A fragment that *does* parse is a
-        complete record missing only its newline: it is verified exactly
-        like any other line — failing loudly on a bad content address —
-        and then completed in place.
-        """
-        if not fragment.strip():
-            # Just stray whitespace at the tail; absorb it.
-            self._scan_offset = offset + len(fragment)
-            return
-        try:
-            ResultRecord.from_json_line(fragment.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            fd = os.open(self.records_path, os.O_RDWR)
-            try:
-                os.ftruncate(fd, offset)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._scan_offset = offset
-            if TRACER.enabled:
-                TRACER.add("store.torn_tail_repairs")
-                TRACER.event(
-                    "store.torn_tail_repair",
-                    {"path": self.records_path, "offset": offset,
-                     "truncated_bytes": len(fragment)},
-                )
-            return
-        self._index_line(fragment, offset)  # raises on key/config mismatch
-        with open(self.records_path, "ab") as handle:  # repro-lint: ignore[RPR104] -- _repair_tail runs with the store lock already held by its caller
-            handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._scan_offset = offset + len(fragment) + 1
-        if TRACER.enabled:
-            TRACER.add("store.torn_tail_repairs")
-            TRACER.event(
-                "store.torn_tail_repair",
-                {"path": self.records_path, "offset": offset,
-                 "restored_newline": True},
-            )
-
-    # -- lifecycle ----------------------------------------------------------
-    def verify(self) -> List[str]:
-        problems: List[str] = []
-        if not os.path.exists(self.records_path):
-            return problems
-        raw = _read_bytes(self.records_path)
-        if raw and not raw.endswith(b"\n"):
-            problems.append(
-                f"{self.records_path}: missing trailing newline (reopening "
-                "the store repairs this)"
-            )
-        return problems
-
-    def compact(self) -> Dict[str, Any]:
-        """Rewrite ``records.jsonl`` canonically (drops stray whitespace)."""
-        with self._lock():
-            self._refresh_from_disk()
-            before = (
-                os.path.getsize(self.records_path)
-                if os.path.exists(self.records_path) else 0
-            )
-            payload = "".join(
-                self._records[key].to_json_line() + "\n" for key in self._order
-            ).encode("utf-8")
-            if payload or before:
-                _write_file_durably(self.records_path, payload)
-            self._scan_offset = len(payload)
-        if TRACER.enabled:
-            TRACER.add("store.compactions")
-            TRACER.add("store.compaction.bytes_reclaimed", before - len(payload))
-        return {
-            "layout": self.name,
-            "segments_compacted": 1 if (payload or before) else 0,
-            "bytes_before": before,
-            "bytes_after": len(payload),
-            "records": len(self._records),
-        }
+        self._start_seq()
+        return self._segment.append(record)
 
     def gc(self) -> Dict[str, Any]:
         removed: Dict[str, List[str]] = {
@@ -595,12 +991,8 @@ class SingleFileLayout(StoreLayout):
         return {"layout": self.name, "removed": removed}
 
 
-# ---------------------------------------------------------------------------
-# v2: key-prefix segments + compacted sidecar index, per-segment locks
-# ---------------------------------------------------------------------------
-
 class ShardedLayout(StoreLayout):
-    """v2: records sharded by content-key prefix with a compacted index.
+    """v2: one segment with a sidecar index per content-key prefix.
 
     See the module docstring for the determinism and durability contracts.
     """
@@ -618,25 +1010,58 @@ class ShardedLayout(StoreLayout):
                     "it as sharded"
                 )
             write_manifest(self._directory)
-            self._prefix_chars = SHARD_PREFIX_CHARS
+            self.prefix_chars = SHARD_PREFIX_CHARS
         else:
-            self._prefix_chars = int(manifest["shard_prefix_chars"])
+            self.prefix_chars = int(manifest["shard_prefix_chars"])
         os.makedirs(self._segments_dir, exist_ok=True)
         os.makedirs(self._index_dir, exist_ok=True)
-        #: key -> index entry (the O(1) membership map; payload-free).
-        self._entries: Dict[str, IndexEntry] = {}
-        #: Lazily parsed records, cached by key.
+        #: Shard name -> its segment (created on first append to a new one).
+        self._segments: Dict[str, Segment] = {}
+        #: Every key -> its index entry, across segments: the flat map the
+        #: O(1) cache-hit check reads, kept in step by the segments.
+        self._members: Dict[str, IndexEntry] = {}
+        #: One record cache for every segment, so records are freed in the
+        #: order they were loaded: per-segment caches freed shard by shard
+        #: left ~20 MB of allocator arenas pinned after reading back 5,000
+        #: records.
         self._loaded: Dict[str, ResultRecord] = {}
-        #: Per shard: segment bytes accounted for by ``_entries``.
-        self._coverage: Dict[str, int] = {}
-        #: Next commit sequence number; materialised lazily on first write
-        #: (computing it decodes every index entry, which a read-only open
-        #: never needs to pay for).
-        self._next_seq: Optional[int] = None
-        self._order_cache: Optional[List[str]] = None
-        self._load_existing()
+        if TRACER.enabled:
+            TRACER.add("store.index.loads")
+        self._open_segments(
+            [self._segment(shard) for shard in self._shard_names()]
+        )
 
-    # -- paths --------------------------------------------------------------
+    @classmethod
+    def create(
+        cls,
+        directory: str,
+        records: Sequence[ResultRecord],
+        lock_timeout_s: Optional[float] = None,
+    ) -> "ShardedLayout":
+        """Write ``records`` as a fresh sharded store and commit it.
+
+        Record ``i`` gets commit sequence number ``i``, so the store
+        iterates in ``records`` order.  Segments and sidecars are written
+        durably first and ``MANIFEST.json`` — the commit point — last; the
+        committed store is then reopened.
+        """
+        for dirname in (SEGMENTS_DIRNAME, INDEX_DIRNAME):
+            path = os.path.join(directory, dirname)
+            if os.path.isdir(path):
+                shutil.rmtree(path)  # debris from an interrupted attempt
+            os.makedirs(path)
+        shards: Dict[str, List[Tuple[int, ResultRecord]]] = {}
+        for seq, record in enumerate(records):
+            shard = _shard_of(record.key, SHARD_PREFIX_CHARS)
+            shards.setdefault(shard, []).append((seq, record))
+        for shard in sorted(shards):
+            _shard_segment(
+                directory, shard, lock_timeout_s, None, None, None
+            ).rewrite(shards[shard])
+        write_manifest(directory)
+        return cls(directory, lock_timeout_s)
+
+    # -- routing ------------------------------------------------------------
     @property
     def _segments_dir(self) -> str:
         return os.path.join(self._directory, SEGMENTS_DIRNAME)
@@ -645,26 +1070,9 @@ class ShardedLayout(StoreLayout):
     def _index_dir(self) -> str:
         return os.path.join(self._directory, INDEX_DIRNAME)
 
-    def _segment_path(self, shard: str) -> str:
-        return os.path.join(self._segments_dir, f"{shard}.jsonl")
-
-    def _sidecar_path(self, shard: str) -> str:
-        return os.path.join(self._index_dir, f"{shard}.idx")
-
-    def _segment_lock(self, shard: str) -> Any:
-        return file_lock(
-            os.path.join(self._segments_dir, f"{shard}.lock"),
-            timeout_s=self._lock_timeout_s,
-            counter_prefix="store.segment.lock",
-        )
-
     def shard_of(self, key: str) -> str:
         """The segment a content key routes to (its leading hex chars)."""
-        if len(key) <= self._prefix_chars:
-            raise StoreIntegrityError(
-                f"content key {key!r} is too short to shard"
-            )
-        return key[: self._prefix_chars]
+        return _shard_of(key, self.prefix_chars)
 
     def _shard_names(self) -> List[str]:
         names = []
@@ -672,514 +1080,47 @@ class ShardedLayout(StoreLayout):
             if not filename.endswith(".jsonl"):
                 continue
             shard = filename[: -len(".jsonl")]
-            if len(shard) == self._prefix_chars and _is_hex(shard):
+            if len(shard) == self.prefix_chars and _is_hex(shard):
                 names.append(shard)
         return names
 
-    # -- open ---------------------------------------------------------------
-    def _load_existing(self) -> None:
-        if TRACER.enabled:
-            TRACER.add("store.index.loads")
-        for shard in self._shard_names():
-            self._load_shard(shard)
-
-    def _load_shard(self, shard: str) -> None:
-        seg_path = self._segment_path(shard)
-        size = os.path.getsize(seg_path)
-        entries, coverage, intact = self._read_sidecar(shard, size)
-        if intact and coverage == size:
-            # The hot path: a compacted index fully covering its segment —
-            # no lock, no segment read, no payload parse.
-            self._adopt(shard, entries, coverage)
-            return
-        # Index stale (writer crashed between segment and index append),
-        # torn, or corrupt: reconcile against the authoritative segment
-        # bytes under the segment lock, then rewrite the sidecar compacted.
-        with self._segment_lock(shard):
-            if not intact:
-                entries, coverage = [], 0
-                if TRACER.enabled:
-                    TRACER.add("store.index.rebuilds")
-            by_key = {entry.key: entry for entry in entries}
-            tail, coverage = self._scan_segment_locked(shard, coverage, by_key)
-            entries.extend(tail)
-            self._rewrite_sidecar_locked(shard, entries)
-        self._adopt(shard, entries, coverage)
-
-    def _adopt(
-        self, shard: str, entries: List[IndexEntry], coverage: int
-    ) -> None:
-        for entry in entries:
-            self._entries[entry.key] = entry
-            if self._next_seq is not None and entry.seq >= self._next_seq:
-                self._next_seq = entry.seq + 1
-        self._coverage[shard] = coverage
-        self._order_cache = None
-
-    def _take_seq(self) -> int:
-        """Claim the next commit sequence number (materialising it lazily)."""
-        if self._next_seq is None:
-            self._next_seq = 1 + max(
-                (entry.seq for entry in self._entries.values()), default=-1
+    def _segment(self, shard: str) -> Segment:
+        segment = self._segments.get(shard)
+        if segment is None:
+            segment = self._segments[shard] = _shard_segment(
+                self._directory,
+                shard,
+                self._lock_timeout_s,
+                self._seq.take,
+                self._members,
+                self._loaded,
             )
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
+        return segment
 
-    def _read_sidecar(
-        self, shard: str, segment_size: int
-    ) -> Tuple[List[IndexEntry], int, bool]:
-        """Load ``index/<shard>.idx``: ``(entries, coverage, intact)``.
-
-        ``intact=False`` demands a full rebuild from the segment.  A torn
-        *final* line (a writer crashed mid index append) is dropped — the
-        segment tail scan recovers the records it covered — but damage
-        anywhere else distrusts the whole sidecar.
-        """
-        path = self._sidecar_path(shard)
-        if not os.path.exists(path):
-            return [], 0, segment_size == 0
-        raw = _read_bytes(path)
-        entries: List[IndexEntry] = []
-        seen = set()
-        prefix_len = len(_INDEX_LINE_PREFIX)
-        key_end = prefix_len + _KEY_HEX_CHARS
-        lines = raw.split(b"\n")
-        # A final chunk with no terminating newline is a torn index append;
-        # drop it — the segment tail scan recovers the record it covered.
-        lines.pop()
-        last = len(lines) - 1
-        make_lazy = IndexEntry.lazy
-        adopt_entry = entries.append
-        note_seen = seen.add
-        for position, line in enumerate(lines):
-            # Fast structural check: the fixed field order puts the key
-            # first, so membership needs only a slice, not a JSON parse.
-            if (
-                line[:prefix_len] == _INDEX_LINE_PREFIX
-                and line[key_end:key_end + 2] == b'",'
-            ):
-                key = line[prefix_len:key_end].decode("ascii")
-                if key[: len(shard)] != shard:
-                    return [], 0, False
-                entry = make_lazy(key, shard, line)
-            else:
-                if not line.strip():
-                    continue
-                try:
-                    entry = IndexEntry.from_json_line(
-                        line.decode("utf-8"), shard
-                    )
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    if position == last:
-                        break  # unparseable *final* line: torn-append case
-                    return [], 0, False
-                if not entry.key.startswith(shard):
-                    return [], 0, False
-            if entry.key in seen:
-                return [], 0, False
-            note_seen(entry.key)
-            adopt_entry(entry)
-        # Coverage comes from the final entry alone; interior rows decode
-        # lazily and are deep-checked by `verify`.  A final row that fails
-        # to decode is the torn-append case one more time: drop it and let
-        # the locked tail scan recover its record from the segment — but
-        # only the final row earns that forgiveness.
-        if not entries:
-            return [], 0, True
-        try:
-            coverage = entries[-1].end()
-        except StoreIntegrityError:
-            entries.pop()
-            if not entries:
-                return [], 0, True
-            try:
-                coverage = entries[-1].end()
-            except StoreIntegrityError:
-                return [], 0, False
-        if coverage > segment_size:
-            return [], 0, False
-        return entries, coverage, True
-
-    def _scan_segment_locked(
-        self,
-        shard: str,
-        from_offset: int,
-        known: Dict[str, IndexEntry],
-    ) -> Tuple[List[IndexEntry], int]:
-        """Index segment bytes past ``from_offset``.  Caller holds the lock.
-
-        Returns the new entries and the post-scan coverage.  Exactly v1's
-        tail semantics per segment: whitespace is absorbed, an unparseable
-        trailing fragment is truncated away, a parseable one is verified
-        and completed with its newline, and damage anywhere *except* the
-        tail raises :class:`StoreIntegrityError`.
-        """
-        seg_path = self._segment_path(shard)
-        if not os.path.exists(seg_path):
-            return [], from_offset
-        with open(seg_path, "rb") as handle:
-            handle.seek(from_offset)
-            data = handle.read()
-        new_entries: List[IndexEntry] = []
-        position = 0
-        coverage = from_offset
-        while position < len(data):
-            newline = data.find(b"\n", position)
-            offset = from_offset + position
-            if newline == -1:
-                fragment = data[position:]
-                coverage = self._repair_segment_tail_locked(
-                    shard, fragment, offset, known, new_entries
-                )
-                return new_entries, coverage
-            line = data[position:newline]
-            if line.strip():
-                self._index_segment_line(
-                    shard, line, offset, known, new_entries
-                )
-            position = newline + 1
-            coverage = from_offset + position
-        return new_entries, coverage
-
-    def _index_segment_line(
-        self,
-        shard: str,
-        line: bytes,
-        offset: int,
-        known: Dict[str, IndexEntry],
-        new_entries: List[IndexEntry],
-    ) -> None:
-        seg_path = self._segment_path(shard)
-        record = parse_record_line(line, seg_path, offset)
-        if self.shard_of(record.key) != shard:
-            raise StoreIntegrityError(
-                f"{seg_path} is corrupt at byte {offset}: record key "
-                f"{record.key} does not belong to segment {shard!r}"
-            )
-        existing = known.get(record.key)
-        if existing is not None:
-            duplicate = self._load_record(existing)
-            if duplicate.to_json_line() != record.to_json_line():
-                raise StoreIntegrityError(
-                    f"{seg_path} holds two different results for key "
-                    f"{record.key} (second at byte {offset}); refusing to "
-                    "pick one silently"
-                )
-            return
-        entry = IndexEntry(
-            key=record.key,
-            shard=shard,
-            offset=offset,
-            length=len(line),
-            seq=self._take_seq(),
-            config=record.config,
-        )
-        known[record.key] = entry
-        new_entries.append(entry)
-        self._loaded[record.key] = record
-
-    def _repair_segment_tail_locked(
-        self,
-        shard: str,
-        fragment: bytes,
-        offset: int,
-        known: Dict[str, IndexEntry],
-        new_entries: List[IndexEntry],
-    ) -> int:
-        """v1's torn-tail repair, per segment.  Caller holds the lock."""
-        seg_path = self._segment_path(shard)
-        if not fragment.strip():
-            return offset + len(fragment)  # stray whitespace; absorb it
-        try:
-            ResultRecord.from_json_line(fragment.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            fd = os.open(seg_path, os.O_RDWR)
-            try:
-                os.ftruncate(fd, offset)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            if TRACER.enabled:
-                TRACER.add("store.torn_tail_repairs")
-                TRACER.event(
-                    "store.torn_tail_repair",
-                    {"path": seg_path, "offset": offset,
-                     "truncated_bytes": len(fragment)},
-                )
-            return offset
-        # A complete record missing only its newline: verify it like any
-        # other line, then complete it in place.
-        self._index_segment_line(shard, fragment, offset, known, new_entries)
-        with open(seg_path, "ab") as handle:  # repro-lint: ignore[RPR104] -- tail repair runs with the segment lock already held by its caller
-            handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if TRACER.enabled:
-            TRACER.add("store.torn_tail_repairs")
-            TRACER.event(
-                "store.torn_tail_repair",
-                {"path": seg_path, "offset": offset, "restored_newline": True},
-            )
-        return offset + len(fragment) + 1
-
-    def _rewrite_sidecar_locked(
-        self, shard: str, entries: List[IndexEntry]
-    ) -> None:
-        """Atomically replace ``index/<shard>.idx``.  Caller holds the lock."""
-        payload = "".join(
-            entry.to_json_line() + "\n" for entry in entries
-        ).encode("utf-8")
-        _write_file_durably(self._sidecar_path(shard), payload)
-
-    # -- read side ----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
+    def segments(self) -> List[Segment]:
+        return [self._segments[shard] for shard in sorted(self._segments)]
 
     def has(self, key: str) -> bool:
-        return key in self._entries
-
-    def keys(self) -> List[str]:
-        if self._order_cache is None:
-            ordered = sorted(
-                self._entries.values(),
-                key=lambda entry: (entry.seq, entry.shard, entry.offset),
-            )
-            self._order_cache = [entry.key for entry in ordered]
-        return list(self._order_cache)
+        return key in self._members
 
     def get(self, key: str) -> Optional[ResultRecord]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        cached = self._loaded.get(key)
-        if cached is not None:
-            return cached
-        record = self._load_record(entry)
-        self._loaded[key] = record
-        return record
+        entry = self._members.get(key)
+        return None if entry is None else self._segments[entry.shard].get(key)
 
-    def _load_record(self, entry: IndexEntry) -> ResultRecord:
-        cached = self._loaded.get(entry.key)
-        if cached is not None:
-            return cached
-        seg_path = self._segment_path(entry.shard)
-        with open(seg_path, "rb") as handle:
-            handle.seek(entry.offset)
-            line = handle.read(entry.length)
-        record = parse_record_line(line, seg_path, entry.offset)
-        if record.key != entry.key:
-            raise StoreIntegrityError(
-                f"{seg_path}: index entry for key {entry.key} points at a "
-                f"record with key {record.key} (byte {entry.offset}); the "
-                "sidecar index is stale — run `repro store compact`"
-            )
-        if TRACER.enabled:
-            TRACER.add("store.lazy_record_loads")
-        return record
-
-    def iter_configs(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        for key in self.keys():
-            yield key, self._entries[key].config
+    # -- commit order -------------------------------------------------------
+    def _ordered(self) -> Iterable[IndexEntry]:
+        return sorted(
+            self._members.values(),
+            key=lambda entry: (entry.seq, entry.shard, entry.offset),
+        )
 
     # -- write side ---------------------------------------------------------
     def append(self, record: ResultRecord) -> ResultRecord:
-        existing_entry = self._entries.get(record.key)
-        if existing_entry is not None:
-            loaded = self.get(record.key)
-            assert loaded is not None
-            return reconcile(loaded, record)
-        shard = self.shard_of(record.key)
-        with self._segment_lock(shard):
-            # Another process may have committed to this segment since we
-            # last looked; index its new tail before deciding to append.
-            self._refresh_shard_locked(shard)
-            existing_entry = self._entries.get(record.key)
-            if existing_entry is not None:
-                loaded = self._load_record(existing_entry)
-                return reconcile(loaded, record)
-            line = record.to_json_line()
-            payload = (line + "\n").encode("utf-8")
-            start = self._append_segment_payload_locked(shard, payload)
-            entry = IndexEntry(
-                key=record.key,
-                shard=shard,
-                offset=start,
-                length=len(payload) - 1,
-                seq=self._take_seq(),
-                config=record.config,
-            )
-            # The sidecar append is unfsynced on purpose: the index is
-            # derived state, rebuilt from the segment if a crash tears it.
-            with open(self._sidecar_path(shard), "ab") as handle:
-                handle.write((entry.to_json_line() + "\n").encode("utf-8"))
-                handle.flush()
-            self._entries[record.key] = entry
-            self._coverage[shard] = entry.end()
-            self._order_cache = None
-        self._loaded[record.key] = record
-        return record
-
-    def _append_segment_payload_locked(self, shard: str, payload: bytes) -> int:
-        """One write+fsync to the segment's O_APPEND fd.  Caller holds its lock.
-
-        Returns the byte offset the payload landed at.
-        """
-        seg_path = self._segment_path(shard)
-        append_start = time.perf_counter() if TRACER.enabled else 0.0
-        fd = os.open(  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
-            seg_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            start = os.fstat(fd).st_size
-            try:
-                written = 0
-                while written < len(payload):
-                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
-                    if chunk == 0:
-                        raise StoreError(
-                            f"zero-byte write appending to {seg_path}"
-                        )
-                    written += chunk
-                fsync_start = time.perf_counter() if TRACER.enabled else 0.0
-                os.fsync(fd)
-                if TRACER.enabled:
-                    now = time.perf_counter()
-                    TRACER.add("store.appends")
-                    TRACER.add("store.bytes_appended", len(payload))
-                    TRACER.add("store.segment.appends")
-                    TRACER.add("store.segment.bytes_appended", len(payload))
-                    TRACER.add("store.fsync_s", now - fsync_start)
-                    TRACER.add("store.append_s", now - append_start)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.ftruncate(fd, start)
-                raise
-        finally:
-            os.close(fd)
-        return start
-
-    def _refresh_shard_locked(self, shard: str) -> None:
-        """Index other writers' appends to ``shard``.  Caller holds its lock."""
-        coverage = self._coverage.get(shard, 0)
-        by_key = {
-            key: entry for key, entry in self._entries.items()
-            if entry.shard == shard
-        }
-        tail, coverage = self._scan_segment_locked(shard, coverage, by_key)
-        if tail:
-            self._adopt(shard, tail, coverage)
-            # Keep the sidecar ahead of what we just learned from the
-            # segment so the next open takes the lock-free fast path.
-            all_entries = sorted(
-                (e for e in self._entries.values() if e.shard == shard),
-                key=lambda entry: entry.offset,
-            )
-            self._rewrite_sidecar_locked(shard, all_entries)
-        else:
-            self._coverage[shard] = coverage
+        segment = self._segment(self.shard_of(record.key))
+        self._start_seq()
+        return segment.append(record)
 
     # -- lifecycle ----------------------------------------------------------
-    def verify(self) -> List[str]:
-        """Load and content-verify every record; cross-check the index."""
-        problems: List[str] = []
-        by_shard: Dict[str, List[IndexEntry]] = {}
-        for key in sorted(self._entries):
-            entry = self._entries[key]
-            by_shard.setdefault(entry.shard, []).append(entry)
-            if self.shard_of(key) != entry.shard:
-                problems.append(
-                    f"index entry for key {key} routed to segment "
-                    f"{entry.shard!r}, expected {self.shard_of(key)!r}"
-                )
-        for shard in self._shard_names():
-            size = os.path.getsize(self._segment_path(shard))
-            covered = self._coverage.get(shard, 0)
-            if covered != size:
-                problems.append(
-                    f"segment {shard}: {size - covered} bytes beyond index "
-                    "coverage (reopen or compact to reconcile)"
-                )
-            spans: List[Tuple[int, int]] = []
-            for entry in by_shard.get(shard, []):
-                try:
-                    self._load_record(entry)
-                    spans.append((entry.offset, entry.end()))
-                except StoreIntegrityError as error:
-                    problems.append(str(error))
-            spans.sort()
-            position = 0
-            for start, stop in spans:
-                if start < position:
-                    problems.append(
-                        f"segment {shard}: index entries overlap at byte "
-                        f"{start}"
-                    )
-                position = stop
-        return problems
-
-    def compact(self) -> Dict[str, Any]:
-        """Rewrite each segment + sidecar, dropping index garbage.
-
-        Records are rewritten canonically in offset order (preserving every
-        ``seq``, hence the global iteration order), which drops stray
-        whitespace from the segments and stale or duplicate rows from the
-        sidecars; afterwards every sidecar exactly covers its segment, so
-        subsequent opens take the lock-free fast path.
-        """
-        segments = 0
-        bytes_before = 0
-        bytes_after = 0
-        for shard in self._shard_names():
-            with self._segment_lock(shard):
-                self._refresh_shard_locked(shard)
-                entries = sorted(
-                    (e for e in self._entries.values() if e.shard == shard),
-                    key=lambda entry: entry.offset,
-                )
-                before = os.path.getsize(self._segment_path(shard))
-                pieces: List[bytes] = []
-                rewritten: List[IndexEntry] = []
-                offset = 0
-                for entry in entries:
-                    record = self._load_record(entry)
-                    line = record.to_json_line().encode("utf-8")
-                    pieces.append(line + b"\n")
-                    rewritten.append(
-                        IndexEntry(
-                            key=entry.key,
-                            shard=shard,
-                            offset=offset,
-                            length=len(line),
-                            seq=entry.seq,
-                            config=entry.config,
-                        )
-                    )
-                    offset += len(line) + 1
-                payload = b"".join(pieces)
-                _write_file_durably(self._segment_path(shard), payload)
-                self._rewrite_sidecar_locked(shard, rewritten)
-                for entry in rewritten:
-                    self._entries[entry.key] = entry
-                self._coverage[shard] = len(payload)
-                self._order_cache = None
-            segments += 1
-            bytes_before += before
-            bytes_after += len(payload)
-        if TRACER.enabled:
-            TRACER.add("store.compactions")
-            TRACER.add("store.compaction.segments", segments)
-            TRACER.add(
-                "store.compaction.bytes_reclaimed", bytes_before - bytes_after
-            )
-        return {
-            "layout": self.name,
-            "segments_compacted": segments,
-            "bytes_before": bytes_before,
-            "bytes_after": bytes_after,
-            "records": len(self._entries),
-        }
-
     def gc(self) -> Dict[str, Any]:
         removed: Dict[str, List[str]] = {
             "stale_locks": [], "tmp_files": [], "migration_leftovers": [],
@@ -1199,23 +1140,20 @@ class ShardedLayout(StoreLayout):
         if os.path.exists(stale_v1):
             os.unlink(stale_v1)
             removed["migration_leftovers"].append(stale_v1)
-        shards = set(self._shard_names())
+        shards = self._shard_names()
         for name in sorted(os.listdir(self._index_dir)):
-            if not name.endswith(".idx"):
-                continue
-            shard = name[: -len(".idx")]
-            if shard not in shards:
+            if name.endswith(".idx") and name[: -len(".idx")] not in shards:
                 os.unlink(os.path.join(self._index_dir, name))
                 removed["orphan_sidecars"].append(
                     os.path.join(self._index_dir, name)
                 )
-        for shard in sorted(shards):
-            seg_path = self._segment_path(shard)
-            if os.path.getsize(seg_path) == 0:
-                os.unlink(seg_path)
-                removed["empty_segments"].append(seg_path)
-                sidecar = self._sidecar_path(shard)
-                if os.path.exists(sidecar):
+        for shard in shards:
+            segment = self._segment(shard)
+            if segment.size() == 0:
+                os.unlink(segment.path)
+                removed["empty_segments"].append(segment.path)
+                sidecar = segment.sidecar_path
+                if sidecar is not None and os.path.exists(sidecar):
                     os.unlink(sidecar)
                     removed["empty_segments"].append(sidecar)
         return {"layout": self.name, "removed": removed}
@@ -1238,8 +1176,62 @@ def make_layout(
     )
 
 
+def _shard_of(key: str, prefix_chars: int) -> str:
+    if len(key) <= prefix_chars:
+        raise StoreIntegrityError(f"content key {key!r} is too short to shard")
+    return key[:prefix_chars]
+
+
+def _single_file_segment(
+    directory: str,
+    lock_timeout_s: Optional[float],
+    take_seq: Optional[Callable[[], int]],
+) -> Segment:
+    return Segment(
+        os.path.join(directory, RECORDS_FILENAME),
+        os.path.join(directory, LOCK_FILENAME),
+        lock_timeout_s,
+        take_seq=take_seq,
+    )
+
+
+def _shard_segment(
+    directory: str,
+    shard: str,
+    lock_timeout_s: Optional[float],
+    take_seq: Optional[Callable[[], int]],
+    members: Optional[Dict[str, IndexEntry]],
+    loaded: Optional[Dict[str, ResultRecord]],
+) -> Segment:
+    segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
+    return Segment(
+        os.path.join(segments_dir, f"{shard}.jsonl"),
+        os.path.join(segments_dir, f"{shard}.lock"),
+        lock_timeout_s,
+        name=shard,
+        sidecar_path=os.path.join(directory, INDEX_DIRNAME, f"{shard}.idx"),
+        counter_prefix="store.segment",
+        take_seq=take_seq,
+        members=members,
+        loaded=loaded,
+    )
+
+
 def _is_hex(text: str) -> bool:
     return all(char in "0123456789abcdef" for char in text)
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except FileNotFoundError:
+        return 0
+
+
+def _last_byte(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -1247,7 +1239,7 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def _write_file_durably(path: str, payload: bytes) -> None:
+def _write_durably(path: str, payload: bytes) -> None:
     """Atomically replace ``path`` with ``payload`` (tmp + fsync + rename)."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:

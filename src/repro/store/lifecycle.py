@@ -5,46 +5,45 @@ Each operates on a campaign *directory* (not an open store), detects the
 layout with :func:`repro.store.layout.detect_layout`, and returns a plain
 dict the CLI renders as text or JSON.
 
-Migration is the delicate one.  ``v1 -> v2`` routes every record to its
-segment in store order, stamping each index entry with its original line
-position as the commit sequence number, then writes ``MANIFEST.json`` as
-the commit point — only after re-opening the sharded store and **proving**
-that its reconstructed record stream matches the v1 file is the old
+Migration is the delicate one; both directions go through the layouts'
+``create``, which writes every segment with the same canonical rewrite
+``compact`` uses.  ``v1 -> v2`` routes every record to its segment in
+store order, stamping each index entry with its original line position as
+the commit sequence number, then writes ``MANIFEST.json`` as the commit
+point — only after re-opening the sharded store and **proving** that its
+reconstructed record stream matches the v1 file is the old
 ``records.jsonl`` removed (an interrupted migration therefore leaves
 either a valid v1 store, or a valid v2 store plus a dead v1 file that
-``repro store gc`` sweeps).  ``v2 -> v1`` writes the records in global
-iteration order to a temp file, re-parses it as proof, atomically renames
-it to ``records.jsonl``, and only then removes the manifest and segment
-directories.  For a canonically written store the round trip
-``v1 -> v2 -> v1`` is byte-identical.
+``repro store gc`` sweeps).  ``v2 -> v1`` durably writes the records in
+global iteration order to ``records.jsonl`` beside the still-authoritative
+manifest, re-opens it (parsing and verifying every line) as proof, and
+only then removes the manifest and segment directories.  For a
+canonically written store the round trip ``v1 -> v2 -> v1`` is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.exceptions import StoreError
 from repro.obs import TRACER
 from repro.store.layout import (
     INDEX_DIRNAME,
-    LOCK_FILENAME,
     MANIFEST_FILENAME,
     RECORDS_FILENAME,
     SEGMENTS_DIRNAME,
-    SHARD_PREFIX_CHARS,
     SHARDED,
     SINGLE_FILE,
-    IndexEntry,
     ShardedLayout,
     SingleFileLayout,
     StoreLayout,
     detect_layout,
     make_layout,
-    write_manifest,
 )
-from repro.store.records import parse_record_line
+from repro.store.records import ResultRecord
 
 
 def _open_detected(
@@ -62,36 +61,21 @@ def _open_detected(
 def store_stat(directory: str) -> Dict[str, Any]:
     """Summarise a store: layout, record count, bytes, segment breakdown."""
     layout = _open_detected(directory)
+    segments = [
+        {"segment": segment.name, "records": len(segment),
+         "bytes": segment.size(), "index_bytes": segment.index_size()}
+        for segment in layout.segments()
+    ]
     stat: Dict[str, Any] = {
         "directory": layout.directory,
         "layout": layout.name,
         "records": len(layout),
+        "bytes": sum(row["bytes"] for row in segments),
+        "segments": len(segments),
     }
-    if isinstance(layout, SingleFileLayout):
-        path = layout.records_path
-        stat["bytes"] = os.path.getsize(path) if os.path.exists(path) else 0
-        stat["segments"] = 1
-    elif isinstance(layout, ShardedLayout):
-        segments = []
-        total = 0
-        for shard in layout._shard_names():
-            seg_bytes = os.path.getsize(layout._segment_path(shard))
-            sidecar = layout._sidecar_path(shard)
-            idx_bytes = (
-                os.path.getsize(sidecar) if os.path.exists(sidecar) else 0
-            )
-            records = sum(
-                1 for entry in layout._entries.values() if entry.shard == shard
-            )
-            segments.append(
-                {"segment": shard, "records": records,
-                 "bytes": seg_bytes, "index_bytes": idx_bytes}
-            )
-            total += seg_bytes
-        stat["bytes"] = total
-        stat["segments"] = len(segments)
+    if isinstance(layout, ShardedLayout):
         stat["segment_detail"] = segments
-        stat["shard_prefix_chars"] = layout._prefix_chars
+        stat["shard_prefix_chars"] = layout.prefix_chars
     return stat
 
 
@@ -175,91 +159,44 @@ def store_migrate(
 def _migrate_v1_to_v2(
     directory: str, lock_timeout_s: Optional[float]
 ) -> int:
-    source = SingleFileLayout(directory, lock_timeout_s)
-    segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
-    index_dir = os.path.join(directory, INDEX_DIRNAME)
-    for stale in (segments_dir, index_dir):
-        if os.path.isdir(stale):
-            shutil.rmtree(stale)  # debris from an interrupted attempt
-    os.makedirs(segments_dir)
-    os.makedirs(index_dir)
-    # Route records to segments in store order; the v1 line position
-    # becomes each entry's commit sequence number, so the v2 global
-    # iteration order *is* the v1 file order.
-    per_shard: Dict[str, List[bytes]] = {}
-    per_shard_index: Dict[str, List[bytes]] = {}
-    offsets: Dict[str, int] = {}
-    expected_lines: List[str] = []
-    for seq, key in enumerate(source.keys()):
-        record = source.get(key)
-        assert record is not None
-        line = record.to_json_line()
-        expected_lines.append(line)
-        shard = key[:SHARD_PREFIX_CHARS]
-        payload = (line + "\n").encode("utf-8")
-        offset = offsets.get(shard, 0)
-        entry = IndexEntry(
-            key=key, shard=shard, offset=offset,
-            length=len(payload) - 1, seq=seq, config=record.config,
-        )
-        per_shard.setdefault(shard, []).append(payload)
-        per_shard_index.setdefault(shard, []).append(
-            (entry.to_json_line() + "\n").encode("utf-8")
-        )
-        offsets[shard] = offset + len(payload)
-    for shard in sorted(per_shard):
-        _write_durably(
-            os.path.join(segments_dir, f"{shard}.jsonl"),
-            b"".join(per_shard[shard]),
-        )
-        _write_durably(
-            os.path.join(index_dir, f"{shard}.idx"),
-            b"".join(per_shard_index[shard]),
-        )
-    write_manifest(directory)  # the commit point: the store is now v2
+    records = list(SingleFileLayout(directory, lock_timeout_s).iter_records())
+    # Each record's v1 line position becomes its commit sequence number, so
+    # the v2 global iteration order *is* the v1 file order.  Writing the
+    # manifest commits the store as v2.
+    migrated = ShardedLayout.create(directory, records, lock_timeout_s)
     # Proof before dropping v1: the sharded store must reconstruct the
     # exact record stream (same records, same order, same bytes).
-    reopened = ShardedLayout(directory, lock_timeout_s)
-    actual_lines = [
-        record.to_json_line() for record in reopened.iter_records()
-    ]
-    if actual_lines != expected_lines:
+    actual = _record_lines(migrated.iter_records())
+    if actual != _record_lines(records):
         os.unlink(os.path.join(directory, MANIFEST_FILENAME))
-        shutil.rmtree(segments_dir)
-        shutil.rmtree(index_dir)
+        shutil.rmtree(os.path.join(directory, SEGMENTS_DIRNAME))
+        shutil.rmtree(os.path.join(directory, INDEX_DIRNAME))
         raise StoreError(
             f"migration of {directory} to sharded failed verification "
-            f"({len(actual_lines)} reconstructed records vs "
-            f"{len(expected_lines)} source records); the v1 store is intact"
+            f"({len(actual)} reconstructed records vs {len(records)} "
+            "source records); the v1 store is intact"
         )
     os.unlink(os.path.join(directory, RECORDS_FILENAME))
-    return len(expected_lines)
+    return len(records)
 
 
 def _migrate_v2_to_v1(
     directory: str, lock_timeout_s: Optional[float]
 ) -> int:
-    source = ShardedLayout(directory, lock_timeout_s)
-    records_path = os.path.join(directory, RECORDS_FILENAME)
-    payload = "".join(
-        record.to_json_line() + "\n" for record in source.iter_records()
-    ).encode("utf-8")
-    # Proof before committing: the file we are about to install must parse
-    # back to exactly the records the sharded store holds.
-    count = 0
-    position = 0
-    while position < len(payload):
-        newline = payload.index(b"\n", position)
-        parse_record_line(payload[position:newline], records_path, position)
-        count += 1
-        position = newline + 1
-    if count != len(source):
+    records = list(ShardedLayout(directory, lock_timeout_s).iter_records())
+    # records.jsonl lands next to the still-authoritative manifest; reopening
+    # it parses and content-verifies every line it holds.
+    migrated = SingleFileLayout.create(directory, records, lock_timeout_s)
+    # Proof before committing: the installed file must hold exactly the
+    # records the sharded store holds, in its iteration order.
+    actual = _record_lines(migrated.iter_records())
+    if actual != _record_lines(records):
+        os.unlink(os.path.join(directory, RECORDS_FILENAME))
         raise StoreError(
             f"migration of {directory} to single-file failed verification "
-            f"({count} serialised records vs {len(source)} in the store); "
-            "the sharded store is intact"
+            f"({len(actual)} serialised records vs {len(records)} in the "
+            "store); the sharded store is intact"
         )
-    _write_durably(records_path, payload)
     # records.jsonl is now authoritative; removing the manifest commits
     # the layout switch, then the segment dirs are dead weight.
     os.unlink(os.path.join(directory, MANIFEST_FILENAME))
@@ -267,16 +204,8 @@ def _migrate_v2_to_v1(
         path = os.path.join(directory, dirname)
         if os.path.isdir(path):
             shutil.rmtree(path)
-    lock_path = os.path.join(directory, SEGMENTS_DIRNAME, LOCK_FILENAME)
-    if os.path.exists(lock_path):  # pragma: no cover - belt and braces
-        os.unlink(lock_path)
-    return count
+    return len(records)
 
 
-def _write_durably(path: str, payload: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+def _record_lines(records: Iterable[ResultRecord]) -> List[str]:
+    return [record.to_json_line() for record in records]

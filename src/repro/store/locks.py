@@ -1,9 +1,10 @@
 """Advisory file locks: capped-backoff acquisition, stale-lock recovery.
 
 Every append to a campaign store happens under an exclusive advisory lock
-on a sidecar lockfile — one store-wide lock for the v1 single-file layout,
-one lock *per segment* for the v2 sharded layout.  :func:`file_lock` is
-the single primitive both use:
+on a lockfile beside the segment it writes — ``records.lock`` for the
+single segment of the v1 single-file layout, ``segments/<prefix>.lock``
+for each segment of the v2 sharded layout.  :func:`file_lock` is the
+single primitive both use:
 
 * **fcntl where available** — ``fcntl.flock`` on the lockfile, released
   automatically by the kernel if the holder dies, polled with capped

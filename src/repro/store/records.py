@@ -8,8 +8,9 @@ byte-identical store files run after run.  The ``key`` is the SHA-256 of
 the canonical JSON of ``config`` — the content address every cache/resume
 decision is made on.
 
-This module is layout-agnostic: :mod:`repro.store.layout` builds the v1
-single-file and v2 sharded engines on top of it.
+This module is layout-agnostic: :mod:`repro.store.layout` builds the
+segment engine, and the v1 single-file and v2 sharded layouts that
+arrange segments, on top of it.
 """
 
 from __future__ import annotations

@@ -1,18 +1,21 @@
 """Content-addressed campaign store, safe for crashes and co-writers.
 
 :class:`CampaignStore` is the facade the rest of the repository talks to;
-the on-disk engine behind it is a pluggable :class:`~repro.store.layout.
-StoreLayout`:
+the on-disk engine behind it is one record-file primitive, the
+:class:`~repro.store.layout.Segment` (a record file, its advisory lock,
+and an optional sidecar index), arranged by a
+:class:`~repro.store.layout.StoreLayout`:
 
-* **single-file (v1)** — one append-only ``records.jsonl`` under one
-  store-wide advisory lock.  The historical layout; every pre-existing
-  campaign directory opens, resumes, and re-serialises byte-identically.
-* **sharded (v2)** — records routed to ``segments/<hex-prefix>.jsonl``
-  by content-key prefix with per-segment locks and a compacted sidecar
-  index, so membership/cache-hit checks are O(1) over the index and open
-  never parses result payloads.  Created with ``layout="sharded"`` (or
-  ``repro scenario sweep --layout sharded``); converted to and from v1
-  with ``repro store migrate``.
+* **single-file (v1)** — one segment without a sidecar:
+  ``records.jsonl`` under ``records.lock``.  The historical layout; every
+  pre-existing campaign directory opens, resumes, and re-serialises
+  byte-identically.
+* **sharded (v2)** — one segment with a sidecar per content-key prefix
+  (``segments/<hex-prefix>.jsonl``, its own lock, and a compacted
+  ``index/<hex-prefix>.idx``), so membership/cache-hit checks are O(1)
+  over the index and open never parses result payloads.  Created with
+  ``layout="sharded"`` (or ``repro scenario sweep --layout sharded``);
+  converted to and from v1 with ``repro store migrate``.
 
 The layout of an existing directory is auto-detected (``MANIFEST.json``
 marks v2); asking for a layout that contradicts what is on disk raises
@@ -28,8 +31,8 @@ deterministic campaign produces byte-identical store files run after
 run.  The key is the SHA-256 of the canonical JSON of ``config`` — the
 content address every cache/resume decision is made on.
 
-Durability model (both layouts; per segment in v2)
---------------------------------------------------
+Durability model (every segment, in both layouts)
+-------------------------------------------------
 
 * **Atomic appends** — every record is one ``write``/``fsync`` to a file
   opened ``O_APPEND`` while holding an exclusive advisory lock, so
@@ -42,13 +45,13 @@ Durability model (both layouts; per segment in v2)
   newline) and resumes.  Torn bytes anywhere *except* a tail raise
   :class:`StoreIntegrityError`.
 * **Verification** — every record's ``key`` is re-derived from its
-  ``config`` when its bytes are parsed: eagerly on open for v1, lazily
-  on first load for v2 (``repro store verify`` forces the full check).
+  ``config`` when its bytes are parsed: on open for a segment without a
+  sidecar (v1), on first load for one with a sidecar (v2; ``repro store
+  verify`` forces the full check).
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -62,7 +65,7 @@ from repro.store.layout import (
     detect_layout,
     make_layout,
 )
-from repro.store.locks import file_lock, resolve_lock_timeout
+from repro.store.locks import resolve_lock_timeout
 from repro.store.records import (
     ResultRecord,
     StoreIntegrityError,
@@ -72,26 +75,7 @@ from repro.store.records import (
 __all__ = [
     "CampaignStore",
     "StoreIntegrityError",
-    "store_lock",
 ]
-
-
-@contextlib.contextmanager
-def store_lock(
-    directory: str, timeout_s: Optional[float] = None
-) -> Iterator[None]:
-    """Hold the store-wide advisory lock of one campaign directory.
-
-    The lock that serialises v1 appends (v2 uses one lock per segment; see
-    :func:`repro.store.locks.file_lock` for acquisition semantics — capped
-    exponential backoff, stale-lock recovery on the non-fcntl fallback,
-    :class:`~repro.exceptions.StoreLockTimeoutError` after ``timeout_s``).
-    """
-    with file_lock(
-        os.path.join(str(directory), CampaignStore.LOCK_FILENAME),
-        timeout_s=timeout_s,
-    ):
-        yield
 
 
 class CampaignStore:
