@@ -388,21 +388,22 @@ class _SearchState:
         return True
 
     def _evaluate(self, constraint: _Constraint) -> bool:
-        """Evaluate whether a miscorrection is possible under the current assignment."""
+        """Evaluate whether a miscorrection is possible under the current assignment.
+
+        The CHARGED codeword positions are the pattern's data columns ``C``
+        plus the parity rows in ``p = XOR(C)``.  Unit vectors on ``supp p``
+        span everything inside ``p``, so the target lies in
+        ``span(C ∪ {e_i : i ∈ supp p})`` iff ``target & ~p`` lies in
+        ``span{c & ~p : c ∈ C}`` — the masked check eliminates over the
+        pattern's columns alone.
+        """
         pattern_columns = [self.assignment[bit] for bit in constraint.pattern_bits]
         parity_value = 0
         for column in pattern_columns:
             parity_value ^= column
-        spanning = list(pattern_columns)
-        row = 0
-        remaining = parity_value
-        while remaining:
-            if remaining & 1:
-                spanning.append(1 << row)
-            remaining >>= 1
-            row += 1
-        target = self.assignment[constraint.target_bit]
-        return _int_in_span(target, spanning)
+        outside = ~parity_value
+        target = self.assignment[constraint.target_bit] & outside
+        return _int_in_span(target, [column & outside for column in pattern_columns])
 
     def _record_solution(self) -> None:
         columns = tuple(self.assignment[bit] for bit in range(self.num_data_bits))
@@ -415,6 +416,8 @@ class _SearchState:
 
 def _int_in_span(target: int, vectors: Sequence[int]) -> bool:
     """Return True if ``target`` is a GF(2) combination of integer-encoded vectors."""
+    if not target:
+        return True
     basis: List[int] = []
     for vector in vectors:
         value = vector

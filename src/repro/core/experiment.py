@@ -28,6 +28,7 @@ from repro.ecc.code import SystematicLinearCode
 from repro.ecc.hamming import min_parity_bits
 from repro.einsim.engine import resolve_backend
 from repro.einsim.simulator import EinsimSimulator, SimulationResult
+from repro.obs import TRACER
 from repro.core.beer import BeerSolution, BeerSolver
 from repro.core.layout_re import discover_cell_types
 from repro.core.patterns import ChargedPattern, charged_patterns
@@ -96,43 +97,71 @@ class BeerExperiment:
     # -- campaign steps -----------------------------------------------------------
     def discover_cell_types(self) -> Dict[int, CellType]:
         """Step 0: classify each row as true- or anti-cell (Section 5.1.1)."""
-        return discover_cell_types(
-            self._chip,
-            refresh_pause_s=self._config.discovery_pause_s,
-            temperature_c=self._config.temperature_c,
-        )
+        with TRACER.span("beer.discover"):
+            return discover_cell_types(
+                self._chip,
+                refresh_pause_s=self._config.discovery_pause_s,
+                temperature_c=self._config.temperature_c,
+            )
 
     def measure_counts(
         self, cell_types: Optional[Dict[int, CellType]] = None
     ) -> MiscorrectionCounts:
-        """Steps 1-2: run the pattern/refresh sweep and collect error counts."""
+        """Steps 1-2: run the pattern/refresh sweep and collect error counts.
+
+        Every round writes one table row per eligible word in a single chip
+        call: the word at position ``i`` gets pattern ``(i + round) % P``, so
+        the assignment rotates by one pattern per round and each pattern
+        samples fresh cells.  After the pause, one ``bincount`` over
+        ``pattern * k + bit`` tallies every mismatching data bit.
+        """
         num_data_bits = self._chip.num_data_bits
         patterns = list(charged_patterns(num_data_bits, list(self._config.pattern_weights)))
-        counts = MiscorrectionCounts(num_data_bits)
-        word_cell_types = self._cell_type_per_word(cell_types)
         # Like the paper's analysis, the campaign profiles the true-cell
         # regions; anti-cell rows would need the mirrored charge translation
         # inside the solver and are simply skipped here.
-        eligible_words = [
-            word_index
-            for word_index in range(self._chip.num_words)
-            if word_cell_types[word_index] is CellType.TRUE_CELL
-        ]
-        if not eligible_words:
+        words = self._true_cell_words(cell_types)
+        if not words.size:
             raise ChipConfigurationError(
                 "no true-cell words available for the BEER campaign"
             )
-
-        assignment_offset = 0
-        for window in self._config.refresh_windows_s:
-            for _ in range(self._config.rounds_per_window):
-                assignment = self._assign_patterns_to_words(
-                    patterns, eligible_words, assignment_offset
-                )
-                assignment_offset += 1
-                self._write_assignment(assignment, word_cell_types)
+        num_patterns = len(patterns)
+        table = np.array(
+            [pattern.dataword(CellType.TRUE_CELL).to_numpy() for pattern in patterns],
+            dtype=np.uint8,
+        ).reshape(num_patterns, num_data_bits)
+        positions = np.arange(words.size)
+        tallies = np.zeros(num_patterns * num_data_bits, dtype=np.int64)
+        words_per_pattern = np.zeros(num_patterns, dtype=np.int64)
+        schedule = [
+            window
+            for window in self._config.refresh_windows_s
+            for _ in range(self._config.rounds_per_window)
+        ]
+        words_moved = len(schedule) * words.size
+        with TRACER.span(
+            "beer.measure",
+            rounds=len(schedule),
+            words_written=words_moved,
+            words_read=words_moved,
+        ):
+            for offset, window in enumerate(schedule):
+                index = (positions + offset) % num_patterns
+                expected = table[index]
+                self._chip.write_datawords(words, expected)
                 self._chip.pause_refresh(window, self._config.temperature_c)
-                self._collect_observations(assignment, word_cell_types, counts)
+                rows, bits = np.nonzero(self._chip.read_datawords(words) != expected)
+                tallies += np.bincount(
+                    index[rows] * num_data_bits + bits, minlength=tallies.size
+                )
+                words_per_pattern += np.bincount(index, minlength=num_patterns)
+        # The rotation first writes pattern i no later than pattern i + 1, so
+        # table order is first-seen order; unwritten patterns stay unregistered.
+        counts = MiscorrectionCounts(num_data_bits)
+        for pattern, per_bit, words_observed in zip(
+            patterns, tallies.reshape(num_patterns, num_data_bits), words_per_pattern
+        ):
+            counts.record_tallies(pattern, per_bit, int(words_observed))
         return counts
 
     def run(self, solve: bool = True, max_solutions: Optional[int] = None) -> ExperimentResult:
@@ -141,7 +170,8 @@ class BeerExperiment:
         if self._config.discover_cell_encoding:
             cell_types = self.discover_cell_types()
         counts = self.measure_counts(cell_types if cell_types else None)
-        profile = counts.to_profile(self._config.threshold)
+        with TRACER.span("beer.profile"):
+            profile = counts.to_profile(self._config.threshold)
         solution = None
         if solve:
             solver = BeerSolver(
@@ -150,73 +180,27 @@ class BeerExperiment:
                 if self._config.num_parity_bits is not None
                 else min_parity_bits(self._chip.num_data_bits),
             )
-            solution = solver.solve(profile, max_solutions=max_solutions)
+            with TRACER.span("beer.solve") as span:
+                solution = solver.solve(profile, max_solutions=max_solutions)
+                span.set_attr("nodes", solution.nodes_visited)
+                span.set_attr("candidates", solution.num_solutions)
         return ExperimentResult(
             counts=counts, profile=profile, solution=solution, cell_types=cell_types
         )
 
     # -- helpers --------------------------------------------------------------------
-    def _cell_type_per_word(
-        self, cell_types: Optional[Dict[int, CellType]]
-    ) -> List[CellType]:
-        per_word = []
-        for word_index in range(self._chip.num_words):
-            row = self._chip.row_of_word(word_index)
-            if cell_types is not None and row in cell_types:
-                per_word.append(cell_types[row])
-            else:
-                per_word.append(CellType.TRUE_CELL)
-        return per_word
-
-    @staticmethod
-    def _assign_patterns_to_words(
-        patterns: Sequence[ChargedPattern],
-        eligible_words: Sequence[int],
-        offset: int,
-    ) -> Dict[int, ChargedPattern]:
-        """Round-robin pattern assignment, rotated by ``offset`` between rounds."""
-        assignment = {}
-        num_patterns = len(patterns)
-        for position, word_index in enumerate(eligible_words):
-            assignment[word_index] = patterns[(position + offset) % num_patterns]
-        return assignment
-
-    def _write_assignment(
-        self,
-        assignment: Dict[int, ChargedPattern],
-        word_cell_types: Sequence[CellType],
-    ) -> None:
-        indices = sorted(assignment)
-        datawords = np.vstack(
+    def _true_cell_words(self, cell_types: Optional[Dict[int, CellType]]) -> np.ndarray:
+        """Indices of the words whose row is not known to hold anti-cells."""
+        known = cell_types or {}
+        return np.array(
             [
-                assignment[word_index].dataword(word_cell_types[word_index]).to_numpy()
-                for word_index in indices
-            ]
+                word_index
+                for word_index in range(self._chip.num_words)
+                if known.get(self._chip.row_of_word(word_index), CellType.TRUE_CELL)
+                is CellType.TRUE_CELL
+            ],
+            dtype=np.int64,
         )
-        self._chip.write_datawords(indices, datawords)
-
-    def _collect_observations(
-        self,
-        assignment: Dict[int, ChargedPattern],
-        word_cell_types: Sequence[CellType],
-        counts: MiscorrectionCounts,
-    ) -> None:
-        indices = sorted(assignment)
-        observed = self._chip.read_datawords(indices)
-        words_per_pattern: Dict[ChargedPattern, int] = {}
-        errors_per_pattern: Dict[ChargedPattern, List[int]] = {}
-        for row_index, word_index in enumerate(indices):
-            pattern = assignment[word_index]
-            expected = pattern.dataword(word_cell_types[word_index]).to_numpy()
-            error_positions = np.flatnonzero(observed[row_index] != expected)
-            words_per_pattern[pattern] = words_per_pattern.get(pattern, 0) + 1
-            errors_per_pattern.setdefault(pattern, []).extend(
-                int(p) for p in error_positions
-            )
-        for pattern, words_observed in words_per_pattern.items():
-            counts.record_observations(
-                pattern, errors_per_pattern.get(pattern, []), words_observed
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,9 @@ def monte_carlo_observation_counts(
         received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
         corrected, due = bulk_decode_outcomes(code, received, backend)
         data_errors = corrected[:, : code.num_data_bits] != stored[:, : code.num_data_bits]
-        counts.record_observations(
+        counts.record_tallies(
             pattern,
-            [int(bit) for bit in np.nonzero(data_errors)[1]],
+            data_errors.sum(axis=0),
             words_observed=words_per_pattern,
             due_words=int(due.sum()),
         )
@@ -214,7 +214,6 @@ def _fused_observation_counts(
     counts = MiscorrectionCounts(num_data_bits)
     per_pattern_elements = max(words_per_pattern * num_bits, 1)
     group_size = max(1, _FUSED_GROUP_ELEMENTS // per_pattern_elements)
-    data_positions = np.arange(num_data_bits)
     for start in range(0, len(patterns), group_size):
         group = patterns[start : start + group_size]
         datawords = np.vstack(
@@ -230,12 +229,9 @@ def _fused_observation_counts(
             batch, [words_per_pattern] * len(group)
         )
         for pattern, stats in zip(group, segment_stats):
-            positions = np.repeat(
-                data_positions, stats.post_correction_error_counts
-            )
-            counts.record_observations(
+            counts.record_tallies(
                 pattern,
-                [int(bit) for bit in positions],
+                stats.post_correction_error_counts,
                 words_observed=words_per_pattern,
                 due_words=stats.detected_words,
             )
@@ -412,7 +408,34 @@ class MiscorrectionCounts:
         ``due_words`` counts how many of those words the decoder flagged as
         detected-uncorrectable (non-zero syndrome, nothing corrected) —
         recorded alongside miscorrections so detection-aware families keep
-        their primary signal.
+        their primary signal.  Every position is validated before anything
+        is recorded, so a rejected call leaves the counts untouched.
+        """
+        positions = np.asarray(list(error_positions), dtype=np.int64)
+        out_of_range = positions[(positions < 0) | (positions >= self._num_data_bits)]
+        if out_of_range.size:
+            raise ProfileError(f"error position {out_of_range[0]} out of range")
+        self.record_tallies(
+            pattern,
+            np.bincount(positions, minlength=self._num_data_bits),
+            words_observed,
+            due_words,
+        )
+
+    def record_tallies(
+        self,
+        pattern: ChargedPattern,
+        per_bit_counts: np.ndarray,
+        words_observed: int,
+        due_words: int = 0,
+    ) -> None:
+        """Record per-bit error counts already tallied over ``words_observed`` words.
+
+        The bulk form of :meth:`record_observations`: ``per_bit_counts[b]``
+        is how many of the words showed a post-correction error at data bit
+        ``b``.  A pattern with zero observed words is not registered at all,
+        so ``patterns`` (and hence ``to_profile``) only ever sees patterns
+        with defined probabilities.
         """
         if pattern.num_data_bits != self._num_data_bits:
             raise ProfileError("pattern dataword length does not match the counts")
@@ -423,23 +446,22 @@ class MiscorrectionCounts:
                 f"due_words={due_words} must lie in [0, words_observed="
                 f"{words_observed}]"
             )
-        positions = list(error_positions)
+        tallies = np.asarray(per_bit_counts, dtype=np.int64)
+        if tallies.shape != (self._num_data_bits,):
+            raise ProfileError(
+                f"per-bit counts must have shape ({self._num_data_bits},), "
+                f"got {tallies.shape}"
+            )
+        if (tallies < 0).any():
+            raise ProfileError("per-bit error counts cannot be negative")
         if words_observed == 0:
-            if positions:
+            if tallies.any():
                 raise ProfileError(
-                    f"{len(positions)} error position(s) supplied with zero "
-                    "words observed; errors cannot come from words that were "
-                    "never read"
+                    f"{int(tallies.sum())} error(s) supplied with zero words "
+                    "observed; errors cannot come from words that were never read"
                 )
-            # Nothing observed: do not register the pattern at all, so that
-            # ``patterns`` (and hence ``to_profile``) only ever sees patterns
-            # with defined probabilities.
             return
-        counts = self._counts.setdefault(pattern, np.zeros(self._num_data_bits, dtype=np.int64))
-        for position in positions:
-            if not 0 <= position < self._num_data_bits:
-                raise ProfileError(f"error position {position} out of range")
-            counts[position] += 1
+        self._counts[pattern] = self._counts.get(pattern, 0) + tallies
         self._words_observed[pattern] = self._words_observed.get(pattern, 0) + words_observed
         self._due_words[pattern] = self._due_words.get(pattern, 0) + int(due_words)
 
@@ -495,16 +517,11 @@ class MiscorrectionCounts:
         merged = MiscorrectionCounts(self._num_data_bits)
         for source in (self, other):
             for pattern in source.patterns:
-                merged._counts.setdefault(
-                    pattern, np.zeros(self._num_data_bits, dtype=np.int64)
-                )
-                merged._counts[pattern] += source._counts[pattern]
-                merged._words_observed[pattern] = (
-                    merged._words_observed.get(pattern, 0) + source._words_observed[pattern]
-                )
-                merged._due_words[pattern] = (
-                    merged._due_words.get(pattern, 0)
-                    + source._due_words.get(pattern, 0)
+                merged.record_tallies(
+                    pattern,
+                    source._counts[pattern],
+                    source._words_observed[pattern],
+                    source._due_words.get(pattern, 0),
                 )
         return merged
 

@@ -318,7 +318,9 @@ class SimulatedDramChip:
             )
 
     def _validate_indices(self, word_indices: Iterable[int]) -> np.ndarray:
-        indices = np.asarray(list(word_indices), dtype=np.int64)
+        if not isinstance(word_indices, np.ndarray):
+            word_indices = list(word_indices)
+        indices = np.asarray(word_indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_words):
             raise AddressError("one or more word indices out of range")
         return indices

@@ -215,3 +215,95 @@ class TestRandomisedRoundTrips:
         solution = BeerSolver(9).solve(profile, max_solutions=1)
         recovered = solution.codes[0]
         assert expected_miscorrection_profile(recovered, patterns) == profile
+
+
+def _unit_vector_in_span(target, vectors):
+    """GF(2) elimination over integer-encoded vectors (the solver's original)."""
+    basis = []
+    for vector in vectors:
+        value = vector
+        for pivot in basis:
+            value = min(value, value ^ pivot)
+        if value:
+            basis.append(value)
+            basis.sort(reverse=True)
+    value = target
+    for pivot in basis:
+        value = min(value, value ^ pivot)
+    return value == 0
+
+
+def _unit_vector_evaluate(self, constraint):
+    """The original constraint check: the pattern's columns plus one unit
+    vector per CHARGED parity row, eliminated together."""
+    pattern_columns = [self.assignment[bit] for bit in constraint.pattern_bits]
+    parity_value = 0
+    for column in pattern_columns:
+        parity_value ^= column
+    spanning = list(pattern_columns)
+    row = 0
+    remaining = parity_value
+    while remaining:
+        if remaining & 1:
+            spanning.append(1 << row)
+        remaining >>= 1
+        row += 1
+    target = self.assignment[constraint.target_bit]
+    return _unit_vector_in_span(target, spanning)
+
+
+class TestMaskedSpanCheck:
+    """The masked-span constraint check against the unit-vector elimination."""
+
+    @given(
+        st.integers(min_value=2, max_value=8).flatmap(
+            lambda rows: st.tuples(
+                st.just(rows),
+                st.lists(
+                    st.integers(min_value=1, max_value=(1 << rows) - 1),
+                    min_size=2,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_vector_elimination(self, rows_and_columns):
+        from repro.core.beer import _Constraint, _SearchState
+
+        num_parity_bits, columns = rows_and_columns
+        state = _SearchState(
+            num_data_bits=len(columns),
+            num_parity_bits=num_parity_bits,
+            candidates=[],
+            order=[],
+            constraints_by_depth={},
+            max_solutions=None,
+            max_nodes=None,
+        )
+        state.assignment = dict(enumerate(columns))
+        constraint = _Constraint(
+            pattern_bits=tuple(range(len(columns) - 1)),
+            target_bit=len(columns) - 1,
+            observed=True,
+        )
+        assert state._evaluate(constraint) == _unit_vector_evaluate(state, constraint)
+
+    @pytest.mark.parametrize(
+        "num_data_bits, seed", [(8, 0), (8, 1), (8, 2), (16, 3), (16, 4), (16, 5)]
+    )
+    def test_solve_visits_the_same_nodes(self, num_data_bits, seed):
+        from unittest import mock
+
+        from repro.core.beer import _SearchState
+
+        code = random_hamming_code(num_data_bits, rng=np.random.default_rng(seed))
+        profile = profile_for(code, [1, 2])
+        masked = BeerSolver(num_data_bits).solve(profile)
+        with mock.patch.object(_SearchState, "_evaluate", _unit_vector_evaluate):
+            original = BeerSolver(num_data_bits).solve(profile)
+        assert masked.nodes_visited == original.nodes_visited
+        assert [c.parity_column_ints for c in masked.codes] == [
+            c.parity_column_ints for c in original.codes
+        ]
+        assert masked.unique and codes_equivalent(masked.code, code)

@@ -1,5 +1,6 @@
 """Unit tests for miscorrection profiles, counts, and threshold filtering."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ProfileError
@@ -200,6 +201,63 @@ class TestMiscorrectionCounts:
         assert counts.to_profile().patterns == []
         with pytest.raises(ProfileError, match="no recorded observations"):
             counts.error_probabilities(pattern)
+
+    def test_rejected_position_leaves_the_counts_untouched(self):
+        counts = MiscorrectionCounts(4)
+        pattern = ChargedPattern(4, [0])
+        with pytest.raises(ProfileError, match="out of range"):
+            counts.record_observations(pattern, [1, 9], 5)
+        assert counts.patterns == []
+        assert counts.to_profile().patterns == []
+        counts.record_observations(pattern, [1], 5)
+        assert counts.counts_for(pattern).tolist() == [0, 1, 0, 0]
+        assert counts.words_observed(pattern) == 5
+        assert counts.to_profile().miscorrections(pattern) == frozenset({1})
+
+    def test_record_tallies_equals_record_observations(self):
+        pattern = ChargedPattern(4, [0])
+        by_position = MiscorrectionCounts(4)
+        by_position.record_observations(pattern, [1, 1, 2], 10, due_words=3)
+        by_position.record_observations(pattern, [3], 2)
+        tallied = MiscorrectionCounts(4)
+        tallied.record_tallies(pattern, np.array([0, 2, 1, 0]), 10, due_words=3)
+        tallied.record_tallies(pattern, [0, 0, 0, 1], 2)
+        assert tallied.patterns == by_position.patterns
+        assert tallied.counts_for(pattern).tolist() == [0, 2, 1, 1]
+        assert by_position.counts_for(pattern).tolist() == [0, 2, 1, 1]
+        assert tallied.words_observed(pattern) == by_position.words_observed(pattern) == 12
+        assert tallied.due_words_observed(pattern) == by_position.due_words_observed(pattern) == 3
+
+    def test_record_tallies_validation(self):
+        counts = MiscorrectionCounts(4)
+        pattern = ChargedPattern(4, [0])
+        for per_bit, words, due in [
+            ([0, 1, 0], 5, 0),
+            ([[0, 1], [0, 0]], 5, 0),
+            ([0, -1, 0, 0], 5, 0),
+            ([0, 1, 0, 0], -1, 0),
+            ([0, 1, 0, 0], 5, 6),
+            ([0, 1, 0, 0], 5, -1),
+        ]:
+            with pytest.raises(ProfileError):
+                counts.record_tallies(pattern, np.array(per_bit), words, due)
+        with pytest.raises(ProfileError, match="zero words"):
+            counts.record_tallies(pattern, np.array([0, 1, 0, 0]), 0)
+        with pytest.raises(ProfileError):
+            counts.record_tallies(ChargedPattern(5, [0]), np.zeros(5), 1)
+        # Nothing was registered by the rejected calls, and an empty
+        # zero-word tally is a legal no-op.
+        counts.record_tallies(pattern, np.zeros(4, dtype=np.int64), 0)
+        assert counts.patterns == []
+
+    def test_record_tallies_keeps_its_own_copy(self):
+        counts = MiscorrectionCounts(4)
+        pattern = ChargedPattern(4, [0])
+        per_bit = np.array([0, 1, 0, 0], dtype=np.int64)
+        counts.record_tallies(pattern, per_bit, 3)
+        per_bit[1] = 99
+        counts.record_tallies(pattern, per_bit, 3)
+        assert counts.counts_for(pattern).tolist() == [0, 100, 0, 0]
 
     def test_threshold_filter_removes_rare_events(self):
         # Bit 1 fails often (a real miscorrection), bit 2 fails once

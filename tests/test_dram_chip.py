@@ -78,6 +78,29 @@ class TestReadWrite:
         chip.write_datawords(range(chip.num_words), words)
         assert np.array_equal(chip.read_all_datawords(), words)
 
+    def test_index_forms_read_identically(self):
+        chip = make_chip()
+        rng = np.random.default_rng(1)
+        words = rng.integers(0, 2, size=(chip.num_words, 16)).astype(np.uint8)
+        chip.write_datawords(np.arange(chip.num_words), words)
+        everything = chip.read_datawords(range(chip.num_words))
+        assert np.array_equal(everything, words)
+        assert np.array_equal(chip.read_datawords(list(range(chip.num_words))), everything)
+        assert np.array_equal(chip.read_datawords(np.arange(chip.num_words)), everything)
+        scattered = [5, 0, chip.num_words - 1, 5]
+        assert np.array_equal(
+            chip.read_datawords(np.array(scattered, dtype=np.int32)),
+            chip.read_datawords(scattered),
+        )
+
+    def test_out_of_range_ndarray_index(self):
+        chip = make_chip()
+        for bad in (np.array([0, chip.num_words]), np.array([-1])):
+            with pytest.raises(AddressError):
+                chip.read_datawords(bad)
+            with pytest.raises(AddressError):
+                chip.write_datawords(bad, np.zeros((bad.size, 16), dtype=np.uint8))
+
     def test_write_wrong_shape(self):
         chip = make_chip()
         with pytest.raises(AddressError):

@@ -193,3 +193,77 @@ class TestTracedCli:
         ) + "\n")
         assert main(["trace", "validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+
+class TestBeerExperimentSpans:
+    def _experiment(self):
+        from repro.core import BeerExperiment, ExperimentConfig
+        from repro.dram import (
+            VENDOR_C,
+            ChipGeometry,
+            DataRetentionModel,
+            RetentionCalibration,
+        )
+
+        chip = VENDOR_C.make_chip(
+            num_data_bits=8,
+            geometry=ChipGeometry(num_rows=32, words_per_row=8),
+            seed=4,
+            retention_model=DataRetentionModel(
+                RetentionCalibration(1.0, 0.02, 60.0, 0.5)
+            ),
+        )
+        config = ExperimentConfig(
+            refresh_windows_s=(20.0, 40.0, 60.0),
+            rounds_per_window=8,
+            discover_cell_encoding=True,
+            discovery_pause_s=60.0,
+        )
+        return BeerExperiment(chip, config)
+
+    def _spans(self, tmp_path, action):
+        trace_path = str(tmp_path / "beer.jsonl")
+        TRACER.enable(sink_path=trace_path)
+        try:
+            result = action()
+            TRACER.flush()
+        finally:
+            TRACER.disable()
+        events = read_trace(trace_path)
+        assert validate_events(events) == []
+        return result, [e for e in events if e["type"] == "span"]
+
+    def test_traced_run_emits_the_four_step_spans(self, tmp_path):
+        from repro.dram import CellType
+
+        experiment = self._experiment()
+        result, spans = self._spans(tmp_path, lambda: experiment.run(solve=True))
+        assert [s["name"] for s in spans] == [
+            "beer.discover", "beer.measure", "beer.profile", "beer.solve",
+        ]
+        measure, solve = spans[1]["attrs"], spans[3]["attrs"]
+        chip = experiment.chip
+        eligible = sum(
+            1
+            for word in range(chip.num_words)
+            if result.cell_types[chip.row_of_word(word)] is CellType.TRUE_CELL
+        )
+        config = experiment.config
+        rounds = len(config.refresh_windows_s) * config.rounds_per_window
+        assert 0 < eligible < chip.num_words
+        assert measure["rounds"] == rounds
+        assert measure["words_read"] == rounds * eligible
+        assert measure["words_written"] == rounds * eligible
+        assert sum(result.counts.words_observed(p) for p in result.counts.patterns) == (
+            rounds * eligible
+        )
+        assert solve["nodes"] == result.solution.nodes_visited
+        assert solve["candidates"] == result.solution.num_solutions == 1
+
+    def test_step_methods_emit_their_spans(self, tmp_path):
+        experiment = self._experiment()
+        _, spans = self._spans(
+            tmp_path,
+            lambda: experiment.measure_counts(experiment.discover_cell_types()),
+        )
+        assert [s["name"] for s in spans] == ["beer.discover", "beer.measure"]
