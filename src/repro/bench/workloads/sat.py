@@ -1,10 +1,12 @@
 """Workload: incremental vs one-shot SAT-based BEER model enumeration.
 
 Port of the PR 3 ``bench_sat.py`` writer.  Both solver paths must enumerate
-identical canonical code sets; the model/solution counts are deterministic
-for a fixed seed, so the comparator pins them exactly, while the incremental
-speedup is gated with a tolerance.  The legacy ``BENCH_sat_solver.json`` is
-re-emitted from the record.
+identical canonical code sets, and the row-order symmetry break must make one
+model per code: ``models_enumerated == canonical_codes`` and
+``solve_calls == canonical_codes + 1``.  The model, code and solve-call
+counts are deterministic for a fixed seed, so the comparator pins them
+exactly, while the incremental speedup is gated with a tolerance.  The
+legacy ``BENCH_sat_solver.json`` is re-emitted from the record.
 """
 
 from __future__ import annotations
@@ -83,7 +85,15 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
             f"k{num_data_bits}:one-shot",
             metrics={"seconds": one_shot_timing.best_seconds},
         )
-        oracles = {"identical_canonical_sets": bool(identical)}
+        solve_calls = incremental.solver_stats["solve_calls"]
+        oracles = {
+            "identical_canonical_sets": bool(identical),
+            # One model per equivalence class, then one UNSAT call.
+            "one_model_per_code": (
+                incremental.nodes_visited == incremental.num_solutions
+                and solve_calls == incremental.num_solutions + 1
+            ),
+        }
         if num_data_bits == gate_case:
             oracles["speedup_floor"] = (
                 ORACLE_SKIPPED if floor is None else speedup >= floor
@@ -95,6 +105,7 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
                 "speedup": speedup,
                 "models_enumerated": incremental.nodes_visited,
                 "canonical_codes": incremental.num_solutions,
+                "solve_calls": solve_calls,
             },
             oracles=oracles,
         )
@@ -135,6 +146,7 @@ register_workload(
     gates=(
         *_exact("models_enumerated"),
         *_exact("canonical_codes"),
+        *_exact("solve_calls"),
         MetricGate(metric="speedup", rel_tol=0.6, higher_is_better=True),
     ),
     legacy=LegacySpec(filename="BENCH_sat_solver.json", emitter=emit_sat_solver),

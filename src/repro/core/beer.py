@@ -14,9 +14,12 @@ closed-form structure of the constraints:
   constraint touches only the pattern's columns plus the target column.
 
 Solutions are reported up to *code equivalence* (relabelling of parity bits,
-Section 4.2.1); the search breaks that symmetry by requiring parity rows to be
-introduced in increasing order along the assignment order, so each equivalence
-class is visited exactly once.
+Section 4.2.1).  The search prunes that symmetry by requiring parity rows to
+be introduced in increasing order along the assignment order, but that rule
+does not make every leaf distinct: a column that introduces several rows at
+once leaves their relative labelling open, so one equivalence class can reach
+several leaves.  Leaves are therefore deduplicated by their sorted-row
+canonical form (:func:`~repro.ecc.codespace.canonical_parity_columns`).
 
 The CNF/SAT formulation that mirrors the paper's Z3 encoding lives in
 :mod:`repro.core.beer_sat` and is cross-checked against this solver in tests.

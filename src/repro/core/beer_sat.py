@@ -18,6 +18,16 @@ The profile conditions have closed forms for the pattern weights BEER uses
 * 2-CHARGED pattern ``{a, b}``: possible at ``j`` iff ``supp(P_j) ⊆ U`` or
   ``supp(P_j ⊕ P_a) ⊆ U`` where ``U = supp(P_a ⊕ P_b)``.
 
+Codes that differ only by a relabelling of the parity bits are
+indistinguishable from outside the chip (Section 4.2.1), so the encoding
+breaks that symmetry: consecutive parity rows, each read as a ``k``-bit
+vector along the data-column order (column 0 first, ``1 > 0``), must be
+non-increasing.  That is exactly the sorted-row form
+:func:`~repro.ecc.codespace.canonical_parity_columns` picks, so every
+equivalence class yields one model.  Pinned ``known_columns`` leave only the
+permutations of rows that carry the same bits in every pinned column, so only
+those rows are ordered.
+
 Solving and model enumeration use the library's own CDCL solver
 (:mod:`repro.sat`).  Enumeration runs on one *persistent* incremental solver:
 learned clauses, watch lists, activities, and saved phases survive across the
@@ -36,10 +46,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import CodeConstructionError, ProfileError, SolverError
 from repro.ecc.code import SystematicLinearCode
-from repro.ecc.codespace import canonical_parity_columns
+from repro.ecc.codespace import parity_rows
 from repro.ecc.family import CodeFamily, get_family
 from repro.sat import CNF, CDCLSolver, iterate_models
-from repro.sat.encoders import encode_column_design_space, encode_xor
+from repro.sat.encoders import encode_column_design_space, encode_lex_geq, encode_xor
 from repro.core.beer import BeerSolution
 from repro.core.profile import MiscorrectionProfile
 
@@ -109,11 +119,17 @@ class SatBeerSolver:
         ``incremental=False`` is the historical one-shot oracle (fresh solver
         per model) kept for differential validation and benchmarking.
 
+        Every equivalence class of codes yields exactly one model, so
+        ``nodes_visited`` equals the number of codes found and an exhaustive
+        incremental enumeration makes one more solve call than that.
+
         ``known_columns`` optionally fixes parity-check columns that are
         already known (``{data column index: column integer, ...}``, LSB =
         parity row 0) — the partial-knowledge scenario where a datasheet or a
-        previous BEER run pins part of ``P``; it also collapses the
-        row-permutation symmetry of the remaining search space.
+        previous BEER run pins part of ``P``.  The pins fix the parity-bit
+        labelling only up to permutations of rows that carry the same bits in
+        every pinned column, so only those rows are ordered; the pinned
+        columns come back exactly as given.
         """
         if profile.num_data_bits != self._num_data_bits:
             raise ProfileError(
@@ -122,8 +138,15 @@ class SatBeerSolver:
             )
         start_time = time.perf_counter()
         formula, column_variables = self._build_formula(profile)
-        if known_columns:
-            self._pin_known_columns(formula, column_variables, known_columns)
+        pinned = dict(known_columns) if known_columns else {}
+        self._pin_known_columns(formula, column_variables, pinned)
+        row_pairs = self._ordered_row_pairs(pinned)
+        for upper, lower in row_pairs:
+            encode_lex_geq(
+                formula,
+                [column[upper] for column in column_variables],
+                [column[lower] for column in column_variables],
+            )
         flat_variables = [v for column in column_variables for v in column]
 
         solver: Optional[CDCLSolver] = CDCLSolver(formula) if incremental else None
@@ -135,29 +158,29 @@ class SatBeerSolver:
         )
 
         codes: List[SystematicLinearCode] = []
-        seen_canonical = set()
         truncated = False
-        models_examined = 0
         for model in models:
-            models_examined += 1
             columns = self._columns_from_model(model, column_variables)
-            canonical = canonical_parity_columns(columns, self._num_parity_bits)
-            if canonical not in seen_canonical:
-                seen_canonical.add(canonical)
-                codes.append(
-                    SystematicLinearCode.from_parity_columns(
-                        columns, self._num_parity_bits, family=self._family.name,
-                        detect_only=not self._family.corrects,
-                    )
+            rows = parity_rows(columns, self._num_parity_bits)
+            if any(rows[upper] < rows[lower] for upper, lower in row_pairs):
+                raise SolverError(
+                    f"SAT model {columns} breaks the parity-row order the "
+                    "encoding imposes; the symmetry-breaking clauses are unsound"
                 )
-                if max_solutions is not None and len(codes) >= max_solutions:
-                    truncated = True
-                    break
+            codes.append(
+                SystematicLinearCode.from_parity_columns(
+                    columns, self._num_parity_bits, family=self._family.name,
+                    detect_only=not self._family.corrects,
+                )
+            )
+            if max_solutions is not None and len(codes) >= max_solutions:
+                truncated = True
+                break
         models.close()
         runtime = time.perf_counter() - start_time
         return BeerSolution(
             codes=codes,
-            nodes_visited=models_examined,
+            nodes_visited=len(codes),
             runtime_seconds=runtime,
             truncated=truncated,
             solver_stats=solver.stats().as_dict() if solver is not None else None,
@@ -186,6 +209,25 @@ class SatBeerSolver:
                 )
             for row, variable in enumerate(column_variables[column_index]):
                 formula.add_unit(variable if (value >> row) & 1 else -variable)
+
+    def _ordered_row_pairs(self, known_columns: Mapping[int, int]) -> List[Tuple[int, int]]:
+        """Row pairs ``(upper, lower)`` whose order the encoding fixes.
+
+        Rows are grouped by their bits in the pinned columns — without pins
+        all rows form one group — and consecutive rows of each group must
+        satisfy ``row[upper] ≥ row[lower]``.  Permuting rows within a group
+        is exactly the symmetry the pins leave, so ordering every group keeps
+        one model per equivalence class.
+        """
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for row in range(self._num_parity_bits):
+            signature = tuple((value >> row) & 1 for value in known_columns.values())
+            groups.setdefault(signature, []).append(row)
+        return [
+            (rows[index], rows[index + 1])
+            for rows in groups.values()
+            for index in range(len(rows) - 1)
+        ]
 
     # -- CNF construction -----------------------------------------------------
     def _build_formula(self, profile: MiscorrectionProfile) -> Tuple[CNF, List[List[int]]]:

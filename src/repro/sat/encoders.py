@@ -1,9 +1,9 @@
 """CNF encodings for the constraint shapes the library needs.
 
-The BEER SAT backend expresses GF(2) (XOR) relations, mutual exclusion, and
-implications over Boolean variables.  These helpers add the corresponding
-clauses to a :class:`~repro.sat.cnf.CNF`, allocating auxiliary variables where
-needed.
+The BEER SAT backend expresses GF(2) (XOR) relations, mutual exclusion,
+implications, and lexicographic order over Boolean variables.  These helpers
+add the corresponding clauses to a :class:`~repro.sat.cnf.CNF`, allocating
+auxiliary variables where needed.
 """
 
 from __future__ import annotations
@@ -145,6 +145,29 @@ def encode_disjunction(formula: CNF, output: int, inputs: Sequence[int]) -> None
     for literal in inputs:
         formula.add_clause([output, -literal])
     formula.add_clause([-output] + list(inputs))
+
+
+def encode_lex_geq(formula: CNF, left: Sequence[int], right: Sequence[int]) -> None:
+    """Constrain the bit vector ``left`` to be lexicographically ≥ ``right``.
+
+    Position 0 is compared first and true > false.  An auxiliary variable
+    per position after the first is implied true while the two prefixes are
+    equal; it is never forced false, so the encoding costs ``3n - 2``
+    clauses and ``n - 1`` variables and admits exactly the pairs with
+    ``left ≥ right`` once projected onto ``left`` and ``right``.
+    """
+    left, right = list(left), list(right)
+    if len(left) != len(right):
+        raise SolverError("lexicographic comparison needs vectors of equal length")
+    guard: List[int] = []  # [-prefix_equal], empty before position 0
+    for position, (upper, lower) in enumerate(zip(left, right)):
+        formula.add_clause(guard + [upper, -lower])
+        if position == len(left) - 1:
+            break
+        prefix_equal = formula.new_variable()
+        formula.add_clause(guard + [upper, prefix_equal])
+        formula.add_clause(guard + [-lower, prefix_equal])
+        guard = [-prefix_equal]
 
 
 def integer_of_bits(model: dict, variables: Sequence[int]) -> int:

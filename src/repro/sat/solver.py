@@ -246,9 +246,12 @@ class CDCLSolver:
         self._max_learnt_growth = 1.3
 
         if formula is not None:
+            # CNF.add_clause has already cleaned every clause and allocated
+            # its variables, and a new solver sits at the root level, so the
+            # clauses skip add_clause's checks.
             self._ensure_variables(formula.num_variables)
             for clause in formula.clauses:
-                self.add_clause(clause)
+                self._attach_at_root(clause)
         self._max_learnt = max(1000, len(self._clauses) // 2)
 
     # -- incremental clause API ---------------------------------------------------
@@ -265,6 +268,14 @@ class CDCLSolver:
             return  # tautology
         self._ensure_variables(max(abs(literal) for literal in clause))
         self._backtrack(0)
+        self._attach_at_root(clause)
+
+    def _attach_at_root(self, clause: Sequence[int]) -> None:
+        """Simplify a clean clause against the root assignment and attach it.
+
+        The solver must be at the root level and cover every variable of
+        ``clause``, whose literals must be distinct and non-complementary.
+        """
         remaining: List[int] = []
         for literal in clause:
             value = self._literal_value(literal)

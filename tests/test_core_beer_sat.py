@@ -1,10 +1,21 @@
 """Tests for the SAT-backed BEER solver and its agreement with the fast backend."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import repro.core.beer_sat as beer_sat
 from repro.exceptions import ProfileError, SolverError
-from repro.ecc import codes_equivalent, example_7_4_code, hamming_code, random_hamming_code
+from repro.ecc import (
+    canonical_parity_columns,
+    codes_equivalent,
+    example_7_4_code,
+    get_family,
+    hamming_code,
+    random_hamming_code,
+)
+from repro.ecc.codespace import canonical_form
 from repro.core import (
     BeerSolver,
     ChargedPattern,
@@ -20,6 +31,53 @@ def profile_for(code, weights):
     return expected_miscorrection_profile(
         code, list(charged_patterns(code.num_data_bits, weights))
     )
+
+
+def relabel(columns, permutation):
+    """Move parity row ``i`` of every column to row ``permutation[i]``."""
+    return tuple(
+        sum(1 << target for source, target in enumerate(permutation) if (column >> source) & 1)
+        for column in columns
+    )
+
+
+def rotated_pins(code, pinned):
+    """Pins from a rotated labelling of ``code``'s canonical form.
+
+    Rotating every row up by one takes the canonical column 0 (its set bits
+    in the lowest rows) to a value such as ``0b0110``, which is not in
+    canonical row order.
+    """
+    rows = code.num_parity_bits
+    rotation = [(row + 1) % rows for row in range(rows)]
+    columns = relabel(canonical_form(code), rotation)
+    return {index: columns[index] for index in pinned}
+
+
+def matches_pins(code, pins):
+    """Oracle: does some relabelling of ``code``'s parity rows reproduce ``pins``?"""
+    columns = code.parity_column_ints
+    return any(
+        all(relabel(columns, permutation)[index] == value for index, value in pins.items())
+        for permutation in itertools.permutations(range(code.num_parity_bits))
+    )
+
+
+def differential_codes():
+    """Random SEC codes for k = 4..8 and one SECDED code, with their families."""
+    cases = [
+        ("sec-hamming", random_hamming_code(k, rng=np.random.default_rng(100 + k)))
+        for k in range(4, 9)
+    ]
+    cases.append(
+        (
+            "secded-extended-hamming",
+            get_family("secded-extended-hamming").random(
+                4, 5, rng=np.random.default_rng(4)
+            ),
+        )
+    )
+    return cases
 
 
 class TestSatBackendBasics:
@@ -119,8 +177,6 @@ class TestIncrementalEnumeration:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_incremental_and_one_shot_find_identical_canonical_sets(self, seed):
-        from repro.ecc.codespace import canonical_form
-
         code = random_hamming_code(5, num_parity_bits=4, rng=np.random.default_rng(seed))
         profile = profile_for(code, [1, 2])
         solver = SatBeerSolver(5, 4)
@@ -149,10 +205,9 @@ class TestIncrementalEnumeration:
         pinned = {0: code.parity_column_ints[0], 1: code.parity_column_ints[1]}
         solution = SatBeerSolver(6).solve(profile, known_columns=pinned)
         assert solution.num_solutions == 1
-        # Pinning collapses row-permutation symmetry: the surviving models
-        # are a subset of the unpinned enumeration.
+        # One model per equivalence class, pinned or not.
         unpinned = SatBeerSolver(6).solve(profile)
-        assert solution.nodes_visited <= unpinned.nodes_visited
+        assert solution.nodes_visited == unpinned.nodes_visited == 1
         assert solution.codes[0].parity_column_ints[:2] == tuple(pinned.values())
 
     def test_known_columns_validation(self):
@@ -162,3 +217,64 @@ class TestIncrementalEnumeration:
             SatBeerSolver(4, 3).solve(profile, known_columns={9: 1})
         with pytest.raises(SolverError):
             SatBeerSolver(4, 3).solve(profile, known_columns={0: 1 << 7})
+
+
+class TestOneModelPerEquivalenceClass:
+    """Row-order symmetry breaking against the specialised ``BeerSolver``."""
+
+    @pytest.mark.parametrize("pinned", [(), (0,), (0, 2)], ids=["free", "pin0", "pin0+2"])
+    @pytest.mark.parametrize("weights", [[1], [1, 2]], ids=["1-charged", "1,2-charged"])
+    @pytest.mark.parametrize(
+        "family,code",
+        differential_codes(),
+        ids=lambda value: value if isinstance(value, str) else f"k{value.num_data_bits}",
+    )
+    def test_enumeration_matches_beer_solver_with_exact_counts(
+        self, family, code, weights, pinned
+    ):
+        k, r = code.num_data_bits, code.num_parity_bits
+        profile = profile_for(code, weights)
+        pins = rotated_pins(code, pinned)
+        if pins:
+            # Not in sorted-row order: that would put column 0's bits lowest.
+            assert pins[0] != (1 << bin(pins[0]).count("1")) - 1
+        expected = {
+            canonical_form(candidate)
+            for candidate in BeerSolver(k, r, family=family).solve(profile).codes
+            if matches_pins(candidate, pins)
+        }
+        solver = SatBeerSolver(k, r, family=family)
+        incremental = solver.solve(profile, known_columns=pins or None)
+        one_shot = solver.solve(profile, known_columns=pins or None, incremental=False)
+
+        assert canonical_form(code) in expected
+        assert {canonical_form(candidate) for candidate in incremental.codes} == expected
+        assert incremental.num_solutions == len(expected)
+        assert incremental.nodes_visited == incremental.num_solutions
+        assert incremental.solver_stats["solve_calls"] == incremental.num_solutions + 1
+        assert {c.parity_column_ints for c in one_shot.codes} == {
+            c.parity_column_ints for c in incremental.codes
+        }
+        assert one_shot.nodes_visited == one_shot.num_solutions
+        for candidate in incremental.codes:
+            columns = candidate.parity_column_ints
+            assert {index: columns[index] for index in pins} == pins
+            if not pins:
+                assert columns == canonical_parity_columns(columns, r)
+
+    def test_unique_two_charged_profile_yields_one_model(self):
+        # Without the row-order clauses every one of the 4! relabellings of
+        # the answer was a separate model.
+        code = random_hamming_code(8, rng=np.random.default_rng(0))
+        solution = SatBeerSolver(8).solve(profile_for(code, [1, 2]))
+        assert solution.unique
+        assert solution.nodes_visited == 1
+        assert solution.solver_stats["solve_calls"] == 2
+
+    def test_model_outside_the_row_order_raises(self, monkeypatch):
+        # Without the row-order clauses the enumeration reaches relabelled
+        # copies, which the invariant check must refuse rather than return.
+        monkeypatch.setattr(beer_sat, "encode_lex_geq", lambda formula, left, right: None)
+        code = random_hamming_code(8, rng=np.random.default_rng(0))
+        with pytest.raises(SolverError, match="parity-row order"):
+            SatBeerSolver(8).solve(profile_for(code, [1, 2]))

@@ -1,9 +1,12 @@
 """Unit tests for code equivalence, canonical forms, and enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ecc import (
     SystematicLinearCode,
@@ -15,19 +18,55 @@ from repro.ecc import (
     hamming_code,
     random_hamming_code,
 )
-from repro.ecc.codespace import canonical_form, deduplicate_equivalent
+from repro.ecc.codespace import canonical_form, deduplicate_equivalent, parity_rows
 
 
-def permute_rows(code, permutation):
-    """Return the code obtained by relabelling parity rows with ``permutation``."""
+def permute_columns(columns, permutation):
+    """Relabel parity rows: ``permutation[i]`` is the new row of original row ``i``."""
     new_columns = []
-    for column in code.parity_column_ints:
+    for column in columns:
         value = 0
         for source_row, target_row in enumerate(permutation):
             if (column >> source_row) & 1:
                 value |= 1 << target_row
         new_columns.append(value)
-    return SystematicLinearCode.from_parity_columns(new_columns, code.num_parity_bits)
+    return tuple(new_columns)
+
+
+def permute_rows(code, permutation):
+    """Return the code obtained by relabelling parity rows with ``permutation``."""
+    return SystematicLinearCode.from_parity_columns(
+        permute_columns(code.parity_column_ints, permutation), code.num_parity_bits
+    )
+
+
+def enumerated_canonical(columns, num_parity_bits):
+    """Oracle: the smallest column tuple over all ``r!`` row permutations."""
+    return min(
+        permute_columns(columns, permutation)
+        for permutation in itertools.permutations(range(num_parity_bits))
+    )
+
+
+def rows_non_increasing(columns, num_parity_bits):
+    """Are the rows of ``P``, read column 0 first with 1 > 0, non-increasing?"""
+    rows = [
+        tuple((column >> row) & 1 for column in columns)
+        for row in range(num_parity_bits)
+    ]
+    return all(rows[row] >= rows[row + 1] for row in range(num_parity_bits - 1))
+
+
+column_tuples = st.integers(min_value=1, max_value=7).flatmap(
+    lambda rows: st.tuples(
+        st.just(rows),
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << rows) - 1),
+            min_size=1,
+            max_size=12,
+        ).map(tuple),
+    )
+)
 
 
 class TestCanonicalForm:
@@ -57,6 +96,36 @@ class TestCanonicalForm:
         columns = (0b110, 0b101)
         canonical = canonical_parity_columns(columns, 3)
         assert canonical <= columns
+
+
+class TestSortedRowCanonicalForm:
+    """The row sort against the ``r!`` enumeration it replaced."""
+
+    @given(column_tuples)
+    @settings(max_examples=150, deadline=None)
+    def test_sort_equals_permutation_enumeration(self, case):
+        num_parity_bits, columns = case
+        assert canonical_parity_columns(columns, num_parity_bits) == enumerated_canonical(
+            columns, num_parity_bits
+        )
+
+    @given(column_tuples, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_points_are_exactly_the_non_increasing_row_orders(self, case, canonicalise):
+        # The predicate the SAT encoding's row-order clauses impose.
+        num_parity_bits, columns = case
+        if canonicalise:
+            columns = canonical_parity_columns(columns, num_parity_bits)
+        assert (columns == canonical_parity_columns(columns, num_parity_bits)) == (
+            rows_non_increasing(columns, num_parity_bits)
+        )
+
+    def test_parity_rows_read_column_zero_first(self):
+        # P rows: row 0 = (1, 0, 1), row 1 = (0, 1, 1), row 2 = (0, 0, 0).
+        assert parity_rows((0b001, 0b010, 0b011), 3) == [0b101, 0b011, 0b000]
+
+    def test_canonical_form_moves_column_zero_bits_to_the_lowest_rows(self):
+        assert canonical_parity_columns((0b0110, 0b1010), 4) == (0b0011, 0b0101)
 
 
 class TestEquivalence:

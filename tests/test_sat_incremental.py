@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import BudgetExhaustedError, SolverError
 from repro.sat import (
@@ -20,6 +22,7 @@ from repro.sat import (
     simplify_literals,
     solve,
 )
+from repro.sat.encoders import encode_lex_geq
 
 
 def brute_force_models(formula: CNF, variables):
@@ -325,3 +328,82 @@ class TestModuleLevelSolve:
         formula.add_clause([1, 2])
         with pytest.raises(SolverError):
             list(iterate_models(formula, over_variables=[1, 2], solver=CDCLSolver()))
+
+
+class PerClauseLoad(CDCLSolver):
+    """Oracle: the constructor that sent every clause through ``add_clause``."""
+
+    def __init__(self, formula: CNF):
+        super().__init__()
+        self._ensure_variables(formula.num_variables)
+        for clause in formula.clauses:
+            self.add_clause(clause)
+        self._max_learnt = max(1000, len(self._clauses) // 2)
+
+
+@st.composite
+def dirty_formulas(draw):
+    """Random CNFs with units, duplicate literals and root-satisfied clauses."""
+    num_variables = draw(st.integers(min_value=2, max_value=9))
+    literals = st.integers(min_value=1, max_value=num_variables).flatmap(
+        lambda variable: st.sampled_from([variable, -variable])
+    )
+    formula = CNF(num_variables + draw(st.integers(min_value=0, max_value=2)))
+    units = draw(st.lists(literals, max_size=3))
+    for unit in units:
+        formula.add_clause([unit, unit])
+    for clause in draw(st.lists(st.lists(literals, min_size=1, max_size=4), max_size=30)):
+        formula.add_clause(clause)
+        if units and draw(st.booleans()):
+            # A copy that the root assignment satisfies or shortens.
+            unit = draw(st.sampled_from(units))
+            formula.add_clause(clause + [draw(st.sampled_from([unit, -unit]))])
+    return formula
+
+
+def enumeration_trace(solver: CDCLSolver, formula: CNF, limit: int = 12):
+    """Models, learned clauses and statistics of an incremental enumeration."""
+    initial = solver.stats()
+    models = list(iterate_models(formula, solver=solver, limit=limit))
+    learnt = [list(clause) for clause in solver._learnt]
+    return initial, models, learnt, solver.stats()
+
+
+class TestBulkLoad:
+    """The constructor's bulk clause load against per-clause ``add_clause``."""
+
+    @given(dirty_formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_load_matches_per_clause_load(self, formula):
+        assert enumeration_trace(CDCLSolver(formula), formula) == enumeration_trace(
+            PerClauseLoad(formula), formula
+        )
+
+    def test_bulk_load_matches_per_clause_load_on_hard_instance(self):
+        formula = pigeonhole(6, 5)
+        bulk, per_clause = CDCLSolver(formula), PerClauseLoad(formula)
+        assert bulk.solve() == per_clause.solve()
+        assert bulk.stats() == per_clause.stats()
+        assert [list(c) for c in bulk._learnt] == [list(c) for c in per_clause._learnt]
+
+
+class TestLexicographicOrder:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_projection_is_exactly_the_lex_order(self, length):
+        formula = CNF()
+        left = formula.new_variables(length)
+        right = formula.new_variables(length)
+        encode_lex_geq(formula, left, right)
+        assert formula.num_variables == 3 * length - 1
+        assert formula.num_clauses == 3 * length - 2
+        expected = {
+            tuple(zip(left, upper)) + tuple(zip(right, lower))
+            for upper in itertools.product([False, True], repeat=length)
+            for lower in itertools.product([False, True], repeat=length)
+            if upper >= lower
+        }
+        assert brute_force_models(formula, left + right) == expected
+
+    def test_lengths_must_match(self):
+        with pytest.raises(SolverError):
+            encode_lex_geq(CNF(3), [1, 2], [3])
