@@ -322,7 +322,7 @@ register_workload(
             max_solutions=25, seed=0,
         ),
         "full": dict(
-            dataword_lengths=(4, 6, 8, 11, 16), codes_per_length=3,
+            dataword_lengths=(4, 6, 8, 11, 16, 32), codes_per_length=3,
             max_solutions=25, seed=0,
         ),
     },
@@ -334,9 +334,15 @@ register_workload(
 # ---------------------------------------------------------------------------
 # Figure 6 — BEER solver runtime/memory scaling
 # ---------------------------------------------------------------------------
+#: The paper's word: 128 data bits in a (136,128) SEC code (Section 1).
+PAPER_DATA_BITS = 128
+
+
 def _run_fig6(params: Mapping, context: BenchContext) -> WorkloadResult:
     from repro.analysis import figure6_runtime_data
 
+    params = dict(params)
+    paper_word_weights = params.pop("paper_word_weights", ())
     timing = context.control.time_once(lambda: figure6_runtime_data(**params))
     rows = timing.last_result["rows"]
     result = WorkloadResult()
@@ -358,19 +364,54 @@ def _run_fig6(params: Mapping, context: BenchContext) -> WorkloadResult:
             ),
         },
     )
+    if paper_word_weights:
+        _add_paper_word(result, paper_word_weights, params["seed"], context)
     return result
+
+
+def _add_paper_word(
+    result: WorkloadResult, weight_sets, seed: int, context: BenchContext
+) -> None:
+    """Recover one random (136,128) code from each exact profile; each must be unique."""
+    from repro.core import BeerSolver, charged_patterns, expected_miscorrection_profile
+    from repro.ecc import codes_equivalent, random_hamming_code
+
+    code = random_hamming_code(PAPER_DATA_BITS, rng=np.random.default_rng(seed))
+    metrics, oracles = {}, {}
+    for weights in weight_sets:
+        label = "".join(str(weight) for weight in weights)
+        profile = expected_miscorrection_profile(
+            code, list(charged_patterns(PAPER_DATA_BITS, weights))
+        )
+        timing = context.control.time_once(
+            lambda profile=profile: BeerSolver(PAPER_DATA_BITS).solve(profile)
+        )
+        solution = timing.last_result
+        metrics[f"seconds_{label}charged"] = timing.best_seconds
+        metrics[f"nodes_{label}charged"] = solution.nodes_visited
+        oracles[f"recovered_uniquely_from_{label}charged"] = solution.unique and (
+            codes_equivalent(solution.code, code)
+        )
+    result.add("paper-word", metrics=metrics, oracles=oracles)
 
 
 register_workload(
     name="fig6-solver-runtime",
     description=(
         "figure 6: BEER solver runtime grows with code length and the "
-        "uniqueness check dominates total runtime"
+        "uniqueness check dominates total runtime; the paper's (136,128) "
+        "word is recovered uniquely from its exact profile"
     ),
     tiers={
         "smoke": dict(dataword_lengths=(4, 8), codes_per_length=1, seed=0),
-        "quick": dict(dataword_lengths=(4, 8, 16), codes_per_length=1, seed=0),
-        "full": dict(dataword_lengths=(4, 8, 16, 32), codes_per_length=2, seed=0),
+        "quick": dict(
+            dataword_lengths=(4, 8, 16), codes_per_length=1, seed=0,
+            paper_word_weights=((1,),),
+        ),
+        "full": dict(
+            dataword_lengths=(4, 8, 16, 32, 64), codes_per_length=2, seed=0,
+            paper_word_weights=((1,), (1, 2)),
+        ),
     },
     run=_run_fig6,
     tags=FIGURE_TAGS,

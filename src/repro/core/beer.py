@@ -3,9 +3,9 @@
 Section 5.3 of the paper solves for the parity-check matrix with a SAT solver
 constrained by (1) basic linear-code properties, (2) standard form, and (3)
 the miscorrection profile.  This module implements the same search as a
-specialised backtracking solver over the unknown columns of ``P`` (the data
-portion of ``H = [P | I]``) with constraint propagation, which exploits the
-closed-form structure of the constraints:
+specialised forward-checking solver over the unknown columns of ``P`` (the
+data portion of ``H = [P | I]``), which exploits the closed-form structure of
+the constraints:
 
 * a test pattern whose CHARGED codeword positions are ``S`` can miscorrect
   DISCHARGED data bit ``j`` iff ``H_j ∈ span{H_i : i ∈ S}``;
@@ -13,13 +13,20 @@ closed-form structure of the constraints:
   (the CHARGED parity positions are the support of their XOR), so every
   constraint touches only the pattern's columns plus the target column.
 
+Each open column keeps a bitset of its remaining candidate values.  An
+assignment removes its value from every other bitset and narrows the last
+open column of every profile entry it completes up to one; an empty bitset
+means backtrack.  The search branches on the column with the fewest
+candidates left (MRV), breaking ties by column index.
+
 Solutions are reported up to *code equivalence* (relabelling of parity bits,
-Section 4.2.1).  The search prunes that symmetry by requiring parity rows to
-be introduced in increasing order along the assignment order, but that rule
-does not make every leaf distinct: a column that introduces several rows at
-once leaves their relative labelling open, so one equivalence class can reach
-several leaves.  Leaves are therefore deduplicated by their sorted-row
-canonical form (:func:`~repro.ecc.codespace.canonical_parity_columns`).
+Section 4.2.1).  The parity rows are kept in cells of rows that agree on
+every assigned column, and a new value must meet each cell in that cell's
+lowest rows before the cell splits.  Rows therefore end sorted, read along
+the assignment order, and the candidate bitsets, hence the branching order,
+are the same for every relabelling, so each equivalence class reaches
+exactly one leaf.  A class reached twice raises
+:class:`~repro.exceptions.SolverError`.
 
 The CNF/SAT formulation that mirrors the paper's Z3 encoding lives in
 :mod:`repro.core.beer_sat` and is cross-checked against this solver in tests.
@@ -28,14 +35,16 @@ The CNF/SAT formulation that mirrors the paper's Z3 encoding lives in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CodeConstructionError, ProfileError, SolverError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import canonical_parity_columns
 from repro.ecc.family import CodeFamily, get_family
-from repro.core.profile import MiscorrectionProfile, expected_miscorrection_profile
+from repro.core.profile import (
+    MiscorrectionProfile, expected_miscorrection_profile, miscorrection_test,
+)
 
 
 @dataclass
@@ -48,8 +57,10 @@ class BeerSolution:
         Candidate ECC functions consistent with the profile, one representative
         per equivalence class, in the order found.
     nodes_visited:
-        Number of partial assignments explored by the backtracking search
-        (for the SAT backend: number of models examined).
+        Number of column assignments the forward-checking search made: every
+        candidate value it branched on that met the row cells, whether or not
+        forward checking then failed (for the SAT backend: number of models
+        examined).
     runtime_seconds:
         Wall-clock time spent searching.
     truncated:
@@ -98,19 +109,8 @@ class BeerSolution:
         return self.codes[0]
 
 
-@dataclass
-class _Constraint:
-    """One (pattern, target-bit) entry of the miscorrection profile."""
-
-    pattern_bits: Tuple[int, ...]
-    target_bit: int
-    observed: bool
-    #: Position (in assignment order) after which all involved columns are known.
-    ready_depth: int = field(default=0)
-
-
 class BeerSolver:
-    """Backtracking BEER solver over a family's standard-form parity-check columns.
+    """Forward-checking BEER solver over a family's standard-form parity-check columns.
 
     ``family`` selects the design space searched: ``"sec-hamming"`` (the
     paper's weight-≥2 columns, the default) or any registered correcting
@@ -185,24 +185,11 @@ class BeerSolver:
                 f"k={self._num_data_bits}"
             )
         start_time = time.perf_counter()
-        order = self._assignment_order(profile)
-        order_position = {column: depth for depth, column in enumerate(order)}
-        constraints = self._build_constraints(profile, order_position)
-        constraints_by_depth: Dict[int, List[_Constraint]] = {}
-        for constraint in constraints:
-            constraints_by_depth.setdefault(constraint.ready_depth, []).append(constraint)
-
-        state = _SearchState(
-            num_data_bits=self._num_data_bits,
-            num_parity_bits=self._num_parity_bits,
-            candidates=self._candidates,
-            order=order,
-            constraints_by_depth=constraints_by_depth,
-            max_solutions=max_solutions,
-            max_nodes=max_nodes,
-            candidates_per_column=self._prefilter_candidates(profile),
+        state = _Search(
+            self._candidates, self._num_parity_bits, profile, max_solutions, max_nodes
         )
-        state.search()
+        # Every parity row starts in one cell.
+        state.search(_split_cells(((1 << self._num_parity_bits) - 1,), 0))
         runtime = time.perf_counter() - start_time
 
         codes = [
@@ -234,202 +221,212 @@ class BeerSolver:
                 return False
         return True
 
-    # -- internals ------------------------------------------------------------
-    def _assignment_order(self, profile: MiscorrectionProfile) -> List[int]:
-        """Choose a static column assignment order (most-constrained first).
 
-        Columns that appear in many *observed* miscorrection relations are the
-        most constrained, so assigning them early maximises pruning.
-        """
-        scores = [0] * self._num_data_bits
-        for pattern, positions in profile.items():
-            for bit in pattern.charged_bits:
-                scores[bit] += len(positions) + 1
-            for bit in positions:
-                scores[bit] += 1
-        return sorted(range(self._num_data_bits), key=lambda bit: -scores[bit])
+class _Search:
+    """Forward-checking search state (kept out of the public API).
 
-    def _prefilter_candidates(self, profile: MiscorrectionProfile) -> Dict[int, List[int]]:
-        """Derive per-column candidate lists from cheap 1-CHARGED counting bounds.
-
-        If the 1-CHARGED pattern charging data bit ``c`` can miscorrect ``m``
-        other data bits, then those ``m`` columns are distinct *legal* subsets
-        of ``supp(P_c)`` other than ``P_c`` itself, so the family's
-        ``legal_subset_count(w) - 1 >= m`` where ``w`` is the weight of
-        ``P_c`` (for SEC Hamming: ``2**w - w - 2 >= m``).  This bounds the
-        weight of each column from below and substantially narrows the value
-        choices for heavily-covering columns before the search starts.
-        """
-        cover_counts: Dict[int, int] = {}
-        for pattern, positions in profile.items():
-            if pattern.weight != 1:
-                continue
-            (charged_bit,) = tuple(pattern.charged_bits)
-            cover_counts[charged_bit] = len(positions)
-
-        def capacity(value: int) -> int:
-            return self._family.legal_subset_count(bin(value).count("1")) - 1
-
-        candidates_per_column: Dict[int, List[int]] = {}
-        for column in range(self._num_data_bits):
-            cover = cover_counts.get(column)
-            if cover is None:
-                candidates_per_column[column] = list(self._candidates)
-                continue
-            allowed = [value for value in self._candidates if capacity(value) >= cover]
-            # Try tightly-fitting weights first: columns that cover many bits
-            # are almost certainly high weight, and vice versa.
-            allowed.sort(key=lambda value: (capacity(value) - cover, value))
-            candidates_per_column[column] = allowed
-        return candidates_per_column
-
-    def _build_constraints(
-        self,
-        profile: MiscorrectionProfile,
-        order_position: Dict[int, int],
-    ) -> List[_Constraint]:
-        constraints: List[_Constraint] = []
-        for pattern, observed_positions in profile.items():
-            charged = tuple(sorted(pattern.charged_bits))
-            if not charged:
-                # The 0-CHARGED pattern cannot produce any retention errors and
-                # therefore carries no information.
-                continue
-            for target in pattern.discharged_bits:
-                involved = charged + (target,)
-                ready_depth = max(order_position[bit] for bit in involved)
-                constraints.append(
-                    _Constraint(
-                        pattern_bits=charged,
-                        target_bit=target,
-                        observed=target in observed_positions,
-                        ready_depth=ready_depth,
-                    )
-                )
-        return constraints
-
-
-class _SearchState:
-    """Mutable state of the backtracking search (kept out of the public API)."""
+    Bit ``i`` of a candidate bitset stands for ``values[i]``.  Patterns are
+    stored once each, with their observed targets as a bit mask.
+    """
 
     def __init__(
-        self,
-        num_data_bits: int,
-        num_parity_bits: int,
-        candidates: Sequence[int],
-        order: Sequence[int],
-        constraints_by_depth: Dict[int, List[_Constraint]],
-        max_solutions: Optional[int],
-        max_nodes: Optional[int],
-        candidates_per_column: Optional[Dict[int, List[int]]] = None,
+        self, values: Sequence[int], num_parity_bits: int, profile: MiscorrectionProfile,
+        max_solutions: Optional[int], max_nodes: Optional[int],
     ):
-        self.num_data_bits = num_data_bits
+        num_data_bits = profile.num_data_bits
+        self.values = list(values)
         self.num_parity_bits = num_parity_bits
-        self.candidates = list(candidates)
-        self.candidates_per_column = candidates_per_column or {}
-        self.order = list(order)
-        self.constraints_by_depth = constraints_by_depth
         self.max_solutions = max_solutions
         self.max_nodes = max_nodes
-
-        self.assignment: Dict[int, int] = {}
-        self.used_values: set = set()
+        #: (CHARGED bits, mask of observed targets) of every informative pattern.
+        self.patterns: List[Tuple[Tuple[int, ...], int]] = []
+        #: Patterns charging each column, by index into ``patterns``.
+        self.charging: List[List[int]] = [[] for _ in range(num_data_bits)]
+        for pattern, positions in profile.items():
+            charged = tuple(sorted(pattern.charged_bits))
+            if not charged or len(charged) == num_data_bits:
+                continue  # nothing can fail, or nothing can be miscorrected
+            for bit in charged:
+                self.charging[bit].append(len(self.patterns))
+            self.patterns.append((charged, sum(1 << bit for bit in positions)))
+        self.open_charged = [len(charged) for charged, _ in self.patterns]
+        #: Patterns with one open CHARGED column -> (that column, the others' values).
+        self.one_open: Dict[int, Tuple[int, Tuple[int, ...]]] = {
+            index: (charged[0], ())
+            for index, (charged, _) in enumerate(self.patterns)
+            if len(charged) == 1
+        }
+        self.assignment: List[Optional[int]] = [None] * num_data_bits
+        self.domains_full = (1 << len(self.values)) - 1
+        self.domains = [self.domains_full] * num_data_bits
+        #: Per parity row, the bitset of the values that set it.
+        self.with_row = [
+            sum(1 << bit for bit, value in enumerate(self.values) if value >> row & 1)
+            for row in range(num_parity_bits)
+        ]
+        self.allowed: Dict[Tuple[Tuple[int, ...], Optional[int]], int] = {}
         self.solutions: List[Tuple[int, ...]] = []
         self.seen_canonical: set = set()
         self.nodes_visited = 0
         self.truncated = False
 
-    # -- search ------------------------------------------------------------------
-    def search(self) -> None:
-        self._search_depth(0, used_row_mask=0, rows_used=0)
-
-    def _search_depth(self, depth: int, used_row_mask: int, rows_used: int) -> bool:
+    def search(self, cells: Tuple[int, ...]) -> bool:
         """Depth-first search; returns False when the search should stop entirely."""
         if self.max_solutions is not None and len(self.solutions) >= self.max_solutions:
             self.truncated = True
             return False
-        if depth == self.num_data_bits:
-            self._record_solution()
-            if self.max_solutions is not None and len(self.solutions) >= self.max_solutions:
-                self.truncated = True
-                return False
-            return True
-        column = self.order[depth]
-        for value in self.candidates_per_column.get(column, self.candidates):
-            if value in self.used_values:
-                continue
-            new_rows = value & ~used_row_mask
-            if new_rows and not self._introduces_rows_in_order(new_rows, rows_used):
+        # MRV: the open column with the fewest candidates, ties by column index.
+        column, size = -1, 0
+        for bit, value in enumerate(self.assignment):
+            if value is None:
+                count = self.domains[bit].bit_count()
+                if column < 0 or count < size:
+                    column, size = bit, count
+        if column < 0:
+            return self._record_solution()
+        domain = self.domains[column]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            value = self.values[low.bit_length() - 1]
+            if not _meets_cells(value, cells):
                 continue
             self.nodes_visited += 1
             if self.max_nodes is not None and self.nodes_visited > self.max_nodes:
                 raise SolverError("BEER search exceeded the node budget")
-            self.assignment[column] = value
-            self.used_values.add(value)
-            if self._constraints_hold(depth):
-                next_mask = used_row_mask | value
-                next_rows_used = rows_used + bin(new_rows).count("1")
-                keep_going = self._search_depth(depth + 1, next_mask, next_rows_used)
-            else:
-                keep_going = True
-            del self.assignment[column]
-            self.used_values.discard(value)
+            saved = self.domains[:]
+            changes = self._assign(column, value, ~low)
+            keep_going = self.search(_split_cells(cells, value))
+            for index, previous in changes:
+                self.open_charged[index] += 1
+                if previous is None:
+                    self.one_open.pop(index, None)
+                else:
+                    self.one_open[index] = previous
+            self.assignment[column] = None
+            self.domains = saved
             if not keep_going:
                 return False
         return True
 
-    def _introduces_rows_in_order(self, new_rows: int, rows_used: int) -> bool:
-        """Symmetry break: new parity rows must be the next consecutive indices."""
-        count = bin(new_rows).count("1")
-        expected = ((1 << count) - 1) << rows_used
-        return new_rows == expected
+    def _assign(
+        self, column: int, value: int, clear: int
+    ) -> List[Tuple[int, Optional[Tuple[int, Tuple[int, ...]]]]]:
+        """Assign and forward-check; returns the pattern changes to undo.
 
-    def _constraints_hold(self, depth: int) -> bool:
-        for constraint in self.constraints_by_depth.get(depth, []):
-            if self._evaluate(constraint) != constraint.observed:
-                return False
-        return True
-
-    def _evaluate(self, constraint: _Constraint) -> bool:
-        """Evaluate whether a miscorrection is possible under the current assignment.
-
-        The CHARGED codeword positions are the pattern's data columns ``C``
-        plus the parity rows in ``p = XOR(C)``.  Unit vectors on ``supp p``
-        span everything inside ``p``, so the target lies in
-        ``span(C ∪ {e_i : i ∈ supp p})`` iff ``target & ~p`` lies in
-        ``span{c & ~p : c ∈ C}`` — the masked check eliminates over the
-        pattern's columns alone.
+        An emptied bitset is left for the next :meth:`search` call, whose
+        MRV choice picks it first and backtracks.
         """
-        pattern_columns = [self.assignment[bit] for bit in constraint.pattern_bits]
-        parity_value = 0
-        for column in pattern_columns:
-            parity_value ^= column
-        outside = ~parity_value
-        target = self.assignment[constraint.target_bit] & outside
-        return _int_in_span(target, [column & outside for column in pattern_columns])
+        assignment, domains = self.assignment, self.domains
+        assignment[column] = value
+        open_bits = [bit for bit, other in enumerate(assignment) if other is None]
+        for bit in open_bits:
+            domains[bit] &= clear
+        # Entries targeting ``column`` whose pattern has one open CHARGED column.
+        for index, (open_bit, fixed) in self.one_open.items():
+            if open_bit != column:
+                observed = self.patterns[index][1] >> column & 1
+                domains[open_bit] &= self._allowed(fixed, value, observed)
+        changes = []
+        for index in self.charging[column]:
+            changes.append((index, self.one_open.pop(index, None)))
+            self.open_charged[index] -= 1
+            charged, observed = self.patterns[index]
+            if self.open_charged[index] == 0:
+                fixed = tuple(sorted(assignment[bit] for bit in charged))
+                for bit in open_bits:
+                    domains[bit] &= self._allowed(fixed, None, observed >> bit & 1)
+            elif self.open_charged[index] == 1:
+                open_bit = next(bit for bit in charged if assignment[bit] is None)
+                fixed = tuple(sorted(assignment[bit] for bit in charged if bit != open_bit))
+                self.one_open[index] = (open_bit, fixed)
+                for bit, target in enumerate(assignment):
+                    if target is not None and bit not in charged:
+                        domains[open_bit] &= self._allowed(fixed, target, observed >> bit & 1)
+        return changes
 
-    def _record_solution(self) -> None:
-        columns = tuple(self.assignment[bit] for bit in range(self.num_data_bits))
+    def _allowed(self, fixed: Tuple[int, ...], target: Optional[int], observed: int) -> int:
+        """The cached allowed set of one entry, or its complement if not observed."""
+        key = (fixed, target)
+        allowed = self.allowed.get(key)
+        if allowed is None:
+            allowed = self.allowed[key] = self._allowed_set(fixed, target)
+        return allowed if observed else ~allowed
+
+    def _allowed_set(self, fixed: Tuple[int, ...], target: Optional[int]) -> int:
+        """Bitset of the values that keep one profile entry possible.
+
+        With ``target`` None, each value ``u`` is the entry's target and
+        ``fixed`` are the pattern's columns; otherwise ``u`` is the pattern's
+        one open CHARGED column beside ``fixed``, tested against the target's
+        column.  True-cells CHARGE the parity rows ``p = XOR`` of the
+        pattern's columns, so one column ``a`` can miscorrect exactly its
+        subsets, and two columns ``a, b`` exactly the ``t`` with
+        ``t & ~(a ^ b) ∈ {0, a & b}``; both are intersections of per-row
+        bitsets.  Three or more columns take the masked span of
+        :func:`miscorrection_test`, value by value.
+        """
+        parity = 0
+        for column in fixed:
+            parity ^= column
+        if target is None and len(fixed) == 1:
+            return self._rows_fixed(0, ~parity)
+        if target is None and len(fixed) == 2:
+            shared = fixed[0] & fixed[1]
+            return self._rows_fixed(0, ~parity) | self._rows_fixed(shared, ~parity & ~shared)
+        if target is not None and not fixed:
+            return self._rows_fixed(target, 0)
+        if target is not None and len(fixed) == 1:
+            # t ⊆ parity ^ u, or else t ⊆ parity | u with parity & u ⊆ t.
+            return self._rows_fixed(target & ~parity, 0) & (
+                self._rows_fixed(0, target & parity) | self._rows_fixed(0, parity & ~target)
+            )
+        if target is None:
+            allowed = map(miscorrection_test(fixed, parity), self.values)
+        else:
+            allowed = (
+                miscorrection_test(fixed + (value,), parity ^ value)(target)
+                for value in self.values
+            )
+        return sum(1 << bit for bit, ok in enumerate(allowed) if ok)
+
+    def _rows_fixed(self, ones: int, zeros: int) -> int:
+        """Bitset of the values with every row in ``ones`` set and every row in ``zeros`` clear."""
+        allowed = self.domains_full
+        for row, with_row in enumerate(self.with_row):
+            if ones >> row & 1:
+                allowed &= with_row
+            elif zeros >> row & 1:
+                allowed &= ~with_row
+        return allowed
+
+    def _record_solution(self) -> bool:
+        columns = tuple(self.assignment)
         canonical = canonical_parity_columns(columns, self.num_parity_bits)
         if canonical in self.seen_canonical:
-            return
+            raise SolverError(
+                "BEER search reached one equivalence class at two leaves; "
+                "the row-cell symmetry break must leave exactly one"
+            )
         self.seen_canonical.add(canonical)
         self.solutions.append(columns)
-
-
-def _int_in_span(target: int, vectors: Sequence[int]) -> bool:
-    """Return True if ``target`` is a GF(2) combination of integer-encoded vectors."""
-    if not target:
+        if self.max_solutions is not None and len(self.solutions) >= self.max_solutions:
+            self.truncated = True
+            return False
         return True
-    basis: List[int] = []
-    for vector in vectors:
-        value = vector
-        for pivot in basis:
-            value = min(value, value ^ pivot)
-        if value:
-            basis.append(value)
-            basis.sort(reverse=True)
-    value = target
-    for pivot in basis:
-        value = min(value, value ^ pivot)
-    return value == 0
+
+
+def _meets_cells(value: int, cells: Tuple[int, ...]) -> bool:
+    """Symmetry break: ``value`` meets each row cell in that cell's lowest rows."""
+    for cell in cells:
+        ones = value & cell
+        if (cell ^ ones) & ((1 << ones.bit_length()) - 1):
+            return False
+    return True
+
+
+def _split_cells(cells: Tuple[int, ...], value: int) -> Tuple[int, ...]:
+    """Split each cell by ``value``'s rows; cells of one row constrain nothing."""
+    return tuple(
+        part for cell in cells for part in (cell & value, cell & ~value) if part & (part - 1)
+    )

@@ -58,7 +58,7 @@ class SatBeerSolver:
     """BEER solver backed by the CNF encoding and the CDCL SAT solver.
 
     ``family`` selects the column design space encoded as CNF, exactly
-    mirroring the backtracking backend: ``"sec-hamming"`` columns are
+    mirroring the forward-checking backend: ``"sec-hamming"`` columns are
     non-zero with weight ≥ 2; ``"secded-extended-hamming"`` columns are
     odd-weight with weight ≥ 3 (encoded with an XOR parity chain).
     """

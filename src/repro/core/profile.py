@@ -19,17 +19,18 @@ For simulation and validation, :func:`miscorrections_possible` computes the
 exact profile of a *known* code: with CHARGED codeword positions ``S``, a
 miscorrection can appear at DISCHARGED data bit ``j`` iff column ``H_j`` lies
 in the GF(2) span of ``{H_i : i in S}`` (all subsets of CHARGED cells can
-fail, and subset sums over GF(2) are exactly the span).
+fail, and subset sums over GF(2) are exactly the span).  The check runs on
+integer-encoded columns through :func:`miscorrection_test`, which the BEER
+solver shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ProfileError
-from repro.gf2 import in_span
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType, charge_state_for_bit, ChargeState
 from repro.core.patterns import ChargedPattern
@@ -59,19 +60,65 @@ def charged_codeword_positions(
     return frozenset(charged)
 
 
+def miscorrection_test(columns: Sequence[int], charged_rows: int) -> Callable[[int], bool]:
+    """Return ``target -> bool``: can these CHARGED cells miscorrect ``target``?
+
+    ``columns`` are the integer-encoded ``H`` columns of the CHARGED data
+    bits and ``charged_rows`` is the set ``Q`` of CHARGED parity rows.  The
+    unit vectors ``e_q`` of those rows span everything inside ``Q``, so a
+    target column lies in the span of all CHARGED positions iff
+    ``target & ~Q`` lies in ``span{c & ~Q : c ∈ columns}``.  The elimination
+    runs once here, over the data columns alone, and every target reuses it.
+    """
+    outside = ~charged_rows
+    basis: List[int] = []
+    for column in columns:
+        value = column & outside
+        for pivot in basis:
+            value = min(value, value ^ pivot)
+        if value:
+            basis.append(value)
+            basis.sort(reverse=True)
+
+    def test(target: int) -> bool:
+        value = target & outside
+        for pivot in basis:
+            value = min(value, value ^ pivot)
+        return value == 0
+
+    return test
+
+
 def miscorrections_possible(
     code: SystematicLinearCode,
     pattern: ChargedPattern,
     cell_type: CellType = CellType.TRUE_CELL,
 ) -> FrozenSet[int]:
-    """Return the DISCHARGED data bits where ``code`` can miscorrect under ``pattern``."""
-    charged = charged_codeword_positions(code, pattern, cell_type)
-    spanning_columns = [code.column(position) for position in charged]
-    possible = set()
-    for target in pattern.discharged_bits:
-        if in_span(code.column(target), spanning_columns):
-            possible.add(target)
-    return frozenset(possible)
+    """Return the DISCHARGED data bits where ``code`` can miscorrect under ``pattern``.
+
+    A parity row holds the XOR ``p`` of the columns of the data bits storing
+    1.  True-cells store 1 in the CHARGED bits, so the CHARGED rows are
+    ``p = XOR(C)``; anti-cells store 1 in the DISCHARGED bits and CHARGE the
+    rows holding 0, so they are ``~(X ^ p)`` over the ``r`` rows, where ``X``
+    is the XOR of every data column.
+    """
+    if pattern.num_data_bits != code.num_data_bits:
+        raise ProfileError(
+            f"pattern is for {pattern.num_data_bits}-bit datawords, "
+            f"code expects {code.num_data_bits}"
+        )
+    columns = code.parity_column_ints
+    charged = [columns[bit] for bit in sorted(pattern.charged_bits)]
+    charged_rows = 0
+    for column in charged:
+        charged_rows ^= column
+    if cell_type is CellType.ANTI_CELL:
+        every_column = 0
+        for column in columns:
+            every_column ^= column
+        charged_rows = ~(every_column ^ charged_rows) & ((1 << code.num_parity_bits) - 1)
+    test = miscorrection_test(charged, charged_rows)
+    return frozenset(target for target in pattern.discharged_bits if test(columns[target]))
 
 
 def expected_miscorrection_profile(

@@ -8,7 +8,7 @@ family a first-class, pluggable concept:
 
 * :class:`CodeFamily` — what a family must provide: construction (default and
   random member selection), the column design space BEER searches (consumed by
-  both the backtracking solver in :mod:`repro.core.beer` and the CNF encoding
+  both the forward-checking solver in :mod:`repro.core.beer` and the CNF encoding
   in :mod:`repro.core.beer_sat`), and decode semantics (correct-then-detect
   vs. detect-only, which drives the ``DETECTED_UNCORRECTABLE`` / DUE path in
   :mod:`repro.ecc.decoder` and :mod:`repro.einsim.engine`).
@@ -55,8 +55,9 @@ class ColumnConstraints:
     """Declarative design-space predicates on the data columns of ``P``.
 
     Consumed by the SAT encoders (:mod:`repro.core.beer_sat` via
-    :mod:`repro.sat.encoders`) and by the backtracking solver's candidate
-    prefilter, so both BEER backends search exactly the same space.
+    :mod:`repro.sat.encoders`) and, through :meth:`CodeFamily.candidate_columns`,
+    by the forward-checking solver, so both BEER backends search exactly the
+    same space.
 
     Attributes
     ----------
@@ -143,22 +144,6 @@ class CodeFamily(abc.ABC):
         return sum(
             math.comb(num_parity_bits, weight)
             for weight in range(num_parity_bits + 1)
-            if constraints.weight_is_legal(weight)
-        )
-
-    def legal_subset_count(self, support_weight: int) -> int:
-        """Number of legal column values whose support fits in a weight-``w`` set.
-
-        Used by the backtracking solver's counting prefilter: if the
-        1-CHARGED pattern charging data bit ``c`` can miscorrect ``m`` other
-        data bits, those ``m`` columns are distinct legal subsets of
-        ``supp(P_c)`` (other than ``P_c`` itself), so
-        ``legal_subset_count(weight(P_c)) - 1 >= m``.
-        """
-        constraints = self.column_constraints()
-        return sum(
-            math.comb(support_weight, weight)
-            for weight in range(support_weight + 1)
             if constraints.weight_is_legal(weight)
         )
 

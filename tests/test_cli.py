@@ -75,6 +75,29 @@ class TestSolveCommand:
         assert "found: 0" in capsys.readouterr().out
 
 
+class TestPaperWordRoundTrip:
+    def test_solve_and_verify_a_128_bit_dataword(self, tmp_path, capsys):
+        # The paper's (136,128) word: the exact {1}-CHARGED profile alone
+        # identifies the code, and the returned columns reproduce it.
+        code = random_hamming_code(128, rng=np.random.default_rng(128))
+        profile = expected_miscorrection_profile(code, list(charged_patterns(128, [1])))
+        path = tmp_path / "profile128.json"
+        path.write_text(json.dumps(profile.to_dict()))
+        assert main(["solve", "--profile", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["num_solutions"] == 1
+        assert payload["num_parity_bits"] == 8
+        columns = payload["candidates"][0]
+        recovered = SystematicLinearCode.from_parity_columns(columns, 8)
+        assert codes_equivalent(recovered, code)
+        exit_code = main(
+            ["verify", "--profile", str(path), "--columns", ",".join(map(str, columns))]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "MATCH" in output and "MISMATCH" not in output
+
+
 class TestVerifyCommand:
     def test_verify_match(self, profile_file, capsys):
         path, code = profile_file

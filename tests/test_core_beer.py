@@ -1,5 +1,10 @@
 """Unit and integration tests for the BEER solver (specialised backend)."""
 
+import itertools
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,8 @@ from repro.ecc import (
     hamming_code,
     random_hamming_code,
 )
+from repro.ecc.codespace import canonical_form, canonical_parity_columns
+from repro.ecc.family import get_family
 from repro.core import (
     BeerSolver,
     ChargedPattern,
@@ -20,6 +27,7 @@ from repro.core import (
     expected_miscorrection_profile,
     one_charged_patterns,
 )
+from repro.core.beer import _Search
 
 
 def profile_for(code, weights):
@@ -233,10 +241,9 @@ def _unit_vector_in_span(target, vectors):
     return value == 0
 
 
-def _unit_vector_evaluate(self, constraint):
+def _unit_vector_possible(pattern_columns, target):
     """The original constraint check: the pattern's columns plus one unit
     vector per CHARGED parity row, eliminated together."""
-    pattern_columns = [self.assignment[bit] for bit in constraint.pattern_bits]
     parity_value = 0
     for column in pattern_columns:
         parity_value ^= column
@@ -248,12 +255,30 @@ def _unit_vector_evaluate(self, constraint):
             spanning.append(1 << row)
         remaining >>= 1
         row += 1
-    target = self.assignment[constraint.target_bit]
     return _unit_vector_in_span(target, spanning)
 
 
+def _unit_vector_allowed_set(self, fixed, target):
+    """``_Search._allowed_set`` rebuilt value by value from the unit-vector check."""
+    allowed = 0
+    for bit, value in enumerate(self.values):
+        if target is None:
+            possible = _unit_vector_possible(fixed, value)
+        else:
+            possible = _unit_vector_possible(fixed + (value,), target)
+        if possible:
+            allowed |= 1 << bit
+    return allowed
+
+
+def _bare_search(num_parity_bits):
+    """A search over every non-zero column value, with nothing to constrain it."""
+    values = list(range(1, 1 << num_parity_bits))
+    return _Search(values, num_parity_bits, MiscorrectionProfile(1), None, None)
+
+
 class TestMaskedSpanCheck:
-    """The masked-span constraint check against the unit-vector elimination."""
+    """The allowed-set builder against the unit-vector elimination."""
 
     @given(
         st.integers(min_value=2, max_value=8).flatmap(
@@ -269,41 +294,246 @@ class TestMaskedSpanCheck:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_unit_vector_elimination(self, rows_and_columns):
-        from repro.core.beer import _Constraint, _SearchState
-
+        # Pattern columns ``fixed`` (1-3 of them) and one more column, which
+        # is the target (target open) or the target's column (CHARGED open).
         num_parity_bits, columns = rows_and_columns
-        state = _SearchState(
-            num_data_bits=len(columns),
-            num_parity_bits=num_parity_bits,
-            candidates=[],
-            order=[],
-            constraints_by_depth={},
-            max_solutions=None,
-            max_nodes=None,
-        )
-        state.assignment = dict(enumerate(columns))
-        constraint = _Constraint(
-            pattern_bits=tuple(range(len(columns) - 1)),
-            target_bit=len(columns) - 1,
-            observed=True,
-        )
-        assert state._evaluate(constraint) == _unit_vector_evaluate(state, constraint)
+        *fixed, last = columns
+        state = _bare_search(num_parity_bits)
+        as_target = state._allowed_set(tuple(sorted(fixed)), None)
+        beside = state._allowed_set(tuple(sorted(fixed[1:])), last)
+        for bit, value in enumerate(state.values):
+            assert (as_target >> bit & 1) == _unit_vector_possible(fixed, value)
+            assert (beside >> bit & 1) == _unit_vector_possible(fixed[1:] + [value], last)
 
     @pytest.mark.parametrize(
         "num_data_bits, seed", [(8, 0), (8, 1), (8, 2), (16, 3), (16, 4), (16, 5)]
     )
     def test_solve_visits_the_same_nodes(self, num_data_bits, seed):
-        from unittest import mock
-
-        from repro.core.beer import _SearchState
-
         code = random_hamming_code(num_data_bits, rng=np.random.default_rng(seed))
         profile = profile_for(code, [1, 2])
-        masked = BeerSolver(num_data_bits).solve(profile)
-        with mock.patch.object(_SearchState, "_evaluate", _unit_vector_evaluate):
+        closed_form = BeerSolver(num_data_bits).solve(profile)
+        with mock.patch.object(_Search, "_allowed_set", _unit_vector_allowed_set):
             original = BeerSolver(num_data_bits).solve(profile)
-        assert masked.nodes_visited == original.nodes_visited
-        assert [c.parity_column_ints for c in masked.codes] == [
+        assert closed_form.nodes_visited == original.nodes_visited
+        assert [c.parity_column_ints for c in closed_form.codes] == [
             c.parity_column_ints for c in original.codes
         ]
+        assert closed_form.unique and codes_equivalent(closed_form.code, code)
+
+    def test_three_charged_columns_use_the_masked_span(self):
+        code = random_hamming_code(8, rng=np.random.default_rng(6))
+        profile = profile_for(code, [3])
+        masked = BeerSolver(8).solve(profile)
+        with mock.patch.object(_Search, "_allowed_set", _unit_vector_allowed_set):
+            original = BeerSolver(8).solve(profile)
+        assert masked.nodes_visited == original.nodes_visited
         assert masked.unique and codes_equivalent(masked.code, code)
+
+
+class TestOneLeafPerClass:
+    def test_forced_duplicate_leaf_raises(self):
+        # Without the row-cell rule every relabelling of a class is a leaf.
+        profile = profile_for(example_7_4_code(), [1])
+        with mock.patch("repro.core.beer._meets_cells", lambda value, cells: True):
+            with pytest.raises(SolverError, match="two leaves"):
+                BeerSolver(4, 3).solve(profile)
+
+    def test_leaves_equal_classes_on_an_empty_profile(self):
+        # Every assignment of distinct legal columns is a solution, so the
+        # class count is the number of row-sorted 3-column codes.
+        solution = BeerSolver(3, 4).solve(MiscorrectionProfile(3))
+        canonical = {canonical_form(code) for code in solution.codes}
+        assert len(canonical) == solution.num_solutions
+        every_code = itertools.permutations(get_family("sec-hamming").candidate_columns(4), 3)
+        assert solution.num_solutions == len(
+            {canonical_parity_columns(columns, 4) for columns in every_code}
+        )
+
+
+# ---------------------------------------------------------------------------
+# The static-order search the forward-checking one replaced, kept as oracle
+# ---------------------------------------------------------------------------
+@dataclass
+class _Constraint:
+    """One (pattern, target-bit) entry of the miscorrection profile."""
+
+    pattern_bits: Tuple[int, ...]
+    target_bit: int
+    observed: bool
+    #: Position (in assignment order) after which all involved columns are known.
+    ready_depth: int = 0
+
+
+def _static_solve(num_data_bits, num_parity_bits, family, profile):
+    """Exhaustive generate-and-test along a static column order; returns the
+    canonical code set."""
+    family = get_family(family)
+    candidates = family.candidate_columns(num_parity_bits)
+    # Most-constrained first: columns in many observed relations.
+    scores = [0] * num_data_bits
+    for pattern, positions in profile.items():
+        for bit in pattern.charged_bits:
+            scores[bit] += len(positions) + 1
+        for bit in positions:
+            scores[bit] += 1
+    order = sorted(range(num_data_bits), key=lambda bit: -scores[bit])
+    position = {column: depth for depth, column in enumerate(order)}
+    constraints_by_depth: Dict[int, List[_Constraint]] = {}
+    for pattern, observed_positions in profile.items():
+        charged = tuple(sorted(pattern.charged_bits))
+        if not charged:
+            continue
+        for target in pattern.discharged_bits:
+            ready = max(position[bit] for bit in charged + (target,))
+            constraints_by_depth.setdefault(ready, []).append(
+                _Constraint(charged, target, target in observed_positions, ready)
+            )
+    state = _StaticSearchState(
+        num_data_bits,
+        num_parity_bits,
+        candidates,
+        order,
+        constraints_by_depth,
+        _prefilter_candidates(family, candidates, num_data_bits, profile),
+    )
+    state.search()
+    return {canonical_parity_columns(columns, num_parity_bits) for columns in state.solutions}
+
+
+def _prefilter_candidates(family, candidates, num_data_bits, profile):
+    """Counting bound: a 1-CHARGED pattern miscorrecting ``m`` bits needs ``m``
+    legal proper subsets of its column, so ``num_candidate_columns(w) - 1 >= m``."""
+    cover_counts = {}
+    for pattern, positions in profile.items():
+        if pattern.weight == 1:
+            (charged_bit,) = tuple(pattern.charged_bits)
+            cover_counts[charged_bit] = len(positions)
+
+    def capacity(value):
+        return family.num_candidate_columns(bin(value).count("1")) - 1
+
+    candidates_per_column = {}
+    for column in range(num_data_bits):
+        cover = cover_counts.get(column)
+        if cover is None:
+            candidates_per_column[column] = list(candidates)
+            continue
+        allowed = [value for value in candidates if capacity(value) >= cover]
+        allowed.sort(key=lambda value: (capacity(value) - cover, value))
+        candidates_per_column[column] = allowed
+    return candidates_per_column
+
+
+class _StaticSearchState:
+    """The old backtracking search: static order, row-introduction rule, leaf dedupe."""
+
+    def __init__(
+        self,
+        num_data_bits: int,
+        num_parity_bits: int,
+        candidates: Sequence[int],
+        order: Sequence[int],
+        constraints_by_depth: Dict[int, List[_Constraint]],
+        candidates_per_column: Dict[int, List[int]],
+    ):
+        self.num_data_bits = num_data_bits
+        self.num_parity_bits = num_parity_bits
+        self.candidates = list(candidates)
+        self.candidates_per_column = candidates_per_column
+        self.order = list(order)
+        self.constraints_by_depth = constraints_by_depth
+        self.assignment: Dict[int, int] = {}
+        self.used_values: set = set()
+        self.solutions: List[Tuple[int, ...]] = []
+        self.seen_canonical: set = set()
+
+    def search(self) -> None:
+        self._search_depth(0, used_row_mask=0, rows_used=0)
+
+    def _search_depth(self, depth: int, used_row_mask: int, rows_used: int) -> None:
+        if depth == self.num_data_bits:
+            self._record_solution()
+            return
+        column = self.order[depth]
+        for value in self.candidates_per_column.get(column, self.candidates):
+            if value in self.used_values:
+                continue
+            new_rows = value & ~used_row_mask
+            count = bin(new_rows).count("1")
+            # Symmetry break: new parity rows must be the next consecutive indices.
+            if new_rows and new_rows != ((1 << count) - 1) << rows_used:
+                continue
+            self.assignment[column] = value
+            self.used_values.add(value)
+            if all(
+                _unit_vector_in_span(*self._masked(constraint)) == constraint.observed
+                for constraint in self.constraints_by_depth.get(depth, [])
+            ):
+                self._search_depth(depth + 1, used_row_mask | value, rows_used + count)
+            del self.assignment[column]
+            self.used_values.discard(value)
+
+    def _masked(self, constraint: _Constraint):
+        """``target & ~p`` and ``{c & ~p}`` for the pattern's columns ``c``, ``p = XOR(c)``."""
+        pattern_columns = [self.assignment[bit] for bit in constraint.pattern_bits]
+        parity_value = 0
+        for column in pattern_columns:
+            parity_value ^= column
+        outside = ~parity_value
+        target = self.assignment[constraint.target_bit] & outside
+        return target, [column & outside for column in pattern_columns]
+
+    def _record_solution(self) -> None:
+        columns = tuple(self.assignment[bit] for bit in range(self.num_data_bits))
+        canonical = canonical_parity_columns(columns, self.num_parity_bits)
+        if canonical not in self.seen_canonical:
+            self.seen_canonical.add(canonical)
+            self.solutions.append(columns)
+
+
+def _thinned(profile, rng, drop=0.1):
+    """The profile with each recorded miscorrection dropped with probability ``drop``."""
+    thinned = MiscorrectionProfile(profile.num_data_bits)
+    for pattern, positions in profile.items():
+        thinned.record(pattern, [bit for bit in sorted(positions) if rng.random() >= drop])
+    return thinned
+
+
+WEIGHT_SETS = ([1], [2], [3], [1, 2])
+
+
+class TestDifferentialAgainstStaticSearch:
+    """Identical canonical code sets from the forward-checking and static searches."""
+
+    @pytest.mark.parametrize("family", ["sec-hamming", "secded-extended-hamming"])
+    @pytest.mark.parametrize("num_data_bits", range(4, 13))
+    def test_identical_canonical_code_sets(self, family, num_data_bits):
+        rng = np.random.default_rng([num_data_bits, len(family)])
+        solver = BeerSolver(num_data_bits, family=family)
+        for weights in WEIGHT_SETS:
+            if family != "sec-hamming" and weights == [1] and num_data_bits > 6:
+                continue  # tens of thousands of SECDED classes; both searches list them all
+            code = get_family(family).random(num_data_bits, rng=rng)
+            exact = profile_for(code, weights)
+            for profile in (exact, _thinned(exact, rng)):
+                solution = solver.solve(profile)
+                found = [canonical_form(candidate) for candidate in solution.codes]
+                assert len(set(found)) == len(found)
+                assert set(found) == _static_solve(
+                    num_data_bits, solver.num_parity_bits, family, profile
+                ), (weights, profile is exact)
+                if profile is exact:
+                    assert canonical_form(code) in found
+
+    @given(
+        st.sampled_from(["sec-hamming", "secded-extended-hamming"]),
+        st.integers(min_value=4, max_value=12),
+        st.sampled_from([(1, 2), (2,), (3,), (1, 2, 3)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_true_class_is_among_the_candidates(self, family, num_data_bits, weights, seed):
+        code = get_family(family).random(num_data_bits, rng=np.random.default_rng(seed))
+        solution = BeerSolver(num_data_bits, family=family).solve(profile_for(code, weights))
+        assert not solution.truncated
+        assert any(codes_equivalent(code, candidate) for candidate in solution.codes)

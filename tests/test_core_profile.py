@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ProfileError
 from repro.dram import CellType
 from repro.ecc import SystematicLinearCode, example_7_4_code, hamming_code
+from repro.ecc.family import family_names, get_family
+from repro.gf2 import in_span
 from repro.core import (
     ChargedPattern,
     MiscorrectionCounts,
     MiscorrectionProfile,
+    charged_patterns,
     expected_miscorrection_profile,
     miscorrections_possible,
     one_charged_patterns,
@@ -83,6 +88,48 @@ class TestMiscorrectionsPossible:
         assert possible == frozenset()
         possible = miscorrections_possible(code, ChargedPattern(4, [0]))
         assert possible == frozenset({1, 2, 3})
+
+
+def _in_span_miscorrections(code, pattern, cell_type):
+    """The original builder: every CHARGED position's ``H`` column, then
+    ``in_span`` over GF2Vectors for each DISCHARGED target."""
+    charged = charged_codeword_positions(code, pattern, cell_type)
+    spanning_columns = [code.column(position) for position in charged]
+    return frozenset(
+        target
+        for target in pattern.discharged_bits
+        if in_span(code.column(target), spanning_columns)
+    )
+
+
+class TestIntegerMaskedSpanBuilder:
+    """``miscorrections_possible`` against the ``in_span`` builder it replaced."""
+
+    @given(
+        st.sampled_from(family_names()),
+        st.integers(min_value=1, max_value=10),
+        st.sampled_from(list(CellType)),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_in_span_builder(self, family, num_data_bits, cell_type, weight, seed):
+        code = get_family(family).random(num_data_bits, rng=np.random.default_rng(seed))
+        for pattern in charged_patterns(num_data_bits, [min(weight, num_data_bits)]):
+            assert miscorrections_possible(code, pattern, cell_type) == (
+                _in_span_miscorrections(code, pattern, cell_type)
+            )
+
+    @pytest.mark.parametrize("cell_type", list(CellType))
+    def test_paper_example_both_cell_types(self, code_7_4, cell_type):
+        for pattern in charged_patterns(4, [0, 1, 2, 3, 4]):
+            assert miscorrections_possible(code_7_4, pattern, cell_type) == (
+                _in_span_miscorrections(code_7_4, pattern, cell_type)
+            )
+
+    def test_pattern_code_mismatch_rejected(self, code_7_4):
+        with pytest.raises(ProfileError):
+            miscorrections_possible(code_7_4, ChargedPattern(5, [0]))
 
 
 class TestMiscorrectionProfile:

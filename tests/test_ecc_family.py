@@ -63,8 +63,8 @@ class TestSecHammingFamily:
     def test_constraints(self):
         constraints = get_family("sec-hamming").column_constraints()
         assert constraints == ColumnConstraints(min_weight=2, odd_weight=False)
-        # 2**w - w - 1 legal subset values of a weight-w support.
-        assert get_family("sec-hamming").legal_subset_count(4) == 16 - 4 - 1
+        # 2**r - r - 1 legal values for r parity bits.
+        assert get_family("sec-hamming").num_candidate_columns(4) == 16 - 4 - 1
 
 
 class TestSecDedFamily:
