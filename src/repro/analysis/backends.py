@@ -1,6 +1,6 @@
 """Reference-vs-packed GF(2) backend comparison data.
 
-Generates the measurements recorded in ``BENCH_gf2_backends.json``: wall-clock
+Generates the measurements of the ``gf2-backends`` bench workload: wall-clock
 time of the two simulation backends on (a) the bulk-decode microbenchmark the
 acceptance criteria target — 10k words of a (136, 128) code — and (b)
 fig6-style solver-input generation, i.e. measuring the Monte-Carlo

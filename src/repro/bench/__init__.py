@@ -20,8 +20,6 @@ from repro.bench.compare import (
 from repro.bench.driver import (
     baseline_path,
     baselines_dir,
-    emit_legacy_files,
-    legacy_payloads,
     repo_root,
     run_bench,
     run_workload,
@@ -30,7 +28,6 @@ from repro.bench.driver import (
 from repro.bench.environment import environment_fingerprint, usable_cpus
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     Workload,
     WorkloadResult,
@@ -60,7 +57,6 @@ __all__ = [
     "ComparatorReport",
     "ConditionRecord",
     "Finding",
-    "LegacySpec",
     "Measurement",
     "MetricGate",
     "RunControl",
@@ -74,11 +70,9 @@ __all__ = [
     "canonical_json",
     "compare_runs",
     "control_for_tier",
-    "emit_legacy_files",
     "environment_fingerprint",
     "gates_by_workload",
     "get_workload",
-    "legacy_payloads",
     "metric_within_tolerance",
     "register_workload",
     "repo_root",

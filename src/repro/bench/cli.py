@@ -1,11 +1,11 @@
 """``repro bench`` subcommand: list / run / compare / trend / update-baseline.
 
 The subcommand is the single entry point CI uses: ``run`` produces the
-merged-schema JSON (and optionally the legacy ``BENCH_*.json`` files),
-``compare`` gates a result file against the committed baseline for its tier,
-``trend`` renders a text report over a directory of historical result files,
-and ``update-baseline`` regenerates that baseline intentionally (the policy
-in README.md requires a justification line in CHANGES.md alongside).
+merged-schema JSON, ``compare`` gates a result file against the committed
+baseline for its tier, ``trend`` renders a text report over a directory of
+historical result files, and ``update-baseline`` regenerates that baseline
+intentionally (the policy in README.md requires a justification line in
+CHANGES.md alongside).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.compare import compare_runs
-from repro.bench.driver import (
-    baseline_path,
-    emit_legacy_files,
-    run_bench,
-    workload_listing,
-)
+from repro.bench.driver import baseline_path, run_bench, workload_listing
 from repro.bench.report import (
     print_comparator_report,
     print_header,
@@ -68,11 +63,6 @@ def add_bench_parser(subparsers) -> None:
         type=Path,
         default=None,
         help="merged result file (default: BENCH_merged_<tier>.json)",
-    )
-    run_parser.add_argument(
-        "--emit-legacy",
-        action="store_true",
-        help="also regenerate the historical BENCH_*.json files",
     )
     run_parser.add_argument(
         "--check-oracles",
@@ -181,13 +171,12 @@ def _handle_list(args) -> int:
         return 0
     print_header(f"repro.bench — {len(listing)} registered workloads")
     print_table(
-        ["workload", "tags", "gated metrics", "legacy file"],
+        ["workload", "tags", "gated metrics"],
         [
             [
                 entry["name"],
                 ",".join(entry["tags"]),
                 len(entry["gated_metrics"]),
-                entry["legacy_file"] or "-",
             ]
             for entry in listing
         ],
@@ -201,9 +190,6 @@ def _handle_run(args) -> int:
     output = args.output or Path(f"BENCH_merged_{args.tier}.json")
     run.write(output)
     print(f"wrote {output}")
-    if args.emit_legacy:
-        for path in emit_legacy_files(run).values():
-            print(f"wrote {path}")
     if args.check_oracles:
         failures = [
             f"{record.workload}/{condition.condition}: {oracle}"

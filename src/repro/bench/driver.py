@@ -1,11 +1,9 @@
 """Benchmark driver: run registered workloads at a tier into one merged run.
 
 The driver resolves each workload's tier parameters, hands the runner a
-:class:`~repro.bench.registry.BenchContext` (tier + measurement control),
-collects the per-condition records into a :class:`~repro.bench.schema.BenchRun`
-stamped with the environment fingerprint, and optionally re-emits the
-historical ``BENCH_*.json`` files from the merged records so downstream
-consumers of the legacy formats keep working.
+:class:`~repro.bench.registry.BenchContext` (tier + measurement control)
+and collects the per-condition records into a :class:`~repro.bench.schema.BenchRun`
+stamped with the environment fingerprint.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.bench.timing import control_for_tier
 
 
 def repo_root() -> Path:
-    """The repository root (where the legacy ``BENCH_*.json`` files live)."""
+    """The repository root (``benchmarks/baselines/`` lives below it)."""
     return Path(__file__).resolve().parents[3]
 
 
@@ -77,41 +75,6 @@ def run_bench(
     )
 
 
-def emit_legacy_files(
-    run: BenchRun, root: Optional[Path] = None
-) -> Dict[str, Path]:
-    """Regenerate the historical ``BENCH_*.json`` files from a merged run.
-
-    Only workloads declaring a :class:`~repro.bench.registry.LegacySpec`
-    produce a file; the emitters rebuild the exact PR 1/3/4/5 key structure
-    from the merged records, proving the merged schema subsumes them.
-    """
-    import json
-
-    target = root or repo_root()
-    written: Dict[str, Path] = {}
-    for record in run.workloads:
-        workload = get_workload(record.workload)
-        if workload.legacy is None:
-            continue
-        payload = workload.legacy.emitter(record)
-        path = target / workload.legacy.filename
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        written[record.workload] = path
-    return written
-
-
-def legacy_payloads(run: BenchRun) -> Dict[str, Dict]:
-    """The legacy payload per workload (filename -> payload), without writing."""
-    payloads: Dict[str, Dict] = {}
-    for record in run.workloads:
-        workload = get_workload(record.workload)
-        if workload.legacy is None:
-            continue
-        payloads[workload.legacy.filename] = workload.legacy.emitter(record)
-    return payloads
-
-
 def workload_listing() -> List[Dict]:
     """A serialisable description of every registered workload."""
     listing = []
@@ -131,7 +94,6 @@ def workload_listing() -> List[Dict]:
                     }
                     for gate in workload.gates
                 ],
-                "legacy_file": workload.legacy.filename if workload.legacy else None,
             }
         )
     return listing

@@ -1,4 +1,4 @@
-"""Workload registry: named parametric workloads with tiers, gates, legacy specs.
+"""Workload registry: named parametric workloads with tiers and gates.
 
 A *workload* is one benchmark scenario (e.g. ``gf2-backends`` or
 ``fig5-uniqueness``) declared once and runnable at any tier.  The declaration
@@ -11,9 +11,6 @@ carries:
   performs the measurements and fills per-condition metrics and oracles.
 * ``gates`` — which metrics the comparator checks against the committed
   baseline, each with its own tolerance (see :mod:`repro.bench.compare`).
-* ``legacy`` — optionally, the historical ``BENCH_*.json`` file this
-  workload replaces and the emitter reconstructing that exact schema from
-  the merged record.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import UnknownNameError, ValidationError
-from repro.bench.schema import ConditionRecord, WorkloadRecord
+from repro.bench.schema import ConditionRecord
 from repro.bench.timing import RunControl
 from repro.obs import TRACER
 
@@ -47,14 +44,6 @@ class MetricGate:
 
     def applies_to(self, condition_name: str) -> bool:
         return self.condition is None or self.condition == condition_name
-
-
-@dataclass(frozen=True)
-class LegacySpec:
-    """The historical ``BENCH_*.json`` artefact a workload keeps emitting."""
-
-    filename: str
-    emitter: Callable[[WorkloadRecord], Dict[str, Any]]
 
 
 class BenchContext:
@@ -114,7 +103,6 @@ class Workload:
     tiers: Mapping[str, Mapping[str, Any]]
     run: Callable[[Mapping[str, Any], BenchContext], WorkloadResult]
     gates: Tuple[MetricGate, ...] = ()
-    legacy: Optional[LegacySpec] = None
     tags: Tuple[str, ...] = ()
 
     def params_for(self, tier: str) -> Dict[str, Any]:
@@ -132,7 +120,6 @@ def register_workload(
     tiers: Mapping[str, Mapping[str, Any]],
     run: Callable[[Mapping[str, Any], BenchContext], WorkloadResult],
     gates: Sequence[MetricGate] = (),
-    legacy: Optional[LegacySpec] = None,
     tags: Sequence[str] = (),
 ) -> Workload:
     """Register a workload under a unique name (import-time declaration)."""
@@ -147,7 +134,6 @@ def register_workload(
         tiers={tier: dict(params) for tier, params in tiers.items()},
         run=run,
         gates=tuple(gates),
-        legacy=legacy,
         tags=tuple(tags),
     )
     _REGISTRY[name] = workload

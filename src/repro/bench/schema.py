@@ -10,7 +10,7 @@ reports its measurements through one schema:
 * a :class:`WorkloadRecord` is one parametric workload at its tier's scale:
   the resolved parameters, the per-condition measurements, and a free-form
   ``artifacts`` payload carrying workload-level data (shape information the
-  legacy emitters and figure tables need);
+  reports and figure tables need);
 * a :class:`ConditionRecord` is one named condition of a workload (e.g.
   ``bulk-decode:packed`` or ``k16:incremental``): a flat ``metrics`` mapping
   of numbers/booleans plus an ``oracles`` mapping of correctness gates.

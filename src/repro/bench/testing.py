@@ -18,7 +18,7 @@ import os
 from typing import Callable
 
 from repro.exceptions import ValidationError
-from repro.bench.driver import emit_legacy_files, run_workload
+from repro.bench.driver import run_workload
 from repro.bench.registry import get_workload
 from repro.bench.report import print_workload_record
 from repro.bench.schema import ORACLE_SKIPPED
@@ -61,9 +61,8 @@ def check_record(record, skip=None) -> None:
 def bench_workload_test(name: str, default_tier: str = "quick") -> Callable:
     """A pytest test function running workload *name* at the resolved tier.
 
-    The test prints the workload report, asserts every oracle, surfaces
-    skipped gates as pytest skips, and (on full-tier runs of workloads with a
-    legacy emitter) refreshes the committed ``BENCH_*.json`` file.
+    The test prints the workload report, asserts every oracle and surfaces
+    skipped gates as pytest skips.
     """
 
     def test() -> None:
@@ -74,24 +73,11 @@ def bench_workload_test(name: str, default_tier: str = "quick") -> Callable:
         record = run_workload(workload, tier)
         print()
         print_workload_record(record, tier)
-        if tier == "full" and workload.legacy is not None:
-            emit_legacy_files(_single_run(record, tier))
         check_record(record, skip=pytest.skip)
 
     test.__name__ = f"test_bench_{name.replace('-', '_')}"
     test.__doc__ = get_workload(name).description
     return test
-
-
-def _single_run(record, tier: str):
-    from repro.bench.environment import environment_fingerprint
-    from repro.bench.schema import BenchRun
-
-    return BenchRun(
-        tier=tier,
-        environment=environment_fingerprint(),
-        workloads=[record],
-    )
 
 
 def standalone_main(name: str, argv=None) -> int:
@@ -114,9 +100,6 @@ def standalone_main(name: str, argv=None) -> int:
     workload = get_workload(name)
     record = run_workload(workload, tier)
     print_workload_record(record, tier)
-    if tier == "full" and workload.legacy is not None:
-        for path in emit_legacy_files(_single_run(record, tier)).values():
-            print(f"wrote {path}")
     failures = [
         f"{condition.condition}: {oracle}"
         for condition in record.conditions

@@ -27,7 +27,7 @@ def load_runs(directory) -> List[Tuple[str, BenchRun]]:
     """Load every merged bench-run JSON in ``directory``, filename-ordered.
 
     Files that are not valid merged-schema documents are skipped (a results
-    directory often also holds comparator reports and legacy files).
+    directory often also holds comparator reports).
     """
     root = Path(directory)
     if not root.is_dir():

@@ -3,18 +3,15 @@
 Port of the PR 5 ``bench_decoder.py`` writer.  For every family the packed
 fast path must return corrected words and DUE masks bit-identical to the
 reference oracle; detection-capable families must actually exercise the DUE
-path.  The legacy ``BENCH_decoder_families.json`` is re-emitted from the
-record.
+path.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_decoder_families
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -139,9 +136,6 @@ register_workload(
             rel_tol=0.6,
             higher_is_better=True,
         ),
-    ),
-    legacy=LegacySpec(
-        filename="BENCH_decoder_families.json", emitter=emit_decoder_families
     ),
     tags=("core", "perf"),
 )

@@ -2,18 +2,15 @@
 
 Port of the PR 1 ``bench_gf2_backends.py`` writer: the 10k-word (136, 128)
 bulk-decode acceptance microbenchmark plus fig6-style solver-input
-generation, decomposed into merged-schema conditions.  The legacy
-``BENCH_gf2_backends.json`` is re-emitted from the record.
+generation, decomposed into merged-schema conditions.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_gf2_backends
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -123,6 +120,5 @@ register_workload(
             higher_is_better=True,
         ),
     ),
-    legacy=LegacySpec(filename="BENCH_gf2_backends.json", emitter=emit_gf2_backends),
     tags=("core", "perf"),
 )

@@ -5,18 +5,15 @@ identical canonical code sets, and the row-order symmetry break must make one
 model per code: ``models_enumerated == canonical_codes`` and
 ``solve_calls == canonical_codes + 1``.  The model, code and solve-call
 counts are deterministic for a fixed seed, so the comparator pins them
-exactly, while the incremental speedup is gated with a tolerance.  The
-legacy ``BENCH_sat_solver.json`` is re-emitted from the record.
+exactly, while the incremental speedup is gated with a tolerance.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_sat_solver
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -149,6 +146,5 @@ register_workload(
         *_exact("solve_calls"),
         MetricGate(metric="speedup", rel_tol=0.6, higher_is_better=True),
     ),
-    legacy=LegacySpec(filename="BENCH_sat_solver.json", emitter=emit_sat_solver),
     tags=("core", "perf"),
 )

@@ -5,8 +5,7 @@ the serial and ``jobs=N`` runs must be byte-identical in every tier; the
 wall-time speedup floor only applies on full-tier runs with enough usable
 CPUs — when it cannot apply, the skip is recorded explicitly as the
 ``skipped_speedup_gate`` metric (and an ``ORACLE_SKIPPED`` oracle) instead
-of silently passing.  The legacy ``BENCH_sweep_parallel.json`` is re-emitted
-from the record.
+of silently passing.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.bench.environment import usable_cpus
-from repro.bench.legacy import emit_sweep_parallel
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -159,8 +156,5 @@ register_workload(
     # The store byte count is fully deterministic for a given spec — any
     # serialization drift shows up here before it corrupts caches.
     gates=_exact("store_bytes", "serial"),
-    legacy=LegacySpec(
-        filename="BENCH_sweep_parallel.json", emitter=emit_sweep_parallel
-    ),
     tags=("core", "perf"),
 )

@@ -20,9 +20,10 @@ campaign store (:mod:`repro.store`)::
     beer-tool scenario report --store campaign/
 
 Simulation-heavy commands (``einsim``, ``simulate-profile``, ``scenario``)
-accept ``--backend {reference,packed,fused,auto}`` selecting the GF(2)
-kernel implementation; every backend produces bit-identical output for the
-same seed, the packed and fused ones are simply faster.  ``solve``, ``simulate-profile``,
+accept ``--backend {reference,packed}`` selecting the GF(2) kernel
+implementation (``fused`` and ``auto`` are aliases of ``packed``, the
+default); both produce bit-identical output for the same seed, ``packed``
+is simply faster.  ``solve``, ``simulate-profile``,
 ``einsim``, ``beep`` and ``scenario run`` accept ``--code-family`` choosing
 the ECC code family (:mod:`repro.ecc.family`): SEC Hamming (default),
 SEC-DED extended Hamming, parity-detect, or repetition.  Result-producing
@@ -66,6 +67,7 @@ from repro.core import (
     SatBeerSolver,
 )
 from repro.core.beep import BeepProfiler, SimulatedWordUnderTest
+from repro.einsim.engine import BACKEND_CHOICES
 
 
 #: Retention model used by ``simulate-profile`` so simulated campaigns finish
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--rounds", type=int, default=8)
     simulate.add_argument("--backend",
-                          choices=("reference", "packed", "fused", "auto"),
-                          default="reference",
+                          choices=BACKEND_CHOICES,
+                          default="packed",
                           help="GF(2) kernel backend for the simulated chip's on-die ECC")
     simulate.add_argument("--output", required=True, help="where to write the profile JSON")
     simulate.add_argument("--json", action="store_true",
@@ -149,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="uniform-random pre-correction bit error rate")
     einsim.add_argument("--seed", type=int, default=0)
     einsim.add_argument("--backend",
-                        choices=("reference", "packed", "fused", "auto"),
-                        default="reference",
+                        choices=BACKEND_CHOICES,
+                        default="packed",
                         help="GF(2) kernel backend for encode/decode")
     einsim.add_argument("--chunk-size", type=int, default=65536,
                         help="ECC words simulated per batch")
@@ -225,7 +227,7 @@ def _add_scenario_parser(subparsers) -> None:
     run.add_argument("--num-words", type=int, default=10_000)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--backend",
-                     choices=("reference", "packed", "fused", "auto"),
+                     choices=BACKEND_CHOICES,
                      default="packed")
     run.add_argument("--chunk-size", type=int, default=65536)
     run.add_argument("--processes", type=int, default=1)

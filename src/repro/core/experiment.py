@@ -255,16 +255,16 @@ _FUSED_FLUSH_WORDS = 1 << 17
 
 
 def _run_fused_chunks(jobs) -> List[SimulationResult]:
-    """Run a fused campaign's chunks with cross-chunk batched classification.
+    """Run a packed campaign's chunks with cross-chunk batched classification.
 
     Each chunk's packed error masks are drawn from that chunk's own RNG
     stream — the same blocks, in the same order, as
-    ``EinsimSimulator(backend="fused")`` would draw — but classification is
+    ``EinsimSimulator(backend="packed")`` would draw — but classification is
     deferred: compatible mask batches accumulate until
     :data:`_FUSED_FLUSH_WORDS` words are buffered, then one segmented kernel
     call classifies them all.  Classification is deterministic, so the
     per-chunk results are bit-identical to running every chunk separately
-    (and hence to the staged backends).
+    (and hence to the staged reference oracle).
     """
     from repro.gf2 import GF2Vector
     from repro.einsim.engine import bulk_encode
@@ -309,7 +309,7 @@ def _run_fused_chunks(jobs) -> List[SimulationResult]:
         datawords.append(bits)
         codeword = codeword_cache.get(dataword_value)
         if codeword is None:
-            codeword = bulk_encode(code, bits.reshape(1, -1), "fused")[0]
+            codeword = bulk_encode(code, bits.reshape(1, -1), "packed")[0]
             codeword_cache[dataword_value] = codeword
         rng = np.random.default_rng([base_seed, dataword_value, chunk_index])
         remaining = chunk_words
@@ -347,9 +347,9 @@ class MonteCarloCampaign:
     with its own deterministic seed (derived from ``base_seed`` and the chunk
     index) and merges the per-chunk :class:`SimulationResult` objects.  For a
     fixed ``chunk_size`` the result is bit-identical regardless of the number
-    of worker processes, and identical across the ``reference``, ``packed``
-    and ``fused`` backends (the fused in-process runner additionally batches
-    classification across chunks — see :func:`_run_fused_chunks`).
+    of worker processes, and identical across the ``reference`` and
+    ``packed`` backends (the packed in-process runner additionally batches
+    fused classification across chunks — see :func:`_run_fused_chunks`).
 
     Parameters
     ----------
@@ -362,8 +362,10 @@ class MonteCarloCampaign:
         ``1`` runs every chunk inline; larger values distribute the chunks
         over a :class:`~concurrent.futures.ProcessPoolExecutor`.
     backend:
-        GF(2) kernel backend: ``"reference"``, ``"packed"``, ``"fused"`` or
-        ``"auto"``.
+        ``"packed"`` (the default) runs every chunk through the fused
+        pipeline of :mod:`repro.einsim.fused`; ``"reference"`` runs the
+        staged uint8 oracle.  ``"auto"`` and ``"fused"`` are aliases of
+        ``"packed"``.
     base_seed:
         Root seed for the per-chunk RNG streams.
     """
@@ -373,7 +375,7 @@ class MonteCarloCampaign:
         code: SystematicLinearCode,
         chunk_size: int = 65536,
         processes: int = 1,
-        backend: str = "reference",
+        backend: str = "packed",
         base_seed: int = 0,
     ):
         if chunk_size < 1:
@@ -442,7 +444,7 @@ class MonteCarloCampaign:
             boundaries.append((start, len(jobs)))
 
         if self._processes == 1 or len(jobs) == 1:
-            if self._backend == "fused":
+            if self._backend != "reference":
                 # Same per-chunk RNG streams, but masks from many chunks are
                 # classified together in segmented kernel calls.
                 chunk_results = _run_fused_chunks(jobs)

@@ -141,7 +141,7 @@ def monte_carlo_miscorrection_profile(
     words_per_pattern: int,
     cell_type: CellType = CellType.TRUE_CELL,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "reference",
+    backend: str = "packed",
 ) -> "MiscorrectionProfile":
     """Measure a miscorrection profile by Monte-Carlo simulation (EINSim-style).
 
@@ -176,7 +176,7 @@ def monte_carlo_observation_counts(
     words_per_pattern: int,
     cell_type: CellType = CellType.TRUE_CELL,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "reference",
+    backend: str = "packed",
 ) -> "MiscorrectionCounts":
     """Measure raw observation counts — miscorrections *and* DUEs — per pattern.
 
@@ -197,7 +197,7 @@ def monte_carlo_observation_counts(
     generator = rng if rng is not None else np.random.default_rng(0)
     charged_value = 1 if cell_type is CellType.TRUE_CELL else 0
 
-    if backend == "fused":
+    if backend != "reference":
         return _fused_observation_counts(
             code,
             list(patterns),
@@ -242,7 +242,7 @@ def _fused_observation_counts(
     generator: np.random.Generator,
     charged_value: int,
 ) -> "MiscorrectionCounts":
-    """Fused-backend profile measurement: one kernel call per pattern *group*.
+    """Packed-backend profile measurement: one kernel call per pattern *group*.
 
     Instead of tiling, injecting and decoding each pattern separately, this
     groups as many patterns as fit under :data:`_FUSED_GROUP_ELEMENTS`, draws
@@ -266,7 +266,7 @@ def _fused_observation_counts(
         datawords = np.vstack(
             [pattern.dataword(cell_type).to_numpy() for pattern in group]
         )
-        codewords = bulk_encode(code, datawords, "fused")
+        codewords = bulk_encode(code, datawords, "packed")
         charged_rows = codewords == charged_value
         mask = generator.random((len(group) * words_per_pattern, num_bits))
         mask = mask < bit_error_rate

@@ -61,7 +61,7 @@ class SimulatedDramChip:
         retention_model: Optional[DataRetentionModel] = None,
         transient_faults: Optional[TransientFaultModel] = None,
         seed: int = 0,
-        backend: str = "reference",
+        backend: str = "packed",
     ):
         from repro.einsim.engine import resolve_backend
 

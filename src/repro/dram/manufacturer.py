@@ -108,7 +108,7 @@ class ManufacturerProfile:
         seed: int = 0,
         transient_fault_probability: float = 0.0,
         retention_model: Optional[DataRetentionModel] = None,
-        backend: str = "reference",
+        backend: str = "packed",
         code_family: str = "sec-hamming",
     ) -> SimulatedDramChip:
         """Build a simulated chip of this manufacturer.

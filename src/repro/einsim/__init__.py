@@ -8,10 +8,11 @@ machinery in Python:
   bit errors, data-retention errors restricted to CHARGED cells, fixed error
   counts, arbitrary per-bit probabilities);
 * :mod:`repro.einsim.engine` — batched encode/syndrome/decode kernels with
-  selectable GF(2) backends (``reference`` uint8 oracle, ``packed`` uint64
-  bit-packed fast path, ``fused`` whole-round pipeline);
-* :mod:`repro.einsim.fused` — the fused Monte-Carlo pipeline: packed error
-  batches, per-code classification kernels, segmented cross-pattern calls;
+  two GF(2) backends: ``reference``, the uint8 oracle, and ``packed``, the
+  bit-packed fast path and the default everywhere;
+* :mod:`repro.einsim.fused` — the fused Monte-Carlo pipeline the ``packed``
+  backend runs for every simulation: packed error batches, per-code
+  classification kernels, segmented cross-pattern calls;
 * :mod:`repro.einsim.simulator` — vectorised simulation of large numbers of
   ECC words through encode → inject → decode, with per-bit post-correction
   statistics and miscorrection bookkeeping;

@@ -12,13 +12,18 @@ backends implement each kernel:
   the per-word syndrome into a handful of table lookups; an order of
   magnitude faster than the reference on realistic code sizes.  Codes with
   one or two parity bits skip the fold tables for a direct AND/XOR-parity
-  reduction, which is faster at that scale.
-* ``"fused"`` — identical to ``"packed"`` for the staged kernels in this
-  module; at the simulation level it additionally routes whole Monte-Carlo
-  rounds through :mod:`repro.einsim.fused`, which classifies packed error
-  masks without ever materializing codeword batches.
+  reduction, which is faster at that scale.  At the simulation level
+  (:class:`repro.einsim.simulator.EinsimSimulator`,
+  :func:`repro.core.profile.monte_carlo_observation_counts`,
+  :class:`repro.core.experiment.MonteCarloCampaign`) ``"packed"`` runs whole
+  Monte-Carlo rounds through :mod:`repro.einsim.fused`, which classifies
+  packed error masks without ever materializing codeword batches.
 
-All backends are bit-exact: for any code, any batch and any input, they
+``"packed"`` is the default everywhere.  ``"auto"`` and ``"fused"`` are
+accepted as aliases of ``"packed"`` so older specs, stored cell configs and
+scripts keep running.
+
+Both backends are bit-exact: for any code, any batch and any input, they
 return identical arrays (``tests/test_differential_backends.py``,
 ``tests/test_differential_families.py`` and
 ``tests/test_differential_fused.py`` enforce this).  Per-code artefacts
@@ -45,19 +50,14 @@ from repro.gf2.bitpack import bytes_to_lanes, fold_bytes, popcount_u64
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 
-#: The valid values of every ``backend=`` selector in the library.
-#: ``"fused"`` shares the packed staged kernels below; its distinguishing
-#: behaviour — classifying whole Monte-Carlo rounds without materializing
-#: codeword batches — lives in :mod:`repro.einsim.fused` and engages at the
-#: simulation level (:class:`repro.einsim.simulator.EinsimSimulator`,
-#: :func:`repro.core.profile.monte_carlo_observation_counts`,
-#: :class:`repro.core.experiment.MonteCarloCampaign`).
-BACKENDS: Tuple[str, ...] = ("reference", "packed", "fused")
+#: The implementations behind every ``backend=`` selector in the library.
+BACKENDS: Tuple[str, ...] = ("reference", "packed")
 
-#: Backend used when callers pass ``"auto"``.  Stays ``"packed"``: the fused
-#: path is opt-in so store keys, committed baselines and obs counters keep
-#: their historical meaning; every backend is bit-identical regardless.
-DEFAULT_BACKEND = "packed"
+#: Names accepted for compatibility, each resolving to an implementation.
+_ALIASES = {"fused": "packed", "auto": "packed"}
+
+#: Every name a ``backend=`` selector (or ``--backend`` option) accepts.
+BACKEND_CHOICES: Tuple[str, ...] = BACKENDS + tuple(_ALIASES)
 
 #: Parity-bit count at or below which the packed syndrome kernel skips the
 #: byte-fold tables: with one or two check rows an AND + XOR-reduce per row
@@ -66,14 +66,12 @@ _TINY_SYNDROME_PARITY_BITS = 2
 
 
 def resolve_backend(backend: str) -> str:
-    """Validate a backend name, resolving ``"auto"`` to the fast path."""
-    if backend == "auto":
-        return DEFAULT_BACKEND
-    if backend not in BACKENDS:
+    """Validate a backend name, resolving its aliases to ``"packed"``."""
+    if backend not in BACKEND_CHOICES:
         raise ValidationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS + ('auto',)}"
+            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
         )
-    return backend
+    return _ALIASES.get(backend, backend)
 
 
 def _validate_batch(
@@ -88,7 +86,7 @@ def _validate_batch(
 
 
 def bulk_encode(
-    code: SystematicLinearCode, datawords: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, datawords: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
     """Encode a batch of datawords (rows) into codewords ``[d | p]``."""
     backend = resolve_backend(backend)
@@ -107,7 +105,7 @@ def bulk_encode(
 
 
 def bulk_syndrome_values(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
     """Return the integer syndrome of every received codeword (row)."""
     backend = resolve_backend(backend)
@@ -135,7 +133,7 @@ def bulk_syndrome_values(
 
 
 def bulk_decode(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
     """Syndrome-decode a batch of codewords (rows of ``received``) at once.
 
@@ -148,7 +146,7 @@ def bulk_decode(
 
 
 def bulk_decode_outcomes(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "packed"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a batch and also report the per-word DUE mask.
 

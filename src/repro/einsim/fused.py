@@ -1,9 +1,10 @@
 """Fused Monte-Carlo decode pipeline over bit-packed ``uint64`` lanes.
 
-The staged backends (:mod:`repro.einsim.engine`) materialize every
+The staged kernels (:mod:`repro.einsim.engine`) materialize every
 intermediate of a Monte-Carlo round as a full ``(num_words, n)`` ``uint8``
-batch: tiled codewords, injected words, corrected words.  The fused backend
-never does.  It exploits two identities:
+batch: tiled codewords, injected words, corrected words.  The fused pipeline,
+which the ``packed`` backend runs for every Monte-Carlo simulation, never
+does.  It exploits two identities:
 
 * every stored word of a round is the *same* codeword ``c`` with
   ``H·c = 0``, so the syndrome of a received word equals the syndrome of its
@@ -392,10 +393,10 @@ class FusedKernel:
         if TRACER.enabled:
             seconds = time.perf_counter() - start
             due_words = sum(stats.detected_words for stats in results)
-            TRACER.add("einsim.fused.batches")
-            TRACER.add("einsim.fused.words", batch.num_words)
-            TRACER.add("einsim.fused.due_words", due_words)
-            TRACER.add("einsim.fused.classify_s", seconds)
+            TRACER.add("einsim.decode_batches")
+            TRACER.add("einsim.words_decoded", batch.num_words)
+            TRACER.add("einsim.due_words", due_words)
+            TRACER.add("einsim.decode_s", seconds)
             TRACER.event(
                 "einsim.fused.classify",
                 {

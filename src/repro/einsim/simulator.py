@@ -13,7 +13,7 @@ from typing import Optional, Set, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
@@ -81,17 +81,19 @@ class SimulationResult:
 class EinsimSimulator:
     """Monte-Carlo ECC-word simulator for a fixed code.
 
-    ``backend`` selects the GF(2) kernels used for the batched decode:
-    ``"reference"`` (uint8 oracle), ``"packed"`` (uint64 bit-packed fast
-    path) or ``"auto"``.  Both produce bit-identical results for the same
-    seed.
+    ``backend`` selects the implementation: ``"packed"`` (the default) runs
+    each round through the fused pipeline of :mod:`repro.einsim.fused`,
+    which classifies packed error masks without materializing codeword
+    batches; ``"reference"`` runs the staged uint8 encode → inject → decode
+    loop, the oracle.  ``"auto"`` and ``"fused"`` are aliases of
+    ``"packed"``.  Both produce bit-identical results for the same seed.
     """
 
     def __init__(
         self,
         code: SystematicLinearCode,
         seed: Optional[int] = None,
-        backend: str = "reference",
+        backend: str = "packed",
     ):
         self._code = code
         self._rng = np.random.default_rng(seed)
@@ -115,9 +117,13 @@ class EinsimSimulator:
         batch_size: int = 65536,
     ) -> SimulationResult:
         """Simulate ``num_words`` ECC words storing ``dataword`` with ``injector`` errors."""
+        if batch_size < 1:
+            raise ValidationError(f"batch size must be at least 1, got {batch_size}")
+        if num_words < 0:
+            raise ValidationError(f"word count must be non-negative, got {num_words}")
         data_bits = _as_dataword(dataword, self._code.num_data_bits)
         codeword = bulk_encode(self._code, data_bits.reshape(1, -1), self._backend)[0]
-        if self._backend == "fused":
+        if self._backend != "reference":
             return self._simulate_fused(
                 data_bits, codeword, num_words, injector, batch_size
             )

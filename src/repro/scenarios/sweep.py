@@ -43,9 +43,10 @@ from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError, ScenarioError
+from repro.exceptions import CodeConstructionError, ScenarioError, ValidationError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
+from repro.einsim.engine import resolve_backend
 from repro.scenarios.registry import get_scenario
 
 #: Cell kinds the runner knows how to execute.
@@ -103,6 +104,7 @@ def make_einsim_cell(
     resolved = get_scenario(scenario).resolve_params(params)
     if num_words < 1:
         raise ScenarioError("a cell must simulate at least one word")
+    _check_backend(backend)
     return ExperimentCell.from_config(
         {
             "kind": "einsim",
@@ -142,6 +144,7 @@ def make_beer_cell(
     """
     if vendor not in ("A", "B", "C"):
         raise ScenarioError(f"unknown vendor {vendor!r}; expected A, B or C")
+    _check_backend(backend)
     config = {
         "kind": "beer",
         "vendor": vendor,
@@ -158,6 +161,15 @@ def make_beer_cell(
     if solve:
         config["solve"] = True
     return ExperimentCell.from_config(config)
+
+
+def _check_backend(backend: str) -> None:
+    # The config keeps the name as given (an alias stays an alias), so
+    # validating here changes no content key.
+    try:
+        resolve_backend(backend)
+    except ValidationError as error:
+        raise ScenarioError(str(error)) from None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ def test_bench_list_json(capsys):
     assert run_cli("bench", "list", "--json") == 0
     listing = json.loads(capsys.readouterr().out)
     by_name = {entry["name"]: entry for entry in listing}
-    assert by_name["gf2-backends"]["legacy_file"] == "BENCH_gf2_backends.json"
     assert any(gate["rel_tol"] == 0.0 for gate in by_name["sat-solver"]["gated_metrics"])
 
 

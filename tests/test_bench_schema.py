@@ -1,20 +1,13 @@
-"""Merged-schema serialisation properties and legacy-format compatibility.
+"""Merged-schema serialisation properties.
 
-The ISSUE-6 satellite: ``serialize → parse → serialize`` must be
-byte-identical for any valid document (a hypothesis property), and the
-legacy emitters must produce the same key structure as the committed
-PR 1/3/4/5 ``BENCH_*.json`` files (a golden-file diff on keys, not values —
-timings differ across machines, schema shape must not).
+``serialize → parse → serialize`` must be byte-identical for any valid
+document (a hypothesis property).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import legacy_payloads, run_bench
 from repro.bench.schema import (
     ORACLE_SKIPPED,
     SCHEMA_VERSION,
@@ -25,7 +18,6 @@ from repro.bench.schema import (
     canonical_json,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # -- hypothesis strategies for valid documents ---------------------------------------
 names = st.text(
@@ -132,66 +124,3 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             run.to_json()
-
-
-# -- golden-file structure diff vs the committed legacy formats ----------------------
-def key_structure(payload, prefix=""):
-    """The set of key paths in a nested payload; lists contribute one element."""
-    paths = set()
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            paths.add(path)
-            paths |= key_structure(value, path)
-    elif isinstance(payload, list) and payload:
-        paths |= key_structure(payload[0], prefix + "[]")
-    return paths
-
-
-@pytest.fixture(scope="module")
-def smoke_payloads():
-    run = run_bench(
-        ["gf2-backends", "sat-solver", "sweep-parallel", "decoder-families"],
-        tier="smoke",
-    )
-    return legacy_payloads(run)
-
-
-LEGACY_FILES = [
-    "BENCH_gf2_backends.json",
-    "BENCH_sat_solver.json",
-    "BENCH_sweep_parallel.json",
-    "BENCH_decoder_families.json",
-]
-
-#: Key paths added deliberately by this PR (documented schema evolution), and
-#: key paths only present at full scale (the committed files are full-tier).
-ALLOWED_NEW = {
-    "BENCH_sweep_parallel.json": {"skipped_speedup_gate"},
-}
-
-
-@pytest.mark.parametrize("filename", LEGACY_FILES)
-def test_legacy_emitters_match_committed_key_structure(filename, smoke_payloads):
-    committed_path = REPO_ROOT / filename
-    if not committed_path.exists():
-        pytest.skip(f"{filename} not committed")
-    committed = key_structure(json.loads(committed_path.read_text()))
-    emitted = key_structure(smoke_payloads[filename])
-
-    missing = committed - emitted
-    assert not missing, f"{filename}: emitter dropped key paths {sorted(missing)}"
-    new = {
-        path
-        for path in emitted - committed
-        if path.split(".")[-1].lstrip("[]") not in ALLOWED_NEW.get(filename, set())
-    }
-    assert not new, f"{filename}: emitter invented key paths {sorted(new)}"
-
-
-def test_legacy_payloads_serialise_with_historical_formatting(smoke_payloads):
-    # Legacy files keep insertion-ordered keys (not canonical sorting) —
-    # `json.dumps(..., indent=2)` exactly as PR 1/3/4/5 wrote them.
-    for _filename, payload in smoke_payloads.items():
-        text = json.dumps(payload, indent=2) + "\n"
-        assert json.loads(text) == payload

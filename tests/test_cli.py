@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.ecc import codes_equivalent, random_hamming_code, SystematicLinearCode
 from repro.core import charged_patterns, expected_miscorrection_profile
+from repro.einsim.engine import BACKEND_CHOICES
 
 
 @pytest.fixture
@@ -163,11 +164,30 @@ class TestEinsimCommand:
     def test_parser_defaults_and_backend_choices(self):
         args = build_parser().parse_args(["einsim"])
         assert args.command == "einsim"
-        assert args.backend == "reference"
+        assert args.backend == "packed"
         args = build_parser().parse_args(["einsim", "--backend", "packed"])
         assert args.backend == "packed"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["einsim", "--backend", "gpu"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["einsim"],
+            ["simulate-profile", "--output", "p.json"],
+            ["scenario", "run", "--scenario", "uniform-random"],
+        ],
+        ids=["einsim", "simulate-profile", "scenario-run"],
+    )
+    def test_backend_option_takes_the_engine_names(self, argv):
+        # Every --backend option shares the engine's one tuple: both
+        # implementations plus the aliases older scripts still pass.
+        assert set(BACKEND_CHOICES) == {"reference", "packed", "fused", "auto"}
+        parser = build_parser()
+        for name in BACKEND_CHOICES:
+            assert parser.parse_args(argv + ["--backend", name]).backend == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--backend", "gpu"])
 
     def test_einsim_writes_figure_data(self, tmp_path, capsys):
         output = tmp_path / "einsim.json"

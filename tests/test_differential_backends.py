@@ -7,6 +7,8 @@ batch shapes and degenerate edge cases, and end to end through miscorrection
 profiling and BEER recovery.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -54,13 +56,46 @@ def _random_words(code, batch, seed):
 
 class TestBackendResolution:
     def test_valid_backends(self):
+        assert BACKENDS == ("reference", "packed")
         assert resolve_backend("reference") == "reference"
         assert resolve_backend("packed") == "packed"
-        assert resolve_backend("auto") in BACKENDS
+        assert resolve_backend("auto") == "packed"
+        assert resolve_backend("fused") == "packed"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("z3")
+
+    def test_every_default_is_packed(self):
+        from repro.cli import build_parser
+        from repro.core.profile import monte_carlo_observation_counts
+        from repro.dram import ManufacturerProfile, SimulatedDramChip
+        from repro.einsim.engine import bulk_decode_outcomes
+        from repro.scenarios import make_beer_cell, make_einsim_cell
+
+        for target in (
+            bulk_encode,
+            bulk_syndrome_values,
+            bulk_decode,
+            bulk_decode_outcomes,
+            EinsimSimulator,
+            MonteCarloCampaign,
+            monte_carlo_miscorrection_profile,
+            monte_carlo_observation_counts,
+            SimulatedDramChip,
+            ManufacturerProfile.make_chip,
+            make_einsim_cell,
+            make_beer_cell,
+        ):
+            parameter = inspect.signature(target).parameters["backend"]
+            assert parameter.default == "packed", target.__qualname__
+        parser = build_parser()
+        for argv in (
+            ["einsim"],
+            ["simulate-profile", "--output", "profile.json"],
+            ["scenario", "run", "--scenario", "uniform-random"],
+        ):
+            assert parser.parse_args(argv).backend == "packed", argv
 
 
 class TestBulkEncodeDifferential:

@@ -1,13 +1,13 @@
-"""Differential test suite: the ``fused`` backend vs the staged backends.
+"""Differential test suite: the fused round vs the staged reference oracle.
 
-The fused pipeline (:mod:`repro.einsim.fused`) reimplements an entire
-Monte-Carlo round — inject, decode, classify — over packed representations,
-so every statistic it produces is checked for bit-exact equality against the
-``reference`` oracle (and the ``packed`` backend) across all code families,
-all injector types and all three packed mask representations, at the
-simulator, profile and campaign layers.  The packed injector protocol is
-additionally checked mask-for-mask and RNG-state-for-RNG-state against the
-unpacked draw it replaces.
+The fused pipeline (:mod:`repro.einsim.fused`), which the ``packed`` backend
+runs for every Monte-Carlo simulation, reimplements an entire round —
+inject, decode, classify — over packed representations, so every statistic
+it produces is checked for bit-exact equality against the ``reference``
+oracle across all code families, all injector types and all three packed
+mask representations, at the simulator, profile and campaign layers.  The
+packed injector protocol is additionally checked mask-for-mask and
+RNG-state-for-RNG-state against the unpacked draw it replaces.
 """
 
 import numpy as np
@@ -112,7 +112,7 @@ def _assert_results_equal(expected, actual):
 
 
 class TestSimulatorDifferential:
-    """Every family x every injector, all three backends, field-exact."""
+    """Every family x every injector, both backends, field-exact."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     def test_all_backends_bit_identical(self, family, args):
@@ -123,10 +123,9 @@ class TestSimulatorDifferential:
                 backend: EinsimSimulator(
                     code, seed=100 + index, backend=backend
                 ).simulate(dataword, 531, injector, batch_size=128)
-                for backend in ("reference", "packed", "fused")
+                for backend in ("reference", "packed")
             }
             _assert_results_equal(results["reference"], results["packed"])
-            _assert_results_equal(results["reference"], results["fused"])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -144,7 +143,7 @@ class TestSimulatorDifferential:
         reference = EinsimSimulator(code, seed=seed, backend="reference").simulate(
             dataword, num_words, injector, batch_size=batch_size
         )
-        fused = EinsimSimulator(code, seed=seed, backend="fused").simulate(
+        fused = EinsimSimulator(code, seed=seed, backend="packed").simulate(
             dataword, num_words, injector, batch_size=batch_size
         )
         _assert_results_equal(reference, fused)
@@ -173,7 +172,7 @@ class TestSimulatorDifferential:
         reference = EinsimSimulator(code, seed=seed, backend="reference").simulate(
             dataword, num_words, injector, batch_size=128
         )
-        fused = EinsimSimulator(code, seed=seed, backend="fused").simulate(
+        fused = EinsimSimulator(code, seed=seed, backend="packed").simulate(
             dataword, num_words, injector, batch_size=128
         )
         _assert_results_equal(reference, fused)
@@ -281,7 +280,7 @@ class TestProfileDifferential:
         code = _construct(family, args)
         patterns = list(charged_patterns(code.num_data_bits, [1, 2]))
         results = {}
-        for backend in ("reference", "packed", "fused"):
+        for backend in ("reference", "packed"):
             results[backend] = monte_carlo_observation_counts(
                 code,
                 patterns,
@@ -291,21 +290,19 @@ class TestProfileDifferential:
                 rng=np.random.default_rng(21),
                 backend=backend,
             )
-        reference = results["reference"]
-        for backend in ("packed", "fused"):
-            other = results[backend]
-            assert reference.patterns == other.patterns
-            for pattern in reference.patterns:
-                assert np.array_equal(
-                    reference.counts_for(pattern), other.counts_for(pattern)
-                )
-                assert reference.words_observed(pattern) == other.words_observed(
-                    pattern
-                )
-                assert reference.due_words_observed(
-                    pattern
-                ) == other.due_words_observed(pattern)
-            assert reference.to_profile() == other.to_profile()
+        reference, packed = results["reference"], results["packed"]
+        assert reference.patterns == packed.patterns
+        for pattern in reference.patterns:
+            assert np.array_equal(
+                reference.counts_for(pattern), packed.counts_for(pattern)
+            )
+            assert reference.words_observed(pattern) == packed.words_observed(
+                pattern
+            )
+            assert reference.due_words_observed(
+                pattern
+            ) == packed.due_words_observed(pattern)
+        assert reference.to_profile() == packed.to_profile()
 
 
 class TestCampaignDifferential:
@@ -322,7 +319,7 @@ class TestCampaignDifferential:
             code, chunk_size=700, backend="reference", base_seed=5
         ).simulate_many(datawords, injector, 1801)
         fused = MonteCarloCampaign(
-            code, chunk_size=700, backend="fused", base_seed=5
+            code, chunk_size=700, backend="packed", base_seed=5
         ).simulate_many(datawords, injector, 1801)
         for expected, actual in zip(reference, fused):
             _assert_results_equal(expected, actual)
@@ -339,7 +336,7 @@ class TestCampaignDifferential:
             code, chunk_size=300, backend="reference", base_seed=9
         ).simulate_many([np.ones(k, np.uint8)], injector, 1000)
         fused = MonteCarloCampaign(
-            code, chunk_size=300, backend="fused", base_seed=9
+            code, chunk_size=300, backend="packed", base_seed=9
         ).simulate_many([np.ones(k, np.uint8)], injector, 1000)
         _assert_results_equal(reference[0], fused[0])
 
@@ -357,7 +354,7 @@ class TestCampaignDifferential:
             code, chunk_size=chunk_size, backend="reference", base_seed=seed
         ).simulate(dataword, injector, num_words)
         fused = MonteCarloCampaign(
-            code, chunk_size=chunk_size, backend="fused", base_seed=seed
+            code, chunk_size=chunk_size, backend="packed", base_seed=seed
         ).simulate(dataword, injector, num_words)
         _assert_results_equal(reference, fused)
 
@@ -441,7 +438,7 @@ class TestNativeTier:
         reference = EinsimSimulator(code, seed=1, backend="reference").simulate(
             dataword, 3000, injector
         )
-        fused = EinsimSimulator(code, seed=1, backend="fused").simulate(
+        fused = EinsimSimulator(code, seed=1, backend="packed").simulate(
             dataword, 3000, injector
         )
         _assert_results_equal(reference, fused)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ChipConfigurationError, DimensionError
+from repro.exceptions import ChipConfigurationError, DimensionError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc import SyndromeDecoder, example_7_4_code, hamming_code, random_hamming_code
 from repro.dram import CellType
@@ -459,11 +459,28 @@ class TestSyndromeLookupCache:
 class TestSimulatorBackends:
     def test_backend_property_and_validation(self):
         code = example_7_4_code()
-        assert EinsimSimulator(code).backend == "reference"
+        assert EinsimSimulator(code).backend == "packed"
         assert EinsimSimulator(code, backend="packed").backend == "packed"
         assert EinsimSimulator(code, backend="auto").backend in ("reference", "packed")
         with pytest.raises(ValueError):
             EinsimSimulator(code, backend="turbo")
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_simulate_rejects_bad_counts_before_drawing(self, backend):
+        code = example_7_4_code()
+        injector = UniformRandomInjector(0.02)
+        simulator = EinsimSimulator(code, seed=5, backend=backend)
+        with pytest.raises(ValidationError, match="batch size"):
+            simulator.simulate([1, 0, 1, 1], 100, injector, batch_size=0)
+        with pytest.raises(ValidationError, match="word count"):
+            simulator.simulate([1, 0, 1, 1], -5, injector)
+        # Neither rejected call consumed the RNG stream.
+        fresh = EinsimSimulator(code, seed=5, backend=backend)
+        after = simulator.simulate([1, 0, 1, 1], 200, injector)
+        expected = fresh.simulate([1, 0, 1, 1], 200, injector)
+        assert np.array_equal(
+            after.pre_correction_error_counts, expected.pre_correction_error_counts
+        )
 
     def test_merge_accumulates_counts(self):
         code = example_7_4_code()

@@ -9,8 +9,11 @@ referential consistency across the worker merge.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.ecc import get_family
+from repro.einsim import EinsimSimulator, UniformRandomInjector
 from repro.obs import TRACER, read_trace, validate_events
 from repro.scenarios import SweepRunner, SweepSpec
 from repro.store import CampaignStore
@@ -131,6 +134,29 @@ class TestCounters:
             TRACER.disable()
         assert counters["sat.solve_calls"] >= 1
         assert counters["sat.propagations"] > 0
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_decode_counters_are_shared_by_both_backends(self, backend):
+        # The staged oracle and the fused round report under the same
+        # einsim.* names: one batch per simulated batch, every word, every DUE.
+        code = get_family("secded-extended-hamming").construct(16)
+        simulator = EinsimSimulator(code, seed=3, backend=backend)
+        TRACER.enable()
+        try:
+            result = simulator.simulate(
+                np.ones(16, dtype=np.uint8),
+                1000,
+                UniformRandomInjector(0.05),
+                batch_size=256,
+            )
+            counters = TRACER.counter_totals()
+        finally:
+            TRACER.disable()
+        assert result.detected_words > 0
+        assert counters["einsim.decode_batches"] == 4
+        assert counters["einsim.words_decoded"] == 1000
+        assert counters["einsim.due_words"] == result.detected_words
+        assert not [name for name in counters if name.startswith("einsim.fused.")]
 
     def test_untraced_run_produces_no_trace_artifacts(self, tmp_path):
         spec = SweepSpec.from_dict(SWEEP)

@@ -142,6 +142,30 @@ class TestSweepExpansion:
         }
         assert combos == {(s, b) for s in (0, 1, 2) for b in ("reference", "packed")}
 
+    def test_unknown_backend_rejected_before_any_cell_runs(self, tmp_path):
+        from repro.scenarios import make_beer_cell
+
+        store = CampaignStore(tmp_path / "camp")
+        payload = dict(BASE_SWEEP, backends=["packed", "bogus"])
+        with pytest.raises(ScenarioError, match="bogus"):
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert len(store) == 0
+        with pytest.raises(ScenarioError, match="nope"):
+            make_beer_cell(vendor="A", data_bits=8, backend="nope")
+        # A valid alias is accepted and kept as given, so its key is stable.
+        cell = make_beer_cell(vendor="A", data_bits=8, backend="fused")
+        assert cell.config()["backend"] == "fused"
+
+    def test_einsim_cell_validates_backend_and_keeps_alias(self):
+        args = ("uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8}, 100)
+        with pytest.raises(ScenarioError, match="turbo"):
+            make_einsim_cell(*args, backend="turbo")
+        # An alias runs as "packed" but keeps its own name, and so its own
+        # content key: cells stored under "auto" stay cache hits.
+        cell = make_einsim_cell(*args, backend="auto")
+        assert cell.config()["backend"] == "auto"
+        assert cell.key() != make_einsim_cell(*args, backend="packed").key()
+
     def test_cell_key_covers_every_config_field(self):
         base = make_einsim_cell(
             "uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8}, 100
