@@ -17,7 +17,8 @@ does.  It exploits two identities:
 Injectors emit masks directly in packed form via the ``error_mask_packed``
 protocol (:mod:`repro.einsim.injectors`), in one of three representations:
 
-* ``lanes`` — dense ``uint64`` lanes, for Bernoulli-style models;
+* ``lanes`` — dense ``uint64`` lanes, for Bernoulli-style models (built from
+  the sampled word and bit indices by :meth:`PackedErrorBatch.from_indices`);
 * ``sparse`` — per-word candidate positions plus fire flags, for
   fixed-error-count draws over many candidates;
 * ``subset`` — a single integer per word indexing the fired subset of a
@@ -25,13 +26,18 @@ protocol (:mod:`repro.einsim.injectors`), in one of three representations:
   through ``2**c``-entry lookup tables and one histogram.
 
 Injectors without the protocol fall back to the unpacked
-``error_mask`` + pack (bit-identical, just slower).  Classification is
-segment-aware so one kernel call covers many patterns or campaign chunks
+``error_mask`` + pack.  Classification is segment-aware so one kernel call
+covers many patterns or campaign chunks
 (:func:`FusedKernel.classify_segments`), and the dense syndrome fold can run
 on the optional numba tier (:mod:`repro.gf2.native`) when present.
 
-Every path consumes the RNG stream exactly as the reference backend does and
-produces bit-identical statistics (``tests/test_differential_fused.py``).
+Bit-identity with the reference backend rests on the injectors, not on this
+module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
+O(errors) sampler with the same arguments, so both backends see the same
+masks, and the kernel computes the same statistics from them
+(``tests/test_differential_fused.py``).  :func:`packed_error_batch` counts
+each draw under ``einsim.sample_*`` when tracing, beside the kernel's
+``einsim.decode_*`` counters.
 """
 
 from __future__ import annotations
@@ -121,6 +127,17 @@ class PackedErrorBatch:
         return cls(num_words=lanes.shape[0], num_bits=num_bits, lanes=lanes)
 
     @classmethod
+    def from_indices(
+        cls, rows: np.ndarray, columns: np.ndarray, num_words: int, num_bits: int
+    ) -> "PackedErrorBatch":
+        """Dense lanes with bit ``columns[i]`` of word ``rows[i]`` set."""
+        return cls(
+            num_words=num_words,
+            num_bits=num_bits,
+            lanes=_scatter_sparse(rows, columns, num_words, num_bits),
+        )
+
+    @classmethod
     def from_sparse(
         cls, positions: np.ndarray, fires: np.ndarray, num_bits: int
     ) -> "PackedErrorBatch":
@@ -169,28 +186,37 @@ class PackedErrorBatch:
             assert self.candidates is not None
             width = self.candidates.size
             vbits = ((self.subsets[:, np.newaxis] >> np.arange(width)) & 1) != 0
-            positions = np.broadcast_to(
-                self.candidates, (self.num_words, width)
+            rows, slots = np.nonzero(vbits)
+            return _scatter_sparse(
+                rows, self.candidates[slots], self.num_words, self.num_bits
             )
-            return _scatter_sparse(positions, vbits, self.num_words, self.num_bits)
         assert self.positions is not None and self.fires is not None
+        rows, slots = np.nonzero(self.fires)
         return _scatter_sparse(
-            self.positions, self.fires, self.num_words, self.num_bits
+            rows, self.positions[rows, slots], self.num_words, self.num_bits
         )
+
+    def num_errors(self) -> int:
+        """Total number of set mask bits over every word."""
+        if self.lanes is not None:
+            return int(popcount_u64(self.lanes).sum())
+        if self.subsets is not None:
+            return int(popcount_u64(self.subsets).sum())
+        assert self.fires is not None
+        return int(np.count_nonzero(self.fires))
 
 
 def _scatter_sparse(
-    positions: np.ndarray, fires: np.ndarray, num_words: int, num_bits: int
+    rows: np.ndarray, columns: np.ndarray, num_words: int, num_bits: int
 ) -> np.ndarray:
+    """Dense lanes with bit ``columns[i]`` of word ``rows[i]`` set."""
     lanes = np.zeros((num_words, num_lanes(num_bits)), dtype=np.uint64)
-    if positions.size == 0:
+    if rows.size == 0:
         return lanes
-    rows = np.repeat(np.arange(num_words), positions.shape[1])[fires.ravel()]
-    cols = positions.ravel()[fires.ravel()]
     np.bitwise_or.at(
         lanes,
-        (rows, cols // LANE_BITS),
-        np.uint64(1) << (cols % LANE_BITS).astype(np.uint64),
+        (rows, columns // LANE_BITS),
+        np.uint64(1) << (columns % LANE_BITS).astype(np.uint64),
     )
     return lanes
 
@@ -251,8 +277,19 @@ def packed_error_batch(
 
     Uses the injector's ``error_mask_packed`` protocol when available; any
     other injector falls back to tiling the codeword and packing its dense
-    ``error_mask`` — the identical RNG draws, so both routes are bit-exact.
+    ``error_mask`` — the same sampler call, so both routes are bit-exact.
     """
+    start = time.perf_counter() if TRACER.enabled else 0.0
+    batch = draw_packed_errors(injector, codeword, num_words, rng)
+    if TRACER.enabled:
+        trace_sample(time.perf_counter() - start, batch.num_errors())
+    return batch
+
+
+def draw_packed_errors(
+    injector, codeword: np.ndarray, num_words: int, rng: np.random.Generator
+) -> PackedErrorBatch:
+    """:func:`packed_error_batch` without the tracing (composite members use it)."""
     codeword = np.asarray(codeword, dtype=np.uint8)
     packed = getattr(injector, "error_mask_packed", None)
     if packed is not None:
@@ -260,6 +297,18 @@ def packed_error_batch(
     stored = np.tile(codeword, (num_words, 1))
     mask = np.asarray(injector.error_mask(stored, rng), dtype=bool)
     return PackedErrorBatch.from_bool_mask(mask)
+
+
+def trace_sample(seconds: float, errors: int) -> None:
+    """Count one batch of ``errors`` sampled errors that took ``seconds``.
+
+    Both backends report their error draws here, beside the decode
+    counters, so a trace splits inject time from decode time.
+    """
+    if TRACER.enabled:
+        TRACER.add("einsim.sample_batches")
+        TRACER.add("einsim.errors_sampled", errors)
+        TRACER.add("einsim.sample_s", seconds)
 
 
 @dataclass

@@ -9,17 +9,35 @@ unidirectional CHARGED → DISCHARGED decay BEER exploits.
 Injectors additionally implement the packed protocol consumed by the fused
 simulation backend (:mod:`repro.einsim.fused`):
 ``error_mask_packed(codeword, num_words, rng)`` returns the same logical
-masks as ``error_mask`` on a ``num_words``-fold tiling of ``codeword`` —
-drawn from the RNG in exactly the same order, so the two routes are
-bit-identical — but in a packed :class:`~repro.einsim.fused.PackedErrorBatch`
-representation that never materializes the tiled codeword batch.  Injectors
-without the method (e.g. :class:`FaultModelInjector`, whose fault models need
-the stored bits) automatically take the generic tile-and-pack fallback.
+masks as ``error_mask`` on a ``num_words``-fold tiling of ``codeword``, in a
+packed :class:`~repro.einsim.fused.PackedErrorBatch` representation that
+never materializes the tiled codeword batch.  Injectors without the method
+(e.g. :class:`FaultModelInjector`, whose fault models need the stored bits)
+automatically take the generic tile-and-pack fallback.
+
+The two routes stay bit-identical because both call one sampler with the
+same arguments, and that sampler draws in O(errors), not O(bits):
+
+* :func:`bernoulli_positions` serves the injectors that flip every eligible
+  cell independently (:class:`UniformRandomInjector`,
+  :class:`DataRetentionInjector`, :class:`MixedCellRetentionInjector`).  It
+  walks the eligible cells in word-major order by geometric gaps, so a
+  batch at a raw bit error rate of 1e-3 draws about one number per error.
+* :func:`floyd_subsets` serves :class:`FixedErrorCountInjector`: Floyd's
+  algorithm picks each word's ``e``-of-``c`` candidate subset with ``e``
+  integer draws.
+
+Changing what a sampler draws changes every seeded result, so it bumps
+:data:`SAMPLER_VERSION`, which each einsim sweep cell carries in its
+content-addressed configuration.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+import numbers
+import operator
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,15 +46,76 @@ from repro.dram.cell import CellType
 from repro.einsim.fused import (
     SUBSET_WIDTH_LIMIT,
     PackedErrorBatch,
-    packed_error_batch,
+    draw_packed_errors,
 )
 
+#: Version of the random draws behind the injectors.  Two runs with the same
+#: seed agree bit for bit only under the same version; einsim sweep cells
+#: record it so a stored result is never served for a different stream.
+SAMPLER_VERSION = 2
 
-class UniformRandomInjector:
-    """Flip every codeword bit independently with probability ``bit_error_rate``.
 
-    This is the model behind the paper's Figure 1 (uniform-random
-    pre-correction errors at a given raw BER).
+def bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the successes among ``size`` iid Bernoulli(``p``) trials.
+
+    The gaps between consecutive successes are geometric, so the draw costs
+    O(successes) instead of one uniform per trial.  ``p == 0`` (or no trials)
+    draws nothing and leaves ``rng`` untouched.
+    """
+    if size <= 0 or p <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    # A block covering the mean plus four standard deviations nearly always
+    # finishes in one pass; more than size + 1 gaps can never be needed.
+    expected = size * p
+    block = min(size + 1, int(expected + 4.0 * math.sqrt(expected)) + 16)
+    blocks = []
+    last = -1
+    while True:
+        gaps = rng.geometric(p, size=block)
+        # Tiny p makes rng.geometric return INT64_MAX; one gap past the end
+        # already ends the walk, and clipping keeps the cumulative sum from
+        # overflowing.
+        np.minimum(gaps, size + 1, out=gaps)
+        positions = last + np.cumsum(gaps)
+        if positions[-1] >= size:
+            blocks.append(positions[: np.searchsorted(positions, size)])
+            break
+        blocks.append(positions)
+        last = int(positions[-1])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def floyd_subsets(
+    num_words: int, num_candidates: int, num_errors: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One uniformly random ``num_errors``-subset of ``range(num_candidates)`` per word.
+
+    Floyd's algorithm, vectorised over words: step ``j`` draws one integer
+    in ``[0, j]`` per word and keeps it unless that word already holds it,
+    in which case it keeps ``j``.  Returns a ``(num_words, num_errors)``
+    array of distinct indices per row.  Choosing every candidate draws
+    nothing.
+    """
+    if num_errors == num_candidates:
+        return np.broadcast_to(
+            np.arange(num_candidates, dtype=np.int64), (num_words, num_candidates)
+        )
+    chosen = np.empty((num_words, num_errors), dtype=np.int64)
+    for slot, j in enumerate(range(num_candidates - num_errors, num_candidates)):
+        draw = rng.integers(0, j + 1, size=num_words)
+        taken = (chosen[:, :slot] == draw[:, np.newaxis]).any(axis=1)
+        chosen[:, slot] = np.where(taken, j, draw)
+    return chosen
+
+
+class _EligibleCellInjector:
+    """Flip each eligible cell independently with probability ``bit_error_rate``.
+
+    Subclasses say which cells are eligible through :meth:`_eligible`, which
+    maps stored bits to an eligibility mask of the same shape — a whole
+    batch in :meth:`error_mask`, one codeword in :meth:`error_mask_packed`.
+    Both then hand :func:`bernoulli_positions` the eligible cells of the
+    batch in row-major order, so the two routes draw the same flips.
     """
 
     def __init__(self, bit_error_rate: float):
@@ -45,23 +124,45 @@ class UniformRandomInjector:
 
     @property
     def bit_error_rate(self) -> float:
-        """Per-bit flip probability."""
+        """Per-eligible-cell flip probability."""
         return self._bit_error_rate
 
+    def _eligible(self, stored: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors."""
+        """Return a boolean mask of injected errors (eligible cells only)."""
         stored = np.asarray(stored_codewords)
-        return rng.random(stored.shape) < self._bit_error_rate
+        cells = np.flatnonzero(self._eligible(stored))
+        mask = np.zeros(stored.shape, dtype=bool)
+        hits = bernoulli_positions(cells.size, self._bit_error_rate, rng)
+        mask.reshape(-1)[cells[hits]] = True
+        return mask
 
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
-        mask = rng.random((num_words, codeword.shape[0])) < self._bit_error_rate
-        return PackedErrorBatch.from_bool_mask(mask)
+        """Packed-protocol equivalent of :meth:`error_mask` (same sampler call)."""
+        columns = np.flatnonzero(self._eligible(codeword))
+        hits = bernoulli_positions(num_words * columns.size, self._bit_error_rate, rng)
+        rows, slots = np.divmod(hits, max(columns.size, 1))
+        return PackedErrorBatch.from_indices(
+            rows, columns[slots], num_words, codeword.shape[0]
+        )
 
 
-class DataRetentionInjector:
+class UniformRandomInjector(_EligibleCellInjector):
+    """Flip every codeword bit independently with probability ``bit_error_rate``.
+
+    This is the model behind the paper's Figure 1 (uniform-random
+    pre-correction errors at a given raw BER).
+    """
+
+    def _eligible(self, stored: np.ndarray) -> np.ndarray:
+        return np.ones(stored.shape, dtype=bool)
+
+
+class DataRetentionInjector(_EligibleCellInjector):
     """Flip CHARGED cells only, each with probability ``bit_error_rate``.
 
     CHARGED-ness is derived from the stored bit and the cell type: true-cells
@@ -69,38 +170,17 @@ class DataRetentionInjector:
     """
 
     def __init__(self, bit_error_rate: float, cell_type: CellType = CellType.TRUE_CELL):
-        _validate_probability(bit_error_rate)
-        self._bit_error_rate = bit_error_rate
+        super().__init__(bit_error_rate)
         self._cell_type = cell_type
-
-    @property
-    def bit_error_rate(self) -> float:
-        """Per-CHARGED-cell flip probability."""
-        return self._bit_error_rate
 
     @property
     def cell_type(self) -> CellType:
         """Cell convention assumed for every cell in the batch."""
         return self._cell_type
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors (CHARGED cells only)."""
-        stored = np.asarray(stored_codewords)
-        if self._cell_type is CellType.TRUE_CELL:
-            charged = stored == 1
-        else:
-            charged = stored == 0
-        return charged & (rng.random(stored.shape) < self._bit_error_rate)
-
-    def error_mask_packed(
-        self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
-    ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
+    def _eligible(self, stored: np.ndarray) -> np.ndarray:
         charged_value = 1 if self._cell_type is CellType.TRUE_CELL else 0
-        charged_row = codeword == charged_value
-        mask = rng.random((num_words, codeword.shape[0])) < self._bit_error_rate
-        mask &= charged_row[np.newaxis, :]
-        return PackedErrorBatch.from_bool_mask(mask)
+        return stored == charged_value
 
 
 class FixedErrorCountInjector:
@@ -117,13 +197,24 @@ class FixedErrorCountInjector:
         candidate_positions: Optional[Sequence[int]] = None,
         per_bit_probability: float = 1.0,
     ):
+        if isinstance(num_errors, bool) or not isinstance(num_errors, numbers.Integral):
+            raise ChipConfigurationError(
+                f"number of errors must be an integer, got {num_errors!r}"
+            )
         if num_errors < 0:
             raise ChipConfigurationError("number of errors cannot be negative")
         _validate_probability(per_bit_probability)
-        self._num_errors = num_errors
-        self._candidate_positions = (
-            None if candidate_positions is None else list(candidate_positions)
-        )
+        self._num_errors = int(num_errors)
+        try:
+            self._candidate_positions = (
+                None
+                if candidate_positions is None
+                else [operator.index(position) for position in candidate_positions]
+            )
+        except TypeError:
+            raise ChipConfigurationError(
+                f"candidate positions must be integers, got {candidate_positions!r}"
+            ) from None
         if self._candidate_positions is not None and len(
             set(self._candidate_positions)
         ) != len(self._candidate_positions):
@@ -137,49 +228,52 @@ class FixedErrorCountInjector:
         """Number of error-prone cells chosen per codeword."""
         return self._num_errors
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask with up to ``num_errors`` flips per word.
-
-        Vectorised: a uniform sort key per (word, candidate) pair turns the
-        per-word without-replacement draw into one :func:`numpy.argpartition`
-        over the batch — the ``num_errors`` smallest keys of each row are a
-        uniformly random candidate subset.
-        """
-        stored = np.asarray(stored_codewords)
-        num_words, codeword_length = stored.shape
-        candidates = (
-            np.arange(codeword_length)
-            if self._candidate_positions is None
-            else np.asarray(self._candidate_positions)
-        )
+    def _candidates(self, codeword_length: int) -> np.ndarray:
+        """The candidate positions, checked against ``codeword_length``."""
+        if self._candidate_positions is None:
+            candidates = np.arange(codeword_length, dtype=np.int64)
+        else:
+            for position in self._candidate_positions:
+                # A negative position would silently wrap to another bit.
+                if not 0 <= position < codeword_length:
+                    raise ChipConfigurationError(
+                        f"candidate position {position} out of range for "
+                        f"codeword length {codeword_length}"
+                    )
+            candidates = np.asarray(self._candidate_positions, dtype=np.int64)
         if self._num_errors > candidates.size:
             raise ChipConfigurationError(
                 f"cannot place {self._num_errors} errors among {candidates.size} candidates"
             )
+        return candidates
+
+    def _draw(
+        self, num_words: int, num_candidates: int, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per word, the chosen candidate indices and whether each fires."""
+        chosen = floyd_subsets(num_words, num_candidates, self._num_errors, rng)
+        fires = rng.random((num_words, self._num_errors)) < self._per_bit_probability
+        return chosen, fires
+
+    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Return a boolean mask with up to ``num_errors`` flips per word."""
+        stored = np.asarray(stored_codewords)
+        num_words, codeword_length = stored.shape
+        candidates = self._candidates(codeword_length)
         mask = np.zeros((num_words, codeword_length), dtype=bool)
         if self._num_errors == 0 or num_words == 0:
             return mask
-        keys = rng.random((num_words, candidates.size))
-        if self._num_errors < candidates.size:
-            chosen = np.argpartition(keys, self._num_errors - 1, axis=1)[
-                :, : self._num_errors
-            ]
-        else:
-            chosen = np.broadcast_to(
-                np.arange(candidates.size), (num_words, candidates.size)
-            )
-        positions = candidates[chosen]
-        fires = rng.random((num_words, self._num_errors)) < self._per_bit_probability
+        chosen, fires = self._draw(num_words, candidates.size, rng)
         rows = np.repeat(np.arange(num_words), self._num_errors)
         # Positions within a row are distinct, so the flat fancy assignment
         # writes each (word, bit) pair exactly once.
-        mask[rows, positions.ravel()] = fires.ravel()
+        mask[rows, candidates[chosen].ravel()] = fires.ravel()
         return mask
 
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws).
+        """Packed-protocol equivalent of :meth:`error_mask` (same sampler call).
 
         Small candidate lists (at most
         :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` positions — the BEEP
@@ -188,31 +282,14 @@ class FixedErrorCountInjector:
         the per-word sparse representation.
         """
         codeword_length = codeword.shape[0]
-        candidates = (
-            np.arange(codeword_length, dtype=np.int64)
-            if self._candidate_positions is None
-            else np.asarray(self._candidate_positions, dtype=np.int64)
-        )
-        if self._num_errors > candidates.size:
-            raise ChipConfigurationError(
-                f"cannot place {self._num_errors} errors among {candidates.size} candidates"
-            )
+        candidates = self._candidates(codeword_length)
         if self._num_errors == 0 or num_words == 0:
             return PackedErrorBatch.from_sparse(
                 np.zeros((num_words, 0), dtype=np.int64),
                 np.zeros((num_words, 0), dtype=bool),
                 codeword_length,
             )
-        keys = rng.random((num_words, candidates.size))
-        if self._num_errors < candidates.size:
-            chosen = np.argpartition(keys, self._num_errors - 1, axis=1)[
-                :, : self._num_errors
-            ]
-        else:
-            chosen = np.broadcast_to(
-                np.arange(candidates.size), (num_words, candidates.size)
-            )
-        fires = rng.random((num_words, self._num_errors)) < self._per_bit_probability
+        chosen, fires = self._draw(num_words, candidates.size, rng)
         if candidates.size <= SUBSET_WIDTH_LIMIT:
             # Row sums via matmul: numpy's ``sum(axis=1)`` over an axis this
             # narrow is several times slower than a matrix-vector product.
@@ -239,7 +316,8 @@ class PerBitBernoulliInjector:
         probabilities = np.asarray(list(probabilities), dtype=float)
         if probabilities.ndim != 1:
             raise ChipConfigurationError("per-bit probabilities must be one-dimensional")
-        if ((probabilities < 0) | (probabilities > 1)).any():
+        if not ((probabilities >= 0) & (probabilities <= 1)).all():
+            # Written so that NaN, which compares False both ways, fails too.
             raise ChipConfigurationError("probabilities must lie in [0, 1]")
         self._probabilities = probabilities
 
@@ -274,7 +352,7 @@ class PerBitBernoulliInjector:
         return PackedErrorBatch.from_bool_mask(mask)
 
 
-class MixedCellRetentionInjector:
+class MixedCellRetentionInjector(_EligibleCellInjector):
     """Data-retention errors on a word mixing true- and anti-cell columns.
 
     Real chips can interleave true- and anti-cell regions (manufacturer C in
@@ -296,16 +374,10 @@ class MixedCellRetentionInjector:
         bit_error_rate: float,
         anti_cell_columns: Optional[Sequence[int]] = None,
     ):
-        _validate_probability(bit_error_rate)
-        self._bit_error_rate = bit_error_rate
+        super().__init__(bit_error_rate)
         self._anti_cell_columns = (
             None if anti_cell_columns is None else tuple(int(c) for c in anti_cell_columns)
         )
-
-    @property
-    def bit_error_rate(self) -> float:
-        """Per-CHARGED-cell flip probability."""
-        return self._bit_error_rate
 
     def anti_cell_mask(self, codeword_length: int) -> np.ndarray:
         """Boolean per-column mask; True marks anti-cell columns."""
@@ -322,22 +394,9 @@ class MixedCellRetentionInjector:
                 anti[column] = True
         return anti
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors (CHARGED cells only)."""
-        stored = np.asarray(stored_codewords)
-        anti = self.anti_cell_mask(stored.shape[1])
-        charged = np.where(anti[np.newaxis, :], stored == 0, stored == 1)
-        return charged & (rng.random(stored.shape) < self._bit_error_rate)
-
-    def error_mask_packed(
-        self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
-    ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
-        anti = self.anti_cell_mask(codeword.shape[0])
-        charged_row = np.where(anti, codeword == 0, codeword == 1)
-        mask = rng.random((num_words, codeword.shape[0])) < self._bit_error_rate
-        mask &= charged_row[np.newaxis, :]
-        return PackedErrorBatch.from_bool_mask(mask)
+    def _eligible(self, stored: np.ndarray) -> np.ndarray:
+        anti = self.anti_cell_mask(stored.shape[-1])
+        return np.where(anti, stored == 0, stored == 1)
 
 
 class BurstErrorInjector:
@@ -531,7 +590,7 @@ class CompositeInjector:
         """
         lanes = None
         for injector in self._injectors:
-            member = packed_error_batch(injector, codeword, num_words, rng)
+            member = draw_packed_errors(injector, codeword, num_words, rng)
             member_lanes = member.to_lanes()
             lanes = member_lanes if lanes is None else lanes | member_lanes
         assert lanes is not None  # the constructor rejects empty members
@@ -539,5 +598,6 @@ class CompositeInjector:
 
 
 def _validate_probability(value: float) -> None:
+    # The chained comparison is False for NaN, so NaN is rejected as well.
     if not 0.0 <= value <= 1.0:
         raise ChipConfigurationError(f"probability {value} must lie in [0, 1]")

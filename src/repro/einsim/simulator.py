@@ -8,6 +8,7 @@ that BEER and BEEP need.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
@@ -15,9 +16,10 @@ import numpy as np
 
 from repro.exceptions import DimensionError, ValidationError
 from repro.gf2 import GF2Vector
+from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
-from repro.einsim.fused import FusedStats, get_kernel, packed_error_batch
+from repro.einsim.fused import FusedStats, get_kernel, packed_error_batch, trace_sample
 
 
 @dataclass
@@ -142,7 +144,10 @@ class EinsimSimulator:
             batch = min(batch_size, remaining)
             remaining -= batch
             stored = np.tile(codeword, (batch, 1))
+            start = time.perf_counter() if TRACER.enabled else 0.0
             mask = injector.error_mask(stored, self._rng)
+            if TRACER.enabled:
+                trace_sample(time.perf_counter() - start, int(np.count_nonzero(mask)))
             received = np.bitwise_xor(stored, mask.astype(np.uint8))
             corrected, due = bulk_decode_outcomes(self._code, received, self._backend)
             detected += int(due.sum())
@@ -185,7 +190,7 @@ class EinsimSimulator:
         """The fused round: inject packed, classify, never tile codewords.
 
         Bit-identical to the staged loop for any injector and seed — the
-        packed injector protocol consumes the RNG stream in the same order,
+        packed injector protocol calls the same sampler as ``error_mask``,
         and the fused kernel computes the same statistics from the masks
         alone (``tests/test_differential_fused.py``).
         """

@@ -28,6 +28,7 @@ from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
 from repro.dram.retention import RetentionCalibration
 from repro.exceptions import ScenarioError
 from repro.core.experiment import BeerExperiment, ExperimentConfig, MonteCarloCampaign
+from repro.einsim.injectors import SAMPLER_VERSION
 from repro.scenarios.registry import build_injector
 from repro.scenarios.sweep import (
     ExperimentCell,
@@ -125,6 +126,14 @@ def _execute_cell_job(job: Tuple) -> Dict[str, Any]:
 
 
 def _execute_einsim_cell(config: Dict[str, Any], processes: int) -> Dict[str, Any]:
+    if config.get("sampler") != SAMPLER_VERSION:
+        # The config's content key names results of another random stream;
+        # running today's sampler under it would mislabel the result.
+        raise ScenarioError(
+            f"einsim cell was keyed for sampler {config.get('sampler')!r}, but "
+            f"the injectors run sampler {SAMPLER_VERSION}; rebuild the cell "
+            "with make_einsim_cell"
+        )
     code = resolve_code(config["code"])
     dataword = resolve_dataword(config["dataword"], code.num_data_bits)
     injector = build_injector(config["scenario"], config["params"])

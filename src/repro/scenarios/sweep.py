@@ -47,6 +47,7 @@ from repro.exceptions import CodeConstructionError, ScenarioError, ValidationErr
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
+from repro.einsim.injectors import SAMPLER_VERSION
 from repro.scenarios.registry import get_scenario
 
 #: Cell kinds the runner knows how to execute.
@@ -86,7 +87,14 @@ class ExperimentCell:
             raise ScenarioError(
                 f"cell kind must be one of {CELL_KINDS}, got {kind!r}"
             )
-        canonical = json.dumps(dict(config), sort_keys=True, separators=(",", ":"))
+        try:
+            canonical = json.dumps(
+                dict(config), sort_keys=True, separators=(",", ":"), allow_nan=False
+            )
+        except ValueError as error:
+            # NaN/Infinity are not JSON: they would land in the content key
+            # as non-standard tokens.
+            raise ScenarioError(f"cell config is not valid JSON: {error}") from None
         return cls(kind=kind, config_json=canonical)
 
 
@@ -100,7 +108,11 @@ def make_einsim_cell(
     dataword: Any = "ones",
     chunk_size: int = 65536,
 ) -> ExperimentCell:
-    """Build a single injector-driven Monte-Carlo cell."""
+    """Build a single injector-driven Monte-Carlo cell.
+
+    The config records the injectors' :data:`SAMPLER_VERSION`: results
+    drawn by another sampler live under other content keys.
+    """
     resolved = get_scenario(scenario).resolve_params(params)
     if num_words < 1:
         raise ScenarioError("a cell must simulate at least one word")
@@ -116,6 +128,7 @@ def make_einsim_cell(
             "seed": int(seed),
             "backend": str(backend),
             "chunk_size": int(chunk_size),
+            "sampler": SAMPLER_VERSION,
         }
     )
 

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 from repro.ecc import get_family
-from repro.einsim import EinsimSimulator, UniformRandomInjector
+from repro.einsim import (
+    CompositeInjector,
+    EinsimSimulator,
+    FixedErrorCountInjector,
+    UniformRandomInjector,
+)
 from repro.obs import TRACER, read_trace, validate_events
-from repro.scenarios import SweepRunner, SweepSpec
+from repro.scenarios import SweepRunner, SweepSpec, execute_cell, make_einsim_cell
 from repro.store import CampaignStore
 
 
@@ -157,6 +162,41 @@ class TestCounters:
         assert counters["einsim.words_decoded"] == 1000
         assert counters["einsim.due_words"] == result.detected_words
         assert not [name for name in counters if name.startswith("einsim.fused.")]
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_sample_counters_are_shared_by_both_backends(self, backend):
+        # Both backends count their error draws beside the decode counters:
+        # four chunks of a two-error cell put 2,000 errors into 1,000 words.
+        cell = make_einsim_cell(
+            "fixed-error-count", {"num_errors": 2}, {"data_bits": 16},
+            num_words=1000, backend=backend, chunk_size=256,
+        )
+        TRACER.enable()
+        try:
+            execute_cell(cell)
+            counters = TRACER.counter_totals()
+        finally:
+            TRACER.disable()
+        assert counters["einsim.errors_sampled"] == 2000
+        assert counters["einsim.sample_batches"] == 4
+        assert counters["einsim.sample_s"] > 0
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_composite_members_are_counted_once(self, backend):
+        code = get_family("sec-hamming").construct(16)
+        injector = CompositeInjector(
+            [UniformRandomInjector(0.0), FixedErrorCountInjector(1)]
+        )
+        TRACER.enable()
+        try:
+            EinsimSimulator(code, seed=5, backend=backend).simulate(
+                np.ones(16, dtype=np.uint8), 1000, injector, batch_size=256
+            )
+            counters = TRACER.counter_totals()
+        finally:
+            TRACER.disable()
+        assert counters["einsim.sample_batches"] == 4
+        assert counters["einsim.errors_sampled"] == 1000
 
     def test_untraced_run_produces_no_trace_artifacts(self, tmp_path):
         spec = SweepSpec.from_dict(SWEEP)
