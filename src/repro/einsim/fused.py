@@ -35,16 +35,16 @@ Bit-identity with the reference backend rests on the injectors, not on this
 module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
 O(errors) sampler with the same arguments, so both backends see the same
 masks, and the kernel computes the same statistics from them
-(``tests/test_differential_fused.py``).  :func:`packed_error_batch` counts
-each draw under ``einsim.sample_*`` when tracing, beside the kernel's
-``einsim.decode_*`` counters.
+(``tests/test_differential_fused.py``).  Both backends draw through
+:func:`traced_draw`, which counts each draw under ``einsim.sample_*`` when
+tracing, beside the kernels' ``einsim.decode_*`` counters.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -70,6 +70,8 @@ SUBSET_WIDTH_LIMIT = 16
 #: Smallest dense batch worth dispatching to the numba tier (compilation and
 #: call overhead dominate below this).
 _NATIVE_MIN_WORDS = 1024
+
+_Drawn = TypeVar("_Drawn")
 
 
 @dataclass
@@ -279,11 +281,7 @@ def packed_error_batch(
     other injector falls back to tiling the codeword and packing its dense
     ``error_mask`` — the same sampler call, so both routes are bit-exact.
     """
-    start = time.perf_counter() if TRACER.enabled else 0.0
-    batch = draw_packed_errors(injector, codeword, num_words, rng)
-    if TRACER.enabled:
-        trace_sample(time.perf_counter() - start, batch.num_errors())
-    return batch
+    return traced_draw(draw_packed_errors, injector, codeword, num_words, rng)
 
 
 def draw_packed_errors(
@@ -299,16 +297,26 @@ def draw_packed_errors(
     return PackedErrorBatch.from_bool_mask(mask)
 
 
-def trace_sample(seconds: float, errors: int) -> None:
-    """Count one batch of ``errors`` sampled errors that took ``seconds``.
+def traced_draw(draw: Callable[..., _Drawn], *args: Any) -> _Drawn:
+    """Return ``draw(*args)``, counting it under ``einsim.sample_*`` when tracing.
 
-    Both backends report their error draws here, beside the decode
-    counters, so a trace splits inject time from decode time.
+    ``draw`` returns a dense boolean error mask or a
+    :class:`PackedErrorBatch`.  Both backends draw their errors through
+    here, beside the decode counters, so a trace splits inject time from
+    decode time.
     """
+    start = time.perf_counter() if TRACER.enabled else 0.0
+    drawn = draw(*args)
     if TRACER.enabled:
+        seconds = time.perf_counter() - start
+        if isinstance(drawn, PackedErrorBatch):
+            errors = drawn.num_errors()
+        else:
+            errors = int(np.count_nonzero(drawn))
         TRACER.add("einsim.sample_batches")
         TRACER.add("einsim.errors_sampled", errors)
         TRACER.add("einsim.sample_s", seconds)
+    return drawn
 
 
 @dataclass

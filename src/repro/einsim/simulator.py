@@ -8,7 +8,6 @@ that BEER and BEEP need.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
@@ -16,10 +15,9 @@ import numpy as np
 
 from repro.exceptions import DimensionError, ValidationError
 from repro.gf2 import GF2Vector
-from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
-from repro.einsim.fused import FusedStats, get_kernel, packed_error_batch, trace_sample
+from repro.einsim.fused import FusedStats, get_kernel, packed_error_batch, traced_draw
 
 
 @dataclass
@@ -144,10 +142,7 @@ class EinsimSimulator:
             batch = min(batch_size, remaining)
             remaining -= batch
             stored = np.tile(codeword, (batch, 1))
-            start = time.perf_counter() if TRACER.enabled else 0.0
-            mask = injector.error_mask(stored, self._rng)
-            if TRACER.enabled:
-                trace_sample(time.perf_counter() - start, int(np.count_nonzero(mask)))
+            mask = traced_draw(injector.error_mask, stored, self._rng)
             received = np.bitwise_xor(stored, mask.astype(np.uint8))
             corrected, due = bulk_decode_outcomes(self._code, received, self._backend)
             detected += int(due.sum())

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis import campaign_report_data, load_simulation_results
 from repro.ecc import get_family
 from repro.einsim import (
     DataRetentionInjector,
@@ -43,6 +44,7 @@ from repro.scenarios import (
     make_einsim_cell,
 )
 from repro.scenarios import runner as sweep_runner
+from repro.store import CampaignStore
 
 #: 99.9% quantiles of the chi-square distribution, by degrees of freedom.
 CHI2_999 = {3: 16.266, 9: 27.877, 15: 37.697, 19: 43.820}
@@ -349,6 +351,26 @@ class TestSamplerVersionInCells:
         monkeypatch.setattr(sweep_runner, "MonteCarloCampaign", no_campaign)
         with pytest.raises(ScenarioError, match="sampler"):
             execute_cell(ExperimentCell.from_config(config))
+
+    def test_upgraded_store_reports_both_generations(self, tmp_path):
+        # Re-running a spec over a store written before the sampler field
+        # files a second record per einsim cell under its new key.  The
+        # report aggregates every record; filtering on the field selects
+        # the current generation.
+        cell = make_einsim_cell(
+            "uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8}, num_words=100
+        )
+        result = execute_cell(cell)
+        old_config = cell.config()
+        del old_config["sampler"]
+        store = CampaignStore(tmp_path / "upgraded")
+        store.put(old_config, result)
+        store.put(cell.config(), result)
+        (row,) = campaign_report_data(store)["scenarios"]
+        assert (row["cells"], row["num_words"]) == (2, 200)
+        assert len(load_simulation_results(store)) == 2
+        ((config, current),) = load_simulation_results(store, sampler=SAMPLER_VERSION)
+        assert config == cell.config() and current.num_words == 100
 
     def test_beer_cell_key_is_unchanged(self):
         assert make_beer_cell("A", 8).key() == (
