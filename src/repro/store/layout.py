@@ -37,13 +37,14 @@ Durability contract
 
 Every segment, in either layout: appends are one ``write``+``fsync`` to
 an ``O_APPEND`` fd under the segment's lock, co-writers are deduplicated
-by content key after re-scanning the segment tail, a torn trailing line
-left by a crashed writer is repaired on open, and every record's content
-address is verified when its bytes are parsed — eagerly on open without
-a sidecar, lazily on first load with one (``repro store verify`` forces
-the full check).  A sidecar index is *derived* state: a torn, stale, or
-corrupt index is rebuilt from the segment bytes, never trusted over
-them.
+by content key after re-scanning the segment tail (read only when a
+``stat`` shows the file grew past what the segment has indexed), a torn
+trailing line left by a crashed writer is repaired on open, and every
+record's content address is verified when its bytes are parsed — eagerly
+on open without a sidecar, lazily on first load with one (``repro store
+verify`` forces the full check, sidecar rows' configs included).  A
+sidecar index is *derived* state: a torn, stale, or corrupt index is
+rebuilt from the segment bytes, never trusted over them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import shutil
 import time
 from typing import (
@@ -73,6 +75,7 @@ from repro.store.records import (
     ResultRecord,
     StoreIntegrityError,
     canonical_json,
+    content_key,
     parse_record_line,
     reconcile,
 )
@@ -162,8 +165,30 @@ def write_manifest(
 _INDEX_LINE_PREFIX = b'{"k":"'
 _KEY_HEX_CHARS = 64  # SHA-256
 
-#: The fields a lazy :class:`IndexEntry` decodes from its raw line.
-_LAZY_FIELDS = frozenset(("offset", "length", "seq", "config"))
+#: Everything of a canonical index row before its config: the key, then
+#: offset, length and seq in plain decimal (no sign, no leading zero).
+_ROW_HEADER = re.compile(
+    rb'\{"k":"([^"\\]*)","o":(0|[1-9][0-9]*),"l":(0|[1-9][0-9]*),'
+    rb'"q":(0|[1-9][0-9]*),"c":'
+)
+
+#: The fields a lazy :class:`IndexEntry` decodes from the row header alone.
+_HEADER_FIELDS = frozenset(("offset", "length", "seq"))
+
+
+def _index_row(
+    key: str, offset: int, length: int, seq: int, config_json: str
+) -> str:
+    """Assemble an index row; ``config_json`` is the config's canonical text.
+
+    Fixed field order with the key first: it matches
+    ``_INDEX_LINE_PREFIX``, so open slices keys without parsing, and
+    ``_ROW_HEADER``, so lookups decode positions without the config.
+    """
+    return (
+        f'{{"k":"{key}","o":{offset},"l":{length},"q":{seq},'
+        f'"c":{config_json}}}'
+    )
 
 
 class IndexEntry:
@@ -176,12 +201,14 @@ class IndexEntry:
     Entries are **lazily parsed**: opening a store materialises only the
     ``key``/``shard`` of each row (sliced straight out of the sidecar
     bytes — the O(1)-membership hot path never runs a JSON parse per
-    record); ``offset``/``length``/``seq``/``config`` decode the raw line
-    on first access.  A row that turns out to be garbage when finally
-    decoded raises :class:`StoreIntegrityError` at that point — mid-file
-    sidecar damage cannot be crash fallout (appends only ever tear the
-    tail, which open reconciles), so it fails loudly like any other
-    corruption.
+    record).  ``offset``/``length``/``seq`` decode on first access from
+    the row's fixed header, without parsing the config, and ``config``
+    — the bulk of the row — is JSON-decoded only when it is read.  A row
+    whose header is not in canonical form takes the full JSON decode.  A
+    row that turns out to be garbage when finally decoded raises
+    :class:`StoreIntegrityError` at that point — mid-file sidecar damage
+    cannot be crash fallout (appends only ever tear the tail, which open
+    reconciles), so it fails loudly like any other corruption.
     """
 
     __slots__ = ("key", "shard", "offset", "length", "seq", "config", "_raw")
@@ -212,64 +239,103 @@ class IndexEntry:
         entry._raw = raw
         return entry
 
+    @classmethod
+    def committed(
+        cls, key: str, shard: str, offset: int, length: int, seq: int,
+        raw: bytes,
+    ) -> "IndexEntry":
+        """The entry of a line just appended.
+
+        Its positions are known; its config decodes from ``raw``, its
+        index row, on first use.
+        """
+        entry = cls.lazy(key, shard, raw)
+        entry.offset, entry.length, entry.seq = offset, length, seq
+        return entry
+
     def __getattr__(self, name: str) -> Any:
-        # Reached only for unset slots: the fields of a lazy entry that has
+        # Reached only for unset slots: the fields of a lazy entry that have
         # not been decoded yet (anything else fails the normal lookup).
-        if self._raw is not None and name in _LAZY_FIELDS:
-            self._decode(self._raw)
+        raw = self._raw
+        if raw is not None:
+            if name in _HEADER_FIELDS:
+                self._decode_header(raw)
+            elif name == "config":
+                self._decode(raw)
         return object.__getattribute__(self, name)
 
+    def decoded(self) -> "IndexEntry":
+        """This entry, its whole row decoded and checked (config included)."""
+        if self._raw is not None:
+            self._decode(self._raw)
+        return self
+
+    def _decode_header(self, raw: bytes) -> None:
+        header = _ROW_HEADER.match(raw)
+        if header is None:
+            self._decode(raw)  # not canonical: the full parse decides
+            return
+        offset, length, seq = (int(field) for field in header.group(2, 3, 4))
+        self._adopt(
+            header.group(1) == self.key.encode("utf-8"), offset, length, seq
+        )
+
     def _decode(self, raw: bytes) -> None:
-        source = f"index entry for key {self.key}"
         try:
             payload = json.loads(raw)
-            offset, length = int(payload["o"]), int(payload["l"])
-            seq, config = int(payload["q"]), payload["c"]
+            fields = (payload["o"], payload["l"], payload["q"])
+            key, config = payload.get("k"), payload["c"]
         except (ValueError, KeyError, TypeError) as error:
-            raise StoreIntegrityError(
-                f"{source} (segment {self.shard}) is unparseable "
-                f"({error}); rebuild the index with `repro store "
-                "compact`"
-            ) from error
+            raise self._corrupt(f"is unparseable ({error})") from error
+        header = _ROW_HEADER.match(raw)
         if (
-            payload.get("k") != self.key
+            not all(type(field) is int for field in fields)
             or not isinstance(config, dict)
+            # A row the header decode can read must read the same to both.
+            or (
+                header is not None
+                and tuple(int(f) for f in header.group(2, 3, 4)) != fields
+            )
+        ):
+            raise self._corrupt("is inconsistent")
+        self._adopt(key == self.key, *fields)
+        self.config = config
+        self._raw = None
+
+    def _adopt(
+        self, key_matches: bool, offset: int, length: int, seq: int
+    ) -> None:
+        if (
+            not key_matches
             or offset < 0
             or length <= 0
+            or seq < 0
             or not self.key.startswith(self.shard)
         ):
-            raise StoreIntegrityError(
-                f"{source} (segment {self.shard}) is inconsistent; "
-                "rebuild the index with `repro store compact`"
-            )
-        self.offset, self.length, self.seq, self.config = (
-            offset, length, seq, config,
+            raise self._corrupt("is inconsistent")
+        self.offset, self.length, self.seq = offset, length, seq
+
+    def _corrupt(self, problem: str) -> StoreIntegrityError:
+        return StoreIntegrityError(
+            f"index entry for key {self.key} (segment {self.shard}) "
+            f"{problem}; rebuild the index with `repro store compact`"
         )
-        self._raw = None
 
     def end(self) -> int:
         """First segment byte past this record (its newline included)."""
         return self.offset + self.length + 1
 
     def to_json_line(self) -> str:
-        # Fixed field order with the key first, matching
-        # _INDEX_LINE_PREFIX so open can slice keys without parsing.
-        return (
-            f'{{"k":"{self.key}","o":{self.offset},"l":{self.length},'
-            f'"q":{self.seq},"c":{canonical_json(self.config)}}}'
+        return _index_row(
+            self.key, self.offset, self.length, self.seq,
+            canonical_json(self.config),
         )
 
     @classmethod
     def from_json_line(cls, line: str, shard: str) -> "IndexEntry":
-        payload = json.loads(line)
-        return cls(
-            key=payload["k"],
-            shard=shard,
-            offset=int(payload["o"]),
-            length=int(payload["l"]),
-            seq=int(payload["q"]),
-            config=payload["c"],
-        )
+        """Decode and check a whole row, whatever its field order."""
+        key = str(json.loads(line)["k"])  # a non-string key fails the check
+        return cls.lazy(key, shard, line.encode("utf-8")).decoded()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +353,13 @@ class Segment:
     ``migrate``.  Refreshes, dedupe checks and sidecar rewrites look at
     this segment's own map only, so a put costs the same however many
     records other segments hold.
+
+    A put (:meth:`append`) takes the line its caller encoded once, stats
+    the file under the lock and reads the tail only if another writer
+    grew it, appends the line, and appends the sidecar row (built from
+    the same config text) with one unbuffered ``O_APPEND`` write.  It
+    keeps nothing of the caller's: a later :meth:`get` reads the stored
+    line back and verifies it.
 
     ``name`` is the key prefix every record here carries (empty for the
     v1 segment, which holds every key).  ``take_seq`` hands out commit
@@ -446,7 +519,9 @@ class Segment:
                     entry = IndexEntry.from_json_line(
                         line.decode("utf-8"), shard
                     )
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                except (
+                    ValueError, KeyError, TypeError, StoreIntegrityError,
+                ):
                     if position == last:
                         break  # unparseable *final* line: torn-append case
                     return None
@@ -454,21 +529,21 @@ class Segment:
             if not key.startswith(shard) or key in index:
                 return None
             index[key] = entry
-        # Coverage comes from the final entry alone; interior rows decode
-        # lazily and are deep-checked by `verify`.  A final row that fails
-        # to decode is the torn-append case one more time: drop it and let
-        # the locked tail scan recover its record from the segment — but
-        # only the final row earns that forgiveness.
+        # Coverage comes from the final entry alone, decoded in full; interior
+        # rows decode lazily and are deep-checked by `verify`.  A final row
+        # that fails to decode is the torn-append case one more time: drop
+        # it and let the locked tail scan recover its record from the
+        # segment — but only the final row earns that forgiveness.
         if not index:
             return index, 0
         try:
-            coverage = next(reversed(index.values())).end()
+            coverage = next(reversed(index.values())).decoded().end()
         except StoreIntegrityError:
             index.popitem()
             if not index:
                 return index, 0
             try:
-                coverage = next(reversed(index.values())).end()
+                coverage = next(reversed(index.values())).decoded().end()
             except StoreIntegrityError:
                 return None
         return (index, coverage) if coverage <= segment_size else None
@@ -487,14 +562,18 @@ class Segment:
         """Index bytes past ``coverage``; True if new records turned up.
 
         Caller holds the lock.  Because every writer appends only while
-        holding it, a trailing line without its newline observed *under
-        the lock* can only be a crash artifact, repaired by
-        :meth:`_repair_tail_locked`; blank lines are absorbed, and damage
-        anywhere else raises :class:`StoreIntegrityError`.
+        holding it, a file no longer than ``coverage`` holds nothing new,
+        and one ``stat`` settles that without opening it; the tail is read
+        only when the file grew.  A trailing line without its newline
+        observed *under the lock* can only be a crash artifact, repaired
+        by :meth:`_repair_tail_locked`; blank lines are absorbed, and
+        damage anywhere else raises :class:`StoreIntegrityError`.
         """
-        if not os.path.exists(self.path):
-            return False
         start = self.coverage
+        if self.size() <= start:
+            return False
+        if TRACER.enabled:
+            TRACER.add("store.tail_reads")
         with open(self.path, "rb") as handle:
             handle.seek(start)
             data = handle.read()
@@ -586,37 +665,48 @@ class Segment:
             )
 
     # -- write side ---------------------------------------------------------
-    def append(self, record: ResultRecord) -> ResultRecord:
-        """Durably commit ``record`` (dedup-checked, locked, fsynced)."""
-        existing = self.get(record.key)
-        if existing is not None:
-            return reconcile(existing, record)
+    def append(self, key: str, config_json: str, line: str) -> None:
+        """Durably commit ``line``, the canonical record line of ``key``.
+
+        ``config_json`` is the canonical config text inside ``line``; the
+        sidecar row reuses it.  A key already stored is not appended again:
+        its stored record must serialise to ``line`` (:func:`reconcile`).
+        Nothing is kept from the caller: the new entry decodes its config
+        from its own row, and :meth:`get` reads the stored line back.
+        """
+        if key in self.index:
+            reconcile(self._load(self.index[key]), line)
+            return
         with self.lock():
             # Another process may have committed this cell (or others) since
             # we last looked; index the new tail before deciding to append.
             self.refresh_locked()
-            existing = self.get(record.key)
-            if existing is not None:
-                return reconcile(existing, record)
-            line = record.to_json_line().encode("utf-8")
-            offset = self._append_locked(line + b"\n")
-            entry = IndexEntry(
-                key=record.key,
-                shard=self.name,
-                offset=offset,
-                length=len(line),
-                seq=self._take_seq(),
-                config=record.config,
+            if key in self.index:
+                reconcile(self._load(self.index[key]), line)
+                return
+            payload = (line + "\n").encode("utf-8")
+            offset = self._append_locked(payload)
+            length, seq = len(payload) - 1, self._take_seq()
+            raw = _index_row(key, offset, length, seq, config_json).encode(
+                "utf-8"
             )
             if self.sidecar_path is not None:
                 # Unfsynced on purpose: the index is derived state, rebuilt
                 # from the segment if a crash tears it.
-                with open(self.sidecar_path, "ab") as handle:
-                    handle.write((entry.to_json_line() + "\n").encode("utf-8"))
+                fd = os.open(
+                    self.sidecar_path,
+                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                    0o644,
+                )
+                try:
+                    _write_all(fd, raw + b"\n", self.sidecar_path)
+                finally:
+                    os.close(fd)
+            entry = IndexEntry.committed(
+                key, self.name, offset, length, seq, raw
+            )
             self._add(entry)
-            self._loaded[record.key] = record
             self.coverage = entry.end()
-        return record
 
     def _append_locked(self, payload: bytes) -> int:
         """One write+fsync to the O_APPEND fd.  Caller holds the lock.
@@ -630,14 +720,7 @@ class Segment:
         try:
             start = os.fstat(fd).st_size
             try:
-                written = 0
-                while written < len(payload):
-                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
-                    if chunk == 0:
-                        raise StoreError(
-                            f"zero-byte write appending to {self.path}"
-                        )
-                    written += chunk
+                _write_all(fd, payload, self.path)
                 fsync_start = time.perf_counter() if TRACER.enabled else 0.0
                 os.fsync(fd)
                 if TRACER.enabled:
@@ -726,7 +809,12 @@ class Segment:
 
     # -- lifecycle ----------------------------------------------------------
     def verify(self) -> List[str]:
-        """Load and content-verify every record; cross-check the map."""
+        """Load and content-verify every record; cross-check the map.
+
+        Every index entry is decoded in full, and its config must be its
+        record's: lookups decode only a row's positions, so nothing else
+        checks the config that config-equality queries filter on.
+        """
         problems: List[str] = []
         size = self.size()
         if size != self.coverage:
@@ -741,10 +829,21 @@ class Segment:
         spans: List[Tuple[int, int]] = []
         for entry in self.index.values():
             try:
+                config = entry.decoded().config
                 self._load(entry)
-                spans.append((entry.offset, entry.end()))
             except StoreIntegrityError as error:
                 problems.append(str(error))
+                continue
+            # The loaded record's config hashes to entry.key, so this holds
+            # exactly when the entry carries the record's config.
+            if content_key(config) != entry.key:
+                problems.append(
+                    f"{self.path}: the index entry for key {entry.key} "
+                    f"(segment {self.name!r}) carries a config other than "
+                    f"its record's at byte {entry.offset}; rebuild the "
+                    "index with `repro store compact`"
+                )
+            spans.append((entry.offset, entry.end()))
         spans.sort()
         position = 0
         for start, stop in spans:
@@ -867,8 +966,8 @@ class StoreLayout:
         for entry in self._ordered():
             yield entry.key, entry.config
 
-    def append(self, record: ResultRecord) -> ResultRecord:
-        """Durably commit ``record`` (dedup-checked, locked, fsynced)."""
+    def append(self, key: str, config_json: str, line: str) -> None:
+        """Durably commit a record line (see :meth:`Segment.append`)."""
         raise NotImplementedError
 
     def verify(self) -> List[str]:
@@ -920,12 +1019,13 @@ class StoreLayout:
 
 
 class SingleFileLayout(StoreLayout):
-    """v1: one segment at ``records.jsonl``, no sidecar, fully in memory.
+    """v1: one segment at ``records.jsonl``, no sidecar, indexed in memory.
 
     Opening scans the whole file under the store lock, verifying every
     record's content address and repairing a torn trailing line left by a
     crashed writer, so every existing campaign directory keeps its
-    byte-for-byte guarantees.
+    byte-for-byte guarantees.  The records that scan parsed stay cached;
+    records put afterwards are read back from the file when first read.
     """
 
     name = SINGLE_FILE
@@ -965,9 +1065,9 @@ class SingleFileLayout(StoreLayout):
     def _ordered(self) -> Iterable[IndexEntry]:
         return list(self._segment.index.values())
 
-    def append(self, record: ResultRecord) -> ResultRecord:
+    def append(self, key: str, config_json: str, line: str) -> None:
         self._start_seq()
-        return self._segment.append(record)
+        self._segment.append(key, config_json, line)
 
     def gc(self) -> Dict[str, Any]:
         removed: Dict[str, List[str]] = {
@@ -1115,10 +1215,10 @@ class ShardedLayout(StoreLayout):
         )
 
     # -- write side ---------------------------------------------------------
-    def append(self, record: ResultRecord) -> ResultRecord:
-        segment = self._segment(self.shard_of(record.key))
+    def append(self, key: str, config_json: str, line: str) -> None:
+        segment = self._segment(self.shard_of(key))
         self._start_seq()
-        return segment.append(record)
+        segment.append(key, config_json, line)
 
     # -- lifecycle ----------------------------------------------------------
     def gc(self) -> Dict[str, Any]:
@@ -1237,6 +1337,16 @@ def _last_byte(path: str) -> bytes:
 def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _write_all(fd: int, payload: bytes, path: str) -> None:
+    """Write every byte of ``payload`` to the append fd ``fd`` of ``path``."""
+    written = 0
+    while written < len(payload):
+        chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of Segment.append, which holds the segment lock around every call
+        if chunk == 0:
+            raise StoreError(f"zero-byte write appending to {path}")
+        written += chunk
 
 
 def _write_durably(path: str, payload: bytes) -> None:

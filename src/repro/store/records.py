@@ -38,7 +38,27 @@ def canonical_json(payload: Any) -> str:
 
 def content_key(config: Dict[str, Any]) -> str:
     """Return the SHA-256 content address of a cell configuration."""
-    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+    return key_of_json(canonical_json(config))
+
+
+def key_of_json(config_json: str) -> str:
+    """The content address of a config already in canonical JSON form."""
+    return hashlib.sha256(config_json.encode("utf-8")).hexdigest()
+
+
+def record_line(key: str, config_json: str, result_json: str) -> str:
+    """Assemble a canonical store line from its canonically encoded parts.
+
+    The one place a record line is built: ``CampaignStore.put`` passes the
+    texts it already encoded, :meth:`ResultRecord.to_json_line` encodes
+    its fields first.  The bytes equal ``canonical_json`` of the whole
+    ``{"config", "key", "result"}`` object, whose keys already sort in
+    that order.
+    """
+    return (
+        '{"config":' + config_json + ',"key":' + json.dumps(key)
+        + ',"result":' + result_json + "}"
+    )
 
 
 @dataclass(frozen=True)
@@ -51,8 +71,8 @@ class ResultRecord:
 
     def to_json_line(self) -> str:
         """Serialise to the canonical single-line store representation."""
-        return canonical_json(
-            {"config": self.config, "key": self.key, "result": self.result}
+        return record_line(
+            self.key, canonical_json(self.config), canonical_json(self.result)
         )
 
     @classmethod
@@ -87,17 +107,17 @@ def parse_record_line(line: bytes, source: str, offset: int) -> ResultRecord:
     return record
 
 
-def reconcile(existing: ResultRecord, incoming: ResultRecord) -> ResultRecord:
+def reconcile(existing: ResultRecord, incoming_line: str) -> None:
     """Resolve a duplicate ``put``: idempotent for identical results.
 
-    Storing a *different* result under an existing key raises
+    ``incoming_line`` is the canonical line the put would append.  Storing
+    a *different* result under an existing key raises
     :class:`StoreIntegrityError` — it means the simulation is not
     deterministic in something the content key does not cover.
     """
-    if existing.to_json_line() != incoming.to_json_line():
+    if existing.to_json_line() != incoming_line:
         raise StoreIntegrityError(
             f"key {existing.key} already stored with a different result; "
             "the configuration hash does not capture all sources of "
             "variation"
         )
-    return existing

@@ -37,9 +37,10 @@ Durability model (every segment, in both layouts)
 * **Atomic appends** — every record is one ``write``/``fsync`` to a file
   opened ``O_APPEND`` while holding an exclusive advisory lock, so
   concurrent writer processes never interleave bytes within a record.
-* **Multi-writer dedupe** — before appending, a store re-scans whatever
-  other writers appended since its last look (under the same lock), so
-  two processes racing on the same cell commit exactly one line.
+* **Multi-writer dedupe** — before appending, a store stats the segment
+  (under the same lock) and, if the file grew since its last look,
+  re-scans whatever other writers appended, so two processes racing on
+  the same cell commit exactly one line.
 * **Crash repair** — a process killed mid-append can leave a torn
   trailing line; opening the store truncates it (or restores its missing
   newline) and resumes.  Torn bytes anywhere *except* a tail raise
@@ -47,7 +48,8 @@ Durability model (every segment, in both layouts)
 * **Verification** — every record's ``key`` is re-derived from its
   ``config`` when its bytes are parsed: on open for a segment without a
   sidecar (v1), on first load for one with a sidecar (v2; ``repro store
-  verify`` forces the full check).
+  verify`` forces the full check and compares every sidecar row's
+  config with its record's).
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ from repro.store.locks import resolve_lock_timeout
 from repro.store.records import (
     ResultRecord,
     StoreIntegrityError,
-    content_key,
+    canonical_json,
+    key_of_json,
+    record_line,
 )
 
 __all__ = [
@@ -206,7 +210,18 @@ class CampaignStore:
         Safe against concurrent writers: the append happens under the
         layout's advisory lock, after indexing whatever other processes
         committed meanwhile.
+
+        The config and the result are each encoded once: the key hashes
+        the config's canonical text, and the record line and the sidecar
+        row reuse it.  The store keeps none of the caller's objects (a
+        later :meth:`get` reads the committed line back), so mutating
+        ``config`` or ``result`` afterwards changes nothing stored; the
+        returned record wraps the caller's own dicts.
         """
-        key = content_key(config)
-        record = ResultRecord(key=key, config=config, result=result)
-        return self._layout.append(record)
+        config_json = canonical_json(config)
+        key = key_of_json(config_json)
+        self._layout.append(
+            key, config_json,
+            record_line(key, config_json, canonical_json(result)),
+        )
+        return ResultRecord(key=key, config=config, result=result)
