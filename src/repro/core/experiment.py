@@ -27,7 +27,8 @@ from repro.dram.chip import SimulatedDramChip
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.hamming import min_parity_bits
 from repro.einsim.engine import resolve_backend
-from repro.einsim.simulator import EinsimSimulator, SimulationResult
+from repro.einsim.injectors import DataRetentionInjector
+from repro.einsim.simulator import SimulationResult, simulate_segments
 from repro.obs import TRACER
 from repro.core.beer import BeerSolution, BeerSolver
 from repro.core.layout_re import discover_cell_types
@@ -230,134 +231,41 @@ def _worker_code(
     return _WORKER_CODE_CACHE[key]
 
 
-def _run_simulation_chunk(job) -> SimulationResult:
-    """Simulate one chunk of ECC words (module-level so it pickles cleanly)."""
-    (parity_columns, num_parity_bits, family, detect_only, dataword_bits,
-     injector, chunk_words, base_seed, dataword_value, chunk_index, backend) = job
-    code = _worker_code(tuple(parity_columns), num_parity_bits, family, detect_only)
-    # Seeding on (base_seed, dataword content, chunk within that dataword)
-    # makes each dataword's result independent of its position in a batch, so
-    # simulate_many(ds)[i] == simulate(ds[i]) for every batch composition.
-    simulator = EinsimSimulator(
-        code, seed=[base_seed, dataword_value, chunk_index], backend=backend
-    )
-    return simulator.simulate(np.asarray(dataword_bits, dtype=np.uint8), chunk_words, injector)
+def _simulate_chunks(task) -> List[SimulationResult]:
+    """Simulate a run of campaign chunks (module-level so it pickles cleanly).
 
-
-#: Inner draw size of the fused chunk runner — must equal the default
-#: ``batch_size`` of :meth:`EinsimSimulator.simulate` so the per-chunk RNG
-#: streams are consumed in exactly the same blocks as a per-chunk run.
-_FUSED_SIM_BATCH = 65536
-
-#: Buffered word count at which the fused chunk runner classifies its
-#: accumulated mask batches (one segmented kernel call for many chunks).
-_FUSED_FLUSH_WORDS = 1 << 17
-
-
-def _run_fused_chunks(jobs) -> List[SimulationResult]:
-    """Run a packed campaign's chunks with cross-chunk batched classification.
-
-    Each chunk's packed error masks are drawn from that chunk's own RNG
-    stream — the same blocks, in the same order, as
-    ``EinsimSimulator(backend="packed")`` would draw — but classification is
-    deferred: compatible mask batches accumulate until
-    :data:`_FUSED_FLUSH_WORDS` words are buffered, then one segmented kernel
-    call classifies them all.  Classification is deterministic, so the
-    per-chunk results are bit-identical to running every chunk separately
-    (and hence to the staged reference oracle).
+    ``task`` is ``(code identity, backend, injector, chunks)``, each chunk a
+    ``(dataword bits, words, seed)`` triple.
     """
-    from repro.gf2 import GF2Vector
-    from repro.einsim.engine import bulk_encode
-    from repro.einsim.fused import (
-        FusedStats,
-        batches_compatible,
-        concat_batches,
-        get_kernel,
-        packed_error_batch,
-    )
-
-    if not jobs:
-        return []
-    parity_columns, num_parity_bits, family, detect_only = jobs[0][:4]
-    code = _worker_code(tuple(parity_columns), num_parity_bits, family, detect_only)
-    kernel = get_kernel(code)
-    stats = [
-        FusedStats.zero(code.codeword_length, code.num_data_bits) for _ in jobs
+    identity, backend, injector, chunks = task
+    code = _worker_code(*identity)
+    segments = [
+        (bits, injector, words, np.random.default_rng(seed))
+        for bits, words, seed in chunks
     ]
-    datawords: List[np.ndarray] = []
-    codeword_cache: Dict[int, np.ndarray] = {}
-    pending = []  # [(job_index, PackedErrorBatch)] awaiting one classify call
-    pending_words = 0
-
-    def flush() -> None:
-        nonlocal pending, pending_words
-        if not pending:
-            return
-        batch = concat_batches([entry for _, entry in pending])
-        segments = kernel.classify_segments(
-            batch, [entry.num_words for _, entry in pending]
-        )
-        for (job_index, _), segment in zip(pending, segments):
-            stats[job_index] = stats[job_index].merge(segment)
-        pending = []
-        pending_words = 0
-
-    for job_index, job in enumerate(jobs):
-        (_, _, _, _, dataword_bits, injector, chunk_words,
-         base_seed, dataword_value, chunk_index, _backend) = job
-        bits = np.asarray(dataword_bits, dtype=np.uint8)
-        datawords.append(bits)
-        codeword = codeword_cache.get(dataword_value)
-        if codeword is None:
-            codeword = bulk_encode(code, bits.reshape(1, -1), "packed")[0]
-            codeword_cache[dataword_value] = codeword
-        rng = np.random.default_rng([base_seed, dataword_value, chunk_index])
-        remaining = chunk_words
-        while remaining > 0:
-            draw = min(_FUSED_SIM_BATCH, remaining)
-            remaining -= draw
-            batch = packed_error_batch(injector, codeword, draw, rng)
-            if pending and not batches_compatible(pending[0][1], batch):
-                flush()
-            pending.append((job_index, batch))
-            pending_words += batch.num_words
-            if pending_words >= _FUSED_FLUSH_WORDS:
-                flush()
-    flush()
-
-    return [
-        SimulationResult(
-            dataword=GF2Vector(datawords[index]),
-            num_words=chunk_stats.num_words,
-            post_correction_error_counts=chunk_stats.post_correction_error_counts,
-            pre_correction_error_counts=chunk_stats.pre_correction_error_counts,
-            uncorrectable_words=chunk_stats.uncorrectable_words,
-            miscorrected_words=chunk_stats.miscorrected_words,
-            miscorrection_positions=chunk_stats.miscorrection_positions,
-            detected_words=chunk_stats.detected_words,
-        )
-        for index, chunk_stats in enumerate(stats)
-    ]
+    return simulate_segments(code, segments, backend)
 
 
 class MonteCarloCampaign:
     """Chunked — and optionally multiprocessing — EINSim campaign runner.
 
     Splits a large word count into fixed-size chunks, simulates each chunk
-    with its own deterministic seed (derived from ``base_seed`` and the chunk
-    index) and merges the per-chunk :class:`SimulationResult` objects.  For a
-    fixed ``chunk_size`` the result is bit-identical regardless of the number
-    of worker processes, and identical across the ``reference`` and
-    ``packed`` backends (the packed in-process runner additionally batches
-    fused classification across chunks — see :func:`_run_fused_chunks`).
+    with its own deterministic seed (derived from ``base_seed``, the
+    dataword and the chunk index) and merges the per-chunk
+    :class:`SimulationResult` objects.  Every chunk is one segment of
+    :func:`~repro.einsim.simulator.simulate_segments`: in process, one call
+    runs them all; with a pool, each worker runs one contiguous share.  For
+    a fixed ``chunk_size`` the result is bit-identical regardless of the
+    number of worker processes, and identical across the ``reference`` and
+    ``packed`` backends.
 
     Parameters
     ----------
     code:
         The ECC function under simulation.
     chunk_size:
-        Number of ECC words simulated per chunk (also the batch size handed
-        to the vectorised kernels).
+        Number of ECC words simulated per chunk, each with its own random
+        stream.
     processes:
         ``1`` runs every chunk inline; larger values distribute the chunks
         over a :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -408,9 +316,9 @@ class MonteCarloCampaign:
     ) -> List[SimulationResult]:
         """Simulate several datawords, ``words_per_dataword`` words each.
 
-        Every (dataword, chunk) pair becomes one job; jobs are distributed
-        over the worker pool (when ``processes > 1``) and the per-dataword
-        results are merged in deterministic chunk order.  Chunk RNG streams
+        Every (dataword, chunk) pair becomes one segment; with
+        ``processes > 1`` each worker simulates one contiguous share of them,
+        and the per-dataword results are merged in chunk order.  Chunk RNG streams
         are seeded from (base seed, dataword content, chunk index), so each
         dataword's result is independent of its position in the batch —
         ``simulate_many(ds, ...)[i]`` equals ``simulate(ds[i], ...)``.  The
@@ -419,40 +327,46 @@ class MonteCarloCampaign:
         """
         if words_per_dataword < 1:
             raise ChipConfigurationError("at least one word per dataword is required")
-        jobs = []
+        chunks = []
         boundaries: List[Tuple[int, int]] = []
-        parity_columns = tuple(self._code.parity_column_ints)
-        num_parity_bits = self._code.num_parity_bits
-        family = self._code.family_name
-        detect_only = self._code.detect_only
         for dataword in datawords:
             bits = self._dataword_bits(dataword)
             # LSB-first integer encoding of the dataword, used as seed entropy.
             dataword_value = sum(bit << i for i, bit in enumerate(bits))
-            start = len(jobs)
-            remaining = words_per_dataword
-            chunk_index = 0
-            while remaining > 0:
-                chunk_words = min(self._chunk_size, remaining)
-                remaining -= chunk_words
-                jobs.append(
-                    (parity_columns, num_parity_bits, family, detect_only, bits,
-                     injector, chunk_words, self._base_seed, dataword_value,
-                     chunk_index, self._backend)
-                )
-                chunk_index += 1
-            boundaries.append((start, len(jobs)))
+            start = len(chunks)
+            for chunk_index, first in enumerate(
+                range(0, words_per_dataword, self._chunk_size)
+            ):
+                words = min(self._chunk_size, words_per_dataword - first)
+                # Seeding on (base_seed, dataword content, chunk within that
+                # dataword) makes each dataword's result independent of its
+                # position in a batch.
+                seed = [self._base_seed, dataword_value, chunk_index]
+                chunks.append((bits, words, seed))
+            boundaries.append((start, len(chunks)))
 
-        if self._processes == 1 or len(jobs) == 1:
-            if self._backend != "reference":
-                # Same per-chunk RNG streams, but masks from many chunks are
-                # classified together in segmented kernel calls.
-                chunk_results = _run_fused_chunks(jobs)
-            else:
-                chunk_results = [_run_simulation_chunk(job) for job in jobs]
+        identity = (
+            tuple(self._code.parity_column_ints),
+            self._code.num_parity_bits,
+            self._code.family_name,
+            self._code.detect_only,
+        )
+        if self._processes == 1 or len(chunks) <= 1:
+            chunk_results = _simulate_chunks(
+                (identity, self._backend, injector, chunks)
+            )
         else:
+            share = -(-len(chunks) // self._processes)
+            tasks = [
+                (identity, self._backend, injector, chunks[first : first + share])
+                for first in range(0, len(chunks), share)
+            ]
             with ProcessPoolExecutor(max_workers=self._processes) as pool:
-                chunk_results = list(pool.map(_run_simulation_chunk, jobs))
+                chunk_results = [
+                    result
+                    for results in pool.map(_simulate_chunks, tasks)
+                    for result in results
+                ]
 
         return [
             functools.reduce(SimulationResult.merge, chunk_results[start:stop])
@@ -469,24 +383,23 @@ class MonteCarloCampaign:
         """Measure a miscorrection profile with chunked data-retention runs.
 
         Convenience wrapper: simulates every pattern's dataword under a
-        data-retention injector and records post-correction errors observed
-        at DISCHARGED data bits, exactly like
-        :func:`repro.core.profile.monte_carlo_miscorrection_profile` but
-        through the chunked (and optionally parallel) campaign machinery.
+        data-retention injector, tallies the results into
+        :class:`MiscorrectionCounts` and applies the zero-threshold filter,
+        exactly like :func:`repro.core.profile.monte_carlo_miscorrection_profile`
+        but through the chunked (and optionally parallel) campaign machinery.
         """
-        from repro.einsim.injectors import DataRetentionInjector
-
         injector = DataRetentionInjector(bit_error_rate, cell_type)
         datawords = [pattern.dataword(cell_type) for pattern in patterns]
         results = self.simulate_many(datawords, injector, words_per_pattern)
-        profile = MiscorrectionProfile(self._code.num_data_bits)
+        counts = MiscorrectionCounts(self._code.num_data_bits)
         for pattern, result in zip(patterns, results):
-            discharged = pattern.discharged_bits
-            observed = np.flatnonzero(result.post_correction_error_counts > 0)
-            profile.record(
-                pattern, [int(b) for b in observed if int(b) in discharged]
+            counts.record_tallies(
+                pattern,
+                result.post_correction_error_counts,
+                result.num_words,
+                result.detected_words,
             )
-        return profile
+        return counts.to_profile()
 
     def _dataword_bits(self, dataword) -> Tuple[int, ...]:
         from repro.gf2 import GF2Vector

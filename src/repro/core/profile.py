@@ -22,6 +22,13 @@ in the GF(2) span of ``{H_i : i in S}`` (all subsets of CHARGED cells can
 fail, and subset sums over GF(2) are exactly the span).  The check runs on
 integer-encoded columns through :func:`miscorrection_test`, which the BEER
 solver shares.
+
+:func:`monte_carlo_observation_counts` and
+:func:`monte_carlo_miscorrection_profile` measure counts and profiles the way
+the paper's correctness evaluation does (Section 6.1): each pattern is one
+segment of :func:`repro.einsim.simulator.simulate_segments`, the Monte-Carlo
+runner every simulation in the library shares, with data-retention errors
+drawn in O(errors).  This module draws no random numbers itself.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ import numpy as np
 from repro.exceptions import ProfileError
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType, charge_state_for_bit, ChargeState
+from repro.einsim.engine import resolve_backend
+from repro.einsim.injectors import DataRetentionInjector
+from repro.einsim.simulator import simulate_segments
 from repro.core.patterns import ChargedPattern
 
 
@@ -152,10 +162,9 @@ def monte_carlo_miscorrection_profile(
     enough words per pattern the measured profile converges to the exact
     profile of :func:`expected_miscorrection_profile`.
 
-    Thin wrapper over :func:`monte_carlo_observation_counts` (one shared
-    simulation loop, identical rng draw order): the zero-threshold filter of
-    :meth:`MiscorrectionCounts.to_profile` reproduces the historical
-    any-occurrence-at-a-DISCHARGED-bit semantics exactly.
+    Thin wrapper over :func:`monte_carlo_observation_counts`: the
+    zero-threshold filter of :meth:`MiscorrectionCounts.to_profile` records
+    every DISCHARGED data bit with at least one post-correction error.
     """
     counts = monte_carlo_observation_counts(
         code,
@@ -186,102 +195,37 @@ def monte_carlo_observation_counts(
     miscorrection+DUE picture a detection-capable family (SEC-DED, parity,
     duplication) produces.  ``counts.to_profile()`` recovers the
     threshold-filtered miscorrection profile BEER consumes.
-    """
-    from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
 
+    Each pattern is one segment of
+    :func:`~repro.einsim.simulator.simulate_segments` under a
+    :class:`~repro.einsim.injectors.DataRetentionInjector`, every segment
+    drawing from ``rng`` in pattern order: the tallies equal those of one
+    ``EinsimSimulator(code, seed=rng)`` simulating each pattern in turn.
+    """
     backend = resolve_backend(backend)
     if words_per_pattern < 1:
         raise ProfileError("at least one word per pattern is required")
     if not 0.0 <= bit_error_rate <= 1.0:
         raise ProfileError("bit error rate must lie in [0, 1]")
     generator = rng if rng is not None else np.random.default_rng(0)
-    charged_value = 1 if cell_type is CellType.TRUE_CELL else 0
-
-    if backend != "reference":
-        return _fused_observation_counts(
-            code,
-            list(patterns),
-            bit_error_rate,
-            words_per_pattern,
-            cell_type,
-            generator,
-            charged_value,
-        )
-
+    patterns = list(patterns)
+    injector = DataRetentionInjector(bit_error_rate, cell_type)
+    results = simulate_segments(
+        code,
+        [
+            (pattern.dataword(cell_type), injector, words_per_pattern, generator)
+            for pattern in patterns
+        ],
+        backend,
+    )
     counts = MiscorrectionCounts(code.num_data_bits)
-    for pattern in patterns:
-        dataword = pattern.dataword(cell_type)
-        codeword = bulk_encode(code, dataword.to_numpy().reshape(1, -1), backend)[0]
-        stored = np.tile(codeword, (words_per_pattern, 1))
-        charged_cells = stored == charged_value
-        failures = charged_cells & (generator.random(stored.shape) < bit_error_rate)
-        received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
-        corrected, due = bulk_decode_outcomes(code, received, backend)
-        data_errors = corrected[:, : code.num_data_bits] != stored[:, : code.num_data_bits]
+    for pattern, result in zip(patterns, results):
         counts.record_tallies(
             pattern,
-            data_errors.sum(axis=0),
-            words_observed=words_per_pattern,
-            due_words=int(due.sum()),
+            result.post_correction_error_counts,
+            words_observed=result.num_words,
+            due_words=result.detected_words,
         )
-    return counts
-
-
-#: Element cap (patterns x words x codeword bits) on one fused profile group:
-#: the single RNG block drawn per group stays comfortably inside cache-friendly
-#: territory while still batching the whole pattern schedule for typical sizes.
-_FUSED_GROUP_ELEMENTS = 1 << 24
-
-
-def _fused_observation_counts(
-    code: SystematicLinearCode,
-    patterns: List[ChargedPattern],
-    bit_error_rate: float,
-    words_per_pattern: int,
-    cell_type: CellType,
-    generator: np.random.Generator,
-    charged_value: int,
-) -> "MiscorrectionCounts":
-    """Packed-backend profile measurement: one kernel call per pattern *group*.
-
-    Instead of tiling, injecting and decoding each pattern separately, this
-    groups as many patterns as fit under :data:`_FUSED_GROUP_ELEMENTS`, draws
-    one RNG block for the whole group and classifies every pattern as a
-    segment of one packed batch.  Because the RNG stream fills row-major, one
-    ``(g*m, n)`` draw yields exactly the values ``g`` consecutive ``(m, n)``
-    draws would have — the observation counts are bit-identical to the staged
-    backends for the same generator state.
-    """
-    from repro.einsim.engine import bulk_encode
-    from repro.einsim.fused import PackedErrorBatch, get_kernel
-
-    kernel = get_kernel(code)
-    num_bits = code.codeword_length
-    num_data_bits = code.num_data_bits
-    counts = MiscorrectionCounts(num_data_bits)
-    per_pattern_elements = max(words_per_pattern * num_bits, 1)
-    group_size = max(1, _FUSED_GROUP_ELEMENTS // per_pattern_elements)
-    for start in range(0, len(patterns), group_size):
-        group = patterns[start : start + group_size]
-        datawords = np.vstack(
-            [pattern.dataword(cell_type).to_numpy() for pattern in group]
-        )
-        codewords = bulk_encode(code, datawords, "packed")
-        charged_rows = codewords == charged_value
-        mask = generator.random((len(group) * words_per_pattern, num_bits))
-        mask = mask < bit_error_rate
-        mask &= np.repeat(charged_rows, words_per_pattern, axis=0)
-        batch = PackedErrorBatch.from_bool_mask(mask)
-        segment_stats = kernel.classify_segments(
-            batch, [words_per_pattern] * len(group)
-        )
-        for pattern, stats in zip(group, segment_stats):
-            counts.record_tallies(
-                pattern,
-                stats.post_correction_error_counts,
-                words_observed=words_per_pattern,
-                due_words=stats.detected_words,
-            )
     return counts
 
 

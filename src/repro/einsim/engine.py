@@ -12,12 +12,13 @@ backends implement each kernel:
   the per-word syndrome into a handful of table lookups; an order of
   magnitude faster than the reference on realistic code sizes.  Codes with
   one or two parity bits skip the fold tables for a direct AND/XOR-parity
-  reduction, which is faster at that scale.  At the simulation level
-  (:class:`repro.einsim.simulator.EinsimSimulator`,
-  :func:`repro.core.profile.monte_carlo_observation_counts`,
-  :class:`repro.core.experiment.MonteCarloCampaign`) ``"packed"`` runs whole
-  Monte-Carlo rounds through :mod:`repro.einsim.fused`, which classifies
-  packed error masks without ever materializing codeword batches.
+  reduction (:func:`tiny_syndromes`, shared with the fused kernel), which is
+  faster at that scale.  On ``"packed"``, Monte-Carlo simulations only
+  encode through this module: the one runner,
+  :func:`repro.einsim.simulator.simulate_segments`, classifies packed error
+  masks with :mod:`repro.einsim.fused` without ever materializing codeword
+  batches, and decodes through the staged kernels only as the
+  ``"reference"`` oracle.
 
 ``"packed"`` is the default everywhere.  ``"auto"`` and ``"fused"`` are
 accepted as aliases of ``"packed"`` so older specs, stored cell configs and
@@ -59,10 +60,11 @@ _ALIASES = {"fused": "packed", "auto": "packed"}
 #: Every name a ``backend=`` selector (or ``--backend`` option) accepts.
 BACKEND_CHOICES: Tuple[str, ...] = BACKENDS + tuple(_ALIASES)
 
-#: Parity-bit count at or below which the packed syndrome kernel skips the
-#: byte-fold tables: with one or two check rows an AND + XOR-reduce per row
-#: beats per-byte table gathers (the parity-detect regression fix).
-_TINY_SYNDROME_PARITY_BITS = 2
+#: Parity-bit count at or below which the packed syndrome kernels (this
+#: module's and the fused kernel's) skip the byte-fold tables for
+#: :func:`tiny_syndromes`: with one or two check rows an AND + XOR-reduce per
+#: row beats per-byte table gathers (the parity-detect regression fix).
+TINY_SYNDROME_PARITY_BITS = 2
 
 
 def resolve_backend(backend: str) -> str:
@@ -83,6 +85,26 @@ def _validate_batch(
             f"expected {what} of shape (*, {expected_cols}), got {array.shape}"
         )
     return array
+
+
+def tiny_syndromes(lanes: np.ndarray, h_lanes: np.ndarray) -> np.ndarray:
+    """Integer syndrome of every packed word, one check row at a time.
+
+    ``lanes`` holds the words as ``(num_words, lanes)`` ``uint64`` and
+    ``h_lanes`` the rows of ``H`` packed the same way.  Check bit ``i`` is
+    the parity of the word masked by row ``i``: XOR the masked lanes
+    together and take the accumulator's popcount mod 2.  Cheaper than
+    building and gathering a ``(bytes, 256)`` fold table for one or two
+    rows.
+    """
+    syndromes = np.zeros(lanes.shape[0], dtype=np.int64)
+    for row in range(h_lanes.shape[0]):
+        masked = lanes & h_lanes[row]
+        folded = masked[:, 0]
+        for lane in range(1, masked.shape[1]):
+            folded = folded ^ masked[:, lane]
+        syndromes |= (popcount_u64(folded).astype(np.int64) & 1) << row
+    return syndromes
 
 
 def bulk_encode(
@@ -112,21 +134,9 @@ def bulk_syndrome_values(
     words = _validate_batch(received, code.codeword_length, "codeword array")
     if backend != "reference":
         packed = np.packbits(words, axis=1, bitorder="little")
-        if code.num_parity_bits <= _TINY_SYNDROME_PARITY_BITS:
-            # Tiny-r fast path: each check bit is the parity of the masked
-            # word — XOR the masked uint64 lanes together and take the
-            # accumulator's popcount mod 2.  Cheaper than building and
-            # gathering a (bytes, 256) fold table for one or two rows.
+        if code.num_parity_bits <= TINY_SYNDROME_PARITY_BITS:
             lanes = bytes_to_lanes(packed, code.codeword_length)
-            h_lanes = code.packed_h_lanes()
-            values = np.zeros(packed.shape[0], dtype=np.int64)
-            for row in range(code.num_parity_bits):
-                masked = lanes & h_lanes[row]
-                folded = masked[:, 0]
-                for lane in range(1, masked.shape[1]):
-                    folded = folded ^ masked[:, lane]
-                values |= (popcount_u64(folded).astype(np.int64) & 1) << row
-            return values
+            return tiny_syndromes(lanes, code.packed_h_lanes())
         return fold_bytes(code.syndrome_fold_table(), packed)
     syndromes = (words.astype(np.int64) @ code.h_transpose_int64()) % 2
     return syndromes @ code.syndrome_weights()

@@ -3,8 +3,9 @@
 The staged kernels (:mod:`repro.einsim.engine`) materialize every
 intermediate of a Monte-Carlo round as a full ``(num_words, n)`` ``uint8``
 batch: tiled codewords, injected words, corrected words.  The fused pipeline,
-which the ``packed`` backend runs for every Monte-Carlo simulation, never
-does.  It exploits two identities:
+which the ``packed`` backend of the one Monte-Carlo runner
+(:func:`repro.einsim.simulator.simulate_segments`) runs, never does.  It
+exploits two identities:
 
 * every stored word of a round is the *same* codeword ``c`` with
   ``H·c = 0``, so the syndrome of a received word equals the syndrome of its
@@ -27,9 +28,11 @@ protocol (:mod:`repro.einsim.injectors`), in one of three representations:
 
 Injectors without the protocol fall back to the unpacked
 ``error_mask`` + pack.  Classification is segment-aware so one kernel call
-covers many patterns or campaign chunks
-(:func:`FusedKernel.classify_segments`), and the dense syndrome fold can run
-on the optional numba tier (:mod:`repro.gf2.native`) when present.
+covers many profile patterns or campaign chunks
+(:func:`FusedKernel.classify_segments`); the runner decides which batches
+share a call.  Dense masks take the byte-fold syndrome tables, or the
+AND/XOR-parity routine :func:`repro.einsim.engine.tiny_syndromes` for codes
+with one or two parity bits, exactly like the staged packed kernels.
 
 Bit-identity with the reference backend rests on the injectors, not on this
 module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
@@ -58,18 +61,14 @@ from repro.gf2.bitpack import (
     packed_column_counts,
     popcount_u64,
 )
-from repro.gf2.native import fold_classify_native, native_available
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
+from repro.einsim.engine import TINY_SYNDROME_PARITY_BITS, tiny_syndromes
 
 #: Widest shared candidate list stored as subset integers; beyond this the
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
 #: back to the sparse representation.
 SUBSET_WIDTH_LIMIT = 16
-
-#: Smallest dense batch worth dispatching to the numba tier (compilation and
-#: call overhead dominate below this).
-_NATIVE_MIN_WORDS = 1024
 
 _Drawn = TypeVar("_Drawn")
 
@@ -402,7 +401,7 @@ class FusedKernel:
         self._column_ints = np.asarray(code.column_ints, dtype=np.int64)
         self._correctable = 0 if code.detect_only else 1
         # Tiny-r codes take the AND/XOR-parity route; everything else folds.
-        if code.num_parity_bits <= 2:
+        if code.num_parity_bits <= TINY_SYNDROME_PARITY_BITS:
             self._tiny_h_lanes: Optional[np.ndarray] = code.packed_h_lanes()
             self._fold_table: Optional[np.ndarray] = None
         else:
@@ -525,21 +524,8 @@ class FusedKernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         err_counts = popcount_u64(lanes).sum(axis=1, dtype=np.int64)
         if self._tiny_h_lanes is not None:
-            # Check bit = parity of the masked word: XOR the masked lanes
-            # together, popcount the accumulator, take it mod 2.
-            syndromes = np.zeros(lanes.shape[0], dtype=np.int64)
-            for row in range(self._tiny_h_lanes.shape[0]):
-                masked = lanes & self._tiny_h_lanes[row]
-                folded = masked[:, 0]
-                for lane in range(1, masked.shape[1]):
-                    folded = folded ^ masked[:, lane]
-                syndromes |= (
-                    popcount_u64(folded).astype(np.int64) & 1
-                ) << row
-            return syndromes, err_counts
+            return tiny_syndromes(lanes, self._tiny_h_lanes), err_counts
         assert self._fold_table is not None
-        if native_available() and lanes.shape[0] >= _NATIVE_MIN_WORDS:
-            return fold_classify_native(mask_bytes, self._fold_table), err_counts
         return fold_bytes(self._fold_table, mask_bytes), err_counts
 
     def _aggregate_segments(

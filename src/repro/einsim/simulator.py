@@ -4,12 +4,23 @@ The simulator takes a code, a dataword (test pattern), an error injector and a
 word count; it encodes, injects pre-correction errors, decodes, and reports
 per-bit post-correction error statistics plus the miscorrection bookkeeping
 that BEER and BEEP need.
+
+Every Monte-Carlo caller in the library runs through one loop,
+:func:`simulate_segments`: :class:`EinsimSimulator`, the chunked
+:class:`~repro.core.experiment.MonteCarloCampaign` (in process and in its
+pool workers) and the profile helpers of :mod:`repro.core.profile`.  A
+*segment* is one ``(dataword, injector, num_words, rng)`` run; the runner
+draws each segment's errors from its own generator, in order, in blocks of
+``batch_size`` words.  The ``reference`` backend classifies each block with
+the staged uint8 encode → inject → decode loop, the oracle; ``packed``
+classifies packed masks with the fused kernel of :mod:`repro.einsim.fused`,
+several short segments per kernel call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +28,18 @@ from repro.exceptions import DimensionError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
-from repro.einsim.fused import FusedStats, get_kernel, packed_error_batch, traced_draw
+from repro.einsim.fused import (
+    FusedStats,
+    PackedErrorBatch,
+    batches_compatible,
+    concat_batches,
+    get_kernel,
+    packed_error_batch,
+    traced_draw,
+)
+
+#: Words drawn and classified per block unless a caller says otherwise.
+DEFAULT_BATCH_SIZE = 65536
 
 
 @dataclass
@@ -81,12 +103,13 @@ class SimulationResult:
 class EinsimSimulator:
     """Monte-Carlo ECC-word simulator for a fixed code.
 
-    ``backend`` selects the implementation: ``"packed"`` (the default) runs
-    each round through the fused pipeline of :mod:`repro.einsim.fused`,
-    which classifies packed error masks without materializing codeword
-    batches; ``"reference"`` runs the staged uint8 encode → inject → decode
-    loop, the oracle.  ``"auto"`` and ``"fused"`` are aliases of
-    ``"packed"``.  Both produce bit-identical results for the same seed.
+    Each :meth:`simulate` call is one segment of :func:`simulate_segments`,
+    drawn from the simulator's generator.  ``backend`` selects the
+    implementation: ``"packed"`` (the default) classifies packed error masks
+    with the fused kernel of :mod:`repro.einsim.fused`; ``"reference"`` runs
+    the staged uint8 encode → inject → decode loop, the oracle.  ``"auto"``
+    and ``"fused"`` are aliases of ``"packed"``.  Both produce bit-identical
+    results for the same seed.
     """
 
     def __init__(
@@ -114,105 +137,144 @@ class EinsimSimulator:
         dataword,
         num_words: int,
         injector,
-        batch_size: int = 65536,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> SimulationResult:
         """Simulate ``num_words`` ECC words storing ``dataword`` with ``injector`` errors."""
-        if batch_size < 1:
-            raise ValidationError(f"batch size must be at least 1, got {batch_size}")
-        if num_words < 0:
-            raise ValidationError(f"word count must be non-negative, got {num_words}")
-        data_bits = _as_dataword(dataword, self._code.num_data_bits)
-        codeword = bulk_encode(self._code, data_bits.reshape(1, -1), self._backend)[0]
-        if self._backend != "reference":
-            return self._simulate_fused(
-                data_bits, codeword, num_words, injector, batch_size
-            )
-        codeword_length = self._code.codeword_length
-        num_data_bits = self._code.num_data_bits
-
-        post_counts = np.zeros(num_data_bits, dtype=np.int64)
-        pre_counts = np.zeros(codeword_length, dtype=np.int64)
-        uncorrectable = 0
-        miscorrected = 0
-        detected = 0
-        miscorrection_positions: Set[int] = set()
-
-        remaining = num_words
-        while remaining > 0:
-            batch = min(batch_size, remaining)
-            remaining -= batch
-            stored = np.tile(codeword, (batch, 1))
-            mask = traced_draw(injector.error_mask, stored, self._rng)
-            received = np.bitwise_xor(stored, mask.astype(np.uint8))
-            corrected, due = bulk_decode_outcomes(self._code, received, self._backend)
-            detected += int(due.sum())
-
-            pre_counts += mask.sum(axis=0)
-            data_errors = corrected[:, :num_data_bits] != stored[:, :num_data_bits]
-            post_counts += data_errors.sum(axis=0)
-
-            error_counts = mask.sum(axis=1)
-            # A correcting family handles exactly one raw error; a detect-only
-            # family corrects none, so any injected error is uncorrectable.
-            correctable_errors = 0 if self._code.detect_only else 1
-            uncorrectable += int((error_counts > correctable_errors).sum())
-
-            flipped = corrected != received
-            miscorrection_mask = flipped & ~mask
-            miscorrected += int(miscorrection_mask.any(axis=1).sum())
-            observed = np.flatnonzero(miscorrection_mask[:, :num_data_bits].any(axis=0))
-            miscorrection_positions.update(int(i) for i in observed)
-
-        return SimulationResult(
-            dataword=GF2Vector(data_bits),
-            num_words=num_words,
-            post_correction_error_counts=post_counts,
-            pre_correction_error_counts=pre_counts,
-            uncorrectable_words=uncorrectable,
-            miscorrected_words=miscorrected,
-            miscorrection_positions=tuple(sorted(miscorrection_positions)),
-            detected_words=detected,
-        )
-
-    def _simulate_fused(
-        self,
-        data_bits: np.ndarray,
-        codeword: np.ndarray,
-        num_words: int,
-        injector,
-        batch_size: int,
-    ) -> SimulationResult:
-        """The fused round: inject packed, classify, never tile codewords.
-
-        Bit-identical to the staged loop for any injector and seed — the
-        packed injector protocol calls the same sampler as ``error_mask``,
-        and the fused kernel computes the same statistics from the masks
-        alone (``tests/test_differential_fused.py``).
-        """
-        kernel = get_kernel(self._code)
-        stats = FusedStats.zero(self._code.codeword_length, self._code.num_data_bits)
-        remaining = num_words
-        while remaining > 0:
-            batch = min(batch_size, remaining)
-            remaining -= batch
-            masks = packed_error_batch(injector, codeword, batch, self._rng)
-            stats = stats.merge(kernel.classify(masks))
-        return SimulationResult(
-            dataword=GF2Vector(data_bits),
-            num_words=num_words,
-            post_correction_error_counts=stats.post_correction_error_counts,
-            pre_correction_error_counts=stats.pre_correction_error_counts,
-            uncorrectable_words=stats.uncorrectable_words,
-            miscorrected_words=stats.miscorrected_words,
-            miscorrection_positions=stats.miscorrection_positions,
-            detected_words=stats.detected_words,
-        )
+        segment = (dataword, injector, num_words, self._rng)
+        return simulate_segments(self._code, [segment], self._backend, batch_size)[0]
 
     def per_bit_error_probability(
         self, dataword, num_words: int, injector
     ) -> np.ndarray:
         """Convenience wrapper returning only per-data-bit error probabilities."""
         return self.simulate(dataword, num_words, injector).post_correction_error_probabilities
+
+
+#: One run of the simulator: ``(dataword, injector, num_words, rng)``.
+Segment = Tuple[Any, Any, int, np.random.Generator]
+
+
+def simulate_segments(
+    code: SystematicLinearCode,
+    segments: Sequence[Segment],
+    backend: str = "packed",
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> List[SimulationResult]:
+    """Simulate every segment in order; return one result per segment.
+
+    Each segment's errors come from its own generator in blocks of
+    ``batch_size`` words, drawn segment after segment, so segments may share
+    one generator and a segment's result depends only on its generator's
+    state when its turn comes.  Every input is checked before the first
+    draw.
+
+    ``reference`` classifies each block with the staged uint8 loop (tile,
+    inject, decode, compare).  ``packed`` classifies packed masks with the
+    fused kernel: a block that fills ``batch_size`` is classified on its
+    own; shorter blocks (short segments, the tail of a long one) are
+    buffered across segments and classified together, one segmented kernel
+    call per ``batch_size`` buffered words.  Classification is per segment
+    and deterministic, so both backends return bit-identical results
+    (``tests/test_differential_fused.py``).
+    """
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be at least 1, got {batch_size}")
+    backend = resolve_backend(backend)
+    segments = list(segments)
+    for _, _, num_words, _ in segments:
+        if num_words < 0:
+            raise ValidationError(f"word count must be non-negative, got {num_words}")
+    num_data_bits = code.num_data_bits
+    datawords = np.array(
+        [_as_dataword(segment[0], num_data_bits) for segment in segments],
+        dtype=np.uint8,
+    ).reshape(len(segments), num_data_bits)
+    codewords = bulk_encode(code, datawords, backend)
+    stats = [FusedStats.zero(code.codeword_length, num_data_bits) for _ in segments]
+    kernel = None if backend == "reference" else get_kernel(code)
+    # Short packed blocks, (segment index, masks), awaiting one classify call.
+    pending: List[Tuple[int, PackedErrorBatch]] = []
+    pending_words = 0
+
+    def classify(entries: List[Tuple[int, PackedErrorBatch]]) -> None:
+        assert kernel is not None
+        batch = concat_batches([masks for _, masks in entries])
+        parts = kernel.classify_segments(batch, [masks.num_words for _, masks in entries])
+        for (index, _), part in zip(entries, parts):
+            stats[index] = stats[index].merge(part)
+
+    def flush() -> None:
+        nonlocal pending_words
+        if pending:
+            classify(pending)
+            pending.clear()
+            pending_words = 0
+
+    for index, (codeword, (_, injector, num_words, rng)) in enumerate(
+        zip(codewords, segments)
+    ):
+        remaining = num_words
+        while remaining > 0:
+            words = min(batch_size, remaining)
+            remaining -= words
+            if kernel is None:
+                part = _staged_stats(code, codeword, injector, words, rng)
+                stats[index] = stats[index].merge(part)
+                continue
+            masks = packed_error_batch(injector, codeword, words, rng)
+            if words == batch_size:
+                classify([(index, masks)])
+                continue
+            if pending and not batches_compatible(pending[0][1], masks):
+                flush()
+            pending.append((index, masks))
+            pending_words += words
+            if pending_words >= batch_size:
+                flush()
+    flush()
+    return [
+        SimulationResult(
+            dataword=GF2Vector(bits),
+            num_words=segment_stats.num_words,
+            post_correction_error_counts=segment_stats.post_correction_error_counts,
+            pre_correction_error_counts=segment_stats.pre_correction_error_counts,
+            uncorrectable_words=segment_stats.uncorrectable_words,
+            miscorrected_words=segment_stats.miscorrected_words,
+            miscorrection_positions=segment_stats.miscorrection_positions,
+            detected_words=segment_stats.detected_words,
+        )
+        for bits, segment_stats in zip(datawords, stats)
+    ]
+
+
+def _staged_stats(
+    code: SystematicLinearCode,
+    codeword: np.ndarray,
+    injector,
+    num_words: int,
+    rng: np.random.Generator,
+) -> FusedStats:
+    """One block through the staged uint8 oracle: tile, inject, decode, compare."""
+    num_data_bits = code.num_data_bits
+    stored = np.tile(codeword, (num_words, 1))
+    mask = traced_draw(injector.error_mask, stored, rng)
+    received = np.bitwise_xor(stored, mask.astype(np.uint8))
+    corrected, due = bulk_decode_outcomes(code, received, "reference")
+    data_errors = corrected[:, :num_data_bits] != stored[:, :num_data_bits]
+    # A correcting family handles exactly one raw error; a detect-only
+    # family corrects none, so any injected error is uncorrectable.
+    correctable_errors = 0 if code.detect_only else 1
+    miscorrection_mask = (corrected != received) & ~mask
+    observed = np.flatnonzero(miscorrection_mask[:, :num_data_bits].any(axis=0))
+    return FusedStats(
+        num_words=num_words,
+        pre_correction_error_counts=mask.sum(axis=0, dtype=np.int64),
+        post_correction_error_counts=data_errors.sum(axis=0, dtype=np.int64),
+        uncorrectable_words=int((mask.sum(axis=1) > correctable_errors).sum()),
+        miscorrected_words=int(miscorrection_mask.any(axis=1).sum()),
+        detected_words=int(due.sum()),
+        miscorrection_positions=tuple(int(i) for i in observed),
+    )
 
 
 def _as_dataword(dataword, expected_length: int) -> np.ndarray:

@@ -4,8 +4,8 @@ The fused Monte-Carlo pipeline's whole value proposition (PR 10) is that a
 round never materializes ``(num_words, n)`` ``uint8`` batches: masks stay in
 packed ``uint64`` lanes (or sparser forms) from injection through
 classification.  A single ``np.unpackbits`` — or one of the
-:mod:`repro.gf2.bitpack` unpack helpers — inside ``einsim/fused.py`` or
-``gf2/native.py`` silently reintroduces the 8x memory blow-up and the
+:mod:`repro.gf2.bitpack` unpack helpers — inside ``einsim/fused.py``
+silently reintroduces the 8x memory blow-up and the
 per-bit arithmetic the fused backend exists to avoid, while every
 differential test keeps passing.  This rule makes the regression a lint
 failure instead of a benchmark-gate surprise.
@@ -20,10 +20,7 @@ from repro.lint.astutil import dotted_name
 from repro.lint.engine import Finding, LintContext, Rule
 
 #: Module paths (below ``repro``) that form the fused packed-only hot path.
-FUSED_HOT_MODULES = (
-    ("einsim", "fused.py"),
-    ("gf2", "native.py"),
-)
+FUSED_HOT_MODULES = (("einsim", "fused.py"),)
 
 #: :mod:`repro.gf2.bitpack` helpers that materialize unpacked uint8 batches.
 _BITPACK_UNPACK_HELPERS = {"unpack_rows", "unpack_vector"}
@@ -37,11 +34,11 @@ class FusedPathUnpackRule(Rule):
     name = "fused-path-unpack"
     summary = "no np.unpackbits / unpack_rows in the fused decode hot path"
     explanation = """\
-The fused kernels (repro.einsim.fused, repro.gf2.native) classify whole
-Monte-Carlo rounds over packed uint64 lanes; they must never materialize a
-one-byte-per-bit batch.
+The fused kernel (repro.einsim.fused) classifies whole Monte-Carlo rounds
+over packed uint64 lanes; it must never materialize a one-byte-per-bit
+batch.
 
-Bad (inside the fused modules):
+Bad (inside the fused module):
     bits = np.unpackbits(lanes.view(np.uint8), bitorder="little")
     rows = unpack_rows(lanes, num_bits)       # from repro.gf2.bitpack
 

@@ -774,6 +774,22 @@ class Segment:
         self._write_index()
         return offset
 
+    def forget_damaged_index(self) -> None:
+        """Drop the whole map if any of its rows fails to decode.
+
+        Such a row cannot say where its record lives, so the next locked
+        tail scan re-indexes the segment from its own bytes, as open does
+        for a sidecar it distrusts; its records take fresh sequence
+        numbers.
+        """
+        try:
+            for entry in self.index.values():
+                entry.decoded()
+        except StoreIntegrityError:
+            self._replace_index({}, 0)
+            if TRACER.enabled:
+                TRACER.add("store.index.rebuilds")
+
     def compact_locked(self) -> Tuple[int, int]:
         """Rewrite canonically in byte order, every ``seq`` kept.
 
@@ -795,9 +811,11 @@ class Segment:
     def _replace_index(
         self, index: Dict[str, IndexEntry], coverage: int
     ) -> None:
-        self.index, self.coverage = index, coverage
         if self._members is not None:
+            for key in self.index.keys() - index.keys():
+                self._members.pop(key, None)
             self._members.update(index)
+        self.index, self.coverage = index, coverage
 
     def _write_index(self) -> None:
         """Atomically replace the sidecar (if any) with the current map."""
@@ -984,8 +1002,12 @@ class StoreLayout:
         Records are rewritten in byte order with every ``seq`` kept (hence
         the iteration order), dropping stray whitespace and stale or
         duplicate sidecar rows; afterwards every sidecar exactly covers
-        its segment, so subsequent opens take the lock-free fast path.
+        its segment, so subsequent opens take the lock-free fast path.  A
+        segment with a sidecar row that fails to decode is re-indexed from
+        its own bytes first (:meth:`Segment.forget_damaged_index`).
         """
+        for segment in self.segments():
+            segment.forget_damaged_index()
         self._start_seq()
         segments = 0
         bytes_before = 0

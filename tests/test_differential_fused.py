@@ -35,7 +35,6 @@ from repro.einsim import (
 )
 from repro.einsim.engine import bulk_decode_outcomes
 from repro.gf2.bitpack import pack_bool_rows
-from repro.gf2.native import NATIVE_AVAILABLE
 from repro.core import MonteCarloCampaign, charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
 
@@ -403,42 +402,3 @@ class TestStagedKernelRegressions:
         reference = bulk_syndrome_values(code, words, "reference")
         packed = bulk_syndrome_values(code, words, "packed")
         assert np.array_equal(reference, packed)
-
-
-class TestNativeTier:
-    """The optional numba fold tier (runs only where numba is installed)."""
-
-    def test_native_flag_consistent(self):
-        from repro.gf2.native import native_available
-
-        if not NATIVE_AVAILABLE:
-            assert not native_available()
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="numba not installed")
-    def test_native_fold_matches_numpy(self):
-        from repro.gf2.bitpack import fold_bytes
-        from repro.gf2.native import fold_classify_native
-
-        code = _construct("secded-extended-hamming", (32,))
-        table = code.syndrome_fold_table()
-        rng = np.random.default_rng(13)
-        mask_bytes = rng.integers(
-            0, 256, size=(4096, table.shape[0]), dtype=np.uint8
-        )
-        assert np.array_equal(
-            fold_classify_native(mask_bytes, table),
-            fold_bytes(table, mask_bytes),
-        )
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="numba not installed")
-    def test_fused_backend_bit_identical_under_native(self):
-        code = _construct("secded-extended-hamming", (32,))
-        dataword = np.arange(32) % 2
-        injector = UniformRandomInjector(0.01)
-        reference = EinsimSimulator(code, seed=1, backend="reference").simulate(
-            dataword, 3000, injector
-        )
-        fused = EinsimSimulator(code, seed=1, backend="packed").simulate(
-            dataword, 3000, injector
-        )
-        _assert_results_equal(reference, fused)

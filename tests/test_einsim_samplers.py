@@ -6,8 +6,9 @@ successes) and :func:`~repro.einsim.injectors.floyd_subsets` (Floyd's
 algorithm for an ``e``-of-``c`` subset).  These tests check their exact
 distributions on supports small enough to enumerate, compare them with the
 per-bit-uniform and ``argpartition`` samplers they replaced (kept here as
-distributional oracles), pin their edge cases, and check that einsim cells
-carry :data:`~repro.einsim.injectors.SAMPLER_VERSION`.
+distributional oracles, the first also as the retired retention loop of
+``monte_carlo_observation_counts``), pin their edge cases, and check that
+einsim cells carry :data:`~repro.einsim.injectors.SAMPLER_VERSION`.
 
 Every seed and every critical value below was fixed before the tests first
 ran.  The critical values are the 99.9% quantiles of the chi-square
@@ -22,6 +23,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import campaign_report_data, load_simulation_results
+from repro.core import charged_patterns
+from repro.core.profile import monte_carlo_observation_counts
+from repro.dram import CellType
 from repro.ecc import get_family
 from repro.einsim import (
     DataRetentionInjector,
@@ -30,6 +34,7 @@ from repro.einsim import (
     PerBitBernoulliInjector,
     UniformRandomInjector,
 )
+from repro.einsim.engine import bulk_decode_outcomes, bulk_encode
 from repro.einsim.injectors import (
     SAMPLER_VERSION,
     bernoulli_positions,
@@ -48,6 +53,10 @@ from repro.store import CampaignStore
 
 #: 99.9% quantiles of the chi-square distribution, by degrees of freedom.
 CHI2_999 = {3: 16.266, 9: 27.877, 15: 37.697, 19: 43.820}
+
+#: For ``m`` one-degree-of-freedom tests at a 0.1% family-wise level
+#: (Bonferroni): the ``1 - 0.001 / m`` quantile of chi-square(1), by ``m``.
+CHI2_1_FAMILY_999 = {8: 14.716, 28: 17.087, 64: 18.660, 224: 21.054}
 
 BACKENDS = ("reference", "packed")
 
@@ -72,6 +81,26 @@ def retired_subsets(num_words, num_candidates, num_errors, rng):
     return np.argpartition(keys, num_errors - 1, axis=1)[:, :num_errors]
 
 
+def retired_observation_counts(code, patterns, p, num_words, rng):
+    """The staged loop ``monte_carlo_observation_counts`` ran before the runner.
+
+    One per-bit-uniform retention draw per pattern (true-cells), decoded by
+    the reference kernels.  Returns ``(per-bit post-correction error
+    counts, DUE words)`` per pattern.
+    """
+    k = code.num_data_bits
+    tallies = []
+    for pattern in patterns:
+        dataword = pattern.dataword(CellType.TRUE_CELL).to_numpy().reshape(1, -1)
+        stored = np.tile(bulk_encode(code, dataword, "reference")[0], (num_words, 1))
+        failures = retired_bernoulli_mask(stored == 1, p, rng)
+        received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
+        corrected, due = bulk_decode_outcomes(code, received, "reference")
+        data_errors = corrected[:, :k] != stored[:, :k]
+        tallies.append((data_errors.sum(axis=0), int(due.sum())))
+    return tallies
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
@@ -91,6 +120,23 @@ def two_sample_chi_square(first, second):
         / table.sum()
     )
     return chi_square(table, expected), table.shape[1] - 1
+
+
+def two_by_two_chi_square(hits_a, words_a, hits_b, words_b):
+    """Pearson statistic of hits against misses in two samples (one dof).
+
+    0 when hits (or misses) are absent from both samples: nothing to test.
+    """
+    table = np.array(
+        [[hits_a, words_a - hits_a], [hits_b, words_b - hits_b]], dtype=float
+    )
+    if (table.sum(axis=0) == 0).any():
+        return 0.0
+    expected = (
+        table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True)
+        / table.sum()
+    )
+    return chi_square(table, expected)
 
 
 def bits_at(mask_or_batch, columns):
@@ -228,6 +274,60 @@ class TestAgainstRetiredSamplers:
         )
         assert dof == 19
         assert statistic < CHI2_999[19]
+
+
+class TestProfileAgainstRetiredDraw:
+    """``monte_carlo_observation_counts`` against the per-bit-uniform loop.
+
+    Each (pattern, bit) count, and each pattern's DUE count, is a binomial
+    over independent words, so each gets its own two-sample 2x2 test at a
+    Bonferroni share of the 0.1% family-wise level.  (Errors at different
+    bits of one word are correlated, so one homogeneity test over a
+    pattern's bits would not be chi-square distributed.)
+    """
+
+    @pytest.mark.parametrize(
+        "family,weight,seeds",
+        [
+            ("sec-hamming", 1, (1841, 1842)),
+            ("secded-extended-hamming", 1, (1843, 1844)),
+            ("sec-hamming", 2, (1845, 1846)),
+            ("secded-extended-hamming", 2, (1847, 1848)),
+        ],
+        ids=["sec-1", "secded-1", "sec-2", "secded-2"],
+    )
+    def test_counts_match_the_per_bit_uniform_loop(self, family, weight, seeds):
+        code = get_family(family).construct(8)
+        patterns = list(charged_patterns(8, [weight]))
+        p, num_words = 0.2, 5_000
+        counts = monte_carlo_observation_counts(
+            code, patterns, p, num_words, rng=np.random.default_rng(seeds[0])
+        )
+        retired = retired_observation_counts(
+            code, patterns, p, num_words, np.random.default_rng(seeds[1])
+        )
+        bit_statistics, due_statistics = [], []
+        for pattern, (per_bit, due_words) in zip(patterns, retired):
+            new = counts.counts_for(pattern)
+            assert new.sum() > 100 and per_bit.sum() > 100
+            bit_statistics += [
+                two_by_two_chi_square(new[bit], num_words, per_bit[bit], num_words)
+                for bit in range(8)
+            ]
+            due_statistics.append(
+                two_by_two_chi_square(
+                    counts.due_words_observed(pattern), num_words,
+                    due_words, num_words,
+                )
+            )
+        assert len(bit_statistics) == 8 * len(patterns)
+        assert max(bit_statistics) < CHI2_1_FAMILY_999[len(bit_statistics)]
+        if weight == 2:
+            # Miscorrections reach DISCHARGED bits, not just CHARGED ones.
+            assert counts.to_profile().total_miscorrections > 0
+        if family == "secded-extended-hamming":
+            assert counts.total_due_words > 1_000
+            assert max(due_statistics) < CHI2_1_FAMILY_999[len(patterns)]
 
 
 # ---------------------------------------------------------------------------

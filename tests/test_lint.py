@@ -109,10 +109,10 @@ class TestRuleFixtures:
             "tools/script.py",
         ):
             assert lint_source(source, path, [rule_for("RPR107")]) == []
-        native = lint_source(
-            source, "src/repro/gf2/native.py", [rule_for("RPR107")]
+        fused = lint_source(
+            source, "src/repro/einsim/fused.py", [rule_for("RPR107")]
         )
-        assert {finding.code for finding in native} == {"RPR107"}
+        assert {finding.code for finding in fused} == {"RPR107"}
 
     def test_rpr103_binds_in_fused_module(self):
         # The fused module lives under einsim/, an RPR103 hot package: an

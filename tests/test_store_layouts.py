@@ -280,6 +280,43 @@ class TestLifecycleOps:
         for path, payload in before.items():
             assert open(path, "rb").read() == payload
 
+    def test_compact_rebuilds_a_sidecar_row_that_fails_to_decode(
+        self, tmp_path, traced
+    ):
+        # verify reports a garbage row and advises compact, so compact must
+        # mend it: from the segment's own bytes, as open does for a sidecar
+        # it distrusts.
+        by_shard = {}
+        for index in itertools.count():
+            config = {"cell": index}
+            shard = content_key(config)[:2]
+            by_shard.setdefault(shard, []).append(config)
+            if len(by_shard[shard]) == 3:
+                break
+        store = CampaignStore(tmp_path, layout=SHARDED)
+        for config in by_shard[shard]:
+            store.put(config, {"r": config["cell"]})
+        records = {record.key: record for record in store.records()}
+        segment = tmp_path / "segments" / f"{shard}.jsonl"
+        segment_bytes = segment.read_bytes()
+        sidecar = tmp_path / "index" / f"{shard}.idx"
+        rows = sidecar.read_bytes().split(b"\n")
+        assert b'"o":0,' in rows[0]
+        rows[0] = rows[0].replace(b'"o":0,', b'"o":x,', 1)
+        sidecar.write_bytes(b"\n".join(rows))
+
+        report = store_verify(str(tmp_path))
+        assert not report["ok"]
+        assert "repro store compact" in report["problems"][0]
+        summary = store_compact(str(tmp_path))
+        assert summary["records"] == 3
+        assert store_verify(str(tmp_path))["ok"]
+        assert segment.read_bytes() == segment_bytes
+        rebuilds = traced.counter_totals().get("store.index.rebuilds", 0)
+        reopened = CampaignStore(tmp_path)
+        assert {key: reopened.get(key) for key in records} == records
+        assert traced.counter_totals().get("store.index.rebuilds", 0) == rebuilds
+
     def test_compact_drops_stray_whitespace(self, tmp_path):
         _populate(tmp_path, SHARDED)
         [segment] = sorted((tmp_path / "segments").glob("*.jsonl"))[:1]
