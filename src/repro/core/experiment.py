@@ -151,9 +151,13 @@ class BeerExperiment:
                 expected = table[index]
                 self._chip.write_datawords(words, expected)
                 self._chip.pause_refresh(window, self._config.temperature_c)
-                rows, bits = np.nonzero(self._chip.read_datawords(words) != expected)
+                # Flat positions ``word * k + bit`` of the mismatching bits;
+                # a 1-D scan is several times cheaper than a 2-D nonzero.
+                errors = np.flatnonzero(self._chip.read_datawords(words) != expected)
                 tallies += np.bincount(
-                    index[rows] * num_data_bits + bits, minlength=tallies.size
+                    index[errors // num_data_bits] * num_data_bits
+                    + errors % num_data_bits,
+                    minlength=tallies.size,
                 )
                 words_per_pattern += np.bincount(index, minlength=num_patterns)
         # The rotation first writes pattern i no later than pattern i + 1, so
@@ -192,16 +196,12 @@ class BeerExperiment:
     # -- helpers --------------------------------------------------------------------
     def _true_cell_words(self, cell_types: Optional[Dict[int, CellType]]) -> np.ndarray:
         """Indices of the words whose row is not known to hold anti-cells."""
-        known = cell_types or {}
-        return np.array(
-            [
-                word_index
-                for word_index in range(self._chip.num_words)
-                if known.get(self._chip.row_of_word(word_index), CellType.TRUE_CELL)
-                is CellType.TRUE_CELL
-            ],
-            dtype=np.int64,
-        )
+        geometry = self._chip.geometry
+        eligible_rows = np.ones(geometry.num_rows, dtype=bool)
+        for row, cell_type in (cell_types or {}).items():
+            if cell_type is not CellType.TRUE_CELL and 0 <= row < geometry.num_rows:
+                eligible_rows[row] = False
+        return np.flatnonzero(np.repeat(eligible_rows, geometry.words_per_row))
 
 
 # ---------------------------------------------------------------------------

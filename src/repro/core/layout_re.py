@@ -62,12 +62,12 @@ def _row_error_counts(
     chip.fill(dataword)
     chip.pause_refresh(refresh_pause_s, temperature_c)
     observed = chip.read_all_datawords()
-    expected = np.tile(dataword.to_numpy(), (chip.num_words, 1))
-    per_word_errors = (observed != expected).sum(axis=1)
-    counts = np.zeros(chip.geometry.num_rows, dtype=np.int64)
-    for word_index, errors in enumerate(per_word_errors):
-        counts[chip.row_of_word(word_index)] += int(errors)
-    return counts
+    per_word_errors = np.count_nonzero(observed != dataword.to_numpy(), axis=1)
+    # Words are numbered row by row, so each row's words are one run.
+    geometry = chip.geometry
+    return per_word_errors.reshape(geometry.num_rows, geometry.words_per_row).sum(
+        axis=1, dtype=np.int64
+    )
 
 
 def discover_dataword_layout(

@@ -786,9 +786,12 @@ class Segment:
             for entry in self.index.values():
                 entry.decoded()
         except StoreIntegrityError:
-            self._replace_index({}, 0)
-            if TRACER.enabled:
-                TRACER.add("store.index.rebuilds")
+            self._forget_index()
+
+    def _forget_index(self) -> None:
+        self._replace_index({}, 0)
+        if TRACER.enabled:
+            TRACER.add("store.index.rebuilds")
 
     def compact_locked(self) -> Tuple[int, int]:
         """Rewrite canonically in byte order, every ``seq`` kept.
@@ -796,12 +799,48 @@ class Segment:
         Caller holds the lock.  Drops stray whitespace from the file and
         stale or duplicate rows from the sidecar, which afterwards covers
         the file exactly.  Returns ``(bytes_before, bytes_after)``.
+
+        A row whose record does not load — its offset well-formed but
+        wrong, say — is the sidecar's fault when the segment's own bytes
+        parse in full (:meth:`_parses_in_full`): the segment is then
+        re-indexed from those bytes, as :meth:`forget_damaged_index` does
+        for a row that fails to decode, and its records take fresh
+        sequence numbers.  Otherwise the load's corruption error stands.
         """
         before = self.size()
-        ordered = sorted(self.index.values(), key=lambda entry: entry.offset)
-        return before, self.rewrite(
-            (entry.seq, self._load(entry)) for entry in ordered
-        )
+        try:
+            # ``rewrite`` writes nothing until it holds every record.
+            return before, self.rewrite(self._records_by_offset())
+        except StoreIntegrityError:
+            if not self._parses_in_full():
+                raise
+        self._forget_index()
+        self._scan_tail_locked()
+        return before, self.rewrite(self._records_by_offset())
+
+    def _records_by_offset(self) -> Iterator[Tuple[int, ResultRecord]]:
+        for entry in sorted(self.index.values(), key=lambda entry: entry.offset):
+            yield entry.seq, self._load(entry)
+
+    def _parses_in_full(self) -> bool:
+        """True when every complete line of the file is a record of this segment.
+
+        The trailing fragment after the last newline is left out: it is a
+        torn append, which the locked tail scan repairs.
+        """
+        lines = _read_bytes(self.path).split(b"\n")
+        lines.pop()
+        offset = 0
+        for line in lines:
+            if line.strip():
+                try:
+                    record = parse_record_line(line, self.path, offset)
+                except StoreIntegrityError:
+                    return False
+                if not record.key.startswith(self.name):
+                    return False
+            offset += len(line) + 1
+        return True
 
     def _add(self, entry: IndexEntry) -> None:
         self.index[entry.key] = entry
@@ -845,12 +884,27 @@ class Segment:
                 f"{self.path}: missing trailing newline (compact rewrites it)"
             )
         spans: List[Tuple[int, int]] = []
+        intact: Optional[bool] = None
         for entry in self.index.values():
             try:
                 config = entry.decoded().config
-                self._load(entry)
             except StoreIntegrityError as error:
                 problems.append(str(error))
+                continue
+            try:
+                self._load(entry)
+            except StoreIntegrityError as error:
+                if intact is None:
+                    intact = self._parses_in_full()
+                problems.append(
+                    f"{self.path}: the index entry for key {entry.key} "
+                    f"(segment {self.name!r}) points at byte {entry.offset}, "
+                    "where its record does not start; the segment's own "
+                    "bytes are intact, so rebuild the index with "
+                    "`repro store compact`"
+                    if intact
+                    else str(error)
+                )
                 continue
             # The loaded record's config hashes to entry.key, so this holds
             # exactly when the entry carries the record's config.

@@ -269,7 +269,7 @@ class TestSegmentedClassification:
 
 
 class TestProfileDifferential:
-    """monte_carlo_observation_counts: grouped fused pass vs staged loop."""
+    """monte_carlo_observation_counts: packed vs reference ``simulate_segments``."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     @pytest.mark.parametrize(

@@ -123,6 +123,33 @@ class TestReadWrite:
         codeword = chip.inspect_stored_codeword(0)
         assert codeword == chip.code.encode(dataword)
 
+    @pytest.mark.parametrize("backend", ["packed", "reference"])
+    @pytest.mark.parametrize("value", [2, -1, 0.5, 255])
+    def test_non_binary_datawords_are_rejected_before_encoding(self, backend, value):
+        # A cell holds one bit.  The packed encoder used to store a 2 as 1
+        # (parity 1110) and the reference encoder as 0 (parity 0000).
+        chip = make_chip(num_data_bits=4, backend=backend)
+        chip.write_dataword(0, [0, 1, 1, 0])
+        before = chip.inspect_stored_codeword(0)
+        bad = [value, 0, 0, 0]
+        with pytest.raises(AddressError):
+            chip.write_datawords([0], np.array([bad]))
+        with pytest.raises(AddressError):
+            chip.write_dataword(0, bad)
+        with pytest.raises(AddressError):
+            chip.fill(bad)
+        assert chip.inspect_stored_codeword(0) == before
+        assert chip.read_dataword(0) == GF2Vector([0, 1, 1, 0])
+
+    @pytest.mark.parametrize("backend", ["packed", "reference"])
+    def test_binary_floats_and_booleans_are_accepted(self, backend):
+        chip = make_chip(num_data_bits=4, backend=backend)
+        chip.write_datawords([0, 1], np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]]))
+        chip.write_dataword(2, np.array([True, False, False, True]))
+        assert chip.read_datawords([0, 1, 2]).tolist() == [
+            [1, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1],
+        ]
+
 
 class TestByteAddressing:
     def test_byte_round_trip(self):
@@ -243,6 +270,21 @@ class TestRetentionBehaviour:
     def test_negative_pause_rejected(self):
         with pytest.raises(ChipConfigurationError):
             make_chip().pause_refresh(-1.0)
+
+    @pytest.mark.parametrize("duration_s, temperature_c", [
+        (float("nan"), 80.0), (30.0, float("nan")), (np.nan, np.nan),
+    ])
+    def test_nan_pause_rejected(self, duration_s, temperature_c):
+        # A NaN window used to compare false with every retention time and
+        # silently decay nothing.
+        chip = make_chip(retention_model=FAST_FAILING)
+        chip.fill(GF2Vector.ones(16))
+        with pytest.raises(ChipConfigurationError):
+            chip.pause_refresh(duration_s, temperature_c)
+        assert all(
+            chip.inspect_pre_correction_errors(word) == ()
+            for word in range(chip.num_words)
+        )
 
     def test_restore_refresh_is_noop(self):
         chip = make_chip(retention_model=FAST_FAILING)

@@ -280,12 +280,12 @@ class TestLifecycleOps:
         for path, payload in before.items():
             assert open(path, "rb").read() == payload
 
-    def test_compact_rebuilds_a_sidecar_row_that_fails_to_decode(
-        self, tmp_path, traced
-    ):
-        # verify reports a garbage row and advises compact, so compact must
-        # mend it: from the segment's own bytes, as open does for a sidecar
-        # it distrusts.
+    @staticmethod
+    def _one_shard_of_three(directory):
+        """A sharded store with three records in one segment.
+
+        Returns the records by key, the segment and the sidecar path.
+        """
         by_shard = {}
         for index in itertools.count():
             config = {"cell": index}
@@ -293,17 +293,32 @@ class TestLifecycleOps:
             by_shard.setdefault(shard, []).append(config)
             if len(by_shard[shard]) == 3:
                 break
-        store = CampaignStore(tmp_path, layout=SHARDED)
+        store = CampaignStore(directory, layout=SHARDED)
         for config in by_shard[shard]:
             store.put(config, {"r": config["cell"]})
         records = {record.key: record for record in store.records()}
-        segment = tmp_path / "segments" / f"{shard}.jsonl"
-        segment_bytes = segment.read_bytes()
-        sidecar = tmp_path / "index" / f"{shard}.idx"
+        return (
+            records,
+            directory / "segments" / f"{shard}.jsonl",
+            directory / "index" / f"{shard}.idx",
+        )
+
+    @staticmethod
+    def _edit_first_row(sidecar, old, new):
         rows = sidecar.read_bytes().split(b"\n")
-        assert b'"o":0,' in rows[0]
-        rows[0] = rows[0].replace(b'"o":0,', b'"o":x,', 1)
+        assert old in rows[0]
+        rows[0] = rows[0].replace(old, new, 1)
         sidecar.write_bytes(b"\n".join(rows))
+
+    def test_compact_rebuilds_a_sidecar_row_that_fails_to_decode(
+        self, tmp_path, traced
+    ):
+        # verify reports a garbage row and advises compact, so compact must
+        # mend it: from the segment's own bytes, as open does for a sidecar
+        # it distrusts.
+        records, segment, sidecar = self._one_shard_of_three(tmp_path)
+        segment_bytes = segment.read_bytes()
+        self._edit_first_row(sidecar, b'"o":0,', b'"o":x,')
 
         report = store_verify(str(tmp_path))
         assert not report["ok"]
@@ -316,6 +331,50 @@ class TestLifecycleOps:
         reopened = CampaignStore(tmp_path)
         assert {key: reopened.get(key) for key in records} == records
         assert traced.counter_totals().get("store.index.rebuilds", 0) == rebuilds
+
+    def test_compact_reindexes_a_sidecar_row_with_a_wrong_offset(
+        self, tmp_path, traced
+    ):
+        # "o":1 is well-formed, so the row decodes; only its record fails to
+        # load.  The segment's own bytes parse in full, so the sidecar is at
+        # fault: verify names the row and advises compact, and compact
+        # re-indexes the segment from its bytes.
+        records, segment, sidecar = self._one_shard_of_three(tmp_path)
+        segment_bytes = segment.read_bytes()
+        self._edit_first_row(sidecar, b'"o":0,', b'"o":1,')
+
+        report = store_verify(str(tmp_path))
+        assert not report["ok"]
+        [problem] = report["problems"]
+        assert "points at byte 1" in problem
+        assert "repro store compact" in problem
+        assert "manual inspection" not in problem
+        rebuilds = traced.counter_totals().get("store.index.rebuilds", 0)
+        summary = store_compact(str(tmp_path))
+        assert summary["records"] == 3
+        assert traced.counter_totals()["store.index.rebuilds"] == rebuilds + 1
+        assert store_verify(str(tmp_path))["ok"]
+        assert segment.read_bytes() == segment_bytes
+        reopened = CampaignStore(tmp_path)
+        assert {key: reopened.get(key) for key in records} == records
+
+    @pytest.mark.parametrize("wrong_offset", [False, True])
+    def test_a_corrupt_record_line_still_needs_manual_inspection(
+        self, tmp_path, wrong_offset
+    ):
+        # Damage inside the segment is never the sidecar's fault, whether or
+        # not a row's offset is also wrong.
+        records, segment, sidecar = self._one_shard_of_three(tmp_path)
+        first, rest = segment.read_bytes().split(b"\n", 1)
+        segment.write_bytes(first.replace(b'"r":', b'"r"!', 1) + b"\n" + rest)
+        if wrong_offset:
+            self._edit_first_row(sidecar, b'"o":0,', b'"o":1,')
+
+        report = store_verify(str(tmp_path))
+        assert not report["ok"]
+        assert any("manual inspection" in p for p in report["problems"])
+        with pytest.raises(StoreError, match="manual inspection"):
+            store_compact(str(tmp_path))
 
     def test_compact_drops_stray_whitespace(self, tmp_path):
         _populate(tmp_path, SHARDED)
