@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError
+from repro.exceptions import CodeConstructionError, ReproError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc import FAMILY_NAMES, SystematicLinearCode, get_family
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
@@ -177,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     beep.add_argument("--probability", type=float, default=1.0,
                       help="per-bit failure probability of the weak cells")
     beep.add_argument("--seed", type=int, default=0)
-    beep.add_argument("--pattern-backend", choices=("gf2", "sat"), default="gf2",
-                      help="charge-constraint backend for pattern crafting: "
-                           "GF(2) elimination or the incremental CDCL solver")
-    beep.add_argument("--sat-stats", action="store_true",
-                      help="report the incremental solver's statistics "
-                           "(requires --pattern-backend sat)")
     beep.add_argument("--json", action="store_true",
                       help="print a machine-readable JSON document instead of text")
     _add_trace_argument(beep)
@@ -573,11 +567,20 @@ def _run_solve(args) -> int:
 
 def _run_verify(args) -> int:
     profile = _load_profile(args.profile)
-    columns = _parse_int_list(args.columns)
     parity_bits = args.parity_bits or get_family("sec-hamming").min_parity_bits(
         profile.num_data_bits
     )
-    code = SystematicLinearCode.from_parity_columns(columns, parity_bits)
+    try:
+        columns = _parse_int_list(args.columns, "--columns")
+        if len(columns) != profile.num_data_bits:
+            raise ValidationError(
+                f"--columns gives {len(columns)} columns, the profile has "
+                f"k={profile.num_data_bits} data bits"
+            )
+        code = SystematicLinearCode.from_parity_columns(columns, parity_bits)
+    except (ReproError, ValueError) as error:
+        print(f"invalid code: {error}", file=sys.stderr)
+        return 2
     matches = BeerSolver.verify(code, profile)
     print("MATCH" if matches else "MISMATCH")
     return 0 if matches else 1
@@ -626,9 +629,6 @@ def _run_simulate_profile(args) -> int:
 
 
 def _run_beep(args) -> int:
-    if args.sat_stats and args.pattern_backend != "sat":
-        print("--sat-stats requires --pattern-backend sat", file=sys.stderr)
-        return 2
     family = get_family(args.code_family)
     try:
         code = family.random(args.data_bits, rng=np.random.default_rng(args.seed))
@@ -640,17 +640,28 @@ def _run_beep(args) -> int:
               "correcting family (miscorrections are its signal)",
               file=sys.stderr)
         return 2
-    positions = _parse_int_list(args.error_positions)
+    try:
+        positions = _parse_int_list(args.error_positions, "--error-positions")
+        outside = [p for p in positions if not 0 <= p < code.codeword_length]
+        if outside:
+            raise ValidationError(f"--error-positions {outside} lie outside the "
+                             f"{code.codeword_length}-bit codeword")
+        if not 0.0 <= args.probability <= 1.0:
+            raise ValidationError(f"--probability must lie in [0, 1], got {args.probability}")
+        if args.passes < 1:
+            raise ValidationError(f"--passes must be at least 1, got {args.passes}")
+    except ValidationError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     word = SimulatedWordUnderTest(
         code, positions, per_bit_probability=args.probability,
         rng=np.random.default_rng(args.seed + 1),
     )
-    profiler = BeepProfiler(code, pattern_backend=args.pattern_backend)
-    result = profiler.profile(word, num_passes=args.passes)
+    result = BeepProfiler(code).profile(word, num_passes=args.passes)
     identified = sorted(result.identified_errors)
     fully_identified = set(identified) == set(positions)
     if args.json:
-        payload = {
+        print(json.dumps({
             "codeword_length": code.codeword_length,
             "num_data_bits": code.num_data_bits,
             "code_family": code.family_name,
@@ -659,11 +670,7 @@ def _run_beep(args) -> int:
             "patterns_tested": result.patterns_tested,
             "miscorrections_observed": result.miscorrections_observed,
             "fully_identified": fully_identified,
-            "pattern_backend": profiler.pattern_backend,
-        }
-        if args.sat_stats:
-            payload["sat_solver_stats"] = profiler.sat_solver_stats()
-        print(json.dumps(payload, indent=2))
+        }, indent=2))
     else:
         print(f"ECC function: ({code.codeword_length}, {code.num_data_bits}) "
               f"{code.family_name} code")
@@ -671,8 +678,6 @@ def _run_beep(args) -> int:
         print(f"identified weak cells: {identified}")
         print(f"patterns tested: {result.patterns_tested}, "
               f"miscorrections observed: {result.miscorrections_observed}")
-        if args.sat_stats:
-            _print_sat_stats(profiler.sat_solver_stats())
     return 0 if fully_identified else 1
 
 
@@ -1001,8 +1006,13 @@ def _load_profile(path: str) -> MiscorrectionProfile:
     return MiscorrectionProfile.from_dict(payload)
 
 
-def _parse_int_list(text: str) -> List[int]:
-    return [int(token) for token in text.split(",") if token.strip() != ""]
+def _parse_int_list(text: str, option: str) -> List[int]:
+    try:
+        return [int(token) for token in text.split(",") if token.strip() != ""]
+    except ValueError:
+        raise ValidationError(
+            f"{option} takes comma-separated integers, got {text!r}"
+        ) from None
 
 
 if __name__ == "__main__":

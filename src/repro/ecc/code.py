@@ -11,7 +11,10 @@ where the first ``k`` columns correspond to the data bits and the trailing
 as ``c = [d | p]`` with ``p = P · d``.
 
 :class:`SystematicLinearCode` captures exactly this representation and is the
-single code type used throughout the library.  Construction logic lives in
+single code type used throughout the library.  It holds the columns of ``H``
+and the rows of ``P`` as integer bit masks, encodes and computes syndromes
+on them, and builds its ``GF2Matrix`` views of ``P``, ``H`` and ``G`` only
+when one is asked for.  Construction logic lives in
 the pluggable code-family registry (:mod:`repro.ecc.family`), with the
 historical SEC-Hamming helpers in :mod:`repro.ecc.hamming`; each code carries
 its family name and decode policy (correct-then-detect vs. detect-only) so
@@ -24,9 +27,23 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError, DimensionError
+from repro.exceptions import CodeConstructionError, DimensionError, ValidationError
 from repro.gf2 import GF2Matrix, GF2Vector
 from repro.gf2.bitpack import byte_fold_table
+
+
+def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """``uint8`` rows holding the ``width`` low bits of each int, LSB first."""
+    num_bytes = (width + 7) // 8
+    raw = b"".join(value.to_bytes(num_bytes, "little") for value in values)
+    as_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), num_bytes)
+    return np.unpackbits(as_bytes, axis=1, count=width, bitorder="little")
+
+
+def _row_ints(bits: np.ndarray) -> Tuple[int, ...]:
+    """The rows of a 0/1 array as ints (column ``j`` → bit ``j``)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 class SystematicLinearCode:
@@ -68,21 +85,35 @@ class SystematicLinearCode:
             if isinstance(parity_submatrix, GF2Matrix)
             else GF2Matrix(parity_submatrix)
         )
-        if matrix.num_rows == 0 or matrix.num_cols == 0:
-            raise CodeConstructionError("parity submatrix must be non-empty")
+        self._set_columns(
+            _row_ints(matrix.to_numpy().T), matrix.num_rows, family, detect_only
+        )
         self._parity_submatrix = matrix
+
+    def _set_columns(
+        self,
+        parity_columns: Tuple[int, ...],
+        num_parity_bits: int,
+        family: str,
+        detect_only: bool,
+    ) -> None:
+        if num_parity_bits == 0 or not parity_columns:
+            raise CodeConstructionError("parity submatrix must be non-empty")
         self._family = str(family)
         self._detect_only = bool(detect_only)
-        self._num_parity_bits = matrix.num_rows
-        self._num_data_bits = matrix.num_cols
-        identity = GF2Matrix.identity(self._num_parity_bits)
-        self._parity_check_matrix = matrix.hstack(identity)
-        self._column_ints = tuple(
-            self._parity_check_matrix.column(j).to_int()
-            for j in range(self.codeword_length)
+        self._num_parity_bits = num_parity_bits
+        self._num_data_bits = len(parity_columns)
+        self._column_ints = parity_columns + tuple(
+            1 << row for row in range(num_parity_bits)
         )
-        # Lazily-built decode/encode artefacts shared by every batched
-        # operation on this code (see the cached-table accessors below).
+        #: Row ``i`` of ``P`` as an int: bit ``j`` is the coefficient of data
+        #: bit ``j`` in parity bit ``i``.
+        self._parity_rows = _row_ints(_bit_rows(parity_columns, num_parity_bits).T)
+        # The matrix views and the decode/encode artefacts shared by every
+        # batched operation on this code are built on first access.
+        self._parity_submatrix: Optional[GF2Matrix] = None
+        self._parity_check_matrix: Optional[GF2Matrix] = None
+        self._generator_matrix: Optional[GF2Matrix] = None
         self._syndrome_position_table: Optional[np.ndarray] = None
         self._decode_action_table: Optional[np.ndarray] = None
         self._h_transpose_int64: Optional[np.ndarray] = None
@@ -102,8 +133,22 @@ class SystematicLinearCode:
         detect_only: bool = False,
     ) -> "SystematicLinearCode":
         """Build a code from integer-encoded columns of ``P`` (LSB = row 0)."""
-        vectors = [GF2Vector.from_int(col, num_parity_bits) for col in columns]
-        return cls(GF2Matrix.from_columns(vectors), family=family, detect_only=detect_only)
+        columns = list(columns)
+        for column in columns:
+            if column < 0:
+                raise ValidationError("parity columns must be non-negative")
+            if column >> num_parity_bits:
+                raise DimensionError(
+                    f"column {column} does not fit in {num_parity_bits} parity bits"
+                )
+        if not columns:
+            raise DimensionError("a code needs at least one parity column")
+        code = cls.__new__(cls)
+        code._set_columns(
+            tuple(int(column) for column in columns), num_parity_bits, family,
+            detect_only,
+        )
+        return code
 
     @classmethod
     def from_parity_check_matrix(cls, matrix: GF2Matrix) -> "SystematicLinearCode":
@@ -167,23 +212,34 @@ class SystematicLinearCode:
     # -- matrices ---------------------------------------------------------
     @property
     def parity_submatrix(self) -> GF2Matrix:
-        """The ``r × k`` submatrix ``P``."""
+        """The ``r × k`` submatrix ``P`` (built on first access)."""
+        if self._parity_submatrix is None:
+            self._parity_submatrix = GF2Matrix(
+                _bit_rows(self._parity_rows, self._num_data_bits)
+            )
         return self._parity_submatrix
 
     @property
     def parity_check_matrix(self) -> GF2Matrix:
-        """The full ``r × n`` parity-check matrix ``H = [P | I]``."""
+        """The full ``r × n`` parity-check matrix ``H = [P | I]`` (built on first access)."""
+        if self._parity_check_matrix is None:
+            self._parity_check_matrix = self.parity_submatrix.hstack(
+                GF2Matrix.identity(self._num_parity_bits)
+            )
         return self._parity_check_matrix
 
     @property
     def generator_matrix(self) -> GF2Matrix:
-        """The ``n × k`` generator ``G`` such that ``c = G · d`` (systematic)."""
-        identity = GF2Matrix.identity(self._num_data_bits)
-        return identity.vstack(self._parity_submatrix)
+        """The ``n × k`` generator ``G`` such that ``c = G · d`` (built on first access)."""
+        if self._generator_matrix is None:
+            self._generator_matrix = GF2Matrix.identity(self._num_data_bits).vstack(
+                self.parity_submatrix
+            )
+        return self._generator_matrix
 
     def column(self, position: int) -> GF2Vector:
         """Return column ``position`` of ``H`` (the syndrome of a single error there)."""
-        return self._parity_check_matrix.column(position)
+        return GF2Vector.from_int(self._column_ints[position], self._num_parity_bits)
 
     def column_int(self, position: int) -> int:
         """Return column ``position`` of ``H`` encoded as an integer (LSB = row 0)."""
@@ -198,6 +254,11 @@ class SystematicLinearCode:
     def parity_column_ints(self) -> Tuple[int, ...]:
         """The ``k`` data-bit columns of ``H`` (i.e. the columns of ``P``) as integers."""
         return self._column_ints[: self._num_data_bits]
+
+    @property
+    def parity_row_ints(self) -> Tuple[int, ...]:
+        """The ``r`` rows of ``P`` as integers (bit ``j`` = data bit ``j``)."""
+        return self._parity_rows
 
     # -- cached batched-decode artefacts ------------------------------------
     #: Largest parity-bit count for which the dense per-syndrome decode
@@ -268,7 +329,7 @@ class SystematicLinearCode:
         """``H.T`` as a cached ``int64`` array (reference-backend syndromes)."""
         if self._h_transpose_int64 is None:
             self._h_transpose_int64 = (
-                self._parity_check_matrix.to_numpy().T.astype(np.int64)
+                self.parity_check_matrix.to_numpy().T.astype(np.int64)
             )
         return self._h_transpose_int64
 
@@ -305,7 +366,7 @@ class SystematicLinearCode:
         """
         if self._packed_h_rows is None:
             self._packed_h_rows = np.packbits(
-                self._parity_check_matrix.to_numpy(), axis=1, bitorder="little"
+                self.parity_check_matrix.to_numpy(), axis=1, bitorder="little"
             )
         return self._packed_h_rows
 
@@ -326,6 +387,18 @@ class SystematicLinearCode:
         return self._packed_h_lanes
 
     # -- encoding / syndromes ----------------------------------------------
+    def encode_int(self, dataword: int) -> int:
+        """Encode a ``k``-bit int dataword into the int codeword ``[d | P·d]``."""
+        parity = 0
+        for row_index, row in enumerate(self._parity_rows):
+            parity |= ((row & dataword).bit_count() & 1) << row_index
+        return dataword | parity << self._num_data_bits
+
+    def syndrome_int(self, codeword: int) -> int:
+        """Return ``H · c`` of an ``n``-bit int codeword as an int (LSB = row 0)."""
+        data = codeword & ((1 << self._num_data_bits) - 1)
+        return (self.encode_int(data) ^ codeword) >> self._num_data_bits
+
     def encode(self, dataword: GF2Vector) -> GF2Vector:
         """Encode a ``k``-bit dataword into an ``n``-bit codeword ``[d | p]``."""
         data = dataword if isinstance(dataword, GF2Vector) else GF2Vector(dataword)
@@ -333,8 +406,7 @@ class SystematicLinearCode:
             raise DimensionError(
                 f"dataword length {len(data)} does not match k={self._num_data_bits}"
             )
-        parity = self._parity_submatrix @ data
-        return GF2Vector(list(data) + list(parity))
+        return GF2Vector.from_int(self.encode_int(data.to_int()), self.codeword_length)
 
     def extract_dataword(self, codeword: GF2Vector) -> GF2Vector:
         """Return the data portion (first ``k`` bits) of a codeword."""
@@ -352,7 +424,9 @@ class SystematicLinearCode:
             raise DimensionError(
                 f"codeword length {len(word)} does not match n={self.codeword_length}"
             )
-        return self._parity_check_matrix @ word
+        return GF2Vector.from_int(
+            self.syndrome_int(word.to_int()), self._num_parity_bits
+        )
 
     def syndrome_of_error_positions(self, positions: Iterable[int]) -> GF2Vector:
         """Return the syndrome produced by errors at exactly the given positions."""
@@ -369,19 +443,20 @@ class SystematicLinearCode:
         """Return True if ``codeword`` has a zero syndrome."""
         return self.syndrome(codeword).is_zero()
 
-    def syndrome_to_position(self, syndrome: GF2Vector) -> Optional[int]:
-        """Map a syndrome to the codeword position it points at, if any.
+    def syndrome_to_position(self, syndrome) -> Optional[int]:
+        """Map a syndrome (a vector, or an int with LSB = row 0) to its position.
 
         Returns ``None`` for the zero syndrome and for syndromes that match no
         column of ``H`` (possible for shortened codes).  If several columns
         matched — which cannot happen for a valid SEC code — the lowest
         position is returned.
         """
-        value = (
-            syndrome.to_int()
-            if isinstance(syndrome, GF2Vector)
-            else GF2Vector(syndrome).to_int()
-        )
+        if isinstance(syndrome, int):
+            value = syndrome
+        elif isinstance(syndrome, GF2Vector):
+            value = syndrome.to_int()
+        else:
+            value = GF2Vector(syndrome).to_int()
         if value == 0:
             return None
         try:
@@ -434,10 +509,11 @@ class SystematicLinearCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystematicLinearCode):
             return NotImplemented
-        return self._parity_submatrix == other._parity_submatrix
+        # The trailing identity columns fix r, so the columns alone fix P.
+        return self._column_ints == other._column_ints
 
     def __hash__(self) -> int:
-        return hash(self._parity_submatrix)
+        return hash(self._column_ints)
 
     def __repr__(self) -> str:
         suffix = "" if self._family == "sec-hamming" else f", family={self._family!r}"

@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import CodeConstructionError
-from repro.gf2 import popcount
 from repro.ecc.code import SystematicLinearCode
 
 
@@ -83,7 +82,7 @@ class ColumnConstraints:
         """Return True if the integer-encoded column lies in the design space."""
         if not 0 <= value < (1 << num_parity_bits):
             return False
-        return self.weight_is_legal(popcount(value))
+        return self.weight_is_legal(value.bit_count())
 
 
 class CodeFamily(abc.ABC):
@@ -135,7 +134,7 @@ class CodeFamily(abc.ABC):
         return [
             value
             for value in range(1, 1 << num_parity_bits)
-            if constraints.weight_is_legal(popcount(value))
+            if constraints.weight_is_legal(value.bit_count())
         ]
 
     def num_candidate_columns(self, num_parity_bits: int) -> int:

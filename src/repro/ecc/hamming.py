@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import CodeConstructionError
-from repro.gf2 import GF2Matrix, GF2Vector, popcount
+from repro.gf2 import GF2Matrix, GF2Vector
 from repro.ecc.code import SystematicLinearCode
 
 
@@ -56,7 +56,7 @@ def candidate_parity_columns(num_parity_bits: int) -> List[int]:
     return [
         value
         for value in range(1, 1 << num_parity_bits)
-        if popcount(value) >= 2
+        if value.bit_count() >= 2
     ]
 
 
@@ -137,7 +137,7 @@ def _validate_columns(columns: Sequence[int], num_parity_bits: int) -> None:
             raise CodeConstructionError(
                 f"column {column} does not fit in {num_parity_bits} parity bits"
             )
-        if popcount(column) < 2:
+        if column.bit_count() < 2:
             raise CodeConstructionError(
                 f"column {column} has weight < 2 and would collide with a parity column"
             )

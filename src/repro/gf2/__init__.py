@@ -1,73 +1,28 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2).
 
-This package provides the finite-field substrate that every other part of the
-library builds on: ECC generator/parity-check matrices, syndrome computation,
-span-membership tests used by the BEER constraint solver, and the affine
-solves used by BEEP's test-pattern crafting.
+This package provides the finite-field substrate the rest of the library
+builds on.  Codes, BEER and BEEP compute on integer bit masks (bit ``i`` of
+an int is element ``i``, LSB first):
 
-The central type is :class:`~repro.gf2.matrix.GF2Matrix`, a thin wrapper
-around a ``numpy`` ``uint8`` array whose entries are always 0 or 1 and whose
-arithmetic is performed modulo 2.  :mod:`repro.gf2.bitpack` provides an
-equivalent bit-packed fast path (rows packed into ``uint64`` lanes with
-AND/XOR/popcount kernels) selected through the ``packed`` simulation backend;
-the uint8 implementation remains the reference oracle.
+* :func:`~repro.gf2.affine.solve_affine` solves the few-row affine systems
+  BEEP crafts its test patterns from;
+* :class:`~repro.gf2.matrix.GF2Matrix` and
+  :class:`~repro.gf2.matrix.GF2Vector` wrap ``numpy`` ``uint8`` arrays whose
+  entries are 0 or 1 — the types datawords, codewords and the matrix views
+  of a code are handed out as;
+* :mod:`repro.gf2.bitpack` packs rows into ``uint64`` lanes and holds the
+  per-byte XOR-fold syndrome kernels of the ``packed`` simulation backend.
 """
 
 from repro.gf2.matrix import GF2Matrix, GF2Vector
-from repro.gf2.bitpack import (
-    PackedGF2Matrix,
-    batched_syndrome_values,
-    pack_rows,
-    pack_vector,
-    packed_gf2_null_space,
-    packed_gf2_rank,
-    packed_gf2_rref,
-    packed_gf2_solve,
-    packed_matmul,
-    popcount_u64,
-    unpack_rows,
-    unpack_vector,
-)
-from repro.gf2.linalg import (
-    gf2_rank,
-    gf2_rref,
-    gf2_solve,
-    gf2_null_space,
-    gf2_inverse,
-    in_span,
-    span,
-    row_space_equal,
-    vector_from_int,
-    int_from_vector,
-    popcount,
-    support,
-)
+from repro.gf2.affine import solve_affine
+from repro.gf2.bitpack import pack_rows, popcount_u64, unpack_rows
 
 __all__ = [
     "GF2Matrix",
     "GF2Vector",
-    "gf2_rank",
-    "gf2_rref",
-    "gf2_solve",
-    "gf2_null_space",
-    "gf2_inverse",
-    "in_span",
-    "span",
-    "row_space_equal",
-    "vector_from_int",
-    "int_from_vector",
-    "popcount",
-    "support",
-    "PackedGF2Matrix",
-    "batched_syndrome_values",
+    "solve_affine",
     "pack_rows",
-    "pack_vector",
-    "packed_gf2_null_space",
-    "packed_gf2_rank",
-    "packed_gf2_rref",
-    "packed_gf2_solve",
-    "packed_matmul",
     "popcount_u64",
     "unpack_rows",
-    "unpack_vector",
 ]

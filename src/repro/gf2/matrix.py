@@ -5,11 +5,13 @@ restricted to {0, 1}.  Addition is XOR and multiplication is AND, i.e. all
 arithmetic is carried out modulo 2.  The class is deliberately small and
 explicit: it supports exactly the operations the rest of the library needs
 (construction, slicing, concatenation, matrix products, equality, hashing of
-immutable snapshots) and delegates the heavier algorithms (RREF, rank, solve,
-null space) to :mod:`repro.gf2.linalg`.
+immutable snapshots).  Solving is done on integer bit masks instead
+(:func:`repro.gf2.affine.solve_affine`), and a code keeps its columns and
+rows as ints, handing out ``GF2Matrix`` views only on request.
 
 ``GF2Vector`` is a one-dimensional counterpart used for datawords, codewords
-and syndromes.
+and syndromes; :meth:`GF2Vector.from_int` and :meth:`GF2Vector.to_int`
+convert to and from the integer encoding (element ``i`` = bit ``i``).
 """
 
 from __future__ import annotations
@@ -92,8 +94,10 @@ class GF2Vector:
             raise ValidationError("value must be non-negative")
         if value >> length:
             raise DimensionError(f"value {value} does not fit in {length} bits")
-        bits = [(value >> i) & 1 for i in range(length)]
-        return cls(bits)
+        vector = cls.__new__(cls)
+        raw = np.frombuffer(int(value).to_bytes((length + 7) // 8, "little"), np.uint8)
+        vector._data = np.unpackbits(raw, count=length, bitorder="little")
+        return vector
 
     # -- accessors --------------------------------------------------------
     def to_numpy(self) -> np.ndarray:
@@ -102,11 +106,8 @@ class GF2Vector:
 
     def to_int(self) -> int:
         """Return the integer whose bit ``i`` (LSB first) is element ``i``."""
-        value = 0
-        for i, bit in enumerate(self._data):
-            if bit:
-                value |= 1 << i
-        return value
+        packed = np.packbits(self._data, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def to_list(self) -> list:
         """Return the elements as a list of Python ints."""

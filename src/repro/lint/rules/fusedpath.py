@@ -23,7 +23,7 @@ from repro.lint.engine import Finding, LintContext, Rule
 FUSED_HOT_MODULES = (("einsim", "fused.py"),)
 
 #: :mod:`repro.gf2.bitpack` helpers that materialize unpacked uint8 batches.
-_BITPACK_UNPACK_HELPERS = {"unpack_rows", "unpack_vector"}
+_BITPACK_UNPACK_HELPERS = {"unpack_rows"}
 
 #: Modules whose ``unpackbits`` attribute is the numpy unpacker.
 _NUMPY_RECEIVERS = {"np", "numpy"}

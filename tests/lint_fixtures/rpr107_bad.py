@@ -1,10 +1,10 @@
 """Positive fixture for RPR107 (linted under the fused hot-path module)."""
 import numpy as np
-from repro.gf2.bitpack import unpack_rows, unpack_vector as uv
+from repro.gf2.bitpack import unpack_rows, unpack_rows as ur
 
 
 def classify(lanes, num_bits):
     bits = np.unpackbits(lanes.view(np.uint8), axis=1)  # dense blow-up
     rows = unpack_rows(lanes, num_bits)  # bitpack helper, same blow-up
-    first = uv(lanes[0], num_bits)  # aliased import still flagged
+    first = ur(lanes[:1], num_bits)  # aliased import still flagged
     return bits.sum() + rows.sum() + first.sum()

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beep_oracle import BeepProfiler as OracleProfiler
+from beep_oracle import SimulatedWordUnderTest as OracleWord
 from repro.exceptions import DimensionError, PatternCraftingError
 from repro.dram import CellType
 from repro.gf2 import GF2Vector
-from repro.ecc import hamming_code, random_hamming_code
+from repro.ecc import get_family, hamming_code, random_hamming_code
 from repro.core import BeepProfiler
 from repro.core.beep import ChipWordUnderTest, SimulatedWordUnderTest
 from repro.dram import ChipGeometry, DataRetentionModel, SimulatedDramChip
@@ -204,42 +208,64 @@ class TestChipWordUnderTest:
         assert len(observed) == 16
 
 
-class TestSatPatternBackend:
-    """The incremental-SAT charge crafter against the GF(2) elimination path."""
+class TestMatchesGf2VectorOracle:
+    """The int-mask profiler against the GF2Vector/RREF profiler it replaced."""
 
-    def test_unknown_backend_rejected(self, code_16):
-        with pytest.raises(PatternCraftingError):
-            BeepProfiler(code_16, pattern_backend="z3")
+    @staticmethod
+    def _code(family, num_data_bits, seed):
+        return get_family(family).random(num_data_bits, rng=np.random.default_rng(seed))
 
-    def test_sat_crafted_patterns_satisfy_the_charge_constraints(self, code_16):
-        code = code_16
-        gf2 = BeepProfiler(code)
-        sat = BeepProfiler(code, pattern_backend="sat")
-        for target in range(code.codeword_length):
-            for known in ([], [2, 9]):
-                reference = gf2.craft_pattern(target, known_errors=known)
-                crafted = sat.craft_pattern(target, known_errors=known)
-                # Both must arm the same way and charge the target identically.
-                assert crafted.miscorrection_armed == reference.miscorrection_armed
-                assert crafted.codeword[target] == reference.codeword[target]
-                assert crafted.codeword == code.encode(crafted.dataword)
+    @given(
+        family=st.sampled_from(["sec-hamming", "secded-extended-hamming"]),
+        num_data_bits=st.sampled_from([4, 8, 11, 16, 26]),
+        cell_type=st.sampled_from([CellType.TRUE_CELL, CellType.ANTI_CELL]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_crafted_patterns_and_inferences_match(
+        self, family, num_data_bits, cell_type, seed
+    ):
+        code = self._code(family, num_data_bits, seed)
+        profiler = BeepProfiler(code, cell_type=cell_type)
+        oracle = OracleProfiler(code, cell_type=cell_type)
+        rng = np.random.default_rng(seed)
+        n = code.codeword_length
+        for target in range(n):
+            known = rng.choice(n, size=int(rng.integers(0, 5)), replace=False).tolist()
+            phase = int(rng.integers(0, 2))
+            pattern = profiler.craft_pattern(target, known, phase)
+            assert pattern == oracle.craft_pattern(target, known, phase)
+            observed = GF2Vector(rng.integers(0, 2, size=code.num_data_bits))
+            assert profiler.infer_errors_from_observation(
+                pattern, observed
+            ) == oracle.infer_errors_from_observation(pattern, observed)
 
-    def test_sat_backend_identifies_deterministic_errors(self, code_16):
-        code = code_16
-        word = SimulatedWordUnderTest(
-            code, [2, 9], per_bit_probability=1.0, rng=np.random.default_rng(1)
-        )
-        profiler = BeepProfiler(code, pattern_backend="sat")
-        result = profiler.profile(word, num_passes=2)
-        assert result.identified_set() == {2, 9}
-
-    def test_sat_stats_exposed_only_for_sat_backend(self, code_16):
-        code = code_16
-        gf2 = BeepProfiler(code)
-        assert gf2.pattern_backend == "gf2"
-        assert gf2.sat_solver_stats() is None
-        sat = BeepProfiler(code, pattern_backend="sat")
-        assert sat.pattern_backend == "sat"
-        sat.craft_pattern(0, known_errors=[2, 9])
-        stats = sat.sat_solver_stats()
-        assert stats is not None and stats["solve_calls"] > 0
+    @given(
+        family=st.sampled_from(["sec-hamming", "secded-extended-hamming"]),
+        num_data_bits=st.sampled_from([4, 8, 11, 16, 26]),
+        cell_type=st.sampled_from([CellType.TRUE_CELL, CellType.ANTI_CELL]),
+        probability=st.sampled_from([1.0, 0.5]),
+        passes=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_profile_results_and_random_draws_match(
+        self, family, num_data_bits, cell_type, probability, passes, seed
+    ):
+        code = self._code(family, num_data_bits, seed)
+        rng = np.random.default_rng(seed)
+        errors = rng.choice(
+            code.codeword_length, size=int(rng.integers(1, 6)), replace=False
+        ).tolist()
+        words = [
+            word_type(
+                code, errors, per_bit_probability=probability, cell_type=cell_type,
+                rng=np.random.default_rng(seed + 1),
+            )
+            for word_type in (SimulatedWordUnderTest, OracleWord)
+        ]
+        result = BeepProfiler(code, cell_type=cell_type).profile(words[0], passes)
+        expected = OracleProfiler(code, cell_type=cell_type).profile(words[1], passes)
+        assert result == expected
+        states = [word._rng.bit_generator.state for word in words]
+        assert states[0] == states[1]

@@ -9,7 +9,7 @@ from repro.exceptions import ProfileError
 from repro.dram import CellType
 from repro.ecc import SystematicLinearCode, example_7_4_code, hamming_code
 from repro.ecc.family import family_names, get_family
-from repro.gf2 import in_span
+from gf2_oracle import in_span
 from repro.core import (
     ChargedPattern,
     MiscorrectionCounts,

@@ -1,12 +1,14 @@
 """Unit tests for SystematicLinearCode."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import CodeConstructionError, DimensionError
+from repro.exceptions import CodeConstructionError, DimensionError, ReproError
 from repro.gf2 import GF2Matrix, GF2Vector
 from repro.ecc import SystematicLinearCode, example_7_4_code, hamming_code
+from repro.ecc.family import family_names, get_family
 
 
 @pytest.fixture
@@ -203,3 +205,100 @@ class TestEncodeDecodeProperty:
         syndromes = {code.column_int(j) for j in range(code.codeword_length)}
         assert len(syndromes) == code.codeword_length
         assert 0 not in syndromes
+
+
+def _gf2_matrix_code(columns, num_parity_bits, family, detect_only):
+    """A code built as ``from_parity_columns`` once built it: one GF2Vector
+    per column, stacked into a GF2Matrix ``P``."""
+    vectors = [GF2Vector.from_int(column, num_parity_bits) for column in columns]
+    return SystematicLinearCode(
+        GF2Matrix.from_columns(vectors), family=family, detect_only=detect_only
+    )
+
+
+class TestIntColumnsAgainstGf2Matrix:
+    """A code built from int columns against one built from a GF2Matrix."""
+
+    @pytest.mark.parametrize(
+        "family_name, num_data_bits",
+        [
+            (name, k)
+            for name in family_names()
+            # Repetition codes refuse r > 24 parity bits, i.e. k > 8 at 3x.
+            for k in ((1, 5, 8) if name == "repetition" else (1, 5, 16, 64, 128))
+        ],
+    )
+    def test_views_words_and_identity_match(self, family_name, num_data_bits):
+        rng = np.random.default_rng(num_data_bits)
+        member = get_family(family_name).random(num_data_bits, rng=rng)
+        self._check(
+            member.parity_column_ints, member.num_parity_bits, family_name,
+            member.detect_only, rng,
+        )
+
+    def test_columns_wider_than_one_lane(self):
+        rng = np.random.default_rng(70)
+        columns = [int(value) for value in rng.integers(0, 2**62, size=12)]
+        columns = [value << 8 | int(rng.integers(0, 256)) for value in columns]
+        self._check(columns, 70, "sec-hamming", False, rng)
+
+    @staticmethod
+    def _check(columns, r, family_name, detect_only, rng):
+        num_data_bits = len(columns)
+        from_ints = SystematicLinearCode.from_parity_columns(
+            columns, r, family=family_name, detect_only=detect_only
+        )
+        from_matrix = _gf2_matrix_code(columns, r, family_name, detect_only)
+        assert from_ints.column_ints == from_matrix.column_ints
+        assert from_ints.parity_submatrix == from_matrix.parity_submatrix
+        assert from_ints.parity_check_matrix == from_matrix.parity_check_matrix
+        assert from_ints.generator_matrix == from_matrix.generator_matrix
+        assert from_ints == from_matrix
+        assert hash(from_ints) == hash(from_matrix)
+        assert from_ints.family_name == family_name
+        assert from_ints.detect_only == detect_only
+        parity = from_matrix.parity_submatrix
+        check = from_matrix.parity_check_matrix
+        for _ in range(20):
+            dataword = GF2Vector(rng.integers(0, 2, size=num_data_bits))
+            expected = GF2Vector(list(dataword) + list(parity @ dataword))
+            assert from_ints.encode(dataword) == expected
+            assert from_matrix.encode(dataword) == expected
+            word = GF2Vector(rng.integers(0, 2, size=from_ints.codeword_length))
+            assert from_ints.syndrome(word) == check @ word
+            assert from_matrix.syndrome(word) == check @ word
+
+    @pytest.mark.parametrize(
+        "columns, num_parity_bits",
+        [([], 3), ([3, -1], 3), ([3, 8], 3), ([1 << 70], 64)],
+        ids=["empty", "negative", "too-wide", "too-wide-big"],
+    )
+    def test_same_exception_types(self, columns, num_parity_bits):
+        with pytest.raises(ReproError) as expected:
+            _gf2_matrix_code(columns, num_parity_bits, "sec-hamming", False)
+        with pytest.raises(type(expected.value)):
+            SystematicLinearCode.from_parity_columns(columns, num_parity_bits)
+
+    def test_empty_matrix_rejected_on_both_paths(self):
+        with pytest.raises(CodeConstructionError):
+            SystematicLinearCode(GF2Matrix.zeros(3, 0))
+        with pytest.raises(CodeConstructionError):
+            SystematicLinearCode.from_parity_columns([0, 0], 0)
+
+
+class TestIntWords:
+    def test_encode_and_syndrome_ints_match_vectors(self, code_7_4):
+        for value in range(16):
+            codeword = code_7_4.encode(GF2Vector.from_int(value, 4))
+            assert code_7_4.encode_int(value) == codeword.to_int()
+            for position in range(7):
+                flipped = codeword.to_int() ^ (1 << position)
+                assert code_7_4.syndrome_int(flipped) == code_7_4.column_int(position)
+
+    def test_parity_row_ints(self, code_7_4):
+        # Rows of P in Equation 1: 1110, 1101, 1011 (data bit 0 = LSB).
+        assert code_7_4.parity_row_ints == (0b0111, 0b1011, 0b1101)
+
+    def test_syndrome_to_position_accepts_ints(self, code_7_4):
+        assert code_7_4.syndrome_to_position(0) is None
+        assert code_7_4.syndrome_to_position(code_7_4.column_int(5)) == 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CodeConstructionError
-from repro.gf2 import GF2Vector, popcount
+from repro.gf2 import GF2Vector
 from repro.ecc import (
     FAMILY_NAMES,
     ColumnConstraints,
@@ -72,8 +72,8 @@ class TestSecDedFamily:
         family = get_family("secded-extended-hamming")
         for r in (4, 5, 6):
             for value in family.candidate_columns(r):
-                assert popcount(value) >= 3
-                assert popcount(value) % 2 == 1
+                assert value.bit_count() >= 3
+                assert value.bit_count() % 2 == 1
 
     def test_minimum_distance_is_four(self):
         family = get_family("secded-extended-hamming")

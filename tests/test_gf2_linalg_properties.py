@@ -1,26 +1,19 @@
-"""Randomised property tests for the GF(2) linear-algebra invariants.
+"""Properties of the integer-mask GF(2) solve, against the RREF oracle.
 
-Each property is checked over ~100 seeded random matrices spanning tall,
-wide, square, sparse and dense shapes — on both the reference and the
-bit-packed implementations.
+:func:`repro.gf2.solve_affine` eliminates on int rows.  The seeded
+properties run it over 100 random systems spanning tall, wide, square,
+sparse and dense shapes; the hypothesis property holds it to the numpy RREF
+solve it replaced (``tests/gf2_oracle.py``), inconsistent systems included.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import SingularMatrixError
-from repro.gf2 import (
-    GF2Matrix,
-    GF2Vector,
-    gf2_null_space,
-    gf2_rank,
-    gf2_rref,
-    gf2_solve,
-    packed_gf2_null_space,
-    packed_gf2_rank,
-    packed_gf2_rref,
-    packed_gf2_solve,
-)
+from gf2_oracle import gf2_rank, gf2_solve
+from repro.exceptions import DimensionError, SingularMatrixError
+from repro.gf2 import GF2Matrix, GF2Vector, solve_affine
 
 #: 100 seeded random instances: (seed, rows, cols, density).
 CASES = [
@@ -40,59 +33,32 @@ CASES = [
     )
 ]
 
-IMPLEMENTATIONS = {
-    "reference": (gf2_rref, gf2_rank, gf2_null_space, gf2_solve),
-    "packed": (packed_gf2_rref, packed_gf2_rank, packed_gf2_null_space, packed_gf2_solve),
-}
-
 
 def _matrix(seed, rows, cols, density):
     rng = np.random.default_rng(seed)
     return GF2Matrix((rng.random((rows, cols)) < density).astype(np.uint8))
 
 
-@pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+def _solve(matrix, rhs):
+    """``solve_affine`` on a matrix and vector, answered as a vector or None."""
+    solution = solve_affine([row.to_int() for row in matrix.rows()], rhs.to_list())
+    return None if solution is None else GF2Vector.from_int(solution, matrix.num_cols)
+
+
 @pytest.mark.parametrize("seed,rows,cols,density", CASES)
-class TestLinalgInvariants:
-    def test_rank_is_rref_invariant(self, implementation, seed, rows, cols, density):
-        rref_fn, rank_fn, _, _ = IMPLEMENTATIONS[implementation]
-        matrix = _matrix(seed, rows, cols, density)
-        rref, pivots = rref_fn(matrix)
-        # rank(A) == rank(RREF(A)) == number of pivots
-        assert rank_fn(matrix) == rank_fn(rref) == len(pivots)
-        # RREF is idempotent.
-        rref_again, pivots_again = rref_fn(rref)
-        assert rref_again == rref
-        assert pivots_again == pivots
-
-    def test_rank_nullity_theorem(self, implementation, seed, rows, cols, density):
-        _, rank_fn, null_space_fn, _ = IMPLEMENTATIONS[implementation]
-        matrix = _matrix(seed, rows, cols, density)
-        assert rank_fn(matrix) + len(null_space_fn(matrix)) == cols
-
-    def test_null_space_vectors_are_annihilated(
-        self, implementation, seed, rows, cols, density
-    ):
-        _, _, null_space_fn, _ = IMPLEMENTATIONS[implementation]
-        matrix = _matrix(seed, rows, cols, density)
-        for vector in null_space_fn(matrix):
-            assert (matrix @ vector).is_zero()
-            assert not vector.is_zero()
-
-    def test_solve_round_trips(self, implementation, seed, rows, cols, density):
-        _, _, _, solve_fn = IMPLEMENTATIONS[implementation]
+class TestSolveInvariants:
+    def test_solve_round_trips(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 10_000)
         # Build a consistent system: rhs = A @ x0 for a random x0.
         x0 = GF2Vector(rng.integers(0, 2, size=cols))
         rhs = matrix @ x0
-        solution = solve_fn(matrix, rhs)
+        solution = _solve(matrix, rhs)
         assert matrix @ solution == rhs
 
-    def test_inconsistent_systems_raise(self, implementation, seed, rows, cols, density):
-        _, rank_fn, _, solve_fn = IMPLEMENTATIONS[implementation]
+    def test_inconsistent_systems_are_rejected(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
-        rank = rank_fn(matrix)
+        rank = gf2_rank(matrix)
         if rank >= rows:
             pytest.skip("full row rank: every rhs is consistent")
         # A rhs outside the column space must be rejected.  Appending the rhs
@@ -103,8 +69,63 @@ class TestLinalgInvariants:
             augmented = GF2Matrix(
                 np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
             )
-            if rank_fn(augmented) > rank:
-                with pytest.raises(SingularMatrixError):
-                    solve_fn(matrix, rhs)
+            if gf2_rank(augmented) > rank:
+                assert _solve(matrix, rhs) is None
                 return
         pytest.skip("no inconsistent rhs found in 20 draws")
+
+
+@st.composite
+def systems(draw):
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=70))
+    matrix = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    rhs = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    # Append the XOR of some rows, with its rhs flipped or not: a dependent
+    # row that makes the system inconsistent exactly when it is flipped.
+    subset = draw(st.lists(st.integers(0, rows - 1), unique=True))
+    flip = draw(st.integers(0, 1))
+    matrix.append([sum(matrix[i][j] for i in subset) % 2 for j in range(cols)])
+    rhs.append((sum(rhs[i] for i in subset) + flip) % 2)
+    return GF2Matrix(matrix), GF2Vector(rhs)
+
+
+class TestAgainstRrefOracle:
+    @given(systems())
+    @settings(max_examples=300, deadline=None)
+    def test_solution_equals_rref_particular_solution(self, system):
+        matrix, rhs = system
+        try:
+            expected = gf2_solve(matrix, rhs)
+        except SingularMatrixError:
+            expected = None
+        assert _solve(matrix, rhs) == expected
+
+
+class TestSolveAffine:
+    def test_identity(self):
+        assert solve_affine([0b001, 0b010, 0b100], [1, 0, 1]) == 0b101
+
+    def test_free_variables_are_zero(self):
+        # x0 + x1 = 1, x2 = 1: pivots are bits 0 and 2, x1 is free.
+        assert solve_affine([0b011, 0b100], [1, 1]) == 0b101
+
+    def test_inconsistent(self):
+        assert solve_affine([0b01, 0b01], [1, 0]) is None
+
+    def test_zero_row(self):
+        assert solve_affine([0], [0]) == 0
+        assert solve_affine([0], [1]) is None
+
+    def test_empty_system(self):
+        assert solve_affine([], []) == 0
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            solve_affine([0b1, 0b10], [1])

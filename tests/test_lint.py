@@ -98,7 +98,7 @@ class TestRuleFixtures:
 
     def test_rpr107_counts(self):
         findings = lint_fixture("rpr107_bad", "RPR107")
-        # np.unpackbits, unpack_rows, aliased unpack_vector
+        # np.unpackbits, unpack_rows, aliased unpack_rows
         assert len(findings) == 3
 
     def test_rpr107_only_binds_in_fused_modules(self):
