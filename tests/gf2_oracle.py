@@ -3,7 +3,9 @@
 The library solves its systems on integer bit masks
 (:func:`repro.gf2.solve_affine`).  The numpy reduced-row-echelon solve it
 replaced, and the span-membership test the profile builders replaced, live
-on here so differential tests can hold the integer paths to them.
+on here so differential tests can hold the integer paths to them; the RREF,
+rank and null space are kept with them so the oracle's own invariants can be
+checked (``tests/test_gf2_linalg.py``, ``tests/test_gf2_linalg_properties.py``).
 """
 
 from typing import Iterable, List, Tuple
@@ -37,9 +39,29 @@ def rref_array(array: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return matrix, pivot_cols
 
 
+def gf2_rref(matrix: GF2Matrix) -> Tuple[GF2Matrix, Tuple[int, ...]]:
+    """Return ``(rref, pivot_columns)`` for a GF(2) matrix."""
+    rref, pivots = rref_array(matrix.to_numpy())
+    return GF2Matrix(rref), tuple(pivots)
+
+
 def gf2_rank(matrix: GF2Matrix) -> int:
     """Rank of a GF(2) matrix."""
     return len(rref_array(matrix.to_numpy())[1])
+
+
+def gf2_null_space(matrix: GF2Matrix) -> List[GF2Vector]:
+    """A basis (possibly empty) of the null space, one vector per free column."""
+    rref, pivots = rref_array(matrix.to_numpy())
+    basis: List[GF2Vector] = []
+    for free in sorted(set(range(matrix.num_cols)) - set(pivots)):
+        vector = np.zeros(matrix.num_cols, dtype=np.uint8)
+        vector[free] = 1
+        for row_index, pivot in enumerate(pivots):
+            if rref[row_index, free]:
+                vector[pivot] = 1
+        basis.append(GF2Vector(vector))
+    return basis
 
 
 def gf2_solve(matrix: GF2Matrix, rhs: GF2Vector) -> GF2Vector:

@@ -1,7 +1,9 @@
-"""Unit tests for packing GF(2) rows into ``uint64`` lanes.
+"""Unit and differential tests for packing GF(2) rows into ``uint64`` lanes.
 
 Packing must round-trip bit for bit across lane-boundary widths and the
-degenerate zero-row and zero-width shapes.
+degenerate zero-row and zero-width shapes; the byte views, column counts and
+byte-fold syndrome kernels of the ``packed`` backend must equal the same
+quantities computed on the unpacked bits.
 """
 
 import numpy as np
@@ -10,6 +12,14 @@ import pytest
 import repro.gf2.bitpack as bitpack
 from repro.exceptions import DimensionError
 from repro.gf2 import pack_rows, popcount_u64, unpack_rows
+from repro.gf2.bitpack import (
+    byte_fold_table,
+    bytes_to_lanes,
+    fold_bytes,
+    lanes_to_bytes,
+    pack_bool_rows,
+    packed_column_counts,
+)
 
 # Widths straddling the uint64 lane boundaries.
 LANE_EDGE_WIDTHS = [1, 2, 7, 63, 64, 65, 127, 128, 129, 136]
@@ -73,3 +83,72 @@ class TestPopcount:
     def test_fallback_handles_all_ones(self, monkeypatch):
         monkeypatch.setattr(bitpack, "_HAS_BITWISE_COUNT", False)
         assert bitpack.popcount_u64(np.array([2**64 - 1], dtype=np.uint64))[0] == 64
+
+
+class TestByteViews:
+    """Lanes, bytes and boolean masks share one LSB-first layout."""
+
+    @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lanes_and_bytes_round_trip(self, num_cols, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(5, num_cols)).astype(np.uint8)
+        lanes = pack_rows(bits)
+        as_bytes = lanes_to_bytes(lanes, num_cols)
+        assert np.array_equal(as_bytes, np.packbits(bits, axis=1, bitorder="little"))
+        assert np.array_equal(bytes_to_lanes(as_bytes, num_cols), lanes)
+
+    @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_column_counts_match_unpacked_sum(self, num_cols, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(300, num_cols)).astype(np.uint8)
+        as_bytes = lanes_to_bytes(pack_rows(bits), num_cols)
+        assert np.array_equal(packed_column_counts(as_bytes, num_cols), bits.sum(axis=0))
+
+    @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
+    def test_bool_rows_pack_like_uint8_rows(self, num_cols):
+        rng = np.random.default_rng(num_cols)
+        mask = rng.random((7, num_cols)) < 0.5
+        assert np.array_equal(pack_bool_rows(mask), pack_rows(mask.astype(np.uint8)))
+
+    def test_views_reject_wrong_shapes(self):
+        with pytest.raises(DimensionError):
+            lanes_to_bytes(np.zeros((2, 2), dtype=np.uint64), 64)
+        with pytest.raises(DimensionError):
+            bytes_to_lanes(np.zeros((2, 3), dtype=np.uint8), 64)
+        with pytest.raises(DimensionError):
+            packed_column_counts(np.zeros((2, 1), dtype=np.uint8), 9)
+        with pytest.raises(DimensionError):
+            pack_bool_rows(np.zeros(4, dtype=bool))
+
+
+class TestBatchedSyndromes:
+    """The byte-fold kernels against ``H @ word`` on the unpacked bits."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("codeword_length", [7, 22, 64, 72, 136])
+    def test_matches_reference_formula(self, seed, codeword_length):
+        rng = np.random.default_rng(seed + codeword_length)
+        num_rows = int(rng.integers(2, 9))
+        check = rng.integers(0, 2, size=(num_rows, codeword_length)).astype(np.uint8)
+        words = rng.integers(0, 2, size=(50, codeword_length)).astype(np.uint8)
+        weights = 1 << np.arange(num_rows)
+        reference = ((words.astype(np.int64) @ check.T.astype(np.int64)) % 2) @ weights
+        table = byte_fold_table(check.T.astype(np.int64) @ weights)
+        folded = fold_bytes(table, lanes_to_bytes(pack_rows(words), codeword_length))
+        assert np.array_equal(reference, folded)
+
+    def test_empty_batch(self):
+        table = byte_fold_table([1, 2, 4] * 3)
+        assert fold_bytes(table, np.zeros((0, 2), dtype=np.uint8)).shape == (0,)
+
+    def test_zero_columns(self):
+        table = byte_fold_table([])
+        assert table.shape == (0, 256)
+        folded = fold_bytes(table, np.zeros((3, 0), dtype=np.uint8))
+        assert np.array_equal(folded, np.zeros(3))
+
+    def test_rejects_byte_count_mismatch(self):
+        with pytest.raises(DimensionError):
+            fold_bytes(byte_fold_table([1] * 10), np.zeros((4, 1), dtype=np.uint8))

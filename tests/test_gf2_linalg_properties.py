@@ -1,9 +1,12 @@
-"""Properties of the integer-mask GF(2) solve, against the RREF oracle.
+"""Randomised property tests for GF(2) linear algebra.
 
-:func:`repro.gf2.solve_affine` eliminates on int rows.  The seeded
-properties run it over 100 random systems spanning tall, wide, square,
-sparse and dense shapes; the hypothesis property holds it to the numpy RREF
-solve it replaced (``tests/gf2_oracle.py``), inconsistent systems included.
+Each seeded property runs over 100 random matrices spanning tall, wide,
+square, sparse and dense shapes, twice over: once on the numpy RREF oracle
+(``tests/gf2_oracle.py``) whose answers the differential tests trust, and
+once on :func:`repro.gf2.solve_affine`, the integer-mask solve the library
+uses, which is also held to that oracle's particular solution.  A hypothesis
+property and a sweep of shapes up to 32 x 136 compare the two on further
+systems, inconsistent ones included.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2_oracle import gf2_rank, gf2_solve
+from gf2_oracle import gf2_null_space, gf2_rank, gf2_rref, gf2_solve
 from repro.exceptions import DimensionError, SingularMatrixError
 from repro.gf2 import GF2Matrix, GF2Vector, solve_affine
 
@@ -45,6 +48,63 @@ def _solve(matrix, rhs):
     return None if solution is None else GF2Vector.from_int(solution, matrix.num_cols)
 
 
+def _oracle_solve(matrix, rhs):
+    """The RREF oracle's particular solution, or None for an inconsistent system."""
+    try:
+        return gf2_solve(matrix, rhs)
+    except SingularMatrixError:
+        return None
+
+
+@pytest.mark.parametrize("seed,rows,cols,density", CASES)
+class TestLinalgInvariants:
+    """The RREF oracle's invariants on every seeded case."""
+
+    def test_rank_is_rref_invariant(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        rref, pivots = gf2_rref(matrix)
+        # rank(A) == rank(RREF(A)) == number of pivots
+        assert gf2_rank(matrix) == gf2_rank(rref) == len(pivots)
+        # RREF is idempotent.
+        rref_again, pivots_again = gf2_rref(rref)
+        assert rref_again == rref
+        assert pivots_again == pivots
+
+    def test_rank_nullity_theorem(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        assert gf2_rank(matrix) + len(gf2_null_space(matrix)) == cols
+
+    def test_null_space_vectors_are_annihilated(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        for vector in gf2_null_space(matrix):
+            assert (matrix @ vector).is_zero()
+            assert not vector.is_zero()
+
+    def test_solve_round_trips(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        rng = np.random.default_rng(seed + 10_000)
+        x0 = GF2Vector(rng.integers(0, 2, size=cols))
+        rhs = matrix @ x0
+        assert matrix @ gf2_solve(matrix, rhs) == rhs
+
+    def test_inconsistent_systems_raise(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        rank = gf2_rank(matrix)
+        if rank >= rows:
+            pytest.skip("full row rank: every rhs is consistent")
+        rng = np.random.default_rng(seed + 20_000)
+        for _ in range(20):
+            rhs = GF2Vector(rng.integers(0, 2, size=rows))
+            augmented = GF2Matrix(
+                np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
+            )
+            if gf2_rank(augmented) > rank:
+                with pytest.raises(SingularMatrixError):
+                    gf2_solve(matrix, rhs)
+                return
+        pytest.skip("no inconsistent rhs found in 20 draws")
+
+
 @pytest.mark.parametrize("seed,rows,cols,density", CASES)
 class TestSolveInvariants:
     def test_solve_round_trips(self, seed, rows, cols, density):
@@ -74,6 +134,38 @@ class TestSolveInvariants:
                 return
         pytest.skip("no inconsistent rhs found in 20 draws")
 
+    def test_consistent_rhs_matches_rref_oracle(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        rng = np.random.default_rng(seed + 10_000)
+        rhs = matrix @ GF2Vector(rng.integers(0, 2, size=cols))
+        assert _solve(matrix, rhs) == gf2_solve(matrix, rhs)
+
+    def test_random_rhs_matches_rref_oracle(self, seed, rows, cols, density):
+        matrix = _matrix(seed, rows, cols, density)
+        rng = np.random.default_rng(seed + 30_000)
+        rhs = GF2Vector(rng.integers(0, 2, size=rows))
+        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+
+    def test_dependent_row_keeps_or_rejects_solution(self, seed, rows, cols, density):
+        # Inserting the XOR of some rows anywhere leaves the solution as it is
+        # when its rhs is the XOR of theirs, and makes the system inconsistent
+        # when that rhs is flipped, whichever case's rank.
+        matrix = _matrix(seed, rows, cols, density)
+        rng = np.random.default_rng(seed + 40_000)
+        rhs = matrix @ GF2Vector(rng.integers(0, 2, size=cols))
+        row_ints = [row.to_int() for row in matrix.rows()]
+        values = rhs.to_list()
+        solution = solve_affine(row_ints, values)
+        assert solution is not None
+        dependent, parity = 0, 0
+        for index in np.flatnonzero(rng.random(rows) < 0.5):
+            dependent ^= row_ints[index]
+            parity ^= values[index]
+        at = int(rng.integers(0, rows + 1))
+        extended = row_ints[:at] + [dependent] + row_ints[at:]
+        assert solve_affine(extended, values[:at] + [parity] + values[at:]) == solution
+        assert solve_affine(extended, values[:at] + [parity ^ 1] + values[at:]) is None
+
 
 @st.composite
 def systems(draw):
@@ -101,11 +193,55 @@ class TestAgainstRrefOracle:
     @settings(max_examples=300, deadline=None)
     def test_solution_equals_rref_particular_solution(self, system):
         matrix, rhs = system
-        try:
-            expected = gf2_solve(matrix, rhs)
-        except SingularMatrixError:
-            expected = None
-        assert _solve(matrix, rhs) == expected
+        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+
+
+def _random_matrix(rng, rows, cols, density=0.5):
+    return GF2Matrix((rng.random((rows, cols)) < density).astype(np.uint8))
+
+
+# Shapes past the seeded cases' 23 x 89: single rows and columns, the
+# 64-bit word edge and the (136, 128) code's width.
+DIFFERENTIAL_SHAPES = [
+    (1, 1),
+    (1, 64),
+    (3, 63),
+    (5, 65),
+    (8, 8),
+    (8, 136),
+    (16, 16),
+    (20, 7),
+    (32, 129),
+]
+
+
+class TestDifferentialLinalg:
+    """``solve_affine`` against the RREF oracle on wide and degenerate shapes."""
+
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solve_matches_reference(self, shape, seed):
+        rng = np.random.default_rng(seed * 7919 + shape[0] + shape[1])
+        matrix = _random_matrix(rng, *shape)
+        rhs = GF2Vector(rng.integers(0, 2, size=shape[0]))
+        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+
+    def test_degenerate_all_zero(self):
+        matrix = GF2Matrix.zeros(4, 70)
+        assert _solve(matrix, GF2Vector.zeros(4)) == GF2Vector.zeros(70)
+        assert _solve(matrix, GF2Vector.unit(4, 2)) is None
+
+    def test_degenerate_identity(self):
+        matrix = GF2Matrix.identity(65)
+        rhs = GF2Vector.ones(65)
+        assert _solve(matrix, rhs) == gf2_solve(matrix, rhs) == rhs
+
+    def test_single_row_and_column(self):
+        row = GF2Matrix([[1, 0, 1, 1]])
+        assert _solve(row, GF2Vector([1])) == gf2_solve(row, GF2Vector([1]))
+        col = GF2Matrix([[1], [0], [1]])
+        assert _solve(col, GF2Vector([1, 0, 1])) == GF2Vector([1])
+        assert _solve(col, GF2Vector([1, 1, 1])) is None
 
 
 class TestSolveAffine:
