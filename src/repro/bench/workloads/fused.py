@@ -10,8 +10,8 @@ run through :class:`repro.einsim.simulator.EinsimSimulator` end to end:
   kernel classifies from a single histogram — the headline speedup, with a
   floor of 25x over the reference at the full tier.
 * ``mc-retention`` — uniform anti-cell retention failures
-  (:class:`repro.einsim.injectors.DataRetentionInjector`), the dense-lanes
-  representation; a smaller but still-gated win.
+  (:class:`repro.einsim.injectors.DataRetentionInjector`), the coordinate
+  representation: the kernel looks only at the words that hold an error.
 
 Every tier proves bit-identity: the ``packed`` backend, which runs the
 fused round, must agree with the ``reference`` oracle on every
@@ -154,7 +154,7 @@ register_workload(
     name="decoder-fused",
     description=(
         "fused Monte-Carlo pipeline (inject+decode+classify on packed "
-        "lanes) of the packed backend vs reference staged simulation"
+        "masks) of the packed backend vs reference staged simulation"
     ),
     tiers={
         "smoke": dict(

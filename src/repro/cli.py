@@ -790,7 +790,8 @@ def _run_scenario_run(args) -> int:
     params = {}
     for item in args.param:
         if "=" not in item:
-            raise SystemExit(f"--param expects KEY=VALUE, got {item!r}")
+            print(f"--param expects KEY=VALUE, got {item!r}", file=sys.stderr)
+            return 2
         key, _, raw = item.partition("=")
         try:
             params[key] = json.loads(raw)
@@ -804,16 +805,20 @@ def _run_scenario_run(args) -> int:
         code_spec["code_family"] = args.code_family
     if args.code_seed is not None:
         code_spec["code_seed"] = args.code_seed
-    cell = make_einsim_cell(
-        scenario=args.scenario,
-        params=params,
-        code=code_spec,
-        num_words=args.num_words,
-        seed=args.seed,
-        backend=args.backend,
-        dataword=args.dataword,
-        chunk_size=args.chunk_size,
-    )
+    try:
+        cell = make_einsim_cell(
+            scenario=args.scenario,
+            params=params,
+            code=code_spec,
+            num_words=args.num_words,
+            seed=args.seed,
+            backend=args.backend,
+            dataword=args.dataword,
+            chunk_size=args.chunk_size,
+        )
+    except ReproError as error:
+        print(f"invalid scenario cell: {error}", file=sys.stderr)
+        return 2
     store = (
         CampaignStore(args.store, layout=args.layout) if args.store else None
     )
@@ -842,7 +847,12 @@ def _run_scenario_sweep(args) -> int:
     from repro.scenarios import SweepRunner, SweepSpec
     from repro.store import CampaignStore
 
-    spec = SweepSpec.from_json_file(args.spec)
+    try:
+        spec = SweepSpec.from_json_file(args.spec)
+    except (ReproError, OSError, TypeError, ValueError) as error:
+        # A spec is only parsed and validated here; nothing has run yet.
+        print(f"invalid sweep spec {args.spec}: {error}", file=sys.stderr)
+        return 2
     store = CampaignStore(args.store, layout=args.layout)
     runner = SweepRunner(store=store, processes=args.processes, jobs=args.jobs)
     progress_line = None

@@ -141,8 +141,6 @@ class SystematicLinearCode:
                 raise DimensionError(
                     f"column {column} does not fit in {num_parity_bits} parity bits"
                 )
-        if not columns:
-            raise DimensionError("a code needs at least one parity column")
         code = cls.__new__(cls)
         code._set_columns(
             tuple(int(column) for column in columns), num_parity_bits, family,

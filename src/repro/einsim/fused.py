@@ -1,4 +1,4 @@
-"""Fused Monte-Carlo decode pipeline over bit-packed ``uint64`` lanes.
+"""Fused Monte-Carlo decode pipeline over packed error masks.
 
 The staged kernels (:mod:`repro.einsim.engine`) materialize every
 intermediate of a Monte-Carlo round as a full ``(num_words, n)`` ``uint8``
@@ -18,19 +18,24 @@ exploits two identities:
 Injectors emit masks directly in packed form via the ``error_mask_packed``
 protocol (:mod:`repro.einsim.injectors`), in one of three representations:
 
-* ``lanes`` — dense ``uint64`` lanes, for Bernoulli-style models (built from
-  the sampled word and bit indices by :meth:`PackedErrorBatch.from_indices`);
-* ``sparse`` — per-word candidate positions plus fire flags, for
-  fixed-error-count draws over many candidates;
+* ``coords`` — a coordinate list: the word index of every set bit, in
+  nondecreasing order, with its column, at most once per (word, column).
+  The Bernoulli-style models (through :meth:`PackedErrorBatch.from_indices`),
+  fixed-error-count draws over many candidates and bursts emit it; the
+  kernel classifies it in O(errors), and a word without coordinates is
+  clean by construction;
 * ``subset`` — a single integer per word indexing the fired subset of a
   small shared candidate list (the BEEP weak-cell case), classified entirely
-  through ``2**c``-entry lookup tables and one histogram.
+  through ``2**c``-entry lookup tables and one histogram;
+* ``lanes`` — dense ``uint64`` lanes, for the injectors that draw whole
+  masks (per-bit probabilities, row stripes, composites).
 
 Injectors without the protocol fall back to the unpacked
-``error_mask`` + pack.  Classification is segment-aware so one kernel call
-covers many profile patterns or campaign chunks
+``error_mask`` + pack, which gives lanes.  Classification is segment-aware
+so one kernel call covers many profile patterns or campaign chunks
 (:func:`FusedKernel.classify_segments`); the runner decides which batches
-share a call.  Dense masks take the byte-fold syndrome tables, or the
+share a call.  Coordinates take their syndromes from one XOR-reduction of
+column integers per word.  Lanes take the byte-fold syndrome tables, or the
 AND/XOR-parity routine :func:`repro.einsim.engine.tiny_syndromes` for codes
 with one or two parity bits, exactly like the staged packed kernels.
 
@@ -38,7 +43,7 @@ Bit-identity with the reference backend rests on the injectors, not on this
 module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
 O(errors) sampler with the same arguments, so both backends see the same
 masks, and the kernel computes the same statistics from them
-(``tests/test_differential_fused.py``).  Both backends draw through
+(``tests/test_differential_fused.py``, ``tests/test_einsim_coordinates.py``).  Both backends draw through
 :func:`traced_draw`, which counts each draw under ``einsim.sample_*`` when
 tracing, beside the kernels' ``einsim.decode_*`` counters.
 """
@@ -67,7 +72,7 @@ from repro.einsim.engine import TINY_SYNDROME_PARITY_BITS, tiny_syndromes
 
 #: Widest shared candidate list stored as subset integers; beyond this the
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
-#: back to the sparse representation.
+#: back to the coordinate representation.
 SUBSET_WIDTH_LIMIT = 16
 
 _Drawn = TypeVar("_Drawn")
@@ -87,9 +92,10 @@ class PackedErrorBatch:
     num_bits: int
     #: Dense representation: ``(num_words, lanes)`` ``uint64``.
     lanes: Optional[np.ndarray] = None
-    #: Sparse representation: ``(num_words, e)`` positions and fire flags.
-    positions: Optional[np.ndarray] = None
-    fires: Optional[np.ndarray] = None
+    #: Coordinate representation: bit ``columns[i]`` of word ``rows[i]`` is
+    #: set; ``rows`` is nondecreasing and no (row, column) pair repeats.
+    rows: Optional[np.ndarray] = None
+    columns: Optional[np.ndarray] = None
     #: Subset representation: shared candidate positions ``(c,)`` plus one
     #: integer per word whose bit ``j`` fires ``candidates[j]``.
     candidates: Optional[np.ndarray] = None
@@ -97,12 +103,12 @@ class PackedErrorBatch:
 
     @property
     def kind(self) -> str:
-        """One of ``"lanes"``, ``"sparse"``, ``"subset"``."""
+        """One of ``"lanes"``, ``"coords"``, ``"subset"``."""
         if self.lanes is not None:
             return "lanes"
         if self.subsets is not None:
             return "subset"
-        return "sparse"
+        return "coords"
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -131,31 +137,30 @@ class PackedErrorBatch:
     def from_indices(
         cls, rows: np.ndarray, columns: np.ndarray, num_words: int, num_bits: int
     ) -> "PackedErrorBatch":
-        """Dense lanes with bit ``columns[i]`` of word ``rows[i]`` set."""
-        return cls(
-            num_words=num_words,
-            num_bits=num_bits,
-            lanes=_scatter_sparse(rows, columns, num_words, num_bits),
-        )
+        """Coordinates: bit ``columns[i]`` of word ``rows[i]`` is set.
 
-    @classmethod
-    def from_sparse(
-        cls, positions: np.ndarray, fires: np.ndarray, num_bits: int
-    ) -> "PackedErrorBatch":
-        """Per-word distinct positions ``(m, e)`` with boolean fire flags."""
-        positions = np.asarray(positions, dtype=np.int64)
-        fires = np.asarray(fires, dtype=bool)
-        if positions.ndim != 2 or positions.shape != fires.shape:
+        ``rows`` must be nondecreasing and no (row, column) pair may repeat;
+        the order and the ranges are checked, the repeats are not.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = np.asarray(columns, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape != columns.shape:
             raise DimensionError(
-                f"positions {positions.shape} and fires {fires.shape} must be "
-                "matching 2-D arrays"
+                f"rows {rows.shape} and columns {columns.shape} must be "
+                "matching 1-D arrays"
             )
-        return cls(
-            num_words=positions.shape[0],
-            num_bits=num_bits,
-            positions=positions,
-            fires=fires,
-        )
+        if rows.size and (
+            rows[0] < 0
+            or rows[-1] >= num_words
+            or bool((rows[1:] < rows[:-1]).any())
+            or columns.min() < 0
+            or columns.max() >= num_bits
+        ):
+            raise ValidationError(
+                f"coordinates must name {num_words} words in order and "
+                f"columns below {num_bits}"
+            )
+        return cls(num_words=num_words, num_bits=num_bits, rows=rows, columns=columns)
 
     @classmethod
     def from_subset(
@@ -188,14 +193,17 @@ class PackedErrorBatch:
             width = self.candidates.size
             vbits = ((self.subsets[:, np.newaxis] >> np.arange(width)) & 1) != 0
             rows, slots = np.nonzero(vbits)
-            return _scatter_sparse(
-                rows, self.candidates[slots], self.num_words, self.num_bits
-            )
-        assert self.positions is not None and self.fires is not None
-        rows, slots = np.nonzero(self.fires)
-        return _scatter_sparse(
-            rows, self.positions[rows, slots], self.num_words, self.num_bits
+            columns = self.candidates[slots]
+        else:
+            assert self.rows is not None and self.columns is not None
+            rows, columns = self.rows, self.columns
+        lanes = np.zeros((self.num_words, num_lanes(self.num_bits)), dtype=np.uint64)
+        np.bitwise_or.at(
+            lanes,
+            (rows, columns // LANE_BITS),
+            np.uint64(1) << (columns % LANE_BITS).astype(np.uint64),
         )
+        return lanes
 
     def num_errors(self) -> int:
         """Total number of set mask bits over every word."""
@@ -203,32 +211,14 @@ class PackedErrorBatch:
             return int(popcount_u64(self.lanes).sum())
         if self.subsets is not None:
             return int(popcount_u64(self.subsets).sum())
-        assert self.fires is not None
-        return int(np.count_nonzero(self.fires))
-
-
-def _scatter_sparse(
-    rows: np.ndarray, columns: np.ndarray, num_words: int, num_bits: int
-) -> np.ndarray:
-    """Dense lanes with bit ``columns[i]`` of word ``rows[i]`` set."""
-    lanes = np.zeros((num_words, num_lanes(num_bits)), dtype=np.uint64)
-    if rows.size == 0:
-        return lanes
-    np.bitwise_or.at(
-        lanes,
-        (rows, columns // LANE_BITS),
-        np.uint64(1) << (columns % LANE_BITS).astype(np.uint64),
-    )
-    return lanes
+        assert self.rows is not None
+        return int(self.rows.size)
 
 
 def batches_compatible(first: PackedErrorBatch, second: PackedErrorBatch) -> bool:
     """Whether two batches can be concatenated into one classify call."""
     if first.num_bits != second.num_bits or first.kind != second.kind:
         return False
-    if first.kind == "sparse":
-        assert first.positions is not None and second.positions is not None
-        return first.positions.shape[1] == second.positions.shape[1]
     if first.kind == "subset":
         assert first.candidates is not None and second.candidates is not None
         return np.array_equal(first.candidates, second.candidates)
@@ -263,11 +253,14 @@ def concat_batches(batches: Sequence[PackedErrorBatch]) -> PackedErrorBatch:
                 [batch.subsets for batch in batches]  # type: ignore[misc]
             ),
         )
+    offsets = np.cumsum([0] + [batch.num_words for batch in batches[:-1]])
     return PackedErrorBatch(
         num_words=total,
         num_bits=head.num_bits,
-        positions=np.vstack([batch.positions for batch in batches]),
-        fires=np.vstack([batch.fires for batch in batches]),
+        rows=np.concatenate(
+            [batch.rows + offset for batch, offset in zip(batches, offsets)]
+        ),
+        columns=np.concatenate([batch.columns for batch in batches]),
     )
 
 
@@ -442,10 +435,13 @@ class FusedKernel:
                 f"{self._n}"
             )
         start = time.perf_counter() if TRACER.enabled else 0.0
+        offsets = np.cumsum([0] + segment_words)
         if batch.kind == "subset":
             results = self._classify_subset(batch, segment_words)
+        elif batch.kind == "coords":
+            results = self._classify_coords(batch, segment_words, offsets)
         else:
-            results = self._classify_per_word(batch, segment_words)
+            results = self._classify_lanes(batch, segment_words, offsets)
         if TRACER.enabled:
             seconds = time.perf_counter() - start
             due_words = sum(stats.detected_words for stats in results)
@@ -465,102 +461,95 @@ class FusedKernel:
             )
         return results
 
-    # -- dense / sparse ---------------------------------------------------
-    def _classify_per_word(
-        self, batch: PackedErrorBatch, segment_words: List[int]
+    # -- coordinates and lanes ----------------------------------------------
+    def _classify_coords(
+        self, batch: PackedErrorBatch, segment_words: List[int], offsets: np.ndarray
     ) -> List[FusedStats]:
-        if batch.kind == "lanes":
-            lanes = batch.lanes
-            assert lanes is not None
-            mask_bytes = lanes_to_bytes(lanes, self._n)
-            syndromes, err_counts = self._dense_syndromes(lanes, mask_bytes)
-            actions = self._action_table[syndromes]
-            flip_rows = np.flatnonzero(actions >= 0)
-            acts = actions[flip_rows]
-            mask_at_action = (
-                (
-                    lanes[flip_rows, acts // LANE_BITS]
-                    >> (acts % LANE_BITS).astype(np.uint64)
-                )
-                & np.uint64(1)
-            ) != 0
-
-            def pre_counts(lo: int, hi: int) -> np.ndarray:
-                return packed_column_counts(mask_bytes[lo:hi], self._n)
-
-        else:
-            positions, fires = batch.positions, batch.fires
-            assert positions is not None and fires is not None
-            syndromes = np.zeros(batch.num_words, dtype=np.int64)
-            for j in range(positions.shape[1]):
-                syndromes ^= np.where(
-                    fires[:, j], self._column_ints[positions[:, j]], 0
-                )
-            err_counts = fires.sum(axis=1, dtype=np.int64)
-            actions = self._action_table[syndromes]
-            flip_rows = np.flatnonzero(actions >= 0)
-            acts = actions[flip_rows]
-            if flip_rows.size:
-                mask_at_action = (
-                    (positions[flip_rows] == acts[:, np.newaxis])
-                    & fires[flip_rows]
-                ).any(axis=1)
-            else:
-                mask_at_action = np.zeros(0, dtype=bool)
-
-            def pre_counts(lo: int, hi: int) -> np.ndarray:
-                fired = fires[lo:hi]
-                return np.bincount(
-                    positions[lo:hi][fired], minlength=self._n
-                ).astype(np.int64)
-
+        """O(errors): only the words holding a coordinate are looked at."""
+        rows, columns = batch.rows, batch.columns
+        assert rows is not None and columns is not None
+        # Each word's coordinates form one run of ``rows``.
+        starts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+        if rows.size:
+            starts = np.concatenate(([0], starts))
+        err_counts = np.diff(np.append(starts, rows.size))
+        syndromes = np.bitwise_xor.reduceat(self._column_ints[columns], starts)
+        actions = self._action_table[syndromes]
+        # A correction hits an injected error when one of its word's
+        # coordinates is the acted-on column (sentinels never match); a word
+        # holds each column once, so the OR over its run is a scatter.
+        matches = np.flatnonzero(columns == np.repeat(actions, err_counts))
+        hit = np.zeros(starts.size, dtype=bool)
+        hit[np.searchsorted(starts, matches, side="right") - 1] = True
+        coord_bounds = np.searchsorted(rows, offsets)
+        pre = [
+            np.bincount(columns[lo:hi], minlength=self._n)
+            for lo, hi in zip(coord_bounds[:-1], coord_bounds[1:])
+        ]
         return self._aggregate_segments(
-            segment_words, actions, err_counts, flip_rows, acts,
-            mask_at_action, pre_counts,
+            segment_words, np.searchsorted(rows[starts], offsets), actions,
+            err_counts, hit, pre,
         )
 
-    def _dense_syndromes(
-        self, lanes: np.ndarray, mask_bytes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _classify_lanes(
+        self, batch: PackedErrorBatch, segment_words: List[int], offsets: np.ndarray
+    ) -> List[FusedStats]:
+        lanes = batch.lanes
+        assert lanes is not None
+        mask_bytes = lanes_to_bytes(lanes, self._n)
         err_counts = popcount_u64(lanes).sum(axis=1, dtype=np.int64)
         if self._tiny_h_lanes is not None:
-            return tiny_syndromes(lanes, self._tiny_h_lanes), err_counts
-        assert self._fold_table is not None
-        return fold_bytes(self._fold_table, mask_bytes), err_counts
+            syndromes = tiny_syndromes(lanes, self._tiny_h_lanes)
+        else:
+            assert self._fold_table is not None
+            syndromes = fold_bytes(self._fold_table, mask_bytes)
+        actions = self._action_table[syndromes]
+        flip_rows = np.flatnonzero(actions >= 0)
+        acts = actions[flip_rows]
+        hit = np.zeros(batch.num_words, dtype=bool)
+        shifts = (acts % LANE_BITS).astype(np.uint64)
+        hit[flip_rows] = (lanes[flip_rows, acts // LANE_BITS] >> shifts) & np.uint64(1) != 0
+        pre = [
+            packed_column_counts(mask_bytes[lo:hi], self._n)
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+        ]
+        return self._aggregate_segments(
+            segment_words, offsets, actions, err_counts, hit, pre
+        )
 
     def _aggregate_segments(
         self,
         segment_words: List[int],
+        bounds: np.ndarray,
         actions: np.ndarray,
         err_counts: np.ndarray,
-        flip_rows: np.ndarray,
-        acts: np.ndarray,
-        mask_at_action: np.ndarray,
-        pre_counts,
+        hit: np.ndarray,
+        pre: List[np.ndarray],
     ) -> List[FusedStats]:
+        """Per-segment statistics from per-word decode outcomes.
+
+        ``actions``, ``err_counts`` and ``hit`` (whether the acted-on bit was
+        an injected error) describe a sorted list of words, and segment ``s``
+        owns entries ``bounds[s]:bounds[s + 1]`` of it; a word left out is
+        clean.  ``pre[s]`` holds segment ``s``'s per-column error counts.
+        """
         results: List[FusedStats] = []
-        offset = 0
-        for count in segment_words:
-            lo, hi = offset, offset + count
-            offset = hi
+        for index, count in enumerate(segment_words):
+            lo, hi = bounds[index], bounds[index + 1]
             seg_actions = actions[lo:hi]
-            lo_i, hi_i = np.searchsorted(flip_rows, (lo, hi))
-            seg_acts = acts[lo_i:hi_i]
-            seg_hit = mask_at_action[lo_i:hi_i]
-            pre = pre_counts(lo, hi)
-            post = pre[: self._k].copy()
+            acted = seg_actions >= 0
+            seg_acts = seg_actions[acted]
+            seg_hit = hit[lo:hi][acted]
+            # A correction of data bit j clears an injected error there (a
+            # hit) or adds one (a miscorrection).
             data_sel = seg_acts < self._k
-            plus = seg_acts[data_sel & ~seg_hit]
-            minus = seg_acts[data_sel & seg_hit]
-            if plus.size:
-                post += np.bincount(plus, minlength=self._k)
-            if minus.size:
-                post -= np.bincount(minus, minlength=self._k)
+            plus = np.bincount(seg_acts[data_sel & ~seg_hit], minlength=self._k)
+            minus = np.bincount(seg_acts[data_sel & seg_hit], minlength=self._k)
             results.append(
                 FusedStats(
                     num_words=count,
-                    pre_correction_error_counts=pre,
-                    post_correction_error_counts=post,
+                    pre_correction_error_counts=pre[index],
+                    post_correction_error_counts=pre[index][: self._k] + plus - minus,
                     uncorrectable_words=int(
                         (err_counts[lo:hi] > self._correctable).sum()
                     ),
@@ -568,9 +557,7 @@ class FusedKernel:
                     detected_words=int(
                         (seg_actions == SystematicLinearCode.ACTION_DETECT).sum()
                     ),
-                    miscorrection_positions=tuple(
-                        int(p) for p in np.unique(plus)
-                    ),
+                    miscorrection_positions=tuple(np.flatnonzero(plus).tolist()),
                 )
             )
         return results

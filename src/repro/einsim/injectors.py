@@ -11,9 +11,23 @@ simulation backend (:mod:`repro.einsim.fused`):
 ``error_mask_packed(codeword, num_words, rng)`` returns the same logical
 masks as ``error_mask`` on a ``num_words``-fold tiling of ``codeword``, in a
 packed :class:`~repro.einsim.fused.PackedErrorBatch` representation that
-never materializes the tiled codeword batch.  Injectors without the method
-(e.g. :class:`FaultModelInjector`, whose fault models need the stored bits)
-automatically take the generic tile-and-pack fallback.
+never materializes the tiled codeword batch:
+
+* coordinates (the word and column of every error, words in order) from
+  :class:`UniformRandomInjector`, :class:`DataRetentionInjector`,
+  :class:`MixedCellRetentionInjector`, :class:`BurstErrorInjector` and
+  :class:`FixedErrorCountInjector` over more than
+  :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` candidates, so the kernel
+  costs O(errors);
+* subset integers from :class:`FixedErrorCountInjector` over a short
+  candidate list (the BEEP weak-cell case);
+* dense lanes from the injectors that draw whole masks
+  (:class:`PerBitBernoulliInjector`, :class:`RowStripeInjector`,
+  :class:`CompositeInjector`).
+
+Injectors without the method (e.g. :class:`FaultModelInjector`, whose fault
+models need the stored bits) automatically take the generic tile-and-pack
+fallback, which gives lanes.
 
 The two routes stay bit-identical because both call one sampler with the
 same arguments, and that sampler draws in O(errors), not O(bits):
@@ -278,17 +292,13 @@ class FixedErrorCountInjector:
         Small candidate lists (at most
         :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` positions — the BEEP
         weak-cell case) come back in the subset representation, which the
-        fused kernel classifies from a single histogram; larger draws use
-        the per-word sparse representation.
+        fused kernel classifies from a single histogram; larger draws come
+        back as the coordinates of the fired candidates.
         """
         codeword_length = codeword.shape[0]
         candidates = self._candidates(codeword_length)
         if self._num_errors == 0 or num_words == 0:
-            return PackedErrorBatch.from_sparse(
-                np.zeros((num_words, 0), dtype=np.int64),
-                np.zeros((num_words, 0), dtype=bool),
-                codeword_length,
-            )
+            return PackedErrorBatch.from_indices([], [], num_words, codeword_length)
         chosen, fires = self._draw(num_words, candidates.size, rng)
         if candidates.size <= SUBSET_WIDTH_LIMIT:
             # Row sums via matmul: numpy's ``sum(axis=1)`` over an axis this
@@ -304,8 +314,12 @@ class FixedErrorCountInjector:
                     np.int64(1) << np.arange(candidates.size, dtype=np.int64)
                 )
             return PackedErrorBatch.from_subset(candidates, subsets, codeword_length)
-        return PackedErrorBatch.from_sparse(
-            candidates[chosen], fires, codeword_length
+        fired = np.flatnonzero(fires)
+        return PackedErrorBatch.from_indices(
+            fired // self._num_errors,
+            np.take(candidates[chosen], fired),
+            num_words,
+            codeword_length,
         )
 
 
@@ -449,23 +463,22 @@ class BurstErrorInjector:
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
+        """Packed-protocol equivalent of :meth:`error_mask` (same draws).
+
+        Returns the coordinates of the fired cells of every burst.
+        """
         codeword_length = codeword.shape[0]
         length = min(self._burst_length, codeword_length)
         if num_words == 0:
-            return PackedErrorBatch.from_sparse(
-                np.zeros((0, length), dtype=np.int64),
-                np.zeros((0, length), dtype=bool),
-                codeword_length,
-            )
+            return PackedErrorBatch.from_indices([], [], 0, codeword_length)
         bursty = rng.random(num_words) < self._burst_probability
         starts = rng.integers(0, codeword_length - length + 1, size=num_words)
         fires = rng.random((num_words, length)) < self._bit_flip_probability
         fires &= bursty[:, np.newaxis]
-        positions = starts[:, np.newaxis].astype(np.int64) + np.arange(
-            length, dtype=np.int64
+        rows, offsets = np.divmod(np.flatnonzero(fires), length)
+        return PackedErrorBatch.from_indices(
+            rows, starts[rows] + offsets, num_words, codeword_length
         )
-        return PackedErrorBatch.from_sparse(positions, fires, codeword_length)
 
 
 class RowStripeInjector:
@@ -598,6 +611,12 @@ class CompositeInjector:
 
 
 def _validate_probability(value: float) -> None:
+    # bool passes as numbers.Real (it is an Integral), but True is never a
+    # probability anyone meant.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ChipConfigurationError(
+            f"probability must be a real number, got {value!r}"
+        )
     # The chained comparison is False for NaN, so NaN is rejected as well.
     if not 0.0 <= value <= 1.0:
         raise ChipConfigurationError(f"probability {value} must lie in [0, 1]")

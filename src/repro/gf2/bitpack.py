@@ -107,7 +107,8 @@ def lanes_to_bytes(lanes: np.ndarray, num_cols: int) -> np.ndarray:
             f"{lanes.shape[1]} lanes cannot hold exactly {num_cols} columns"
         )
     num_bytes = (num_cols + 7) // 8
-    return lanes.view(np.uint8).reshape(lanes.shape[0], -1)[:, :num_bytes]
+    rows, lanes_per_row = lanes.shape
+    return lanes.view(np.uint8).reshape(rows, 8 * lanes_per_row)[:, :num_bytes]
 
 
 def bytes_to_lanes(packed_bytes: np.ndarray, num_cols: int) -> np.ndarray:

@@ -43,12 +43,12 @@ from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError, ScenarioError, ValidationError
+from repro.exceptions import ReproError, ScenarioError, ValidationError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import SAMPLER_VERSION
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import build_injector, get_scenario
 
 #: Cell kinds the runner knows how to execute.
 CELL_KINDS: Tuple[str, ...] = ("einsim", "beer")
@@ -111,13 +111,18 @@ def make_einsim_cell(
     """Build a single injector-driven Monte-Carlo cell.
 
     The config records the injectors' :data:`SAMPLER_VERSION`: results
-    drawn by another sampler live under other content keys.
+    drawn by another sampler live under other content keys.  The cell's
+    injector is built here exactly as the runner will build it, so a
+    parameter the injector rejects fails now, as a :class:`ScenarioError`,
+    and not when a sweep reaches the cell.
     """
     resolved = get_scenario(scenario).resolve_params(params)
     if num_words < 1:
         raise ScenarioError("a cell must simulate at least one word")
+    if chunk_size < 1:
+        raise ScenarioError(f"chunk size must be at least 1, got {chunk_size}")
     _check_backend(backend)
-    return ExperimentCell.from_config(
+    cell = ExperimentCell.from_config(
         {
             "kind": "einsim",
             "scenario": scenario,
@@ -131,6 +136,14 @@ def make_einsim_cell(
             "sampler": SAMPLER_VERSION,
         }
     )
+    stored = cell.config()["params"]
+    try:
+        build_injector(scenario, stored)
+    except (ReproError, TypeError, ValueError) as error:
+        raise ScenarioError(
+            f"scenario {scenario!r} rejects parameters {stored}: {error}"
+        ) from error
+    return cell
 
 
 def make_beer_cell(
@@ -284,8 +297,10 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
     """
     try:
         family = get_family(str(spec.get("code_family", "sec-hamming")))
-    except CodeConstructionError as error:
+    except ReproError as error:
         raise ScenarioError(str(error)) from error
+    if "parity_columns" not in spec and "data_bits" not in spec:
+        raise ScenarioError("code spec needs 'data_bits' or explicit 'parity_columns'")
     try:
         if "parity_columns" in spec:
             columns = [int(c) for c in spec["parity_columns"]]
@@ -295,10 +310,6 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
             if "code_family" in spec:
                 return family.construct(len(columns), parity_bits, columns=columns)
             return SystematicLinearCode.from_parity_columns(columns, parity_bits)
-        if "data_bits" not in spec:
-            raise ScenarioError(
-                "code spec needs 'data_bits' or explicit 'parity_columns'"
-            )
         data_bits = int(spec["data_bits"])
         parity_bits = spec.get("parity_bits")
         parity_bits = None if parity_bits is None else int(parity_bits)
@@ -306,7 +317,7 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
             rng = np.random.default_rng(int(spec["code_seed"]))
             return family.random(data_bits, parity_bits, rng=rng)
         return family.construct(data_bits, parity_bits)
-    except CodeConstructionError as error:
+    except (ReproError, TypeError, ValueError) as error:
         raise ScenarioError(f"invalid code spec: {error}") from error
 
 

@@ -174,6 +174,80 @@ class TestBadInputExitsTwo:
         exit_code = main(["verify", "--profile", str(path), "--columns", columns])
         self._assert_usage_error(exit_code, capsys)
 
+    @staticmethod
+    def _scenario_run(*extra):
+        return main([
+            "scenario", "run", "--data-bits", "8", "--num-words", "50", *extra,
+        ])
+
+    def test_scenario_run_unknown_scenario(self, capsys):
+        exit_code = self._scenario_run("--scenario", "nope")
+        self._assert_usage_error(exit_code, capsys)
+
+    def test_scenario_run_unknown_parameter(self, capsys):
+        exit_code = self._scenario_run(
+            "--scenario", "uniform-random", "--param", "bit_error_rate=0.01",
+            "--param", "nope=1",
+        )
+        self._assert_usage_error(exit_code, capsys)
+
+    def test_scenario_run_parameter_without_value(self, capsys):
+        exit_code = self._scenario_run(
+            "--scenario", "uniform-random", "--param", "bit_error_rate",
+        )
+        self._assert_usage_error(exit_code, capsys)
+
+    @pytest.mark.parametrize("rate", ["2", "abc", "true", "null"])
+    def test_scenario_run_bad_bit_error_rate(self, rate, capsys):
+        exit_code = self._scenario_run(
+            "--scenario", "uniform-random", "--param", f"bit_error_rate={rate}",
+        )
+        self._assert_usage_error(exit_code, capsys)
+
+    def test_scenario_run_zero_words(self, capsys):
+        exit_code = main([
+            "scenario", "run", "--scenario", "uniform-random",
+            "--param", "bit_error_rate=0.01", "--num-words", "0",
+        ])
+        self._assert_usage_error(exit_code, capsys)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"codes": [{"parity_columns": [3, 99]}]},
+            {"codes": [{"parity_columns": [3, -1]}]},
+            {"scenarios": [
+                {"name": "uniform-random", "params": {"bit_error_rate": [0.01, True, 2]}}
+            ]},
+            {"scenarios": [{"name": "nope"}]},
+            {"num_words": "many"},
+        ],
+        ids=["column-too-wide", "negative-column", "bad-rates", "unknown-scenario",
+             "non-integer-words"],
+    )
+    def test_scenario_sweep_bad_spec_commits_nothing(self, change, tmp_path, capsys):
+        spec = {
+            "name": "bad", "num_words": 50, "codes": [{"data_bits": 8}],
+            "scenarios": [{"name": "uniform-random", "params": {"bit_error_rate": 0.01}}],
+        }
+        spec.update(change)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        store = tmp_path / "camp"
+        exit_code = main(["scenario", "sweep", "--spec", str(path), "--store", str(store)])
+        self._assert_usage_error(exit_code, capsys)
+        assert not store.exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_scenario_sweep_unreadable_spec(self, content, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        exit_code = main([
+            "scenario", "sweep", "--spec", str(path), "--store", str(tmp_path / "camp"),
+        ])
+        self._assert_usage_error(exit_code, capsys)
+
 
 class TestSimulateAndBeepCommands:
     def test_simulate_profile_roundtrip(self, tmp_path, capsys):

@@ -215,9 +215,13 @@ class TestInjectorPackedProtocol:
         )
         rng = np.random.default_rng(0)
         assert packed_error_batch(small, codeword, 8, rng).kind == "subset"
-        assert packed_error_batch(wide, codeword, 8, rng).kind == "sparse"
+        assert packed_error_batch(wide, codeword, 8, rng).kind == "coords"
         assert (
             packed_error_batch(UniformRandomInjector(0.1), codeword, 8, rng).kind
+            == "coords"
+        )
+        assert (
+            packed_error_batch(PerBitBernoulliInjector([0.1] * 21), codeword, 8, rng).kind
             == "lanes"
         )
 

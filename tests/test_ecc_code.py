@@ -275,9 +275,15 @@ class TestIntColumnsAgainstGf2Matrix:
     )
     def test_same_exception_types(self, columns, num_parity_bits):
         with pytest.raises(ReproError) as expected:
-            _gf2_matrix_code(columns, num_parity_bits, "sec-hamming", False)
-        with pytest.raises(type(expected.value)):
+            if columns:
+                _gf2_matrix_code(columns, num_parity_bits, "sec-hamming", False)
+            else:
+                # GF2Matrix.from_columns cannot stack zero columns, so an
+                # empty P reaches the constructor as a zero-width matrix.
+                SystematicLinearCode(GF2Matrix.zeros(num_parity_bits, 0))
+        with pytest.raises(ReproError) as actual:
             SystematicLinearCode.from_parity_columns(columns, num_parity_bits)
+        assert type(actual.value) is type(expected.value)
 
     def test_empty_matrix_rejected_on_both_paths(self):
         with pytest.raises(CodeConstructionError):

@@ -40,6 +40,26 @@ class TestInjectors:
         with pytest.raises(ChipConfigurationError):
             UniformRandomInjector(1.5)
 
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, "abc", None, [0.5]],
+        ids=["true", "false", "numpy-bool", "string", "none", "list"],
+    )
+    def test_probabilities_must_be_real_numbers(self, value):
+        for build in (
+            UniformRandomInjector,
+            DataRetentionInjector,
+            MixedCellRetentionInjector,
+            lambda p: FixedErrorCountInjector(1, per_bit_probability=p),
+            lambda p: BurstErrorInjector(p, 2),
+            lambda p: RowStripeInjector(p),
+        ):
+            with pytest.raises(ChipConfigurationError, match="real number"):
+                build(value)
+
+    def test_numpy_and_integer_probabilities_are_accepted(self):
+        for value in (0, 1, np.float64(0.25), np.float32(0.5), np.int64(1)):
+            assert UniformRandomInjector(value).bit_error_rate == value
+
     def test_retention_injector_true_cells_only_flip_ones(self):
         injector = DataRetentionInjector(1.0, CellType.TRUE_CELL)
         stored = np.array([[1, 0, 1, 0]], dtype=np.uint8)

@@ -21,6 +21,7 @@ from repro.einsim import (
     DataRetentionInjector,
     EinsimSimulator,
     FixedErrorCountInjector,
+    PerBitBernoulliInjector,
     UniformRandomInjector,
 )
 from repro.einsim.simulator import simulate_segments
@@ -28,12 +29,14 @@ from repro.exceptions import DimensionError, ProfileError, ValidationError
 
 BACKENDS = ("reference", "packed")
 
-#: One injector per packed representation (dense lanes, sparse positions,
-#: subset integers), so mixed segments force incompatible-batch flushes.
+#: Injectors covering every packed representation (coordinates from two
+#: draws, subset integers, dense lanes), so mixed segments force
+#: incompatible-batch flushes.
 INJECTORS = (
     DataRetentionInjector(0.1),
     FixedErrorCountInjector(2),
     FixedErrorCountInjector(2, [0, 3, 7, 12], 0.5),
+    PerBitBernoulliInjector(np.linspace(0.0, 0.2, 22)),
 )
 
 

@@ -513,12 +513,14 @@ class TestInjectorInputChecks:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("num_errors", [2.5, 2.0, True])
     def test_non_integral_error_count_is_refused(self, backend, num_errors):
-        cell = make_einsim_cell(
-            "fixed-error-count", {"num_errors": num_errors}, {"data_bits": 8},
-            num_words=10, backend=backend,
-        )
-        with pytest.raises(ChipConfigurationError, match="must be an integer"):
-            execute_cell(cell)
+        # A cell builds its injector when it is made, so the refusal comes
+        # before any sweep could reach the cell.
+        with pytest.raises(ScenarioError, match="must be an integer") as refused:
+            make_einsim_cell(
+                "fixed-error-count", {"num_errors": num_errors}, {"data_bits": 8},
+                num_words=10, backend=backend,
+            )
+        assert isinstance(refused.value.__cause__, ChipConfigurationError)
 
     def test_numpy_integer_error_count_is_accepted(self):
         assert FixedErrorCountInjector(np.int64(2)).num_errors == 2

@@ -17,6 +17,7 @@ from repro.gf2.bitpack import (
     bytes_to_lanes,
     fold_bytes,
     lanes_to_bytes,
+    num_lanes,
     pack_bool_rows,
     packed_column_counts,
 )
@@ -105,6 +106,12 @@ class TestByteViews:
         bits = rng.integers(0, 2, size=(300, num_cols)).astype(np.uint8)
         as_bytes = lanes_to_bytes(pack_rows(bits), num_cols)
         assert np.array_equal(packed_column_counts(as_bytes, num_cols), bits.sum(axis=0))
+
+    @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
+    def test_zero_rows_view_as_zero_rows(self, num_cols):
+        as_bytes = lanes_to_bytes(np.zeros((0, num_lanes(num_cols)), np.uint64), num_cols)
+        assert as_bytes.shape == (0, (num_cols + 7) // 8)
+        assert packed_column_counts(as_bytes, num_cols).tolist() == [0] * num_cols
 
     @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
     def test_bool_rows_pack_like_uint8_rows(self, num_cols):

@@ -189,7 +189,56 @@ class TestSweepExpansion:
             assert make_einsim_cell(**kwargs).key() != base.key()
 
 
+class TestCellsRejectBadParameters:
+    """A parameter the injector rejects fails when the cell is made."""
+
+    @pytest.mark.parametrize(
+        "rate", [2, "abc", True, None], ids=["two", "string", "true", "null"]
+    )
+    def test_make_einsim_cell(self, rate):
+        with pytest.raises(ScenarioError, match="bit_error_rate"):
+            make_einsim_cell(
+                "uniform-random", {"bit_error_rate": rate}, {"data_bits": 8}, 100
+            )
+
+    @pytest.mark.parametrize(
+        "rate", [2, "abc", True, None], ids=["two", "string", "true", "null"]
+    )
+    def test_sweep_spec(self, rate):
+        payload = dict(BASE_SWEEP)
+        payload["scenarios"] = [
+            {"name": "data-retention-true", "params": {"bit_error_rate": [0.01, rate]}}
+        ]
+        with pytest.raises(ScenarioError, match="bit_error_rate"):
+            SweepSpec.from_dict(payload)
+
+    def test_a_bad_cell_stops_the_sweep_before_any_commit(self, tmp_path):
+        payload = dict(BASE_SWEEP)
+        payload["scenarios"] = [
+            {"name": "uniform-random", "params": {"bit_error_rate": [0.01, True, 2]}}
+        ]
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError):
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert len(store) == 0
+
+    def test_chunk_size_must_be_positive(self):
+        with pytest.raises(ScenarioError, match="chunk size"):
+            make_einsim_cell(
+                "uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8}, 100,
+                chunk_size=0,
+            )
+
+
 class TestCellResolution:
+    @pytest.mark.parametrize(
+        "columns", [[3, 99], [3, -1], [], ["x"]],
+        ids=["too-wide", "negative", "empty", "not-int"],
+    )
+    def test_bad_parity_columns_raise_scenario_error(self, columns):
+        with pytest.raises(ScenarioError, match="invalid code spec"):
+            resolve_code({"parity_columns": columns, "parity_bits": 3})
+
     def test_deterministic_code_from_data_bits(self):
         assert resolve_code({"data_bits": 8}) == resolve_code({"data_bits": 8})
 
