@@ -18,12 +18,14 @@ infrastructure provides:
 State is bit-packed.  Each ECC word occupies ``ceil(n / 64)`` ``uint64``
 lanes in :func:`repro.gf2.bitpack.pack_rows` layout (codeword bit ``j`` is
 bit ``j % 64`` of lane ``j // 64``), once as written and once with the decay
-accumulated since.  A write encodes straight into lanes.  A refresh pause is
-three lane operations: a CHARGED true-cell stores 1 and decays to 0, a
-CHARGED anti-cell stores 0 and decays to 1, so the decaying cells are
+accumulated since.  A write encodes straight into lanes
+(:func:`repro.einsim.engine.encode_lanes`).  A refresh pause is three lane
+operations: a CHARGED true-cell stores 1 and decays to 0, a CHARGED
+anti-cell stores 0 and decays to 1, so the decaying cells are
 ``failing & (current ^ anti)``, where ``anti`` has all ``n`` bits set in
 anti-cell words, and each of them flips.  A read syndrome-decodes the lanes
-and unpacks only the data bits it returns.
+in place (:func:`repro.einsim.engine.decode_lanes`) and unpacks only the
+data bits it returns.
 
 Retention times are fixed for the chip's life, so the packed mask of the
 cells failing a ``(duration, temperature)`` pause is computed once by
@@ -45,25 +47,13 @@ import numpy as np
 
 from repro.exceptions import AddressError, ChipConfigurationError
 from repro.gf2 import GF2Vector
-from repro.gf2.bitpack import (
-    LANE_BITS,
-    fold_bytes,
-    num_lanes,
-    pack_bool_rows,
-    pack_rows,
-)
+from repro.gf2.bitpack import num_lanes, pack_rows
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType
 from repro.dram.faults import TransientFaultModel
 from repro.dram.layout import ByteInterleavedWordLayout, CellTypeLayout
 from repro.dram.retention import DataRetentionModel
-from repro.einsim.engine import (
-    TINY_SYNDROME_PARITY_BITS,
-    bulk_decode,
-    bulk_encode,
-    resolve_backend,
-    tiny_syndromes,
-)
+from repro.einsim.engine import decode_lanes, encode_lanes, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -87,12 +77,12 @@ class SimulatedDramChip:
     """Simulated DRAM chip with on-die ECC and a data-retention fault model.
 
     Codewords are kept in packed ``uint64`` lanes (see the module
-    docstring).  ``backend`` selects only the encode/decode kernels:
-    ``"packed"`` (the default; ``"auto"`` and ``"fused"`` are aliases) folds
-    the lanes' bytes through the code's cached parity, syndrome and
-    decode-action tables, while ``"reference"`` unpacks the lanes and runs
-    the uint8 reference kernels of :mod:`repro.einsim.engine`.  Storage,
-    decay and every random draw are shared, so both read back the same bits.
+    docstring).  ``backend`` selects only the backend of the engine's lane
+    codec: ``"packed"`` (the default; ``"auto"`` and ``"fused"`` are
+    aliases) folds the lanes' bytes through the code's cached parity,
+    syndrome and decode-action tables, while ``"reference"`` unpacks the
+    lanes and runs the uint8 reference kernels.  Storage, decay and every
+    random draw are shared, so both read back the same bits.
     """
 
     def __init__(
@@ -227,13 +217,15 @@ class SimulatedDramChip:
             raise AddressError(
                 f"expected dataword array of shape ({len(indices)}, {self.num_data_bits})"
             )
-        codewords = self._encode(_binary(data))
+        codewords = encode_lanes(self._code, _binary(data), self._backend)
         self._stored[indices] = codewords
         self._current[indices] = codewords
 
     def fill(self, dataword) -> None:
         """Write the same dataword to every ECC word on the chip."""
-        codeword = self._encode(_as_bits(dataword, self.num_data_bits)[np.newaxis])
+        codeword = encode_lanes(
+            self._code, _as_bits(dataword, self.num_data_bits)[np.newaxis], self._backend
+        )
         self._stored[:] = codeword
         self._current[:] = codeword
 
@@ -255,8 +247,9 @@ class SimulatedDramChip:
         probability = self._transient_faults.probability_per_bit
         if probability > 0:
             flips = self._rng.random((indices.size, self._code.codeword_length))
-            lanes ^= pack_bool_rows(flips < probability)
-        return self._decode(lanes)
+            lanes ^= pack_rows(flips < probability)
+        decode_lanes(self._code, lanes, self._backend)
+        return _unpack(lanes, self.num_data_bits)
 
     def read_all_datawords(self) -> np.ndarray:
         """Read and decode every word on the chip."""
@@ -354,67 +347,12 @@ class SimulatedDramChip:
         return float(self._retention_times[word_index, bit_index])
 
     # -- internals ----------------------------------------------------------------
-    def _encode(self, data: np.ndarray) -> np.ndarray:
-        """Codeword lanes of a ``(words, k)`` batch of 0/1 datawords."""
-        code = self._code
-        if self._backend == "reference":
-            return pack_rows(bulk_encode(code, data, "reference"))
-        num_words, num_data_bits = data.shape
-        data_bytes = (num_data_bits + 7) // 8
-        codeword_bytes = np.zeros((num_words, self._stored.shape[1] * 8), dtype=np.uint8)
-        if num_data_bits % 8:
-            padded = np.zeros((num_words, data_bytes * 8), dtype=np.uint8)
-            padded[:, :num_data_bits] = data
-            data = padded
-        # One flat packbits: numpy packs a long 1-D run far faster than
-        # along the short axis of a 2-D batch.
-        codeword_bytes[:, :data_bytes] = np.packbits(
-            data.reshape(-1), bitorder="little"
-        ).reshape(num_words, data_bytes)
-        parity = fold_bytes(
-            code.parity_fold_table(), codeword_bytes[:, :data_bytes]
-        ).astype(np.uint64)
-        lanes = codeword_bytes.view("<u8")
-        # The parity bits follow the data bits, from codeword bit k on; they
-        # straddle two lanes when k % 64 + r > 64 (k = 58..63 at r = 7).
-        lane, shift = divmod(code.num_data_bits, LANE_BITS)
-        lanes[:, lane] |= parity << np.uint64(shift)
-        if shift + code.num_parity_bits > LANE_BITS:
-            lanes[:, lane + 1] |= parity >> np.uint64(LANE_BITS - shift)
-        return lanes
-
-    def _decode(self, lanes: np.ndarray) -> np.ndarray:
-        """Post-correction data bits of received codeword lanes.
-
-        ``lanes`` must be C-contiguous; it is corrected in place.
-        """
-        code = self._code
-        num_data_bits = code.num_data_bits
-        if self._backend == "reference":
-            received = _unpack(lanes, code.codeword_length)
-            return bulk_decode(code, received, "reference")[:, :num_data_bits]
-        codeword_bytes = lanes.view(np.uint8)
-        if code.num_parity_bits <= TINY_SYNDROME_PARITY_BITS:
-            syndromes = tiny_syndromes(lanes, code.packed_h_lanes())
-        else:
-            syndromes = fold_bytes(
-                code.syndrome_fold_table(),
-                codeword_bytes[:, : (code.codeword_length + 7) // 8],
-            )
-        actions = code.decode_action_table()[syndromes]
-        rows = np.flatnonzero(actions >= 0)
-        positions = actions[rows]
-        lanes[rows, positions // LANE_BITS] ^= np.left_shift(
-            np.uint64(1), (positions % LANE_BITS).astype(np.uint64)
-        )
-        return _unpack(lanes, num_data_bits)
-
     def _failing_mask(self, duration_s: float, temperature_c: float) -> np.ndarray:
         """Packed mask of the cells whose retention time the pause exceeds."""
         key = (float(duration_s), float(temperature_c))
         mask = self._failing_masks.get(key)
         if mask is None:
-            mask = self._failing_masks[key] = pack_bool_rows(
+            mask = self._failing_masks[key] = pack_rows(
                 self._retention_model.cells_failing(
                     self._retention_times, duration_s, temperature_c
                 )

@@ -10,11 +10,29 @@ exactly that kind of interference so the filtering path can be exercised.
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ChipConfigurationError
+
+
+def validate_probability(value: float) -> None:
+    """Raise :class:`ChipConfigurationError` unless ``value`` is a real in [0, 1].
+
+    The fault models here and the error injectors of
+    :mod:`repro.einsim.injectors` check every probability they take with it.
+    """
+    # bool passes as numbers.Real (it is an Integral), but True is never a
+    # probability anyone meant.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ChipConfigurationError(
+            f"probability must be a real number, got {value!r}"
+        )
+    # The chained comparison is False for NaN, so NaN is rejected as well.
+    if not 0.0 <= value <= 1.0:
+        raise ChipConfigurationError(f"probability {value} must lie in [0, 1]")
 
 
 class TransientFaultModel:
@@ -30,8 +48,7 @@ class TransientFaultModel:
     """
 
     def __init__(self, probability_per_bit: float = 1e-9):
-        if not 0 <= probability_per_bit <= 1:
-            raise ChipConfigurationError("fault probability must be in [0, 1]")
+        validate_probability(probability_per_bit)
         self._probability_per_bit = probability_per_bit
 
     @property
@@ -64,8 +81,7 @@ class StuckAtFaultModel:
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ):
-        if not 0 <= stuck_fraction <= 1:
-            raise ChipConfigurationError("stuck fraction must be in [0, 1]")
+        validate_probability(stuck_fraction)
         if stuck_value not in (0, 1):
             raise ChipConfigurationError("stuck value must be 0 or 1")
         if rng is not None and seed is not None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.exceptions import CodeConstructionError, DimensionError, ValidationError
 from repro.gf2 import GF2Matrix, GF2Vector
-from repro.gf2.bitpack import byte_fold_table
+from repro.gf2.bitpack import byte_fold_table, pack_rows
 
 
 def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
@@ -120,7 +120,6 @@ class SystematicLinearCode:
         self._syndrome_weights: Optional[np.ndarray] = None
         self._syndrome_fold_table: Optional[np.ndarray] = None
         self._parity_fold_table: Optional[np.ndarray] = None
-        self._packed_h_rows: Optional[np.ndarray] = None
         self._packed_h_lanes: Optional[np.ndarray] = None
 
     # -- constructors -----------------------------------------------------
@@ -353,35 +352,18 @@ class SystematicLinearCode:
             )
         return self._parity_fold_table
 
-    def packed_h_rows(self) -> np.ndarray:
-        """The ``r`` rows of ``H`` byte-packed LSB-first (cached).
-
-        Shape ``(r, ceil(n / 8))`` ``uint8`` — the same layout
-        ``np.packbits(words, axis=1, bitorder="little")`` gives a batch of
-        codewords, so ``packed_word & packed_h_rows()[i]`` selects exactly the
-        columns of row ``i``.  Used by the tiny-``r`` syndrome fast path,
-        where a full byte-fold table costs more than it saves.
-        """
-        if self._packed_h_rows is None:
-            self._packed_h_rows = np.packbits(
-                self.parity_check_matrix.to_numpy(), axis=1, bitorder="little"
-            )
-        return self._packed_h_rows
-
     def packed_h_lanes(self) -> np.ndarray:
         """The ``r`` rows of ``H`` packed into ``uint64`` lanes (cached).
 
-        Shape ``(r, ceil(n / 64))`` ``<u8``-endian ``uint64`` — the lane view
-        of :meth:`packed_h_rows`, aligned with
-        :func:`repro.gf2.bitpack.pack_rows` batches.  Used by the tiny-``r``
-        syndrome fast path, which reduces masked lanes with XOR + popcount.
+        Shape ``(r, ceil(n / 64))``, aligned with
+        :func:`repro.gf2.bitpack.pack_rows` batches of codewords, so
+        ``lanes & packed_h_lanes()[i]`` selects exactly the columns of row
+        ``i``.  Used by the tiny-``r`` syndrome path of
+        :mod:`repro.einsim.engine`, which reduces masked lanes with XOR +
+        popcount.
         """
         if self._packed_h_lanes is None:
-            from repro.gf2.bitpack import bytes_to_lanes
-
-            self._packed_h_lanes = bytes_to_lanes(
-                self.packed_h_rows(), self.codeword_length
-            )
+            self._packed_h_lanes = pack_rows(self.parity_check_matrix.to_numpy())
         return self._packed_h_lanes
 
     # -- encoding / syndromes ----------------------------------------------

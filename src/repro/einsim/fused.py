@@ -16,36 +16,35 @@ exploits two identities:
   from mask column counts plus a ±1 adjustment at each acted-on position.
 
 Injectors emit masks directly in packed form via the ``error_mask_packed``
-protocol (:mod:`repro.einsim.injectors`), in one of three representations:
+protocol (:mod:`repro.einsim.injectors`), in one of two representations:
 
 * ``coords`` — a coordinate list: the word index of every set bit, in
   nondecreasing order, with its column, at most once per (word, column).
-  The Bernoulli-style models (through :meth:`PackedErrorBatch.from_indices`),
-  fixed-error-count draws over many candidates and bursts emit it; the
-  kernel classifies it in O(errors), and a word without coordinates is
-  clean by construction;
+  Every injector but the BEEP weak-cell case emits it: the Bernoulli-style
+  models through :meth:`PackedErrorBatch.from_indices`, the injectors that
+  draw whole boolean masks (per-bit probabilities, row stripes, fault
+  models) through :meth:`PackedErrorBatch.from_mask`, and composites as the
+  union of their members' coordinates.  The kernel classifies it in
+  O(errors), and a word without coordinates is clean by construction;
 * ``subset`` — a single integer per word indexing the fired subset of a
   small shared candidate list (the BEEP weak-cell case), classified entirely
-  through ``2**c``-entry lookup tables and one histogram;
-* ``lanes`` — dense ``uint64`` lanes, for the injectors that draw whole
-  masks (per-bit probabilities, row stripes, composites).
+  through ``2**c``-entry lookup tables and one histogram.
 
-Injectors without the protocol fall back to the unpacked
-``error_mask`` + pack, which gives lanes.  Classification is segment-aware
-so one kernel call covers many profile patterns or campaign chunks
-(:func:`FusedKernel.classify_segments`); the runner decides which batches
-share a call.  Coordinates take their syndromes from one XOR-reduction of
-column integers per word.  Lanes take the byte-fold syndrome tables, or the
-AND/XOR-parity routine :func:`repro.einsim.engine.tiny_syndromes` for codes
-with one or two parity bits, exactly like the staged packed kernels.
+Injectors without the protocol fall back to the unpacked ``error_mask`` on
+a tiled codeword, whose set bits become coordinates.  Classification is
+segment-aware so one kernel call covers many profile patterns or campaign
+chunks (:func:`FusedKernel.classify_segments`); the runner decides which
+batches share a call.  Coordinates take their syndromes from one
+XOR-reduction of column integers per word.
 
 Bit-identity with the reference backend rests on the injectors, not on this
 module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
-O(errors) sampler with the same arguments, so both backends see the same
-masks, and the kernel computes the same statistics from them
-(``tests/test_differential_fused.py``, ``tests/test_einsim_coordinates.py``).  Both backends draw through
-:func:`traced_draw`, which counts each draw under ``einsim.sample_*`` when
-tracing, beside the kernels' ``einsim.decode_*`` counters.
+sampler with the same arguments, so both backends see the same masks, and
+the kernel computes the same statistics from them
+(``tests/test_differential_fused.py``, ``tests/test_einsim_coordinates.py``).
+Both backends draw through :func:`traced_draw`, which counts each draw under
+``einsim.sample_*`` when tracing, beside the kernels' ``einsim.decode_*``
+counters.
 """
 
 from __future__ import annotations
@@ -57,18 +56,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from repro.exceptions import DimensionError, ValidationError
-from repro.gf2.bitpack import (
-    LANE_BITS,
-    fold_bytes,
-    lanes_to_bytes,
-    num_lanes,
-    pack_bool_rows,
-    packed_column_counts,
-    popcount_u64,
-)
+from repro.gf2.bitpack import popcount_u64
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
-from repro.einsim.engine import TINY_SYNDROME_PARITY_BITS, tiny_syndromes
 
 #: Widest shared candidate list stored as subset integers; beyond this the
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
@@ -82,16 +72,13 @@ _Drawn = TypeVar("_Drawn")
 class PackedErrorBatch:
     """One Monte-Carlo round's error masks, in packed form.
 
-    Exactly one representation is populated; ``kind`` reports which.  All
-    representations describe the same logical object — a boolean
-    ``(num_words, num_bits)`` mask — and :meth:`to_lanes` converts any of
-    them to dense lanes without unpacking.
+    Exactly one representation is populated; ``kind`` reports which.  Both
+    describe the same logical object — a boolean ``(num_words, num_bits)``
+    mask — and :meth:`coordinates` lists its set bits from either.
     """
 
     num_words: int
     num_bits: int
-    #: Dense representation: ``(num_words, lanes)`` ``uint64``.
-    lanes: Optional[np.ndarray] = None
     #: Coordinate representation: bit ``columns[i]`` of word ``rows[i]`` is
     #: set; ``rows`` is nondecreasing and no (row, column) pair repeats.
     rows: Optional[np.ndarray] = None
@@ -103,35 +90,16 @@ class PackedErrorBatch:
 
     @property
     def kind(self) -> str:
-        """One of ``"lanes"``, ``"coords"``, ``"subset"``."""
-        if self.lanes is not None:
-            return "lanes"
-        if self.subsets is not None:
-            return "subset"
-        return "coords"
+        """``"coords"`` or ``"subset"``."""
+        return "coords" if self.subsets is None else "subset"
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def from_bool_mask(cls, mask: np.ndarray) -> "PackedErrorBatch":
-        """Pack a dense boolean ``(num_words, num_bits)`` mask into lanes."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
-            raise DimensionError(f"expected a 2-D mask, got shape {mask.shape}")
-        return cls(
-            num_words=mask.shape[0],
-            num_bits=mask.shape[1],
-            lanes=pack_bool_rows(mask),
-        )
-
-    @classmethod
-    def from_lanes(cls, lanes: np.ndarray, num_bits: int) -> "PackedErrorBatch":
-        """Wrap an already-packed ``(num_words, lanes)`` ``uint64`` array."""
-        lanes = np.ascontiguousarray(np.asarray(lanes, dtype=np.uint64))
-        if lanes.ndim != 2 or lanes.shape[1] != num_lanes(num_bits):
-            raise DimensionError(
-                f"lane array of shape {lanes.shape} cannot hold {num_bits} bits"
-            )
-        return cls(num_words=lanes.shape[0], num_bits=num_bits, lanes=lanes)
+    def from_mask(cls, mask: np.ndarray) -> "PackedErrorBatch":
+        """The coordinates of a dense boolean ``(num_words, num_bits)`` mask."""
+        num_words, num_bits = mask.shape
+        rows, columns = np.divmod(np.flatnonzero(mask), num_bits)
+        return cls.from_indices(rows, columns, num_words, num_bits)
 
     @classmethod
     def from_indices(
@@ -184,31 +152,18 @@ class PackedErrorBatch:
         )
 
     # -- conversions ------------------------------------------------------
-    def to_lanes(self) -> np.ndarray:
-        """Densify into ``(num_words, lanes)`` ``uint64`` (never unpacks)."""
-        if self.lanes is not None:
-            return self.lanes
-        if self.subsets is not None:
-            assert self.candidates is not None
-            width = self.candidates.size
-            vbits = ((self.subsets[:, np.newaxis] >> np.arange(width)) & 1) != 0
-            rows, slots = np.nonzero(vbits)
-            columns = self.candidates[slots]
-        else:
+    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, columns)`` of every set bit, rows in nondecreasing order."""
+        if self.subsets is None:
             assert self.rows is not None and self.columns is not None
-            rows, columns = self.rows, self.columns
-        lanes = np.zeros((self.num_words, num_lanes(self.num_bits)), dtype=np.uint64)
-        np.bitwise_or.at(
-            lanes,
-            (rows, columns // LANE_BITS),
-            np.uint64(1) << (columns % LANE_BITS).astype(np.uint64),
-        )
-        return lanes
+            return self.rows, self.columns
+        assert self.candidates is not None
+        fired = (self.subsets[:, np.newaxis] >> np.arange(self.candidates.size)) & 1
+        rows, slots = np.nonzero(fired)
+        return rows, self.candidates[slots]
 
     def num_errors(self) -> int:
         """Total number of set mask bits over every word."""
-        if self.lanes is not None:
-            return int(popcount_u64(self.lanes).sum())
         if self.subsets is not None:
             return int(popcount_u64(self.subsets).sum())
         assert self.rows is not None
@@ -238,12 +193,6 @@ def concat_batches(batches: Sequence[PackedErrorBatch]) -> PackedErrorBatch:
                 "cannot concatenate incompatible packed error batches"
             )
     total = sum(batch.num_words for batch in batches)
-    if head.kind == "lanes":
-        return PackedErrorBatch(
-            num_words=total,
-            num_bits=head.num_bits,
-            lanes=np.vstack([batch.to_lanes() for batch in batches]),
-        )
     if head.kind == "subset":
         return PackedErrorBatch(
             num_words=total,
@@ -270,8 +219,9 @@ def packed_error_batch(
     """Draw one round's error masks from ``injector`` in packed form.
 
     Uses the injector's ``error_mask_packed`` protocol when available; any
-    other injector falls back to tiling the codeword and packing its dense
-    ``error_mask`` — the same sampler call, so both routes are bit-exact.
+    other injector falls back to tiling the codeword and taking the
+    coordinates of its dense ``error_mask`` — the same sampler call, so both
+    routes are bit-exact.
     """
     return traced_draw(draw_packed_errors, injector, codeword, num_words, rng)
 
@@ -286,7 +236,7 @@ def draw_packed_errors(
         return packed(codeword, num_words, rng)
     stored = np.tile(codeword, (num_words, 1))
     mask = np.asarray(injector.error_mask(stored, rng), dtype=bool)
-    return PackedErrorBatch.from_bool_mask(mask)
+    return PackedErrorBatch.from_mask(mask)
 
 
 def traced_draw(draw: Callable[..., _Drawn], *args: Any) -> _Drawn:
@@ -381,25 +331,17 @@ class FusedKernel:
     """Per-code classifier turning packed error batches into statistics.
 
     Construction reads only the code's cached artefacts (decode-action
-    table, fold tables, column integers); :func:`get_kernel` memoizes one
-    kernel per code object.
+    table, column integers); :func:`get_kernel` memoizes one kernel per code
+    object.
     """
 
     def __init__(self, code: SystematicLinearCode):
         self._code = code
         self._n = code.codeword_length
         self._k = code.num_data_bits
-        self._num_bytes = (self._n + 7) // 8
         self._action_table = code.decode_action_table()
         self._column_ints = np.asarray(code.column_ints, dtype=np.int64)
         self._correctable = 0 if code.detect_only else 1
-        # Tiny-r codes take the AND/XOR-parity route; everything else folds.
-        if code.num_parity_bits <= TINY_SYNDROME_PARITY_BITS:
-            self._tiny_h_lanes: Optional[np.ndarray] = code.packed_h_lanes()
-            self._fold_table: Optional[np.ndarray] = None
-        else:
-            self._tiny_h_lanes = None
-            self._fold_table = code.syndrome_fold_table()
         self._subset_tables: Dict[bytes, _SubsetTables] = {}
 
     @property
@@ -435,13 +377,10 @@ class FusedKernel:
                 f"{self._n}"
             )
         start = time.perf_counter() if TRACER.enabled else 0.0
-        offsets = np.cumsum([0] + segment_words)
         if batch.kind == "subset":
             results = self._classify_subset(batch, segment_words)
-        elif batch.kind == "coords":
-            results = self._classify_coords(batch, segment_words, offsets)
         else:
-            results = self._classify_lanes(batch, segment_words, offsets)
+            results = self._classify_coords(batch, segment_words)
         if TRACER.enabled:
             seconds = time.perf_counter() - start
             due_words = sum(stats.detected_words for stats in results)
@@ -461,9 +400,9 @@ class FusedKernel:
             )
         return results
 
-    # -- coordinates and lanes ----------------------------------------------
+    # -- coordinates --------------------------------------------------------
     def _classify_coords(
-        self, batch: PackedErrorBatch, segment_words: List[int], offsets: np.ndarray
+        self, batch: PackedErrorBatch, segment_words: List[int]
     ) -> List[FusedStats]:
         """O(errors): only the words holding a coordinate are looked at."""
         rows, columns = batch.rows, batch.columns
@@ -481,61 +420,18 @@ class FusedKernel:
         matches = np.flatnonzero(columns == np.repeat(actions, err_counts))
         hit = np.zeros(starts.size, dtype=bool)
         hit[np.searchsorted(starts, matches, side="right") - 1] = True
+        # Segment ``s`` owns coordinates ``coord_bounds[s]:coord_bounds[s + 1]``
+        # and runs ``run_bounds[s]:run_bounds[s + 1]``.
+        offsets = np.cumsum([0] + segment_words)
         coord_bounds = np.searchsorted(rows, offsets)
-        pre = [
-            np.bincount(columns[lo:hi], minlength=self._n)
-            for lo, hi in zip(coord_bounds[:-1], coord_bounds[1:])
-        ]
-        return self._aggregate_segments(
-            segment_words, np.searchsorted(rows[starts], offsets), actions,
-            err_counts, hit, pre,
-        )
-
-    def _classify_lanes(
-        self, batch: PackedErrorBatch, segment_words: List[int], offsets: np.ndarray
-    ) -> List[FusedStats]:
-        lanes = batch.lanes
-        assert lanes is not None
-        mask_bytes = lanes_to_bytes(lanes, self._n)
-        err_counts = popcount_u64(lanes).sum(axis=1, dtype=np.int64)
-        if self._tiny_h_lanes is not None:
-            syndromes = tiny_syndromes(lanes, self._tiny_h_lanes)
-        else:
-            assert self._fold_table is not None
-            syndromes = fold_bytes(self._fold_table, mask_bytes)
-        actions = self._action_table[syndromes]
-        flip_rows = np.flatnonzero(actions >= 0)
-        acts = actions[flip_rows]
-        hit = np.zeros(batch.num_words, dtype=bool)
-        shifts = (acts % LANE_BITS).astype(np.uint64)
-        hit[flip_rows] = (lanes[flip_rows, acts // LANE_BITS] >> shifts) & np.uint64(1) != 0
-        pre = [
-            packed_column_counts(mask_bytes[lo:hi], self._n)
-            for lo, hi in zip(offsets[:-1], offsets[1:])
-        ]
-        return self._aggregate_segments(
-            segment_words, offsets, actions, err_counts, hit, pre
-        )
-
-    def _aggregate_segments(
-        self,
-        segment_words: List[int],
-        bounds: np.ndarray,
-        actions: np.ndarray,
-        err_counts: np.ndarray,
-        hit: np.ndarray,
-        pre: List[np.ndarray],
-    ) -> List[FusedStats]:
-        """Per-segment statistics from per-word decode outcomes.
-
-        ``actions``, ``err_counts`` and ``hit`` (whether the acted-on bit was
-        an injected error) describe a sorted list of words, and segment ``s``
-        owns entries ``bounds[s]:bounds[s + 1]`` of it; a word left out is
-        clean.  ``pre[s]`` holds segment ``s``'s per-column error counts.
-        """
+        run_bounds = np.searchsorted(rows[starts], offsets)
         results: List[FusedStats] = []
         for index, count in enumerate(segment_words):
-            lo, hi = bounds[index], bounds[index + 1]
+            lo, hi = run_bounds[index], run_bounds[index + 1]
+            pre = np.bincount(
+                columns[coord_bounds[index] : coord_bounds[index + 1]],
+                minlength=self._n,
+            )
             seg_actions = actions[lo:hi]
             acted = seg_actions >= 0
             seg_acts = seg_actions[acted]
@@ -548,8 +444,8 @@ class FusedKernel:
             results.append(
                 FusedStats(
                     num_words=count,
-                    pre_correction_error_counts=pre[index],
-                    post_correction_error_counts=pre[index][: self._k] + plus - minus,
+                    pre_correction_error_counts=pre,
+                    post_correction_error_counts=pre[: self._k] + plus - minus,
                     uncorrectable_words=int(
                         (err_counts[lo:hi] > self._correctable).sum()
                     ),

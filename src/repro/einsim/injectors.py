@@ -19,15 +19,15 @@ never materializes the tiled codeword batch:
   :class:`FixedErrorCountInjector` over more than
   :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` candidates, so the kernel
   costs O(errors);
+* the coordinates of the boolean mask they draw from
+  :class:`PerBitBernoulliInjector` and :class:`RowStripeInjector`, and the
+  union of its members' coordinates from :class:`CompositeInjector`;
 * subset integers from :class:`FixedErrorCountInjector` over a short
-  candidate list (the BEEP weak-cell case);
-* dense lanes from the injectors that draw whole masks
-  (:class:`PerBitBernoulliInjector`, :class:`RowStripeInjector`,
-  :class:`CompositeInjector`).
+  candidate list (the BEEP weak-cell case).
 
 Injectors without the method (e.g. :class:`FaultModelInjector`, whose fault
-models need the stored bits) automatically take the generic tile-and-pack
-fallback, which gives lanes.
+models need the stored bits) automatically take the generic fallback, which
+draws their mask on a tiled codeword and hands over its coordinates.
 
 The two routes stay bit-identical because both call one sampler with the
 same arguments, and that sampler draws in O(errors), not O(bits):
@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.exceptions import ChipConfigurationError
 from repro.dram.cell import CellType
+from repro.dram.faults import validate_probability
 from repro.einsim.fused import (
     SUBSET_WIDTH_LIMIT,
     PackedErrorBatch,
@@ -133,7 +134,7 @@ class _EligibleCellInjector:
     """
 
     def __init__(self, bit_error_rate: float):
-        _validate_probability(bit_error_rate)
+        validate_probability(bit_error_rate)
         self._bit_error_rate = bit_error_rate
 
     @property
@@ -217,7 +218,7 @@ class FixedErrorCountInjector:
             )
         if num_errors < 0:
             raise ChipConfigurationError("number of errors cannot be negative")
-        _validate_probability(per_bit_probability)
+        validate_probability(per_bit_probability)
         self._num_errors = int(num_errors)
         try:
             self._candidate_positions = (
@@ -363,7 +364,7 @@ class PerBitBernoulliInjector:
             rng.random((num_words, codeword.shape[0]))
             < self._probabilities[np.newaxis, :]
         )
-        return PackedErrorBatch.from_bool_mask(mask)
+        return PackedErrorBatch.from_mask(mask)
 
 
 class MixedCellRetentionInjector(_EligibleCellInjector):
@@ -430,8 +431,8 @@ class BurstErrorInjector:
         burst_length: int,
         bit_flip_probability: float = 1.0,
     ):
-        _validate_probability(burst_probability)
-        _validate_probability(bit_flip_probability)
+        validate_probability(burst_probability)
+        validate_probability(bit_flip_probability)
         if burst_length < 1:
             raise ChipConfigurationError("burst length must be at least one bit")
         self._burst_probability = burst_probability
@@ -498,8 +499,8 @@ class RowStripeInjector:
         stripe_phase: int = 0,
         bit_flip_probability: float = 1.0,
     ):
-        _validate_probability(row_probability)
-        _validate_probability(bit_flip_probability)
+        validate_probability(row_probability)
+        validate_probability(bit_flip_probability)
         if stripe_period < 1:
             raise ChipConfigurationError("stripe period must be at least one column")
         if not 0 <= stripe_phase < stripe_period:
@@ -533,7 +534,7 @@ class RowStripeInjector:
         stripe = self.stripe_mask(codeword_length)
         mask = rng.random((num_words, codeword_length)) < self._bit_flip_probability
         mask &= victims[:, np.newaxis] & stripe[np.newaxis, :]
-        return PackedErrorBatch.from_bool_mask(mask)
+        return PackedErrorBatch.from_mask(mask)
 
 
 class FaultModelInjector:
@@ -598,25 +599,14 @@ class CompositeInjector:
         """Packed-protocol equivalent of :meth:`error_mask` (same draws).
 
         Members are drawn in application order from the shared RNG stream —
-        the same order as :meth:`error_mask` — and their packed masks are
-        OR-combined lane-wise.
+        the same order as :meth:`error_mask` — and the union of their
+        coordinates, sorted by word and column, is the composite's.
         """
-        lanes = None
+        num_bits = codeword.shape[0]
+        cells = []
         for injector in self._injectors:
             member = draw_packed_errors(injector, codeword, num_words, rng)
-            member_lanes = member.to_lanes()
-            lanes = member_lanes if lanes is None else lanes | member_lanes
-        assert lanes is not None  # the constructor rejects empty members
-        return PackedErrorBatch.from_lanes(lanes, codeword.shape[0])
-
-
-def _validate_probability(value: float) -> None:
-    # bool passes as numbers.Real (it is an Integral), but True is never a
-    # probability anyone meant.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ChipConfigurationError(
-            f"probability must be a real number, got {value!r}"
-        )
-    # The chained comparison is False for NaN, so NaN is rejected as well.
-    if not 0.0 <= value <= 1.0:
-        raise ChipConfigurationError(f"probability {value} must lie in [0, 1]")
+            rows, columns = member.coordinates()
+            cells.append(rows * num_bits + columns)
+        rows, columns = np.divmod(np.unique(np.concatenate(cells)), num_bits)
+        return PackedErrorBatch.from_indices(rows, columns, num_words, num_bits)

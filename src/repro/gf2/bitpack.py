@@ -3,16 +3,14 @@
 Column ``j`` of a packed row lives in lane ``j // 64`` at bit ``j % 64``
 (LSB first, matching the library-wide LSB-first integer encoding), so a row
 XOR touches 64 columns per machine word and an inner product becomes AND +
-popcount.
+popcount.  Byte ``b`` of a row's lanes holds columns ``8*b .. 8*b+7``, the
+layout ``np.packbits(..., bitorder="little")`` produces.
 
 * :func:`pack_rows` / :func:`unpack_rows` — lossless dense ↔ packed
-  conversion (:func:`pack_bool_rows` for boolean masks);
-* :func:`lanes_to_bytes` / :func:`bytes_to_lanes` — views between lanes and
-  the byte layout ``np.packbits(..., bitorder="little")`` produces;
-* :func:`packed_column_counts` — per-column set-bit counts of a packed batch;
-* :func:`byte_fold_table` / :func:`fold_bytes` — cached per-byte XOR tables,
-  the kernel the ``packed`` simulation backend (:mod:`repro.einsim.engine`)
-  and the packed chip model use for batched syndromes and parity bits.
+  conversion of boolean or ``{0,1}`` rows;
+* :func:`byte_fold_table` / :func:`fold_bytes` — per-byte XOR tables, the
+  kernel :mod:`repro.einsim.engine` folds packed words through for batched
+  syndromes and parity bits.
 
 Equivalence with the one-byte-per-bit reference path is enforced by the
 differential test suite (``tests/test_gf2_bitpack.py`` and
@@ -51,114 +49,26 @@ def num_lanes(num_cols: int) -> int:
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D ``{0,1}`` array into ``uint64`` lanes, one row per row.
+    """Pack a 2-D boolean or ``{0,1}`` array into ``uint64`` lanes, one row per row.
 
     Column ``j`` of the input maps to bit ``j % 64`` of lane ``j // 64``
     (LSB first).
     """
-    bits = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8) & 1)
+    bits = np.asarray(bits)
     if bits.ndim != 2:
         raise DimensionError(f"pack_rows expects a 2-D array, got shape {bits.shape}")
     rows, cols = bits.shape
-    lanes = num_lanes(cols)
-    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-    padded = np.zeros((rows, lanes * 8), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
-    return padded.view("<u8").reshape(rows, lanes)
-
-
-def pack_bool_rows(mask: np.ndarray) -> np.ndarray:
-    """Pack a 2-D boolean mask into ``uint64`` lanes (see :func:`pack_rows`).
-
-    Same layout as :func:`pack_rows` without the ``uint8``-coercion pass —
-    the fused simulation path packs freshly drawn boolean error masks, which
-    ``numpy.packbits`` consumes directly.
-    """
-    mask = np.ascontiguousarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise DimensionError(
-            f"pack_bool_rows expects a 2-D array, got shape {mask.shape}"
-        )
-    rows, cols = mask.shape
-    lanes = num_lanes(cols)
-    packed_bytes = np.packbits(mask, axis=1, bitorder="little")
-    if packed_bytes.shape[1] == lanes * 8:
-        return packed_bytes.view("<u8").reshape(rows, lanes)
-    padded = np.zeros((rows, lanes * 8), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
-    return padded.view("<u8").reshape(rows, lanes)
-
-
-def lanes_to_bytes(lanes: np.ndarray, num_cols: int) -> np.ndarray:
-    """View packed lanes as the per-byte columns covering ``num_cols`` bits.
-
-    The returned array has shape ``(rows, ceil(num_cols / 8))`` and shares
-    memory with ``lanes`` where possible; byte ``b`` holds columns
-    ``8*b .. 8*b+7`` LSB first, exactly the layout
-    ``np.packbits(..., bitorder="little")`` produces.
-    """
-    lanes = np.ascontiguousarray(np.asarray(lanes, dtype="<u8"))
-    if lanes.ndim != 2:
-        raise DimensionError(
-            f"lanes_to_bytes expects a 2-D array, got shape {lanes.shape}"
-        )
-    if lanes.shape[1] != num_lanes(num_cols):
-        raise DimensionError(
-            f"{lanes.shape[1]} lanes cannot hold exactly {num_cols} columns"
-        )
-    num_bytes = (num_cols + 7) // 8
-    rows, lanes_per_row = lanes.shape
-    return lanes.view(np.uint8).reshape(rows, 8 * lanes_per_row)[:, :num_bytes]
-
-
-def bytes_to_lanes(packed_bytes: np.ndarray, num_cols: int) -> np.ndarray:
-    """View byte-packed rows as ``uint64`` lanes covering ``num_cols`` bits.
-
-    Inverse direction of :func:`lanes_to_bytes`: pads the byte columns of a
-    ``np.packbits(..., bitorder="little")`` batch up to a lane multiple (no
-    copy when the byte count already is one) and reinterprets them as
-    little-endian ``uint64`` lanes.
-    """
-    packed_bytes = np.ascontiguousarray(packed_bytes, dtype=np.uint8)
-    if packed_bytes.ndim != 2 or packed_bytes.shape[1] != (num_cols + 7) // 8:
-        raise DimensionError(
-            f"byte array of shape {packed_bytes.shape} does not pack exactly "
-            f"{num_cols} columns"
-        )
-    rows = packed_bytes.shape[0]
-    lanes = num_lanes(num_cols)
-    if packed_bytes.shape[1] == lanes * 8:
-        return packed_bytes.view("<u8").reshape(rows, lanes)
-    padded = np.zeros((rows, lanes * 8), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
-    return padded.view("<u8").reshape(rows, lanes)
-
-
-#: ``_BYTE_BIT_TABLE[v, b]`` is bit ``b`` of byte value ``v`` — turns a
-#: per-byte-value histogram into per-column set-bit counts with one matmul.
-_BYTE_BIT_TABLE = ((np.arange(256)[:, np.newaxis] >> np.arange(8)) & 1).astype(
-    np.int64
-)
-
-
-def packed_column_counts(packed_bytes: np.ndarray, num_cols: int) -> np.ndarray:
-    """Count set bits per column over a batch of byte-packed rows.
-
-    Equivalent to ``unpack(...).sum(axis=0)`` but works directly on the
-    packed representation: one 256-bin histogram per byte column, dotted with
-    the byte→bit table.
-    """
-    packed_bytes = np.asarray(packed_bytes, dtype=np.uint8)
-    if packed_bytes.ndim != 2 or packed_bytes.shape[1] < (num_cols + 7) // 8:
-        raise DimensionError(
-            f"byte array of shape {packed_bytes.shape} cannot hold "
-            f"{num_cols} columns"
-        )
-    counts = np.zeros(((num_cols + 7) // 8) * 8, dtype=np.int64)
-    for byte_index in range((num_cols + 7) // 8):
-        histogram = np.bincount(packed_bytes[:, byte_index], minlength=256)
-        counts[byte_index * 8 : byte_index * 8 + 8] = histogram @ _BYTE_BIT_TABLE
-    return counts[:num_cols]
+    num_bytes = (cols + 7) // 8
+    if cols % 8:
+        padded = np.zeros((rows, num_bytes * 8), dtype=bits.dtype)
+        padded[:, :cols] = bits
+        bits = padded
+    # One flat packbits: numpy packs a long 1-D run far faster than along the
+    # short axis of a 2-D batch.
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(rows, num_bytes)
+    lanes = np.zeros((rows, num_lanes(cols) * 8), dtype=np.uint8)
+    lanes[:, :num_bytes] = packed
+    return lanes.view("<u8")
 
 
 def unpack_rows(packed: np.ndarray, num_cols: int) -> np.ndarray:
@@ -213,7 +123,8 @@ def fold_bytes(table: np.ndarray, packed_bytes: np.ndarray) -> np.ndarray:
         )
     if table.shape[0] == 0:
         return np.zeros(packed_bytes.shape[0], dtype=np.int64)
-    values = table[0][packed_bytes[:, 0]]
+    # np.take gathers a byte column faster than fancy indexing does.
+    values = np.take(table[0], packed_bytes[:, 0])
     for byte_index in range(1, table.shape[0]):
-        values ^= table[byte_index][packed_bytes[:, byte_index]]
+        values ^= np.take(table[byte_index], packed_bytes[:, byte_index])
     return values

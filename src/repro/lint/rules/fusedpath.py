@@ -1,9 +1,8 @@
 """RPR107 — bit-unpacking calls in the fused decode hot path.
 
-The fused Monte-Carlo pipeline's whole value proposition (PR 10) is that a
-round never materializes ``(num_words, n)`` ``uint8`` batches: masks stay in
-packed ``uint64`` lanes (or sparser forms) from injection through
-classification.  A single ``np.unpackbits`` — or one of the
+The fused Monte-Carlo pipeline's whole value proposition is that a round
+never materializes ``(num_words, n)`` ``uint8`` batches: masks stay error
+coordinates or subset integers from injection through classification.  A single ``np.unpackbits`` — or one of the
 :mod:`repro.gf2.bitpack` unpack helpers — inside ``einsim/fused.py``
 silently reintroduces the 8x memory blow-up and the
 per-bit arithmetic the fused backend exists to avoid, while every
@@ -35,21 +34,22 @@ class FusedPathUnpackRule(Rule):
     summary = "no np.unpackbits / unpack_rows in the fused decode hot path"
     explanation = """\
 The fused kernel (repro.einsim.fused) classifies whole Monte-Carlo rounds
-over packed uint64 lanes; it must never materialize a one-byte-per-bit
-batch.
+from error coordinates and subset integers; it must never materialize a
+one-byte-per-bit batch.
 
 Bad (inside the fused module):
     bits = np.unpackbits(lanes.view(np.uint8), bitorder="little")
     rows = unpack_rows(lanes, num_bits)       # from repro.gf2.bitpack
 
 Good:
-    mask_bytes = lanes_to_bytes(lanes, num_bits)     # stays packed
-    counts = packed_column_counts(mask_bytes, num_bits)
+    counts = np.bincount(columns, minlength=num_bits)   # stays sparse
+    syndromes = np.bitwise_xor.reduceat(column_ints[columns], starts)
 
-Work from the packed helpers in repro.gf2.bitpack (lanes_to_bytes,
-packed_column_counts, popcount_u64, fold_bytes) instead; unpacking is fine
-anywhere else — tests, analysis, the staged reference backend — just not on
-the fused hot path whose benchmarks assume it never happens."""
+Work from the coordinates or subset integers (np.bincount,
+np.bitwise_xor.reduceat, popcount_u64 from repro.gf2.bitpack) instead;
+unpacking is fine anywhere else — tests, analysis, the staged reference
+backend — just not on the fused hot path whose benchmarks assume it never
+happens."""
 
     def applies(self, context: LintContext) -> bool:
         return context.module_tail() in FUSED_HOT_MODULES
@@ -68,9 +68,9 @@ the fused hot path whose benchmarks assume it never happens."""
                     context,
                     node,
                     f"{label} materializes one byte per bit inside the fused "
-                    "packed-only pipeline; use the packed helpers in "
-                    "repro.gf2.bitpack (lanes_to_bytes, packed_column_counts, "
-                    "popcount_u64) instead",
+                    "packed-only pipeline; classify the coordinates or subset "
+                    "integers directly (np.bincount, np.bitwise_xor.reduceat, "
+                    "popcount_u64 from repro.gf2.bitpack) instead",
                 )
             )
         return findings

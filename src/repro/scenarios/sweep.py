@@ -47,6 +47,7 @@ from repro.exceptions import ReproError, ScenarioError, ValidationError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
+from repro.einsim.fused import draw_packed_errors
 from repro.einsim.injectors import SAMPLER_VERSION
 from repro.scenarios.registry import build_injector, get_scenario
 
@@ -112,9 +113,12 @@ def make_einsim_cell(
 
     The config records the injectors' :data:`SAMPLER_VERSION`: results
     drawn by another sampler live under other content keys.  The cell's
-    injector is built here exactly as the runner will build it, so a
-    parameter the injector rejects fails now, as a :class:`ScenarioError`,
-    and not when a sweep reaches the cell.
+    injector is built here exactly as the runner will build it and drawn
+    for zero words on a codeword of the cell's code, which reads no random
+    number.  A parameter the injector rejects, or one that does not fit the
+    code (a candidate position or anti-cell column past the codeword, a
+    per-bit probability list of another length), therefore fails now, as a
+    :class:`ScenarioError`, and not when a sweep reaches the cell.
     """
     resolved = get_scenario(scenario).resolve_params(params)
     if num_words < 1:
@@ -122,12 +126,16 @@ def make_einsim_cell(
     if chunk_size < 1:
         raise ScenarioError(f"chunk size must be at least 1, got {chunk_size}")
     _check_backend(backend)
+    # The canonical config keeps the *spec* (not the matrix) so cache keys
+    # stay readable and stable; resolving it validates it.
+    code_spec = {key: code[key] for key in sorted(code)}
+    codeword = np.zeros(resolve_code(code_spec).codeword_length, dtype=np.uint8)
     cell = ExperimentCell.from_config(
         {
             "kind": "einsim",
             "scenario": scenario,
             "params": _jsonify(resolved),
-            "code": _normalise_code_spec(code),
+            "code": code_spec,
             "dataword": _normalise_dataword_spec(dataword),
             "num_words": int(num_words),
             "seed": int(seed),
@@ -138,7 +146,8 @@ def make_einsim_cell(
     )
     stored = cell.config()["params"]
     try:
-        build_injector(scenario, stored)
+        injector = build_injector(scenario, stored)
+        draw_packed_errors(injector, codeword, 0, np.random.default_rng(0))
     except (ReproError, TypeError, ValueError) as error:
         raise ScenarioError(
             f"scenario {scenario!r} rejects parameters {stored}: {error}"
@@ -366,13 +375,6 @@ def _expand_grid(params: Mapping[str, Any]) -> Iterator[Dict[str, Any]]:
         point = dict(fixed)
         point.update(zip(names, combination))
         yield point
-
-
-def _normalise_code_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    # Resolving validates the spec; the canonical config keeps the *spec*
-    # (not the matrix) so cache keys stay readable and stable.
-    resolve_code(spec)
-    return {key: spec[key] for key in sorted(spec)}
 
 
 def _normalise_dataword_spec(spec: Any) -> Any:

@@ -1,11 +1,12 @@
 """Negative fixture for RPR107: the fused path stays packed throughout."""
 import numpy as np
-from repro.gf2.bitpack import lanes_to_bytes, packed_column_counts, popcount_u64
+from repro.gf2.bitpack import popcount_u64
 
 
-def classify(lanes, num_bits):
-    mask_bytes = lanes_to_bytes(lanes, num_bits)
-    counts = packed_column_counts(mask_bytes, num_bits)
-    weights = popcount_u64(lanes).sum(axis=1)
-    packed = np.packbits(mask_bytes, axis=1)  # packing is fine; unpacking is not
-    return counts, weights, packed
+def classify(rows, columns, column_ints, subsets, num_bits):
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    syndromes = np.bitwise_xor.reduceat(column_ints[columns], starts)
+    counts = np.bincount(columns, minlength=num_bits)
+    weights = popcount_u64(subsets)
+    packed = np.packbits(counts > 0)  # packing is fine; unpacking is not
+    return syndromes, counts, weights, packed

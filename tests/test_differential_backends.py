@@ -12,8 +12,8 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.gf2 import GF2Matrix, GF2Vector
-from repro.ecc import SystematicLinearCode, random_hamming_code
+from repro.gf2 import GF2Matrix, GF2Vector, pack_rows, unpack_rows
+from repro.ecc import SystematicLinearCode, get_family, random_hamming_code
 from repro.ecc.codespace import codes_equivalent
 from repro.ecc.decoder import SyndromeDecoder
 from repro.ecc.hamming import min_parity_bits
@@ -37,12 +37,25 @@ from repro.core import (
 )
 from repro.dram import ChipGeometry, VENDOR_A, VENDOR_B, VENDOR_C
 from repro.dram.retention import DataRetentionModel, RetentionCalibration
+from repro.einsim.engine import decode_lanes, encode_lanes
 
 
 #: (k, seed) pairs spanning small codes up to the paper's (136, 128) words.
 CODE_SIZES = [(4, 0), (8, 1), (16, 2), (32, 3), (57, 4), (64, 5), (128, 6)]
 
 BATCH_SHAPES = [0, 1, 7, 64, 257]
+
+#: Codes for the lane codec: the Hamming sizes above, three whose parity
+#: bits straddle two lanes (k % 64 + r > 64), and the one- and
+#: two-parity-bit codes whose syndromes skip the fold tables.
+LANE_CODES = {
+    **{
+        f"hamming-{k}": lambda k=k, seed=seed: _code(k, seed)
+        for k, seed in CODE_SIZES + [(58, 7), (60, 8), (122, 9)]
+    },
+    "parity-r1": lambda: get_family("parity-detect").construct(16),
+    "rep3-r2": lambda: get_family("repetition").construct(1),
+}
 
 
 def _code(num_data_bits, seed):
@@ -78,6 +91,8 @@ class TestBackendResolution:
             bulk_syndrome_values,
             bulk_decode,
             bulk_decode_outcomes,
+            encode_lanes,
+            decode_lanes,
             EinsimSimulator,
             MonteCarloCampaign,
             monte_carlo_miscorrection_profile,
@@ -119,6 +134,28 @@ class TestBulkEncodeDifferential:
         )
         for backend in BACKENDS:
             assert np.array_equal(bulk_encode(code, datawords, backend), expected)
+
+
+class TestLaneCodecDifferential:
+    """The lane codec the chip stores through, against the uint8 kernels."""
+
+    @pytest.mark.parametrize("name", sorted(LANE_CODES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_encode_and_decode_lanes_match_reference(self, name, backend):
+        code = LANE_CODES[name]()
+        n = code.codeword_length
+        rng = np.random.default_rng(len(name))
+        data = rng.integers(0, 2, size=(257, code.num_data_bits)).astype(np.uint8)
+        codewords = bulk_encode(code, data, "reference")
+        lanes = encode_lanes(code, data, backend)
+        assert lanes.dtype == np.uint64 and lanes.shape == (257, (n + 63) // 64)
+        assert np.array_equal(unpack_rows(lanes, n), codewords)
+        received = codewords ^ (rng.random(codewords.shape) < 0.03)
+        lanes = pack_rows(received)
+        decode_lanes(code, lanes, backend)
+        assert np.array_equal(
+            unpack_rows(lanes, n), bulk_decode(code, received, "reference")
+        )
 
 
 class TestBulkSyndromeDifferential:

@@ -4,8 +4,8 @@ The fused pipeline (:mod:`repro.einsim.fused`), which the ``packed`` backend
 runs for every Monte-Carlo simulation, reimplements an entire round —
 inject, decode, classify — over packed representations, so every statistic
 it produces is checked for bit-exact equality against the ``reference``
-oracle across all code families, all injector types and all three packed
-mask representations, at the simulator, profile and campaign layers.  The
+oracle across all code families, all injector types and both packed mask
+representations, at the simulator, profile and campaign layers.  The
 packed injector protocol is additionally checked mask-for-mask and
 RNG-state-for-RNG-state against the unpacked draw it replaces.
 """
@@ -34,7 +34,6 @@ from repro.einsim import (
     packed_error_batch,
 )
 from repro.einsim.engine import bulk_decode_outcomes
-from repro.gf2.bitpack import pack_bool_rows
 from repro.core import MonteCarloCampaign, charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
 
@@ -64,6 +63,13 @@ class _StuckHighModel:
         corrupted[:, 0] = 1
         corrupted[rng.random(bits.shape) < 0.02] ^= 1
         return corrupted
+
+
+def _dense(batch):
+    """The boolean ``(num_words, num_bits)`` mask a packed batch describes."""
+    mask = np.zeros((batch.num_words, batch.num_bits), dtype=bool)
+    mask[batch.coordinates()] = True
+    return mask
 
 
 def _injectors(code):
@@ -193,7 +199,7 @@ class TestInjectorPackedProtocol:
             batch = packed_error_batch(injector, codeword, 97, rng_packed)
             assert batch.num_words == 97
             assert batch.num_bits == code.codeword_length
-            assert np.array_equal(batch.to_lanes(), pack_bool_rows(mask))
+            assert np.array_equal(_dense(batch), mask)
             # Identical post-draw states: the packed protocol consumed the
             # stream exactly as the unpacked draw did, so the *next* batch
             # also matches — chunked runs stay aligned forever.
@@ -222,7 +228,7 @@ class TestInjectorPackedProtocol:
         )
         assert (
             packed_error_batch(PerBitBernoulliInjector([0.1] * 21), codeword, 8, rng).kind
-            == "lanes"
+            == "coords"
         )
 
     def test_fallback_used_without_packed_protocol(self):
@@ -231,7 +237,7 @@ class TestInjectorPackedProtocol:
         code = _construct("sec-hamming", (16,))
         codeword = code.encode(np.zeros(16, dtype=np.uint8)).to_numpy()
         batch = packed_error_batch(injector, codeword, 5, np.random.default_rng(1))
-        assert batch.kind == "lanes"
+        assert batch.kind == "coords"
 
 
 class TestSegmentedClassification:
@@ -243,7 +249,7 @@ class TestSegmentedClassification:
         kernel = get_kernel(code)
         rng = np.random.default_rng(7)
         mask = rng.random((60, code.codeword_length)) < 0.08
-        batch = PackedErrorBatch.from_bool_mask(mask)
+        batch = PackedErrorBatch.from_mask(mask)
         whole = kernel.classify(batch)
         parts = kernel.classify_segments(batch, (13, 0, 27, 20))
         assert [p.num_words for p in parts] == [13, 0, 27, 20]
@@ -265,7 +271,7 @@ class TestSegmentedClassification:
     def test_bad_partition_rejected(self):
         code = _construct("sec-hamming", (16,))
         kernel = get_kernel(code)
-        batch = PackedErrorBatch.from_bool_mask(
+        batch = PackedErrorBatch.from_mask(
             np.zeros((4, code.codeword_length), dtype=bool)
         )
         with pytest.raises(Exception):

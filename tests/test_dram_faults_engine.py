@@ -22,6 +22,30 @@ from repro.einsim import (
 from repro.exceptions import ChipConfigurationError
 
 
+BAD_PROBABILITIES = pytest.mark.parametrize(
+    "value", [True, "abc", float("nan"), 1.5], ids=["true", "string", "nan", "above-one"]
+)
+
+
+class TestProbabilityChecks:
+    """Both models check their probability as the error injectors do."""
+
+    @BAD_PROBABILITIES
+    def test_transient_probability(self, value):
+        with pytest.raises(ChipConfigurationError):
+            TransientFaultModel(value)
+
+    @BAD_PROBABILITIES
+    def test_stuck_fraction(self, value):
+        with pytest.raises(ChipConfigurationError):
+            StuckAtFaultModel(value)
+
+    def test_real_numbers_in_range_are_accepted(self):
+        for value in (0, 1, 0.25, np.float64(0.5)):
+            assert TransientFaultModel(value).probability_per_bit == value
+            assert StuckAtFaultModel(value).stuck_fraction == value
+
+
 class TestStuckAtMaskCache:
     def test_mask_permanent_across_interleaved_shapes(self):
         model = StuckAtFaultModel(

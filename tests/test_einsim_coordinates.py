@@ -1,14 +1,19 @@
 """The coordinate representation of packed error batches.
 
-The uniform, retention and mixed-cell injectors, fixed-error-count draws
-over more than ``SUBSET_WIDTH_LIMIT`` candidates and bursts hand the fused
-kernel a coordinate list: the word index of every error, in nondecreasing
-order, with its column.  The kernel classifies it in O(errors), and a word
-without coordinates is clean by construction.  These tests hold that path
-to the ``reference`` oracle and to the dense-lanes path, pin the invariants
-every coordinate-emitting draw keeps, and pin a digest of results over a
-fixed grid to the one the dense scatter and the fixed-width sparse
-representation gave before the coordinate path replaced them.
+Every injector but fixed-error-count draws over at most
+``SUBSET_WIDTH_LIMIT`` candidates hands the fused kernel a coordinate list:
+the word index of every error, in nondecreasing order, with its column.
+The Bernoulli-style injectors, fixed-count draws over more candidates and
+bursts list the errors they draw; per-bit, row-stripe and fault-model
+injectors list the set bits of the boolean mask they draw; composites list
+the union of their members' coordinates.  The kernel classifies a list in
+O(errors), and a word without coordinates is clean by construction.  These
+tests hold that path to the ``reference`` oracle and to the staged
+statistics of the same mask, pin the invariants every coordinate-emitting
+draw keeps, and pin a digest of results over a fixed grid to the one the
+dense scatter, the fixed-width sparse representation and the dense lanes of
+the per-bit, row-stripe, fault-model and composite draws gave before the
+coordinate path replaced them.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import MonteCarloCampaign, charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
-from repro.dram import CellType
+from repro.dram import CellType, StuckAtFaultModel, TransientFaultModel
 from repro.ecc import get_family
 from repro.einsim import (
     BurstErrorInjector,
@@ -42,12 +47,12 @@ from repro.einsim import (
 from repro.einsim.fused import SUBSET_WIDTH_LIMIT, concat_batches
 from repro.einsim.simulator import simulate_segments
 from repro.exceptions import DimensionError, ValidationError
-from repro.gf2.bitpack import pack_bool_rows
 
 BACKENDS = ("reference", "packed")
 
-#: Every family, with the one- and two-parity-bit codes the lanes path
-#: sends to its tiny-syndrome routine, and the paper's (136, 128) word.
+#: Every family, with one- and two-parity-bit codes, the three-bit codes
+#: whose fixed-count draws over every bit stay subsets, and the paper's
+#: (136, 128) word.
 CODES = {
     "sec": ("sec-hamming", (16,)),
     "secded": ("secded-extended-hamming", (16,)),
@@ -71,15 +76,19 @@ def _code(name):
 
 
 @st.composite
-def coordinate_injectors(draw):
-    """One injector whose packed draw is a coordinate list.
+def coordinate_injectors(draw, n):
+    """One injector whose packed draw on ``n``-bit codewords is a coordinate list.
 
     Fixed-count draws take every codeword bit as a candidate, which is more
     than ``SUBSET_WIDTH_LIMIT`` on every code here but the three-bit ones.
+    Composites overlay members that can flip the same bit: the transient and
+    stuck-at fault models, or a uniform draw and a fixed-count draw over a
+    short candidate list, which hands over subset integers.
     """
     kind = draw(
         st.sampled_from(
-            ["uniform", "retention-true", "retention-anti", "mixed", "fixed", "burst"]
+            ["uniform", "retention-true", "retention-anti", "mixed", "fixed",
+             "burst", "per-bit", "row-stripe", "fault-model", "overlay", "composite"]
         )
     )
     rate = draw(st.sampled_from(RATES))
@@ -94,13 +103,48 @@ def coordinate_injectors(draw):
     if kind == "fixed":
         probability = draw(st.sampled_from(RATES[:-1]))
         return FixedErrorCountInjector(draw(st.integers(0, 3)), None, probability)
-    return BurstErrorInjector(
-        rate, draw(st.integers(1, 6)), draw(st.sampled_from(RATES))
+    if kind == "burst":
+        return BurstErrorInjector(
+            rate, draw(st.integers(1, 6)), draw(st.sampled_from(RATES))
+        )
+    if kind == "per-bit":
+        pattern = draw(st.lists(st.sampled_from(RATES), min_size=1, max_size=8))
+        return PerBitBernoulliInjector(np.resize(pattern, n))
+    if kind == "row-stripe":
+        period = draw(st.integers(1, 4))
+        return RowStripeInjector(
+            rate, period, draw(st.integers(0, period - 1)), draw(st.sampled_from(RATES))
+        )
+    if kind in ("fault-model", "overlay"):
+        transient = TransientFaultModel(rate)
+        stuck = StuckAtFaultModel(
+            draw(st.sampled_from(RATES)), draw(st.integers(0, 1)), seed=draw(st.integers(0, 99))
+        )
+        if kind == "overlay":
+            return CompositeInjector(
+                [FaultModelInjector(transient), FaultModelInjector(stuck)]
+            )
+        return FaultModelInjector(draw(st.sampled_from([transient, stuck])))
+    small = list(range(0, n, 2))[: draw(st.integers(1, 6))]
+    return CompositeInjector(
+        [
+            UniformRandomInjector(rate),
+            FixedErrorCountInjector(
+                draw(st.integers(0, len(small))), small, draw(st.sampled_from(RATES))
+            ),
+        ]
     )
 
 
 def _dataword(seed, num_data_bits):
     return np.random.default_rng(seed).integers(0, 2, num_data_bits)
+
+
+def _dense(batch):
+    """The boolean ``(num_words, num_bits)`` mask a packed batch describes."""
+    mask = np.zeros((batch.num_words, batch.num_bits), dtype=bool)
+    mask[batch.coordinates()] = True
+    return mask
 
 
 def _assert_results_equal(expected, actual):
@@ -136,21 +180,28 @@ class TestAgainstTheReference:
     @settings(max_examples=120, deadline=None)
     @given(
         code_name=st.sampled_from(sorted(CODES)),
-        segments=st.lists(
-            st.tuples(coordinate_injectors(), st.integers(0, 40), st.integers(0, 2**16)),
-            min_size=1,
-            max_size=5,
-        ),
+        data=st.data(),
         batch_size=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_packed_equals_reference_on_every_field(
-        self, code_name, segments, batch_size, seed
+        self, code_name, data, batch_size, seed
     ):
         # Word counts of 0 give zero-word segments, rates of 0 zero-error
         # blocks, and counts below batch_size buffered flushes that join
         # several segments in one kernel call.
         code = _code(code_name)
+        segments = data.draw(
+            st.lists(
+                st.tuples(
+                    coordinate_injectors(code.codeword_length),
+                    st.integers(0, 40),
+                    st.integers(0, 2**16),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
         results = {}
         for backend in BACKENDS:
             runs = [
@@ -188,8 +239,18 @@ class TestAgainstTheReference:
             _assert_results_equal(expected, actual)
 
 
-class TestAgainstTheLanes:
-    """The coordinate and lanes paths share one segment aggregation."""
+class _FixedMask:
+    """An injector whose draw is always the one given mask."""
+
+    def __init__(self, mask):
+        self._mask = mask
+
+    def error_mask(self, stored_codewords, rng):
+        return self._mask
+
+
+class TestAgainstTheStagedStatistics:
+    """The kernel's statistics of a mask's coordinates are the staged oracle's."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,11 +265,20 @@ class TestAgainstTheLanes:
         mask = rng.random((sum(segment_words), code.codeword_length)) < density
         rows, columns = np.nonzero(mask)
         coords = PackedErrorBatch.from_indices(rows, columns, *mask.shape)
-        lanes = PackedErrorBatch.from_bool_mask(mask)
-        kernel = get_kernel(code)
+        bounds = np.cumsum([0] + segment_words)
+        dataword = np.zeros(code.num_data_bits, dtype=np.uint8)
+        # One block per segment, so each staged draw is its segment's mask.
+        staged = simulate_segments(
+            code,
+            [
+                (dataword, _FixedMask(mask[lo:hi]), hi - lo, rng)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ],
+            "reference",
+            batch_size=max(segment_words + [1]),
+        )
         for expected, actual in zip(
-            kernel.classify_segments(lanes, segment_words),
-            kernel.classify_segments(coords, segment_words),
+            staged, get_kernel(code).classify_segments(coords, segment_words)
         ):
             _assert_stats_equal(expected, actual)
 
@@ -222,8 +292,7 @@ class TestAgainstTheLanes:
         assert joined.rows.tolist() == [0, 0, 2, 6]
         assert joined.columns.tolist() == [1, 4, 0, 6]
         assert np.array_equal(
-            joined.to_lanes(),
-            np.vstack([first.to_lanes(), empty.to_lanes(), last.to_lanes()]),
+            _dense(joined), np.vstack([_dense(first), _dense(empty), _dense(last)])
         )
 
 
@@ -231,13 +300,14 @@ class TestCoordinateInvariants:
     @settings(max_examples=150, deadline=None)
     @given(
         code_name=st.sampled_from(sorted(CODES)),
-        injector=coordinate_injectors(),
+        data=st.data(),
         num_words=st.integers(0, 200),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_every_coordinate_draw(self, code_name, injector, num_words, seed):
+    def test_every_coordinate_draw(self, code_name, data, num_words, seed):
         code = _code(code_name)
         n = code.codeword_length
+        injector = data.draw(coordinate_injectors(n))
         assume(
             not isinstance(injector, FixedErrorCountInjector)
             or injector.num_errors == 0
@@ -248,7 +318,6 @@ class TestCoordinateInvariants:
             injector, codeword, num_words, np.random.default_rng(seed)
         )
         assert batch.kind == "coords"
-        assert batch.lanes is None
         assert (batch.num_words, batch.num_bits) == (num_words, n)
         rows, columns = batch.rows, batch.columns
         assert rows.shape == columns.shape and rows.ndim == 1
@@ -263,7 +332,7 @@ class TestCoordinateInvariants:
         mask = injector.error_mask(
             np.tile(codeword, (num_words, 1)), np.random.default_rng(seed)
         )
-        assert np.array_equal(batch.to_lanes(), pack_bool_rows(mask))
+        assert np.array_equal(_dense(batch), mask)
 
     @pytest.mark.parametrize(
         "rows, columns, error",
@@ -288,8 +357,8 @@ class TestCoordinateInvariants:
 # Results over a fixed grid, pinned
 # ---------------------------------------------------------------------------
 
-#: sha256 of :func:`_grid_results` as the dense scatter and the fixed-width
-#: sparse representation computed it, on both backends.
+#: sha256 of :func:`_grid_results` as the dense scatter, the fixed-width
+#: sparse representation and the dense lanes computed it, on both backends.
 GRID_DIGEST = "472c6daed3fe0ec3d304407cd99a7cf65c962680c90fd335e8ec8cbb20d1bf7b"
 
 

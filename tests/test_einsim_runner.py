@@ -29,9 +29,9 @@ from repro.exceptions import DimensionError, ProfileError, ValidationError
 
 BACKENDS = ("reference", "packed")
 
-#: Injectors covering every packed representation (coordinates from two
-#: draws, subset integers, dense lanes), so mixed segments force
-#: incompatible-batch flushes.
+#: Injectors covering both packed representations (coordinates from a
+#: Bernoulli walk, a fixed-count draw and a whole boolean mask, and subset
+#: integers), so mixed segments force incompatible-batch flushes.
 INJECTORS = (
     DataRetentionInjector(0.1),
     FixedErrorCountInjector(2),

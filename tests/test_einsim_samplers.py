@@ -143,10 +143,9 @@ def bits_at(mask_or_batch, columns):
     """Boolean ``(words, len(columns))`` view of a mask or a packed batch."""
     if isinstance(mask_or_batch, np.ndarray):
         return mask_or_batch[:, columns]
-    lanes = mask_or_batch.to_lanes()
-    columns = np.asarray(columns)
-    shifted = lanes[:, columns // 64] >> (columns % 64).astype(np.uint64)
-    return (shifted & np.uint64(1)).astype(bool)
+    mask = np.zeros((mask_or_batch.num_words, mask_or_batch.num_bits), dtype=bool)
+    mask[mask_or_batch.coordinates()] = True
+    return mask[:, columns]
 
 
 def draw(injector, codeword, num_words, rng, path):

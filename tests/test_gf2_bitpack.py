@@ -1,9 +1,10 @@
 """Unit and differential tests for packing GF(2) rows into ``uint64`` lanes.
 
 Packing must round-trip bit for bit across lane-boundary widths and the
-degenerate zero-row and zero-width shapes; the byte views, column counts and
-byte-fold syndrome kernels of the ``packed`` backend must equal the same
-quantities computed on the unpacked bits.
+degenerate zero-row and zero-width shapes, from boolean and ``uint8`` rows
+alike; the byte view of packed lanes and the byte-fold syndrome kernels of
+the ``packed`` backend must equal the same quantities computed on the
+unpacked bits.
 """
 
 import numpy as np
@@ -12,15 +13,7 @@ import pytest
 import repro.gf2.bitpack as bitpack
 from repro.exceptions import DimensionError
 from repro.gf2 import pack_rows, popcount_u64, unpack_rows
-from repro.gf2.bitpack import (
-    byte_fold_table,
-    bytes_to_lanes,
-    fold_bytes,
-    lanes_to_bytes,
-    num_lanes,
-    pack_bool_rows,
-    packed_column_counts,
-)
+from repro.gf2.bitpack import byte_fold_table, fold_bytes, num_lanes
 
 # Widths straddling the uint64 lane boundaries.
 LANE_EDGE_WIDTHS = [1, 2, 7, 63, 64, 65, 127, 128, 129, 136]
@@ -94,40 +87,30 @@ class TestByteViews:
     def test_lanes_and_bytes_round_trip(self, num_cols, seed):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=(5, num_cols)).astype(np.uint8)
-        lanes = pack_rows(bits)
-        as_bytes = lanes_to_bytes(lanes, num_cols)
-        assert np.array_equal(as_bytes, np.packbits(bits, axis=1, bitorder="little"))
-        assert np.array_equal(bytes_to_lanes(as_bytes, num_cols), lanes)
-
-    @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_column_counts_match_unpacked_sum(self, num_cols, seed):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(300, num_cols)).astype(np.uint8)
-        as_bytes = lanes_to_bytes(pack_rows(bits), num_cols)
-        assert np.array_equal(packed_column_counts(as_bytes, num_cols), bits.sum(axis=0))
+        num_bytes = (num_cols + 7) // 8
+        for rows in (bits, bits.astype(bool)):
+            as_bytes = pack_rows(rows).view(np.uint8)
+            assert np.array_equal(
+                as_bytes[:, :num_bytes], np.packbits(bits, axis=1, bitorder="little")
+            )
+            assert not as_bytes[:, num_bytes:].any()
+            assert np.array_equal(unpack_rows(pack_rows(rows), num_cols), bits)
 
     @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
     def test_zero_rows_view_as_zero_rows(self, num_cols):
-        as_bytes = lanes_to_bytes(np.zeros((0, num_lanes(num_cols)), np.uint64), num_cols)
-        assert as_bytes.shape == (0, (num_cols + 7) // 8)
-        assert packed_column_counts(as_bytes, num_cols).tolist() == [0] * num_cols
+        lanes = pack_rows(np.zeros((0, num_cols), dtype=bool))
+        assert lanes.shape == (0, num_lanes(num_cols))
+        assert unpack_rows(lanes, num_cols).shape == (0, num_cols)
 
     @pytest.mark.parametrize("num_cols", LANE_EDGE_WIDTHS)
     def test_bool_rows_pack_like_uint8_rows(self, num_cols):
         rng = np.random.default_rng(num_cols)
         mask = rng.random((7, num_cols)) < 0.5
-        assert np.array_equal(pack_bool_rows(mask), pack_rows(mask.astype(np.uint8)))
+        assert np.array_equal(pack_rows(mask), pack_rows(mask.astype(np.uint8)))
 
     def test_views_reject_wrong_shapes(self):
         with pytest.raises(DimensionError):
-            lanes_to_bytes(np.zeros((2, 2), dtype=np.uint64), 64)
-        with pytest.raises(DimensionError):
-            bytes_to_lanes(np.zeros((2, 3), dtype=np.uint8), 64)
-        with pytest.raises(DimensionError):
-            packed_column_counts(np.zeros((2, 1), dtype=np.uint8), 9)
-        with pytest.raises(DimensionError):
-            pack_bool_rows(np.zeros(4, dtype=bool))
+            pack_rows(np.zeros(4, dtype=bool))
 
 
 class TestBatchedSyndromes:
@@ -143,7 +126,8 @@ class TestBatchedSyndromes:
         weights = 1 << np.arange(num_rows)
         reference = ((words.astype(np.int64) @ check.T.astype(np.int64)) % 2) @ weights
         table = byte_fold_table(check.T.astype(np.int64) @ weights)
-        folded = fold_bytes(table, lanes_to_bytes(pack_rows(words), codeword_length))
+        as_bytes = pack_rows(words).view(np.uint8)[:, : (codeword_length + 7) // 8]
+        folded = fold_bytes(table, as_bytes)
         assert np.array_equal(reference, folded)
 
     def test_empty_batch(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ScenarioError
+from repro.exceptions import ChipConfigurationError, ScenarioError
 from repro.einsim import (
     BurstErrorInjector,
     CompositeInjector,
@@ -220,6 +220,39 @@ class TestCellsRejectBadParameters:
         store = CampaignStore(tmp_path / "camp")
         with pytest.raises(ScenarioError):
             SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert len(store) == 0
+
+    def test_fault_model_probability_true(self):
+        with pytest.raises(ScenarioError, match="transient_probability") as caught:
+            make_einsim_cell(
+                "transient-stuck-overlay",
+                {"transient_probability": True, "stuck_fraction": 0.01},
+                {"data_bits": 8},
+                10,
+            )
+        assert isinstance(caught.value.__cause__, ChipConfigurationError)
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("fixed-error-count", {"num_errors": 1, "candidate_positions": [[200]]}),
+            ("data-retention-mixed", {"bit_error_rate": 0.01, "anti_cell_columns": [[50]]}),
+            ("per-bit-bernoulli", {"probabilities": [[0.1] * 5]}),
+        ],
+        ids=["candidate-past-codeword", "anti-column-past-codeword", "five-probabilities"],
+    )
+    def test_injector_must_fit_the_code(self, scenario, params, tmp_path):
+        # The (12, 8) code's codewords have 12 bits.  The valid cell before
+        # the bad one is expanded first; nothing may be committed.
+        payload = dict(BASE_SWEEP)
+        payload["scenarios"] = [
+            {"name": "uniform-random", "params": {"bit_error_rate": 0.01}},
+            {"name": scenario, "params": params},
+        ]
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError, match=scenario) as caught:
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert isinstance(caught.value.__cause__, ChipConfigurationError)
         assert len(store) == 0
 
     def test_chunk_size_must_be_positive(self):
