@@ -35,6 +35,18 @@ def validate_probability(value: float) -> None:
         raise ChipConfigurationError(f"probability {value} must lie in [0, 1]")
 
 
+def validate_integer(value: int, what: str) -> int:
+    """Return ``value`` as an ``int``; raise :class:`ChipConfigurationError` unless integral.
+
+    Numpy integers pass; bools and floats (``2.5`` and ``2.0`` alike) do
+    not, so a configuration never names a value other than the one that
+    runs.  ``what`` names the parameter in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ChipConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class TransientFaultModel:
     """Rare, random, non-repeatable single-bit flips applied at read time.
 
@@ -82,6 +94,7 @@ class StuckAtFaultModel:
         seed: Optional[int] = None,
     ):
         validate_probability(stuck_fraction)
+        stuck_value = validate_integer(stuck_value, "stuck value")
         if stuck_value not in (0, 1):
             raise ChipConfigurationError("stuck value must be 0 or 1")
         if rng is not None and seed is not None:

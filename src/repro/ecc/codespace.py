@@ -25,7 +25,7 @@ import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.ecc.code import SystematicLinearCode
-from repro.ecc.hamming import candidate_parity_columns, count_sec_functions
+from repro.ecc.family import get_family
 
 
 def parity_rows(columns: Sequence[int], num_parity_bits: int) -> List[int]:
@@ -106,7 +106,7 @@ def enumerate_sec_codes(
     exponential in ``k`` and intended for the small dimensions used in tests
     and exhaustive validation (e.g. ``k <= 6``).
     """
-    available = candidate_parity_columns(num_parity_bits)
+    available = get_family("sec-hamming").candidate_columns(num_parity_bits)
     seen_canonical = set()
     for arrangement in itertools.permutations(available, num_data_bits):
         if up_to_equivalence:
@@ -118,5 +118,11 @@ def enumerate_sec_codes(
 
 
 def design_space_size(num_data_bits: int, num_parity_bits: Optional[int] = None) -> int:
-    """Return the number of distinct standard-form SEC functions (ordered columns)."""
-    return count_sec_functions(num_data_bits, num_parity_bits)
+    """Return the number of distinct standard-form SEC functions (ordered columns).
+
+    ``num_parity_bits`` defaults to the minimum for ``num_data_bits``.
+    """
+    family = get_family("sec-hamming")
+    if num_parity_bits is None:
+        num_parity_bits = family.min_parity_bits(num_data_bits)
+    return family.design_space_size(num_data_bits, num_parity_bits)

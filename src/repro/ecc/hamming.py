@@ -12,11 +12,13 @@ Hamming weight at least two.  There are ``2**r - r - 1`` such columns, so
 Every valid on-die ECC function therefore corresponds to an ordered selection
 of ``k`` distinct weight-≥2 columns, which is exactly the design space BEER
 searches (paper Section 3.3, "Design Space").
+
+The ``sec-hamming`` family of :mod:`repro.ecc.family` owns that design
+space; the helpers here call it under their established names.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,6 +26,8 @@ import numpy as np
 from repro.exceptions import CodeConstructionError
 from repro.gf2 import GF2Matrix, GF2Vector
 from repro.ecc.code import SystematicLinearCode
+from repro.ecc.codespace import design_space_size
+from repro.ecc.family import get_family
 
 
 def min_parity_bits(num_data_bits: int) -> int:
@@ -31,12 +35,7 @@ def min_parity_bits(num_data_bits: int) -> int:
 
     This is the smallest ``r`` with ``2**r - r - 1 >= k``.
     """
-    if num_data_bits < 1:
-        raise CodeConstructionError("a code needs at least one data bit")
-    num_parity_bits = 2
-    while (1 << num_parity_bits) - num_parity_bits - 1 < num_data_bits:
-        num_parity_bits += 1
-    return num_parity_bits
+    return get_family("sec-hamming").min_parity_bits(num_data_bits)
 
 
 def full_length_data_bits(num_parity_bits: int) -> int:
@@ -53,11 +52,7 @@ def candidate_parity_columns(num_parity_bits: int) -> List[int]:
     (weight-one values are reserved for the identity block over the parity
     bits), listed in increasing integer order.
     """
-    return [
-        value
-        for value in range(1, 1 << num_parity_bits)
-        if value.bit_count() >= 2
-    ]
+    return get_family("sec-hamming").candidate_columns(num_parity_bits)
 
 
 def is_shortened(code: SystematicLinearCode) -> bool:
@@ -84,24 +79,7 @@ def hamming_code(
         increasing integer order are used, which gives a repeatable
         "textbook" construction.
     """
-    if num_parity_bits is None:
-        num_parity_bits = min_parity_bits(num_data_bits)
-    available = candidate_parity_columns(num_parity_bits)
-    if num_data_bits > len(available):
-        raise CodeConstructionError(
-            f"k={num_data_bits} does not fit in r={num_parity_bits} parity bits "
-            f"(maximum is {len(available)})"
-        )
-    if columns is None:
-        chosen = available[:num_data_bits]
-    else:
-        chosen = list(columns)
-        if len(chosen) != num_data_bits:
-            raise CodeConstructionError(
-                f"expected {num_data_bits} columns, got {len(chosen)}"
-            )
-        _validate_columns(chosen, num_parity_bits)
-    return SystematicLinearCode.from_parity_columns(chosen, num_parity_bits)
+    return get_family("sec-hamming").construct(num_data_bits, num_parity_bits, columns)
 
 
 def random_hamming_code(
@@ -115,35 +93,7 @@ def random_hamming_code(
     samples representative on-die ECC functions by drawing random ordered
     subsets of legal parity-check columns.
     """
-    if num_parity_bits is None:
-        num_parity_bits = min_parity_bits(num_data_bits)
-    available = candidate_parity_columns(num_parity_bits)
-    if num_data_bits > len(available):
-        raise CodeConstructionError(
-            f"k={num_data_bits} does not fit in r={num_parity_bits} parity bits "
-            f"(maximum is {len(available)})"
-        )
-    generator = rng if rng is not None else np.random.default_rng(0)
-    indices = generator.permutation(len(available))[:num_data_bits]
-    chosen = [available[int(i)] for i in indices]
-    return SystematicLinearCode.from_parity_columns(chosen, num_parity_bits)
-
-
-def _validate_columns(columns: Sequence[int], num_parity_bits: int) -> None:
-    """Raise if the chosen columns cannot form a SEC Hamming code."""
-    seen = set()
-    for column in columns:
-        if not 0 < column < (1 << num_parity_bits):
-            raise CodeConstructionError(
-                f"column {column} does not fit in {num_parity_bits} parity bits"
-            )
-        if column.bit_count() < 2:
-            raise CodeConstructionError(
-                f"column {column} has weight < 2 and would collide with a parity column"
-            )
-        if column in seen:
-            raise CodeConstructionError(f"column {column} is duplicated")
-        seen.add(column)
+    return get_family("sec-hamming").random(num_data_bits, num_parity_bits, rng)
 
 
 def example_7_4_code() -> SystematicLinearCode:
@@ -171,12 +121,7 @@ def count_sec_functions(num_data_bits: int, num_parity_bits: Optional[int] = Non
     This is the number of distinct standard-form SEC parity-check matrices for
     the given dimensions: ``P(2**r - r - 1, k)`` ordered selections.
     """
-    if num_parity_bits is None:
-        num_parity_bits = min_parity_bits(num_data_bits)
-    available = (1 << num_parity_bits) - num_parity_bits - 1
-    if num_data_bits > available:
-        return 0
-    return math.perm(available, num_data_bits)
+    return design_space_size(num_data_bits, num_parity_bits)
 
 
 def parity_columns_of(code: SystematicLinearCode) -> List[GF2Vector]:

@@ -6,7 +6,9 @@ machinery in Python:
 
 * :mod:`repro.einsim.injectors` — pre-correction error models (uniform-random
   bit errors, data-retention errors restricted to CHARGED cells, fixed error
-  counts, arbitrary per-bit probabilities);
+  counts, arbitrary per-bit probabilities, bursts, row stripes, chip fault
+  models and their overlays), each drawing a round's errors through one
+  packed draw, ``error_mask_packed``, that both backends share;
 * :mod:`repro.einsim.engine` — batched encode/syndrome/decode kernels with
   two GF(2) backends: ``reference``, the uint8 oracle, and ``packed``, the
   bit-packed fast path and the default everywhere;
@@ -15,7 +17,8 @@ machinery in Python:
   classification kernels, segmented cross-pattern calls;
 * :mod:`repro.einsim.simulator` — vectorised simulation of large numbers of
   ECC words through encode → inject → decode, with per-bit post-correction
-  statistics and miscorrection bookkeeping;
+  statistics and miscorrection bookkeeping; its ``reference`` backend
+  densifies the shared draw and decodes it with the staged kernels;
 * :mod:`repro.einsim.statistics` — bootstrap confidence intervals and summary
   helpers used when reproducing the paper's figures.
 """

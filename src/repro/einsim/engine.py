@@ -30,8 +30,9 @@ codeword batches, and decodes through the staged kernels only as the
 accepted as aliases of ``"packed"`` so older specs, stored cell configs and
 scripts keep running.
 
-Both backends are bit-exact: for any code, any batch and any input, they
-return identical arrays (``tests/test_differential_backends.py``,
+Both backends are bit-exact: for any code and any batch of 0s and 1s, they
+return identical arrays, and the bulk kernels reject any other value before
+any work (``tests/test_differential_backends.py``,
 ``tests/test_differential_families.py`` and
 ``tests/test_differential_fused.py`` enforce this).  Per-code artefacts
 (fold tables, decode-action table, transposed ``H``, packed rows) are built
@@ -89,15 +90,30 @@ def resolve_backend(backend: str) -> str:
     return _ALIASES.get(backend, backend)
 
 
+def is_binary(values: np.ndarray) -> bool:
+    """Whether every value of ``values`` is 0 or 1 (NaN is not)."""
+    if values.dtype.kind in "bu":
+        return not values.size or values.max() <= 1
+    return bool(((values == 0) | (values == 1)).all())
+
+
 def _validate_batch(
-    array: np.ndarray, expected_cols: int, what: str
+    array: np.ndarray, expected_cols: int, what: str, check_bits: bool = True
 ) -> np.ndarray:
-    array = np.asarray(array, dtype=np.uint8)
+    """``array`` as a ``(*, expected_cols)`` uint8 batch, checked before any work.
+
+    Any value other than 0 or 1 raises :class:`ValidationError` (the two
+    backends would read a 2 differently) unless ``check_bits`` is False,
+    which only the lane codec passes: the chip checks its bits on write.
+    """
+    array = np.asarray(array)
     if array.ndim != 2 or array.shape[1] != expected_cols:
         raise DimensionError(
             f"expected {what} of shape (*, {expected_cols}), got {array.shape}"
         )
-    return array
+    if check_bits and not is_binary(array):
+        raise ValidationError(f"{what} must hold only 0s and 1s")
+    return array.astype(np.uint8, copy=False)
 
 
 def _tiny_syndromes(lanes: np.ndarray, h_lanes: np.ndarray) -> np.ndarray:
@@ -135,12 +151,15 @@ def encode_lanes(
 
     Returns ``(num_words, ceil(n / 64))`` ``uint64`` lanes in
     :func:`repro.gf2.bitpack.pack_rows` layout: codeword ``[d | p]`` bit
-    ``j`` is bit ``j % 64`` of lane ``j // 64``.
+    ``j`` is bit ``j % 64`` of lane ``j // 64``.  The values are not
+    checked: the chip's write path and :func:`bulk_encode` check them first.
     """
     backend = resolve_backend(backend)
-    data = _validate_batch(datawords, code.num_data_bits, "dataword array")
+    data = _validate_batch(
+        datawords, code.num_data_bits, "dataword array", check_bits=False
+    )
     if backend == "reference":
-        return pack_rows(bulk_encode(code, data, "reference"))
+        return pack_rows(_reference_encode(code, data))
     num_words, num_data_bits = data.shape
     data_bytes = (num_data_bits + 7) // 8
     codeword_bytes = np.zeros(
@@ -193,11 +212,15 @@ def decode_lanes(
 def bulk_encode(
     code: SystematicLinearCode, datawords: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
-    """Encode a batch of datawords (rows) into codewords ``[d | p]``."""
+    """Encode a batch of 0/1 datawords (rows) into codewords ``[d | p]``."""
     backend = resolve_backend(backend)
     data = _validate_batch(datawords, code.num_data_bits, "dataword array")
     if backend != "reference":
         return unpack_rows(encode_lanes(code, data), code.codeword_length)
+    return _reference_encode(code, data)
+
+
+def _reference_encode(code: SystematicLinearCode, data: np.ndarray) -> np.ndarray:
     # P.T is the first k rows of the cached H.T (H = [P | I]).
     p_transpose = code.h_transpose_int64()[: code.num_data_bits]
     parity = ((data.astype(np.int64) @ p_transpose) % 2).astype(np.uint8)
@@ -207,9 +230,15 @@ def bulk_encode(
 def bulk_syndrome_values(
     code: SystematicLinearCode, received: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
-    """Return the integer syndrome of every received codeword (row)."""
+    """Return the integer syndrome of every received 0/1 codeword (row)."""
     backend = resolve_backend(backend)
     words = _validate_batch(received, code.codeword_length, "codeword array")
+    return _syndrome_values(code, words, backend)
+
+
+def _syndrome_values(
+    code: SystematicLinearCode, words: np.ndarray, backend: str
+) -> np.ndarray:
     if backend != "reference":
         return _lane_syndromes(code, pack_rows(words))
     syndromes = (words.astype(np.int64) @ code.h_transpose_int64()) % 2
@@ -219,7 +248,7 @@ def bulk_syndrome_values(
 def bulk_decode(
     code: SystematicLinearCode, received: np.ndarray, backend: str = "packed"
 ) -> np.ndarray:
-    """Syndrome-decode a batch of codewords (rows of ``received``) at once.
+    """Syndrome-decode a batch of 0/1 codewords (rows of ``received``) at once.
 
     Mirrors :class:`repro.ecc.decoder.SyndromeDecoder` exactly, including the
     code's family decode policy: for correcting families the bit the syndrome
@@ -246,7 +275,7 @@ def bulk_decode_outcomes(
     # One branch while disabled: the decode hot path stays unmeasurably
     # close to the uninstrumented code.
     batch_start = time.perf_counter() if TRACER.enabled else 0.0
-    values = bulk_syndrome_values(code, words, backend)
+    values = _syndrome_values(code, words, backend)
     actions = code.decode_action_table()[values]
     rows = np.flatnonzero(actions >= 0)
     if rows.size:

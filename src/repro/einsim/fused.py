@@ -15,8 +15,9 @@ exploits two identities:
   position ``j`` is ``mask[j] XOR (action == j)``, so per-bit counts follow
   from mask column counts plus a ±1 adjustment at each acted-on position.
 
-Injectors emit masks directly in packed form via the ``error_mask_packed``
-protocol (:mod:`repro.einsim.injectors`), in one of two representations:
+Injectors draw their masks directly in packed form, through their one
+``error_mask_packed`` method (:mod:`repro.einsim.injectors`), in one of two
+representations:
 
 * ``coords`` — a coordinate list: the word index of every set bit, in
   nondecreasing order, with its column, at most once per (word, column).
@@ -30,28 +31,25 @@ protocol (:mod:`repro.einsim.injectors`), in one of two representations:
   small shared candidate list (the BEEP weak-cell case), classified entirely
   through ``2**c``-entry lookup tables and one histogram.
 
-Injectors without the protocol fall back to the unpacked ``error_mask`` on
-a tiled codeword, whose set bits become coordinates.  Classification is
-segment-aware so one kernel call covers many profile patterns or campaign
-chunks (:func:`FusedKernel.classify_segments`); the runner decides which
-batches share a call.  Coordinates take their syndromes from one
-XOR-reduction of column integers per word.
+Classification is segment-aware so one kernel call covers many profile
+patterns or campaign chunks (:func:`FusedKernel.classify_segments`); the
+runner decides which batches share a call.  Coordinates take their
+syndromes from one XOR-reduction of column integers per word.
 
-Bit-identity with the reference backend rests on the injectors, not on this
-module: an injector's ``error_mask`` and ``error_mask_packed`` call the same
-sampler with the same arguments, so both backends see the same masks, and
-the kernel computes the same statistics from them
-(``tests/test_differential_fused.py``, ``tests/test_einsim_coordinates.py``).
-Both backends draw through :func:`traced_draw`, which counts each draw under
-``einsim.sample_*`` when tracing, beside the kernels' ``einsim.decode_*``
-counters.
+Both backends draw through :func:`packed_error_batch`, which counts each
+draw under ``einsim.sample_*`` when tracing, beside the kernels'
+``einsim.decode_*`` counters.  The ``reference`` backend densifies the
+batch and decodes it with the staged kernels, so both backends see the same
+errors by construction, and the differential tests
+(``tests/test_differential_fused.py``, ``tests/test_einsim_coordinates.py``)
+compare how each classifies them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,8 +62,6 @@ from repro.ecc.code import SystematicLinearCode
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
 #: back to the coordinate representation.
 SUBSET_WIDTH_LIMIT = 16
-
-_Drawn = TypeVar("_Drawn")
 
 
 @dataclass
@@ -218,47 +214,19 @@ def packed_error_batch(
 ) -> PackedErrorBatch:
     """Draw one round's error masks from ``injector`` in packed form.
 
-    Uses the injector's ``error_mask_packed`` protocol when available; any
-    other injector falls back to tiling the codeword and taking the
-    coordinates of its dense ``error_mask`` — the same sampler call, so both
-    routes are bit-exact.
-    """
-    return traced_draw(draw_packed_errors, injector, codeword, num_words, rng)
-
-
-def draw_packed_errors(
-    injector, codeword: np.ndarray, num_words: int, rng: np.random.Generator
-) -> PackedErrorBatch:
-    """:func:`packed_error_batch` without the tracing (composite members use it)."""
-    codeword = np.asarray(codeword, dtype=np.uint8)
-    packed = getattr(injector, "error_mask_packed", None)
-    if packed is not None:
-        return packed(codeword, num_words, rng)
-    stored = np.tile(codeword, (num_words, 1))
-    mask = np.asarray(injector.error_mask(stored, rng), dtype=bool)
-    return PackedErrorBatch.from_mask(mask)
-
-
-def traced_draw(draw: Callable[..., _Drawn], *args: Any) -> _Drawn:
-    """Return ``draw(*args)``, counting it under ``einsim.sample_*`` when tracing.
-
-    ``draw`` returns a dense boolean error mask or a
-    :class:`PackedErrorBatch`.  Both backends draw their errors through
-    here, beside the decode counters, so a trace splits inject time from
-    decode time.
+    Returns ``injector.error_mask_packed(codeword, num_words, rng)``, counted
+    under ``einsim.sample_*`` when tracing, so a trace splits inject time
+    from decode time.
     """
     start = time.perf_counter() if TRACER.enabled else 0.0
-    drawn = draw(*args)
+    batch = injector.error_mask_packed(
+        np.asarray(codeword, dtype=np.uint8), num_words, rng
+    )
     if TRACER.enabled:
-        seconds = time.perf_counter() - start
-        if isinstance(drawn, PackedErrorBatch):
-            errors = drawn.num_errors()
-        else:
-            errors = int(np.count_nonzero(drawn))
         TRACER.add("einsim.sample_batches")
-        TRACER.add("einsim.errors_sampled", errors)
-        TRACER.add("einsim.sample_s", seconds)
-    return drawn
+        TRACER.add("einsim.errors_sampled", batch.num_errors())
+        TRACER.add("einsim.sample_s", time.perf_counter() - start)
+    return batch
 
 
 @dataclass

@@ -1,36 +1,30 @@
 """Pre-correction error injection models.
 
-Every injector produces, for a batch of stored codewords, a boolean error mask
-of the same shape; a set bit means the corresponding cell reads back flipped.
-The masks respect each model's physical semantics — in particular the
-data-retention injector only ever flips CHARGED cells, mirroring the
-unidirectional CHARGED → DISCHARGED decay BEER exploits.
-
-Injectors additionally implement the packed protocol consumed by the fused
-simulation backend (:mod:`repro.einsim.fused`):
-``error_mask_packed(codeword, num_words, rng)`` returns the same logical
-masks as ``error_mask`` on a ``num_words``-fold tiling of ``codeword``, in a
-packed :class:`~repro.einsim.fused.PackedErrorBatch` representation that
-never materializes the tiled codeword batch:
+Every injector draws one Monte-Carlo round's errors with one method,
+``error_mask_packed(codeword, num_words, rng)``: the flips on ``num_words``
+stored copies of ``codeword``, as a
+:class:`~repro.einsim.fused.PackedErrorBatch` that never materializes the
+tiled codeword batch.  Both simulation backends draw through it (the
+``reference`` oracle densifies the batch before its staged decode), so they
+see the same errors by construction.  The draws respect each model's
+physical semantics — in particular the data-retention injector only ever
+flips CHARGED cells, mirroring the unidirectional CHARGED → DISCHARGED
+decay BEER exploits.  A batch comes in one of two representations:
 
 * coordinates (the word and column of every error, words in order) from
   :class:`UniformRandomInjector`, :class:`DataRetentionInjector`,
   :class:`MixedCellRetentionInjector`, :class:`BurstErrorInjector` and
   :class:`FixedErrorCountInjector` over more than
   :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` candidates, so the kernel
-  costs O(errors);
-* the coordinates of the boolean mask they draw from
-  :class:`PerBitBernoulliInjector` and :class:`RowStripeInjector`, and the
-  union of its members' coordinates from :class:`CompositeInjector`;
+  costs O(errors); the coordinates of the boolean mask they draw from
+  :class:`PerBitBernoulliInjector`, :class:`RowStripeInjector` and
+  :class:`FaultModelInjector` (whose fault models read the stored bits, so
+  its draw alone tiles the codeword); and the union of its members'
+  coordinates from :class:`CompositeInjector`;
 * subset integers from :class:`FixedErrorCountInjector` over a short
   candidate list (the BEEP weak-cell case).
 
-Injectors without the method (e.g. :class:`FaultModelInjector`, whose fault
-models need the stored bits) automatically take the generic fallback, which
-draws their mask on a tiled codeword and hands over its coordinates.
-
-The two routes stay bit-identical because both call one sampler with the
-same arguments, and that sampler draws in O(errors), not O(bits):
+The Bernoulli-style and fixed-count models draw in O(errors), not O(bits):
 
 * :func:`bernoulli_positions` serves the injectors that flip every eligible
   cell independently (:class:`UniformRandomInjector`,
@@ -49,7 +43,6 @@ content-addressed configuration.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from typing import Optional, Sequence, Tuple
 
@@ -57,12 +50,8 @@ import numpy as np
 
 from repro.exceptions import ChipConfigurationError
 from repro.dram.cell import CellType
-from repro.dram.faults import validate_probability
-from repro.einsim.fused import (
-    SUBSET_WIDTH_LIMIT,
-    PackedErrorBatch,
-    draw_packed_errors,
-)
+from repro.dram.faults import validate_integer, validate_probability
+from repro.einsim.fused import SUBSET_WIDTH_LIMIT, PackedErrorBatch
 
 #: Version of the random draws behind the injectors.  Two runs with the same
 #: seed agree bit for bit only under the same version; einsim sweep cells
@@ -127,10 +116,9 @@ class _EligibleCellInjector:
     """Flip each eligible cell independently with probability ``bit_error_rate``.
 
     Subclasses say which cells are eligible through :meth:`_eligible`, which
-    maps stored bits to an eligibility mask of the same shape — a whole
-    batch in :meth:`error_mask`, one codeword in :meth:`error_mask_packed`.
-    Both then hand :func:`bernoulli_positions` the eligible cells of the
-    batch in row-major order, so the two routes draw the same flips.
+    maps the stored codeword to an eligibility mask of the same shape;
+    :meth:`error_mask_packed` hands :func:`bernoulli_positions` the eligible
+    cells of the whole batch in row-major order.
     """
 
     def __init__(self, bit_error_rate: float):
@@ -145,19 +133,10 @@ class _EligibleCellInjector:
     def _eligible(self, stored: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors (eligible cells only)."""
-        stored = np.asarray(stored_codewords)
-        cells = np.flatnonzero(self._eligible(stored))
-        mask = np.zeros(stored.shape, dtype=bool)
-        hits = bernoulli_positions(cells.size, self._bit_error_rate, rng)
-        mask.reshape(-1)[cells[hits]] = True
-        return mask
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same sampler call)."""
+        """The coordinates of the flipped eligible cells of every word."""
         columns = np.flatnonzero(self._eligible(codeword))
         hits = bernoulli_positions(num_words * columns.size, self._bit_error_rate, rng)
         rows, slots = np.divmod(hits, max(columns.size, 1))
@@ -212,14 +191,10 @@ class FixedErrorCountInjector:
         candidate_positions: Optional[Sequence[int]] = None,
         per_bit_probability: float = 1.0,
     ):
-        if isinstance(num_errors, bool) or not isinstance(num_errors, numbers.Integral):
-            raise ChipConfigurationError(
-                f"number of errors must be an integer, got {num_errors!r}"
-            )
-        if num_errors < 0:
+        self._num_errors = validate_integer(num_errors, "number of errors")
+        if self._num_errors < 0:
             raise ChipConfigurationError("number of errors cannot be negative")
         validate_probability(per_bit_probability)
-        self._num_errors = int(num_errors)
         try:
             self._candidate_positions = (
                 None
@@ -233,8 +208,8 @@ class FixedErrorCountInjector:
         if self._candidate_positions is not None and len(
             set(self._candidate_positions)
         ) != len(self._candidate_positions):
-            # The without-replacement draw (and the flat mask assignment in
-            # error_mask) both assume distinct positions.
+            # A batch names each (word, column) at most once, so the
+            # without-replacement draw needs distinct positions.
             raise ChipConfigurationError("candidate positions must be distinct")
         self._per_bit_probability = per_bit_probability
 
@@ -270,25 +245,10 @@ class FixedErrorCountInjector:
         fires = rng.random((num_words, self._num_errors)) < self._per_bit_probability
         return chosen, fires
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask with up to ``num_errors`` flips per word."""
-        stored = np.asarray(stored_codewords)
-        num_words, codeword_length = stored.shape
-        candidates = self._candidates(codeword_length)
-        mask = np.zeros((num_words, codeword_length), dtype=bool)
-        if self._num_errors == 0 or num_words == 0:
-            return mask
-        chosen, fires = self._draw(num_words, candidates.size, rng)
-        rows = np.repeat(np.arange(num_words), self._num_errors)
-        # Positions within a row are distinct, so the flat fancy assignment
-        # writes each (word, bit) pair exactly once.
-        mask[rows, candidates[chosen].ravel()] = fires.ravel()
-        return mask
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same sampler call).
+        """Up to ``num_errors`` flips per word among the candidates.
 
         Small candidate lists (at most
         :data:`~repro.einsim.fused.SUBSET_WIDTH_LIMIT` positions — the BEEP
@@ -341,20 +301,10 @@ class PerBitBernoulliInjector:
         """Per-bit flip probabilities."""
         return self._probabilities.copy()
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors."""
-        stored = np.asarray(stored_codewords)
-        if stored.shape[1] != self._probabilities.shape[0]:
-            raise ChipConfigurationError(
-                f"codeword length {stored.shape[1]} does not match "
-                f"{self._probabilities.shape[0]} per-bit probabilities"
-            )
-        return rng.random(stored.shape) < self._probabilities[np.newaxis, :]
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
+        """The coordinates of one uniform draw per bit of every word."""
         if codeword.shape[0] != self._probabilities.shape[0]:
             raise ChipConfigurationError(
                 f"codeword length {codeword.shape[0]} does not match "
@@ -391,7 +341,12 @@ class MixedCellRetentionInjector(_EligibleCellInjector):
     ):
         super().__init__(bit_error_rate)
         self._anti_cell_columns = (
-            None if anti_cell_columns is None else tuple(int(c) for c in anti_cell_columns)
+            None
+            if anti_cell_columns is None
+            else tuple(
+                validate_integer(column, "anti-cell column")
+                for column in anti_cell_columns
+            )
         )
 
     def anti_cell_mask(self, codeword_length: int) -> np.ndarray:
@@ -433,10 +388,10 @@ class BurstErrorInjector:
     ):
         validate_probability(burst_probability)
         validate_probability(bit_flip_probability)
-        if burst_length < 1:
+        self._burst_length = validate_integer(burst_length, "burst length")
+        if self._burst_length < 1:
             raise ChipConfigurationError("burst length must be at least one bit")
         self._burst_probability = burst_probability
-        self._burst_length = int(burst_length)
         self._bit_flip_probability = bit_flip_probability
 
     @property
@@ -444,30 +399,10 @@ class BurstErrorInjector:
         """Number of contiguous cells disturbed by one burst."""
         return self._burst_length
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors."""
-        stored = np.asarray(stored_codewords)
-        num_words, codeword_length = stored.shape
-        length = min(self._burst_length, codeword_length)
-        mask = np.zeros((num_words, codeword_length), dtype=bool)
-        if num_words == 0:
-            return mask
-        bursty = rng.random(num_words) < self._burst_probability
-        starts = rng.integers(0, codeword_length - length + 1, size=num_words)
-        fires = rng.random((num_words, length)) < self._bit_flip_probability
-        columns = starts[:, np.newaxis] + np.arange(length)[np.newaxis, :]
-        rows = np.repeat(np.arange(num_words), length)
-        mask[rows, columns.ravel()] = fires.ravel()
-        mask[~bursty] = False
-        return mask
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws).
-
-        Returns the coordinates of the fired cells of every burst.
-        """
+        """The coordinates of the fired cells of every burst."""
         codeword_length = codeword.shape[0]
         length = min(self._burst_length, codeword_length)
         if num_words == 0:
@@ -501,34 +436,25 @@ class RowStripeInjector:
     ):
         validate_probability(row_probability)
         validate_probability(bit_flip_probability)
-        if stripe_period < 1:
+        self._stripe_period = validate_integer(stripe_period, "stripe period")
+        self._stripe_phase = validate_integer(stripe_phase, "stripe phase")
+        if self._stripe_period < 1:
             raise ChipConfigurationError("stripe period must be at least one column")
-        if not 0 <= stripe_phase < stripe_period:
+        if not 0 <= self._stripe_phase < self._stripe_period:
             raise ChipConfigurationError(
                 f"stripe phase {stripe_phase} must lie in [0, {stripe_period})"
             )
         self._row_probability = row_probability
-        self._stripe_period = int(stripe_period)
-        self._stripe_phase = int(stripe_phase)
         self._bit_flip_probability = bit_flip_probability
 
     def stripe_mask(self, codeword_length: int) -> np.ndarray:
         """Boolean per-column mask; True marks columns on the stripe."""
         return np.arange(codeword_length) % self._stripe_period == self._stripe_phase
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a boolean mask of injected errors."""
-        stored = np.asarray(stored_codewords)
-        num_words, codeword_length = stored.shape
-        victims = rng.random(num_words) < self._row_probability
-        stripe = self.stripe_mask(codeword_length)
-        fires = rng.random(stored.shape) < self._bit_flip_probability
-        return victims[:, np.newaxis] & stripe[np.newaxis, :] & fires
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws)."""
+        """The coordinates of the fired stripe cells of every victim word."""
         codeword_length = codeword.shape[0]
         victims = rng.random(num_words) < self._row_probability
         stripe = self.stripe_mask(codeword_length)
@@ -540,9 +466,10 @@ class RowStripeInjector:
 class FaultModelInjector:
     """Adapt a :mod:`repro.dram.faults` model into a pre-correction injector.
 
-    The chip-level fault models expose ``corrupt(bits, rng)``; the injector
-    protocol wants an error *mask*.  The mask is simply the diff between the
-    stored bits and their corrupted read-back, so any chip fault model (e.g.
+    The chip-level fault models expose ``corrupt(bits, rng)``, which reads
+    the stored bits of a whole batch, so this is the one draw that tiles the
+    codeword.  The errors are the diff between the stored bits and their
+    corrupted read-back, so any chip fault model (e.g.
     :class:`~repro.dram.faults.TransientFaultModel` or
     :class:`~repro.dram.faults.StuckAtFaultModel`) plugs straight into the
     batched simulation engine.
@@ -560,10 +487,12 @@ class FaultModelInjector:
         """The wrapped chip-level fault model."""
         return self._fault_model
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return the mask of bits the fault model corrupts on read-back."""
-        stored = np.asarray(stored_codewords, dtype=np.uint8)
-        return self._fault_model.corrupt(stored, rng) != stored
+    def error_mask_packed(
+        self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
+    ) -> PackedErrorBatch:
+        """The coordinates of the bits the fault model corrupts on read-back."""
+        stored = np.tile(np.asarray(codeword, dtype=np.uint8), (num_words, 1))
+        return PackedErrorBatch.from_mask(self._fault_model.corrupt(stored, rng) != stored)
 
 
 class CompositeInjector:
@@ -585,27 +514,19 @@ class CompositeInjector:
         """The member injectors, in application order."""
         return tuple(self._injectors)
 
-    def error_mask(self, stored_codewords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return the union of every member's error mask."""
-        stored = np.asarray(stored_codewords)
-        mask = np.zeros(stored.shape, dtype=bool)
-        for injector in self._injectors:
-            mask |= injector.error_mask(stored, rng)
-        return mask
-
     def error_mask_packed(
         self, codeword: np.ndarray, num_words: int, rng: np.random.Generator
     ) -> PackedErrorBatch:
-        """Packed-protocol equivalent of :meth:`error_mask` (same draws).
+        """The union of every member's errors.
 
-        Members are drawn in application order from the shared RNG stream —
-        the same order as :meth:`error_mask` — and the union of their
-        coordinates, sorted by word and column, is the composite's.
+        Members are drawn in application order from the shared RNG stream,
+        and the union of their coordinates, sorted by word and column, is
+        the composite's.
         """
         num_bits = codeword.shape[0]
         cells = []
         for injector in self._injectors:
-            member = draw_packed_errors(injector, codeword, num_words, rng)
+            member = injector.error_mask_packed(codeword, num_words, rng)
             rows, columns = member.coordinates()
             cells.append(rows * num_bits + columns)
         rows, columns = np.divmod(np.unique(np.concatenate(cells)), num_bits)

@@ -11,10 +11,12 @@ Every Monte-Carlo caller in the library runs through one loop,
 pool workers) and the profile helpers of :mod:`repro.core.profile`.  A
 *segment* is one ``(dataword, injector, num_words, rng)`` run; the runner
 draws each segment's errors from its own generator, in order, in blocks of
-``batch_size`` words.  The ``reference`` backend classifies each block with
-the staged uint8 encode → inject → decode loop, the oracle; ``packed``
-classifies packed masks with the fused kernel of :mod:`repro.einsim.fused`,
-several short segments per kernel call.
+``batch_size`` words, through the injector's one packed draw
+(:func:`repro.einsim.fused.packed_error_batch`).  The ``reference`` backend
+densifies each block's errors and classifies them with the staged uint8
+encode → inject → decode loop, the oracle; ``packed`` classifies the packed
+masks with the fused kernel of :mod:`repro.einsim.fused`, several short
+segments per kernel call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.einsim.fused import (
     concat_batches,
     get_kernel,
     packed_error_batch,
-    traced_draw,
 )
 
 #: Words drawn and classified per block unless a caller says otherwise.
@@ -168,8 +169,10 @@ def simulate_segments(
     state when its turn comes.  Every input is checked before the first
     draw.
 
-    ``reference`` classifies each block with the staged uint8 loop (tile,
-    inject, decode, compare).  ``packed`` classifies packed masks with the
+    Both backends draw each block through
+    :func:`~repro.einsim.fused.packed_error_batch`.  ``reference`` densifies
+    the block's errors and classifies them with the staged uint8 loop (tile,
+    inject, decode, compare).  ``packed`` classifies the packed masks with the
     fused kernel: a block that fills ``batch_size`` is classified on its
     own; shorter blocks (short segments, the tail of a long one) are
     buffered across segments and classified together, one segmented kernel
@@ -254,10 +257,15 @@ def _staged_stats(
     num_words: int,
     rng: np.random.Generator,
 ) -> FusedStats:
-    """One block through the staged uint8 oracle: tile, inject, decode, compare."""
+    """One block through the staged uint8 oracle: tile, inject, decode, compare.
+
+    The errors are the packed backend's draw, densified; everything after
+    the draw is independent of the fused kernel.
+    """
     num_data_bits = code.num_data_bits
     stored = np.tile(codeword, (num_words, 1))
-    mask = traced_draw(injector.error_mask, stored, rng)
+    mask = np.zeros(stored.shape, dtype=bool)
+    mask[packed_error_batch(injector, codeword, num_words, rng).coordinates()] = True
     received = np.bitwise_xor(stored, mask.astype(np.uint8))
     corrected, due = bulk_decode_outcomes(code, received, "reference")
     data_errors = corrected[:, :num_data_bits] != stored[:, :num_data_bits]

@@ -47,7 +47,6 @@ from repro.exceptions import ReproError, ScenarioError, ValidationError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
-from repro.einsim.fused import draw_packed_errors
 from repro.einsim.injectors import SAMPLER_VERSION
 from repro.scenarios.registry import build_injector, get_scenario
 
@@ -147,7 +146,7 @@ def make_einsim_cell(
     stored = cell.config()["params"]
     try:
         injector = build_injector(scenario, stored)
-        draw_packed_errors(injector, codeword, 0, np.random.default_rng(0))
+        injector.error_mask_packed(codeword, 0, np.random.default_rng(0))
     except (ReproError, TypeError, ValueError) as error:
         raise ScenarioError(
             f"scenario {scenario!r} rejects parameters {stored}: {error}"

@@ -37,7 +37,8 @@ from repro.core import (
 )
 from repro.dram import ChipGeometry, VENDOR_A, VENDOR_B, VENDOR_C
 from repro.dram.retention import DataRetentionModel, RetentionCalibration
-from repro.einsim.engine import decode_lanes, encode_lanes
+from repro.einsim.engine import bulk_decode_outcomes, decode_lanes, encode_lanes
+from repro.exceptions import ValidationError
 
 
 #: (k, seed) pairs spanning small codes up to the paper's (136, 128) words.
@@ -228,6 +229,54 @@ class TestBulkDecodeDifferential:
             [decoder.decode(GF2Vector(w)).corrected_codeword.to_numpy() for w in words]
         )
         assert np.array_equal(bulk_decode(code, words, backend), expected)
+
+
+class TestBulkKernelsRejectNonBinaryInput:
+    """Any value but 0 or 1 is refused before any work, on both backends.
+
+    The backends would read it differently: the reference multiplies mod 2,
+    while the packed kernels pack any nonzero value as 1 (on the (12, 8)
+    code a dataword ``[2, 0, ...]`` used to encode to two different
+    codewords).
+    """
+
+    #: kernel name -> (kernel, attribute naming its row width)
+    KERNELS = {
+        "bulk_encode": (bulk_encode, "num_data_bits"),
+        "bulk_syndrome_values": (bulk_syndrome_values, "codeword_length"),
+        "bulk_decode": (bulk_decode, "codeword_length"),
+        "bulk_decode_outcomes": (bulk_decode_outcomes, "codeword_length"),
+    }
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(2, np.uint8), (255, np.uint8), (-1, np.int64), (2, np.int64),
+         (0.5, np.float64), (np.nan, np.float64)],
+        ids=["two", "uint8-max", "minus-one", "int64-two", "half", "nan"],
+    )
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_binary_value_is_refused(self, backend, kernel, value, dtype):
+        function, width = self.KERNELS[kernel]
+        code = _code(8, 1)
+        batch = np.zeros((3, getattr(code, width)), dtype=dtype)
+        batch[1, 0] = value
+        with pytest.raises(ValidationError, match="only 0s and 1s"):
+            function(code, batch, backend)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zeros_and_ones_of_any_dtype_are_accepted(self, backend, kernel, dtype):
+        function, width = self.KERNELS[kernel]
+        code = _code(8, 1)
+        bits = np.random.default_rng(3).integers(0, 2, (5, getattr(code, width)))
+        expected = function(code, bits.astype(np.uint8), "reference")
+        actual = function(code, bits.astype(dtype), backend)
+        if kernel == "bulk_decode_outcomes":
+            assert np.array_equal(expected[1], actual[1])
+            expected, actual = expected[0], actual[0]
+        assert np.array_equal(expected, actual)
 
 
 class TestSimulatorDifferential:

@@ -5,9 +5,10 @@ runs for every Monte-Carlo simulation, reimplements an entire round —
 inject, decode, classify — over packed representations, so every statistic
 it produces is checked for bit-exact equality against the ``reference``
 oracle across all code families, all injector types and both packed mask
-representations, at the simulator, profile and campaign layers.  The
-packed injector protocol is additionally checked mask-for-mask and
-RNG-state-for-RNG-state against the unpacked draw it replaces.
+representations, at the simulator, profile and campaign layers.  Both
+backends draw through each injector's one packed draw, which is checked
+mask-for-mask and RNG-state-for-RNG-state against the dense draws it
+replaced (``tests/injector_oracle.py``).
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import injector_oracle
 from repro.dram import CellType
 from repro.ecc import get_family
 from repro.einsim import (
@@ -56,20 +58,13 @@ def _construct(family, args):
 
 
 class _StuckHighModel:
-    """Minimal fault model driving the FaultModelInjector fallback path."""
+    """Minimal fault model driving the FaultModelInjector's tiled draw."""
 
     def corrupt(self, bits, rng):
         corrupted = bits.copy()
         corrupted[:, 0] = 1
         corrupted[rng.random(bits.shape) < 0.02] ^= 1
         return corrupted
-
-
-def _dense(batch):
-    """The boolean ``(num_words, num_bits)`` mask a packed batch describes."""
-    mask = np.zeros((batch.num_words, batch.num_bits), dtype=bool)
-    mask[batch.coordinates()] = True
-    return mask
 
 
 def _injectors(code):
@@ -184,7 +179,7 @@ class TestSimulatorDifferential:
 
 
 class TestInjectorPackedProtocol:
-    """``error_mask_packed`` draws the same masks from the same RNG stream."""
+    """``error_mask_packed`` draws the dense oracle's masks from the same RNG stream."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     def test_masks_and_rng_state_match_unpacked(self, family, args):
@@ -195,13 +190,13 @@ class TestInjectorPackedProtocol:
             rng_unpacked = np.random.default_rng(10_000 + index)
             rng_packed = np.random.default_rng(10_000 + index)
             stored = np.tile(codeword, (97, 1))
-            mask = np.asarray(injector.error_mask(stored, rng_unpacked), bool)
+            mask = injector_oracle.error_mask(injector, stored, rng_unpacked)
             batch = packed_error_batch(injector, codeword, 97, rng_packed)
             assert batch.num_words == 97
             assert batch.num_bits == code.codeword_length
-            assert np.array_equal(_dense(batch), mask)
-            # Identical post-draw states: the packed protocol consumed the
-            # stream exactly as the unpacked draw did, so the *next* batch
+            assert np.array_equal(injector_oracle.dense(batch), mask)
+            # Identical post-draw states: the packed draw consumed the
+            # stream exactly as the dense draw did, so the *next* batch
             # also matches — chunked runs stay aligned forever.
             assert (
                 rng_unpacked.bit_generator.state
@@ -231,13 +226,19 @@ class TestInjectorPackedProtocol:
             == "coords"
         )
 
-    def test_fallback_used_without_packed_protocol(self):
+    def test_fault_model_draw_is_the_coordinates_of_its_tiled_mask(self):
         injector = FaultModelInjector(_StuckHighModel())
-        assert not hasattr(injector, "error_mask_packed")
         code = _construct("sec-hamming", (16,))
         codeword = code.encode(np.zeros(16, dtype=np.uint8)).to_numpy()
-        batch = packed_error_batch(injector, codeword, 5, np.random.default_rng(1))
+        rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+        batch = injector.error_mask_packed(codeword, 5, rng)
         assert batch.kind == "coords"
+        mask = injector_oracle.error_mask(
+            injector, np.tile(codeword, (5, 1)), oracle_rng
+        )
+        assert mask[:, 0].all()
+        assert np.array_equal(injector_oracle.dense(batch), mask)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestSegmentedClassification:

@@ -9,6 +9,7 @@ bit-identical between the ``reference`` and ``packed`` backends, both through
 import numpy as np
 import pytest
 
+from injector_oracle import packed_mask
 from repro.dram import ChipGeometry, SimulatedDramChip, StuckAtFaultModel
 from repro.dram.faults import TransientFaultModel
 from repro.dram.retention import DataRetentionModel, RetentionCalibration
@@ -126,10 +127,10 @@ class TestFaultModelsThroughBatchedEngine:
         # Stuck-at-0 cells never show errors when the stored bits are 0.
         injector = FaultModelInjector(StuckAtFaultModel(0.5, stuck_value=0, seed=1))
         stored = np.zeros((100, 16), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert not mask.any()
         stored_ones = np.ones((100, 16), dtype=np.uint8)
-        mask = injector.error_mask(stored_ones, np.random.default_rng(0))
+        mask = packed_mask(injector, stored_ones, np.random.default_rng(0))
         assert mask.mean() == pytest.approx(0.5, abs=0.05)
 
 

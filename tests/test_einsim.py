@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injector_oracle import packed_mask
 from repro.exceptions import ChipConfigurationError, DimensionError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc import SyndromeDecoder, example_7_4_code, hamming_code, random_hamming_code
@@ -32,7 +33,7 @@ class TestInjectors:
     def test_uniform_injector_rate(self):
         injector = UniformRandomInjector(0.3)
         stored = np.zeros((500, 40), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert mask.shape == stored.shape
         assert mask.mean() == pytest.approx(0.3, abs=0.03)
 
@@ -63,52 +64,54 @@ class TestInjectors:
     def test_retention_injector_true_cells_only_flip_ones(self):
         injector = DataRetentionInjector(1.0, CellType.TRUE_CELL)
         stored = np.array([[1, 0, 1, 0]], dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert mask.tolist() == [[True, False, True, False]]
 
     def test_retention_injector_anti_cells_only_flip_zeros(self):
         injector = DataRetentionInjector(1.0, CellType.ANTI_CELL)
         stored = np.array([[1, 0, 1, 0]], dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert mask.tolist() == [[False, True, False, True]]
 
     def test_retention_injector_rate(self):
         injector = DataRetentionInjector(0.5)
         stored = np.ones((200, 50), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(1))
+        mask = packed_mask(injector, stored, np.random.default_rng(1))
         assert mask.mean() == pytest.approx(0.5, abs=0.05)
 
     def test_fixed_count_injector_exact_count(self):
         injector = FixedErrorCountInjector(3)
         stored = np.zeros((50, 20), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(2))
+        mask = packed_mask(injector, stored, np.random.default_rng(2))
         assert (mask.sum(axis=1) == 3).all()
 
     def test_fixed_count_injector_candidate_restriction(self):
         injector = FixedErrorCountInjector(2, candidate_positions=[0, 1, 2])
         stored = np.zeros((20, 10), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(3))
+        mask = packed_mask(injector, stored, np.random.default_rng(3))
         assert not mask[:, 3:].any()
 
     def test_fixed_count_injector_per_bit_probability(self):
         injector = FixedErrorCountInjector(4, per_bit_probability=0.0)
         stored = np.zeros((10, 10), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(4))
+        mask = packed_mask(injector, stored, np.random.default_rng(4))
         assert not mask.any()
 
     def test_fixed_count_injector_validation(self):
         with pytest.raises(ChipConfigurationError):
             FixedErrorCountInjector(-1)
         with pytest.raises(ChipConfigurationError):
-            FixedErrorCountInjector(5, candidate_positions=[0, 1]).error_mask(
-                np.zeros((1, 4), dtype=np.uint8), np.random.default_rng(0)
+            packed_mask(
+                FixedErrorCountInjector(5, candidate_positions=[0, 1]),
+                np.zeros((1, 4), dtype=np.uint8),
+                np.random.default_rng(0),
             )
 
     def test_per_bit_injector(self):
         probabilities = [0.0, 1.0, 0.0, 1.0]
         injector = PerBitBernoulliInjector(probabilities)
         stored = np.zeros((10, 4), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(5))
+        mask = packed_mask(injector, stored, np.random.default_rng(5))
         assert not mask[:, 0].any() and mask[:, 1].all()
 
     def test_per_bit_injector_validation(self):
@@ -117,8 +120,10 @@ class TestInjectors:
         with pytest.raises(ChipConfigurationError):
             PerBitBernoulliInjector([0.5, 1.2])
         with pytest.raises(ChipConfigurationError):
-            PerBitBernoulliInjector([0.5]).error_mask(
-                np.zeros((1, 3), dtype=np.uint8), np.random.default_rng(0)
+            packed_mask(
+                PerBitBernoulliInjector([0.5]),
+                np.zeros((1, 3), dtype=np.uint8),
+                np.random.default_rng(0),
             )
 
 
@@ -130,7 +135,7 @@ class TestFixedCountVectorisedContract:
         # every word must carry exactly num_errors flips.
         injector = FixedErrorCountInjector(4)
         stored = np.zeros((2000, 24), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(10))
+        mask = packed_mask(injector, stored, np.random.default_rng(10))
         assert (mask.sum(axis=1) == 4).all()
 
     def test_candidate_selection_is_uniform(self):
@@ -138,7 +143,7 @@ class TestFixedCountVectorisedContract:
         # num_errors / num_candidates = 1/4.
         injector = FixedErrorCountInjector(3, candidate_positions=list(range(12)))
         stored = np.zeros((6000, 16), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(11))
+        mask = packed_mask(injector, stored, np.random.default_rng(11))
         per_position = mask.mean(axis=0)
         assert not mask[:, 12:].any()
         np.testing.assert_allclose(per_position[:12], 3 / 12, atol=0.02)
@@ -148,7 +153,7 @@ class TestFixedCountVectorisedContract:
         # per-word flip count is Binomial(num_errors, p).
         injector = FixedErrorCountInjector(6, per_bit_probability=0.5)
         stored = np.zeros((4000, 20), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(12))
+        mask = packed_mask(injector, stored, np.random.default_rng(12))
         counts = mask.sum(axis=1)
         assert counts.max() <= 6
         assert counts.mean() == pytest.approx(3.0, abs=0.1)
@@ -157,20 +162,20 @@ class TestFixedCountVectorisedContract:
     def test_all_candidates_selected_when_count_equals_candidates(self):
         injector = FixedErrorCountInjector(3, candidate_positions=[1, 4, 7])
         stored = np.zeros((50, 10), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(13))
+        mask = packed_mask(injector, stored, np.random.default_rng(13))
         assert mask[:, [1, 4, 7]].all()
         assert mask.sum() == 150
 
     def test_zero_errors_gives_empty_mask(self):
         injector = FixedErrorCountInjector(0)
         stored = np.zeros((10, 8), dtype=np.uint8)
-        assert not injector.error_mask(stored, np.random.default_rng(14)).any()
+        assert not packed_mask(injector, stored, np.random.default_rng(14)).any()
 
     def test_seeded_mask_is_reproducible(self):
         injector = FixedErrorCountInjector(2)
         stored = np.zeros((100, 12), dtype=np.uint8)
-        first = injector.error_mask(stored, np.random.default_rng(15))
-        second = injector.error_mask(stored, np.random.default_rng(15))
+        first = packed_mask(injector, stored, np.random.default_rng(15))
+        second = packed_mask(injector, stored, np.random.default_rng(15))
         assert np.array_equal(first, second)
 
     def test_duplicate_candidate_positions_rejected(self):
@@ -185,24 +190,24 @@ class TestNewInjectors:
         injector = MixedCellRetentionInjector(1.0)
         # Even columns are true-cells (1s flip); odd columns anti (0s flip).
         stored = np.array([[1, 1, 0, 0]], dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert mask.tolist() == [[True, False, False, True]]
 
     def test_mixed_cell_retention_explicit_columns(self):
         injector = MixedCellRetentionInjector(1.0, anti_cell_columns=[0, 1])
         stored = np.array([[0, 1, 0, 1]], dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(0))
+        mask = packed_mask(injector, stored, np.random.default_rng(0))
         assert mask.tolist() == [[True, False, False, True]]
 
     def test_mixed_cell_retention_out_of_range_column(self):
         injector = MixedCellRetentionInjector(0.5, anti_cell_columns=[9])
         with pytest.raises(ChipConfigurationError):
-            injector.error_mask(np.zeros((1, 4), dtype=np.uint8), np.random.default_rng(0))
+            packed_mask(injector, np.zeros((1, 4), dtype=np.uint8), np.random.default_rng(0))
 
     def test_burst_injector_is_contiguous(self):
         injector = BurstErrorInjector(1.0, burst_length=3)
         stored = np.zeros((200, 16), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(1))
+        mask = packed_mask(injector, stored, np.random.default_rng(1))
         for row in mask:
             positions = np.flatnonzero(row)
             assert len(positions) == 3
@@ -211,12 +216,12 @@ class TestNewInjectors:
     def test_burst_injector_probability_gates_words(self):
         injector = BurstErrorInjector(0.0, burst_length=4)
         stored = np.zeros((50, 16), dtype=np.uint8)
-        assert not injector.error_mask(stored, np.random.default_rng(2)).any()
+        assert not packed_mask(injector, stored, np.random.default_rng(2)).any()
 
     def test_burst_longer_than_word_is_clamped(self):
         injector = BurstErrorInjector(1.0, burst_length=100)
         stored = np.zeros((10, 8), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(3))
+        mask = packed_mask(injector, stored, np.random.default_rng(3))
         assert mask.all()
 
     def test_burst_validation(self):
@@ -226,14 +231,14 @@ class TestNewInjectors:
     def test_row_stripe_hits_only_stripe_columns(self):
         injector = RowStripeInjector(1.0, stripe_period=2, stripe_phase=1)
         stored = np.zeros((100, 8), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(4))
+        mask = packed_mask(injector, stored, np.random.default_rng(4))
         assert mask[:, 1::2].all()
         assert not mask[:, 0::2].any()
 
     def test_row_stripe_victim_rate(self):
         injector = RowStripeInjector(0.25, stripe_period=1)
         stored = np.zeros((4000, 8), dtype=np.uint8)
-        mask = injector.error_mask(stored, np.random.default_rng(5))
+        mask = packed_mask(injector, stored, np.random.default_rng(5))
         victim_fraction = mask.any(axis=1).mean()
         assert victim_fraction == pytest.approx(0.25, abs=0.03)
 
@@ -248,7 +253,7 @@ class TestNewInjectors:
             [PerBitBernoulliInjector([1, 0, 0, 0]), PerBitBernoulliInjector([0, 0, 0, 1])]
         )
         stored = np.zeros((10, 4), dtype=np.uint8)
-        mask = composite.error_mask(stored, np.random.default_rng(6))
+        mask = packed_mask(composite, stored, np.random.default_rng(6))
         assert mask[:, 0].all() and mask[:, 3].all()
         assert not mask[:, 1:3].any()
 

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import injector_oracle
 from repro.core import MonteCarloCampaign, charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
 from repro.dram import CellType, StuckAtFaultModel, TransientFaultModel
@@ -140,13 +141,6 @@ def _dataword(seed, num_data_bits):
     return np.random.default_rng(seed).integers(0, 2, num_data_bits)
 
 
-def _dense(batch):
-    """The boolean ``(num_words, num_bits)`` mask a packed batch describes."""
-    mask = np.zeros((batch.num_words, batch.num_bits), dtype=bool)
-    mask[batch.coordinates()] = True
-    return mask
-
-
 def _assert_results_equal(expected, actual):
     assert expected.dataword == actual.dataword
     assert expected.num_words == actual.num_words
@@ -245,8 +239,9 @@ class _FixedMask:
     def __init__(self, mask):
         self._mask = mask
 
-    def error_mask(self, stored_codewords, rng):
-        return self._mask
+    def error_mask_packed(self, codeword, num_words, rng):
+        assert (num_words, codeword.shape[0]) == self._mask.shape
+        return PackedErrorBatch.from_mask(self._mask)
 
 
 class TestAgainstTheStagedStatistics:
@@ -291,9 +286,8 @@ class TestAgainstTheStagedStatistics:
         assert joined.num_words == 7
         assert joined.rows.tolist() == [0, 0, 2, 6]
         assert joined.columns.tolist() == [1, 4, 0, 6]
-        assert np.array_equal(
-            _dense(joined), np.vstack([_dense(first), _dense(empty), _dense(last)])
-        )
+        parts = [injector_oracle.dense(batch) for batch in (first, empty, last)]
+        assert np.array_equal(injector_oracle.dense(joined), np.vstack(parts))
 
 
 class TestCoordinateInvariants:
@@ -328,11 +322,11 @@ class TestCoordinateInvariants:
         keys = rows * n + columns
         assert np.unique(keys).size == keys.size
         assert batch.num_errors() == rows.size
-        # The same errors the unpacked draw places, from the same stream.
-        mask = injector.error_mask(
-            np.tile(codeword, (num_words, 1)), np.random.default_rng(seed)
+        # The same errors the dense oracle draw places, from the same stream.
+        mask = injector_oracle.error_mask(
+            injector, np.tile(codeword, (num_words, 1)), np.random.default_rng(seed)
         )
-        assert np.array_equal(_dense(batch), mask)
+        assert np.array_equal(injector_oracle.dense(batch), mask)
 
     @pytest.mark.parametrize(
         "rows, columns, error",
@@ -363,7 +357,7 @@ GRID_DIGEST = "472c6daed3fe0ec3d304407cd99a7cf65c962680c90fd335e8ec8cbb20d1bf7b"
 
 
 class _StuckHighModel:
-    """A fault model that only the tile-and-pack fallback can draw."""
+    """A fault model for the FaultModelInjector's tiled draw."""
 
     def corrupt(self, bits, rng):
         corrupted = bits.copy()

@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+import injector_oracle
 from repro.analysis import campaign_report_data, load_simulation_results
 from repro.core import charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
@@ -149,9 +150,15 @@ def bits_at(mask_or_batch, columns):
 
 
 def draw(injector, codeword, num_words, rng, path):
-    """One batch from the staged (``reference``) or packed path."""
+    """One batch from the dense oracle draw (``reference``) or the packed draw.
+
+    Both backends of the simulator draw through the packed draw; the dense
+    draw it replaced lives on in ``tests/injector_oracle.py``.
+    """
     if path == "reference":
-        return injector.error_mask(np.tile(codeword, (num_words, 1)), rng)
+        return injector_oracle.error_mask(
+            injector, np.tile(codeword, (num_words, 1)), rng
+        )
     return injector.error_mask_packed(codeword, num_words, rng)
 
 
@@ -255,7 +262,9 @@ class TestAgainstRetiredSamplers:
     def test_bernoulli_matches_per_bit_uniforms(self):
         p, num_words = 0.3, 40_000
         stored = np.tile(FOUR_CHARGED, (num_words, 1))
-        new = DataRetentionInjector(p).error_mask(stored, np.random.default_rng(1811))
+        new = injector_oracle.packed_mask(
+            DataRetentionInjector(p), stored, np.random.default_rng(1811)
+        )
         old = retired_bernoulli_mask(stored == 1, p, np.random.default_rng(1812))
         statistic, dof = two_sample_chi_square(
             pattern_counts(new[:, FOUR_COLUMNS]), pattern_counts(old[:, FOUR_COLUMNS])

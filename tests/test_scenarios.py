@@ -1,5 +1,6 @@
 """Tests for the scenario registry, sweep expansion, and cache-aware runner."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ChipConfigurationError, ScenarioError
@@ -254,6 +255,58 @@ class TestCellsRejectBadParameters:
             SweepRunner(store=store).run(SweepSpec.from_dict(payload))
         assert isinstance(caught.value.__cause__, ChipConfigurationError)
         assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("burst", {"burst_probability": 0.1, "burst_length": 2.5}),
+            ("burst", {"burst_probability": 0.1, "burst_length": True}),
+            ("row-stripe", {"row_probability": 0.1, "stripe_period": 2.5}),
+            ("row-stripe", {"row_probability": 0.1, "stripe_phase": 0.5}),
+            ("data-retention-mixed",
+             {"bit_error_rate": 0.01, "anti_cell_columns": [[1.5, 3]]}),
+            ("transient-stuck-overlay",
+             {"transient_probability": 0.001, "stuck_fraction": 0.01,
+              "stuck_value": 1.0}),
+            ("transient-stuck-overlay",
+             {"transient_probability": 0.001, "stuck_fraction": 0.01,
+              "stuck_value": True}),
+        ],
+        ids=["burst-length-2.5", "burst-length-true", "stripe-period-2.5",
+             "stripe-phase-0.5", "anti-cell-column-1.5", "stuck-value-1.0",
+             "stuck-value-true"],
+    )
+    def test_integer_parameter_is_checked_not_truncated(self, scenario, params, tmp_path):
+        # Truncated, each of these ran another value than its content key
+        # names.  The valid cell before the bad one is expanded first;
+        # nothing may be committed.
+        payload = dict(BASE_SWEEP)
+        payload["scenarios"] = [
+            {"name": "uniform-random", "params": {"bit_error_rate": 0.01}},
+            {"name": scenario, "params": params},
+        ]
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError, match="must be an integer") as caught:
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert isinstance(caught.value.__cause__, ChipConfigurationError)
+        assert len(store) == 0
+
+    def test_numpy_integer_parameters_are_accepted(self):
+        burst = build_injector(
+            "burst", {"burst_probability": 0.1, "burst_length": np.int64(3)}
+        )
+        assert burst.burst_length == 3 and type(burst.burst_length) is int
+        stripe = build_injector(
+            "row-stripe",
+            {"row_probability": 0.1, "stripe_period": np.int32(3),
+             "stripe_phase": np.uint8(2)},
+        )
+        assert stripe.stripe_mask(6).tolist() == [False, False, True] * 2
+        mixed = build_injector(
+            "data-retention-mixed",
+            {"bit_error_rate": 0.1, "anti_cell_columns": [np.int64(1)]},
+        )
+        assert mixed.anti_cell_mask(3).tolist() == [False, True, False]
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ScenarioError, match="chunk size"):
