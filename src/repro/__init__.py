@@ -50,7 +50,7 @@ from repro.dram import (
     all_vendors,
 )
 from repro.einsim import EinsimSimulator, UniformRandomInjector, DataRetentionInjector
-from repro.sat import CNF, CDCLSolver, solve as sat_solve
+from repro.sat import CNF, CDCLSolver
 from repro.scenarios import (
     ExperimentCell,
     SweepReport,
@@ -110,7 +110,6 @@ __all__ = [
     "DataRetentionInjector",
     "CNF",
     "CDCLSolver",
-    "sat_solve",
     "BeepProfiler",
     "BeepResult",
     "BeerExperiment",

@@ -1,9 +1,10 @@
 """Figure/table data generators and analytical models.
 
 Each public function reproduces the data behind one of the paper's tables or
-figures (see DESIGN.md for the experiment index).  The functions return plain
-Python/numpy structures so that benchmarks, tests, and examples can render
-them however they like (the benchmarks print them as ASCII tables).
+figures; the figure workloads of :mod:`repro.bench` run them and gate the
+paper's claims.  The functions return plain Python/numpy structures so that
+benchmarks, tests, and examples can render them however they like (the
+benchmarks print them as ASCII tables).
 """
 
 from repro.analysis.figures import (

@@ -4,7 +4,8 @@ The generators are deliberately parameterised (code sizes, word counts, trial
 counts) so that the benchmark suite can run them at laptop-friendly scales
 while examples and ad-hoc studies can crank the parameters up.  Each function
 documents which paper artefact it reproduces and what the expected *shape* of
-the result is; EXPERIMENTS.md records the measured outcomes.
+the result is; the bench workloads record the measured outcomes in
+``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.gf2 import GF2Vector
 from repro.ecc import SystematicLinearCode, example_7_4_code, random_hamming_code
 from repro.ecc.hamming import min_parity_bits
 from repro.dram import ChipGeometry, DataRetentionModel, VENDOR_A, VENDOR_B, VENDOR_C
-from repro.dram.retention import RetentionCalibration
+from repro.dram.retention import FAST_RETENTION
 from repro.einsim import (
     EinsimSimulator,
     UniformRandomInjector,
@@ -37,12 +38,6 @@ from repro.core import (
     one_charged_patterns,
 )
 from repro.core.beep import BeepProfiler, SimulatedWordUnderTest
-
-
-#: Retention calibration used by figure generators that drive simulated chips;
-#: it compresses the paper's minutes-long refresh windows into seconds so the
-#: scaled-down chips produce comparable error rates quickly.
-FAST_CHIP_RETENTION = DataRetentionModel(RetentionCalibration(1.0, 0.02, 60.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def figure3_manufacturer_profile_data(
             num_data_bits=num_data_bits,
             geometry=chip_geometry,
             seed=seed,
-            retention_model=FAST_CHIP_RETENTION,
+            retention_model=DataRetentionModel(FAST_RETENTION),
         )
         config = ExperimentConfig(
             pattern_weights=(1,),
@@ -261,7 +256,7 @@ def figure4_threshold_data(
         num_data_bits=num_data_bits,
         geometry=ChipGeometry(32, 8),
         seed=seed,
-        retention_model=FAST_CHIP_RETENTION,
+        retention_model=DataRetentionModel(FAST_RETENTION),
         transient_fault_probability=transient_fault_probability,
     )
     per_window_probabilities = []

@@ -17,9 +17,9 @@ SECTION_TAGS = ("section",)
 
 def _fast_retention():
     from repro.dram import DataRetentionModel
-    from repro.dram.retention import RetentionCalibration
+    from repro.dram.retention import FAST_RETENTION
 
-    return DataRetentionModel(RetentionCalibration(1.0, 0.02, 60.0, 0.5))
+    return DataRetentionModel(FAST_RETENTION)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from repro.exceptions import CodeConstructionError, ReproError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc import FAMILY_NAMES, SystematicLinearCode, get_family
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
-from repro.dram.retention import RetentionCalibration
+from repro.dram.retention import FAST_RETENTION
 from repro.core import (
     BeerExperiment,
     BeerSolver,
@@ -68,11 +68,6 @@ from repro.core import (
 )
 from repro.core.beep import BeepProfiler, SimulatedWordUnderTest
 from repro.einsim.engine import BACKEND_CHOICES
-
-
-#: Retention model used by ``simulate-profile`` so simulated campaigns finish
-#: in seconds rather than the paper's hours of real refresh pauses.
-_FAST_RETENTION = DataRetentionModel(RetentionCalibration(1.0, 0.02, 60.0, 0.5))
 
 
 def _add_trace_argument(parser) -> None:
@@ -527,7 +522,11 @@ def _run_solve(args) -> int:
         solver = SatBeerSolver(profile.num_data_bits, parity_bits, family=family)
     else:
         solver = BeerSolver(profile.num_data_bits, parity_bits, family=family)
-    solution = solver.solve(profile, max_solutions=args.max_solutions)
+    try:
+        solution = solver.solve(profile, max_solutions=args.max_solutions)
+    except ValidationError as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
     payload = {
         "num_data_bits": profile.num_data_bits,
@@ -597,7 +596,7 @@ def _run_simulate_profile(args) -> int:
         num_data_bits=args.data_bits,
         geometry=ChipGeometry(num_rows=32, words_per_row=8),
         seed=args.seed,
-        retention_model=_FAST_RETENTION,
+        retention_model=DataRetentionModel(FAST_RETENTION),
         backend=args.backend,
         code_family=family.name,
     )

@@ -38,7 +38,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import CodeConstructionError, ProfileError, SolverError
+from repro.exceptions import (
+    CodeConstructionError, ProfileError, SolverError, ValidationError,
+)
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import canonical_parity_columns
 from repro.ecc.family import CodeFamily, get_family
@@ -176,9 +178,12 @@ class BeerSolver:
 
         ``max_solutions`` truncates the search after that many equivalence
         classes have been found (``None`` = exhaustive, which is what the
-        uniqueness check requires).  ``max_nodes`` bounds the search effort and
-        raises :class:`~repro.exceptions.SolverError` when exceeded.
+        uniqueness check requires); a value below 1 raises
+        :class:`~repro.exceptions.ValidationError`.  ``max_nodes`` bounds the
+        search effort and raises :class:`~repro.exceptions.SolverError` when
+        exceeded.
         """
+        validate_max_solutions(max_solutions)
         if profile.num_data_bits != self._num_data_bits:
             raise ProfileError(
                 f"profile is for k={profile.num_data_bits}, solver expects "
@@ -220,6 +225,19 @@ class BeerSolver:
             if expected.miscorrections(pattern) != profile.miscorrections(pattern):
                 return False
         return True
+
+
+def validate_max_solutions(max_solutions: Optional[int]) -> None:
+    """Refuse a cap below one solution, which no search could honour.
+
+    Both BEER backends call this before any work, so they refuse the same
+    values; ``None`` means no cap.
+    """
+    if max_solutions is not None and max_solutions < 1:
+        raise ValidationError(
+            f"max_solutions must be at least 1, got {max_solutions}; leave it "
+            "unset to find every candidate"
+        )
 
 
 class _Search:

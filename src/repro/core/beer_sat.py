@@ -49,8 +49,10 @@ from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import parity_rows
 from repro.ecc.family import CodeFamily, get_family
 from repro.sat import CNF, CDCLSolver, iterate_models
-from repro.sat.encoders import encode_column_design_space, encode_lex_geq, encode_xor
-from repro.core.beer import BeerSolution
+from repro.sat.encoders import (
+    encode_column_design_space, encode_lex_geq, encode_xor_gate, integer_of_bits,
+)
+from repro.core.beer import BeerSolution, validate_max_solutions
 from repro.core.profile import MiscorrectionProfile
 
 
@@ -130,7 +132,12 @@ class SatBeerSolver:
         labelling only up to permutations of rows that carry the same bits in
         every pinned column, so only those rows are ordered; the pinned
         columns come back exactly as given.
+
+        ``max_solutions`` stops the enumeration after that many codes
+        (``None`` = exhaustive); a value below 1 raises
+        :class:`~repro.exceptions.ValidationError`, as on :class:`BeerSolver`.
         """
+        validate_max_solutions(max_solutions)
         if profile.num_data_bits != self._num_data_bits:
             raise ProfileError(
                 f"profile is for k={profile.num_data_bits}, solver expects "
@@ -160,7 +167,7 @@ class SatBeerSolver:
         codes: List[SystematicLinearCode] = []
         truncated = False
         for model in models:
-            columns = self._columns_from_model(model, column_variables)
+            columns = tuple(integer_of_bits(model, column) for column in column_variables)
             rows = parity_rows(columns, self._num_parity_bits)
             if any(rows[upper] < rows[lower] for upper, lower in row_pairs):
                 raise SolverError(
@@ -276,7 +283,7 @@ class SatBeerSolver:
                 difference_bits = []
                 for row in range(self._num_parity_bits):
                     diff = formula.new_variable()
-                    self._encode_xor_pair(
+                    encode_xor_gate(
                         formula,
                         column_variables[first][row],
                         column_variables[second][row],
@@ -361,7 +368,7 @@ class SatBeerSolver:
             result_bits = []
             for row in range(self._num_parity_bits):
                 result = formula.new_variable()
-                self._encode_xor_pair(
+                encode_xor_gate(
                     formula,
                     column_variables[key[0]][row],
                     column_variables[key[1]][row],
@@ -370,32 +377,3 @@ class SatBeerSolver:
                 result_bits.append(result)
             xor_cache[key] = result_bits
         return xor_cache[key]
-
-    @staticmethod
-    def _encode_xor_pair(formula: CNF, left: int, right: int, result: int) -> None:
-        """Constrain ``result = left XOR right`` with the full biconditional."""
-        formula.add_clauses(
-            [
-                [-left, -right, -result],
-                [left, right, -result],
-                [-left, right, result],
-                [left, -right, result],
-            ]
-        )
-
-    def _columns_from_model(
-        self, model: Dict[int, bool], column_variables: List[List[int]]
-    ) -> Tuple[int, ...]:
-        columns = []
-        for column in column_variables:
-            value = 0
-            for row, variable in enumerate(column):
-                if model[variable]:
-                    value |= 1 << row
-            columns.append(value)
-        return tuple(columns)
-
-
-# Re-export encode_xor so the module is self-contained for external users who
-# want to extend the encoding (e.g. to higher-weight patterns).
-__all__ = ["SatBeerSolver", "encode_xor"]

@@ -1,8 +1,8 @@
 """Behavioural DRAM-chip substrate with on-die ECC.
 
 The paper's experiments run on 80 real LPDDR4 chips; this package provides the
-simulated equivalent used by the reproduction (see DESIGN.md, substitution
-table).  It models exactly the properties BEER relies on:
+simulated equivalent used by the reproduction.  It models exactly the
+properties BEER relies on:
 
 * each cell is a *true-cell* or *anti-cell* (:mod:`repro.dram.cell`); only
   cells in the CHARGED state can suffer data-retention errors, and they fail

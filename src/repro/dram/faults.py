@@ -99,6 +99,8 @@ class StuckAtFaultModel:
             raise ChipConfigurationError("stuck value must be 0 or 1")
         if rng is not None and seed is not None:
             raise ChipConfigurationError("pass either rng or seed, not both")
+        if seed is not None:
+            seed = validate_integer(seed, "stuck seed")
         self._stuck_fraction = stuck_fraction
         self._stuck_value = stuck_value
         # ``seed`` derives each shape's mask independently of the order shapes

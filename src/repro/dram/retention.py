@@ -64,6 +64,14 @@ class RetentionCalibration:
         return mu, sigma
 
 
+#: The accelerated calibration of the simulated campaigns (``simulate-profile``,
+#: BEER sweep cells, the figure and section studies): 2% of cells fail within a
+#: 1 s window and half within 60 s, so refresh windows of tens of seconds give
+#: the error rates of the paper's minutes-long windows and a campaign finishes
+#: in seconds.
+FAST_RETENTION = RetentionCalibration(1.0, 0.02, 60.0, 0.5)
+
+
 class DataRetentionModel:
     """Per-cell retention times plus window/temperature failure evaluation."""
 

@@ -43,7 +43,6 @@ content-addressed configuration.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -199,9 +198,12 @@ class FixedErrorCountInjector:
             self._candidate_positions = (
                 None
                 if candidate_positions is None
-                else [operator.index(position) for position in candidate_positions]
+                else [
+                    validate_integer(position, "candidate position")
+                    for position in candidate_positions
+                ]
             )
-        except TypeError:
+        except (ChipConfigurationError, TypeError):
             raise ChipConfigurationError(
                 f"candidate positions must be integers, got {candidate_positions!r}"
             ) from None

@@ -1,22 +1,18 @@
-"""A self-contained Boolean satisfiability (SAT) substrate.
+"""The Boolean satisfiability (SAT) substrate of BEER's SAT backend.
 
 The paper solves the BEER constraint problem with the Z3 solver; this package
-provides the equivalent capability from scratch (see DESIGN.md substitution
-table):
+provides what :mod:`repro.core.beer_sat` needs of that capability, built from
+scratch:
 
 * :mod:`repro.sat.cnf` — CNF formula container with clause hygiene
   (duplicate-literal removal, tautology dropping) and variable allocation,
-* :mod:`repro.sat.dimacs` — DIMACS CNF reading/writing,
 * :mod:`repro.sat.solver` — a persistent, incremental CDCL solver
   (two-watched-literal propagation, first-UIP clause learning, heap-based
-  VSIDS branching, native assumption solving, Luby restarts, learned-clause
-  deletion) with incremental model enumeration support,
-* :mod:`repro.sat.encoders` — helper encodings (XOR/parity chains, at-most-one,
-  implications) used to express GF(2) constraints in CNF.
-
-The BEER SAT backend (:mod:`repro.core.beer_sat`) builds directly on these
-pieces; everything here is also usable independently as a general-purpose SAT
-toolkit.
+  VSIDS branching, Luby restarts, learned-clause deletion, a conflict
+  budget) and model enumeration under blocking clauses,
+* :mod:`repro.sat.encoders` — the CNF encodings of the BEER formulation:
+  XOR gates and parity chains, column design-space predicates,
+  lexicographic order of bit vectors, and integers read back from a model.
 """
 
 from repro.sat.cnf import CNF, simplify_literals
@@ -24,17 +20,9 @@ from repro.sat.solver import (
     CDCLSolver,
     SATResult,
     SolverStats,
-    solve,
     iterate_models,
 )
-from repro.sat.dimacs import read_dimacs, write_dimacs
-from repro.sat.encoders import (
-    encode_xor,
-    encode_at_most_one,
-    encode_exactly_one,
-    encode_implies,
-    encode_iff,
-)
+from repro.sat.encoders import encode_xor
 
 __all__ = [
     "CNF",
@@ -42,13 +30,6 @@ __all__ = [
     "CDCLSolver",
     "SATResult",
     "SolverStats",
-    "solve",
     "iterate_models",
-    "read_dimacs",
-    "write_dimacs",
     "encode_xor",
-    "encode_at_most_one",
-    "encode_exactly_one",
-    "encode_implies",
-    "encode_iff",
 ]

@@ -1,8 +1,10 @@
-"""CNF encodings for the constraint shapes the library needs.
+"""CNF encodings for the constraint shapes of BEER's SAT formulation.
 
-The BEER SAT backend expresses GF(2) (XOR) relations, mutual exclusion,
-implications, and lexicographic order over Boolean variables.  These helpers
-add the corresponding clauses to a :class:`~repro.sat.cnf.CNF`, allocating
+:mod:`repro.core.beer_sat` expresses XOR gates (column differences and
+sums), a code family's per-column design-space predicates, and the
+lexicographic order of parity rows over Boolean variables, and reads each
+parity-check column back from a model as an integer.  These helpers add the
+corresponding clauses to a :class:`~repro.sat.cnf.CNF`, allocating
 auxiliary variables where needed.
 """
 
@@ -29,13 +31,13 @@ def encode_xor(formula: CNF, literals: Sequence[int], parity: bool) -> None:
     accumulator = literals[0]
     for literal in literals[1:]:
         auxiliary = formula.new_variable()
-        _encode_xor_triple(formula, accumulator, literal, auxiliary)
+        encode_xor_gate(formula, accumulator, literal, auxiliary)
         accumulator = auxiliary
     formula.add_unit(accumulator if parity else -accumulator)
 
 
-def _encode_xor_triple(formula: CNF, left: int, right: int, result: int) -> None:
-    """Add clauses enforcing ``result = left XOR right``."""
+def encode_xor_gate(formula: CNF, left: int, right: int, result: int) -> None:
+    """Add the four clauses enforcing ``result = left XOR right``."""
     formula.add_clauses(
         [
             [-left, -right, -result],
@@ -92,61 +94,6 @@ def encode_column_design_space(
         encode_not_weight_one(formula, literals)
 
 
-def encode_at_most_one(formula: CNF, literals: Sequence[int]) -> None:
-    """Constrain at most one of ``literals`` to be true (pairwise encoding)."""
-    literals = list(literals)
-    for index, first in enumerate(literals):
-        for second in literals[index + 1 :]:
-            formula.add_clause([-first, -second])
-
-
-def encode_exactly_one(formula: CNF, literals: Sequence[int]) -> None:
-    """Constrain exactly one of ``literals`` to be true."""
-    literals = list(literals)
-    if not literals:
-        raise SolverError("exactly-one over an empty set is unsatisfiable")
-    formula.add_clause(literals)
-    encode_at_most_one(formula, literals)
-
-
-def encode_implies(formula: CNF, antecedent: int, consequents: Sequence[int]) -> None:
-    """Constrain ``antecedent -> (c1 and c2 and ...)``."""
-    for consequent in consequents:
-        formula.add_clause([-antecedent, consequent])
-
-
-def encode_iff(formula: CNF, left: int, right: int) -> None:
-    """Constrain ``left <-> right``."""
-    formula.add_clauses([[-left, right], [left, -right]])
-
-
-def encode_clause_selector(formula: CNF, selector: int, clause: Sequence[int]) -> None:
-    """Constrain ``selector -> clause`` (a guarded/soft clause)."""
-    formula.add_clause([-selector] + list(clause))
-
-
-def encode_conjunction(formula: CNF, output: int, inputs: Sequence[int]) -> None:
-    """Constrain ``output <-> AND(inputs)`` (Tseitin AND gate)."""
-    inputs = list(inputs)
-    if not inputs:
-        formula.add_unit(output)
-        return
-    for literal in inputs:
-        formula.add_clause([-output, literal])
-    formula.add_clause([output] + [-literal for literal in inputs])
-
-
-def encode_disjunction(formula: CNF, output: int, inputs: Sequence[int]) -> None:
-    """Constrain ``output <-> OR(inputs)`` (Tseitin OR gate)."""
-    inputs = list(inputs)
-    if not inputs:
-        formula.add_unit(-output)
-        return
-    for literal in inputs:
-        formula.add_clause([output, -literal])
-    formula.add_clause([-output] + list(inputs))
-
-
 def encode_lex_geq(formula: CNF, left: Sequence[int], right: Sequence[int]) -> None:
     """Constrain the bit vector ``left`` to be lexicographically ≥ ``right``.
 
@@ -177,10 +124,3 @@ def integer_of_bits(model: dict, variables: Sequence[int]) -> int:
         if model[variable]:
             value |= 1 << position
     return value
-
-
-def bits_of_integer(value: int, width: int) -> List[bool]:
-    """Return the little-endian bit list of ``value`` with the given width."""
-    if value < 0 or value >> width:
-        raise SolverError(f"value {value} does not fit in {width} bits")
-    return [(value >> position) & 1 == 1 for position in range(width)]

@@ -1,22 +1,22 @@
 """An incremental conflict-driven clause-learning (CDCL) SAT solver.
 
-The solver implements the standard modern architecture and is designed to be
-*persistent*: one :class:`CDCLSolver` instance survives across many queries,
-which is exactly the shape of BEER's workload (enumerate every ECC function
-consistent with a miscorrection profile by repeatedly re-solving under
-freshly-added blocking clauses).
+The solver implements the standard modern architecture and is *persistent*:
+one :class:`CDCLSolver` survives across :meth:`~CDCLSolver.solve` calls
+interleaved with :meth:`~CDCLSolver.add_clause`.  That is the shape of BEER's
+enumeration, which re-solves after each blocking clause until the formula is
+UNSAT.  The BEER encoding yields one model per equivalence class, so an
+exhaustive solve of a uniquely identified code is one model plus one UNSAT
+call.
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with non-chronological backjumping,
 * activity-based (VSIDS-style) branching backed by an indexed binary max-heap
   (O(log V) decisions instead of an O(V) scan) with phase saving,
-* native assumption solving (MiniSat-style: assumptions become pseudo-decision
-  levels, so no CNF copy is needed per query),
 * incremental clause addition via :meth:`CDCLSolver.add_clause` with
   root-level simplification,
-* Luby restarts,
-* learned-clause deletion (reduceDB) so long model enumerations do not grow
-  memory without bound.
+* Luby restarts and learned-clause deletion (reduceDB).  BEER's profiles at
+  the benchmarked sizes trigger neither; they bound the search and the
+  memory on harder formulas.
 
 Learned clauses, variable activities, and saved phases are all kept alive
 between :meth:`CDCLSolver.solve` calls; :func:`iterate_models` exploits this
@@ -199,8 +199,6 @@ class _VariableHeap:
 
 #: Sentinel distinguishing "no budget override" from an explicit None.
 _UNSET = object()
-#: Sentinel returned by the assumption scheduler when an assumption is false.
-_ASSUMPTION_CONFLICT = object()
 
 #: Conflicts per Luby unit; restart interval is ``_RESTART_BASE * luby(i)``.
 _RESTART_BASE = 100
@@ -209,8 +207,8 @@ _RESTART_BASE = 100
 class CDCLSolver:
     """Persistent, incremental CDCL solver.
 
-    The solver outlives individual queries: call :meth:`solve` repeatedly
-    (optionally under assumptions), interleaved with :meth:`add_clause`.
+    The solver outlives individual queries: call :meth:`solve` repeatedly,
+    interleaved with :meth:`add_clause`.
     Learned clauses, activities, and saved phases carry over between calls.
     """
 
@@ -302,17 +300,11 @@ class CDCLSolver:
         return snapshot
 
     # -- public solving API -------------------------------------------------------
-    def solve(
-        self,
-        assumptions: Optional[Iterable[int]] = None,
-        max_conflicts=_UNSET,
-    ) -> SATResult:
-        """Run the CDCL loop, optionally under unit assumptions.
+    def solve(self, max_conflicts=_UNSET) -> SATResult:
+        """Run the CDCL loop from the root level.
 
-        Assumptions are placed as pseudo-decisions at the first decision
-        levels (no CNF copy); they hold for this call only.  ``max_conflicts``
-        overrides the constructor's per-call conflict budget; exhausting the
-        budget raises :class:`BudgetExhaustedError`.
+        ``max_conflicts`` overrides the constructor's per-call conflict
+        budget; exhausting the budget raises :class:`BudgetExhaustedError`.
         """
         budget = self._max_conflicts if max_conflicts is _UNSET else max_conflicts
         self._stats.solve_calls += 1
@@ -343,9 +335,6 @@ class CDCLSolver:
 
         if self._unsat:
             return result(False)
-        assumption_list = self._prepare_assumptions(assumptions)
-        if assumption_list is None:
-            return result(False)  # assumptions contain x and -x
 
         restart_number = 0
         conflicts_until_restart = self._restart_base * _luby(restart_number)
@@ -382,49 +371,16 @@ class CDCLSolver:
             if self._decision_level() == 0 and len(self._learnt) >= self._max_learnt:
                 self._reduce_learnt()
 
-            step = self._next_assumption(assumption_list)
-            if step is _ASSUMPTION_CONFLICT:
-                return result(False)  # UNSAT under these assumptions
-            literal: Optional[int] = step
-            if literal is None:
-                variable = self._pick_branch_variable()
-                if variable is None:
-                    model = {
-                        v: bool(self._assignment[v])
-                        for v in range(1, self._num_variables + 1)
-                    }
-                    return result(True, model)
-                self._stats.decisions += 1
-                literal = variable if self._saved_phase[variable] else -variable
+            variable = self._pick_branch_variable()
+            if variable is None:
+                model = {
+                    v: bool(self._assignment[v])
+                    for v in range(1, self._num_variables + 1)
+                }
+                return result(True, model)
+            self._stats.decisions += 1
             self._trail_limits.append(len(self._trail))
-            self._enqueue(literal, reason=None)
-
-    # -- assumptions --------------------------------------------------------------
-    def _prepare_assumptions(self, assumptions) -> Optional[List[int]]:
-        """Deduped assumption literals; None when they contain ``x`` and ``-x``."""
-        literals = list(assumptions) if assumptions is not None else []
-        if not literals:
-            return []
-        cleaned = simplify_literals(literals)
-        if cleaned is None:
-            return None
-        self._ensure_variables(max(abs(literal) for literal in cleaned))
-        return list(cleaned)
-
-    def _next_assumption(self, assumptions: List[int]):
-        """The next assumption to decide, None when done, or a conflict marker."""
-        while self._decision_level() < len(assumptions):
-            literal = assumptions[self._decision_level()]
-            value = self._literal_value(literal)
-            if value is True:
-                # Already implied: open an empty level so assumption indices
-                # and decision levels stay aligned.
-                self._trail_limits.append(len(self._trail))
-                continue
-            if value is False:
-                return _ASSUMPTION_CONFLICT
-            return literal
-        return None
+            self._enqueue(variable if self._saved_phase[variable] else -variable, reason=None)
 
     # -- clause bookkeeping -------------------------------------------------------
     def _watch(self, clause: Clause) -> None:
@@ -645,23 +601,9 @@ class CDCLSolver:
                 return variable
 
 
-def solve(
-    formula: CNF,
-    assumptions: Optional[Iterable[int]] = None,
-    max_conflicts: Optional[int] = None,
-) -> SATResult:
-    """Solve ``formula`` (optionally under unit assumptions).
-
-    Assumptions are handled natively by the solver (pseudo-decision levels);
-    the CNF is never copied.
-    """
-    return CDCLSolver(formula).solve(assumptions=assumptions, max_conflicts=max_conflicts)
-
-
 def iterate_models(
     formula: CNF,
     over_variables: Optional[Sequence[int]] = None,
-    limit: Optional[int] = None,
     incremental: bool = True,
     solver: Optional[CDCLSolver] = None,
 ) -> Iterator[Dict[int, bool]]:
@@ -669,7 +611,8 @@ def iterate_models(
 
     ``over_variables`` restricts both the reported assignment and the blocking
     clauses to a subset of variables, so models are enumerated up to their
-    projection onto those variables.  ``limit`` bounds the number of models.
+    projection onto those variables.  The generator runs until the formula
+    is exhausted; stop it early with ``itertools.islice`` or by closing it.
 
     With ``incremental=True`` (the default) one persistent :class:`CDCLSolver`
     is kept alive across blocking clauses, retaining learned clauses, watch
@@ -690,19 +633,16 @@ def iterate_models(
         if solver is not None:
             raise SolverError("a persistent solver requires incremental mode")
         working = formula.copy()
-        found = 0
-        while limit is None or found < limit:
+        while True:
             result = CDCLSolver(working).solve()
             if not result.satisfiable:
                 return
             model = {v: result.assignment[v] for v in variables}
             yield model
-            found += 1
             blocking_clause = [(-v if model[v] else v) for v in variables]
             if not blocking_clause:
                 return
             working.add_clause(blocking_clause)
-        return
 
     if solver is not None and solver.stats().variables < formula.num_variables:
         raise SolverError(
@@ -710,14 +650,12 @@ def iterate_models(
             "construct it as CDCLSolver(formula)"
         )
     active = solver if solver is not None else CDCLSolver(formula)
-    found = 0
-    while limit is None or found < limit:
+    while True:
         result = active.solve()
         if not result.satisfiable:
             return
         model = {v: result.assignment[v] for v in variables}
         yield model
-        found += 1
         blocking_clause = [(-v if model[v] else v) for v in variables]
         if not blocking_clause:
             return

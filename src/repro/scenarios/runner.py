@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import TRACER
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
-from repro.dram.retention import RetentionCalibration
+from repro.dram.retention import FAST_RETENTION
 from repro.exceptions import ScenarioError
 from repro.core.experiment import BeerExperiment, ExperimentConfig, MonteCarloCampaign
 from repro.einsim.injectors import SAMPLER_VERSION
@@ -37,11 +37,6 @@ from repro.scenarios.sweep import (
     resolve_dataword,
 )
 from repro.store import CampaignStore, ResultRecord
-
-#: Accelerated retention calibration so simulated refresh-window sweeps finish
-#: in seconds instead of the paper's hours of real refresh pauses (the CLI's
-#: ``simulate-profile`` uses the same trick).
-FAST_RETENTION_CALIBRATION = RetentionCalibration(1.0, 0.02, 60.0, 0.5)
 
 
 @dataclass
@@ -181,7 +176,7 @@ def _execute_beer_cell(config: Dict[str, Any]) -> Dict[str, Any]:
             num_rows=config["num_rows"], words_per_row=config["words_per_row"]
         ),
         seed=config["seed"],
-        retention_model=DataRetentionModel(FAST_RETENTION_CALIBRATION),
+        retention_model=DataRetentionModel(FAST_RETENTION),
         backend=config["backend"],
     )
     experiment_config = ExperimentConfig(

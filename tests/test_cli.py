@@ -155,6 +155,15 @@ class TestBadInputExitsTwo:
         ])
         self._assert_usage_error(exit_code, capsys)
 
+    @pytest.mark.parametrize("backend", ["fast", "sat"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_solve_max_solutions_below_one(self, backend, cap, profile_file, capsys):
+        path, _ = profile_file
+        exit_code = main([
+            "solve", "--profile", str(path), "--backend", backend, "--max-solutions", cap,
+        ])
+        self._assert_usage_error(exit_code, capsys)
+
     def test_verify_non_integer_column(self, profile_file, capsys):
         path, code = profile_file
         columns = ",".join(str(c) for c in code.parity_column_ints[:-1]) + ",0x3"

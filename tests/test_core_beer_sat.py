@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.core.beer_sat as beer_sat
-from repro.exceptions import ProfileError, SolverError
+from repro.exceptions import ProfileError, SolverError, ValidationError
 from repro.ecc import (
     canonical_parity_columns,
     codes_equivalent,
@@ -170,6 +170,21 @@ class TestBackendAgreement:
         solution = SatBeerSolver(6).solve(profile, max_solutions=4)
         for candidate in solution.codes:
             assert expected_miscorrection_profile(candidate, patterns) == profile
+
+    @pytest.mark.parametrize("backend", [BeerSolver, SatBeerSolver], ids=["fast", "sat"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_both_backends_refuse_a_cap_below_one(self, backend, cap):
+        # The SAT loop used to check the cap only after its first model, so
+        # it returned one candidate where the search returned none.
+        code = random_hamming_code(8, rng=np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="max_solutions"):
+            backend(8).solve(profile_for(code, [1, 2]), max_solutions=cap)
+
+    @pytest.mark.parametrize("backend", [BeerSolver, SatBeerSolver], ids=["fast", "sat"])
+    def test_a_cap_of_one_stops_at_one_candidate(self, backend):
+        solution = backend(2, 3).solve(MiscorrectionProfile(2), max_solutions=1)
+        assert solution.num_solutions == 1
+        assert solution.truncated
 
 
 class TestIncrementalEnumeration:

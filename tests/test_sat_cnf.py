@@ -1,11 +1,9 @@
-"""Unit tests for the CNF container and DIMACS IO."""
-
-import io
+"""Unit tests for the CNF container."""
 
 import pytest
 
 from repro.exceptions import SolverError
-from repro.sat import CNF, read_dimacs, write_dimacs
+from repro.sat import CNF
 
 
 class TestCNF:
@@ -68,171 +66,3 @@ class TestCNF:
         formula = CNF()
         formula.add_clause([1, -2])
         assert "clauses=1" in repr(formula)
-
-
-class TestDimacs:
-    EXAMPLE = """c example instance
-p cnf 3 2
-1 -2 0
-2 3 0
-"""
-
-    def test_read_from_string(self):
-        formula = read_dimacs(self.EXAMPLE)
-        assert formula.num_variables == 3
-        assert formula.clauses == [(1, -2), (2, 3)]
-
-    def test_read_from_stream(self):
-        formula = read_dimacs(io.StringIO(self.EXAMPLE))
-        assert formula.num_clauses == 2
-
-    def test_read_from_file(self, tmp_path):
-        path = tmp_path / "instance.cnf"
-        path.write_text(self.EXAMPLE)
-        formula = read_dimacs(path)
-        assert formula.num_variables == 3
-
-    def test_round_trip(self):
-        formula = read_dimacs(self.EXAMPLE)
-        text = write_dimacs(formula)
-        again = read_dimacs(text)
-        assert again.clauses == formula.clauses
-        assert again.num_variables == formula.num_variables
-
-    def test_write_to_file(self, tmp_path):
-        formula = read_dimacs(self.EXAMPLE)
-        path = tmp_path / "out.cnf"
-        write_dimacs(formula, path)
-        assert read_dimacs(path).clauses == formula.clauses
-
-    def test_missing_problem_line_rejected(self):
-        with pytest.raises(SolverError):
-            read_dimacs("1 2 0\n")
-
-    def test_malformed_problem_line_rejected(self):
-        with pytest.raises(SolverError):
-            read_dimacs("p sat 3 2\n1 2 0\n")
-
-    def test_clause_count_mismatch_rejected(self):
-        with pytest.raises(SolverError):
-            read_dimacs("p cnf 2 5\n1 2 0\n")
-
-    def test_variable_overflow_rejected(self):
-        with pytest.raises(SolverError):
-            read_dimacs("p cnf 1 1\n1 2 0\n")
-
-    def test_header_declares_unused_variables(self):
-        formula = read_dimacs("p cnf 5 1\n1 2 0\n")
-        assert formula.num_variables == 5
-
-    def test_clause_spanning_multiple_lines(self):
-        formula = read_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert formula.clauses == [(1, 2, 3)]
-
-
-class TestDimacsHardening:
-    """Edge cases the round-trip property test shook out of the parser."""
-
-    def test_explicit_empty_clause_rejected(self):
-        with pytest.raises(SolverError, match="empty clause"):
-            read_dimacs("p cnf 2 1\n0\n")
-
-    def test_duplicate_problem_line_rejected(self):
-        with pytest.raises(SolverError, match="duplicate problem line"):
-            read_dimacs("p cnf 2 1\np cnf 2 1\n1 2 0\n")
-
-    def test_invalid_literal_token_rejected(self):
-        with pytest.raises(SolverError, match="invalid literal"):
-            read_dimacs("p cnf 2 1\n1 two 0\n")
-
-    def test_satlib_percent_terminator(self):
-        formula = read_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n%\n0\n\n")
-        assert formula.clauses == [(1, 2), (-1, -2)]
-
-    def test_unterminated_clause_before_percent_rejected(self):
-        with pytest.raises(SolverError, match="not terminated"):
-            read_dimacs("p cnf 2 1\n1 2\n%\n0\n")
-
-    def test_missing_trailing_zero_at_eof(self):
-        formula = read_dimacs("p cnf 3 2\n1 -2 0\n2 3")
-        assert formula.clauses == [(1, -2), (2, 3)]
-
-    def test_clause_spanning_lines_and_sharing_lines(self):
-        formula = read_dimacs("p cnf 4 3\n1\n2 0 3 4 0\n-1 -3\n0\n")
-        assert formula.clauses == [(1, 2), (3, 4), (-1, -3)]
-
-    def test_comments_and_blank_lines_anywhere(self):
-        text = "c head\n\np cnf 2 1\nc mid\n\n1 2 0\nc tail\n\n"
-        assert read_dimacs(text).clauses == [(1, 2)]
-
-
-def _random_cnf(rng: "np.random.Generator", max_vars: int = 8) -> CNF:
-    """A random non-trivial CNF (no tautologies/duplicates after hygiene)."""
-    formula = CNF(int(rng.integers(1, max_vars + 1)))
-    for _ in range(int(rng.integers(0, 10))):
-        width = int(rng.integers(1, min(5, formula.num_variables + 1)))
-        variables = rng.choice(formula.num_variables, size=width, replace=False)
-        literals = [int(v) + 1 if rng.random() < 0.5 else -(int(v) + 1)
-                    for v in variables]
-        formula.add_clause(literals)
-    return formula
-
-
-def _scramble_dimacs(text: str, rng: "np.random.Generator") -> str:
-    """Reformat DIMACS text without changing its meaning.
-
-    Inserts comments and blank lines, splits clause lines at token
-    boundaries, and merges adjacent clause lines — the liberal-input space
-    read_dimacs() promises to accept.
-    """
-    header, *clause_lines = text.strip().split("\n")
-    tokens = " ".join(clause_lines).split()
-    lines = [header]
-    current: list = []
-    for token in tokens:
-        current.append(token)
-        if rng.random() < 0.3:
-            lines.append(" ".join(current))
-            current = []
-        if rng.random() < 0.2:
-            lines.append(rng.choice(["", "c noise", "c 1 2 0"]))
-    if current:
-        lines.append(" ".join(current))
-    if rng.random() < 0.5 and lines[-1].endswith(" 0"):
-        lines[-1] = lines[-1][: -len(" 0")]  # drop the final terminator
-    return "\n".join(lines) + "\n"
-
-
-class TestDimacsRoundTripProperty:
-    def test_round_trip_preserves_random_cnfs(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            formula = _random_cnf(rng)
-            again = read_dimacs(write_dimacs(formula))
-            assert again.clauses == formula.clauses
-            assert again.num_variables == formula.num_variables
-
-    def test_round_trip_survives_reformatting(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            formula = _random_cnf(rng)
-            if formula.num_clauses == 0:
-                continue  # scrambling needs at least one clause line
-            scrambled = _scramble_dimacs(write_dimacs(formula), rng)
-            again = read_dimacs(scrambled)
-            assert again.clauses == formula.clauses
-            assert again.num_variables == formula.num_variables
-
-    def test_round_trip_through_file(self, tmp_path):
-        import numpy as np
-
-        rng = np.random.default_rng(2)
-        for index in range(20):
-            formula = _random_cnf(rng)
-            path = tmp_path / f"case_{index}.cnf"
-            write_dimacs(formula, path)
-            assert read_dimacs(path).clauses == formula.clauses

@@ -1,4 +1,4 @@
-"""Tests for the incremental CDCL core: persistence, assumptions, hygiene.
+"""Tests for the incremental CDCL core: persistence, budgets, hygiene.
 
 Covers the three regression bugs fixed alongside the incremental rewrite
 (duplicate-literal clauses, the conflict-budget boundary, bootstrap
@@ -14,14 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import BudgetExhaustedError, SolverError
-from repro.sat import (
-    CNF,
-    CDCLSolver,
-    encode_at_most_one,
-    iterate_models,
-    simplify_literals,
-    solve,
-)
+from repro.sat import CNF, CDCLSolver, iterate_models, simplify_literals
 from repro.sat.encoders import encode_lex_geq
 
 
@@ -44,9 +37,9 @@ def pigeonhole(num_pigeons: int, num_holes: int) -> CNF:
     for pigeon in range(num_pigeons):
         formula.add_clause([variables[(pigeon, hole)] for hole in range(num_holes)])
     for hole in range(num_holes):
-        encode_at_most_one(
-            formula, [variables[(pigeon, hole)] for pigeon in range(num_pigeons)]
-        )
+        pigeons = [variables[(pigeon, hole)] for pigeon in range(num_pigeons)]
+        for first, second in itertools.combinations(pigeons, 2):
+            formula.add_clause([-first, -second])
     return formula
 
 
@@ -185,26 +178,6 @@ class TestIncrementalSolving:
         assert not solver.solve().satisfiable
         assert solver.stats().solve_calls == 4
 
-    def test_assumptions_do_not_persist(self):
-        formula = CNF()
-        formula.add_clause([1, 2])
-        solver = CDCLSolver(formula)
-        assert not solver.solve(assumptions=[-1, -2]).satisfiable
-        assert solver.solve().satisfiable
-
-    def test_contradictory_assumptions_unsat(self):
-        formula = CNF(2)
-        formula.add_clause([1, 2])
-        assert not CDCLSolver(formula).solve(assumptions=[1, -1]).satisfiable
-
-    def test_assumptions_on_fresh_variables(self):
-        formula = CNF()
-        formula.add_clause([1, 2])
-        solver = CDCLSolver(formula)
-        result = solver.solve(assumptions=[5])
-        assert result.satisfiable
-        assert result.value(5) is True
-
     def test_statistics_accumulate_across_calls(self):
         solver = CDCLSolver(pigeonhole(4, 3))
         first = solver.solve()
@@ -218,20 +191,37 @@ class TestIncrementalSolving:
         assert set(payload) >= {"conflicts", "decisions", "propagations", "restarts"}
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_assumption_solving_matches_unit_oracle(self, seed):
-        formula = random_formula(seed, with_dirty_clauses=True)
-        rng = np.random.default_rng(seed + 1)
-        solver = CDCLSolver(formula)
-        for _ in range(4):
-            width = int(rng.integers(0, formula.num_variables + 1))
-            variables = rng.choice(formula.num_variables, size=width, replace=False) + 1
+    def test_added_clauses_match_fresh_solve(self, seed):
+        # A live solver that gains clauses between calls, as SatBeerSolver's
+        # does with blocking clauses, answers like a fresh solver on the
+        # accumulated formula.
+        rng = np.random.default_rng(seed)
+
+        def random_clause(num_variables, width):
+            variables = rng.choice(num_variables, size=width, replace=False) + 1
             signs = rng.integers(0, 2, size=width) * 2 - 1
-            assumptions = list(variables * signs)
-            oracle = formula.copy()
-            for literal in assumptions:
-                oracle.add_unit(int(literal))
-            expected = CDCLSolver(oracle).solve().satisfiable
-            assert solver.solve(assumptions=assumptions).satisfiable == expected
+            return [int(literal) for literal in variables * signs]
+
+        num_variables = int(rng.integers(4, 9))
+        formula = CNF(num_variables)
+        for _ in range(int(rng.integers(num_variables, 2 * num_variables + 1))):
+            formula.add_clause(random_clause(num_variables, int(rng.integers(2, 4))))
+        solver = CDCLSolver(formula)
+        accumulated = formula.copy()
+        for _ in range(8):
+            result = solver.solve()
+            assert result.satisfiable == CDCLSolver(accumulated).solve().satisfiable
+            if result.satisfiable:
+                assignment = [result.assignment[v] for v in range(1, num_variables + 1)]
+                assert accumulated.evaluate(assignment)
+                # Block the model on a random subset of its variables.
+                width = int(rng.integers(1, num_variables + 1))
+                variables = rng.choice(num_variables, size=width, replace=False) + 1
+                clause = [int(-v if assignment[v - 1] else v) for v in variables]
+            else:
+                clause = random_clause(num_variables, int(rng.integers(1, 4)))
+            solver.add_clause(clause)
+            accumulated.add_clause(clause)
 
 
 class TestEnumerationDifferential:
@@ -281,6 +271,12 @@ class TestEnumerationDifferential:
         list(iterate_models(formula, incremental=False))
         assert formula.num_clauses == before
 
+    def test_mismatched_solver_rejected(self):
+        formula = CNF()
+        formula.add_clause([1, 2])
+        with pytest.raises(SolverError):
+            list(iterate_models(formula, over_variables=[1, 2], solver=CDCLSolver()))
+
 
 class TestRestartsAndReduceDB:
     def test_luby_restarts_fire_on_hard_instances(self):
@@ -312,22 +308,6 @@ class TestRestartsAndReduceDB:
         }
         expected = brute_force_models(formula, range(1, formula.num_variables + 1))
         assert observed == expected
-
-
-class TestModuleLevelSolve:
-    def test_solve_with_assumptions_does_not_copy(self):
-        formula = CNF()
-        formula.add_clause([1, 2])
-        before = formula.num_clauses
-        result = solve(formula, assumptions=[-1])
-        assert result.satisfiable and result.value(2) is True
-        assert formula.num_clauses == before
-
-    def test_mismatched_solver_rejected(self):
-        formula = CNF()
-        formula.add_clause([1, 2])
-        with pytest.raises(SolverError):
-            list(iterate_models(formula, over_variables=[1, 2], solver=CDCLSolver()))
 
 
 class PerClauseLoad(CDCLSolver):
@@ -364,7 +344,7 @@ def dirty_formulas(draw):
 def enumeration_trace(solver: CDCLSolver, formula: CNF, limit: int = 12):
     """Models, learned clauses and statistics of an incremental enumeration."""
     initial = solver.stats()
-    models = list(iterate_models(formula, solver=solver, limit=limit))
+    models = list(itertools.islice(iterate_models(formula, solver=solver), limit))
     learnt = [list(clause) for clause in solver._learnt]
     return initial, models, learnt, solver.stats()
 

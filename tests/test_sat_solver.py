@@ -8,21 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
-from repro.sat import (
-    CNF,
-    CDCLSolver,
-    encode_at_most_one,
-    encode_exactly_one,
-    encode_iff,
-    encode_implies,
-    encode_xor,
-    iterate_models,
-    solve,
-)
+from repro.sat import CNF, CDCLSolver, encode_xor, iterate_models
 from repro.sat.encoders import (
-    bits_of_integer,
-    encode_conjunction,
-    encode_disjunction,
+    encode_column_design_space,
+    encode_xor_gate,
     integer_of_bits,
 )
 
@@ -33,6 +22,21 @@ def brute_force_satisfiable(formula: CNF) -> bool:
         if formula.evaluate(list(bits)):
             return True
     return False
+
+
+def projected_models(formula: CNF, variables) -> set:
+    """Assignments of ``variables`` that extend to a model, by exhaustive search."""
+    return {
+        tuple(bits[v - 1] for v in variables)
+        for bits in itertools.product([False, True], repeat=formula.num_variables)
+        if formula.evaluate(list(bits))
+    }
+
+
+def at_most_one(formula: CNF, literals) -> None:
+    """Pairwise at-most-one clauses over ``literals``."""
+    for first, second in itertools.combinations(literals, 2):
+        formula.add_clause([-first, -second])
 
 
 def pigeonhole(num_pigeons: int, num_holes: int) -> CNF:
@@ -46,9 +50,7 @@ def pigeonhole(num_pigeons: int, num_holes: int) -> CNF:
     for pigeon in range(num_pigeons):
         formula.add_clause([variables[(pigeon, hole)] for hole in range(num_holes)])
     for hole in range(num_holes):
-        encode_at_most_one(
-            formula, [variables[(pigeon, hole)] for pigeon in range(num_pigeons)]
-        )
+        at_most_one(formula, [variables[(pigeon, hole)] for pigeon in range(num_pigeons)])
     return formula
 
 
@@ -56,7 +58,7 @@ class TestBasicSolving:
     def test_single_unit(self):
         formula = CNF()
         formula.add_unit(1)
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert result.satisfiable
         assert result.value(1) is True
 
@@ -64,12 +66,12 @@ class TestBasicSolving:
         formula = CNF()
         formula.add_unit(1)
         formula.add_unit(-1)
-        assert not solve(formula).satisfiable
+        assert not CDCLSolver(formula).solve().satisfiable
 
     def test_simple_satisfiable(self):
         formula = CNF()
         formula.add_clauses([[1, 2], [-1, 2], [1, -2]])
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert result.satisfiable
         assert formula.evaluate(
             [result.assignment[v] for v in range(1, formula.num_variables + 1)]
@@ -78,12 +80,12 @@ class TestBasicSolving:
     def test_simple_unsatisfiable(self):
         formula = CNF()
         formula.add_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2]])
-        assert not solve(formula).satisfiable
+        assert not CDCLSolver(formula).solve().satisfiable
 
     def test_model_satisfies_formula(self):
         formula = CNF()
         formula.add_clauses([[1, -2, 3], [-1, 2], [2, -3], [-2, -3], [1, 3, -4], [4, 2]])
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert result.satisfiable
         assignment = [result.assignment[v] for v in range(1, formula.num_variables + 1)]
         assert formula.evaluate(assignment)
@@ -92,19 +94,13 @@ class TestBasicSolving:
         formula = CNF()
         formula.add_unit(1)
         formula.add_unit(-1)
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         with pytest.raises(SolverError):
             result.value(1)
 
-    def test_assumptions(self):
-        formula = CNF()
-        formula.add_clause([1, 2])
-        assert solve(formula, assumptions=[-1]).value(2) is True
-        assert not solve(formula, assumptions=[-1, -2]).satisfiable
-
     def test_statistics_reported(self):
         formula = pigeonhole(4, 3)
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert not result.satisfiable
         assert result.conflicts > 0
 
@@ -117,10 +113,10 @@ class TestBasicSolving:
 class TestStructuredInstances:
     def test_pigeonhole_unsat(self):
         for pigeons in range(2, 6):
-            assert not solve(pigeonhole(pigeons, pigeons - 1)).satisfiable
+            assert not CDCLSolver(pigeonhole(pigeons, pigeons - 1)).solve().satisfiable
 
     def test_pigeonhole_sat_when_holes_sufficient(self):
-        result = solve(pigeonhole(4, 4))
+        result = CDCLSolver(pigeonhole(4, 4)).solve()
         assert result.satisfiable
 
     def test_graph_coloring(self):
@@ -135,9 +131,9 @@ class TestStructuredInstances:
                 for color in range(num_colors)
             }
             for node in range(5):
-                encode_exactly_one(
-                    formula, [variables[(node, c)] for c in range(num_colors)]
-                )
+                colors = [variables[(node, c)] for c in range(num_colors)]
+                formula.add_clause(colors)
+                at_most_one(formula, colors)
             for first, second in edges:
                 for color in range(num_colors):
                     formula.add_clause(
@@ -145,20 +141,20 @@ class TestStructuredInstances:
                     )
             return formula
 
-        assert not solve(coloring_formula(2)).satisfiable
-        assert solve(coloring_formula(3)).satisfiable
+        assert not CDCLSolver(coloring_formula(2)).solve().satisfiable
+        assert CDCLSolver(coloring_formula(3)).solve().satisfiable
 
     def test_xor_chain_sat_and_unsat(self):
         formula = CNF()
         variables = formula.new_variables(6)
         encode_xor(formula, variables, True)
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert result.satisfiable
         assert sum(result.assignment[v] for v in variables) % 2 == 1
 
         # Adding the opposite parity over the same variables makes it UNSAT.
         encode_xor(formula, variables, False)
-        assert not solve(formula).satisfiable
+        assert not CDCLSolver(formula).solve().satisfiable
 
     def test_gf2_system_via_xor(self):
         # x1 ^ x2 = 1, x2 ^ x3 = 0, x1 ^ x3 = 1  => consistent
@@ -167,7 +163,7 @@ class TestStructuredInstances:
         encode_xor(formula, [x1, x2], True)
         encode_xor(formula, [x2, x3], False)
         encode_xor(formula, [x1, x3], True)
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         assert result.satisfiable
         assert result.assignment[x1] != result.assignment[x2]
         assert result.assignment[x2] == result.assignment[x3]
@@ -185,7 +181,7 @@ class TestModelEnumeration:
         formula = CNF()
         formula.new_variables(4)
         formula.add_clause([1, -1])
-        assert len(list(iterate_models(formula, limit=5))) == 5
+        assert len(list(itertools.islice(iterate_models(formula), 5))) == 5
 
     def test_enumeration_over_projection(self):
         formula = CNF()
@@ -204,52 +200,13 @@ class TestModelEnumeration:
 
 
 class TestEncoders:
-    def test_exactly_one(self):
-        formula = CNF()
-        variables = formula.new_variables(4)
-        encode_exactly_one(formula, variables)
-        for model in iterate_models(formula, over_variables=variables):
-            assert sum(model[v] for v in variables) == 1
-
-    def test_exactly_one_empty_rejected(self):
-        with pytest.raises(SolverError):
-            encode_exactly_one(CNF(), [])
-
-    def test_at_most_one_allows_zero(self):
-        formula = CNF()
-        variables = formula.new_variables(3)
-        encode_at_most_one(formula, variables)
-        models = list(iterate_models(formula, over_variables=variables))
-        assert len(models) == 4  # none true, or exactly one of three
-
-    def test_implies(self):
-        formula = CNF()
-        a, b, c = formula.new_variables(3)
-        encode_implies(formula, a, [b, c])
-        formula.add_unit(a)
-        result = solve(formula)
-        assert result.assignment[b] and result.assignment[c]
-
-    def test_iff(self):
-        formula = CNF()
-        a, b = formula.new_variables(2)
-        encode_iff(formula, a, b)
-        for model in iterate_models(formula, over_variables=[a, b]):
-            assert model[a] == model[b]
-
-    def test_conjunction_gate(self):
+    def test_xor_gate(self):
         formula = CNF()
         a, b, out = formula.new_variables(3)
-        encode_conjunction(formula, out, [a, b])
-        for model in iterate_models(formula, over_variables=[a, b, out]):
-            assert model[out] == (model[a] and model[b])
-
-    def test_disjunction_gate(self):
-        formula = CNF()
-        a, b, out = formula.new_variables(3)
-        encode_disjunction(formula, out, [a, b])
-        for model in iterate_models(formula, over_variables=[a, b, out]):
-            assert model[out] == (model[a] or model[b])
+        encode_xor_gate(formula, a, b, out)
+        models = list(iterate_models(formula, over_variables=[a, b, out]))
+        assert len(models) == 4
+        assert all(model[out] == (model[a] != model[b]) for model in models)
 
     def test_empty_xor_with_odd_parity_rejected(self):
         with pytest.raises(SolverError):
@@ -263,10 +220,51 @@ class TestEncoders:
     def test_bit_helpers(self):
         formula = CNF()
         variables = formula.new_variables(4)
-        model = dict(zip(variables, bits_of_integer(0b1010, 4)))
+        model = dict(zip(variables, [False, True, False, True]))
         assert integer_of_bits(model, variables) == 0b1010
+
+    def test_integer_of_bits_reads_every_value_little_endian(self):
+        variables = [3, 1, 4, 2]  # list order, not variable order, sets bit positions
+        for value in range(16):
+            model = {
+                variable: bool(value >> position & 1)
+                for position, variable in enumerate(variables)
+            }
+            assert integer_of_bits(model, variables) == value
+
+    @pytest.mark.parametrize("parity", [True, False])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_xor_chain_admits_exactly_its_parity(self, length, parity):
+        formula = CNF()
+        variables = formula.new_variables(length)
+        encode_xor(formula, variables, parity)
+        assert formula.num_variables == 2 * length - 1  # one auxiliary per link
+        assert formula.num_clauses == 4 * (length - 1) + 1
+        expected = {
+            bits
+            for bits in itertools.product([False, True], repeat=length)
+            if (sum(bits) % 2 == 1) == parity
+        }
+        assert projected_models(formula, variables) == expected
+
+    @pytest.mark.parametrize(
+        "min_weight, odd_weight", [(1, False), (2, False), (1, True), (2, True), (3, True)]
+    )
+    def test_column_design_space_admits_exactly_its_columns(self, min_weight, odd_weight):
+        formula = CNF()
+        column = formula.new_variables(5)
+        encode_column_design_space(formula, column, min_weight, odd_weight)
+        expected = {
+            bits
+            for bits in itertools.product([False, True], repeat=5)
+            if sum(bits) >= min_weight and (sum(bits) % 2 == 1 or not odd_weight)
+        }
+        assert projected_models(formula, column) == expected
+
+    @pytest.mark.parametrize("min_weight, odd_weight", [(3, False), (4, True), (4, False)])
+    def test_column_design_space_without_an_encoding_rejected(self, min_weight, odd_weight):
         with pytest.raises(SolverError):
-            bits_of_integer(16, 4)
+            encode_column_design_space(CNF(4), [1, 2, 3, 4], min_weight, odd_weight)
 
 
 class TestRandomInstances:
@@ -282,7 +280,7 @@ class TestRandomInstances:
             variables = rng.choice(num_variables, size=width, replace=False) + 1
             signs = rng.integers(0, 2, size=width) * 2 - 1
             formula.add_clause(list(variables * signs))
-        assert solve(formula).satisfiable == brute_force_satisfiable(formula)
+        assert CDCLSolver(formula).solve().satisfiable == brute_force_satisfiable(formula)
 
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=30, deadline=None)
@@ -295,7 +293,7 @@ class TestRandomInstances:
             variables = rng.choice(num_variables, size=width, replace=False) + 1
             signs = rng.integers(0, 2, size=width) * 2 - 1
             formula.add_clause(list(variables * signs))
-        result = solve(formula)
+        result = CDCLSolver(formula).solve()
         if result.satisfiable:
             assignment = [
                 result.assignment[v] for v in range(1, formula.num_variables + 1)

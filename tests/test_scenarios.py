@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram import StuckAtFaultModel
 from repro.exceptions import ChipConfigurationError, ScenarioError
 from repro.einsim import (
     BurstErrorInjector,
@@ -291,6 +292,34 @@ class TestCellsRejectBadParameters:
         assert isinstance(caught.value.__cause__, ChipConfigurationError)
         assert len(store) == 0
 
+    @pytest.mark.parametrize(
+        "scenario, params, message",
+        [
+            ("fixed-error-count",
+             {"num_errors": 1, "candidate_positions": [[True, 3]]},
+             "candidate positions must be integers"),
+            ("transient-stuck-overlay",
+             {"transient_probability": 0.001, "stuck_fraction": 0.01,
+              "stuck_seed": True},
+             "stuck seed must be an integer"),
+        ],
+        ids=["candidate-true", "stuck-seed-true"],
+    )
+    def test_bool_is_not_taken_for_an_integer(self, scenario, params, message, tmp_path):
+        # Read as 1, each of these ran another value than its content key
+        # names.  The valid cell before the bad one is expanded first;
+        # nothing may be committed.
+        payload = dict(BASE_SWEEP)
+        payload["scenarios"] = [
+            {"name": "uniform-random", "params": {"bit_error_rate": 0.01}},
+            {"name": scenario, "params": params},
+        ]
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError, match=message) as caught:
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert isinstance(caught.value.__cause__, ChipConfigurationError)
+        assert len(store) == 0
+
     def test_numpy_integer_parameters_are_accepted(self):
         burst = build_injector(
             "burst", {"burst_probability": 0.1, "burst_length": np.int64(3)}
@@ -307,6 +336,21 @@ class TestCellsRejectBadParameters:
             {"bit_error_rate": 0.1, "anti_cell_columns": [np.int64(1)]},
         )
         assert mixed.anti_cell_mask(3).tolist() == [False, True, False]
+        fixed = build_injector(
+            "fixed-error-count",
+            {"num_errors": 1, "candidate_positions": [np.int64(1), np.uint8(3)]},
+        )
+        assert fixed._candidates(12).tolist() == [1, 3]
+        build_injector(
+            "transient-stuck-overlay",
+            {"transient_probability": 0.001, "stuck_fraction": 0.5,
+             "stuck_seed": np.int32(7)},
+        )
+        bits = np.zeros((4, 12), dtype=np.uint8)
+        assert np.array_equal(
+            StuckAtFaultModel(0.5, 1, seed=np.int32(7)).corrupt(bits),
+            StuckAtFaultModel(0.5, 1, seed=7).corrupt(bits),
+        )
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ScenarioError, match="chunk size"):
