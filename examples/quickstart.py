@@ -49,7 +49,8 @@ def main() -> None:
     recovered = solution.code
     assert codes_equivalent(recovered, secret_code)
     print("Recovered parity-check matrix H = [P | I]:")
-    print(recovered.parity_check_matrix)
+    for row in recovered.parity_check_matrix:
+        print(" ".join(str(bit) for bit in row))
     print("\nSuccess: the recovered function matches the vendor's secret code.")
 
 

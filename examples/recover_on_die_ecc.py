@@ -90,7 +90,8 @@ def main(vendor_name: str = "B") -> None:
     print(f"Step 5  ground truth check: recovered function "
           f"{'MATCHES' if matches else 'DOES NOT MATCH'} the chip's real function.\n")
     print("Recovered parity-check matrix H = [P | I]:")
-    print(recovered.parity_check_matrix)
+    for row in recovered.parity_check_matrix:
+        print(" ".join(str(bit) for bit in row))
     if not matches:
         raise SystemExit(1)
 

@@ -23,7 +23,6 @@ See the ``examples/`` directory for end-to-end campaigns against simulated
 DRAM chips and for BEEP-based error profiling.
 """
 
-from repro.gf2 import GF2Matrix, GF2Vector
 from repro.ecc import (
     FAMILY_NAMES,
     CodeFamily,
@@ -82,8 +81,6 @@ from repro.core import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "GF2Matrix",
-    "GF2Vector",
     "FAMILY_NAMES",
     "CodeFamily",
     "DecodeOutcome",

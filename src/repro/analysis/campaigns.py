@@ -12,7 +12,6 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.gf2 import GF2Vector
 from repro.einsim.simulator import SimulationResult
 from repro.scenarios.sweep import resolve_dataword
 from repro.store import CampaignStore, ResultRecord
@@ -122,9 +121,8 @@ def campaign_report_data(store: CampaignStore) -> Dict[str, Any]:
 
 def _to_simulation_result(record: ResultRecord) -> SimulationResult:
     config, result = record.config, record.result
-    dataword_bits = resolve_dataword(config["dataword"], result["num_data_bits"])
     return SimulationResult(
-        dataword=GF2Vector(dataword_bits),
+        dataword=resolve_dataword(config["dataword"], result["num_data_bits"]),
         num_words=result["num_words"],
         post_correction_error_counts=np.asarray(
             result["post_correction_error_counts"], dtype=np.int64

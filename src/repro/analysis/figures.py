@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.gf2 import GF2Vector
+from repro.gf2.bits import int_to_bits
 from repro.ecc import SystematicLinearCode, example_7_4_code, random_hamming_code
 from repro.ecc.hamming import min_parity_bits
 from repro.dram import ChipGeometry, DataRetentionModel, VENDOR_A, VENDOR_B, VENDOR_C
@@ -60,7 +60,7 @@ def figure1_error_probability_data(
     """
     rng = np.random.default_rng(seed)
     injector = UniformRandomInjector(bit_error_rate)
-    dataword = GF2Vector.ones(num_data_bits)
+    dataword = np.ones(num_data_bits, dtype=np.uint8)
 
     functions = [
         random_hamming_code(num_data_bits, rng=rng) for _ in range(num_functions)
@@ -140,7 +140,7 @@ def table1_outcome_data(
             rows.append(
                 {
                     "error_positions": list(subset),
-                    "syndrome": syndrome.to_list(),
+                    "syndrome": int_to_bits(syndrome, ecc.num_parity_bits).tolist(),
                     "syndrome_column_combination": [f"H*,{p}" for p in subset],
                     "syndrome_points_to": syndrome_position,
                     "outcome": outcome,

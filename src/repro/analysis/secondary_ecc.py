@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.gf2 import GF2Vector
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim import EinsimSimulator, UniformRandomInjector
 
@@ -60,13 +59,12 @@ class SecondaryEccDesigner:
         num_words: int = 100_000,
         dataword: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Monte-Carlo estimate of the per-data-bit post-correction error probability."""
+        """Monte-Carlo estimate of the per-data-bit post-correction error probability.
+
+        ``dataword`` is a 0/1 sequence of ``k`` bits (all ones by default).
+        """
         simulator = EinsimSimulator(self._code, seed=self._seed)
-        word = (
-            GF2Vector(list(dataword))
-            if dataword is not None
-            else GF2Vector.ones(self._code.num_data_bits)
-        )
+        word = np.ones(self._code.num_data_bits, dtype=np.uint8) if dataword is None else dataword
         result = simulator.simulate(word, num_words, UniformRandomInjector(bit_error_rate))
         return result.post_correction_error_probabilities
 

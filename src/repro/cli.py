@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import CodeConstructionError, ReproError, ValidationError
-from repro.gf2 import GF2Vector
 from repro.ecc import FAMILY_NAMES, SystematicLinearCode, get_family
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
 from repro.dram.retention import FAST_RETENTION
@@ -552,7 +551,8 @@ def _run_solve(args) -> int:
               + (" (search truncated)" if solution.truncated else ""))
         for index, code in enumerate(solution.codes):
             print(f"\ncandidate {index}: parity columns {list(code.parity_column_ints)}")
-            print(code.parity_check_matrix)
+            for row in code.parity_check_matrix:
+                print(" ".join(str(bit) for bit in row))
         if args.sat_stats:
             _print_sat_stats(solution.solver_stats)
 
@@ -705,7 +705,7 @@ def _run_einsim(args) -> int:
     )
     injector = UniformRandomInjector(args.ber)
     result = campaign.simulate(
-        GF2Vector.ones(code.num_data_bits), injector, args.num_words
+        np.ones(code.num_data_bits, dtype=np.uint8), injector, args.num_words
     )
 
     payload = {

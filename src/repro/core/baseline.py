@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import SolverError
-from repro.gf2 import GF2Vector
+from repro.exceptions import DimensionError, SolverError
+from repro.gf2.bits import as_bits
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.decoder import SyndromeDecoder
 
@@ -60,20 +60,27 @@ class RankLevelEccInterface:
         """Number of data bits per codeword."""
         return self._code.num_data_bits
 
-    def encode(self, dataword: GF2Vector) -> GF2Vector:
-        """Encode a dataword exactly as the controller would."""
+    def encode(self, dataword) -> np.ndarray:
+        """Encode a 0/1 dataword exactly as the controller would."""
         return self._code.encode(dataword)
 
-    def inject_and_report(self, codeword: GF2Vector, error_positions) -> GF2Vector:
-        """Write ``codeword`` with errors injected, decode, and report the syndrome."""
-        word = codeword if isinstance(codeword, GF2Vector) else GF2Vector(codeword)
-        corrupted = word
+    def inject_and_report(self, codeword, error_positions) -> int:
+        """Write ``codeword`` with errors injected, decode, and report the int syndrome.
+
+        An error position outside ``[0, n)`` raises :class:`DimensionError`.
+        """
+        length = self._code.codeword_length
+        corrupted = as_bits(codeword, length, "codeword")
         for position in error_positions:
-            corrupted = corrupted.flip(position)
+            if not 0 <= position < length:
+                raise DimensionError(
+                    f"error position {position} out of range for n={length}"
+                )
+            corrupted[position] ^= 1
         if self._noise_probability > 0:
-            for position in range(self._code.codeword_length):
+            for position in range(length):
                 if self._rng.random() < self._noise_probability:
-                    corrupted = corrupted.flip(position)
+                    corrupted[position] ^= 1
         return self._decoder.decode(corrupted).syndrome
 
 
@@ -89,16 +96,14 @@ def reverse_engineer_with_syndromes(
     """
     if trials_per_position < 1:
         raise SolverError("at least one trial per position is required")
-    zero_dataword = GF2Vector.zeros(interface.num_data_bits)
-    base_codeword = interface.encode(zero_dataword)
+    base_codeword = interface.encode(np.zeros(interface.num_data_bits, dtype=np.uint8))
 
     columns = []
     for position in range(interface.codeword_length):
         votes = {}
         for _ in range(trials_per_position):
             syndrome = interface.inject_and_report(base_codeword, [position])
-            key = syndrome.to_int()
-            votes[key] = votes.get(key, 0) + 1
+            votes[syndrome] = votes.get(syndrome, 0) + 1
         winner = max(votes, key=votes.get)
         if winner == 0:
             raise SolverError(

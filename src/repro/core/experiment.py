@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ChipConfigurationError
+from repro.gf2.bits import as_bits, bits_to_int
 from repro.dram.cell import CellType
 from repro.dram.chip import SimulatedDramChip
 from repro.ecc.code import SystematicLinearCode
@@ -128,7 +129,7 @@ class BeerExperiment:
             )
         num_patterns = len(patterns)
         table = np.array(
-            [pattern.dataword(CellType.TRUE_CELL).to_numpy() for pattern in patterns],
+            [pattern.dataword(CellType.TRUE_CELL) for pattern in patterns],
             dtype=np.uint8,
         ).reshape(num_patterns, num_data_bits)
         positions = np.arange(words.size)
@@ -330,9 +331,9 @@ class MonteCarloCampaign:
         chunks = []
         boundaries: List[Tuple[int, int]] = []
         for dataword in datawords:
-            bits = self._dataword_bits(dataword)
+            bits = as_bits(dataword, self._code.num_data_bits, "dataword")
             # LSB-first integer encoding of the dataword, used as seed entropy.
-            dataword_value = sum(bit << i for i, bit in enumerate(bits))
+            dataword_value = bits_to_int(bits)
             start = len(chunks)
             for chunk_index, first in enumerate(
                 range(0, words_per_dataword, self._chunk_size)
@@ -400,11 +401,3 @@ class MonteCarloCampaign:
                 result.detected_words,
             )
         return counts.to_profile()
-
-    def _dataword_bits(self, dataword) -> Tuple[int, ...]:
-        from repro.gf2 import GF2Vector
-
-        if isinstance(dataword, GF2Vector):
-            return tuple(dataword.to_list())
-        bits = np.asarray(dataword, dtype=np.uint8) % 2
-        return tuple(int(b) for b in bits)

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.dram.cell import CellType
 from repro.dram.chip import SimulatedDramChip
-from repro.gf2 import GF2Vector
 
 
 def discover_cell_types(
@@ -41,8 +40,9 @@ def discover_cell_types(
     true-cells (the common default), matching how a real experiment would treat
     inconclusive rows until longer pauses are tested.
     """
-    ones_errors = _row_error_counts(chip, GF2Vector.ones(chip.num_data_bits), refresh_pause_s, temperature_c)
-    zeros_errors = _row_error_counts(chip, GF2Vector.zeros(chip.num_data_bits), refresh_pause_s, temperature_c)
+    ones = np.ones(chip.num_data_bits, dtype=np.uint8)
+    ones_errors = _row_error_counts(chip, ones, refresh_pause_s, temperature_c)
+    zeros_errors = _row_error_counts(chip, ones ^ 1, refresh_pause_s, temperature_c)
 
     classification: Dict[int, CellType] = {}
     for row in range(chip.geometry.num_rows):
@@ -55,14 +55,14 @@ def discover_cell_types(
 
 def _row_error_counts(
     chip: SimulatedDramChip,
-    dataword: GF2Vector,
+    dataword: np.ndarray,
     refresh_pause_s: float,
     temperature_c: float,
 ) -> np.ndarray:
     chip.fill(dataword)
     chip.pause_refresh(refresh_pause_s, temperature_c)
     observed = chip.read_all_datawords()
-    per_word_errors = np.count_nonzero(observed != dataword.to_numpy(), axis=1)
+    per_word_errors = np.count_nonzero(observed != dataword, axis=1)
     # Words are numbered row by row, so each row's words are one run.
     geometry = chip.geometry
     return per_word_errors.reshape(geometry.num_rows, geometry.words_per_row).sum(

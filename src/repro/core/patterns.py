@@ -17,8 +17,10 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterable, Iterator, List, Sequence
 
+import numpy as np
+
 from repro.exceptions import ProfileError
-from repro.gf2 import GF2Vector
+from repro.gf2.bits import as_bits
 from repro.dram.cell import CellType
 
 
@@ -61,28 +63,27 @@ class ChargedPattern:
         return len(self._charged_bits)
 
     # -- conversion to data values ------------------------------------------
-    def dataword(self, cell_type: CellType = CellType.TRUE_CELL) -> GF2Vector:
-        """Return the dataword that realises this charge pattern for ``cell_type``.
+    def dataword(self, cell_type: CellType = CellType.TRUE_CELL) -> np.ndarray:
+        """Return the 0/1 dataword that realises this charge pattern for ``cell_type``.
 
         True-cells store 1 when CHARGED, anti-cells store 0 when CHARGED.
         """
-        if cell_type is CellType.TRUE_CELL:
-            bits = [1 if i in self._charged_bits else 0 for i in range(self._num_data_bits)]
-        else:
-            bits = [0 if i in self._charged_bits else 1 for i in range(self._num_data_bits)]
-        return GF2Vector(bits)
+        bits = np.zeros(self._num_data_bits, dtype=np.uint8)
+        bits[sorted(self._charged_bits)] = 1
+        return bits if cell_type is CellType.TRUE_CELL else bits ^ 1
 
     @classmethod
     def from_dataword(
-        cls, dataword: GF2Vector, cell_type: CellType = CellType.TRUE_CELL
+        cls, dataword, cell_type: CellType = CellType.TRUE_CELL
     ) -> "ChargedPattern":
-        """Recover the charge pattern realised by ``dataword`` under ``cell_type``."""
-        word = dataword if isinstance(dataword, GF2Vector) else GF2Vector(dataword)
-        if cell_type is CellType.TRUE_CELL:
-            charged = [i for i, bit in enumerate(word) if bit == 1]
-        else:
-            charged = [i for i, bit in enumerate(word) if bit == 0]
-        return cls(len(word), charged)
+        """Recover the charge pattern realised by ``dataword`` under ``cell_type``.
+
+        ``dataword`` is a 1-D array-like of 0s and 1s; any other value raises
+        :class:`~repro.exceptions.ValidationError`.
+        """
+        word = as_bits(dataword, np.size(dataword), "dataword")
+        charged_value = 1 if cell_type is CellType.TRUE_CELL else 0
+        return cls(word.size, np.flatnonzero(word == charged_value).tolist())
 
     # -- protocol methods ---------------------------------------------------
     def __eq__(self, other) -> bool:

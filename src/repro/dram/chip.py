@@ -35,6 +35,12 @@ mask costs ``num_words × lanes × 8`` bytes: 4 KB for 512 words of the
 (21,16) code, 96 KB for 4,096 words of the (136,128) code.  A BEER campaign
 pauses for four windows (three measurement windows and the discovery
 pause).
+
+Words cross the chip's interface in the format of :mod:`repro.gf2.bits`: a
+dataword is a 1-D ``uint8`` array of 0s and 1s (a batch is a 2-D one), and
+``read_dataword`` and the ``inspect_*`` helpers return such arrays.  A
+dataword of the wrong length, or holding any value other than 0 or 1,
+raises :class:`~repro.exceptions.AddressError` before anything is written.
 """
 
 from __future__ import annotations
@@ -45,15 +51,20 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import AddressError, ChipConfigurationError
-from repro.gf2 import GF2Vector
+from repro.exceptions import (
+    AddressError,
+    ChipConfigurationError,
+    DimensionError,
+    ValidationError,
+)
 from repro.gf2.bitpack import num_lanes, pack_rows
+from repro.gf2.bits import as_bits, is_binary
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType
 from repro.dram.faults import TransientFaultModel
 from repro.dram.layout import ByteInterleavedWordLayout, CellTypeLayout
 from repro.dram.retention import DataRetentionModel
-from repro.einsim.engine import decode_lanes, encode_lanes, is_binary, resolve_backend
+from repro.einsim.engine import decode_lanes, encode_lanes, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,9 @@ class SimulatedDramChip:
     # -- word-granular data access ---------------------------------------------
     def write_dataword(self, word_index: int, dataword) -> None:
         """Encode and store one dataword."""
-        self.write_datawords([word_index], np.asarray([_as_bits(dataword, self.num_data_bits)]))
+        self.write_datawords(
+            [word_index], _as_bits(dataword, self.num_data_bits)[np.newaxis]
+        )
 
     def write_datawords(self, word_indices: Sequence[int], datawords: np.ndarray) -> None:
         """Encode and store datawords at the given word indices (vectorised).
@@ -229,9 +242,9 @@ class SimulatedDramChip:
         self._stored[:] = codeword
         self._current[:] = codeword
 
-    def read_dataword(self, word_index: int) -> GF2Vector:
+    def read_dataword(self, word_index: int) -> np.ndarray:
         """Read and decode one dataword."""
-        return GF2Vector(self.read_datawords([word_index])[0])
+        return self.read_datawords([word_index])[0]
 
     def read_datawords(self, word_indices: Sequence[int]) -> np.ndarray:
         """Read and decode datawords at the given indices (vectorised).
@@ -323,15 +336,15 @@ class SimulatedDramChip:
         """
 
     # -- ground-truth inspection (not available to BEER/BEEP) -----------------------
-    def inspect_stored_codeword(self, word_index: int) -> GF2Vector:
+    def inspect_stored_codeword(self, word_index: int) -> np.ndarray:
         """Ground truth: the codeword as originally written (pre-decay)."""
         self._check_word_index(word_index)
-        return GF2Vector(self._codeword_bits(self._stored, word_index))
+        return self._codeword_bits(self._stored, word_index)
 
-    def inspect_current_codeword(self, word_index: int) -> GF2Vector:
+    def inspect_current_codeword(self, word_index: int) -> np.ndarray:
         """Ground truth: the stored codeword including accumulated decay."""
         self._check_word_index(word_index)
-        return GF2Vector(self._codeword_bits(self._current, word_index))
+        return self._codeword_bits(self._current, word_index)
 
     def inspect_pre_correction_errors(self, word_index: int) -> tuple:
         """Ground truth: positions of raw (pre-correction) errors in a word."""
@@ -392,16 +405,11 @@ def _unpack(lanes: np.ndarray, num_bits: int) -> np.ndarray:
 
 
 def _as_bits(dataword, expected_length: int) -> np.ndarray:
-    """Convert a dataword (GF2Vector, list, ndarray) to a uint8 bit array."""
-    if isinstance(dataword, GF2Vector):
-        bits = dataword.to_numpy()
-    else:
-        bits = np.asarray(dataword)
-    if bits.ndim != 1 or bits.shape[0] != expected_length:
-        raise AddressError(
-            f"dataword must have exactly {expected_length} bits, got shape {bits.shape}"
-        )
-    return _binary(bits)
+    """One dataword as uint8 bits; :class:`AddressError` unless it is a word."""
+    try:
+        return as_bits(dataword, expected_length, "dataword")
+    except (DimensionError, ValidationError) as error:
+        raise AddressError(str(error)) from None
 
 
 def _binary(values: np.ndarray) -> np.ndarray:

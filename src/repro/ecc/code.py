@@ -12,38 +12,59 @@ as ``c = [d | p]`` with ``p = P · d``.
 
 :class:`SystematicLinearCode` captures exactly this representation and is the
 single code type used throughout the library.  It holds the columns of ``H``
-and the rows of ``P`` as integer bit masks, encodes and computes syndromes
-on them, and builds its ``GF2Matrix`` views of ``P``, ``H`` and ``G`` only
-when one is asked for.  Construction logic lives in
-the pluggable code-family registry (:mod:`repro.ecc.family`), with the
-historical SEC-Hamming helpers in :mod:`repro.ecc.hamming`; each code carries
-its family name and decode policy (correct-then-detect vs. detect-only) so
-downstream layers dispatch without further lookups.
+and the rows of ``P`` as integer bit masks and encodes and computes syndromes
+on them.  Words cross its API in the format of :mod:`repro.gf2.bits`: a
+dataword or codeword is a 1-D ``uint8`` array of 0s and 1s, a syndrome or a
+column of ``H`` is an int (LSB = parity row 0), and ``P``, ``H`` and ``G``
+are read-only 2-D ``uint8`` arrays built on first access.  Construction
+logic lives in the pluggable code-family registry (:mod:`repro.ecc.family`),
+with the historical SEC-Hamming helpers in :mod:`repro.ecc.hamming`; each
+code carries its family name and decode policy (correct-then-detect vs.
+detect-only) so downstream layers dispatch without further lookups.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import CodeConstructionError, DimensionError, ValidationError
-from repro.gf2 import GF2Matrix, GF2Vector
 from repro.gf2.bitpack import byte_fold_table, pack_rows
+from repro.gf2.bits import as_bits, bits_to_int, int_to_bits, is_binary
 
 
 def _bit_rows(values: Sequence[int], width: int) -> np.ndarray:
-    """``uint8`` rows holding the ``width`` low bits of each int, LSB first."""
+    """``uint8`` rows holding the ``width`` low bits of each int, LSB first.
+
+    The ints are laid end to end, one per whole number of bytes, and
+    converted by one :func:`int_to_bits` call.
+    """
     num_bytes = (width + 7) // 8
-    raw = b"".join(value.to_bytes(num_bytes, "little") for value in values)
-    as_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), num_bytes)
-    return np.unpackbits(as_bytes, axis=1, count=width, bitorder="little")
+    merged = b"".join(value.to_bytes(num_bytes, "little") for value in values)
+    bits = int_to_bits(int.from_bytes(merged, "little"), len(merged) * 8)
+    return bits.reshape(len(values), num_bytes * 8)[:, :width]
 
 
 def _row_ints(bits: np.ndarray) -> Tuple[int, ...]:
     """The rows of a 0/1 array as ints (column ``j`` → bit ``j``)."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return tuple(bits_to_int(row) for row in bits)
+
+
+def _bit_matrix(matrix) -> np.ndarray:
+    """A 2-D array-like of 0s and 1s as a ``uint8`` array."""
+    array = np.array(matrix)
+    if array.ndim != 2:
+        raise DimensionError(f"expected a 2-dimensional array, got shape {array.shape}")
+    if not is_binary(array):
+        raise ValidationError("matrix entries must be 0 or 1")
+    return array.astype(np.uint8, copy=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class SystematicLinearCode:
@@ -52,7 +73,8 @@ class SystematicLinearCode:
     Parameters
     ----------
     parity_submatrix:
-        The ``r × k`` submatrix ``P`` mapping datawords to parity bits.
+        The ``r × k`` submatrix ``P`` mapping datawords to parity bits: any
+        2-D array-like of 0s and 1s.
     family:
         Name of the code family this code belongs to (metadata; see
         :mod:`repro.ecc.family`).  Defaults to ``"sec-hamming"``, the
@@ -76,19 +98,12 @@ class SystematicLinearCode:
 
     def __init__(
         self,
-        parity_submatrix: GF2Matrix,
+        parity_submatrix,
         family: str = "sec-hamming",
         detect_only: bool = False,
     ):
-        matrix = (
-            parity_submatrix
-            if isinstance(parity_submatrix, GF2Matrix)
-            else GF2Matrix(parity_submatrix)
-        )
-        self._set_columns(
-            _row_ints(matrix.to_numpy().T), matrix.num_rows, family, detect_only
-        )
-        self._parity_submatrix = matrix
+        matrix = _bit_matrix(parity_submatrix)
+        self._set_columns(_row_ints(matrix.T), matrix.shape[0], family, detect_only)
 
     def _set_columns(
         self,
@@ -111,9 +126,9 @@ class SystematicLinearCode:
         self._parity_rows = _row_ints(_bit_rows(parity_columns, num_parity_bits).T)
         # The matrix views and the decode/encode artefacts shared by every
         # batched operation on this code are built on first access.
-        self._parity_submatrix: Optional[GF2Matrix] = None
-        self._parity_check_matrix: Optional[GF2Matrix] = None
-        self._generator_matrix: Optional[GF2Matrix] = None
+        self._parity_submatrix: Optional[np.ndarray] = None
+        self._parity_check_matrix: Optional[np.ndarray] = None
+        self._generator_matrix: Optional[np.ndarray] = None
         self._syndrome_position_table: Optional[np.ndarray] = None
         self._decode_action_table: Optional[np.ndarray] = None
         self._h_transpose_int64: Optional[np.ndarray] = None
@@ -148,26 +163,25 @@ class SystematicLinearCode:
         return code
 
     @classmethod
-    def from_parity_check_matrix(cls, matrix: GF2Matrix) -> "SystematicLinearCode":
+    def from_parity_check_matrix(cls, matrix) -> "SystematicLinearCode":
         """Build a code from a full standard-form parity-check matrix ``[P | I]``.
 
-        Raises :class:`~repro.exceptions.CodeConstructionError` if the trailing
+        ``matrix`` is any 2-D array-like of 0s and 1s.  Raises
+        :class:`~repro.exceptions.CodeConstructionError` if the trailing
         square block is not the identity.
         """
-        full = matrix if isinstance(matrix, GF2Matrix) else GF2Matrix(matrix)
-        num_parity = full.num_rows
-        num_total = full.num_cols
+        full = _bit_matrix(matrix)
+        num_parity, num_total = full.shape
         if num_total <= num_parity:
             raise CodeConstructionError(
                 "parity-check matrix must have more columns than rows"
             )
-        identity_block = full.submatrix(cols=range(num_total - num_parity, num_total))
-        if identity_block != GF2Matrix.identity(num_parity):
+        num_data = num_total - num_parity
+        if not np.array_equal(full[:, num_data:], np.eye(num_parity, dtype=np.uint8)):
             raise CodeConstructionError(
                 "parity-check matrix is not in standard form [P | I]"
             )
-        parity_submatrix = full.submatrix(cols=range(num_total - num_parity))
-        return cls(parity_submatrix)
+        return cls(full[:, :num_data])
 
     # -- family metadata ---------------------------------------------------
     @property
@@ -208,35 +222,35 @@ class SystematicLinearCode:
 
     # -- matrices ---------------------------------------------------------
     @property
-    def parity_submatrix(self) -> GF2Matrix:
-        """The ``r × k`` submatrix ``P`` (built on first access)."""
+    def parity_submatrix(self) -> np.ndarray:
+        """The ``r × k`` submatrix ``P``, read-only (built on first access)."""
         if self._parity_submatrix is None:
-            self._parity_submatrix = GF2Matrix(
+            self._parity_submatrix = _read_only(
                 _bit_rows(self._parity_rows, self._num_data_bits)
             )
         return self._parity_submatrix
 
     @property
-    def parity_check_matrix(self) -> GF2Matrix:
-        """The full ``r × n`` parity-check matrix ``H = [P | I]`` (built on first access)."""
+    def parity_check_matrix(self) -> np.ndarray:
+        """The ``r × n`` parity-check matrix ``H = [P | I]``, read-only (built on first access)."""
         if self._parity_check_matrix is None:
-            self._parity_check_matrix = self.parity_submatrix.hstack(
-                GF2Matrix.identity(self._num_parity_bits)
+            self._parity_check_matrix = _read_only(
+                np.hstack(
+                    [self.parity_submatrix, np.eye(self._num_parity_bits, dtype=np.uint8)]
+                )
             )
         return self._parity_check_matrix
 
     @property
-    def generator_matrix(self) -> GF2Matrix:
-        """The ``n × k`` generator ``G`` such that ``c = G · d`` (built on first access)."""
+    def generator_matrix(self) -> np.ndarray:
+        """The ``n × k`` generator ``G`` with ``c = G · d``, read-only (built on first access)."""
         if self._generator_matrix is None:
-            self._generator_matrix = GF2Matrix.identity(self._num_data_bits).vstack(
-                self.parity_submatrix
+            self._generator_matrix = _read_only(
+                np.vstack(
+                    [np.eye(self._num_data_bits, dtype=np.uint8), self.parity_submatrix]
+                )
             )
         return self._generator_matrix
-
-    def column(self, position: int) -> GF2Vector:
-        """Return column ``position`` of ``H`` (the syndrome of a single error there)."""
-        return GF2Vector.from_int(self._column_ints[position], self._num_parity_bits)
 
     def column_int(self, position: int) -> int:
         """Return column ``position`` of ``H`` encoded as an integer (LSB = row 0)."""
@@ -325,9 +339,7 @@ class SystematicLinearCode:
     def h_transpose_int64(self) -> np.ndarray:
         """``H.T`` as a cached ``int64`` array (reference-backend syndromes)."""
         if self._h_transpose_int64 is None:
-            self._h_transpose_int64 = (
-                self.parity_check_matrix.to_numpy().T.astype(np.int64)
-            )
+            self._h_transpose_int64 = self.parity_check_matrix.T.astype(np.int64)
         return self._h_transpose_int64
 
     def syndrome_weights(self) -> np.ndarray:
@@ -363,7 +375,7 @@ class SystematicLinearCode:
         popcount.
         """
         if self._packed_h_lanes is None:
-            self._packed_h_lanes = pack_rows(self.parity_check_matrix.to_numpy())
+            self._packed_h_lanes = pack_rows(self.parity_check_matrix)
         return self._packed_h_lanes
 
     # -- encoding / syndromes ----------------------------------------------
@@ -379,36 +391,18 @@ class SystematicLinearCode:
         data = codeword & ((1 << self._num_data_bits) - 1)
         return (self.encode_int(data) ^ codeword) >> self._num_data_bits
 
-    def encode(self, dataword: GF2Vector) -> GF2Vector:
-        """Encode a ``k``-bit dataword into an ``n``-bit codeword ``[d | p]``."""
-        data = dataword if isinstance(dataword, GF2Vector) else GF2Vector(dataword)
-        if len(data) != self._num_data_bits:
-            raise DimensionError(
-                f"dataword length {len(data)} does not match k={self._num_data_bits}"
-            )
-        return GF2Vector.from_int(self.encode_int(data.to_int()), self.codeword_length)
+    def encode(self, dataword) -> np.ndarray:
+        """Encode a ``k``-bit dataword into its ``n``-bit codeword ``[d | p]``."""
+        data = bits_to_int(as_bits(dataword, self._num_data_bits, "dataword"))
+        return int_to_bits(self.encode_int(data), self.codeword_length)
 
-    def extract_dataword(self, codeword: GF2Vector) -> GF2Vector:
-        """Return the data portion (first ``k`` bits) of a codeword."""
-        word = codeword if isinstance(codeword, GF2Vector) else GF2Vector(codeword)
-        if len(word) != self.codeword_length:
-            raise DimensionError(
-                f"codeword length {len(word)} does not match n={self.codeword_length}"
-            )
-        return word[0 : self._num_data_bits]
-
-    def syndrome(self, codeword: GF2Vector) -> GF2Vector:
-        """Return ``H · c`` for a (possibly erroneous) codeword."""
-        word = codeword if isinstance(codeword, GF2Vector) else GF2Vector(codeword)
-        if len(word) != self.codeword_length:
-            raise DimensionError(
-                f"codeword length {len(word)} does not match n={self.codeword_length}"
-            )
-        return GF2Vector.from_int(
-            self.syndrome_int(word.to_int()), self._num_parity_bits
+    def syndrome(self, codeword) -> int:
+        """Return ``H · c`` of a (possibly erroneous) codeword as an int."""
+        return self.syndrome_int(
+            bits_to_int(as_bits(codeword, self.codeword_length, "codeword"))
         )
 
-    def syndrome_of_error_positions(self, positions: Iterable[int]) -> GF2Vector:
+    def syndrome_of_error_positions(self, positions: Iterable[int]) -> int:
         """Return the syndrome produced by errors at exactly the given positions."""
         value = 0
         for position in positions:
@@ -417,26 +411,20 @@ class SystematicLinearCode:
                     f"error position {position} out of range for n={self.codeword_length}"
                 )
             value ^= self._column_ints[position]
-        return GF2Vector.from_int(value, self._num_parity_bits)
-
-    def is_codeword(self, codeword: GF2Vector) -> bool:
-        """Return True if ``codeword`` has a zero syndrome."""
-        return self.syndrome(codeword).is_zero()
+        return value
 
     def syndrome_to_position(self, syndrome) -> Optional[int]:
-        """Map a syndrome (a vector, or an int with LSB = row 0) to its position.
+        """Map an integer syndrome (LSB = row 0) to the position it points at.
 
-        Returns ``None`` for the zero syndrome and for syndromes that match no
-        column of ``H`` (possible for shortened codes).  If several columns
-        matched — which cannot happen for a valid SEC code — the lowest
-        position is returned.
+        Any integer is accepted, numpy's included.  Returns ``None`` for the
+        zero syndrome and for syndromes that match no column of ``H``
+        (possible for shortened codes).  If several columns matched — which
+        cannot happen for a valid SEC code — the lowest position is returned.
         """
-        if isinstance(syndrome, int):
-            value = syndrome
-        elif isinstance(syndrome, GF2Vector):
-            value = syndrome.to_int()
-        else:
-            value = GF2Vector(syndrome).to_int()
+        try:
+            value = operator.index(syndrome)
+        except TypeError:
+            raise ValidationError(f"a syndrome is an integer, got {syndrome!r}") from None
         if value == 0:
             return None
         try:
@@ -473,17 +461,19 @@ class SystematicLinearCode:
                     return 3
         return 4
 
-    def codewords(self) -> List[GF2Vector]:
-        """Enumerate every codeword (only sensible for small ``k``)."""
+    def codewords(self) -> np.ndarray:
+        """Every codeword as a ``(2**k, n)`` array, row ``d`` encoding the int ``d``.
+
+        Only sensible for small ``k``.
+        """
         if self._num_data_bits > 20:
             raise CodeConstructionError(
                 "refusing to enumerate more than 2**20 codewords"
             )
-        words = []
-        for value in range(1 << self._num_data_bits):
-            dataword = GF2Vector.from_int(value, self._num_data_bits)
-            words.append(self.encode(dataword))
-        return words
+        return _bit_rows(
+            [self.encode_int(value) for value in range(1 << self._num_data_bits)],
+            self.codeword_length,
+        )
 
     # -- protocol methods ---------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -20,6 +20,12 @@ data corruption*, *partial correction*, *miscorrection*, or *detected
 uncorrectable* — which :func:`classify_decode` reports.  Miscorrections are
 the signal BEER is built on; DUEs are the signal detection-aware profiling
 adds on top.
+
+Words cross this module's API in the format of :mod:`repro.gf2.bits`:
+received and transmitted words are 1-D ``uint8`` arrays of 0s and 1s
+(anything else raises), and a syndrome is an int.  The decoder itself works
+on the words' int masks; it is the per-word reference the batched
+:func:`repro.einsim.engine.bulk_decode` is held to.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import DimensionError
-from repro.gf2 import GF2Vector
+import numpy as np
+
+from repro.gf2.bits import as_bits, bits_to_int, int_to_bits
 from repro.ecc.code import SystematicLinearCode
 
 
@@ -65,18 +72,18 @@ class DecodeResult:
     corrected_position:
         The codeword position flipped by the decoder, or ``None``.
     syndrome:
-        The raw error syndrome ``H · c'`` (never visible to real hosts; kept
-        here for simulation and validation).
+        The raw error syndrome ``H · c'`` as an int (never visible to real
+        hosts; kept here for simulation and validation).
     detected_uncorrectable:
         The DUE sentinel: True when the decoder saw a non-zero syndrome it
         could not (detect-only policy) or would not (no matching column)
         correct.
     """
 
-    dataword: GF2Vector
-    corrected_codeword: GF2Vector
+    dataword: np.ndarray
+    corrected_codeword: np.ndarray
     corrected_position: Optional[int]
-    syndrome: GF2Vector
+    syndrome: int
     detected_uncorrectable: bool = False
 
     @property
@@ -104,41 +111,34 @@ class SyndromeDecoder:
         """The code this decoder operates on."""
         return self._code
 
-    def decode(self, received_codeword: GF2Vector) -> DecodeResult:
+    def decode(self, received_codeword) -> DecodeResult:
         """Decode a received codeword and return the full decode result."""
-        word = (
-            received_codeword
-            if isinstance(received_codeword, GF2Vector)
-            else GF2Vector(received_codeword)
+        code = self._code
+        word = bits_to_int(
+            as_bits(received_codeword, code.codeword_length, "received codeword")
         )
-        if len(word) != self._code.codeword_length:
-            raise DimensionError(
-                f"received word has length {len(word)}, expected "
-                f"{self._code.codeword_length}"
-            )
-        syndrome = self._code.syndrome(word)
-        if self._code.detect_only:
-            position = None
-        else:
-            position = self._code.syndrome_to_position(syndrome)
-        corrected = word if position is None else word.flip(position)
+        syndrome = code.syndrome_int(word)
+        position = None if code.detect_only else code.syndrome_to_position(syndrome)
+        corrected = word if position is None else word ^ 1 << position
         return DecodeResult(
-            dataword=self._code.extract_dataword(corrected),
-            corrected_codeword=corrected,
+            dataword=int_to_bits(
+                corrected & ((1 << code.num_data_bits) - 1), code.num_data_bits
+            ),
+            corrected_codeword=int_to_bits(corrected, code.codeword_length),
             corrected_position=position,
             syndrome=syndrome,
-            detected_uncorrectable=position is None and not syndrome.is_zero(),
+            detected_uncorrectable=position is None and syndrome != 0,
         )
 
-    def decode_dataword(self, received_codeword: GF2Vector) -> GF2Vector:
+    def decode_dataword(self, received_codeword) -> np.ndarray:
         """Decode and return only the post-correction dataword."""
         return self.decode(received_codeword).dataword
 
 
 def classify_decode(
     code: SystematicLinearCode,
-    transmitted_codeword: GF2Vector,
-    received_codeword: GF2Vector,
+    transmitted_codeword,
+    received_codeword,
 ) -> DecodeOutcome:
     """Classify the outcome of decoding ``received`` given the true codeword.
 
@@ -146,22 +146,11 @@ def classify_decode(
     therefore only available in simulation — exactly the visibility gap that
     motivates BEER.
     """
-    transmitted = (
-        transmitted_codeword
-        if isinstance(transmitted_codeword, GF2Vector)
-        else GF2Vector(transmitted_codeword)
-    )
-    received = (
-        received_codeword
-        if isinstance(received_codeword, GF2Vector)
-        else GF2Vector(received_codeword)
-    )
-    if len(transmitted) != code.codeword_length or len(received) != code.codeword_length:
-        raise DimensionError("codeword lengths do not match the code")
-
-    error_positions = set((transmitted + received).support)
-    decoder = SyndromeDecoder(code)
-    result = decoder.decode(received)
+    length = code.codeword_length
+    transmitted = as_bits(transmitted_codeword, length, "transmitted codeword")
+    received = as_bits(received_codeword, length, "received codeword")
+    error_positions = set(np.flatnonzero(transmitted ^ received).tolist())
+    result = SyndromeDecoder(code).decode(received)
 
     if not error_positions:
         return DecodeOutcome.NO_ERROR
@@ -173,7 +162,7 @@ def classify_decode(
         # fail to match the syndrome.  Either way the error was detected.
         return DecodeOutcome.DETECTED_UNCORRECTABLE
 
-    if result.syndrome.is_zero():
+    if result.syndrome == 0:
         return DecodeOutcome.SILENT_CORRUPTION
     if result.corrected_position is None:
         return DecodeOutcome.DETECTED_UNCORRECTABLE
@@ -184,19 +173,14 @@ def classify_decode(
 
 def post_correction_error_positions(
     code: SystematicLinearCode,
-    transmitted_dataword: GF2Vector,
-    received_codeword: GF2Vector,
+    transmitted_dataword,
+    received_codeword,
 ) -> tuple:
     """Return the data-bit positions that differ after decoding.
 
     These are the only errors a third party can observe through the DRAM
     interface (the parity bits never leave the chip).
     """
-    decoder = SyndromeDecoder(code)
-    decoded = decoder.decode_dataword(received_codeword)
-    transmitted = (
-        transmitted_dataword
-        if isinstance(transmitted_dataword, GF2Vector)
-        else GF2Vector(transmitted_dataword)
-    )
-    return (decoded + transmitted).support
+    decoded = SyndromeDecoder(code).decode_dataword(received_codeword)
+    transmitted = as_bits(transmitted_dataword, code.num_data_bits, "transmitted dataword")
+    return tuple(np.flatnonzero(decoded ^ transmitted).tolist())

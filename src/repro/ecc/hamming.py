@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import CodeConstructionError
-from repro.gf2 import GF2Matrix, GF2Vector
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import design_space_size
 from repro.ecc.family import get_family
@@ -105,14 +104,13 @@ def example_7_4_code() -> SystematicLinearCode:
             [ 1 1 0 1 | 0 1 0 ]
             [ 1 0 1 1 | 0 0 1 ]
     """
-    parity_submatrix = GF2Matrix(
+    return SystematicLinearCode(
         [
             [1, 1, 1, 0],
             [1, 1, 0, 1],
             [1, 0, 1, 1],
         ]
     )
-    return SystematicLinearCode(parity_submatrix)
 
 
 def count_sec_functions(num_data_bits: int, num_parity_bits: Optional[int] = None) -> int:
@@ -122,8 +120,3 @@ def count_sec_functions(num_data_bits: int, num_parity_bits: Optional[int] = Non
     the given dimensions: ``P(2**r - r - 1, k)`` ordered selections.
     """
     return design_space_size(num_data_bits, num_parity_bits)
-
-
-def parity_columns_of(code: SystematicLinearCode) -> List[GF2Vector]:
-    """Return the data-bit columns of ``H`` for ``code`` as vectors."""
-    return [code.column(j) for j in code.data_bit_positions]

@@ -62,6 +62,7 @@ from repro.gf2.bitpack import (
     popcount_u64,
     unpack_rows,
 )
+from repro.gf2.bits import is_binary
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 
@@ -88,13 +89,6 @@ def resolve_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
         )
     return _ALIASES.get(backend, backend)
-
-
-def is_binary(values: np.ndarray) -> bool:
-    """Whether every value of ``values`` is 0 or 1 (NaN is not)."""
-    if values.dtype.kind in "bu":
-        return not values.size or values.max() <= 1
-    return bool(((values == 0) | (values == 1)).all())
 
 
 def _validate_batch(

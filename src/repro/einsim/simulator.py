@@ -17,6 +17,11 @@ densifies each block's errors and classifies them with the staged uint8
 encode → inject → decode loop, the oracle; ``packed`` classifies the packed
 masks with the fused kernel of :mod:`repro.einsim.fused`, several short
 segments per kernel call.
+
+A segment's dataword is a 1-D array of 0s and 1s (:mod:`repro.gf2.bits`);
+every segment's word is checked with :func:`~repro.gf2.bits.as_bits` before
+the first draw, so a 2 or a wrong length raises instead of being
+simulated.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DimensionError, ValidationError
-from repro.gf2 import GF2Vector
+from repro.gf2.bits import as_bits
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
 from repro.einsim.fused import (
@@ -47,8 +52,8 @@ DEFAULT_BATCH_SIZE = 65536
 class SimulationResult:
     """Aggregate outcome of simulating many ECC words with one test pattern."""
 
-    #: The dataword that was written to every simulated word.
-    dataword: GF2Vector
+    #: The dataword that was written to every simulated word (0/1 ``uint8``).
+    dataword: np.ndarray
     #: Number of ECC words simulated.
     num_words: int
     #: Per-data-bit count of post-correction errors (length ``k``).
@@ -78,7 +83,7 @@ class SimulationResult:
 
     def merge(self, other: "SimulationResult") -> "SimulationResult":
         """Combine two results for the same dataword (used by chunked runs)."""
-        if self.dataword != other.dataword:
+        if not np.array_equal(self.dataword, other.dataword):
             raise DimensionError("cannot merge results for different datawords")
         return SimulationResult(
             dataword=self.dataword,
@@ -189,7 +194,7 @@ def simulate_segments(
             raise ValidationError(f"word count must be non-negative, got {num_words}")
     num_data_bits = code.num_data_bits
     datawords = np.array(
-        [_as_dataword(segment[0], num_data_bits) for segment in segments],
+        [as_bits(segment[0], num_data_bits, "dataword") for segment in segments],
         dtype=np.uint8,
     ).reshape(len(segments), num_data_bits)
     codewords = bulk_encode(code, datawords, backend)
@@ -237,7 +242,7 @@ def simulate_segments(
     flush()
     return [
         SimulationResult(
-            dataword=GF2Vector(bits),
+            dataword=bits,
             num_words=segment_stats.num_words,
             post_correction_error_counts=segment_stats.post_correction_error_counts,
             pre_correction_error_counts=segment_stats.pre_correction_error_counts,
@@ -283,15 +288,3 @@ def _staged_stats(
         detected_words=int(due.sum()),
         miscorrection_positions=tuple(int(i) for i in observed),
     )
-
-
-def _as_dataword(dataword, expected_length: int) -> np.ndarray:
-    if isinstance(dataword, GF2Vector):
-        bits = dataword.to_numpy()
-    else:
-        bits = np.asarray(dataword, dtype=np.uint8) % 2
-    if bits.ndim != 1 or bits.shape[0] != expected_length:
-        raise DimensionError(
-            f"dataword must have exactly {expected_length} bits, got shape {bits.shape}"
-        )
-    return bits.astype(np.uint8)

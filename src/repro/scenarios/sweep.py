@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ReproError, ScenarioError, ValidationError
+from repro.gf2.bits import as_bits
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
@@ -128,14 +129,15 @@ def make_einsim_cell(
     # The canonical config keeps the *spec* (not the matrix) so cache keys
     # stay readable and stable; resolving it validates it.
     code_spec = {key: code[key] for key in sorted(code)}
-    codeword = np.zeros(resolve_code(code_spec).codeword_length, dtype=np.uint8)
+    resolved_code = resolve_code(code_spec)
+    codeword = np.zeros(resolved_code.codeword_length, dtype=np.uint8)
     cell = ExperimentCell.from_config(
         {
             "kind": "einsim",
             "scenario": scenario,
             "params": _jsonify(resolved),
             "code": code_spec,
-            "dataword": _normalise_dataword_spec(dataword),
+            "dataword": _normalise_dataword_spec(dataword, resolved_code.num_data_bits),
             "num_words": int(num_words),
             "seed": int(seed),
             "backend": str(backend),
@@ -330,7 +332,11 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
 
 
 def resolve_dataword(spec: Any, num_data_bits: int) -> np.ndarray:
-    """Materialise a dataword spec into a ``uint8`` bit array."""
+    """Materialise a dataword spec into a ``uint8`` bit array.
+
+    A bit list must hold ``num_data_bits`` 0s and 1s; any other length or
+    value raises :class:`ScenarioError`.
+    """
     if isinstance(spec, str):
         if spec == "ones":
             return np.ones(num_data_bits, dtype=np.uint8)
@@ -342,12 +348,10 @@ def resolve_dataword(spec: Any, num_data_bits: int) -> np.ndarray:
             f"unknown dataword name {spec!r}; expected one of {DATAWORD_NAMES} "
             "or an explicit bit list"
         )
-    bits = np.asarray(list(spec), dtype=np.uint8) % 2
-    if bits.shape != (num_data_bits,):
-        raise ScenarioError(
-            f"dataword has {bits.size} bits but the code has {num_data_bits}"
-        )
-    return bits
+    try:
+        return as_bits(spec, num_data_bits, "dataword")
+    except ReproError as error:
+        raise ScenarioError(f"invalid dataword spec: {error}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +380,10 @@ def _expand_grid(params: Mapping[str, Any]) -> Iterator[Dict[str, Any]]:
         yield point
 
 
-def _normalise_dataword_spec(spec: Any) -> Any:
-    if isinstance(spec, str):
-        if spec not in DATAWORD_NAMES:
-            raise ScenarioError(
-                f"unknown dataword name {spec!r}; expected one of {DATAWORD_NAMES}"
-            )
-        return spec
-    return [int(b) % 2 for b in spec]
+def _normalise_dataword_spec(spec: Any, num_data_bits: int) -> Any:
+    """A cell's dataword spec as stored: a pattern name, or a list of 0/1 ints."""
+    bits = resolve_dataword(spec, num_data_bits)
+    return spec if isinstance(spec, str) else bits.tolist()
 
 
 def _jsonify(value: Any) -> Any:

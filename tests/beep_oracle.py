@@ -1,4 +1,4 @@
-"""BEEP on ``GF2Vector`` objects and a numpy RREF solve, kept as a test oracle.
+"""BEEP on 0/1 ``uint8`` arrays and a numpy RREF solve, kept as a test oracle.
 
 :mod:`repro.core.beep` crafts, encodes and infers on integer bit masks.
 This is the profiler it replaced, with its GF(2) elimination crafter, and
@@ -11,13 +11,13 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from gf2_oracle import gf2_solve
+from gf2_oracle import gf2_mul, gf2_solve
 from repro.core.beep import BeepResult, CraftedPattern, WordUnderTest
 from repro.dram.cell import CellType
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.decoder import SyndromeDecoder
 from repro.exceptions import DimensionError, PatternCraftingError, SingularMatrixError
-from repro.gf2 import GF2Matrix, GF2Vector
+from repro.gf2.bits import as_bits, int_to_bits
 
 
 class SimulatedWordUnderTest(WordUnderTest):
@@ -61,16 +61,16 @@ class SimulatedWordUnderTest(WordUnderTest):
         """The on-die ECC function of the simulated word."""
         return self._code
 
-    def test(self, dataword: GF2Vector) -> GF2Vector:
+    def test(self, dataword: np.ndarray) -> np.ndarray:
         """Encode, decay error-prone CHARGED cells probabilistically, decode."""
-        codeword = self._code.encode(dataword).to_numpy()
+        codeword = self._code.encode(dataword)
         charged_value = 1 if self._cell_type is CellType.TRUE_CELL else 0
         for position in self._error_prone:
             if codeword[position] != charged_value:
                 continue
             if self._rng.random() < self._per_bit_probability:
                 codeword[position] ^= 1
-        return self._decoder.decode_dataword(GF2Vector(codeword))
+        return self._decoder.decode_dataword(codeword)
 
 
 class BeepProfiler:
@@ -137,7 +137,7 @@ class BeepProfiler:
 
     def _craft_miscorrection_prone(
         self, target_bit: int, known_errors: Sequence[int], require_adjacency: bool
-    ) -> Optional[GF2Vector]:
+    ) -> Optional[np.ndarray]:
         max_size = min(self._max_combination_size, len(known_errors))
         for combination_size in range(1, max_size + 1):
             for combination in itertools.combinations(known_errors, combination_size):
@@ -161,7 +161,7 @@ class BeepProfiler:
                     return dataword
         return None
 
-    def _bootstrap_pattern(self, target_bit: int, phase: int = 0) -> GF2Vector:
+    def _bootstrap_pattern(self, target_bit: int, phase: int = 0) -> np.ndarray:
         """Pattern used while no error cells are known yet.
 
         The target is CHARGED, its neighbours DISCHARGED, and the remaining
@@ -185,23 +185,23 @@ class BeepProfiler:
             bits = [
                 charge if self._charged_value == 1 else 1 - charge for charge in charges
             ]
-            return GF2Vector(bits)
+            return np.array(bits, dtype=np.uint8)
 
         # Parity-bit target: its charge is an affine function of the dataword.
         # Start from the alternating pattern and, if the target parity cell is
         # not CHARGED, toggle one data bit in that parity row's support.
         charges = [1 if index % 2 == parity else 0 for index in range(num_data_bits)]
         bits = [charge if self._charged_value == 1 else 1 - charge for charge in charges]
-        dataword = GF2Vector(bits)
+        dataword = np.array(bits, dtype=np.uint8)
         codeword = self._code.encode(dataword)
         if codeword[target_bit] != self._charged_value:
-            parity_row = self._code.parity_submatrix.row(target_bit - num_data_bits)
-            support = parity_row.support
-            if not support:
+            parity_row = self._code.parity_submatrix[target_bit - num_data_bits]
+            support = np.flatnonzero(parity_row)
+            if not support.size:
                 raise PatternCraftingError(
                     f"parity bit {target_bit} does not depend on any data bit"
                 )
-            dataword = dataword.flip(support[0])
+            dataword[support[0]] ^= 1
         return dataword
 
     def _neighbours(self, position: int) -> List[int]:
@@ -212,30 +212,28 @@ class BeepProfiler:
             neighbours.append(position + 1)
         return neighbours
 
-    def _solve_charge_constraints(self, charge_by_position: dict) -> Optional[GF2Vector]:
+    def _solve_charge_constraints(self, charge_by_position: dict) -> Optional[np.ndarray]:
         bit_by_position = {
             position: charge if self._charged_value == 1 else 1 - charge
             for position, charge in charge_by_position.items()
         }
         generator = self._code.generator_matrix
-        rows = [generator.row(position).to_list() for position in bit_by_position]
-        rhs = list(bit_by_position.values())
+        rows = generator[list(bit_by_position)]
+        rhs = np.array(list(bit_by_position.values()), dtype=np.uint8)
         try:
-            return gf2_solve(GF2Matrix(rows), GF2Vector(rhs))
+            return gf2_solve(rows, rhs)
         except SingularMatrixError:
             return None
 
     def _syndrome_to_data_bit(self, syndrome_value: int) -> Optional[int]:
-        position = self._code.syndrome_to_position(
-            GF2Vector.from_int(syndrome_value, self._code.num_parity_bits)
-        )
+        position = self._code.syndrome_to_position(syndrome_value)
         if position is None or position >= self._code.num_data_bits:
             return None
         return position
 
     # -- phase 3: inference ------------------------------------------------------
     def infer_errors_from_observation(
-        self, pattern: CraftedPattern, observed_dataword: GF2Vector
+        self, pattern: CraftedPattern, observed_dataword: np.ndarray
     ) -> FrozenSet[int]:
         """Translate one observed read into pre-correction error positions.
 
@@ -243,34 +241,28 @@ class BeepProfiler:
         miscorrection; its position reveals the syndrome of the pre-correction
         codeword, from which the full pre-correction error pattern follows.
         """
-        observed = (
-            observed_dataword
-            if isinstance(observed_dataword, GF2Vector)
-            else GF2Vector(observed_dataword)
-        )
-        if len(observed) != self._code.num_data_bits:
-            raise DimensionError(
-                f"observed dataword has {len(observed)} bits, expected "
-                f"{self._code.num_data_bits}"
-            )
+        observed = as_bits(observed_dataword, self._code.num_data_bits, "observed dataword")
         written_data = pattern.dataword
         written_codeword = pattern.codeword
         discharged_value = 1 - self._charged_value
 
         errors: Set[int] = set()
-        difference = (observed + written_data).support
+        difference = np.flatnonzero(observed ^ written_data)
         for position in difference:
             if written_data[position] != discharged_value:
                 continue  # ambiguous: could be an uncorrected retention error
-            syndrome = self._code.column(position)
-            pre_correction_data = observed.flip(position)
-            parity_from_data = self._code.parity_submatrix @ pre_correction_data
-            pre_correction_parity = parity_from_data + syndrome
-            pre_correction_codeword = GF2Vector(
-                list(pre_correction_data) + list(pre_correction_parity)
+            syndrome = int_to_bits(
+                self._code.column_int(int(position)), self._code.num_parity_bits
             )
-            error_pattern = pre_correction_codeword + written_codeword
-            errors.update(error_pattern.support)
+            pre_correction_data = observed.copy()
+            pre_correction_data[position] ^= 1
+            parity_from_data = gf2_mul(self._code.parity_submatrix, pre_correction_data)
+            pre_correction_parity = parity_from_data ^ syndrome
+            pre_correction_codeword = np.concatenate(
+                [pre_correction_data, pre_correction_parity]
+            )
+            error_pattern = pre_correction_codeword ^ written_codeword
+            errors.update(np.flatnonzero(error_pattern).tolist())
         return frozenset(errors)
 
     # -- full profiling loop -------------------------------------------------------

@@ -5,8 +5,9 @@ moved to packed ``uint64`` lanes: one ``uint8`` per codeword bit, every
 pause comparing every retention time with the window and rebuilding the
 current state through two ``np.where`` passes, every read encoding through
 ``bulk_encode`` and decoding through ``bulk_decode``.  The class body is
-unchanged; only ``ChipGeometry`` now comes from the library, so both chips
-take the same geometry objects.  ``tests/test_dram_chip_differential.py``
+unchanged but for two things: ``ChipGeometry`` now comes from the library,
+so both chips take the same geometry objects, and words are handed out as
+0/1 ``uint8`` arrays, the library's word format.  ``tests/test_dram_chip_differential.py``
 requires the packed chip to answer every call sequence exactly as this one
 does.
 """
@@ -18,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import AddressError, ChipConfigurationError
-from repro.gf2 import GF2Vector
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType
 from repro.dram.chip import ChipGeometry
@@ -165,9 +165,9 @@ class SimulatedDramChip:
         tiled = np.tile(bits, (self.num_words, 1))
         self.write_datawords(range(self.num_words), tiled)
 
-    def read_dataword(self, word_index: int) -> GF2Vector:
+    def read_dataword(self, word_index: int) -> np.ndarray:
         """Read and decode one dataword."""
-        return GF2Vector(self.read_datawords([word_index])[0])
+        return self.read_datawords([word_index])[0]
 
     def read_datawords(self, word_indices: Sequence[int]) -> np.ndarray:
         """Read and decode datawords at the given indices (vectorised).
@@ -254,15 +254,15 @@ class SimulatedDramChip:
         """
 
     # -- ground-truth inspection (not available to BEER/BEEP) -----------------------
-    def inspect_stored_codeword(self, word_index: int) -> GF2Vector:
+    def inspect_stored_codeword(self, word_index: int) -> np.ndarray:
         """Ground truth: the codeword as originally written (pre-decay)."""
         self._check_word_index(word_index)
-        return GF2Vector(self._stored[word_index])
+        return self._stored[word_index].copy()
 
-    def inspect_current_codeword(self, word_index: int) -> GF2Vector:
+    def inspect_current_codeword(self, word_index: int) -> np.ndarray:
         """Ground truth: the stored codeword including accumulated decay."""
         self._check_word_index(word_index)
-        return GF2Vector(self._current[word_index])
+        return self._current[word_index].copy()
 
     def inspect_pre_correction_errors(self, word_index: int) -> tuple:
         """Ground truth: positions of raw (pre-correction) errors in a word."""
@@ -305,11 +305,8 @@ class SimulatedDramChip:
 
 
 def _as_bits(dataword, expected_length: int) -> np.ndarray:
-    """Convert a dataword (GF2Vector, list, ndarray) to a uint8 bit array."""
-    if isinstance(dataword, GF2Vector):
-        bits = dataword.to_numpy()
-    else:
-        bits = np.asarray(dataword, dtype=np.uint8) % 2
+    """Convert a dataword (list, ndarray) to a uint8 bit array."""
+    bits = np.asarray(dataword, dtype=np.uint8) % 2
     if bits.ndim != 1 or bits.shape[0] != expected_length:
         raise AddressError(
             f"dataword must have exactly {expected_length} bits, got shape {bits.shape}"

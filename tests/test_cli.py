@@ -54,6 +54,18 @@ class TestSolveCommand:
         )
         assert codes_equivalent(recovered, code)
 
+    def test_solve_text_prints_h_one_row_per_line(self, profile_file, capsys):
+        path, code = profile_file
+        assert main(["solve", "--profile", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("candidate 0:"))
+        columns = json.loads(lines[start].split("parity columns ")[1])
+        recovered = SystematicLinearCode.from_parity_columns(columns, code.num_parity_bits)
+        rows = lines[start + 1 : start + 1 + recovered.num_parity_bits]
+        assert rows == [
+            " ".join(str(bit) for bit in row) for row in recovered.parity_check_matrix
+        ]
+
     def test_solve_with_sat_backend(self, profile_file, capsys):
         path, code = profile_file
         exit_code = main(["solve", "--profile", str(path), "--backend", "sat"])
@@ -230,9 +242,13 @@ class TestBadInputExitsTwo:
             ]},
             {"scenarios": [{"name": "nope"}]},
             {"num_words": "many"},
+            {"datawords": [[3, 1, 1, 1, 1, 1, 1, 1]]},
+            {"datawords": ["ones", [2, 1, 0.5, 1, 0, 0, 0, 0]]},
+            {"datawords": [[1, 0, 1]]},
         ],
         ids=["column-too-wide", "negative-column", "bad-rates", "unknown-scenario",
-             "non-integer-words"],
+             "non-integer-words", "dataword-three", "dataword-non-binary",
+             "dataword-too-short"],
     )
     def test_scenario_sweep_bad_spec_commits_nothing(self, change, tmp_path, capsys):
         spec = {

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import SolverError
-from repro.gf2 import GF2Vector
+from repro.exceptions import DimensionError, SolverError, ValidationError
 from repro.ecc import codes_equivalent, example_7_4_code, hamming_code, random_hamming_code
 from repro.core import BeerSolver, charged_patterns, expected_miscorrection_profile
 from repro.core.baseline import (
@@ -18,16 +17,38 @@ class TestRankLevelEccInterface:
     def test_single_error_syndrome_is_column(self):
         code = example_7_4_code()
         interface = RankLevelEccInterface(code)
-        codeword = interface.encode(GF2Vector.zeros(4))
+        codeword = interface.encode(np.zeros(4, dtype=np.uint8))
         for position in range(code.codeword_length):
             syndrome = interface.inject_and_report(codeword, [position])
-            assert syndrome == code.column(position)
+            assert syndrome == code.column_int(position)
 
     def test_no_errors_zero_syndrome(self):
         code = hamming_code(8)
         interface = RankLevelEccInterface(code)
-        codeword = interface.encode(GF2Vector.ones(8))
-        assert interface.inject_and_report(codeword, []).is_zero()
+        codeword = interface.encode(np.ones(8, dtype=np.uint8))
+        assert interface.inject_and_report(codeword, []) == 0
+
+    @pytest.mark.parametrize("position", [7, 9, -1, -8])
+    def test_error_position_out_of_range_raises(self, position):
+        # -1 used to flip bit 6 silently; 9 raised a bare IndexError.
+        interface = RankLevelEccInterface(example_7_4_code())
+        codeword = interface.encode([0, 1, 1, 0])
+        with pytest.raises(DimensionError):
+            interface.inject_and_report(codeword, [position])
+
+    def test_inject_leaves_the_codeword_untouched(self):
+        interface = RankLevelEccInterface(example_7_4_code())
+        codeword = interface.encode([1, 0, 1, 1])
+        before = codeword.copy()
+        interface.inject_and_report(codeword, [0, 3])
+        assert np.array_equal(codeword, before)
+
+    def test_non_binary_words_raise(self):
+        interface = RankLevelEccInterface(example_7_4_code())
+        with pytest.raises(ValidationError):
+            interface.encode([2, 0, 1, 1])
+        with pytest.raises(ValidationError):
+            interface.inject_and_report([0, 0, 0, 0, 0, 0, 2], [1])
 
     def test_noise_probability_validation(self):
         with pytest.raises(SolverError):

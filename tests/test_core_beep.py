@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from beep_oracle import BeepProfiler as OracleProfiler
 from beep_oracle import SimulatedWordUnderTest as OracleWord
-from repro.exceptions import DimensionError, PatternCraftingError
+from repro.exceptions import AddressError, DimensionError, PatternCraftingError, ValidationError
 from repro.dram import CellType
-from repro.gf2 import GF2Vector
 from repro.ecc import get_family, hamming_code, random_hamming_code
 from repro.core import BeepProfiler
 from repro.core.beep import ChipWordUnderTest, SimulatedWordUnderTest
@@ -22,24 +21,45 @@ def code_16():
     return random_hamming_code(16, rng=np.random.default_rng(16))
 
 
+def _bits(values):
+    return np.array(values, dtype=np.uint8)
+
+
+def _same_pattern(first, second):
+    return (
+        np.array_equal(first.dataword, second.dataword)
+        and np.array_equal(first.codeword, second.codeword)
+        and first.target_bit == second.target_bit
+        and first.miscorrection_armed == second.miscorrection_armed
+    )
+
+
 class TestSimulatedWordUnderTest:
     def test_error_free_word_reads_back_written_data(self, code_16):
         word = SimulatedWordUnderTest(code_16, [], rng=np.random.default_rng(0))
-        dataword = GF2Vector([1, 0] * 8)
-        assert word.test(dataword) == dataword
+        dataword = _bits([1, 0] * 8)
+        assert np.array_equal(word.test(dataword), dataword)
 
     def test_only_charged_error_prone_cells_fail(self, code_16):
         word = SimulatedWordUnderTest(code_16, [0], per_bit_probability=1.0,
                                       rng=np.random.default_rng(0))
         # Bit 0 DISCHARGED: cannot fail, read back clean.
-        clean = word.test(GF2Vector([0] * 16))
-        assert clean == GF2Vector([0] * 16)
+        clean = word.test(_bits([0] * 16))
+        assert clean.dtype == np.uint8
+        assert clean.tolist() == [0] * 16
 
     def test_single_error_is_corrected_by_ecc(self, code_16):
         word = SimulatedWordUnderTest(code_16, [3], per_bit_probability=1.0,
                                       rng=np.random.default_rng(0))
-        dataword = GF2Vector([1] * 16)
-        assert word.test(dataword) == dataword
+        dataword = _bits([1] * 16)
+        assert np.array_equal(word.test(dataword), dataword)
+
+    def test_non_binary_dataword_rejected(self, code_16):
+        word = SimulatedWordUnderTest(code_16, [0], rng=np.random.default_rng(0))
+        with pytest.raises(ValidationError):
+            word.test([2] + [0] * 15)
+        with pytest.raises(DimensionError):
+            word.test([0] * 15)
 
     def test_invalid_positions_and_probability_rejected(self, code_16):
         with pytest.raises(DimensionError):
@@ -60,6 +80,12 @@ class TestPatternCrafting:
             pattern = profiler.craft_pattern(target)
             assert pattern.codeword[target] == 1
             assert pattern.target_bit == target
+
+    def test_crafted_pattern_words_are_bit_arrays(self, code_16):
+        pattern = BeepProfiler(code_16).craft_pattern(3, [7])
+        assert pattern.dataword.dtype == np.uint8
+        assert pattern.dataword.shape == (code_16.num_data_bits,)
+        assert np.array_equal(pattern.codeword, code_16.encode(pattern.dataword))
 
     def test_crafted_pattern_charges_target_parity_bit(self, code_16):
         profiler = BeepProfiler(code_16)
@@ -140,7 +166,15 @@ class TestInference:
         profiler = BeepProfiler(code_16)
         pattern = profiler.craft_pattern(0)
         with pytest.raises(DimensionError):
-            profiler.infer_errors_from_observation(pattern, GF2Vector([0, 1]))
+            profiler.infer_errors_from_observation(pattern, [0, 1])
+
+    def test_observation_values_validation(self, code_16):
+        profiler = BeepProfiler(code_16)
+        pattern = profiler.craft_pattern(0)
+        observed = pattern.dataword.tolist()
+        observed[1] = 2
+        with pytest.raises(ValidationError):
+            profiler.infer_errors_from_observation(pattern, observed)
 
     def test_profile_argument_validation(self, code_16):
         profiler = BeepProfiler(code_16)
@@ -204,12 +238,14 @@ class TestChipWordUnderTest:
             seed=3,
         )
         word = ChipWordUnderTest(chip, word_index=1, refresh_pause_s=50.0)
-        observed = word.test(GF2Vector([1] * 16))
-        assert len(observed) == 16
+        observed = word.test(_bits([1] * 16))
+        assert observed.dtype == np.uint8 and observed.shape == (16,)
+        with pytest.raises(AddressError):
+            word.test([2] * 16)
 
 
-class TestMatchesGf2VectorOracle:
-    """The int-mask profiler against the GF2Vector/RREF profiler it replaced."""
+class TestMatchesArrayOracle:
+    """The int-mask profiler against the array/RREF profiler it replaced."""
 
     @staticmethod
     def _code(family, num_data_bits, seed):
@@ -234,8 +270,8 @@ class TestMatchesGf2VectorOracle:
             known = rng.choice(n, size=int(rng.integers(0, 5)), replace=False).tolist()
             phase = int(rng.integers(0, 2))
             pattern = profiler.craft_pattern(target, known, phase)
-            assert pattern == oracle.craft_pattern(target, known, phase)
-            observed = GF2Vector(rng.integers(0, 2, size=code.num_data_bits))
+            assert _same_pattern(pattern, oracle.craft_pattern(target, known, phase))
+            observed = rng.integers(0, 2, size=code.num_data_bits).astype(np.uint8)
             assert profiler.infer_errors_from_observation(
                 pattern, observed
             ) == oracle.infer_errors_from_observation(pattern, observed)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ChipConfigurationError
+from repro.exceptions import ChipConfigurationError, ValidationError
 from repro.dram import (
     CellType,
     CellTypeLayout,
@@ -203,8 +203,19 @@ class TestMonteCarloCampaign:
         code, campaign = self._campaign(chunk_size=700, base_seed=3)
         result = campaign.simulate([1] * 16, UniformRandomInjector(0.01), 2500)
         assert result.num_words == 2500
-        assert result.dataword == [1] * 16
+        assert result.dataword.tolist() == [1] * 16
         assert result.pre_correction_error_counts.sum() > 0
+
+    @pytest.mark.parametrize("dataword", [[3, 1, 1, 1], [0.5, 1, 1, 1], [-1, 0, 0, 0]])
+    def test_non_binary_dataword_rejected(self, dataword):
+        # [3, 1, 1, 1] used to run as [1, 1, 1, 1].
+        from repro.core import MonteCarloCampaign
+        from repro.ecc import example_7_4_code
+        from repro.einsim import UniformRandomInjector
+
+        campaign = MonteCarloCampaign(example_7_4_code(), chunk_size=100)
+        with pytest.raises(ValidationError):
+            campaign.simulate(dataword, UniformRandomInjector(0.01), 200)
 
     def test_processes_do_not_change_results(self):
         from repro.einsim import UniformRandomInjector
@@ -243,8 +254,8 @@ class TestMonteCarloCampaign:
         code, campaign = self._campaign(chunk_size=400, base_seed=11)
         batch = campaign.simulate_many([[0] * 16, [1] * 16], injector, 900)
         assert len(batch) == 2
-        assert batch[0].dataword == [0] * 16
-        assert batch[1].dataword == [1] * 16
+        assert batch[0].dataword.tolist() == [0] * 16
+        assert batch[1].dataword.tolist() == [1] * 16
         assert all(result.num_words == 900 for result in batch)
         # Batch composition must not change any dataword's result: each entry
         # equals the corresponding standalone simulate() run bit for bit.

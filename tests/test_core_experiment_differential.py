@@ -62,7 +62,7 @@ def per_word_measure_counts(
                 indices,
                 np.vstack(
                     [
-                        assignment[word].dataword(word_cell_types[word]).to_numpy()
+                        assignment[word].dataword(word_cell_types[word])
                         for word in indices
                     ]
                 ),
@@ -73,7 +73,7 @@ def per_word_measure_counts(
             errors_per_pattern: Dict = {}
             for row_index, word_index in enumerate(indices):
                 pattern = assignment[word_index]
-                expected = pattern.dataword(word_cell_types[word_index]).to_numpy()
+                expected = pattern.dataword(word_cell_types[word_index])
                 error_positions = np.flatnonzero(observed[row_index] != expected)
                 words_per_pattern[pattern] = words_per_pattern.get(pattern, 0) + 1
                 errors_per_pattern.setdefault(pattern, []).extend(
@@ -110,9 +110,10 @@ def assert_identical_campaigns(make_chip, config: ExperimentConfig, discover: bo
         assert new.words_observed(pattern) == old.words_observed(pattern)
         assert new.due_words_observed(pattern) == old.due_words_observed(pattern)
     for word_index in range(old_chip.num_words):
-        assert new_chip.inspect_current_codeword(
-            word_index
-        ) == old_chip.inspect_current_codeword(word_index)
+        assert np.array_equal(
+            new_chip.inspect_current_codeword(word_index),
+            old_chip.inspect_current_codeword(word_index),
+        )
     # The rounds produced errors, so the comparison above was not vacuous.
     assert sum(int(old.counts_for(p).sum()) for p in old.patterns) > 0
     return new

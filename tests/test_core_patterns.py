@@ -2,13 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ProfileError
+from repro.exceptions import DimensionError, ProfileError, ValidationError
 from repro.dram import CellType
-from repro.gf2 import GF2Vector
 from repro.core import ChargedPattern, charged_patterns, one_charged_patterns
 from repro.core.patterns import pattern_count
 
@@ -29,17 +29,32 @@ class TestChargedPattern:
 
     def test_true_cell_dataword_sets_charged_bits_to_one(self):
         pattern = ChargedPattern(4, [2])
-        assert pattern.dataword(CellType.TRUE_CELL) == GF2Vector([0, 0, 1, 0])
+        dataword = pattern.dataword(CellType.TRUE_CELL)
+        assert dataword.dtype == np.uint8
+        assert dataword.tolist() == [0, 0, 1, 0]
 
     def test_anti_cell_dataword_sets_charged_bits_to_zero(self):
         pattern = ChargedPattern(4, [2])
-        assert pattern.dataword(CellType.ANTI_CELL) == GF2Vector([1, 1, 0, 1])
+        assert pattern.dataword(CellType.ANTI_CELL).tolist() == [1, 1, 0, 1]
 
     def test_from_dataword_round_trip(self):
         pattern = ChargedPattern(6, [0, 3])
         for cell_type in CellType:
             recovered = ChargedPattern.from_dataword(pattern.dataword(cell_type), cell_type)
             assert recovered == pattern
+            listed = pattern.dataword(cell_type).tolist()
+            assert ChargedPattern.from_dataword(listed, cell_type) == pattern
+
+    @pytest.mark.parametrize("dataword", [[2, 1, 0, 1], [0.5, 1, 0, 1], [-1, 0, 0, 0]])
+    def test_from_dataword_rejects_non_binary_values(self, dataword):
+        # [2, 1, 0, 1] used to give charged bits [1, 3].
+        for cell_type in CellType:
+            with pytest.raises(ValidationError):
+                ChargedPattern.from_dataword(dataword, cell_type)
+
+    def test_from_dataword_rejects_a_matrix(self):
+        with pytest.raises(DimensionError):
+            ChargedPattern.from_dataword([[1, 0], [0, 1]])
 
     def test_equality_and_hash(self):
         assert ChargedPattern(4, [1]) == ChargedPattern(4, (1,))
@@ -53,7 +68,7 @@ class TestChargedPattern:
     def test_empty_pattern_allowed(self):
         pattern = ChargedPattern(4, [])
         assert pattern.weight == 0
-        assert pattern.dataword(CellType.TRUE_CELL).is_zero()
+        assert not pattern.dataword(CellType.TRUE_CELL).any()
 
 
 class TestPatternGenerators:

@@ -92,13 +92,14 @@ class TestMiscorrectionsPossible:
 
 def _in_span_miscorrections(code, pattern, cell_type):
     """The original builder: every CHARGED position's ``H`` column, then
-    ``in_span`` over GF2Vectors for each DISCHARGED target."""
+    ``in_span`` over 0/1 arrays for each DISCHARGED target."""
+    check = code.parity_check_matrix
     charged = charged_codeword_positions(code, pattern, cell_type)
-    spanning_columns = [code.column(position) for position in charged]
+    spanning_columns = [check[:, position] for position in charged]
     return frozenset(
         target
         for target in pattern.discharged_bits
-        if in_span(code.column(target), spanning_columns)
+        if in_span(check[:, target], spanning_columns)
     )
 
 

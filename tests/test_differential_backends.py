@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.gf2 import GF2Matrix, GF2Vector, pack_rows, unpack_rows
+from repro.gf2 import pack_rows, unpack_rows
 from repro.ecc import SystematicLinearCode, get_family, random_hamming_code
 from repro.ecc.codespace import codes_equivalent
 from repro.ecc.decoder import SyndromeDecoder
@@ -131,7 +131,7 @@ class TestBulkEncodeDifferential:
         rng = np.random.default_rng(code_seed)
         datawords = rng.integers(0, 2, size=(16, num_data_bits)).astype(np.uint8)
         expected = np.vstack(
-            [code.encode(GF2Vector(row)).to_numpy() for row in datawords]
+            [code.encode(row) for row in datawords]
         )
         for backend in BACKENDS:
             assert np.array_equal(bulk_encode(code, datawords, backend), expected)
@@ -173,11 +173,14 @@ class TestBulkSyndromeDifferential:
     def test_both_match_per_word_syndrome(self, num_data_bits, code_seed):
         code = _code(num_data_bits, code_seed)
         words = _random_words(code, 32, code_seed)
-        expected = np.array(
-            [code.syndrome(GF2Vector(w)).to_int() for w in words], dtype=np.int64
-        )
+        expected = np.array([code.syndrome(w) for w in words], dtype=np.int64)
         for backend in BACKENDS:
-            assert np.array_equal(bulk_syndrome_values(code, words, backend), expected)
+            values = bulk_syndrome_values(code, words, backend)
+            assert np.array_equal(values, expected)
+            # The kernels' int64 syndromes map to positions as ints do.
+            assert [code.syndrome_to_position(v) for v in values] == [
+                code.syndrome_to_position(int(v)) for v in expected
+            ]
 
 
 class TestBulkDecodeDifferential:
@@ -196,7 +199,7 @@ class TestBulkDecodeDifferential:
         decoder = SyndromeDecoder(code)
         words = _random_words(code, 64, code_seed * 19)
         expected = np.vstack(
-            [decoder.decode(GF2Vector(w)).corrected_codeword.to_numpy() for w in words]
+            [decoder.decode(w).corrected_codeword for w in words]
         )
         for backend in BACKENDS:
             assert np.array_equal(bulk_decode(code, words, backend), expected)
@@ -211,7 +214,7 @@ class TestBulkDecodeDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_errors_all_corrected(self, backend):
         code = _code(32, 2)
-        codeword = code.encode(GF2Vector.ones(32)).to_numpy()
+        codeword = code.encode(np.ones(32, dtype=np.uint8))
         received = np.tile(codeword, (code.codeword_length, 1))
         for position in range(code.codeword_length):
             received[position, position] ^= 1
@@ -222,11 +225,11 @@ class TestBulkDecodeDifferential:
     def test_degenerate_duplicate_column_code(self, backend):
         # A non-SEC code with duplicated H columns: bulk decode must agree
         # with the word-by-word decoder (lowest matching column wins).
-        code = SystematicLinearCode(GF2Matrix([[1, 1, 0], [1, 1, 1]]))
+        code = SystematicLinearCode([[1, 1, 0], [1, 1, 1]])
         decoder = SyndromeDecoder(code)
         words = _random_words(code, 32, 23)
         expected = np.vstack(
-            [decoder.decode(GF2Vector(w)).corrected_codeword.to_numpy() for w in words]
+            [decoder.decode(w).corrected_codeword for w in words]
         )
         assert np.array_equal(bulk_decode(code, words, backend), expected)
 
@@ -296,7 +299,7 @@ class TestSimulatorDifferential:
         for backend in BACKENDS:
             simulator = EinsimSimulator(code, seed=99, backend=backend)
             results[backend] = simulator.simulate(
-                GF2Vector.ones(num_data_bits), 3000, injector, batch_size=1024
+                np.ones(num_data_bits, dtype=np.uint8), 3000, injector, batch_size=1024
             )
         reference, packed = results["reference"], results["packed"]
         assert np.array_equal(
@@ -369,7 +372,7 @@ class TestEndToEndBeerDifferential:
                 backend=backend,
             )
             assert chip.backend == backend
-            chip.fill(GF2Vector.ones(8))
+            chip.fill(np.ones(8, dtype=np.uint8))
             chip.pause_refresh(120.0, 80.0)
             readings[backend] = chip.read_all_datawords()
         assert np.array_equal(readings["reference"], readings["packed"])

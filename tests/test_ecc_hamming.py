@@ -19,7 +19,6 @@ from repro.ecc.hamming import (
     candidate_parity_columns,
     count_sec_functions,
     is_shortened,
-    parity_columns_of,
 )
 
 
@@ -107,11 +106,6 @@ class TestHammingConstruction:
         assert code.num_data_bits == 4
         assert code.parity_column_ints == (0b111, 0b011, 0b101, 0b110)
         assert code.is_single_error_correcting()
-
-    def test_parity_columns_of(self):
-        code = example_7_4_code()
-        columns = parity_columns_of(code)
-        assert [c.to_int() for c in columns] == list(code.parity_column_ints)
 
 
 class TestRandomCodes:

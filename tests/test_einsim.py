@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from injector_oracle import packed_mask
 from repro.exceptions import ChipConfigurationError, DimensionError, ValidationError
-from repro.gf2 import GF2Vector
 from repro.ecc import SyndromeDecoder, example_7_4_code, hamming_code, random_hamming_code
 from repro.dram import CellType
 from repro.einsim import (
@@ -274,8 +273,8 @@ class TestBulkDecode:
         received = rng.integers(0, 2, size=(64, 7)).astype(np.uint8)
         bulk = bulk_decode(code, received)
         for row in range(received.shape[0]):
-            expected = decoder.decode(GF2Vector(received[row])).corrected_codeword
-            assert GF2Vector(bulk[row]) == expected
+            expected = decoder.decode(received[row]).corrected_codeword
+            assert np.array_equal(bulk[row], expected)
 
     def test_bulk_decode_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -350,6 +349,32 @@ class TestSimulator:
         simulator = EinsimSimulator(hamming_code(8))
         with pytest.raises(DimensionError):
             simulator.simulate([1] * 9, 10, UniformRandomInjector(0.1))
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize(
+        "dataword", [[2, 2, 2, 2], [3, 1, 1, 1], [0.5, 1, 1, 1], [-1, 0, 0, 0]]
+    )
+    def test_non_binary_dataword_raises_before_drawing(self, backend, dataword):
+        # [2, 2, 2, 2] reduced mod 2 used to simulate the zero word.
+        code = example_7_4_code()
+        injector = UniformRandomInjector(0.05)
+        simulator = EinsimSimulator(code, seed=3, backend=backend)
+        with pytest.raises(ValidationError):
+            simulator.simulate(dataword, 100, injector)
+        after = simulator.simulate([0, 0, 0, 0], 100, injector)
+        expected = EinsimSimulator(code, seed=3, backend=backend).simulate(
+            [0, 0, 0, 0], 100, injector
+        )
+        assert np.array_equal(
+            after.pre_correction_error_counts, expected.pre_correction_error_counts
+        )
+
+    def test_result_dataword_is_a_bit_array(self):
+        result = EinsimSimulator(example_7_4_code(), seed=1).simulate(
+            [True, False, True, True], 10, UniformRandomInjector(0.1)
+        )
+        assert result.dataword.dtype == np.uint8
+        assert result.dataword.tolist() == [1, 0, 1, 1]
 
     def test_per_bit_error_probability_wrapper(self):
         simulator = EinsimSimulator(hamming_code(8), seed=7)

@@ -45,7 +45,7 @@ def _secded():
 
 
 def _assert_results_equal(first, second):
-    assert first.dataword == second.dataword
+    assert np.array_equal(first.dataword, second.dataword)
     assert first.num_words == second.num_words
     assert np.array_equal(
         first.post_correction_error_counts, second.post_correction_error_counts

@@ -92,7 +92,7 @@ def retired_observation_counts(code, patterns, p, num_words, rng):
     k = code.num_data_bits
     tallies = []
     for pattern in patterns:
-        dataword = pattern.dataword(CellType.TRUE_CELL).to_numpy().reshape(1, -1)
+        dataword = pattern.dataword(CellType.TRUE_CELL).reshape(1, -1)
         stored = np.tile(bulk_encode(code, dataword, "reference")[0], (num_words, 1))
         failures = retired_bernoulli_mask(stored == 1, p, rng)
         received = np.where(failures, stored ^ 1, stored).astype(np.uint8)

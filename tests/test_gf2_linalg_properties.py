@@ -4,9 +4,12 @@ Each seeded property runs over 100 random matrices spanning tall, wide,
 square, sparse and dense shapes, twice over: once on the numpy RREF oracle
 (``tests/gf2_oracle.py``) whose answers the differential tests trust, and
 once on :func:`repro.gf2.solve_affine`, the integer-mask solve the library
-uses, which is also held to that oracle's particular solution.  A hypothesis
-property and a sweep of shapes up to 32 x 136 compare the two on further
-systems, inconsistent ones included.
+uses, which is also held to that oracle's particular solution.  Every case
+also gets a row inserted that XORs some of its rows, with a right-hand side
+that contradicts it, so both check an inconsistent system whatever the
+case's rank.  A hypothesis property and a sweep of shapes up to 32 x 136
+compare the two on further systems, inconsistent ones included.  Matrices
+and vectors are 0/1 ``uint8`` arrays.
 """
 
 import numpy as np
@@ -14,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2_oracle import gf2_null_space, gf2_rank, gf2_rref, gf2_solve
+from gf2_oracle import gf2_mul, gf2_null_space, gf2_rank, gf2_rref, gf2_solve
 from repro.exceptions import DimensionError, SingularMatrixError
-from repro.gf2 import GF2Matrix, GF2Vector, solve_affine
+from repro.gf2 import bits_to_int, int_to_bits, solve_affine
 
 #: 100 seeded random instances: (seed, rows, cols, density).
 CASES = [
@@ -39,13 +42,33 @@ CASES = [
 
 def _matrix(seed, rows, cols, density):
     rng = np.random.default_rng(seed)
-    return GF2Matrix((rng.random((rows, cols)) < density).astype(np.uint8))
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+def _bits(rng, size):
+    return rng.integers(0, 2, size=size).astype(np.uint8)
+
+
+def _inconsistent_system(seed, rows, cols, density):
+    """The case's matrix with a row inserted that is the XOR of some of its
+    rows, and a right-hand side that contradicts that row."""
+    matrix = _matrix(seed, rows, cols, density)
+    rng = np.random.default_rng(seed + 20_000)
+    rhs = _bits(rng, rows)
+    subset = rng.random(rows) < 0.5
+    dependent = np.bitwise_xor.reduce(matrix[subset], axis=0)
+    contradiction = np.bitwise_xor.reduce(rhs[subset]) ^ 1
+    at = int(rng.integers(0, rows + 1))
+    return (
+        np.insert(matrix, at, dependent, axis=0),
+        np.insert(rhs, at, contradiction),
+    )
 
 
 def _solve(matrix, rhs):
     """``solve_affine`` on a matrix and vector, answered as a vector or None."""
-    solution = solve_affine([row.to_int() for row in matrix.rows()], rhs.to_list())
-    return None if solution is None else GF2Vector.from_int(solution, matrix.num_cols)
+    solution = solve_affine([bits_to_int(row) for row in matrix], rhs.tolist())
+    return None if solution is None else int_to_bits(solution, matrix.shape[1])
 
 
 def _oracle_solve(matrix, rhs):
@@ -54,6 +77,13 @@ def _oracle_solve(matrix, rhs):
         return gf2_solve(matrix, rhs)
     except SingularMatrixError:
         return None
+
+
+def _same(first, second):
+    """Two answers of ``_solve``/``_oracle_solve`` agree (None or equal arrays)."""
+    if first is None or second is None:
+        return first is None and second is None
+    return np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("seed,rows,cols,density", CASES)
@@ -67,7 +97,7 @@ class TestLinalgInvariants:
         assert gf2_rank(matrix) == gf2_rank(rref) == len(pivots)
         # RREF is idempotent.
         rref_again, pivots_again = gf2_rref(rref)
-        assert rref_again == rref
+        assert np.array_equal(rref_again, rref)
         assert pivots_again == pivots
 
     def test_rank_nullity_theorem(self, seed, rows, cols, density):
@@ -77,32 +107,23 @@ class TestLinalgInvariants:
     def test_null_space_vectors_are_annihilated(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
         for vector in gf2_null_space(matrix):
-            assert (matrix @ vector).is_zero()
-            assert not vector.is_zero()
+            assert not gf2_mul(matrix, vector).any()
+            assert vector.any()
 
     def test_solve_round_trips(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 10_000)
-        x0 = GF2Vector(rng.integers(0, 2, size=cols))
-        rhs = matrix @ x0
-        assert matrix @ gf2_solve(matrix, rhs) == rhs
+        rhs = gf2_mul(matrix, _bits(rng, cols))
+        assert np.array_equal(gf2_mul(matrix, gf2_solve(matrix, rhs)), rhs)
 
     def test_inconsistent_systems_raise(self, seed, rows, cols, density):
-        matrix = _matrix(seed, rows, cols, density)
-        rank = gf2_rank(matrix)
-        if rank >= rows:
-            pytest.skip("full row rank: every rhs is consistent")
-        rng = np.random.default_rng(seed + 20_000)
-        for _ in range(20):
-            rhs = GF2Vector(rng.integers(0, 2, size=rows))
-            augmented = GF2Matrix(
-                np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
-            )
-            if gf2_rank(augmented) > rank:
-                with pytest.raises(SingularMatrixError):
-                    gf2_solve(matrix, rhs)
-                return
-        pytest.skip("no inconsistent rhs found in 20 draws")
+        matrix, rhs = _inconsistent_system(seed, rows, cols, density)
+        # Appending the rhs as an extra column raises the rank exactly when
+        # the system is inconsistent.
+        augmented = np.hstack([matrix, rhs.reshape(-1, 1)])
+        assert gf2_rank(augmented) == gf2_rank(matrix) + 1
+        with pytest.raises(SingularMatrixError):
+            gf2_solve(matrix, rhs)
 
 
 @pytest.mark.parametrize("seed,rows,cols,density", CASES)
@@ -111,40 +132,26 @@ class TestSolveInvariants:
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 10_000)
         # Build a consistent system: rhs = A @ x0 for a random x0.
-        x0 = GF2Vector(rng.integers(0, 2, size=cols))
-        rhs = matrix @ x0
+        rhs = gf2_mul(matrix, _bits(rng, cols))
         solution = _solve(matrix, rhs)
-        assert matrix @ solution == rhs
+        assert np.array_equal(gf2_mul(matrix, solution), rhs)
 
     def test_inconsistent_systems_are_rejected(self, seed, rows, cols, density):
-        matrix = _matrix(seed, rows, cols, density)
-        rank = gf2_rank(matrix)
-        if rank >= rows:
-            pytest.skip("full row rank: every rhs is consistent")
-        # A rhs outside the column space must be rejected.  Appending the rhs
-        # as an extra column raises the rank exactly when it is inconsistent.
-        rng = np.random.default_rng(seed + 20_000)
-        for _ in range(20):
-            rhs = GF2Vector(rng.integers(0, 2, size=rows))
-            augmented = GF2Matrix(
-                np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
-            )
-            if gf2_rank(augmented) > rank:
-                assert _solve(matrix, rhs) is None
-                return
-        pytest.skip("no inconsistent rhs found in 20 draws")
+        matrix, rhs = _inconsistent_system(seed, rows, cols, density)
+        assert _oracle_solve(matrix, rhs) is None
+        assert _solve(matrix, rhs) is None
 
     def test_consistent_rhs_matches_rref_oracle(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 10_000)
-        rhs = matrix @ GF2Vector(rng.integers(0, 2, size=cols))
-        assert _solve(matrix, rhs) == gf2_solve(matrix, rhs)
+        rhs = gf2_mul(matrix, _bits(rng, cols))
+        assert np.array_equal(_solve(matrix, rhs), gf2_solve(matrix, rhs))
 
     def test_random_rhs_matches_rref_oracle(self, seed, rows, cols, density):
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 30_000)
-        rhs = GF2Vector(rng.integers(0, 2, size=rows))
-        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+        rhs = _bits(rng, rows)
+        assert _same(_solve(matrix, rhs), _oracle_solve(matrix, rhs))
 
     def test_dependent_row_keeps_or_rejects_solution(self, seed, rows, cols, density):
         # Inserting the XOR of some rows anywhere leaves the solution as it is
@@ -152,9 +159,9 @@ class TestSolveInvariants:
         # when that rhs is flipped, whichever case's rank.
         matrix = _matrix(seed, rows, cols, density)
         rng = np.random.default_rng(seed + 40_000)
-        rhs = matrix @ GF2Vector(rng.integers(0, 2, size=cols))
-        row_ints = [row.to_int() for row in matrix.rows()]
-        values = rhs.to_list()
+        rhs = gf2_mul(matrix, _bits(rng, cols))
+        row_ints = [bits_to_int(row) for row in matrix]
+        values = rhs.tolist()
         solution = solve_affine(row_ints, values)
         assert solution is not None
         dependent, parity = 0, 0
@@ -185,7 +192,7 @@ def systems(draw):
     flip = draw(st.integers(0, 1))
     matrix.append([sum(matrix[i][j] for i in subset) % 2 for j in range(cols)])
     rhs.append((sum(rhs[i] for i in subset) + flip) % 2)
-    return GF2Matrix(matrix), GF2Vector(rhs)
+    return np.array(matrix, dtype=np.uint8), np.array(rhs, dtype=np.uint8)
 
 
 class TestAgainstRrefOracle:
@@ -193,11 +200,11 @@ class TestAgainstRrefOracle:
     @settings(max_examples=300, deadline=None)
     def test_solution_equals_rref_particular_solution(self, system):
         matrix, rhs = system
-        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+        assert _same(_solve(matrix, rhs), _oracle_solve(matrix, rhs))
 
 
 def _random_matrix(rng, rows, cols, density=0.5):
-    return GF2Matrix((rng.random((rows, cols)) < density).astype(np.uint8))
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
 
 
 # Shapes past the seeded cases' 23 x 89: single rows and columns, the
@@ -223,25 +230,27 @@ class TestDifferentialLinalg:
     def test_solve_matches_reference(self, shape, seed):
         rng = np.random.default_rng(seed * 7919 + shape[0] + shape[1])
         matrix = _random_matrix(rng, *shape)
-        rhs = GF2Vector(rng.integers(0, 2, size=shape[0]))
-        assert _solve(matrix, rhs) == _oracle_solve(matrix, rhs)
+        rhs = _bits(rng, shape[0])
+        assert _same(_solve(matrix, rhs), _oracle_solve(matrix, rhs))
 
     def test_degenerate_all_zero(self):
-        matrix = GF2Matrix.zeros(4, 70)
-        assert _solve(matrix, GF2Vector.zeros(4)) == GF2Vector.zeros(70)
-        assert _solve(matrix, GF2Vector.unit(4, 2)) is None
+        matrix = np.zeros((4, 70), dtype=np.uint8)
+        assert _same(_solve(matrix, np.zeros(4, dtype=np.uint8)), np.zeros(70))
+        assert _solve(matrix, int_to_bits(0b0100, 4)) is None
 
     def test_degenerate_identity(self):
-        matrix = GF2Matrix.identity(65)
-        rhs = GF2Vector.ones(65)
-        assert _solve(matrix, rhs) == gf2_solve(matrix, rhs) == rhs
+        matrix = np.eye(65, dtype=np.uint8)
+        rhs = np.ones(65, dtype=np.uint8)
+        assert np.array_equal(_solve(matrix, rhs), rhs)
+        assert np.array_equal(gf2_solve(matrix, rhs), rhs)
 
     def test_single_row_and_column(self):
-        row = GF2Matrix([[1, 0, 1, 1]])
-        assert _solve(row, GF2Vector([1])) == gf2_solve(row, GF2Vector([1]))
-        col = GF2Matrix([[1], [0], [1]])
-        assert _solve(col, GF2Vector([1, 0, 1])) == GF2Vector([1])
-        assert _solve(col, GF2Vector([1, 1, 1])) is None
+        row = np.array([[1, 0, 1, 1]], dtype=np.uint8)
+        one = np.array([1], dtype=np.uint8)
+        assert np.array_equal(_solve(row, one), gf2_solve(row, one))
+        col = np.array([[1], [0], [1]], dtype=np.uint8)
+        assert np.array_equal(_solve(col, np.array([1, 0, 1], dtype=np.uint8)), one)
+        assert _solve(col, np.array([1, 1, 1], dtype=np.uint8)) is None
 
 
 class TestSolveAffine:

@@ -394,6 +394,53 @@ class TestCellResolution:
         with pytest.raises(ScenarioError):
             resolve_dataword([1, 0], 4)
 
+    @pytest.mark.parametrize(
+        "spec", [[3, 1, 1, 1], [2, 1, 0.5, 1], [-1, 0, 0, 0], ["1", 0, 0, 0]]
+    )
+    def test_non_binary_dataword_rejected(self, spec):
+        # [3, 1, 1, 1] used to resolve to [1, 1, 1, 1].
+        with pytest.raises(ScenarioError):
+            resolve_dataword(spec, 4)
+
+
+class TestCellDatawords:
+    """A cell's dataword is checked when the cell is built, before any run."""
+
+    #: The paper's (7, 4) code.
+    CODE = {"parity_columns": [7, 3, 5, 6], "parity_bits": 3}
+
+    def _cell(self, dataword):
+        return make_einsim_cell(
+            "uniform-random", {"bit_error_rate": 0.01}, self.CODE, num_words=10,
+            dataword=dataword,
+        )
+
+    @pytest.mark.parametrize(
+        "dataword", [[2, 1, 0.5, 1], [3, 1, 1, 1], [1, 0, 1], [1, 0, 1, 1, 0]]
+    )
+    def test_bad_dataword_rejected_when_the_cell_is_built(self, dataword):
+        # [2, 1, 0.5, 1] used to be stored as [0, 1, 0, 1] in the content key.
+        with pytest.raises(ScenarioError):
+            self._cell(dataword)
+
+    def test_valid_dataword_keys_are_unchanged(self):
+        # Keys a store already holds: a 0/1 list is stored as given.
+        cell = self._cell([1, 0, 1, 1])
+        assert cell.config()["dataword"] == [1, 0, 1, 1]
+        assert cell.key() == (
+            "6f323b617eda2e39fa14542b28956d081ba63c13c5d40daf075f809c8399d814"
+        )
+        assert self._cell([True, False, True, True]).key() == cell.key()
+        assert self._cell(np.array([1, 0, 1, 1])).key() == cell.key()
+        assert self._cell("ones").key() == (
+            "e409620bad78095fcf9f65b49d13f53963ab944b88592cc74fddf609094ae91f"
+        )
+
+    def test_spec_with_a_non_binary_dataword_fails_expansion(self):
+        spec = dict(BASE_SWEEP, datawords=["ones", [3, 1, 1, 1, 1, 1, 1, 1]])
+        with pytest.raises(ScenarioError):
+            SweepSpec.from_dict(spec)
+
 
 class TestSweepRunner:
     def test_same_seed_produces_byte_identical_stores(self, tmp_path):
