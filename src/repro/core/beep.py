@@ -37,12 +37,12 @@ import numpy as np
 
 from repro.exceptions import DimensionError, PatternCraftingError
 from repro.gf2 import solve_affine
-from repro.gf2.bits import as_bits, bits_to_int, int_to_bits
+from repro.gf2.bits import as_bits, bits_to_int, fields_equal, int_to_bits
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CraftedPattern:
     """A BEEP test pattern plus the bookkeeping needed to interpret results."""
 
@@ -54,6 +54,9 @@ class CraftedPattern:
     target_bit: int
     #: True when the miscorrection-possibility constraint could be satisfied.
     miscorrection_armed: bool
+
+    __eq__ = fields_equal
+    __hash__ = None
 
 
 @dataclass

@@ -37,6 +37,14 @@ from repro.core.patterns import ChargedPattern, charged_patterns
 from repro.core.profile import MiscorrectionCounts, MiscorrectionProfile
 
 
+#: Data bits one ``retention_rounds`` call holds at most; a window's rounds
+#: are split at whole rounds.  Perfbench's 512 words of k = 16 run a window's
+#: 64 rounds in one call, and a 4,096-word k = 128 chip two rounds per call:
+#: on that chip one round per call and a whole window per call both measured
+#: slower than this split.
+_MAX_BITS_PER_CALL = 1 << 20
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of a BEER campaign (mirroring the paper's experimental sweep)."""
@@ -111,11 +119,14 @@ class BeerExperiment:
     ) -> MiscorrectionCounts:
         """Steps 1-2: run the pattern/refresh sweep and collect error counts.
 
-        Every round writes one table row per eligible word in a single chip
-        call: the word at position ``i`` gets pattern ``(i + round) % P``, so
-        the assignment rotates by one pattern per round and each pattern
-        samples fresh cells.  After the pause, one ``bincount`` over
-        ``pattern * k + bit`` tallies every mismatching data bit.
+        Every round writes one table row per eligible word: the word at
+        position ``i`` gets pattern ``(i + round) % P``, so the assignment
+        rotates by one pattern per round and each pattern samples fresh
+        cells.  A window's rounds run as few
+        :meth:`~repro.dram.chip.SimulatedDramChip.retention_rounds` calls as
+        keep each call within ``2**20`` data bits, split at whole rounds; one
+        ``bincount`` over ``pattern * k + bit`` per call tallies every
+        mismatching data bit.
         """
         num_data_bits = self._chip.num_data_bits
         patterns = list(charged_patterns(num_data_bits, list(self._config.pattern_weights)))
@@ -135,32 +146,38 @@ class BeerExperiment:
         positions = np.arange(words.size)
         tallies = np.zeros(num_patterns * num_data_bits, dtype=np.int64)
         words_per_pattern = np.zeros(num_patterns, dtype=np.int64)
-        schedule = [
-            window
-            for window in self._config.refresh_windows_s
-            for _ in range(self._config.rounds_per_window)
-        ]
-        words_moved = len(schedule) * words.size
+        rounds_per_window = self._config.rounds_per_window
+        rounds_per_call = max(1, _MAX_BITS_PER_CALL // (words.size * num_data_bits))
+        rounds = len(self._config.refresh_windows_s) * rounds_per_window
         with TRACER.span(
             "beer.measure",
-            rounds=len(schedule),
-            words_written=words_moved,
-            words_read=words_moved,
+            rounds=rounds,
+            words_written=rounds * words.size,
+            words_read=rounds * words.size,
         ):
-            for offset, window in enumerate(schedule):
-                index = (positions + offset) % num_patterns
-                expected = table[index]
-                self._chip.write_datawords(words, expected)
-                self._chip.pause_refresh(window, self._config.temperature_c)
-                # Flat positions ``word * k + bit`` of the mismatching bits;
-                # a 1-D scan is several times cheaper than a 2-D nonzero.
-                errors = np.flatnonzero(self._chip.read_datawords(words) != expected)
-                tallies += np.bincount(
-                    index[errors // num_data_bits] * num_data_bits
-                    + errors % num_data_bits,
-                    minlength=tallies.size,
-                )
-                words_per_pattern += np.bincount(index, minlength=num_patterns)
+            offset = 0
+            for window in self._config.refresh_windows_s:
+                for first in range(0, rounds_per_window, rounds_per_call):
+                    count = min(rounds_per_call, rounds_per_window - first)
+                    # The pattern of every (round, word), rounds first.
+                    index = (
+                        positions + np.arange(offset, offset + count)[:, np.newaxis]
+                    ).ravel() % num_patterns
+                    offset += count
+                    expected = table[index].reshape(count, words.size, num_data_bits)
+                    observed = self._chip.retention_rounds(
+                        words, expected, window, self._config.temperature_c
+                    )
+                    # Flat positions ``(round * words + word) * k + bit`` of
+                    # the mismatching bits; a 1-D scan is several times
+                    # cheaper than an n-D nonzero.
+                    errors = np.flatnonzero(observed != expected)
+                    tallies += np.bincount(
+                        index[errors // num_data_bits] * num_data_bits
+                        + errors % num_data_bits,
+                        minlength=tallies.size,
+                    )
+                    words_per_pattern += np.bincount(index, minlength=num_patterns)
         # The rotation first writes pattern i no later than pattern i + 1, so
         # table order is first-seen order; unwritten patterns stay unregistered.
         counts = MiscorrectionCounts(num_data_bits)

@@ -27,6 +27,15 @@ anti-cell words, and each of them flips.  A read syndrome-decodes the lanes
 in place (:func:`repro.einsim.engine.decode_lanes`) and unpacks only the
 data bits it returns.
 
+:meth:`~SimulatedDramChip.retention_rounds` runs many write / pause / read
+rounds on the same words in one call: it encodes every round's words with
+one ``encode_lanes``, decays them with the window's mask and decodes them
+with one ``decode_lanes``.  It is defined as those rounds of
+``write_datawords``, ``pause_refresh`` and ``read_datawords``, through the
+same decay and read helpers, and it shows a tester nothing that the three
+calls would not: the same bits read, the same final state and the same
+random draws.
+
 Retention times are fixed for the chip's life, so the packed mask of the
 cells failing a ``(duration, temperature)`` pause is computed once by
 :meth:`~repro.dram.retention.DataRetentionModel.cells_failing` and cached.
@@ -40,7 +49,9 @@ Words cross the chip's interface in the format of :mod:`repro.gf2.bits`: a
 dataword is a 1-D ``uint8`` array of 0s and 1s (a batch is a 2-D one), and
 ``read_dataword`` and the ``inspect_*`` helpers return such arrays.  A
 dataword of the wrong length, or holding any value other than 0 or 1,
-raises :class:`~repro.exceptions.AddressError` before anything is written.
+raises :class:`~repro.exceptions.AddressError` before anything is written,
+and so does a word index that is not an integer (a float, even ``2.0``, a
+bool or a string) or is out of range.
 """
 
 from __future__ import annotations
@@ -255,14 +266,7 @@ class SimulatedDramChip:
         one uniform per codeword bit, and nothing at probability 0 — so the
         chip's random stream does not depend on the storage format.
         """
-        indices = self._validate_indices(word_indices)
-        lanes = self._current[indices]
-        probability = self._transient_faults.probability_per_bit
-        if probability > 0:
-            flips = self._rng.random((indices.size, self._code.codeword_length))
-            lanes ^= pack_rows(flips < probability)
-        decode_lanes(self._code, lanes, self._backend)
-        return _unpack(lanes, self.num_data_bits)
+        return self._read(self._current[self._validate_indices(word_indices)])
 
     def read_all_datawords(self) -> np.ndarray:
         """Read and decode every word on the chip."""
@@ -317,16 +321,53 @@ class SimulatedDramChip:
         window decays to the DISCHARGED state.  The decay accumulates until
         the affected words are rewritten.
         """
-        if math.isnan(duration_s) or math.isnan(temperature_c):
-            raise ChipConfigurationError(
-                "refresh pause duration and temperature must be numbers, not NaN"
-            )
-        if duration_s < 0:
-            raise ChipConfigurationError("refresh pause must be non-negative")
+        _check_pause(duration_s, temperature_c)
+        _decay(self._current, self._failing_mask(duration_s, temperature_c), self._anti_lanes)
+
+    def retention_rounds(
+        self,
+        word_indices: Sequence[int],
+        datawords: np.ndarray,
+        duration_s: float,
+        temperature_c: float = 80.0,
+    ) -> np.ndarray:
+        """Run write / pause-refresh / read rounds on the same words in one call.
+
+        ``datawords`` is a ``(rounds, words, k)`` batch of 0/1 datawords.
+        Round ``r`` is ``write_datawords(word_indices, datawords[r])``, then
+        ``pause_refresh(duration_s, temperature_c)``, then
+        ``read_datawords(word_indices)``, and the ``(rounds, words, k)`` data
+        bits read are returned.  The answers, the final stored and current
+        codewords and the generator state are those of the rounds: the
+        transient flips of every read are one draw, the reads' draws in
+        order.  The chip ends as the last round leaves it, its codewords
+        stored and one pause applied to every word (pausing twice in one
+        window decays nothing more).
+
+        Everything is checked before any state changes.  A wrong shape, a
+        value other than 0 or 1, and a non-integer, out-of-range or repeated
+        index raise :class:`~repro.exceptions.AddressError`; a negative or
+        NaN pause raises :class:`~repro.exceptions.ChipConfigurationError`.
+        Zero rounds do nothing, and an empty word list still pauses.
+        """
+        indices = self._validate_indices(word_indices, distinct=True)
+        data = np.asarray(datawords)
+        words, bits = indices.size, self.num_data_bits
+        if data.ndim != 3 or data.shape[1:] != (words, bits):
+            raise AddressError(f"expected dataword array of shape (rounds, {words}, {bits})")
+        data = _binary(data)
+        _check_pause(duration_s, temperature_c)
+        if not data.shape[0]:
+            return np.zeros(data.shape, dtype=np.uint8)
         failing = self._failing_mask(duration_s, temperature_c)
-        # True-cells: CHARGED stores 1, decays to 0.  Anti-cells: CHARGED
-        # stores 0, decays to 1.  Either way a decaying cell flips.
-        self._current ^= failing & (self._current ^ self._anti_lanes)
+        # Fresh C-contiguous lanes, so ``rounds`` is a view of them.
+        lanes = encode_lanes(self._code, data.reshape(-1, bits), self._backend)
+        rounds = lanes.reshape(data.shape[0], words, lanes.shape[1])
+        self._stored[indices] = rounds[-1]
+        self._current[indices] = rounds[-1]
+        _decay(self._current, failing, self._anti_lanes)
+        _decay(rounds, failing[indices], self._anti_lanes[indices])
+        return self._read(lanes).reshape(data.shape)
 
     def restore_refresh(self) -> None:
         """Resume normal refresh (no further decay until the next pause).
@@ -360,6 +401,19 @@ class SimulatedDramChip:
         return float(self._retention_times[word_index, bit_index])
 
     # -- internals ----------------------------------------------------------------
+    def _read(self, lanes: np.ndarray) -> np.ndarray:
+        """The data bits a read of C-contiguous ``lanes`` returns.
+
+        The lanes take the transient flips (drawn as ``read_datawords``
+        describes) and are decoded in place.
+        """
+        probability = self._transient_faults.probability_per_bit
+        if probability > 0:
+            flips = self._rng.random((lanes.shape[0], self._code.codeword_length))
+            lanes ^= pack_rows(flips < probability)
+        decode_lanes(self._code, lanes, self._backend)
+        return _unpack(lanes, self.num_data_bits)
+
     def _failing_mask(self, duration_s: float, temperature_c: float) -> np.ndarray:
         """Packed mask of the cells whose retention time the pause exceeds."""
         key = (float(duration_s), float(temperature_c))
@@ -385,18 +439,66 @@ class SimulatedDramChip:
         return self._word_layout
 
     def _check_word_index(self, word_index: int) -> None:
-        if not 0 <= word_index < self.num_words:
+        if not (_is_integer(word_index) and 0 <= word_index < self.num_words):
             raise AddressError(
-                f"word index {word_index} out of range for {self.num_words} words"
+                f"word index {word_index!r} is not an integer in range for "
+                f"{self.num_words} words"
             )
 
-    def _validate_indices(self, word_indices: Iterable[int]) -> np.ndarray:
-        if not isinstance(word_indices, np.ndarray):
+    def _validate_indices(
+        self, word_indices: Iterable[int], distinct: bool = False
+    ) -> np.ndarray:
+        """``word_indices`` as a 1-D ``int64`` array, checked before any use.
+
+        :class:`AddressError` unless every index is an integer (a Python or
+        numpy int or an integer array; not a float, bool or string) in range,
+        and, with ``distinct``, no index repeats.
+        """
+        if isinstance(word_indices, range):
+            indices = np.arange(word_indices.start, word_indices.stop, word_indices.step)
+        elif isinstance(word_indices, np.ndarray):
+            indices = word_indices
+        else:
             word_indices = list(word_indices)
-        indices = np.asarray(word_indices, dtype=np.int64)
+            if not all(_is_integer(index) for index in word_indices):
+                raise AddressError("word indices must be integers")
+            try:
+                indices = np.array(word_indices, dtype=np.int64)
+            except OverflowError:
+                raise AddressError("one or more word indices out of range") from None
+        if indices.ndim != 1 or indices.dtype.kind not in "iu":
+            raise AddressError("word indices must be a 1-D sequence of integers")
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_words):
             raise AddressError("one or more word indices out of range")
+        indices = indices.astype(np.int64, copy=False)
+        # A bincount, not np.unique: no sort on the measurement path.
+        if distinct and indices.size and np.bincount(indices).max() > 1:
+            raise AddressError("word indices must be distinct")
         return indices
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_pause(duration_s: float, temperature_c: float) -> None:
+    if math.isnan(duration_s) or math.isnan(temperature_c):
+        raise ChipConfigurationError(
+            "refresh pause duration and temperature must be numbers, not NaN"
+        )
+    if duration_s < 0:
+        raise ChipConfigurationError("refresh pause must be non-negative")
+
+
+def _decay(lanes: np.ndarray, failing: np.ndarray, anti: np.ndarray) -> None:
+    """Decay, in place, every CHARGED cell of ``lanes`` that ``failing`` marks.
+
+    True-cells: CHARGED stores 1, decays to 0.  Anti-cells: CHARGED stores 0,
+    decays to 1.  Either way a decaying cell flips, and decaying twice with
+    one mask decays nothing more.
+    """
+    lanes ^= failing & (lanes ^ anti)
 
 
 def _unpack(lanes: np.ndarray, num_bits: int) -> np.ndarray:

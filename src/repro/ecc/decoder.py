@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.gf2.bits import as_bits, bits_to_int, int_to_bits
+from repro.gf2.bits import as_bits, bits_to_int, fields_equal, int_to_bits
 from repro.ecc.code import SystematicLinearCode
 
 
@@ -59,7 +59,7 @@ class DecodeOutcome(enum.Enum):
     DETECTED_UNCORRECTABLE = "detected_uncorrectable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """Result of decoding one (possibly erroneous) codeword.
 
@@ -85,6 +85,9 @@ class DecodeResult:
     corrected_position: Optional[int]
     syndrome: int
     detected_uncorrectable: bool = False
+
+    __eq__ = fields_equal
+    __hash__ = None
 
     @property
     def correction_performed(self) -> bool:

@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DimensionError, ValidationError
-from repro.gf2.bits import as_bits
+from repro.gf2.bits import as_bits, fields_equal
 from repro.ecc.code import SystematicLinearCode
 from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
 from repro.einsim.fused import (
@@ -48,7 +48,7 @@ from repro.einsim.fused import (
 DEFAULT_BATCH_SIZE = 65536
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Aggregate outcome of simulating many ECC words with one test pattern."""
 
@@ -70,6 +70,9 @@ class SimulationResult:
     #: non-zero syndrome, nothing flipped.  Always 0 for full-length SEC
     #: codes; the load-bearing signal for SEC-DED and detect-only families.
     detected_words: int = 0
+
+    __eq__ = fields_equal
+    __hash__ = None
 
     @property
     def post_correction_error_probabilities(self) -> np.ndarray:

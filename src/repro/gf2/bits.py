@@ -5,10 +5,13 @@ format the ``bulk_*`` kernels and the chip's ``write_datawords`` already
 take; a syndrome or a column of ``H`` is an int (bit ``i`` = parity row
 ``i``).  Every per-word boundary checks its input with :func:`as_bits` and
 converts between the two encodings with :func:`bits_to_int` and
-:func:`int_to_bits` (element ``i`` = bit ``i``, LSB first).
+:func:`int_to_bits` (element ``i`` = bit ``i``, LSB first).  A dataclass
+that carries words takes :func:`fields_equal` as its ``==``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -50,3 +53,27 @@ def int_to_bits(value: int, length: int) -> np.ndarray:
     """A non-negative int below ``2**length`` as ``length`` 0/1 ``uint8`` bits."""
     raw = np.frombuffer(int(value).to_bytes((length + 7) // 8, "little"), np.uint8)
     return np.unpackbits(raw, count=length, bitorder="little")
+
+
+def fields_equal(self, other):
+    """``==`` for a dataclass with array fields, to be its ``__eq__``.
+
+    Two instances of one class are equal when every field is: arrays by
+    shape and value (``np.array_equal``), anything else by ``==``.  The
+    result is a bool, where the generated ``__eq__`` would raise numpy's
+    "truth value of an array is ambiguous".  Such a class sets
+    ``__hash__ = None``: its arrays are mutable.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        _field_equal(getattr(self, field.name), getattr(other, field.name))
+        for field in dataclasses.fields(self)
+    )
+
+
+def _field_equal(first, second) -> bool:
+    arrays = isinstance(first, np.ndarray), isinstance(second, np.ndarray)
+    if any(arrays):
+        return all(arrays) and np.array_equal(first, second)
+    return bool(first == second)

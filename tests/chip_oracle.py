@@ -5,15 +5,19 @@ moved to packed ``uint64`` lanes: one ``uint8`` per codeword bit, every
 pause comparing every retention time with the window and rebuilding the
 current state through two ``np.where`` passes, every read encoding through
 ``bulk_encode`` and decoding through ``bulk_decode``.  The class body is
-unchanged but for two things: ``ChipGeometry`` now comes from the library,
-so both chips take the same geometry objects, and words are handed out as
-0/1 ``uint8`` arrays, the library's word format.  ``tests/test_dram_chip_differential.py``
-requires the packed chip to answer every call sequence exactly as this one
-does.
+unchanged but for four things: ``ChipGeometry`` now comes from the library,
+so both chips take the same geometry objects; words are handed out as 0/1
+``uint8`` arrays, the library's word format; a word index that is not an
+integer (a float, bool or string) raises ``AddressError`` instead of being
+cast; and ``retention_rounds`` is its own loop of ``write_datawords``,
+``pause_refresh`` and ``read_datawords`` after the library chip's up-front
+checks.  ``tests/test_dram_chip_differential.py`` requires the packed chip
+to answer every call sequence exactly as this one does.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -246,6 +250,31 @@ class SimulatedDramChip:
             decayed, np.where(anti_mask, 1, 0), self._current
         ).astype(np.uint8)
 
+    def retention_rounds(
+        self,
+        word_indices: Sequence[int],
+        datawords: np.ndarray,
+        duration_s: float,
+        temperature_c: float = 80.0,
+    ) -> np.ndarray:
+        """``rounds`` rounds of write, pause and read, once every argument is checked."""
+        indices = self._validate_indices(word_indices)
+        if len(set(indices.tolist())) != indices.size:
+            raise AddressError("word indices must be distinct")
+        data = np.asarray(datawords)
+        if data.ndim != 3 or data.shape[1:] != (indices.size, self.num_data_bits):
+            raise AddressError("expected a (rounds, words, k) dataword array")
+        if not np.isin(data, (0, 1)).all():
+            raise AddressError("dataword bits must be 0 or 1")
+        if math.isnan(duration_s) or math.isnan(temperature_c) or duration_s < 0:
+            raise ChipConfigurationError("refresh pause must be a non-negative number")
+        reads = []
+        for round_words in data:
+            self.write_datawords(indices, round_words)
+            self.pause_refresh(duration_s, temperature_c)
+            reads.append(self.read_datawords(indices))
+        return np.array(reads, dtype=np.uint8).reshape(data.shape)
+
     def restore_refresh(self) -> None:
         """Resume normal refresh (no further decay until the next pause).
 
@@ -296,8 +325,16 @@ class SimulatedDramChip:
             )
 
     def _validate_indices(self, word_indices: Iterable[int]) -> np.ndarray:
-        if not isinstance(word_indices, np.ndarray):
+        if isinstance(word_indices, np.ndarray):
+            integers = word_indices.dtype.kind in "iu"
+        else:
             word_indices = list(word_indices)
+            integers = all(
+                isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+                for index in word_indices
+            )
+        if not integers:
+            raise AddressError("word indices must be integers")
         indices = np.asarray(word_indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_words):
             raise AddressError("one or more word indices out of range")

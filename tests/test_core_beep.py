@@ -1,5 +1,7 @@
 """Tests for BEEP (bit-exact pre-correction error profiling)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,15 +25,6 @@ def code_16():
 
 def _bits(values):
     return np.array(values, dtype=np.uint8)
-
-
-def _same_pattern(first, second):
-    return (
-        np.array_equal(first.dataword, second.dataword)
-        and np.array_equal(first.codeword, second.codeword)
-        and first.target_bit == second.target_bit
-        and first.miscorrection_armed == second.miscorrection_armed
-    )
 
 
 class TestSimulatedWordUnderTest:
@@ -92,6 +85,21 @@ class TestPatternCrafting:
         for target in code_16.parity_bit_positions:
             pattern = profiler.craft_pattern(target)
             assert pattern.codeword[target] == 1
+
+    def test_crafted_patterns_compare_by_value_and_are_unhashable(self, code_16):
+        # The generated == compared the word arrays with numpy's == and
+        # raised "truth value of an array is ambiguous".
+        pattern = BeepProfiler(code_16).craft_pattern(3, [7])
+        same = BeepProfiler(code_16).craft_pattern(3, [7])
+        assert pattern is not same
+        assert (pattern == same) is True
+        assert (pattern != same) is False
+        assert (pattern == replace(same, target_bit=4)) is False
+        assert pattern != replace(same, codeword=same.codeword[:-1])
+        assert pattern != replace(same, dataword=same.dataword.tolist())
+        assert pattern != "pattern"
+        with pytest.raises(TypeError):
+            hash(pattern)
 
     def test_bootstrap_pattern_discharges_neighbours_of_data_target(self, code_16):
         profiler = BeepProfiler(code_16)
@@ -270,7 +278,7 @@ class TestMatchesArrayOracle:
             known = rng.choice(n, size=int(rng.integers(0, 5)), replace=False).tolist()
             phase = int(rng.integers(0, 2))
             pattern = profiler.craft_pattern(target, known, phase)
-            assert _same_pattern(pattern, oracle.craft_pattern(target, known, phase))
+            assert pattern == oracle.craft_pattern(target, known, phase)
             observed = rng.integers(0, 2, size=code.num_data_bits).astype(np.uint8)
             assert profiler.infer_errors_from_observation(
                 pattern, observed

@@ -152,6 +152,186 @@ class TestReadWrite:
         ]
 
 
+def _chip_state(chip):
+    """Everything a rejected call must leave as it was."""
+    return (
+        chip._stored.copy(),
+        chip._current.copy(),
+        {key: mask.copy() for key, mask in chip._failing_masks.items()},
+        chip._rng.bit_generator.state,
+    )
+
+
+def _assert_same_state(first, second):
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    assert first[2].keys() == second[2].keys()
+    assert all(np.array_equal(first[2][key], second[2][key]) for key in first[2])
+    assert first[3] == second[3]
+
+
+def _noisy_chip(backend="packed", **kwargs):
+    """A chip whose reads draw transient flips, written with random words and paused."""
+    chip = make_chip(
+        retention_model=FAST_FAILING,
+        transient_faults=TransientFaultModel(0.05),
+        seed=4,
+        backend=backend,
+        **kwargs,
+    )
+    rng = np.random.default_rng(4)
+    chip.write_datawords(
+        range(chip.num_words),
+        (rng.random((chip.num_words, chip.num_data_bits)) < 0.5).astype(np.uint8),
+    )
+    chip.pause_refresh(20.0)
+    return chip
+
+
+class TestWordIndices:
+    """A word index is an integer: a float, bool or string selects no word."""
+
+    @pytest.mark.parametrize("bad", [
+        [1.5], [2.9], [2.0], [0.7], ["1"], [True], [np.True_], [0, True], [1, 2.0],
+        [None], np.array([1.0]), np.array([True, False]), np.array(["1"]),
+        np.array([[0, 1]]), np.array(1),
+    ], ids=repr)
+    def test_non_integer_indices_are_rejected_before_anything_happens(self, bad):
+        # [1.5] used to read word 1, [2.9] word 2, ["1"] and [True] word 1,
+        # and a write to [0.7] overwrote word 0.
+        chip = _noisy_chip()
+        before = _chip_state(chip)
+        count = np.asarray(bad).size
+        with pytest.raises(AddressError):
+            chip.read_datawords(bad)
+        with pytest.raises(AddressError):
+            chip.write_datawords(bad, np.ones((count, 16), dtype=np.uint8))
+        with pytest.raises(AddressError):
+            chip.retention_rounds(bad, np.ones((1, count, 16), dtype=np.uint8), 90.0)
+        _assert_same_state(before, _chip_state(chip))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None, np.float64(1.0)], ids=repr)
+    def test_single_word_calls_refuse_non_integers(self, bad):
+        chip = _noisy_chip()
+        before = _chip_state(chip)
+        for call in (
+            lambda: chip.read_dataword(bad),
+            lambda: chip.write_dataword(bad, np.ones(16, dtype=np.uint8)),
+            lambda: chip.row_of_word(bad),
+            lambda: chip.cell_type_of_word(bad),
+            lambda: chip.inspect_stored_codeword(bad),
+            lambda: chip.inspect_current_codeword(bad),
+            lambda: chip.inspect_pre_correction_errors(bad),
+            lambda: chip.inspect_retention_time(bad, 0),
+        ):
+            with pytest.raises(AddressError):
+                call()
+        _assert_same_state(before, _chip_state(chip))
+
+    @pytest.mark.parametrize("good", [
+        [1, 3], [np.int64(1), np.uint8(3)], np.array([1, 3], dtype=np.int32),
+        np.array([1, 3], dtype=np.uint64), range(1, 4, 2), (1, 3),
+    ], ids=repr)
+    def test_integer_index_forms_still_pass(self, good):
+        chip = make_chip()
+        data = np.array([[1, 0] * 8, [0, 1] * 8], dtype=np.uint8)
+        chip.write_datawords(good, data)
+        assert np.array_equal(chip.read_datawords(good), data)
+        assert np.array_equal(chip.read_datawords([1, 3]), data)
+        assert np.array_equal(chip.read_dataword(np.int16(3)), data[1])
+        assert chip.row_of_word(np.int64(5)) == 1
+
+    def test_an_integer_past_int64_is_out_of_range(self):
+        chip = make_chip()
+        with pytest.raises(AddressError):
+            chip.read_datawords([0, 2**70])
+
+    def test_empty_index_lists_still_pass(self):
+        chip = make_chip()
+        for empty in ([], (), range(0), np.array([], dtype=np.int64)):
+            chip.write_datawords(empty, np.zeros((0, 16), dtype=np.uint8))
+            assert chip.read_datawords(empty).shape == (0, 16)
+
+
+class TestRetentionRounds:
+    """``retention_rounds`` is its rounds of write, pause and read, in one call."""
+
+    @staticmethod
+    def _loop(chip, indices, datawords, duration_s, temperature_c):
+        reads = []
+        for round_words in datawords:
+            chip.write_datawords(indices, round_words)
+            chip.pause_refresh(duration_s, temperature_c)
+            reads.append(chip.read_datawords(indices))
+        return np.array(reads, dtype=np.uint8).reshape(datawords.shape)
+
+    @pytest.mark.parametrize("backend", ["packed", "reference"])
+    @pytest.mark.parametrize("num_data_bits", [8, 16, 60, 122])
+    @pytest.mark.parametrize("rounds", [1, 2, 5])
+    def test_same_answers_state_and_draws_as_the_rounds(self, backend, num_data_bits, rounds):
+        batched, looped = (
+            _noisy_chip(
+                backend, num_data_bits=num_data_bits, num_rows=8, words_per_row=4,
+                cell_layout=CellTypeLayout.alternating([2, 3]),
+            )
+            for _ in range(2)
+        )
+        rng = np.random.default_rng(rounds)
+        indices = rng.permutation(batched.num_words)[:20]
+        data = (rng.random((rounds, 20, num_data_bits)) < 0.5).astype(np.uint8)
+        observed = batched.retention_rounds(indices, data, 40.0, 85.0)
+        assert observed.dtype == np.uint8 and observed.shape == data.shape
+        assert (observed != data).any()
+        assert np.array_equal(observed, self._loop(looped, indices, data, 40.0, 85.0))
+        _assert_same_state(_chip_state(batched), _chip_state(looped))
+
+    @pytest.mark.parametrize("indices, datawords, pause, error", [
+        pytest.param([0, 1], np.ones((2, 3, 16)), (90.0,), AddressError, id="three-rows"),
+        pytest.param([0, 1], np.ones((2, 16)), (90.0,), AddressError, id="no-rounds-axis"),
+        pytest.param([0, 1], np.ones((2, 2, 8)), (90.0,), AddressError, id="short-words"),
+        pytest.param([0, 1], np.full((2, 2, 16), 2), (90.0,), AddressError, id="bit-2"),
+        pytest.param([0, 1], np.full((2, 2, 16), 0.5), (90.0,), AddressError, id="bit-half"),
+        pytest.param([0, 1], np.full((2, 2, 16), "1"), (90.0,), AddressError, id="bit-str"),
+        pytest.param([0, 1.0], np.ones((2, 2, 16)), (90.0,), AddressError, id="float-index"),
+        pytest.param([0, 32], np.ones((2, 2, 16)), (90.0,), AddressError, id="index-past-end"),
+        pytest.param([-1, 0], np.ones((2, 2, 16)), (90.0,), AddressError, id="index-negative"),
+        pytest.param([3, 0, 3], np.ones((2, 3, 16)), (90.0,), AddressError, id="repeated"),
+        pytest.param([0, 0], np.ones((0, 2, 16)), (90.0,), AddressError, id="repeated-0-rounds"),
+        pytest.param([0, 1], np.ones((2, 2, 16)), (-1.0,), ChipConfigurationError, id="negative"),
+        pytest.param([0, 1], np.ones((2, 2, 16)), (np.nan,), ChipConfigurationError, id="nan"),
+        pytest.param(
+            [0, 1], np.ones((2, 2, 16)), (90.0, np.nan), ChipConfigurationError, id="nan-temp"
+        ),
+        pytest.param(
+            [0], np.ones((0, 1, 16)), (-1.0,), ChipConfigurationError, id="negative-0-rounds"
+        ),
+    ])
+    def test_a_rejected_call_changes_nothing(self, indices, datawords, pause, error):
+        # The per-round loop would have written and read the first rounds
+        # before it raised; the call checks everything first.
+        chip = _noisy_chip()
+        before = _chip_state(chip)
+        with pytest.raises(error):
+            chip.retention_rounds(indices, datawords, *pause)
+        _assert_same_state(before, _chip_state(chip))
+        assert (90.0, 80.0) not in chip._failing_masks
+
+    def test_zero_rounds_do_nothing(self):
+        chip = _noisy_chip()
+        before = _chip_state(chip)
+        observed = chip.retention_rounds([0, 5], np.zeros((0, 2, 16), dtype=np.uint8), 90.0)
+        assert observed.shape == (0, 2, 16) and observed.dtype == np.uint8
+        _assert_same_state(before, _chip_state(chip))
+
+    def test_an_empty_word_list_still_pauses(self):
+        batched, paused = _noisy_chip(), _noisy_chip()
+        observed = batched.retention_rounds([], np.zeros((3, 0, 16), dtype=np.uint8), 90.0)
+        assert observed.shape == (3, 0, 16)
+        paused.pause_refresh(90.0)
+        _assert_same_state(_chip_state(batched), _chip_state(paused))
+        assert not np.array_equal(batched._current, _noisy_chip()._current)
+
+
 class TestByteAddressing:
     def test_byte_round_trip(self):
         chip = make_chip(num_data_bits=16)

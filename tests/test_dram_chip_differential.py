@@ -2,10 +2,12 @@
 
 ``tests/chip_oracle.py`` keeps the chip that stored one ``uint8`` per
 codeword bit.  Hypothesis builds both chips from the same arguments and
-drives them through one random sequence of writes, refresh pauses, reads
-and ground-truth inspections.  Every answer must be equal (or both calls
-must raise the same exception type), and both chips' generators must end
-in the same state, so transient-fault draws stay in step.
+drives them through one random sequence of writes, refresh pauses, reads,
+batched ``retention_rounds`` and ground-truth inspections.  Every answer
+must be equal (or both calls must raise the same exception type), and
+both chips' generators must end in the same state, so transient-fault
+draws stay in step.  Index lists sometimes hold an index out of range or
+one that is not an integer, which both chips refuse.
 
 The cases span the codes of vendors A/B/C, true- and anti-cell rows,
 small geometries, the SEC, SEC-DED and parity-detect families (the last
@@ -103,13 +105,21 @@ def _rows(data, count, length):
     return (rng.random((count, length)) < density).astype(np.uint8)
 
 
-def _indices(data, num_words):
-    """Word indices with duplicates; one in ten lists ends out of range."""
+def _indices(data, num_words, unique=False):
+    """Word indices, with duplicates unless ``unique``.
+
+    One list in ten ends out of range, and one in ten with an index that is
+    not an integer (kept a list: an int64 array would cast it).
+    """
     indices = data.draw(
-        st.lists(st.integers(0, num_words - 1), max_size=2 * num_words)
+        st.lists(st.integers(0, num_words - 1), max_size=2 * num_words, unique=unique)
     )
-    if data.draw(st.integers(0, 9)) == 0:
+    tail = data.draw(st.integers(0, 9))
+    if tail == 0:
         indices.append(data.draw(st.sampled_from((-1, num_words))))
+    elif tail == 1:
+        indices.append(data.draw(st.sampled_from((0.0, 1.5, True, "0"))))
+        return indices
     return np.asarray(indices, dtype=np.int64) if data.draw(st.booleans()) else indices
 
 
@@ -121,6 +131,7 @@ def _draw_call(data, chip):
         "write_datawords", "write_dataword", "fill", "write_bytes",
         "pause_refresh", "pause_refresh", "read_datawords", "read_dataword",
         "read_all_datawords", "read_bytes", "inspect", "restore_refresh",
+        "retention_rounds", "retention_rounds",
     )))
     if name == "write_datawords":
         indices = _indices(data, num_words)
@@ -145,6 +156,16 @@ def _draw_call(data, chip):
         window = data.draw(st.sampled_from(WINDOWS_S))
         temperature = data.draw(st.sampled_from(TEMPERATURES_C))
         return name, lambda c: c.pause_refresh(window, temperature)
+    if name == "retention_rounds":
+        # Three lists in four hold no duplicate, which the call refuses.
+        indices = _indices(data, num_words, unique=data.draw(st.integers(0, 3)) > 0)
+        rounds = data.draw(st.integers(0, 5))
+        batch = _rows(data, rounds * len(indices), data_bits).reshape(
+            rounds, len(indices), data_bits
+        )
+        window = data.draw(st.sampled_from(WINDOWS_S))
+        temperature = data.draw(st.sampled_from(TEMPERATURES_C))
+        return name, lambda c: c.retention_rounds(indices, batch, window, temperature)
     if name == "read_datawords":
         indices = _indices(data, num_words)
         return name, lambda c: c.read_datawords(indices)

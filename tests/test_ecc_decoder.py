@@ -1,6 +1,7 @@
 """Unit tests for syndrome decoding and outcome classification."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,22 @@ class TestWordFormat:
         assert result.dataword.dtype == np.uint8
         assert result.dataword.tolist() == [0, 1, 1, 0]
         assert np.array_equal(result.corrected_codeword, codeword)
+
+    def test_decode_results_compare_by_value_and_are_unhashable(self, code_7_4):
+        # The generated == compared the word arrays with numpy's == and
+        # raised "truth value of an array is ambiguous".
+        received = _flip(code_7_4.encode([0, 1, 1, 0]), 5)
+        result = SyndromeDecoder(code_7_4).decode(received)
+        same = SyndromeDecoder(code_7_4).decode(received.copy())
+        assert (result == same) is True
+        assert (result != same) is False
+        assert result != SyndromeDecoder(code_7_4).decode(_flip(received, 5))
+        assert result != replace(same, corrected_codeword=same.corrected_codeword[:4])
+        assert result != replace(same, detected_uncorrectable=True)
+        assert result != replace(same, dataword=same.dataword.tolist())
+        assert result != (result.dataword, result.corrected_codeword)
+        with pytest.raises(TypeError):
+            hash(result)
 
     def test_decode_does_not_touch_its_input(self, code_7_4):
         received = _flip(code_7_4.encode([1, 0, 0, 1]), 0)

@@ -1,5 +1,7 @@
 """Unit and integration tests for the EINSim-equivalent simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,26 @@ class TestSimulator:
         assert result.post_correction_error_counts.sum() == 0
         assert result.uncorrectable_words == 0
         assert result.miscorrected_words == 0
+
+    def test_results_compare_by_value_and_are_unhashable(self):
+        # The generated == compared the count arrays with numpy's == and
+        # raised "truth value of an array is ambiguous".
+        def run(seed):
+            simulator = EinsimSimulator(hamming_code(16), seed=seed)
+            return simulator.simulate([1] * 16, 200, FixedErrorCountInjector(2))
+
+        result, same, other = run(4), run(4), run(5)
+        assert (result == same) is True
+        assert (result != same) is False
+        assert result != other
+        counts = same.post_correction_error_counts
+        assert result != replace(same, post_correction_error_counts=counts[:-1])
+        assert result != replace(same, post_correction_error_counts=counts + 1)
+        assert result != replace(same, miscorrection_positions=())
+        assert result != replace(same, detected_words=same.detected_words + 1)
+        assert result.merge(same) == same.merge(result)
+        with pytest.raises(TypeError):
+            hash(result)
 
     def test_single_error_words_never_produce_post_correction_errors(self):
         code = hamming_code(16)
