@@ -15,13 +15,15 @@ black box that only supports write / pause-refresh / read:
 from __future__ import annotations
 
 import functools
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.exceptions import ChipConfigurationError
+from repro.exceptions import ChipConfigurationError, ValidationError
 from repro.gf2.bits import as_bits, bits_to_int
 from repro.dram.cell import CellType
 from repro.dram.chip import SimulatedDramChip
@@ -33,16 +35,46 @@ from repro.einsim.simulator import SimulationResult, simulate_segments
 from repro.obs import TRACER
 from repro.core.beer import BeerSolution, BeerSolver
 from repro.core.layout_re import discover_cell_types
-from repro.core.patterns import ChargedPattern, charged_patterns
+from repro.core.patterns import ChargedPattern, charged_bit_table, charged_patterns
 from repro.core.profile import MiscorrectionCounts, MiscorrectionProfile
 
 
 #: Data bits one ``retention_rounds`` call holds at most; a window's rounds
 #: are split at whole rounds.  Perfbench's 512 words of k = 16 run a window's
-#: 64 rounds in one call, and a 4,096-word k = 128 chip two rounds per call:
-#: on that chip one round per call and a whole window per call both measured
-#: slower than this split.
+#: 64 rounds in one call, and a 4,096-word k = 128 chip two rounds per call.
+#: The split was tuned when a call encoded every (round, word) dataword; now
+#: that a call encodes only the rows its rotation uses, 16 rounds per call
+#: measured faster than two on that chip.
 _MAX_BITS_PER_CALL = 1 << 20
+
+#: Rounds whose anti-diagonal sums fit ``uint8``: no entry exceeds the
+#: number of rounds summed, and ``uint8`` adds run several times faster.
+_UINT8_ROUNDS = 255
+
+
+def tally_by_diagonal(mismatch: np.ndarray, offset: int, num_patterns: int) -> np.ndarray:
+    """Sum a rotation's ``(count, W, k)`` bool batch per pattern and bit.
+
+    Entry ``(r, i)`` was written with pattern ``(offset + r + i) %
+    num_patterns``, so every entry on the anti-diagonal ``r + i = d`` has
+    one pattern: round ``r`` adds its ``W`` rows to the sums of diagonals
+    ``r`` to ``r + W - 1``, and diagonal ``d`` is folded into pattern
+    ``(offset + d) % num_patterns``.  Returns the ``(num_patterns, k)``
+    ``int64`` sums.
+    """
+    count, width, bits = mismatch.shape
+    tallies = np.zeros((num_patterns, bits), dtype=np.int64)
+    for first in range(0, count, _UINT8_ROUNDS):
+        block = mismatch[first : first + _UINT8_ROUNDS].view(np.uint8)
+        sums = np.zeros((len(block) + width - 1, bits), dtype=np.uint8)
+        for r, row in enumerate(block):
+            sums[r : r + width] += row
+        # Fold diagonal d into d % P, then rotate by the block's first pattern.
+        whole = len(sums) // num_patterns * num_patterns
+        folded = sums[:whole].reshape(-1, num_patterns, bits).sum(axis=0, dtype=np.int64)
+        folded[: len(sums) - whole] += sums[whole:]
+        tallies += np.roll(folded, (offset + first) % num_patterns, axis=0)
+    return tallies
 
 
 @dataclass(frozen=True)
@@ -66,6 +98,42 @@ class ExperimentConfig:
     discover_cell_encoding: bool = True
     #: Refresh pause used for the cell-type discovery step.
     discovery_pause_s: float = 1800.0
+
+    def __post_init__(self):
+        # A campaign that measures nothing would hand the solver an empty
+        # profile, which every code satisfies; a value that would be
+        # truncated (2.5 rounds, a True) is never the one that runs.
+        rounds = self.rounds_per_window
+        if not _is_integer(rounds) or rounds < 1:
+            raise ValidationError(
+                f"rounds_per_window must be a positive integer, got {rounds!r}"
+            )
+        if not self.refresh_windows_s:
+            raise ValidationError("refresh_windows_s must name at least one window")
+        for window in self.refresh_windows_s:
+            if not _is_real(window) or not window >= 0:
+                raise ValidationError(
+                    f"refresh window {window!r} must be a non-negative number of seconds"
+                )
+        if not self.pattern_weights:
+            raise ValidationError("pattern_weights must name at least one weight")
+        for weight in self.pattern_weights:
+            if not _is_integer(weight):
+                raise ValidationError(f"pattern weight {weight!r} must be an integer")
+        if not _is_real(self.threshold) or not 0 <= self.threshold < 1:
+            raise ValidationError(
+                f"threshold must be a number in [0, 1), got {self.threshold!r}"
+            )
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -119,14 +187,21 @@ class BeerExperiment:
     ) -> MiscorrectionCounts:
         """Steps 1-2: run the pattern/refresh sweep and collect error counts.
 
-        Every round writes one table row per eligible word: the word at
-        position ``i`` gets pattern ``(i + round) % P``, so the assignment
-        rotates by one pattern per round and each pattern samples fresh
-        cells.  A window's rounds run as few
+        Every round writes one table row per eligible word: in round ``g``
+        of the campaign the word at position ``i`` gets pattern
+        ``(g + i) % P``, so the assignment rotates by one pattern per round
+        and each pattern samples fresh cells.  A window's rounds run as few
         :meth:`~repro.dram.chip.SimulatedDramChip.retention_rounds` calls as
-        keep each call within ``2**20`` data bits, split at whole rounds; one
-        ``bincount`` over ``pattern * k + bit`` per call tallies every
-        mismatching data bit.
+        keep each call within ``2**20`` data bits, split at whole rounds.
+
+        A call of ``count`` rounds from round ``offset`` on, over ``W``
+        words, passes only the ``count + W - 1`` table rows its rotation
+        uses, ``ext[d] = table[(offset + d) % P]``, with the assignment
+        ``r + i``; the chip encodes each of those rows once.  Every ``(r,
+        i)`` on the anti-diagonal ``r + i = d`` wrote ``ext[d]``, so the
+        answer is compared with a strided ``(count, W, k)`` view of ``ext``
+        and the mismatches are tallied by anti-diagonal
+        (:func:`tally_by_diagonal`) instead of bit by bit.
         """
         num_data_bits = self._chip.num_data_bits
         patterns = list(charged_patterns(num_data_bits, list(self._config.pattern_weights)))
@@ -138,54 +213,50 @@ class BeerExperiment:
             raise ChipConfigurationError(
                 "no true-cell words available for the BEER campaign"
             )
-        num_patterns = len(patterns)
-        table = np.array(
-            [pattern.dataword(CellType.TRUE_CELL) for pattern in patterns],
-            dtype=np.uint8,
-        ).reshape(num_patterns, num_data_bits)
-        positions = np.arange(words.size)
-        tallies = np.zeros(num_patterns * num_data_bits, dtype=np.int64)
-        words_per_pattern = np.zeros(num_patterns, dtype=np.int64)
+        num_patterns, width = len(patterns), words.size
+        # True-cells store 1 in the CHARGED bits.
+        table = charged_bit_table(patterns, num_data_bits)
+        tallies = np.zeros((num_patterns, num_data_bits), dtype=np.int64)
         rounds_per_window = self._config.rounds_per_window
-        rounds_per_call = max(1, _MAX_BITS_PER_CALL // (words.size * num_data_bits))
+        rounds_per_call = max(1, _MAX_BITS_PER_CALL // (width * num_data_bits))
         rounds = len(self._config.refresh_windows_s) * rounds_per_window
         with TRACER.span(
             "beer.measure",
             rounds=rounds,
-            words_written=rounds * words.size,
-            words_read=rounds * words.size,
+            words_written=rounds * width,
+            words_read=rounds * width,
         ):
             offset = 0
             for window in self._config.refresh_windows_s:
                 for first in range(0, rounds_per_window, rounds_per_call):
                     count = min(rounds_per_call, rounds_per_window - first)
-                    # The pattern of every (round, word), rounds first.
-                    index = (
-                        positions + np.arange(offset, offset + count)[:, np.newaxis]
-                    ).ravel() % num_patterns
-                    offset += count
-                    expected = table[index].reshape(count, words.size, num_data_bits)
+                    ext = table[(offset + np.arange(count + width - 1)) % num_patterns]
                     observed = self._chip.retention_rounds(
-                        words, expected, window, self._config.temperature_c
+                        words,
+                        ext,
+                        np.arange(count)[:, np.newaxis] + np.arange(width),
+                        window,
+                        self._config.temperature_c,
                     )
-                    # Flat positions ``(round * words + word) * k + bit`` of
-                    # the mismatching bits; a 1-D scan is several times
-                    # cheaper than an n-D nonzero.
-                    errors = np.flatnonzero(observed != expected)
-                    tallies += np.bincount(
-                        index[errors // num_data_bits] * num_data_bits
-                        + errors % num_data_bits,
-                        minlength=tallies.size,
-                    )
-                    words_per_pattern += np.bincount(index, minlength=num_patterns)
+                    # expected[r, i] = ext[r + i], without a copy.
+                    expected = sliding_window_view(ext, width, axis=0).transpose(0, 2, 1)
+                    tallies += tally_by_diagonal(observed != expected, offset, num_patterns)
+                    offset += count
+        # Anti-diagonal d of the rounds x W rectangle of (round, word) pairs
+        # holds min(d + 1, rounds + W - 1 - d, rounds, W) words of pattern d % P.
+        diagonal = np.arange(rounds + width - 1)
+        words_per_diagonal = np.minimum(
+            np.minimum(diagonal + 1, diagonal[::-1] + 1), min(rounds, width)
+        )
+        # Weighted bincounts are float64, exact for these counts.
+        words_per_pattern = np.bincount(
+            diagonal % num_patterns, words_per_diagonal, minlength=num_patterns
+        ).astype(np.int64)
         # The rotation first writes pattern i no later than pattern i + 1, so
         # table order is first-seen order; unwritten patterns stay unregistered.
-        counts = MiscorrectionCounts(num_data_bits)
-        for pattern, per_bit, words_observed in zip(
-            patterns, tallies.reshape(num_patterns, num_data_bits), words_per_pattern
-        ):
-            counts.record_tallies(pattern, per_bit, int(words_observed))
-        return counts
+        return MiscorrectionCounts.from_tallies(
+            num_data_bits, patterns, tallies, words_per_pattern
+        )
 
     def run(self, solve: bool = True, max_solutions: Optional[int] = None) -> ExperimentResult:
         """Run the full campaign and (optionally) solve for the ECC function."""

@@ -102,6 +102,20 @@ class ChargedPattern:
         return f"ChargedPattern(k={self._num_data_bits}, charged=[{charged}])"
 
 
+def charged_bit_table(patterns: Sequence[ChargedPattern], num_data_bits: int) -> np.ndarray:
+    """The ``(len(patterns), num_data_bits)`` ``uint8`` table of the CHARGED bits.
+
+    Row ``p`` is 1 exactly at ``patterns[p]``'s CHARGED bits, that is
+    ``patterns[p].dataword(CellType.TRUE_CELL)``, set in one scatter.
+    """
+    table = np.zeros((len(patterns), num_data_bits), dtype=np.uint8)
+    table[
+        np.repeat(np.arange(len(patterns)), [pattern.weight for pattern in patterns]),
+        [bit for pattern in patterns for bit in pattern.charged_bits],
+    ] = 1
+    return table
+
+
 def one_charged_patterns(num_data_bits: int) -> List[ChargedPattern]:
     """Return all ``k`` 1-CHARGED patterns for a ``k``-bit dataword."""
     return list(charged_patterns(num_data_bits, [1]))

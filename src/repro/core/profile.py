@@ -43,7 +43,7 @@ from repro.dram.cell import CellType, charge_state_for_bit, ChargeState
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import DataRetentionInjector
 from repro.einsim.simulator import simulate_segments
-from repro.core.patterns import ChargedPattern
+from repro.core.patterns import ChargedPattern, charged_bit_table
 
 
 def charged_codeword_positions(
@@ -261,6 +261,15 @@ class MiscorrectionProfile:
         existing = self._mapping.get(pattern, frozenset())
         self._mapping[pattern] = existing | cleaned
 
+    @classmethod
+    def _of_checked_entries(
+        cls, num_data_bits: int, mapping: Dict[ChargedPattern, FrozenSet[int]]
+    ) -> "MiscorrectionProfile":
+        """A profile of entries already checked as :meth:`record` checks them."""
+        profile = cls(num_data_bits)
+        profile._mapping = mapping
+        return profile
+
     def merge(self, other: "MiscorrectionProfile") -> "MiscorrectionProfile":
         """Return the union of two profiles (same dataword length required)."""
         if other.num_data_bits != self._num_data_bits:
@@ -430,31 +439,61 @@ class MiscorrectionCounts:
         """
         if pattern.num_data_bits != self._num_data_bits:
             raise ProfileError("pattern dataword length does not match the counts")
-        if words_observed < 0:
-            raise ProfileError("words observed cannot be negative")
-        if not 0 <= due_words <= words_observed:
-            raise ProfileError(
-                f"due_words={due_words} must lie in [0, words_observed="
-                f"{words_observed}]"
-            )
         tallies = np.asarray(per_bit_counts, dtype=np.int64)
         if tallies.shape != (self._num_data_bits,):
             raise ProfileError(
                 f"per-bit counts must have shape ({self._num_data_bits},), "
                 f"got {tallies.shape}"
             )
-        if (tallies < 0).any():
-            raise ProfileError("per-bit error counts cannot be negative")
+        _check_tallies(tallies[np.newaxis], np.array([words_observed]))
+        if not 0 <= due_words <= words_observed:
+            raise ProfileError(
+                f"due_words={due_words} must lie in [0, words_observed="
+                f"{words_observed}]"
+            )
         if words_observed == 0:
-            if tallies.any():
-                raise ProfileError(
-                    f"{int(tallies.sum())} error(s) supplied with zero words "
-                    "observed; errors cannot come from words that were never read"
-                )
             return
         self._counts[pattern] = self._counts.get(pattern, 0) + tallies
         self._words_observed[pattern] = self._words_observed.get(pattern, 0) + words_observed
         self._due_words[pattern] = self._due_words.get(pattern, 0) + int(due_words)
+
+    @classmethod
+    def from_tallies(
+        cls,
+        num_data_bits: int,
+        patterns: Sequence[ChargedPattern],
+        per_bit_counts: np.ndarray,
+        words_observed: np.ndarray,
+    ) -> "MiscorrectionCounts":
+        """Counts of many patterns from one ``(P, k)`` tally, checked as one.
+
+        The bulk form of :meth:`record_tallies` on fresh counts: row ``p``
+        of ``per_bit_counts`` and entry ``p`` of the ``(P,)`` vector
+        ``words_observed`` are recorded for ``patterns[p]``, with no DUE
+        words.  The patterns must be distinct ``num_data_bits``-bit ones;
+        their order is kept, and one with zero words observed is not
+        registered.  Everything is checked before anything is recorded.
+        """
+        patterns = list(patterns)
+        counts = cls(num_data_bits)
+        if any(pattern.num_data_bits != num_data_bits for pattern in patterns):
+            raise ProfileError("pattern dataword length does not match the counts")
+        if len(set(patterns)) != len(patterns):
+            raise ProfileError("patterns must be distinct")
+        tallies = np.array(per_bit_counts, dtype=np.int64)
+        words = np.asarray(words_observed, dtype=np.int64)
+        if tallies.shape != (len(patterns), num_data_bits) or words.shape != (len(patterns),):
+            raise ProfileError(
+                f"expected ({len(patterns)}, {num_data_bits}) per-bit counts and "
+                f"{len(patterns)} word counts, got {tallies.shape} and {words.shape}"
+            )
+        _check_tallies(tallies, words)
+        kept = words > 0
+        observed = [pattern for pattern, keep in zip(patterns, kept.tolist()) if keep]
+        counts._counts = dict(zip(observed, tallies[kept]))
+        counts._words_observed = dict(zip(observed, words[kept].tolist()))
+        counts._due_words = dict.fromkeys(observed, 0)
+        return counts
 
     def counts_for(self, pattern: ChargedPattern) -> np.ndarray:
         """Return the per-bit error counts recorded for ``pattern``."""
@@ -525,13 +564,39 @@ class MiscorrectionCounts:
         """
         if threshold < 0:
             raise ProfileError("threshold must be non-negative")
-        profile = MiscorrectionProfile(self._num_data_bits)
-        for pattern in self.patterns:
-            probabilities = self.error_probabilities(pattern)
-            positions = [
-                position
-                for position in pattern.discharged_bits
-                if probabilities[position] > threshold
-            ]
-            profile.record(pattern, positions)
-        return profile
+        patterns = self.patterns
+        if not patterns:
+            return MiscorrectionProfile(self._num_data_bits)
+        words = np.array([self._words_observed[pattern] for pattern in patterns])
+        probabilities = np.array(list(self._counts.values())) / words[:, np.newaxis]
+        accepted = (probabilities > threshold) & (
+            charged_bit_table(patterns, self._num_data_bits) == 0
+        )
+        rows, positions = np.nonzero(accepted)
+        ends = np.searchsorted(rows, np.arange(1, len(patterns) + 1)).tolist()
+        positions = positions.tolist()
+        return MiscorrectionProfile._of_checked_entries(
+            self._num_data_bits,
+            {
+                pattern: frozenset(positions[start:end])
+                for pattern, start, end in zip(patterns, [0] + ends, ends)
+            },
+        )
+
+
+def _check_tallies(tallies: np.ndarray, words_observed: np.ndarray) -> None:
+    """:class:`ProfileError` unless ``(P, k)`` tallies over ``(P,)`` word counts are counts.
+
+    No count may be negative, and a pattern with zero words observed can
+    have no error: errors cannot come from words that were never read.
+    """
+    if (words_observed < 0).any():
+        raise ProfileError("words observed cannot be negative")
+    if (tallies < 0).any():
+        raise ProfileError("per-bit error counts cannot be negative")
+    unread = tallies[words_observed == 0]
+    if unread.any():
+        raise ProfileError(
+            f"{int(unread.sum())} error(s) supplied with zero words "
+            "observed; errors cannot come from words that were never read"
+        )

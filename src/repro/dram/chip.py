@@ -28,13 +28,15 @@ in place (:func:`repro.einsim.engine.decode_lanes`) and unpacks only the
 data bits it returns.
 
 :meth:`~SimulatedDramChip.retention_rounds` runs many write / pause / read
-rounds on the same words in one call: it encodes every round's words with
-one ``encode_lanes``, decays them with the window's mask and decodes them
-with one ``decode_lanes``.  It is defined as those rounds of
-``write_datawords``, ``pause_refresh`` and ``read_datawords``, through the
-same decay and read helpers, and it shows a tester nothing that the three
-calls would not: the same bits read, the same final state and the same
-random draws.
+rounds on the same words in one call.  It takes a ``(P, k)`` table of
+patterns and a ``(rounds, words)`` assignment of table rows to words: it
+encodes the ``P`` rows once with one ``encode_lanes``, takes every round's
+codewords from them by the assignment, decays them with the window's mask
+and decodes them with one ``decode_lanes``.  It is defined as those rounds
+of ``write_datawords``, ``pause_refresh`` and ``read_datawords``, through
+the same decay and read helpers, and it shows a tester nothing that the
+three calls would not: the same bits read, the same final state and the
+same random draws.
 
 Retention times are fixed for the chip's life, so the packed mask of the
 cells failing a ``(duration, temperature)`` pause is computed once by
@@ -327,47 +329,57 @@ class SimulatedDramChip:
     def retention_rounds(
         self,
         word_indices: Sequence[int],
-        datawords: np.ndarray,
+        patterns: np.ndarray,
+        assignment: np.ndarray,
         duration_s: float,
         temperature_c: float = 80.0,
     ) -> np.ndarray:
         """Run write / pause-refresh / read rounds on the same words in one call.
 
-        ``datawords`` is a ``(rounds, words, k)`` batch of 0/1 datawords.
-        Round ``r`` is ``write_datawords(word_indices, datawords[r])``, then
+        ``patterns`` is a ``(P, k)`` table of 0/1 datawords and ``assignment``
+        a ``(rounds, words)`` array of row numbers: round ``r`` is
+        ``write_datawords(word_indices, patterns[assignment[r]])``, then
         ``pause_refresh(duration_s, temperature_c)``, then
         ``read_datawords(word_indices)``, and the ``(rounds, words, k)`` data
-        bits read are returned.  The answers, the final stored and current
-        codewords and the generator state are those of the rounds: the
-        transient flips of every read are one draw, the reads' draws in
-        order.  The chip ends as the last round leaves it, its codewords
-        stored and one pause applied to every word (pausing twice in one
-        window decays nothing more).
+        bits read are returned.  The table's rows are encoded once and each
+        round's codewords taken from them.  The answers, the final stored
+        and current codewords and the generator state are those of the
+        rounds: the transient flips of every read are one draw, the reads'
+        draws in order.  The chip ends as the last round leaves it, its
+        codewords stored and one pause applied to every word (pausing twice
+        in one window decays nothing more).
 
-        Everything is checked before any state changes.  A wrong shape, a
-        value other than 0 or 1, and a non-integer, out-of-range or repeated
-        index raise :class:`~repro.exceptions.AddressError`; a negative or
-        NaN pause raises :class:`~repro.exceptions.ChipConfigurationError`.
-        Zero rounds do nothing, and an empty word list still pauses.
+        Everything is checked before any state changes.  A table of the
+        wrong width or holding a value other than 0 or 1, an assignment of
+        the wrong shape or holding anything but a row number (a float, bool,
+        negative or too large a number), and a non-integer, out-of-range or
+        repeated index raise :class:`~repro.exceptions.AddressError`; a
+        negative or NaN pause raises
+        :class:`~repro.exceptions.ChipConfigurationError`.  Zero rounds do
+        nothing, and an empty word list still pauses.
         """
         indices = self._validate_indices(word_indices, distinct=True)
-        data = np.asarray(datawords)
         words, bits = indices.size, self.num_data_bits
-        if data.ndim != 3 or data.shape[1:] != (words, bits):
-            raise AddressError(f"expected dataword array of shape (rounds, {words}, {bits})")
-        data = _binary(data)
+        table = np.asarray(patterns)
+        if table.ndim != 2 or table.shape[1] != bits:
+            raise AddressError(f"expected a pattern table of shape (patterns, {bits})")
+        table = _binary(table)
+        rows = _integers(assignment)
+        if rows.ndim != 2 or rows.shape[1] != words:
+            raise AddressError(f"expected an assignment of shape (rounds, {words})")
+        if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
+            raise AddressError(f"assignment entries must be rows of the {table.shape[0]} patterns")
         _check_pause(duration_s, temperature_c)
-        if not data.shape[0]:
-            return np.zeros(data.shape, dtype=np.uint8)
+        if not rows.shape[0]:
+            return np.zeros((0, words, bits), dtype=np.uint8)
         failing = self._failing_mask(duration_s, temperature_c)
-        # Fresh C-contiguous lanes, so ``rounds`` is a view of them.
-        lanes = encode_lanes(self._code, data.reshape(-1, bits), self._backend)
-        rounds = lanes.reshape(data.shape[0], words, lanes.shape[1])
+        # A fresh C-contiguous (rounds, words, lanes) array, read in place.
+        rounds = np.take(encode_lanes(self._code, table, self._backend), rows, axis=0)
         self._stored[indices] = rounds[-1]
         self._current[indices] = rounds[-1]
         _decay(self._current, failing, self._anti_lanes)
         _decay(rounds, failing[indices], self._anti_lanes[indices])
-        return self._read(lanes).reshape(data.shape)
+        return self._read(rounds.reshape(-1, rounds.shape[2])).reshape(rows.shape + (bits,))
 
     def restore_refresh(self) -> None:
         """Resume normal refresh (no further decay until the next pause).
@@ -454,19 +466,8 @@ class SimulatedDramChip:
         numpy int or an integer array; not a float, bool or string) in range,
         and, with ``distinct``, no index repeats.
         """
-        if isinstance(word_indices, range):
-            indices = np.arange(word_indices.start, word_indices.stop, word_indices.step)
-        elif isinstance(word_indices, np.ndarray):
-            indices = word_indices
-        else:
-            word_indices = list(word_indices)
-            if not all(_is_integer(index) for index in word_indices):
-                raise AddressError("word indices must be integers")
-            try:
-                indices = np.array(word_indices, dtype=np.int64)
-            except OverflowError:
-                raise AddressError("one or more word indices out of range") from None
-        if indices.ndim != 1 or indices.dtype.kind not in "iu":
+        indices = _integers(word_indices)
+        if indices.ndim != 1:
             raise AddressError("word indices must be a 1-D sequence of integers")
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_words):
             raise AddressError("one or more word indices out of range")
@@ -480,6 +481,28 @@ class SimulatedDramChip:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer (a bool is not)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integers(values) -> np.ndarray:
+    """``values`` (a range, an array or nested sequences) as an integer array.
+
+    :class:`AddressError` unless every entry is a Python or numpy int or the
+    array's dtype is an integer one: a float (even ``2.0``), bool or string
+    is not an integer, and an int past ``int64`` is out of range.
+    """
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step)
+    if not isinstance(values, np.ndarray):
+        entries = np.array(list(values), dtype=object)
+        if not all(_is_integer(entry) for entry in entries.flat):
+            raise AddressError("word indices and pattern rows must be integers")
+        try:
+            values = entries.astype(np.int64)
+        except OverflowError:
+            raise AddressError("an integer is out of range") from None
+    if values.dtype.kind not in "iu":
+        raise AddressError("word indices and pattern rows must be integers")
+    return values
 
 
 def _check_pause(duration_s: float, temperature_c: float) -> None:

@@ -49,6 +49,7 @@ from repro.ecc.code import SystematicLinearCode
 from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import SAMPLER_VERSION
+from repro.core.experiment import ExperimentConfig
 from repro.scenarios.registry import build_injector, get_scenario
 
 #: Cell kinds the runner knows how to execute.
@@ -177,18 +178,33 @@ def make_beer_cell(
     ``scenario report``).  The flag participates in the canonical config
     only when set, so historical solve-free cells keep their
     content-addressed keys byte-for-byte.
+
+    The windows, weights, rounds and threshold are checked as
+    :class:`~repro.core.experiment.ExperimentConfig` checks them, so a
+    value it would refuse (0 or 2.5 rounds, a bool, no window, a threshold
+    of 1.5) raises :class:`ScenarioError` while a spec is expanded, before
+    any cell runs.
     """
     if vendor not in ("A", "B", "C"):
         raise ScenarioError(f"unknown vendor {vendor!r}; expected A, B or C")
     _check_backend(backend)
+    try:
+        campaign = ExperimentConfig(
+            pattern_weights=tuple(pattern_weights),
+            refresh_windows_s=tuple(refresh_windows_s),
+            rounds_per_window=rounds_per_window,
+            threshold=threshold,
+        )
+    except (TypeError, ValidationError) as error:
+        raise ScenarioError(f"invalid BEER campaign: {error}") from None
     config = {
         "kind": "beer",
         "vendor": vendor,
         "data_bits": int(data_bits),
-        "refresh_windows_s": [float(w) for w in refresh_windows_s],
-        "pattern_weights": [int(w) for w in pattern_weights],
-        "rounds_per_window": int(rounds_per_window),
-        "threshold": float(threshold),
+        "refresh_windows_s": [float(w) for w in campaign.refresh_windows_s],
+        "pattern_weights": [int(w) for w in campaign.pattern_weights],
+        "rounds_per_window": int(campaign.rounds_per_window),
+        "threshold": float(campaign.threshold),
         "seed": int(seed),
         "backend": str(backend),
         "num_rows": int(num_rows),

@@ -9,10 +9,11 @@ unchanged but for four things: ``ChipGeometry`` now comes from the library,
 so both chips take the same geometry objects; words are handed out as 0/1
 ``uint8`` arrays, the library's word format; a word index that is not an
 integer (a float, bool or string) raises ``AddressError`` instead of being
-cast; and ``retention_rounds`` is its own loop of ``write_datawords``,
-``pause_refresh`` and ``read_datawords`` after the library chip's up-front
-checks.  ``tests/test_dram_chip_differential.py`` requires the packed chip
-to answer every call sequence exactly as this one does.
+cast; and ``retention_rounds`` is its own loop, after the library chip's
+up-front checks, of ``write_datawords`` of ``patterns[assignment[r]]``,
+``pause_refresh`` and ``read_datawords``.
+``tests/test_dram_chip_differential.py`` requires the packed chip to
+answer every call sequence exactly as this one does.
 """
 
 from __future__ import annotations
@@ -253,27 +254,38 @@ class SimulatedDramChip:
     def retention_rounds(
         self,
         word_indices: Sequence[int],
-        datawords: np.ndarray,
+        patterns: np.ndarray,
+        assignment: np.ndarray,
         duration_s: float,
         temperature_c: float = 80.0,
     ) -> np.ndarray:
-        """``rounds`` rounds of write, pause and read, once every argument is checked."""
+        """Round ``r`` writes ``patterns[assignment[r]]``, pauses and reads, once all is checked."""
         indices = self._validate_indices(word_indices)
         if len(set(indices.tolist())) != indices.size:
             raise AddressError("word indices must be distinct")
-        data = np.asarray(datawords)
-        if data.ndim != 3 or data.shape[1:] != (indices.size, self.num_data_bits):
-            raise AddressError("expected a (rounds, words, k) dataword array")
-        if not np.isin(data, (0, 1)).all():
+        table = np.asarray(patterns)
+        if table.ndim != 2 or table.shape[1] != self.num_data_bits:
+            raise AddressError("expected a (patterns, k) table")
+        if not np.isin(table, (0, 1)).all():
             raise AddressError("dataword bits must be 0 or 1")
+        if isinstance(assignment, np.ndarray) and assignment.dtype.kind not in "iu":
+            raise AddressError("assignment entries must be integers")
+        rows = np.asarray(assignment, dtype=object)
+        if rows.ndim != 2 or rows.shape[1] != indices.size:
+            raise AddressError("expected a (rounds, words) assignment")
+        for row in rows.flat:
+            if not isinstance(row, (int, np.integer)) or isinstance(row, bool):
+                raise AddressError("assignment entries must be integers")
+            if not 0 <= row < len(table):
+                raise AddressError("assignment entry out of range")
         if math.isnan(duration_s) or math.isnan(temperature_c) or duration_s < 0:
             raise ChipConfigurationError("refresh pause must be a non-negative number")
         reads = []
-        for round_words in data:
-            self.write_datawords(indices, round_words)
+        for round_rows in rows.astype(np.int64):
+            self.write_datawords(indices, table[round_rows])
             self.pause_refresh(duration_s, temperature_c)
             reads.append(self.read_datawords(indices))
-        return np.array(reads, dtype=np.uint8).reshape(data.shape)
+        return np.array(reads, dtype=np.uint8).reshape(rows.shape + (self.num_data_bits,))
 
     def restore_refresh(self) -> None:
         """Resume normal refresh (no further decay until the next pause).

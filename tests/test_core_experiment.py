@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ChipConfigurationError, ValidationError
 from repro.dram import (
@@ -18,6 +20,7 @@ from repro.dram import (
 from repro.dram.retention import RetentionCalibration
 from repro.ecc import codes_equivalent, random_hamming_code
 from repro.core import BeerExperiment, BeerSolver, ExperimentConfig, expected_miscorrection_profile, charged_patterns
+from repro.core.experiment import tally_by_diagonal
 
 
 #: Retention model that fails frequently at second-scale windows so campaigns
@@ -90,6 +93,148 @@ class TestCampaignMechanics:
         cell_types = {row: CellType.ANTI_CELL for row in range(chip.geometry.num_rows)}
         with pytest.raises(ChipConfigurationError):
             experiment.measure_counts(cell_types)
+
+
+class TestExperimentConfig:
+    """A campaign config that measures nothing, or other than it says, is refused."""
+
+    @pytest.mark.parametrize("overrides", [
+        # 0 or -3 rounds, or no window, measured no pattern, and run(solve=True)
+        # returned every one of 277,200 codes at k = 8.
+        dict(rounds_per_window=0),
+        dict(rounds_per_window=-3),
+        dict(refresh_windows_s=()),
+        # True ran one round, and 2.5 would name rounds no campaign runs.
+        dict(rounds_per_window=True),
+        dict(rounds_per_window=2.5),
+        dict(rounds_per_window=2.0),
+        dict(rounds_per_window="4"),
+        # A threshold of 1.5 or NaN dropped every entry: 0 candidates.
+        dict(threshold=1.5),
+        dict(threshold=float("nan")),
+        dict(threshold=1.0),
+        dict(threshold=-0.1),
+        dict(threshold=True),
+        dict(threshold="0"),
+        # No weight died in numpy with an IndexError.
+        dict(pattern_weights=()),
+        dict(pattern_weights=(1.5,)),
+        dict(pattern_weights=(True,)),
+        dict(refresh_windows_s=(True,)),
+        dict(refresh_windows_s=("30",)),
+        dict(refresh_windows_s=(-1.0,)),
+        dict(refresh_windows_s=(float("nan"),)),
+    ], ids=repr)
+    def test_a_config_that_cannot_measure_is_refused(self, overrides):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(**overrides)
+
+    def test_numpy_numbers_are_accepted(self):
+        config = ExperimentConfig(
+            pattern_weights=(np.int64(1),),
+            refresh_windows_s=(np.float64(20.0), 40),
+            rounds_per_window=np.int32(2),
+            threshold=np.float64(0.001),
+        )
+        counts = BeerExperiment(make_chip(seed=5), config).measure_counts()
+        assert len(counts.patterns) == 8
+
+
+class TestDiagonalTally:
+    """``tally_by_diagonal`` against one ``np.add.at`` per (round, word)."""
+
+    @staticmethod
+    def _reference(mismatch, offset, num_patterns):
+        rounds, width, bits = mismatch.shape
+        tallies = np.zeros((num_patterns, bits), dtype=np.int64)
+        diagonal = np.arange(rounds)[:, np.newaxis] + np.arange(width)
+        np.add.at(tallies, (offset + diagonal) % num_patterns, mismatch)
+        return tallies
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_patterns=st.integers(1, 40),
+        width=st.integers(1, 60),
+        rounds=st.integers(1, 80),
+        offset=st.integers(0, 500),
+        rounds_per_call=st.integers(1, 80),
+        bits=st.integers(1, 5),
+        density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_calls_equal_the_per_entry_reference(
+        self, num_patterns, width, rounds, offset, rounds_per_call, bits, density, seed
+    ):
+        # W < P, W > P and count + W - 1 > P all occur.
+        mismatch = np.random.default_rng(seed).random((rounds, width, bits)) < density
+        tallies = np.zeros((num_patterns, bits), dtype=np.int64)
+        for first in range(0, rounds, rounds_per_call):
+            tallies += tally_by_diagonal(
+                mismatch[first : first + rounds_per_call], offset + first, num_patterns
+            )
+        assert np.array_equal(tallies, self._reference(mismatch, offset, num_patterns))
+
+    def test_more_than_255_rounds_do_not_wrap(self):
+        # Every diagonal past the corner sums 300 ones: more than a uint8 holds.
+        mismatch = np.ones((600, 300, 2), dtype=bool)
+        tallies = tally_by_diagonal(mismatch, 7, 13)
+        assert tallies.dtype == np.int64
+        assert np.array_equal(tallies, self._reference(mismatch, 7, 13))
+        assert tallies.sum() == 600 * 300 * 2
+
+
+class TestRowsPerCall:
+    """A ``retention_rounds`` call gets only the table rows its rotation uses."""
+
+    @staticmethod
+    def _recorded_calls(chip, config):
+        calls, retention_rounds = [], chip.retention_rounds
+
+        def recording(words, patterns, assignment, *pause):
+            calls.append((patterns.copy(), np.array(assignment)))
+            return retention_rounds(words, patterns, assignment, *pause)
+
+        chip.retention_rounds = recording
+        counts = BeerExperiment(chip, config).measure_counts()
+        return calls, counts
+
+    def test_perfbench_chip_encodes_575_rows_per_window(self):
+        chip = VENDOR_A.make_chip(
+            num_data_bits=16, geometry=ChipGeometry(64, 8), seed=3,
+            retention_model=FAST_RETENTION,
+        )
+        config = ExperimentConfig(
+            refresh_windows_s=(30.0, 45.0, 60.0), rounds_per_window=64,
+            discover_cell_encoding=False,
+        )
+        calls, counts = self._recorded_calls(chip, config)
+        patterns = list(charged_patterns(16, [1, 2]))
+        table = np.array([pattern.dataword() for pattern in patterns])
+        # 64 rounds over 512 words use 64 + 512 - 1 rows, not 32,768 datawords.
+        assert [len(rows) for rows, _ in calls] == [575, 575, 575]
+        for window, (rows, assignment) in enumerate(calls):
+            assert np.array_equal(rows, table[(64 * window + np.arange(575)) % 136])
+            assert np.array_equal(assignment, np.arange(64)[:, np.newaxis] + np.arange(512))
+        # Round g writes pattern (g + i) % P to word i.
+        rotation = (np.arange(192)[:, np.newaxis] + np.arange(512)) % 136
+        assert [counts.words_observed(pattern) for pattern in patterns] == (
+            np.bincount(rotation.ravel(), minlength=136).tolist()
+        )
+
+    def test_a_4096_word_k128_chip_encodes_4097_rows_per_two_rounds(self):
+        chip = VENDOR_B.make_chip(
+            num_data_bits=128, geometry=ChipGeometry(512, 8), seed=3,
+            retention_model=FAST_RETENTION,
+        )
+        config = ExperimentConfig(
+            pattern_weights=(1,), refresh_windows_s=(30.0,), rounds_per_window=4,
+            discover_cell_encoding=False,
+        )
+        calls, counts = self._recorded_calls(chip, config)
+        assert [(len(rows), assignment.shape) for rows, assignment in calls] == [
+            (4097, (2, 4096)), (4097, (2, 4096)),
+        ]
+        assert sum(counts.words_observed(pattern) for pattern in counts.patterns) == 4 * 4096
 
 
 class TestEndToEndRecovery:

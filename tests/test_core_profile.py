@@ -344,6 +344,82 @@ class TestMiscorrectionCounts:
             MiscorrectionCounts(4).merge(MiscorrectionCounts(5))
 
 
+def _per_pattern_profile(counts, threshold):
+    """``to_profile`` as it was: one probability row and one ``record`` per pattern."""
+    profile = MiscorrectionProfile(counts.num_data_bits)
+    for pattern in counts.patterns:
+        probabilities = counts.error_probabilities(pattern)
+        profile.record(
+            pattern,
+            [bit for bit in pattern.discharged_bits if probabilities[bit] > threshold],
+        )
+    return profile
+
+
+class TestCountsFromTallies:
+    """``from_tallies`` is ``record_tallies`` on every row, checked as one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_data_bits=st.integers(2, 9),
+        weights=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.999)),
+    )
+    def test_equals_record_tallies_and_the_per_pattern_profile(
+        self, num_data_bits, weights, seed, threshold
+    ):
+        rng = np.random.default_rng(seed)
+        patterns = list(charged_patterns(num_data_bits, [w for w in weights if w <= num_data_bits]))
+        rng.shuffle(patterns)
+        # Word counts of 0 (unregistered), 4 (exact quarter ratios, which the
+        # strict > must drop at threshold 0.25) and others.
+        words = rng.choice([0, 4, 7, 40], size=len(patterns))
+        tallies = rng.integers(0, words[:, np.newaxis] + 1, (len(patterns), num_data_bits))
+        bulk = MiscorrectionCounts.from_tallies(num_data_bits, patterns, tallies, words)
+        looped = MiscorrectionCounts(num_data_bits)
+        for pattern, per_bit, observed in zip(patterns, tallies, words):
+            looped.record_tallies(pattern, per_bit, int(observed))
+        assert bulk.patterns == looped.patterns
+        for pattern in looped.patterns:
+            assert bulk.counts_for(pattern).tolist() == looped.counts_for(pattern).tolist()
+            assert bulk.words_observed(pattern) == looped.words_observed(pattern)
+            assert bulk.due_words_observed(pattern) == 0
+        profile = bulk.to_profile(threshold)
+        assert profile == _per_pattern_profile(looped, threshold)
+        assert profile.patterns == looped.patterns
+
+    def test_the_tally_is_copied(self):
+        pattern = ChargedPattern(4, [0])
+        tallies = np.array([[0, 1, 0, 0]])
+        counts = MiscorrectionCounts.from_tallies(4, [pattern], tallies, np.array([3]))
+        tallies[0, 1] = 99
+        counts.record_tallies(pattern, [0, 1, 0, 0], 3)
+        assert counts.counts_for(pattern).tolist() == [0, 2, 0, 0]
+        assert counts.words_observed(pattern) == 6
+
+    @pytest.mark.parametrize("patterns, tallies, words", [
+        pytest.param([ChargedPattern(4, [0])], [[0, 1, 0]], [3], id="narrow-tally"),
+        pytest.param([ChargedPattern(4, [0])], [0, 1, 0, 0], [3], id="1-d-tally"),
+        pytest.param([ChargedPattern(4, [0])], [[0, 1, 0, 0]], [3, 3], id="two-word-counts"),
+        pytest.param([ChargedPattern(4, [0])], [[0, -1, 0, 0]], [3], id="negative-count"),
+        pytest.param([ChargedPattern(4, [0])], [[0, 1, 0, 0]], [-1], id="negative-words"),
+        pytest.param([ChargedPattern(4, [0])], [[0, 1, 0, 0]], [0], id="errors-unread"),
+        pytest.param([ChargedPattern(5, [0])], [[0, 1, 0, 0]], [3], id="wrong-length"),
+        pytest.param(
+            [ChargedPattern(4, [0]), ChargedPattern(4, [0])], [[0] * 4, [0] * 4], [3, 3],
+            id="repeated-pattern",
+        ),
+    ])
+    def test_malformed_tallies_are_refused(self, patterns, tallies, words):
+        with pytest.raises(ProfileError):
+            MiscorrectionCounts.from_tallies(4, patterns, np.array(tallies), np.array(words))
+
+    def test_no_patterns_give_empty_counts(self):
+        counts = MiscorrectionCounts.from_tallies(4, [], np.zeros((0, 4)), np.zeros(0))
+        assert counts.patterns == [] and counts.to_profile().patterns == []
+
+
 class TestExpectedProfileConsistency:
     def test_expected_profile_matches_per_pattern_queries(self, code_7_4):
         patterns = one_charged_patterns(4)

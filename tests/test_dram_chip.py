@@ -207,7 +207,9 @@ class TestWordIndices:
         with pytest.raises(AddressError):
             chip.write_datawords(bad, np.ones((count, 16), dtype=np.uint8))
         with pytest.raises(AddressError):
-            chip.retention_rounds(bad, np.ones((1, count, 16), dtype=np.uint8), 90.0)
+            chip.retention_rounds(
+                bad, np.ones((1, 16), dtype=np.uint8), np.zeros((1, count), dtype=np.int64), 90.0
+            )
         _assert_same_state(before, _chip_state(chip))
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None, np.float64(1.0)], ids=repr)
@@ -257,13 +259,13 @@ class TestRetentionRounds:
     """``retention_rounds`` is its rounds of write, pause and read, in one call."""
 
     @staticmethod
-    def _loop(chip, indices, datawords, duration_s, temperature_c):
+    def _loop(chip, indices, patterns, assignment, duration_s, temperature_c):
         reads = []
-        for round_words in datawords:
-            chip.write_datawords(indices, round_words)
+        for rows in assignment:
+            chip.write_datawords(indices, patterns[rows])
             chip.pause_refresh(duration_s, temperature_c)
             reads.append(chip.read_datawords(indices))
-        return np.array(reads, dtype=np.uint8).reshape(datawords.shape)
+        return np.array(reads, dtype=np.uint8).reshape(assignment.shape + (chip.num_data_bits,))
 
     @pytest.mark.parametrize("backend", ["packed", "reference"])
     @pytest.mark.parametrize("num_data_bits", [8, 16, 60, 122])
@@ -278,54 +280,123 @@ class TestRetentionRounds:
         )
         rng = np.random.default_rng(rounds)
         indices = rng.permutation(batched.num_words)[:20]
-        data = (rng.random((rounds, 20, num_data_bits)) < 0.5).astype(np.uint8)
-        observed = batched.retention_rounds(indices, data, 40.0, 85.0)
-        assert observed.dtype == np.uint8 and observed.shape == data.shape
-        assert (observed != data).any()
-        assert np.array_equal(observed, self._loop(looped, indices, data, 40.0, 85.0))
+        # Seven rows, the last a copy of the first: rounds and words share rows.
+        patterns = (rng.random((7, num_data_bits)) < 0.5).astype(np.uint8)
+        patterns[-1] = patterns[0]
+        assignment = rng.integers(0, 7, (rounds, 20))
+        observed = batched.retention_rounds(indices, patterns, assignment, 40.0, 85.0)
+        assert observed.dtype == np.uint8 and observed.shape == (rounds, 20, num_data_bits)
+        assert (observed != patterns[assignment]).any()
+        assert np.array_equal(
+            observed, self._loop(looped, indices, patterns, assignment, 40.0, 85.0)
+        )
         _assert_same_state(_chip_state(batched), _chip_state(looped))
 
-    @pytest.mark.parametrize("indices, datawords, pause, error", [
-        pytest.param([0, 1], np.ones((2, 3, 16)), (90.0,), AddressError, id="three-rows"),
-        pytest.param([0, 1], np.ones((2, 16)), (90.0,), AddressError, id="no-rounds-axis"),
-        pytest.param([0, 1], np.ones((2, 2, 8)), (90.0,), AddressError, id="short-words"),
-        pytest.param([0, 1], np.full((2, 2, 16), 2), (90.0,), AddressError, id="bit-2"),
-        pytest.param([0, 1], np.full((2, 2, 16), 0.5), (90.0,), AddressError, id="bit-half"),
-        pytest.param([0, 1], np.full((2, 2, 16), "1"), (90.0,), AddressError, id="bit-str"),
-        pytest.param([0, 1.0], np.ones((2, 2, 16)), (90.0,), AddressError, id="float-index"),
-        pytest.param([0, 32], np.ones((2, 2, 16)), (90.0,), AddressError, id="index-past-end"),
-        pytest.param([-1, 0], np.ones((2, 2, 16)), (90.0,), AddressError, id="index-negative"),
-        pytest.param([3, 0, 3], np.ones((2, 3, 16)), (90.0,), AddressError, id="repeated"),
-        pytest.param([0, 0], np.ones((0, 2, 16)), (90.0,), AddressError, id="repeated-0-rounds"),
-        pytest.param([0, 1], np.ones((2, 2, 16)), (-1.0,), ChipConfigurationError, id="negative"),
-        pytest.param([0, 1], np.ones((2, 2, 16)), (np.nan,), ChipConfigurationError, id="nan"),
+    def test_the_table_is_encoded_once(self, monkeypatch):
+        from repro.dram import chip as chip_module
+
+        encoded, encode_lanes = [], chip_module.encode_lanes
+
+        def recording_encode(code, datawords, backend):
+            encoded.append(len(datawords))
+            return encode_lanes(code, datawords, backend)
+
+        monkeypatch.setattr(chip_module, "encode_lanes", recording_encode)
+        chip = make_chip()
+        patterns = np.eye(16, dtype=np.uint8)[:3]
+        observed = chip.retention_rounds(
+            range(32), patterns, np.arange(64 * 32).reshape(64, 32) % 3, 0.0
+        )
+        assert encoded == [3]
+        assert np.array_equal(observed, patterns[np.arange(64 * 32).reshape(64, 32) % 3])
+
+    @pytest.mark.parametrize("indices, patterns, assignment, pause, error", [
+        pytest.param([0, 1], np.ones((3, 8)), [[0, 1]], (90.0,), AddressError, id="narrow-table"),
+        pytest.param([0, 1], np.ones(16), [[0, 0]], (90.0,), AddressError, id="1-d-table"),
         pytest.param(
-            [0, 1], np.ones((2, 2, 16)), (90.0, np.nan), ChipConfigurationError, id="nan-temp"
+            [0, 1], np.ones((2, 1, 16)), [[0, 0]], (90.0,), AddressError, id="3-d-table"
+        ),
+        pytest.param([0, 1], np.full((3, 16), 2), [[0, 1]], (90.0,), AddressError, id="bit-2"),
+        pytest.param(
+            [0, 1], np.full((3, 16), 0.5), [[0, 1]], (90.0,), AddressError, id="bit-half"
+        ),
+        pytest.param([0, 1], np.full((3, 16), "1"), [[0, 1]], (90.0,), AddressError, id="bit-str"),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), [[0, 1, 2]], (90.0,), AddressError, id="three-columns"
+        ),
+        pytest.param([0, 1], np.ones((3, 16)), [0, 1], (90.0,), AddressError, id="no-rounds-axis"),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), np.zeros((2, 2, 1), dtype=int), (90.0,), AddressError,
+            id="3-d-assignment",
+        ),
+        pytest.param([0, 1], np.ones((3, 16)), [[0, 3]], (90.0,), AddressError, id="row-past-end"),
+        pytest.param([0, 1], np.ones((3, 16)), [[-1, 0]], (90.0,), AddressError, id="row-negative"),
+        pytest.param([0, 1], np.ones((0, 16)), [[0, 0]], (90.0,), AddressError, id="empty-table"),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), np.array([[0.0, 1.0]]), (90.0,), AddressError,
+            id="float-array",
+        ),
+        pytest.param([0, 1], np.ones((3, 16)), [[0, 1.5]], (90.0,), AddressError, id="float-row"),
+        pytest.param([0, 1], np.ones((3, 16)), [[0, 2.0]], (90.0,), AddressError, id="float-2.0"),
+        pytest.param([0, 1], np.ones((3, 16)), [[0, "1"]], (90.0,), AddressError, id="str-row"),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), np.array([[True, False]]), (90.0,), AddressError,
+            id="bool-array",
+        ),
+        pytest.param([0, 1], np.ones((3, 16)), [[True, 0]], (90.0,), AddressError, id="bool-row"),
+        pytest.param([0, 1.0], np.ones((3, 16)), [[0, 1]], (90.0,), AddressError, id="float-index"),
+        pytest.param(
+            [0, 32], np.ones((3, 16)), [[0, 1]], (90.0,), AddressError, id="index-past-end"
         ),
         pytest.param(
-            [0], np.ones((0, 1, 16)), (-1.0,), ChipConfigurationError, id="negative-0-rounds"
+            [-1, 0], np.ones((3, 16)), [[0, 1]], (90.0,), AddressError, id="index-negative"
+        ),
+        pytest.param(
+            [3, 0, 3], np.ones((3, 16)), [[0, 1, 2]], (90.0,), AddressError, id="repeated"
+        ),
+        pytest.param(
+            [0, 0], np.ones((3, 16)), np.zeros((0, 2), dtype=int), (90.0,), AddressError,
+            id="repeated-0-rounds",
+        ),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), [[0, 1]], (-1.0,), ChipConfigurationError, id="negative"
+        ),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), [[0, 1]], (np.nan,), ChipConfigurationError, id="nan"
+        ),
+        pytest.param(
+            [0, 1], np.ones((3, 16)), [[0, 1]], (90.0, np.nan), ChipConfigurationError,
+            id="nan-temp",
+        ),
+        pytest.param(
+            [0], np.ones((3, 16)), np.zeros((0, 1), dtype=int), (-1.0,), ChipConfigurationError,
+            id="negative-0-rounds",
         ),
     ])
-    def test_a_rejected_call_changes_nothing(self, indices, datawords, pause, error):
+    def test_a_rejected_call_changes_nothing(self, indices, patterns, assignment, pause, error):
         # The per-round loop would have written and read the first rounds
         # before it raised; the call checks everything first.
         chip = _noisy_chip()
         before = _chip_state(chip)
         with pytest.raises(error):
-            chip.retention_rounds(indices, datawords, *pause)
+            chip.retention_rounds(indices, patterns, assignment, *pause)
         _assert_same_state(before, _chip_state(chip))
         assert (90.0, 80.0) not in chip._failing_masks
 
     def test_zero_rounds_do_nothing(self):
         chip = _noisy_chip()
         before = _chip_state(chip)
-        observed = chip.retention_rounds([0, 5], np.zeros((0, 2, 16), dtype=np.uint8), 90.0)
+        observed = chip.retention_rounds(
+            [0, 5], np.ones((3, 16), dtype=np.uint8), np.zeros((0, 2), dtype=np.int64), 90.0
+        )
         assert observed.shape == (0, 2, 16) and observed.dtype == np.uint8
         _assert_same_state(before, _chip_state(chip))
 
     def test_an_empty_word_list_still_pauses(self):
         batched, paused = _noisy_chip(), _noisy_chip()
-        observed = batched.retention_rounds([], np.zeros((3, 0, 16), dtype=np.uint8), 90.0)
+        observed = batched.retention_rounds(
+            [], np.ones((1, 16), dtype=np.uint8), np.zeros((3, 0), dtype=np.int64), 90.0
+        )
         assert observed.shape == (3, 0, 16)
         paused.pause_refresh(90.0)
         _assert_same_state(_chip_state(batched), _chip_state(paused))

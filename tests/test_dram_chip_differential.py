@@ -3,7 +3,9 @@
 ``tests/chip_oracle.py`` keeps the chip that stored one ``uint8`` per
 codeword bit.  Hypothesis builds both chips from the same arguments and
 drives them through one random sequence of writes, refresh pauses, reads,
-batched ``retention_rounds`` and ground-truth inspections.  Every answer
+batched ``retention_rounds`` (a small pattern table, sometimes with every
+row twice, and a random assignment of its rows) and ground-truth
+inspections.  Every answer
 must be equal (or both calls must raise the same exception type), and
 both chips' generators must end in the same state, so transient-fault
 draws stay in step.  Index lists sometimes hold an index out of range or
@@ -160,12 +162,30 @@ def _draw_call(data, chip):
         # Three lists in four hold no duplicate, which the call refuses.
         indices = _indices(data, num_words, unique=data.draw(st.integers(0, 3)) > 0)
         rounds = data.draw(st.integers(0, 5))
-        batch = _rows(data, rounds * len(indices), data_bits).reshape(
-            rounds, len(indices), data_bits
-        )
+        # A few rows, so rounds and words share them; half the tables
+        # repeat every row.
+        table = _rows(data, data.draw(st.integers(1, 4)), data_bits)
+        if data.draw(st.booleans()):
+            table = np.vstack([table, table])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        assignment = rng.integers(0, len(table), (rounds, len(indices)))
+        # One call in twenty names a row outside the table, one has a float
+        # or bool assignment, one a table holding a 2 and one a table too
+        # narrow.
+        flaw = data.draw(st.integers(0, 19))
+        if flaw == 0 and assignment.size:
+            assignment.flat[-1] = data.draw(st.sampled_from((-1, len(table))))
+        elif flaw == 1:
+            assignment = assignment.astype(data.draw(st.sampled_from((float, bool))))
+        elif flaw == 2:
+            table[-1, -1] = 2
+        elif flaw == 3:
+            table = table[:, 1:]
         window = data.draw(st.sampled_from(WINDOWS_S))
         temperature = data.draw(st.sampled_from(TEMPERATURES_C))
-        return name, lambda c: c.retention_rounds(indices, batch, window, temperature)
+        return name, lambda c: c.retention_rounds(
+            indices, table, assignment, window, temperature
+        )
     if name == "read_datawords":
         indices = _indices(data, num_words)
         return name, lambda c: c.read_datawords(indices)

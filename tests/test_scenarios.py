@@ -360,6 +360,71 @@ class TestCellsRejectBadParameters:
             )
 
 
+class TestBeerCellsRejectBadCampaigns:
+    """A BEER cell whose campaign measures nothing, or other than it says, fails expansion."""
+
+    BAD_CAMPAIGNS = [
+        # 2.5 rounds used to run 2 and true 1; 0 rounds, no window and no
+        # weight measured nothing; a threshold of 1.5 dropped every entry.
+        {"rounds_per_window": 2.5},
+        {"rounds_per_window": True},
+        {"rounds_per_window": 0},
+        {"rounds_per_window": "4"},
+        {"threshold": 1.5},
+        {"threshold": True},
+        {"refresh_windows_s": []},
+        {"refresh_windows_s": [True, 30.0]},
+        {"refresh_windows_s": ["30"]},
+        {"refresh_windows_s": 30.0},
+        {"pattern_weights": []},
+        {"pattern_weights": [1.5]},
+        {"pattern_weights": [True]},
+    ]
+
+    @pytest.mark.parametrize("campaign", BAD_CAMPAIGNS, ids=repr)
+    def test_make_beer_cell(self, campaign):
+        from repro.scenarios import make_beer_cell
+
+        with pytest.raises(ScenarioError, match="invalid BEER campaign"):
+            make_beer_cell(vendor="A", data_bits=8, **campaign)
+
+    @pytest.mark.parametrize("campaign", BAD_CAMPAIGNS, ids=repr)
+    def test_sweep_spec_fails_before_any_commit(self, campaign, tmp_path):
+        # A list is a grid axis, so a list-valued parameter is wrapped once.
+        entry = {
+            key: [value] if isinstance(value, list) else value
+            for key, value in campaign.items()
+        }
+        payload = dict(
+            BASE_SWEEP, experiments=[{"vendor": "A", "data_bits": 8, **entry}]
+        )
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError, match="invalid BEER campaign"):
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert len(store) == 0
+
+    def test_valid_cell_keys_are_unchanged(self):
+        from repro.scenarios import make_beer_cell
+
+        # Keys taken before campaigns were checked: integers, numpy values
+        # and a threshold of 0 store as they always did.
+        cell = make_beer_cell(
+            "B", 8, refresh_windows_s=[30, 45.5], pattern_weights=[1],
+            rounds_per_window=3, threshold=0, seed=2, solve=True,
+        )
+        assert cell.config()["refresh_windows_s"] == [30.0, 45.5]
+        assert cell.key() == (
+            "259973e44096a7ce438d15cf9e8fb1ae078a5450af4385eaef1333787ef9286a"
+        )
+        cell = make_beer_cell(
+            "C", 64, refresh_windows_s=(20.0, 40.0), rounds_per_window=np.int64(2),
+            threshold=0.001, num_rows=8, words_per_row=4,
+        )
+        assert cell.key() == (
+            "38d3d95dc9fa1faeeebc401b21d29aa90cbc6ba0e585fef902ce78207971c48c"
+        )
+
+
 class TestCellResolution:
     @pytest.mark.parametrize(
         "columns", [[3, 99], [3, -1], [], ["x"]],
