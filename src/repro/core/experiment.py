@@ -41,11 +41,14 @@ from repro.core.profile import MiscorrectionCounts, MiscorrectionProfile
 
 #: Data bits one ``retention_rounds`` call holds at most; a window's rounds
 #: are split at whole rounds.  Perfbench's 512 words of k = 16 run a window's
-#: 64 rounds in one call, and a 4,096-word k = 128 chip two rounds per call.
-#: The split was tuned when a call encoded every (round, word) dataword; now
-#: that a call encodes only the rows its rotation uses, 16 rounds per call
-#: measured faster than two on that chip.
-_MAX_BITS_PER_CALL = 1 << 20
+#: 64 rounds in one call, and a 4,096-word k = 128 chip four rounds per call.
+#: Larger calls pay in memory: with transient faults on, a call draws a
+#: ``float64`` per codeword bit, 18 MB on that chip at this split and 71 MB
+#: at ``2**23``.  There (2 vCPUs), four rounds per call measured a third
+#: faster than two without transient faults and no slower at p = 2e-3;
+#: eight were faster still without faults, but at p = 2e-3 eight or sixteen
+#: added 50-85 MB of peak RSS and no speed.
+_MAX_BITS_PER_CALL = 1 << 21
 
 #: Rounds whose anti-diagonal sums fit ``uint8``: no entry exceeds the
 #: number of rounds summed, and ``uint8`` adds run several times faster.
@@ -192,7 +195,7 @@ class BeerExperiment:
         ``(g + i) % P``, so the assignment rotates by one pattern per round
         and each pattern samples fresh cells.  A window's rounds run as few
         :meth:`~repro.dram.chip.SimulatedDramChip.retention_rounds` calls as
-        keep each call within ``2**20`` data bits, split at whole rounds.
+        keep each call within ``2**21`` data bits, split at whole rounds.
 
         A call of ``count`` rounds from round ``offset`` on, over ``W``
         words, passes only the ``count + W - 1`` table rows its rotation

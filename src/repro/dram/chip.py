@@ -24,8 +24,10 @@ operations: a CHARGED true-cell stores 1 and decays to 0, a CHARGED
 anti-cell stores 0 and decays to 1, so the decaying cells are
 ``failing & (current ^ anti)``, where ``anti`` has all ``n`` bits set in
 anti-cell words, and each of them flips.  A read syndrome-decodes the lanes
-in place (:func:`repro.einsim.engine.decode_lanes`) and unpacks only the
-data bits it returns.
+in place (:func:`repro.einsim.engine.decode_lanes`): each word's action in
+the code's decode-action table picks a row of its correction table
+(:meth:`~repro.ecc.code.SystematicLinearCode.correction_table`), which is
+XORed in, and the read unpacks only the data bits it returns.
 
 :meth:`~SimulatedDramChip.retention_rounds` runs many write / pause / read
 rounds on the same words in one call.  It takes a ``(P, k)`` table of
@@ -104,9 +106,9 @@ class SimulatedDramChip:
     docstring).  ``backend`` selects only the backend of the engine's lane
     codec: ``"packed"`` (the default; ``"auto"`` and ``"fused"`` are
     aliases) folds the lanes' bytes through the code's cached parity,
-    syndrome and decode-action tables, while ``"reference"`` unpacks the
-    lanes and runs the uint8 reference kernels.  Storage, decay and every
-    random draw are shared, so both read back the same bits.
+    syndrome, decode-action and correction tables, while ``"reference"``
+    unpacks the lanes and runs the uint8 reference kernels.  Storage, decay
+    and every random draw are shared, so both read back the same bits.
     """
 
     def __init__(

@@ -131,6 +131,7 @@ class SystematicLinearCode:
         self._generator_matrix: Optional[np.ndarray] = None
         self._syndrome_position_table: Optional[np.ndarray] = None
         self._decode_action_table: Optional[np.ndarray] = None
+        self._correction_table: Optional[np.ndarray] = None
         self._h_transpose_int64: Optional[np.ndarray] = None
         self._syndrome_weights: Optional[np.ndarray] = None
         self._syndrome_fold_table: Optional[np.ndarray] = None
@@ -335,6 +336,25 @@ class SystematicLinearCode:
             table[0] = self.ACTION_NONE
             self._decode_action_table = table
         return self._decode_action_table
+
+    def correction_table(self) -> np.ndarray:
+        """Map decode action → the codeword lanes it flips, read-only (cached).
+
+        An ``(n + 2, ceil(n / 64))`` ``uint64`` array in
+        :func:`repro.gf2.bitpack.pack_rows` layout: row ``p < n`` holds only
+        codeword bit ``p`` and the last two rows are zero, so the sentinels
+        :data:`ACTION_DETECT` (``-2``) and :data:`ACTION_NONE` (``-1``) index
+        them by wrap-around and flip nothing.  XORing
+        ``correction_table()[decode_action_table()[syndromes]]`` into packed
+        words applies every decode action at once.  Indexed by action, not
+        by syndrome, it grows with ``n`` rather than ``2**r``.
+        """
+        if self._correction_table is None:
+            length = self.codeword_length
+            self._correction_table = _read_only(
+                pack_rows(np.eye(length + 2, length, dtype=np.uint8))
+            )
+        return self._correction_table
 
     def h_transpose_int64(self) -> np.ndarray:
         """``H.T`` as a cached ``int64`` array (reference-backend syndromes)."""

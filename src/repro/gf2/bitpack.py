@@ -98,18 +98,20 @@ def byte_fold_table(column_ints) -> np.ndarray:
     this table with XOR yields exactly ``sum_{i set} column_ints[i]`` over
     GF(2) — the word's integer syndrome — while touching eight columns per
     lookup instead of one.
+
+    The table is built by doubling, every byte at once: the values whose
+    highest set bit is ``j`` are the values below ``2**j`` with column ``j``
+    XORed in.  A last byte with fewer than eight columns takes its missing
+    steps with a zero column, so its upper values repeat its lower ones.
     """
     column_ints = [int(value) for value in column_ints]
-    num_cols = len(column_ints)
-    num_bytes = (num_cols + 7) // 8
+    num_bytes = (len(column_ints) + 7) // 8
+    columns = np.zeros(num_bytes * 8, dtype=np.int64)
+    columns[: len(column_ints)] = column_ints
+    columns = columns.reshape(num_bytes, 8)
     table = np.zeros((num_bytes, 256), dtype=np.int64)
-    byte_values = np.arange(256)
-    for byte_index in range(num_bytes):
-        for bit in range(8):
-            col = byte_index * 8 + bit
-            if col >= num_cols:
-                break
-            table[byte_index, ((byte_values >> bit) & 1) == 1] ^= column_ints[col]
+    for bit in range(8):
+        table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ columns[:, bit : bit + 1]
     return table
 
 

@@ -330,6 +330,42 @@ class TestMaskedSpanCheck:
         assert masked.unique and codes_equivalent(masked.code, code)
 
 
+def _rows_fixed_by_row(state):
+    """``_Search._rows_fixed`` one parity row at a time: a row in ``ones``
+    keeps the values that set it, else a row in ``zeros`` the values that
+    clear it."""
+    with_row = [
+        sum(1 << bit for bit, value in enumerate(state.values) if value >> row & 1)
+        for row in range(state.num_parity_bits)
+    ]
+
+    def rows_fixed(ones, zeros):
+        allowed = state.domains_full
+        for row, values in enumerate(with_row):
+            if ones >> row & 1:
+                allowed &= values
+            elif zeros >> row & 1:
+                allowed &= ~values
+        return allowed
+
+    return rows_fixed
+
+
+class TestRowMaskTables:
+    """The solver's row-mask tables against the per-row loop."""
+
+    @pytest.mark.parametrize("num_parity_bits", range(2, 8))
+    def test_every_mask_pair_matches_the_row_loop(self, num_parity_bits):
+        state = _bare_search(num_parity_bits)
+        by_row = _rows_fixed_by_row(state)
+        # Negative masks are the complements the allowed sets pass (~parity):
+        # every row past the r parity rows is set.
+        masks = range(-(1 << num_parity_bits), 1 << num_parity_bits)
+        for ones in masks:
+            for zeros in masks:
+                assert state._rows_fixed(ones, zeros) == by_row(ones, zeros), (ones, zeros)
+
+
 class TestOneLeafPerClass:
     def test_forced_duplicate_leaf_raises(self):
         # Without the row-cell rule every relabelling of a class is a leaf.

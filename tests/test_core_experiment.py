@@ -221,20 +221,21 @@ class TestRowsPerCall:
             np.bincount(rotation.ravel(), minlength=136).tolist()
         )
 
-    def test_a_4096_word_k128_chip_encodes_4097_rows_per_two_rounds(self):
+    def test_a_4096_word_k128_chip_encodes_4099_rows_per_four_rounds(self):
         chip = VENDOR_B.make_chip(
             num_data_bits=128, geometry=ChipGeometry(512, 8), seed=3,
             retention_model=FAST_RETENTION,
         )
         config = ExperimentConfig(
-            pattern_weights=(1,), refresh_windows_s=(30.0,), rounds_per_window=4,
+            pattern_weights=(1,), refresh_windows_s=(30.0,), rounds_per_window=8,
             discover_cell_encoding=False,
         )
         calls, counts = self._recorded_calls(chip, config)
+        # 2**21 bits per call: four rounds of 4,096 words of 128 bits.
         assert [(len(rows), assignment.shape) for rows, assignment in calls] == [
-            (4097, (2, 4096)), (4097, (2, 4096)),
+            (4099, (4, 4096)), (4099, (4, 4096)),
         ]
-        assert sum(counts.words_observed(pattern) for pattern in counts.patterns) == 4 * 4096
+        assert sum(counts.words_observed(pattern) for pattern in counts.patterns) == 8 * 4096
 
 
 class TestEndToEndRecovery:

@@ -46,14 +46,18 @@ CODE_SIZES = [(4, 0), (8, 1), (16, 2), (32, 3), (57, 4), (64, 5), (128, 6)]
 
 BATCH_SHAPES = [0, 1, 7, 64, 257]
 
-#: Codes for the lane codec: the Hamming sizes above, three whose parity
-#: bits straddle two lanes (k % 64 + r > 64), and the one- and
-#: two-parity-bit codes whose syndromes skip the fold tables.
+#: Codes for the lane codec: the Hamming sizes above (k = 64 fills two
+#: lanes), three whose parity bits straddle two lanes (k % 64 + r > 64),
+#: SEC-DED codes of one and two lanes, whose double errors are DUEs that
+#: flip nothing, and the one- and two-parity-bit codes whose syndromes skip
+#: the fold tables.
 LANE_CODES = {
     **{
         f"hamming-{k}": lambda k=k, seed=seed: _code(k, seed)
         for k, seed in CODE_SIZES + [(58, 7), (60, 8), (122, 9)]
     },
+    "secded-16": lambda: get_family("secded-extended-hamming").construct(16),
+    "secded-64": lambda: get_family("secded-extended-hamming").construct(64),
     "parity-r1": lambda: get_family("parity-detect").construct(16),
     "rep3-r2": lambda: get_family("repetition").construct(1),
 }
@@ -66,6 +70,17 @@ def _code(num_data_bits, seed):
 def _random_words(code, batch, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(batch, code.codeword_length)).astype(np.uint8)
+
+
+def _with_errors(code, errors, batch, seed):
+    """Random codewords, and the same words with exactly ``errors`` bits flipped."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 2, size=(batch, code.num_data_bits)).astype(np.uint8)
+    codewords = bulk_encode(code, data, "reference")
+    positions = np.argsort(rng.random(codewords.shape), axis=1)[:, :errors]
+    received = codewords.copy()
+    received[np.arange(batch)[:, np.newaxis], positions] ^= 1
+    return codewords, received
 
 
 class TestBackendResolution:
@@ -157,6 +172,72 @@ class TestLaneCodecDifferential:
         assert np.array_equal(
             unpack_rows(lanes, n), bulk_decode(code, received, "reference")
         )
+
+    @pytest.mark.parametrize("name", sorted(LANE_CODES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("errors", range(4))
+    def test_exact_error_counts_match_reference(self, name, backend, errors):
+        # One error is corrected; two or three miscorrect, are detected
+        # (DUEs flip nothing) or go unseen, depending on the family.
+        code = LANE_CODES[name]()
+        _, received = _with_errors(code, errors, 300, len(name) + errors)
+        lanes = pack_rows(received)
+        decode_lanes(code, lanes, backend)
+        assert np.array_equal(
+            unpack_rows(lanes, code.codeword_length),
+            bulk_decode(code, received, "reference"),
+        )
+
+    @pytest.mark.parametrize("name", ["hamming-16", "secded-16"])
+    def test_double_errors_reach_miscorrections_and_dues(self, name):
+        # The cases above exercise both non-trivial actions: a SEC code
+        # miscorrects some double errors, a SEC-DED code detects them all.
+        code = LANE_CODES[name]()
+        codewords, received = _with_errors(code, 2, 300, len(name) + 2)
+        corrected, due = bulk_decode_outcomes(code, received, "reference")
+        miscorrected = (corrected ^ codewords).sum(axis=1) == 3
+        if name.startswith("secded"):
+            assert due.all() and not miscorrected.any()
+        else:
+            assert miscorrected.any()
+
+    @pytest.mark.parametrize("name", sorted(LANE_CODES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_empty_and_single_word_batches(self, name, backend, batch):
+        code = LANE_CODES[name]()
+        codewords, received = _with_errors(code, 1, batch, batch)
+        lanes = encode_lanes(code, codewords[:, : code.num_data_bits], backend)
+        assert lanes.shape == (batch, (code.codeword_length + 63) // 64)
+        assert np.array_equal(unpack_rows(lanes, code.codeword_length), codewords)
+        lanes = pack_rows(received)
+        decode_lanes(code, lanes, backend)
+        assert np.array_equal(
+            unpack_rows(lanes, code.codeword_length),
+            bulk_decode(code, received, "reference"),
+        )
+
+
+class TestCorrectionTable:
+    """The per-code table the packed lane decode gathers from."""
+
+    @pytest.mark.parametrize("name", sorted(LANE_CODES))
+    def test_one_bit_per_position_and_zero_sentinel_rows(self, name):
+        code = LANE_CODES[name]()
+        n = code.codeword_length
+        table = code.correction_table()
+        assert table is code.correction_table()
+        assert table.dtype == np.uint64 and table.shape == (n + 2, (n + 63) // 64)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        # Row p flips codeword bit p alone; the last two rows flip nothing.
+        assert np.array_equal(unpack_rows(table, n), np.eye(n + 2, n, dtype=np.uint8))
+        # Both sentinels of the decode-action table index those zero rows.
+        assert SystematicLinearCode.ACTION_NONE == -1
+        assert SystematicLinearCode.ACTION_DETECT == -2
+        for action in (SystematicLinearCode.ACTION_NONE, SystematicLinearCode.ACTION_DETECT):
+            assert not table[action].any()
 
 
 class TestBulkSyndromeDifferential:

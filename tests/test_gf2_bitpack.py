@@ -143,3 +143,30 @@ class TestBatchedSyndromes:
     def test_rejects_byte_count_mismatch(self):
         with pytest.raises(DimensionError):
             fold_bytes(byte_fold_table([1] * 10), np.zeros((4, 1), dtype=np.uint8))
+
+
+def _fold_table_by_column(column_ints):
+    """``byte_fold_table`` built one column at a time: XOR each column into
+    the entries whose byte value has that column's bit set."""
+    num_bytes = (len(column_ints) + 7) // 8
+    table = np.zeros((num_bytes, 256), dtype=np.int64)
+    byte_values = np.arange(256)
+    for col, value in enumerate(column_ints):
+        byte_index, bit = divmod(col, 8)
+        table[byte_index, ((byte_values >> bit) & 1) == 1] ^= int(value)
+    return table
+
+
+class TestFoldTableByDoubling:
+    """The doubling build against the per-column build."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_per_column_build_at_every_width(self, seed):
+        # Widths 0-137 cover every partial last byte, up to (136, 128)
+        # codewords and past them.
+        rng = np.random.default_rng(seed)
+        for width in range(138):
+            columns = [int(value) for value in rng.integers(0, 1 << 24, size=width)]
+            table = byte_fold_table(columns)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, _fold_table_by_column(columns)), width
