@@ -19,11 +19,12 @@ campaign store (:mod:`repro.store`)::
     beer-tool scenario sweep --spec sweep.json --store campaign/ [--resume] [--jobs N]
     beer-tool scenario report --store campaign/
 
-Simulation-heavy commands (``einsim``, ``simulate-profile``, ``scenario``)
-accept ``--backend {reference,packed}`` selecting the GF(2) kernel
-implementation (``fused`` and ``auto`` are aliases of ``packed``, the
-default); both produce bit-identical output for the same seed, ``packed``
-is simply faster.  ``solve``, ``simulate-profile``,
+Monte-Carlo commands (``einsim``, ``scenario``) accept ``--backend
+{reference,packed}`` selecting the GF(2) kernel implementation (``fused``
+and ``auto`` are aliases of ``packed``, the default); both produce
+bit-identical output for the same seed, ``packed`` is simply faster.
+``simulate-profile`` takes no ``--backend``: the simulated chip has one
+codec.  ``solve``, ``simulate-profile``,
 ``einsim``, ``beep`` and ``scenario run`` accept ``--code-family`` choosing
 the ECC code family (:mod:`repro.ecc.family`): SEC Hamming (default),
 SEC-DED extended Hamming, parity-detect, or repetition.  Result-producing
@@ -124,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(must have a searchable design space)")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--rounds", type=int, default=8)
-    simulate.add_argument("--backend",
-                          choices=BACKEND_CHOICES,
-                          default="packed",
-                          help="GF(2) kernel backend for the simulated chip's on-die ECC")
     simulate.add_argument("--output", required=True, help="where to write the profile JSON")
     simulate.add_argument("--json", action="store_true",
                           help="print a machine-readable JSON document instead of text")
@@ -218,11 +215,8 @@ def _add_scenario_parser(subparsers) -> None:
                      choices=BACKEND_CHOICES,
                      default="packed")
     run.add_argument("--chunk-size", type=int, default=65536)
-    run.add_argument("--processes", type=int, default=1)
-    run.add_argument("--jobs", type=int, default=1,
-                     help="accepted for symmetry with `scenario sweep`; a "
-                          "single cell always runs in-process (use "
-                          "--processes for intra-cell parallelism)")
+    run.add_argument("--processes", type=int, default=1,
+                     help="worker processes for the cell's chunked campaign runner")
     run.add_argument("--store", default=None,
                      help="campaign directory; hits are served from the cache")
     _add_layout_argument(run)
@@ -597,7 +591,6 @@ def _run_simulate_profile(args) -> int:
         geometry=ChipGeometry(num_rows=32, words_per_row=8),
         seed=args.seed,
         retention_model=DataRetentionModel(FAST_RETENTION),
-        backend=args.backend,
         code_family=family.name,
     )
     config = ExperimentConfig(
@@ -616,7 +609,6 @@ def _run_simulate_profile(args) -> int:
             "vendor": vendor.name,
             "num_data_bits": args.data_bits,
             "code_family": family.name,
-            "backend": args.backend,
             "num_entries": len(result.profile.patterns),
             "output": args.output,
         }, indent=2))
@@ -821,7 +813,7 @@ def _run_scenario_run(args) -> int:
     store = (
         CampaignStore(args.store, layout=args.layout) if args.store else None
     )
-    runner = SweepRunner(store=store, processes=args.processes, jobs=args.jobs)
+    runner = SweepRunner(store=store, processes=args.processes)
     outcome = runner.run_one(cell)
     cached, result = outcome.cached, outcome.record.result
 

@@ -29,6 +29,12 @@ the code's decode-action table picks a row of its correction table
 (:meth:`~repro.ecc.code.SystematicLinearCode.correction_table`), which is
 XORed in, and the read unpacks only the data bits it returns.
 
+That lane codec is the chip's only one: a tester writes, pauses refresh and
+reads, and cannot see how the chip decodes inside, so the chip takes no
+``backend``.  Its oracle is a separate chip that stores one ``uint8`` per
+bit and encodes and decodes through the engine's ``reference`` kernels
+(``tests/chip_oracle.py``).
+
 :meth:`~SimulatedDramChip.retention_rounds` runs many write / pause / read
 rounds on the same words in one call.  It takes a ``(P, k)`` table of
 patterns and a ``(rounds, words)`` assignment of table rows to words: it
@@ -79,7 +85,7 @@ from repro.dram.cell import CellType
 from repro.dram.faults import TransientFaultModel
 from repro.dram.layout import ByteInterleavedWordLayout, CellTypeLayout
 from repro.dram.retention import DataRetentionModel
-from repro.einsim.engine import decode_lanes, encode_lanes, resolve_backend
+from repro.einsim.engine import decode_lanes, encode_lanes
 
 
 @dataclass(frozen=True)
@@ -102,13 +108,8 @@ class ChipGeometry:
 class SimulatedDramChip:
     """Simulated DRAM chip with on-die ECC and a data-retention fault model.
 
-    Codewords are kept in packed ``uint64`` lanes (see the module
-    docstring).  ``backend`` selects only the backend of the engine's lane
-    codec: ``"packed"`` (the default; ``"auto"`` and ``"fused"`` are
-    aliases) folds the lanes' bytes through the code's cached parity,
-    syndrome, decode-action and correction tables, while ``"reference"``
-    unpacks the lanes and runs the uint8 reference kernels.  Storage, decay
-    and every random draw are shared, so both read back the same bits.
+    Codewords are kept in packed ``uint64`` lanes and encoded and decoded
+    by the engine's one lane codec (see the module docstring).
     """
 
     def __init__(
@@ -120,10 +121,8 @@ class SimulatedDramChip:
         retention_model: Optional[DataRetentionModel] = None,
         transient_faults: Optional[TransientFaultModel] = None,
         seed: int = 0,
-        backend: str = "packed",
     ):
         self._code = code
-        self._backend = resolve_backend(backend)
         self._geometry = geometry if geometry is not None else ChipGeometry()
         self._cell_layout = (
             cell_layout
@@ -174,11 +173,6 @@ class SimulatedDramChip:
     def code(self) -> SystematicLinearCode:
         """The on-die ECC function (ground truth; hidden from BEER itself)."""
         return self._code
-
-    @property
-    def backend(self) -> str:
-        """GF(2) kernel backend used by the on-die encode/decode machinery."""
-        return self._backend
 
     @property
     def geometry(self) -> ChipGeometry:
@@ -245,15 +239,13 @@ class SimulatedDramChip:
             raise AddressError(
                 f"expected dataword array of shape ({len(indices)}, {self.num_data_bits})"
             )
-        codewords = encode_lanes(self._code, _binary(data), self._backend)
+        codewords = encode_lanes(self._code, _binary(data))
         self._stored[indices] = codewords
         self._current[indices] = codewords
 
     def fill(self, dataword) -> None:
         """Write the same dataword to every ECC word on the chip."""
-        codeword = encode_lanes(
-            self._code, _as_bits(dataword, self.num_data_bits)[np.newaxis], self._backend
-        )
+        codeword = encode_lanes(self._code, _as_bits(dataword, self.num_data_bits)[np.newaxis])
         self._stored[:] = codeword
         self._current[:] = codeword
 
@@ -376,19 +368,12 @@ class SimulatedDramChip:
             return np.zeros((0, words, bits), dtype=np.uint8)
         failing = self._failing_mask(duration_s, temperature_c)
         # A fresh C-contiguous (rounds, words, lanes) array, read in place.
-        rounds = np.take(encode_lanes(self._code, table, self._backend), rows, axis=0)
+        rounds = np.take(encode_lanes(self._code, table), rows, axis=0)
         self._stored[indices] = rounds[-1]
         self._current[indices] = rounds[-1]
         _decay(self._current, failing, self._anti_lanes)
         _decay(rounds, failing[indices], self._anti_lanes[indices])
         return self._read(rounds.reshape(-1, rounds.shape[2])).reshape(rows.shape + (bits,))
-
-    def restore_refresh(self) -> None:
-        """Resume normal refresh (no further decay until the next pause).
-
-        Decay that already happened cannot be undone; the method exists so
-        experiment code reads naturally (pause → wait → restore → read).
-        """
 
     # -- ground-truth inspection (not available to BEER/BEEP) -----------------------
     def inspect_stored_codeword(self, word_index: int) -> np.ndarray:
@@ -425,7 +410,7 @@ class SimulatedDramChip:
         if probability > 0:
             flips = self._rng.random((lanes.shape[0], self._code.codeword_length))
             lanes ^= pack_rows(flips < probability)
-        decode_lanes(self._code, lanes, self._backend)
+        decode_lanes(self._code, lanes)
         return _unpack(lanes, self.num_data_bits)
 
     def _failing_mask(self, duration_s: float, temperature_c: float) -> np.ndarray:
@@ -542,9 +527,8 @@ def _as_bits(dataword, expected_length: int) -> np.ndarray:
 def _binary(values: np.ndarray) -> np.ndarray:
     """``values`` as uint8 bits; :class:`AddressError` unless each is 0 or 1.
 
-    A cell holds one bit: a 2 has no codeword, and silently reducing it would
-    store ``packbits``'s 1 on one backend and the reference's ``2 % 2 = 0``
-    on the other.
+    A cell holds one bit: a 2 has no codeword, and ``packbits`` would
+    silently store it as a 1.
     """
     if not is_binary(values):
         raise AddressError("dataword bits must be 0 or 1")

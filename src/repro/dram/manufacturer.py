@@ -108,7 +108,6 @@ class ManufacturerProfile:
         seed: int = 0,
         transient_fault_probability: float = 0.0,
         retention_model: Optional[DataRetentionModel] = None,
-        backend: str = "packed",
         code_family: str = "sec-hamming",
     ) -> SimulatedDramChip:
         """Build a simulated chip of this manufacturer.
@@ -132,7 +131,6 @@ class ManufacturerProfile:
             retention_model=retention_model,
             transient_faults=TransientFaultModel(transient_fault_probability),
             seed=seed,
-            backend=backend,
         )
 
 

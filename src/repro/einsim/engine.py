@@ -19,7 +19,9 @@ The lane codec, :func:`encode_lanes` and :func:`decode_lanes`, encodes
 datawords straight into codeword lanes and syndrome-decodes lanes in place;
 the simulated chip (:mod:`repro.dram.chip`) stores its words in those lanes,
 and the packed :func:`bulk_encode` and :func:`bulk_syndrome_values` pack
-their ``uint8`` batches and run the same codec.  On ``"packed"``,
+their ``uint8`` batches and run the same codec.  The lane codec has one
+implementation and takes no ``backend``; the ``"reference"`` bulk kernels
+are its oracle in the differential tests.  On ``"packed"``,
 Monte-Carlo simulations only encode through this module: the one runner,
 :func:`repro.einsim.simulator.simulate_segments`, classifies error
 coordinates with :mod:`repro.einsim.fused` without ever materializing
@@ -138,9 +140,7 @@ def _lane_syndromes(code: SystematicLinearCode, lanes: np.ndarray) -> np.ndarray
     return fold_bytes(code.syndrome_fold_table(), codeword_bytes)
 
 
-def encode_lanes(
-    code: SystematicLinearCode, datawords: np.ndarray, backend: str = "packed"
-) -> np.ndarray:
+def encode_lanes(code: SystematicLinearCode, datawords: np.ndarray) -> np.ndarray:
     """Encode a batch of 0/1 datawords (rows) straight into codeword lanes.
 
     Returns ``(num_words, ceil(n / 64))`` ``uint64`` lanes in
@@ -148,12 +148,9 @@ def encode_lanes(
     ``j`` is bit ``j % 64`` of lane ``j // 64``.  The values are not
     checked: the chip's write path and :func:`bulk_encode` check them first.
     """
-    backend = resolve_backend(backend)
     data = _validate_batch(
         datawords, code.num_data_bits, "dataword array", check_bits=False
     )
-    if backend == "reference":
-        return pack_rows(_reference_encode(code, data))
     num_words, num_data_bits = data.shape
     data_bytes = (num_data_bits + 7) // 8
     codeword_bytes = np.zeros(
@@ -181,22 +178,15 @@ def encode_lanes(
     return lanes
 
 
-def decode_lanes(
-    code: SystematicLinearCode, lanes: np.ndarray, backend: str = "packed"
-) -> None:
+def decode_lanes(code: SystematicLinearCode, lanes: np.ndarray) -> None:
     """Syndrome-decode C-contiguous codeword lanes in place.
 
     Applies the code's decode action to every word, exactly as
     :func:`bulk_decode` does to the unpacked words: the bit the syndrome
-    points at is flipped, a detected or zero syndrome flips nothing.  The
-    packed backend gathers each word's action row of the code's correction
-    table and XORs it in, one gather for every word.
+    points at is flipped, a detected or zero syndrome flips nothing.  Each
+    word's action row of the code's correction table is gathered and XORed
+    in, one gather for every word.
     """
-    backend = resolve_backend(backend)
-    if backend == "reference":
-        received = unpack_rows(lanes, code.codeword_length)
-        lanes[:] = pack_rows(bulk_decode(code, received, "reference"))
-        return
     actions = code.decode_action_table()[_lane_syndromes(code, lanes)]
     corrections = code.correction_table()
     # Each row gathered as one void item: a whole-row copy, several times

@@ -177,7 +177,6 @@ def _execute_beer_cell(config: Dict[str, Any]) -> Dict[str, Any]:
         ),
         seed=config["seed"],
         retention_model=DataRetentionModel(FAST_RETENTION),
-        backend=config["backend"],
     )
     experiment_config = ExperimentConfig(
         pattern_weights=tuple(config["pattern_weights"]),

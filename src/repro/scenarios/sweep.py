@@ -184,6 +184,9 @@ def make_beer_cell(
     value it would refuse (0 or 2.5 rounds, a bool, no window, a threshold
     of 1.5) raises :class:`ScenarioError` while a spec is expanded, before
     any cell runs.
+
+    ``backend`` is checked and recorded in the config, so it is part of the
+    content key, but it selects nothing: the simulated chip has one codec.
     """
     if vendor not in ("A", "B", "C"):
         raise ScenarioError(f"unknown vendor {vendor!r}; expected A, B or C")

@@ -3,15 +3,18 @@
 This is ``repro.dram.chip.SimulatedDramChip`` as it was before the chip
 moved to packed ``uint64`` lanes: one ``uint8`` per codeword bit, every
 pause comparing every retention time with the window and rebuilding the
-current state through two ``np.where`` passes, every read encoding through
-``bulk_encode`` and decoding through ``bulk_decode``.  The class body is
-unchanged but for four things: ``ChipGeometry`` now comes from the library,
-so both chips take the same geometry objects; words are handed out as 0/1
-``uint8`` arrays, the library's word format; a word index that is not an
-integer (a float, bool or string) raises ``AddressError`` instead of being
-cast; and ``retention_rounds`` is its own loop, after the library chip's
+current state through two ``np.where`` passes, every write encoding through
+``bulk_encode`` and every read decoding through ``bulk_decode``, both on
+the engine's ``"reference"`` kernels (integer matmuls mod 2), so nothing of
+the packed lane codec the library chip runs is used here.  The class body
+is unchanged but for five things: ``ChipGeometry`` now comes from the
+library, so both chips take the same geometry objects; words are handed out
+as 0/1 ``uint8`` arrays, the library's word format; a word index that is
+not an integer (a float, bool or string) raises ``AddressError`` instead of
+being cast; ``retention_rounds`` is its own loop, after the library chip's
 up-front checks, of ``write_datawords`` of ``patterns[assignment[r]]``,
-``pause_refresh`` and ``read_datawords``.
+``pause_refresh`` and ``read_datawords``; and the ``backend`` selector and
+the no-op ``restore_refresh`` are gone, as they are from the library chip.
 ``tests/test_dram_chip_differential.py`` requires the packed chip to
 answer every call sequence exactly as this one does.
 """
@@ -44,12 +47,8 @@ class SimulatedDramChip:
         retention_model: Optional[DataRetentionModel] = None,
         transient_faults: Optional[TransientFaultModel] = None,
         seed: int = 0,
-        backend: str = "packed",
     ):
-        from repro.einsim.engine import resolve_backend
-
         self._code = code
-        self._backend = resolve_backend(backend)
         self._geometry = geometry if geometry is not None else ChipGeometry()
         self._cell_layout = (
             cell_layout
@@ -93,11 +92,6 @@ class SimulatedDramChip:
     def code(self) -> SystematicLinearCode:
         """The on-die ECC function (ground truth; hidden from BEER itself)."""
         return self._code
-
-    @property
-    def backend(self) -> str:
-        """GF(2) kernel backend used by the on-die encode/decode machinery."""
-        return self._backend
 
     @property
     def geometry(self) -> ChipGeometry:
@@ -160,7 +154,7 @@ class SimulatedDramChip:
             )
         from repro.einsim.engine import bulk_encode
 
-        codewords = bulk_encode(self._code, data, self._backend)
+        codewords = bulk_encode(self._code, data, "reference")
         self._stored[indices] = codewords
         self._current[indices] = codewords
 
@@ -287,13 +281,6 @@ class SimulatedDramChip:
             reads.append(self.read_datawords(indices))
         return np.array(reads, dtype=np.uint8).reshape(rows.shape + (self.num_data_bits,))
 
-    def restore_refresh(self) -> None:
-        """Resume normal refresh (no further decay until the next pause).
-
-        Decay that already happened cannot be undone; the method exists so
-        experiment code reads naturally (pause → wait → restore → read).
-        """
-
     # -- ground-truth inspection (not available to BEER/BEEP) -----------------------
     def inspect_stored_codeword(self, word_index: int) -> np.ndarray:
         """Ground truth: the codeword as originally written (pre-decay)."""
@@ -320,7 +307,7 @@ class SimulatedDramChip:
     def _decode_bulk(self, raw: np.ndarray) -> np.ndarray:
         from repro.einsim.engine import bulk_decode
 
-        return bulk_decode(self._code, raw, self._backend)
+        return bulk_decode(self._code, raw, "reference")
 
     def _require_layout(self):
         if self._word_layout is None:

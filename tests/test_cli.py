@@ -330,10 +330,9 @@ class TestEinsimCommand:
         "argv",
         [
             ["einsim"],
-            ["simulate-profile", "--output", "p.json"],
             ["scenario", "run", "--scenario", "uniform-random"],
         ],
-        ids=["einsim", "simulate-profile", "scenario-run"],
+        ids=["einsim", "scenario-run"],
     )
     def test_backend_option_takes_the_engine_names(self, argv):
         # Every --backend option shares the engine's one tuple: both
@@ -413,6 +412,7 @@ class TestJsonOutput:
         assert payload["vendor"] == "B"
         assert payload["num_data_bits"] == 8
         assert payload["num_entries"] == 8 + 28
+        assert "backend" not in payload
         assert json.loads(output.read_text())["num_data_bits"] == 8
 
     def test_einsim_json(self, capsys):
@@ -537,25 +537,20 @@ class TestScenarioCommands:
             build_parser().parse_args(["scenario"])
 
 
-class TestSimulateProfileBackend:
-    def test_backends_emit_identical_profiles(self, tmp_path):
-        """The simulated chip campaign is backend-invariant bit for bit."""
-        payloads = {}
-        for backend in ("reference", "packed"):
-            output = tmp_path / f"profile_{backend}.json"
-            exit_code = main(
-                [
-                    "simulate-profile",
-                    "--vendor", "A",
-                    "--data-bits", "8",
-                    "--rounds", "4",
-                    "--backend", backend,
-                    "--output", str(output),
-                ]
-            )
-            assert exit_code == 0
-            payloads[backend] = json.loads(output.read_text())
-        assert payloads["reference"] == payloads["packed"]
+class TestDeletedOptions:
+    """Options that selected nothing are gone, so passing one is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-profile", "--output", "p.json", "--backend", "packed"],
+        ["scenario", "run", "--scenario", "uniform-random", "--jobs", "2"],
+    ], ids=["simulate-profile-backend", "scenario-run-jobs"])
+    def test_exits_two(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestSatStatsFlag:

@@ -81,9 +81,8 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["packed", "reference"])
 @pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
-def test_measurement_reproduces_the_per_round_path(case, backend):
+def test_measurement_reproduces_the_per_round_path(case):
     vendor, seed, probability = case
     chip = {"A": VENDOR_A, "B": VENDOR_B, "C": VENDOR_C}[vendor].make_chip(
         num_data_bits=16,
@@ -91,6 +90,5 @@ def test_measurement_reproduces_the_per_round_path(case, backend):
         seed=seed,
         transient_fault_probability=probability,
         retention_model=DataRetentionModel(FAST_RETENTION),
-        backend=backend,
     )
     assert measurement_digests(chip) == PINS[case]

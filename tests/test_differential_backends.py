@@ -35,8 +35,6 @@ from repro.core import (
     expected_miscorrection_profile,
     monte_carlo_miscorrection_profile,
 )
-from repro.dram import ChipGeometry, VENDOR_A, VENDOR_B, VENDOR_C
-from repro.dram.retention import DataRetentionModel, RetentionCalibration
 from repro.einsim.engine import bulk_decode_outcomes, decode_lanes, encode_lanes
 from repro.exceptions import ValidationError
 
@@ -98,7 +96,6 @@ class TestBackendResolution:
     def test_every_default_is_packed(self):
         from repro.cli import build_parser
         from repro.core.profile import monte_carlo_observation_counts
-        from repro.dram import ManufacturerProfile, SimulatedDramChip
         from repro.einsim.engine import bulk_decode_outcomes
         from repro.scenarios import make_beer_cell, make_einsim_cell
 
@@ -107,14 +104,10 @@ class TestBackendResolution:
             bulk_syndrome_values,
             bulk_decode,
             bulk_decode_outcomes,
-            encode_lanes,
-            decode_lanes,
             EinsimSimulator,
             MonteCarloCampaign,
             monte_carlo_miscorrection_profile,
             monte_carlo_observation_counts,
-            SimulatedDramChip,
-            ManufacturerProfile.make_chip,
             make_einsim_cell,
             make_beer_cell,
         ):
@@ -123,10 +116,22 @@ class TestBackendResolution:
         parser = build_parser()
         for argv in (
             ["einsim"],
-            ["simulate-profile", "--output", "profile.json"],
             ["scenario", "run", "--scenario", "uniform-random"],
         ):
             assert parser.parse_args(argv).backend == "packed", argv
+
+    def test_the_chip_and_its_lane_codec_take_no_backend(self):
+        # The chip has one codec: a tester cannot see how it decodes inside.
+        from repro.dram import ManufacturerProfile, SimulatedDramChip
+
+        for target in (
+            encode_lanes,
+            decode_lanes,
+            SimulatedDramChip,
+            ManufacturerProfile.make_chip,
+        ):
+            assert "backend" not in inspect.signature(target).parameters, target
+        assert not hasattr(SimulatedDramChip, "backend")
 
 
 class TestBulkEncodeDifferential:
@@ -156,33 +161,31 @@ class TestLaneCodecDifferential:
     """The lane codec the chip stores through, against the uint8 kernels."""
 
     @pytest.mark.parametrize("name", sorted(LANE_CODES))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_encode_and_decode_lanes_match_reference(self, name, backend):
+    def test_encode_and_decode_lanes_match_reference(self, name):
         code = LANE_CODES[name]()
         n = code.codeword_length
         rng = np.random.default_rng(len(name))
         data = rng.integers(0, 2, size=(257, code.num_data_bits)).astype(np.uint8)
         codewords = bulk_encode(code, data, "reference")
-        lanes = encode_lanes(code, data, backend)
+        lanes = encode_lanes(code, data)
         assert lanes.dtype == np.uint64 and lanes.shape == (257, (n + 63) // 64)
         assert np.array_equal(unpack_rows(lanes, n), codewords)
         received = codewords ^ (rng.random(codewords.shape) < 0.03)
         lanes = pack_rows(received)
-        decode_lanes(code, lanes, backend)
+        decode_lanes(code, lanes)
         assert np.array_equal(
             unpack_rows(lanes, n), bulk_decode(code, received, "reference")
         )
 
     @pytest.mark.parametrize("name", sorted(LANE_CODES))
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("errors", range(4))
-    def test_exact_error_counts_match_reference(self, name, backend, errors):
+    def test_exact_error_counts_match_reference(self, name, errors):
         # One error is corrected; two or three miscorrect, are detected
         # (DUEs flip nothing) or go unseen, depending on the family.
         code = LANE_CODES[name]()
         _, received = _with_errors(code, errors, 300, len(name) + errors)
         lanes = pack_rows(received)
-        decode_lanes(code, lanes, backend)
+        decode_lanes(code, lanes)
         assert np.array_equal(
             unpack_rows(lanes, code.codeword_length),
             bulk_decode(code, received, "reference"),
@@ -202,16 +205,15 @@ class TestLaneCodecDifferential:
             assert miscorrected.any()
 
     @pytest.mark.parametrize("name", sorted(LANE_CODES))
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch", [0, 1])
-    def test_empty_and_single_word_batches(self, name, backend, batch):
+    def test_empty_and_single_word_batches(self, name, batch):
         code = LANE_CODES[name]()
         codewords, received = _with_errors(code, 1, batch, batch)
-        lanes = encode_lanes(code, codewords[:, : code.num_data_bits], backend)
+        lanes = encode_lanes(code, codewords[:, : code.num_data_bits])
         assert lanes.shape == (batch, (code.codeword_length + 63) // 64)
         assert np.array_equal(unpack_rows(lanes, code.codeword_length), codewords)
         lanes = pack_rows(received)
-        decode_lanes(code, lanes, backend)
+        decode_lanes(code, lanes)
         assert np.array_equal(
             unpack_rows(lanes, code.codeword_length),
             bulk_decode(code, received, "reference"),
@@ -439,21 +441,3 @@ class TestEndToEndBeerDifferential:
         solution = solver.solve(profile)
         assert solution.num_solutions == 1
         assert codes_equivalent(solution.codes[0], code)
-
-    @pytest.mark.parametrize("vendor", [VENDOR_A, VENDOR_B, VENDOR_C])
-    def test_chip_campaign_identical_across_backends(self, vendor):
-        fast_retention = DataRetentionModel(RetentionCalibration(1.0, 0.02, 60.0, 0.5))
-        readings = {}
-        for backend in BACKENDS:
-            chip = vendor.make_chip(
-                num_data_bits=8,
-                geometry=ChipGeometry(num_rows=8, words_per_row=4),
-                seed=7,
-                retention_model=fast_retention,
-                backend=backend,
-            )
-            assert chip.backend == backend
-            chip.fill(np.ones(8, dtype=np.uint8))
-            chip.pause_refresh(120.0, 80.0)
-            readings[backend] = chip.read_all_datawords()
-        assert np.array_equal(readings["reference"], readings["packed"])

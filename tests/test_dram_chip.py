@@ -124,12 +124,11 @@ class TestReadWrite:
         codeword = chip.inspect_stored_codeword(0)
         assert np.array_equal(codeword, chip.code.encode(dataword))
 
-    @pytest.mark.parametrize("backend", ["packed", "reference"])
     @pytest.mark.parametrize("value", [2, -1, 0.5, 255, float("nan"), "1"])
-    def test_non_binary_datawords_are_rejected_before_encoding(self, backend, value):
+    def test_non_binary_datawords_are_rejected_before_encoding(self, value):
         # A cell holds one bit.  The packed encoder used to store a 2 as 1
         # (parity 1110) and the reference encoder as 0 (parity 0000).
-        chip = make_chip(num_data_bits=4, backend=backend)
+        chip = make_chip(num_data_bits=4)
         chip.write_dataword(0, [0, 1, 1, 0])
         before = chip.inspect_stored_codeword(0)
         bad = [value, 0, 0, 0]
@@ -142,9 +141,8 @@ class TestReadWrite:
         assert np.array_equal(chip.inspect_stored_codeword(0), before)
         assert chip.read_dataword(0).tolist() == [0, 1, 1, 0]
 
-    @pytest.mark.parametrize("backend", ["packed", "reference"])
-    def test_binary_floats_and_booleans_are_accepted(self, backend):
-        chip = make_chip(num_data_bits=4, backend=backend)
+    def test_binary_floats_and_booleans_are_accepted(self):
+        chip = make_chip(num_data_bits=4)
         chip.write_datawords([0, 1], np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]]))
         chip.write_dataword(2, np.array([True, False, False, True]))
         assert chip.read_datawords([0, 1, 2]).tolist() == [
@@ -170,13 +168,12 @@ def _assert_same_state(first, second):
     assert first[3] == second[3]
 
 
-def _noisy_chip(backend="packed", **kwargs):
+def _noisy_chip(**kwargs):
     """A chip whose reads draw transient flips, written with random words and paused."""
     chip = make_chip(
         retention_model=FAST_FAILING,
         transient_faults=TransientFaultModel(0.05),
         seed=4,
-        backend=backend,
         **kwargs,
     )
     rng = np.random.default_rng(4)
@@ -267,13 +264,12 @@ class TestRetentionRounds:
             reads.append(chip.read_datawords(indices))
         return np.array(reads, dtype=np.uint8).reshape(assignment.shape + (chip.num_data_bits,))
 
-    @pytest.mark.parametrize("backend", ["packed", "reference"])
     @pytest.mark.parametrize("num_data_bits", [8, 16, 60, 122])
     @pytest.mark.parametrize("rounds", [1, 2, 5])
-    def test_same_answers_state_and_draws_as_the_rounds(self, backend, num_data_bits, rounds):
+    def test_same_answers_state_and_draws_as_the_rounds(self, num_data_bits, rounds):
         batched, looped = (
             _noisy_chip(
-                backend, num_data_bits=num_data_bits, num_rows=8, words_per_row=4,
+                num_data_bits=num_data_bits, num_rows=8, words_per_row=4,
                 cell_layout=CellTypeLayout.alternating([2, 3]),
             )
             for _ in range(2)
@@ -297,9 +293,9 @@ class TestRetentionRounds:
 
         encoded, encode_lanes = [], chip_module.encode_lanes
 
-        def recording_encode(code, datawords, backend):
+        def recording_encode(code, datawords):
             encoded.append(len(datawords))
-            return encode_lanes(code, datawords, backend)
+            return encode_lanes(code, datawords)
 
         monkeypatch.setattr(chip_module, "encode_lanes", recording_encode)
         chip = make_chip()
@@ -537,14 +533,6 @@ class TestRetentionBehaviour:
             chip.inspect_pre_correction_errors(word) == ()
             for word in range(chip.num_words)
         )
-
-    def test_restore_refresh_is_noop(self):
-        chip = make_chip(retention_model=FAST_FAILING)
-        chip.fill(np.ones(16, dtype=np.uint8))
-        chip.pause_refresh(50.0)
-        before = chip.read_all_datawords().copy()
-        chip.restore_refresh()
-        assert np.array_equal(chip.read_all_datawords(), before)
 
 
 class TestTransientFaults:

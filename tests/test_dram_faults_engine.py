@@ -2,17 +2,17 @@
 
 Covers the satellite requirements: the stuck-at mask cache must be permanent
 across interleaved batch shapes, and transient + stuck-at overlays must be
-bit-identical between the ``reference`` and ``packed`` backends, both through
-:class:`EinsimSimulator` and through a chip read path.
+bit-identical between the ``reference`` and ``packed`` backends through
+:class:`EinsimSimulator`.  The chip has one codec; its read path is checked
+against the uint8 chip oracle in ``tests/test_dram_chip_differential.py``.
 """
 
 import numpy as np
 import pytest
 
 from injector_oracle import packed_mask
-from repro.dram import ChipGeometry, SimulatedDramChip, StuckAtFaultModel
+from repro.dram import StuckAtFaultModel
 from repro.dram.faults import TransientFaultModel
-from repro.dram.retention import DataRetentionModel, RetentionCalibration
 from repro.ecc import hamming_code
 from repro.einsim import (
     BACKENDS,
@@ -132,23 +132,3 @@ class TestFaultModelsThroughBatchedEngine:
         stored_ones = np.ones((100, 16), dtype=np.uint8)
         mask = packed_mask(injector, stored_ones, np.random.default_rng(0))
         assert mask.mean() == pytest.approx(0.5, abs=0.05)
-
-
-class TestChipLevelFaultsAcrossBackends:
-    def test_transient_faults_on_chip_reads_backend_invariant(self):
-        observed = {}
-        for backend in BACKENDS:
-            chip = SimulatedDramChip(
-                code=hamming_code(8),
-                geometry=ChipGeometry(num_rows=8, words_per_row=4),
-                retention_model=DataRetentionModel(
-                    RetentionCalibration(1.0, 0.02, 60.0, 0.5)
-                ),
-                transient_faults=TransientFaultModel(0.01),
-                seed=9,
-                backend=backend,
-            )
-            chip.fill([1] * 8)
-            chip.pause_refresh(60.0, 80.0)
-            observed[backend] = chip.read_all_datawords()
-        assert np.array_equal(observed["reference"], observed["packed"])

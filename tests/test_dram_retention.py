@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram import DataRetentionModel, RetentionCalibration
+from repro.dram.retention import FAST_RETENTION
 
 
 class TestCalibration:
@@ -135,3 +136,48 @@ class TestRetentionProperties:
         model = DataRetentionModel()
         low, high = sorted([first, second])
         assert model.failure_probability(low, 80.0) <= model.failure_probability(high, 80.0)
+
+
+class TestScipyValues:
+    """The normal quantile and CDF hold the values scipy.stats.norm gave.
+
+    Every chip draws its retention times from ``(mu, sigma)``, so those
+    move every simulated cell.  The literals were taken with scipy 1.17.1
+    (``norm.ppf``/``norm.cdf``) before the library dropped it.
+    """
+
+    @pytest.mark.parametrize("calibration, mu, sigma", [
+        (RetentionCalibration(), 10.698750489201903, 1.1369253588505763),
+        (FAST_RETENTION, 4.0943445622221, 1.993595488244228),
+    ], ids=["default", "fast"])
+    def test_lognormal_parameters(self, calibration, mu, sigma):
+        assert calibration.lognormal_parameters() == pytest.approx((mu, sigma), rel=1e-12)
+
+    @pytest.mark.parametrize("calibration, window_s, temperature_c, probability", [
+        # The 60 s window at 80 degC sits at z = -5.8, deep in the lower tail.
+        (RetentionCalibration(), 60.0, 80.0, 3.1422468918814765e-09),
+        (RetentionCalibration(), 120.0, 80.0, 9.999999999999959e-08),
+        (RetentionCalibration(), 600.0, 85.0, 0.0002517401855164366),
+        (RetentionCalibration(), 30.0, 70.0, 1.0450103029042103e-12),
+        (FAST_RETENTION, 30.0, 80.0, 0.36403764054892856),
+        (FAST_RETENTION, 45.0, 80.0, 0.44263055269591167),
+        (FAST_RETENTION, 90.0, 85.0, 0.6469976633121475),
+    ])
+    def test_failure_probability(self, calibration, window_s, temperature_c, probability):
+        model = DataRetentionModel(calibration)
+        assert model.failure_probability(window_s, temperature_c) == pytest.approx(
+            probability, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("calibration, ber, temperature_c, window_s", [
+        (RetentionCalibration(), 1e-7, 80.0, 120.00000000000009),
+        (RetentionCalibration(), 1e-9, 85.0, 34.230532401325675),
+        (RetentionCalibration(), 0.5, 80.0, 44300.46662182982),
+        (FAST_RETENTION, 1e-4, 75.0, 0.051134475925996334),
+        (FAST_RETENTION, 0.9, 80.0, 772.1972180881069),
+    ])
+    def test_window_for_failure_probability(self, calibration, ber, temperature_c, window_s):
+        model = DataRetentionModel(calibration)
+        assert model.window_for_failure_probability(ber, temperature_c) == pytest.approx(
+            window_s, rel=1e-12
+        )

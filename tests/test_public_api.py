@@ -1,9 +1,16 @@
 """Tests for the top-level public API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import repro
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestPublicApi:
@@ -53,3 +60,15 @@ class TestPublicApi:
         assert repro.SimulatedDramChip is not None
         assert repro.EinsimSimulator is not None
         assert repro.CDCLSolver is not None
+
+    def test_the_library_imports_without_scipy(self):
+        # numpy is the only runtime dependency (requirements.txt); a None in
+        # sys.modules makes any scipy import raise ModuleNotFoundError.
+        script = 'import sys; sys.modules["scipy"] = None; import repro, repro.cli'
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 0, result.stderr

@@ -423,6 +423,13 @@ class TestBeerCellsRejectBadCampaigns:
         assert cell.key() == (
             "38d3d95dc9fa1faeeebc401b21d29aa90cbc6ba0e585fef902ce78207971c48c"
         )
+        # The chip has one codec, but a BEER cell still records the backend
+        # it was given, so a reference cell keeps the key it was stored under.
+        cell = make_beer_cell("A", 16, rounds_per_window=2, seed=5, backend="reference")
+        assert cell.config()["backend"] == "reference"
+        assert cell.key() == (
+            "2489fd4cb761ad123cd6ee8c782f03f30dd44a2bce44b671c640c125aa113a3f"
+        )
 
 
 class TestCellResolution:
