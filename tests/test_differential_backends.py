@@ -44,20 +44,32 @@ CODE_SIZES = [(4, 0), (8, 1), (16, 2), (32, 3), (57, 4), (64, 5), (128, 6)]
 
 BATCH_SHAPES = [0, 1, 7, 64, 257]
 
-#: Codes for the lane codec: the Hamming sizes above (k = 64 fills two
-#: lanes), three whose parity bits straddle two lanes (k % 64 + r > 64),
-#: SEC-DED codes of one and two lanes, whose double errors are DUEs that
-#: flip nothing, and the one- and two-parity-bit codes whose syndromes skip
-#: the fold tables.
+#: Codes for the lane codec, the chip's one codec: the Hamming sizes above
+#: (k = 64 fills two lanes), four whose parity bits straddle two lanes
+#: (k % 64 + r > 64; at k = 121 the last bit is alone in a third lane), the
+#: perfect codes n = 31 and 255 (every syndrome names a bit) and n = 257
+#: (r = 9); SEC-DED codes, whose double errors are DUEs that flip nothing,
+#: of one and two lanes, filling exactly one or two (n = 64, 128),
+#: straddling (k = 58) and of three lanes (k = 128); single-parity codes
+#: whose parity bit ends a lane (n = 64) or is alone in the next (n = 65);
+#: and the one- and two-parity-bit codes whose syndromes skip the fold
+#: tables, beside the smallest repetition code that takes them.
 LANE_CODES = {
     **{
         f"hamming-{k}": lambda k=k, seed=seed: _code(k, seed)
-        for k, seed in CODE_SIZES + [(58, 7), (60, 8), (122, 9)]
+        for k, seed in CODE_SIZES + [
+            (58, 7), (60, 8), (122, 9), (121, 10), (26, 11), (247, 12), (248, 13),
+        ]
     },
-    "secded-16": lambda: get_family("secded-extended-hamming").construct(16),
-    "secded-64": lambda: get_family("secded-extended-hamming").construct(64),
+    **{
+        f"secded-{k}": lambda k=k: get_family("secded-extended-hamming").construct(k)
+        for k in (16, 57, 58, 64, 120, 128)
+    },
     "parity-r1": lambda: get_family("parity-detect").construct(16),
+    "parity-63": lambda: get_family("parity-detect").construct(63),
+    "parity-64": lambda: get_family("parity-detect").construct(64),
     "rep3-r2": lambda: get_family("repetition").construct(1),
+    "rep3-r4": lambda: get_family("repetition").construct(2),
 }
 
 

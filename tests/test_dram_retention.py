@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram import DataRetentionModel, RetentionCalibration
-from repro.dram.retention import FAST_RETENTION
+from repro.dram.retention import FAST_RETENTION, _normal_cdf, _normal_quantile
 
 
 class TestCalibration:
@@ -142,8 +142,8 @@ class TestScipyValues:
     """The normal quantile and CDF hold the values scipy.stats.norm gave.
 
     Every chip draws its retention times from ``(mu, sigma)``, so those
-    move every simulated cell.  The literals were taken with scipy 1.17.1
-    (``norm.ppf``/``norm.cdf``) before the library dropped it.
+    move every simulated cell.  The literals are scipy 1.17.1's
+    (``norm.ppf``/``norm.cdf``); the library no longer imports scipy.
     """
 
     @pytest.mark.parametrize("calibration, mu, sigma", [
@@ -151,7 +151,45 @@ class TestScipyValues:
         (FAST_RETENTION, 4.0943445622221, 1.993595488244228),
     ], ids=["default", "fast"])
     def test_lognormal_parameters(self, calibration, mu, sigma):
-        assert calibration.lognormal_parameters() == pytest.approx((mu, sigma), rel=1e-12)
+        assert calibration.lognormal_parameters() == pytest.approx(
+            (mu, sigma), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("z_score, probability", [
+        # NormalDist().cdf is 1.3e-10 off at z = -6 and returns 0 below -8.3.
+        (-9.0, 1.1285884059538324e-19),
+        (-8.5, 9.47953482220325e-18),
+        (-7.5, 3.1908916729108844e-14),
+        (-6.0, 9.865876450376946e-10),
+        (-5.2, 9.96442631693347e-08),
+        (-4.0, 3.167124183311986e-05),
+        (-2.5, 0.006209665325776132),
+        (-1.0, 0.15865525393145707),
+        (0.0, 0.5),
+        (0.5, 0.6914624612740131),
+        (2.0, 0.9772498680518208),
+        (5.0, 0.9999997133484281),
+    ])
+    def test_normal_cdf(self, z_score, probability):
+        assert _normal_cdf(z_score) == pytest.approx(probability, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("probability, z_score", [
+        (1e-15, -7.941345326170998),
+        (1e-12, -7.034483825301131),
+        (1e-10, -6.361340902404056),
+        (1e-08, -5.612001244174789),
+        (1e-06, -4.753424308822899),
+        (1e-04, -3.7190164854556804),
+        (0.02, -2.053748910631823),
+        (0.3, -0.5244005127080409),
+        (0.5, 0.0),
+        (0.75, 0.6744897501960817),
+        (0.98, 2.0537489106318225),
+        (1 - 1e-06, 4.753424308817087),
+        (1 - 1e-12, 7.0344869100478356),
+    ])
+    def test_normal_quantile(self, probability, z_score):
+        assert _normal_quantile(probability) == pytest.approx(z_score, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("calibration, window_s, temperature_c, probability", [
         # The 60 s window at 80 degC sits at z = -5.8, deep in the lower tail.
@@ -166,7 +204,7 @@ class TestScipyValues:
     def test_failure_probability(self, calibration, window_s, temperature_c, probability):
         model = DataRetentionModel(calibration)
         assert model.failure_probability(window_s, temperature_c) == pytest.approx(
-            probability, rel=1e-12
+            probability, rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("calibration, ber, temperature_c, window_s", [
@@ -179,5 +217,5 @@ class TestScipyValues:
     def test_window_for_failure_probability(self, calibration, ber, temperature_c, window_s):
         model = DataRetentionModel(calibration)
         assert model.window_for_failure_probability(ber, temperature_c) == pytest.approx(
-            window_s, rel=1e-12
+            window_s, rel=1e-12, abs=0
         )
