@@ -1,12 +1,14 @@
 """Unified parametric benchmark harness (the ``repro.bench`` suite).
 
-The harness replaces the four ad-hoc ``benchmarks/bench_*.py`` writers with
-one registry of named workloads.  Every workload declares per-tier scale
-parameters (``smoke`` / ``quick`` / ``full``), runs named conditions with
-warmup/repeat/min-time control, reports metrics plus bit-identity oracles,
-and serialises into a single merged schema.  A comparator diffs runs against
-committed baselines with per-metric tolerances and hard-fails on regressions
-or identity violations.
+One registry of named workloads reproduces the paper's figures, tables and
+sections and measures the library's kernels.  Every workload declares
+per-tier scale parameters (``smoke`` / ``quick`` / ``full``), runs named
+conditions with warmup/repeat/min-time control, reports metrics plus
+bit-identity oracles, and serialises into a single merged schema.  A
+comparator diffs runs against committed baselines with per-metric
+tolerances and hard-fails on regressions or identity violations.  Workloads
+run through ``repro bench run`` (:mod:`repro.bench.cli`); tier-1 runs each
+one at smoke scale through :func:`run_workload`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Human-readable rendering of benchmark runs and comparator reports.
 
-Replaces the old ``benchmarks/_reporting.py`` helpers; the table/sparkline
-primitives are kept so workload artifacts (paper figures) can still be
-printed as ASCII, and a generic per-workload renderer prints the merged
-schema uniformly.
+An ASCII table primitive prints workload artifacts (paper figures), and a
+generic per-workload renderer prints the merged schema uniformly.
 """
 
 from __future__ import annotations
@@ -44,20 +42,12 @@ def _format(cell) -> str:
     return str(cell)
 
 
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """Render a coarse one-line bar chart of non-negative values."""
-    if not values:
-        return ""
-    peak = max(values) or 1.0
-    blocks = " .:-=+*#%@"
-    return "".join(
-        blocks[min(int(value / peak * (len(blocks) - 1)), len(blocks) - 1)]
-        for value in list(values)[:width]
-    )
-
-
 def print_workload_record(record: WorkloadRecord, tier: str) -> None:
-    """Print one workload's conditions, metrics, and oracle outcomes."""
+    """Print one workload's conditions, metrics, and oracle outcomes.
+
+    A workload that could not apply some of its gates says why in its
+    ``skip_reason`` artifact, printed after the table.
+    """
     print_header(f"{record.workload} [{tier} tier]")
     if record.params:
         rendered = ", ".join(f"{k}={v!r}" for k, v in sorted(record.params.items()))
@@ -72,6 +62,9 @@ def print_workload_record(record: WorkloadRecord, tier: str) -> None:
         row += [_oracle_cell(condition.oracles.get(name)) for name in oracle_names]
         rows.append(row)
     print_table(headers, rows)
+    skip_reason = record.artifacts.get("skip_reason")
+    if skip_reason:
+        print(f"gates not applied: {skip_reason}")
 
 
 def _oracle_cell(value) -> str:

@@ -1,8 +1,7 @@
 """Merged benchmark results schema: workload × condition × metrics.
 
-Every benchmark in the repository — the four perf benchmarks that used to
-write ad-hoc ``BENCH_*.json`` files and the paper-figure reproductions —
-reports its measurements through one schema:
+Every workload of the harness — the perf benchmarks and the paper-figure
+reproductions — reports its measurements through one schema:
 
 * a :class:`BenchRun` is one invocation of the driver: a tier (``smoke`` /
   ``quick`` / ``full``), an environment fingerprint, and a list of workload
@@ -89,9 +88,6 @@ class WorkloadRecord:
             if record.condition == name:
                 return record
         raise UnknownNameError(f"workload {self.workload!r} has no condition {name!r}")
-
-    def condition_names(self) -> List[str]:
-        return [record.condition for record in self.conditions]
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -514,16 +514,6 @@ class MiscorrectionCounts:
         """Total DUE word observations across every pattern."""
         return sum(self._due_words.values())
 
-    def due_probability(self, pattern: ChargedPattern) -> float:
-        """Per-word DUE probability for ``pattern`` (raises on zero words)."""
-        words = self._words_observed.get(pattern, 0)
-        if words == 0:
-            raise ProfileError(
-                f"pattern {pattern!r} has zero observed words; its DUE "
-                "probability is undefined"
-            )
-        return self._due_words.get(pattern, 0) / words
-
     def error_probabilities(self, pattern: ChargedPattern) -> np.ndarray:
         """Return per-bit post-correction error probabilities for ``pattern``.
 

@@ -30,7 +30,7 @@ from repro.ecc.family import get_family
 from repro.dram.cell import CellType
 from repro.dram.chip import ChipGeometry, SimulatedDramChip
 from repro.dram.faults import TransientFaultModel
-from repro.dram.layout import ByteInterleavedWordLayout, CellTypeLayout
+from repro.dram.layout import CellTypeLayout
 from repro.dram.retention import DataRetentionModel
 
 
@@ -118,16 +118,10 @@ class ManufacturerProfile:
         chips of the same model share one ECC function.  ``code_family``
         selects which family the on-die ECC function is drawn from.
         """
-        code = self.ecc_function(num_data_bits, code_family=code_family)
-        data_bits = code.num_data_bits
-        word_layout = (
-            ByteInterleavedWordLayout(data_bits // 8, 2) if data_bits % 8 == 0 else None
-        )
         return SimulatedDramChip(
-            code=code,
-            geometry=geometry if geometry is not None else ChipGeometry(),
+            code=self.ecc_function(num_data_bits, code_family=code_family),
+            geometry=geometry,
             cell_layout=self.cell_layout(),
-            word_layout=word_layout,
             retention_model=retention_model,
             transient_faults=TransientFaultModel(transient_fault_probability),
             seed=seed,

@@ -109,8 +109,14 @@ class DataRetentionModel:
         """Return the reference-temperature window equivalent to the given conditions.
 
         Raising the temperature by ``temperature_halving_c`` degrees doubles
-        the effective window (i.e. halves every retention time).
+        the effective window (i.e. halves every retention time).  A NaN
+        window or temperature raises :class:`ValidationError`; an infinite
+        window is legal.
         """
+        if math.isnan(refresh_window_s) or math.isnan(temperature_c):
+            raise ValidationError(
+                "refresh window and temperature must be numbers, not NaN"
+            )
         if refresh_window_s < 0:
             raise ValidationError("refresh window must be non-negative")
         exponent = (temperature_c - self._reference_temperature_c) / self._temperature_halving_c
@@ -134,6 +140,8 @@ class DataRetentionModel:
         """Return the refresh window that produces ``target_ber`` at ``temperature_c``."""
         if not 0 < target_ber < 1:
             raise ValidationError("target BER must lie strictly between 0 and 1")
+        if math.isnan(temperature_c):
+            raise ValidationError("temperature must be a number, not NaN")
         z_score = _normal_quantile(target_ber)
         window_at_reference = math.exp(self._mu + z_score * self._sigma)
         exponent = (temperature_c - self._reference_temperature_c) / self._temperature_halving_c

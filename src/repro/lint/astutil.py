@@ -164,10 +164,3 @@ def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
             ):
                 continue
             stack.append(child)
-
-
-def is_inside(node: ast.AST, container: ast.AST) -> bool:
-    """Is ``node`` equal to or a descendant of ``container``?"""
-    if node is container:
-        return True
-    return any(ancestor is container for ancestor in ancestors(node))

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, List, Optional, TextIO
+from typing import Any, Optional, TextIO
 
 from repro.lint.engine import LintError, counts_by_code, lint_paths, select_rules
 from repro.lint.rules import ALL_RULES
 
-#: Default lint targets when no PATHS are given: the library and the
-#: benchmark definitions, the two trees whose determinism is load-bearing.
-DEFAULT_PATHS = ("src", "benchmarks")
+#: Default lint target when no PATHS are given: the library, whose
+#: determinism is load-bearing.
+DEFAULT_PATHS = ("src",)
 
 
 def add_lint_parser(subparsers: Any) -> None:
@@ -33,7 +33,7 @@ def add_lint_parser(subparsers: Any) -> None:
     )
     lint.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS), metavar="PATHS",
-        help="files or directories to lint (default: src benchmarks)",
+        help="files or directories to lint (default: src)",
     )
     lint.add_argument(
         "--json", action="store_true",
@@ -104,14 +104,3 @@ def handle_lint(args: Any, stream: Optional[TextIO] = None) -> int:
         return 1
     out.write(f"{files_checked} file(s) clean\n")
     return 0
-
-
-def list_rules(stream: Optional[TextIO] = None) -> List[str]:
-    """One-line-per-rule listing (used by tests and docs tooling)."""
-    out = stream if stream is not None else sys.stdout
-    lines = [
-        f"{rule.code}  {rule.name:<30} {rule.summary}" for rule in ALL_RULES
-    ]
-    for line in lines:
-        out.write(line + "\n")
-    return lines

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.bench.schema import BenchRun
+from repro.bench.schema import ORACLE_SKIPPED, BenchRun, ConditionRecord, WorkloadRecord
 from repro.cli import main
 
 WL = ["--workload", "table1-outcomes", "--workload", "sat-solver"]
@@ -117,6 +117,37 @@ class TestDeliberateRegression:
             run_cli("bench", "compare", str(doctored), "--baseline", str(result_file))
             == 1
         )
+
+
+class TestRunCheckOracles:
+    """`bench run --check-oracles` is the run-time oracle gate."""
+
+    def run(self, monkeypatch, tmp_path, oracle, **artifacts):
+        import repro.bench.cli as bench_cli
+
+        record = WorkloadRecord(
+            workload="sat-solver",
+            conditions=[ConditionRecord("k8:incremental", oracles={"identical": oracle})],
+            artifacts=artifacts,
+        )
+        monkeypatch.setattr(
+            bench_cli,
+            "run_bench",
+            lambda workloads, tier: BenchRun(tier=tier, workloads=[record]),
+        )
+        return run_cli(
+            "bench", "run", "--tier", "smoke",
+            "--output", str(tmp_path / "run.json"), "--check-oracles",
+        )
+
+    def test_a_failed_oracle_exits_one_and_names_it(self, monkeypatch, tmp_path, capsys):
+        assert self.run(monkeypatch, tmp_path, False) == 1
+        assert "sat-solver/k8:incremental: identical" in capsys.readouterr().err
+
+    def test_a_skipped_oracle_exits_zero_and_says_why(self, monkeypatch, tmp_path, capsys):
+        reason = "only 1 usable CPU(s) for jobs=4"
+        assert self.run(monkeypatch, tmp_path, ORACLE_SKIPPED, skip_reason=reason) == 0
+        assert reason in capsys.readouterr().out
 
 
 def test_update_baseline_from_result(result_file, tmp_path, capsys, monkeypatch):

@@ -72,6 +72,13 @@ class TestChipFactory:
         cell_types = {chip.cell_type_of_word(w) for w in range(chip.num_words)}
         assert cell_types == {CellType.TRUE_CELL, CellType.ANTI_CELL}
 
+    def test_make_chip_takes_the_chip_defaults(self):
+        chip = VENDOR_B.make_chip(num_data_bits=16)
+        assert chip.geometry == ChipGeometry()
+        assert chip.word_layout.dataword_bytes == 2
+        assert chip.word_layout.words_per_region == 2
+        assert VENDOR_B.make_chip(num_data_bits=12).word_layout is None
+
     def test_chips_differ_by_seed_but_share_code(self):
         first = VENDOR_A.make_chip(num_data_bits=16, seed=0)
         second = VENDOR_A.make_chip(num_data_bits=16, seed=1)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.dram import DataRetentionModel, RetentionCalibration
 from repro.dram.retention import FAST_RETENTION, _normal_cdf, _normal_quantile
+from repro.exceptions import ValidationError
+
+NAN = float("nan")
 
 
 class TestCalibration:
@@ -79,6 +82,39 @@ class TestFailureProbability:
             DataRetentionModel().window_for_failure_probability(0.0, 80.0)
         with pytest.raises(ValueError):
             DataRetentionModel().window_for_failure_probability(1.0, 80.0)
+
+    @pytest.mark.parametrize(
+        ("method", "args"),
+        [
+            ("effective_window", (NAN, 80.0)),
+            ("effective_window", (60.0, NAN)),
+            ("failure_probability", (NAN, 80.0)),
+            ("failure_probability", (60.0, NAN)),
+            ("window_for_failure_probability", (NAN, 80.0)),
+            ("window_for_failure_probability", (1e-3, NAN)),
+            ("cells_failing", (np.ones(1000), NAN, 80.0)),
+            ("cells_failing", (np.ones(1000), 60.0, NAN)),
+        ],
+        ids=[
+            "effective_window-window",
+            "effective_window-temperature",
+            "failure_probability-window",
+            "failure_probability-temperature",
+            "window_for_failure_probability-ber",
+            "window_for_failure_probability-temperature",
+            "cells_failing-window",
+            "cells_failing-temperature",
+        ],
+    )
+    def test_nan_rejected(self, method, args):
+        with pytest.raises(ValidationError, match="NaN|BER"):
+            getattr(DataRetentionModel(), method)(*args)
+
+    def test_infinite_window_fails_every_cell(self):
+        model = DataRetentionModel()
+        assert model.effective_window(float("inf"), 80.0) == float("inf")
+        assert model.failure_probability(float("inf"), 80.0) == 1.0
+        assert model.cells_failing(np.ones(1000), float("inf"), 80.0).all()
 
 
 class TestSampling:

@@ -1,22 +1,28 @@
-"""The tree itself must satisfy its own linter: `repro lint src benchmarks`.
+"""The tree itself must satisfy its own linter: `repro lint src perfbench`.
 
 This is the in-tree version of the CI gate — a rule regression or a new
-violation anywhere in the library or benchmark definitions fails the
+violation anywhere in the library or the repository benchmark fails the
 ordinary test suite, not just the lint job.
 """
 
+import os
 from pathlib import Path
 
 from repro.lint import ALL_RULES, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+LINTED = [REPO_ROOT / "src", REPO_ROOT / "perfbench"]
 
 
 def test_repo_is_lint_clean():
-    findings, files_checked = lint_paths(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")], ALL_RULES
+    findings, files_checked = lint_paths([str(path) for path in LINTED], ALL_RULES)
+    python_files = sum(
+        name.endswith(".py")
+        for root in LINTED
+        for _, _, names in os.walk(root)
+        for name in names
     )
-    assert files_checked > 100  # the walk found the real tree
+    assert files_checked == python_files > 0  # the walk found the real tree
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
 
