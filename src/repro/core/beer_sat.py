@@ -28,19 +28,23 @@ equivalence class yields one model.  Pinned ``known_columns`` leave only the
 permutations of rows that carry the same bits in every pinned column, so only
 those rows are ordered.
 
-Solving and model enumeration use the library's own CDCL solver
-(:mod:`repro.sat`).  Enumeration runs on one *persistent* incremental solver:
-learned clauses, watch lists, activities, and saved phases survive across the
-blocking-clause iterations, so the n-th model costs incremental work instead
-of a full re-propagation (pass ``incremental=False`` to
-:meth:`SatBeerSolver.solve` for the historical one-shot oracle).  This backend
-is the reference implementation used to cross-validate the faster specialised
-solver in :mod:`repro.core.beer`; it is practical for the small-to-moderate
-code sizes used in tests.
+Every clause the encoding builds joins distinct variables it allocated
+itself, so it is appended unchecked (``CNF._append_clean``); only the pins
+of ``known_columns`` go through the checked ``add_clause``, after the pins
+are validated.  Solving and model enumeration use the library's own CDCL
+solver (:mod:`repro.sat`).  Enumeration runs on one *persistent*
+incremental solver: learned clauses, watch lists, activities, and saved
+phases survive across the blocking-clause iterations, so the n-th model
+costs incremental work instead of a full re-propagation (pass
+``incremental=False`` to :meth:`SatBeerSolver.solve` for the historical
+one-shot oracle).  This backend is the reference implementation used to
+cross-validate the faster specialised solver in :mod:`repro.core.beer`; it
+is practical for the small-to-moderate code sizes used in tests.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -128,7 +132,9 @@ class SatBeerSolver:
         ``known_columns`` optionally fixes parity-check columns that are
         already known (``{data column index: column integer, ...}``, LSB =
         parity row 0) — the partial-knowledge scenario where a datasheet or a
-        previous BEER run pins part of ``P``.  The pins fix the parity-bit
+        previous BEER run pins part of ``P``.  Indices and values must be
+        Python or numpy ints in range; a bool, float or string raises
+        :class:`~repro.exceptions.SolverError`.  The pins fix the parity-bit
         labelling only up to permutations of rows that carry the same bits in
         every pinned column, so only those rows are ordered; the pinned
         columns come back exactly as given.
@@ -143,9 +149,9 @@ class SatBeerSolver:
                 f"profile is for k={profile.num_data_bits}, solver expects "
                 f"k={self._num_data_bits}"
             )
+        pinned = self._checked_pins(known_columns or {})
         start_time = time.perf_counter()
         formula, column_variables = self._build_formula(profile)
-        pinned = dict(known_columns) if known_columns else {}
         self._pin_known_columns(formula, column_variables, pinned)
         row_pairs = self._ordered_row_pairs(pinned)
         for upper, lower in row_pairs:
@@ -197,14 +203,20 @@ class SatBeerSolver:
             ),
         )
 
-    def _pin_known_columns(
-        self,
-        formula: CNF,
-        column_variables: List[List[int]],
-        known_columns: Mapping[int, int],
-    ) -> None:
-        """Fix already-known parity-check columns with unit clauses."""
+    def _checked_pins(self, known_columns: Mapping[int, int]) -> Dict[int, int]:
+        """``known_columns`` as a dict of ints, once every pin is valid.
+
+        A bool is not an index (``True`` would pin column 1), nor is a float
+        or a string; numpy ints pass.
+        """
+        pinned: Dict[int, int] = {}
         for column_index, value in known_columns.items():
+            for number in (column_index, value):
+                if isinstance(number, bool) or not isinstance(number, numbers.Integral):
+                    raise SolverError(
+                        f"known column {column_index!r}: {value!r} must map an "
+                        "integer index to an integer value"
+                    )
             if not 0 <= column_index < self._num_data_bits:
                 raise SolverError(
                     f"known column {column_index} out of range for k={self._num_data_bits}"
@@ -214,6 +226,17 @@ class SatBeerSolver:
                     f"known column value {value} does not fit in "
                     f"{self._num_parity_bits} parity bits"
                 )
+            pinned[int(column_index)] = int(value)
+        return pinned
+
+    def _pin_known_columns(
+        self,
+        formula: CNF,
+        column_variables: List[List[int]],
+        known_columns: Mapping[int, int],
+    ) -> None:
+        """Fix already-known parity-check columns with unit clauses."""
+        for column_index, value in known_columns.items():
             for row, variable in enumerate(column_variables[column_index]):
                 formula.add_unit(variable if (value >> row) & 1 else -variable)
 
@@ -290,7 +313,7 @@ class SatBeerSolver:
                         diff,
                     )
                     difference_bits.append(diff)
-                formula.add_clause(difference_bits)
+                formula._append_clean(*difference_bits)
 
     def _encode_one_charged(
         self,
@@ -305,15 +328,15 @@ class SatBeerSolver:
         charged = column_variables[charged_bit]
         if observed:
             for row in range(self._num_parity_bits):
-                formula.add_clause([-target[row], charged[row]])
+                formula._append_clean(-target[row], charged[row])
         else:
             witnesses = []
             for row in range(self._num_parity_bits):
                 witness = formula.new_variable()
-                formula.add_clause([-witness, target[row]])
-                formula.add_clause([-witness, -charged[row]])
+                formula._append_clean(-witness, target[row])
+                formula._append_clean(-witness, -charged[row])
                 witnesses.append(witness)
-            formula.add_clause(witnesses)
+            formula._append_clean(*witnesses)
 
     def _encode_two_charged(
         self,
@@ -335,24 +358,24 @@ class SatBeerSolver:
             case_direct = formula.new_variable()
             case_shifted = formula.new_variable()
             for row in range(self._num_parity_bits):
-                formula.add_clause([-case_direct, -target[row], union_bits[row]])
-                formula.add_clause([-case_shifted, -shifted_bits[row], union_bits[row]])
-            formula.add_clause([case_direct, case_shifted])
+                formula._append_clean(-case_direct, -target[row], union_bits[row])
+                formula._append_clean(-case_shifted, -shifted_bits[row], union_bits[row])
+            formula._append_clean(case_direct, case_shifted)
         else:
             # (exists row: target and not union) AND (exists row: shifted and not union)
             direct_witnesses = []
             shifted_witnesses = []
             for row in range(self._num_parity_bits):
                 direct = formula.new_variable()
-                formula.add_clause([-direct, target[row]])
-                formula.add_clause([-direct, -union_bits[row]])
+                formula._append_clean(-direct, target[row])
+                formula._append_clean(-direct, -union_bits[row])
                 direct_witnesses.append(direct)
                 shifted = formula.new_variable()
-                formula.add_clause([-shifted, shifted_bits[row]])
-                formula.add_clause([-shifted, -union_bits[row]])
+                formula._append_clean(-shifted, shifted_bits[row])
+                formula._append_clean(-shifted, -union_bits[row])
                 shifted_witnesses.append(shifted)
-            formula.add_clause(direct_witnesses)
-            formula.add_clause(shifted_witnesses)
+            formula._append_clean(*direct_witnesses)
+            formula._append_clean(*shifted_witnesses)
 
     def _cached_xor(
         self,

@@ -493,9 +493,10 @@ def _integers(values) -> np.ndarray:
 
 
 def _check_pause(duration_s: float, temperature_c: float) -> None:
-    if math.isnan(duration_s) or math.isnan(temperature_c):
+    if math.isnan(duration_s) or not math.isfinite(temperature_c):
         raise ChipConfigurationError(
-            "refresh pause duration and temperature must be numbers, not NaN"
+            "refresh pause duration must be a number, not NaN, and the "
+            "temperature a finite number"
         )
     if duration_s < 0:
         raise ChipConfigurationError("refresh pause must be non-negative")

@@ -48,6 +48,12 @@ REFERENCE_TEMPERATURE_C = 80.0
 TEMPERATURE_HALVING_C = 10.0
 
 
+def _check_temperature(temperature_c: float) -> None:
+    """:class:`ValidationError` unless ``temperature_c`` is finite."""
+    if not math.isfinite(temperature_c):
+        raise ValidationError("temperature must be a finite number, not NaN or infinite")
+
+
 @dataclass(frozen=True)
 class RetentionCalibration:
     """Two-point calibration of the chip-wide retention-time distribution.
@@ -110,17 +116,24 @@ class DataRetentionModel:
 
         Raising the temperature by ``temperature_halving_c`` degrees doubles
         the effective window (i.e. halves every retention time).  A NaN
-        window or temperature raises :class:`ValidationError`; an infinite
-        window is legal.
+        window or a non-finite temperature raises :class:`ValidationError`;
+        an infinite window is legal.  The doubling factor of a finite
+        temperature is positive even where a float cannot hold it, so a 0
+        or infinite window stays as it is, and past the float range any
+        other window becomes 0 (cold) or infinite (hot).
         """
-        if math.isnan(refresh_window_s) or math.isnan(temperature_c):
-            raise ValidationError(
-                "refresh window and temperature must be numbers, not NaN"
-            )
+        if math.isnan(refresh_window_s):
+            raise ValidationError("refresh window must be a number, not NaN")
+        _check_temperature(temperature_c)
         if refresh_window_s < 0:
             raise ValidationError("refresh window must be non-negative")
+        if refresh_window_s in (0, math.inf):
+            return float(refresh_window_s)
         exponent = (temperature_c - self._reference_temperature_c) / self._temperature_halving_c
-        return refresh_window_s * (2.0 ** exponent)
+        try:
+            return refresh_window_s * (2.0 ** exponent)
+        except OverflowError:
+            return math.inf
 
     def failure_probability(self, refresh_window_s: float, temperature_c: float) -> float:
         """Return the probability that a uniformly chosen cell fails.
@@ -137,15 +150,23 @@ class DataRetentionModel:
     def window_for_failure_probability(
         self, target_ber: float, temperature_c: float
     ) -> float:
-        """Return the refresh window that produces ``target_ber`` at ``temperature_c``."""
+        """Return the refresh window that produces ``target_ber`` at ``temperature_c``.
+
+        A non-finite temperature raises :class:`ValidationError`; past the
+        float range of the doubling factor the window is 0 (hot) or
+        infinite (cold).
+        """
         if not 0 < target_ber < 1:
             raise ValidationError("target BER must lie strictly between 0 and 1")
-        if math.isnan(temperature_c):
-            raise ValidationError("temperature must be a number, not NaN")
+        _check_temperature(temperature_c)
         z_score = _normal_quantile(target_ber)
         window_at_reference = math.exp(self._mu + z_score * self._sigma)
         exponent = (temperature_c - self._reference_temperature_c) / self._temperature_halving_c
-        return window_at_reference / (2.0 ** exponent)
+        try:
+            factor = 2.0 ** exponent
+        except OverflowError:
+            return 0.0
+        return window_at_reference / factor if factor else math.inf
 
     # -- per-cell sampling ---------------------------------------------------
     def sample_retention_times(

@@ -4,8 +4,10 @@ The paper solves the BEER constraint problem with the Z3 solver; this package
 provides what :mod:`repro.core.beer_sat` needs of that capability, built from
 scratch:
 
-* :mod:`repro.sat.cnf` — CNF formula container with clause hygiene
-  (duplicate-literal removal, tautology dropping) and variable allocation,
+* :mod:`repro.sat.cnf` — CNF formula container with variable allocation
+  and checked clause addition (integer literals, duplicate-literal removal,
+  tautology dropping) for clauses from outside; the encoders' clauses are
+  clean by construction and skip the checks,
 * :mod:`repro.sat.solver` — a persistent, incremental CDCL solver
   (two-watched-literal propagation, first-UIP clause learning, heap-based
   VSIDS branching, Luby restarts, learned-clause deletion, a conflict

@@ -4,10 +4,20 @@ Literals follow the DIMACS convention: variables are positive integers
 ``1, 2, 3, ...``; a positive literal ``v`` asserts the variable is true and a
 negative literal ``-v`` asserts it is false.  A clause is a disjunction of
 literals, and a formula is a conjunction of clauses.
+
+A clause enters a formula one of two ways.  :meth:`CNF.add_clause` checks
+it: every literal must be a non-zero integer, duplicates are removed,
+tautologies dropped, and the variable pool grows to cover it.  Outside
+callers and blocking clauses take that route.  The encoders of
+:mod:`repro.sat.encoders` and :mod:`repro.core.beer_sat` build their clauses
+from distinct variables they allocated themselves, so those clauses are
+clean by construction and go through ``CNF._append_clean`` unchecked; a
+clean clause is exactly what ``add_clause`` would have stored.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
@@ -16,26 +26,36 @@ from repro.exceptions import SolverError
 def simplify_literals(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
     """Validate and clean one clause: dedupe literals, detect tautologies.
 
-    Returns the literals with duplicates removed (first-occurrence order), or
-    ``None`` when the clause contains a complementary pair ``x, -x`` and is a
-    tautology that may be dropped.  Duplicate literals are a correctness
-    hazard downstream, not just noise: a two-watched-literal scheme would put
-    both watch slots of ``[x, x]`` on the same literal and misreport a unit
-    clause as a conflict.
+    Every literal must be a non-zero Python or numpy integer; a bool, float
+    or string raises :class:`SolverError` rather than being read as one
+    (``True`` would name variable 1 and ``1.7`` would be truncated to it).
+
+    Returns the literals as Python ints with duplicates removed
+    (first-occurrence order), or ``None`` when the clause contains a
+    complementary pair ``x, -x`` and is a tautology that may be dropped.
+    Duplicate literals are a correctness hazard downstream, not just noise:
+    a two-watched-literal scheme would put both watch slots of ``[x, x]`` on
+    the same literal and misreport a unit clause as a conflict.
     """
-    seen: set = set()
-    cleaned: List[int] = []
-    for raw in literals:
-        literal = int(raw)
+    checked: List[int] = []
+    for literal in literals:
+        if type(literal) is not int:  # the fast path skips the ABC check
+            if isinstance(literal, bool) or not isinstance(literal, numbers.Integral):
+                raise SolverError(f"literal {literal!r} is not an integer")
+            literal = int(literal)
         if literal == 0:
             raise SolverError("0 is not a valid literal")
+        checked.append(literal)
+    if not checked:
+        raise SolverError("cannot add an empty clause (formula would be trivially UNSAT)")
+    seen: set = set()
+    cleaned: List[int] = []
+    for literal in checked:
         if -literal in seen:
             return None
         if literal not in seen:
             seen.add(literal)
             cleaned.append(literal)
-    if not cleaned:
-        raise SolverError("cannot add an empty clause (formula would be trivially UNSAT)")
     return tuple(cleaned)
 
 
@@ -79,18 +99,29 @@ class CNF:
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add one clause; literals referencing unallocated variables extend the pool.
 
-        Clause hygiene is applied at add time: duplicate literals are removed
-        and tautologies (clauses containing both ``x`` and ``-x``) are
-        silently dropped, so the stored formula is always watchable by a
+        Clause hygiene is applied at add time: a literal that is not a
+        non-zero integer raises :class:`SolverError`, duplicate literals are
+        removed and tautologies (clauses containing both ``x`` and ``-x``)
+        are silently dropped, so the stored formula is always watchable by a
         two-watched-literal solver.
         """
-        raw = [int(literal) for literal in literals]
-        clause = simplify_literals(raw)
-        for literal in raw:
-            self._num_variables = max(self._num_variables, abs(literal))
-        if clause is None:
-            return
-        self._clauses.append(clause)
+        literals = list(literals)
+        clause = simplify_literals(literals)
+        self._num_variables = max(
+            self._num_variables, max(abs(int(literal)) for literal in literals)
+        )
+        if clause is not None:
+            self._clauses.append(clause)
+
+    def _append_clean(self, *literals: int) -> None:
+        """Append the clause ``literals`` without :meth:`add_clause`'s checks.
+
+        Only for clauses the program builds itself: there must be at least
+        one literal, and the literals must be distinct, non-complementary,
+        non-zero ints over variables already allocated, so that
+        ``add_clause`` would store the same tuple.
+        """
+        self._clauses.append(literals)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add several clauses."""

@@ -6,6 +6,12 @@ lexicographic order of parity rows over Boolean variables, and reads each
 parity-check column back from a model as an integer.  These helpers add the
 corresponding clauses to a :class:`~repro.sat.cnf.CNF`, allocating
 auxiliary variables where needed.
+
+Every clause an encoder adds is built from distinct variables, the caller's
+and the ones it allocates, so it is appended unchecked
+(``CNF._append_clean``).  Each public encoder that takes a list of literals
+checks that list once instead: its literals must be non-zero integers over
+distinct, already allocated variables.
 """
 
 from __future__ import annotations
@@ -13,7 +19,25 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.exceptions import SolverError
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, simplify_literals
+
+
+def _check_literals(formula: CNF, literals: Sequence[int]) -> List[int]:
+    """``literals`` as a list, once they name distinct allocated variables.
+
+    Raises :class:`SolverError` for a literal that is not a non-zero integer,
+    for two literals over one variable, and for a variable ``formula`` has
+    not allocated.
+    """
+    literals = list(literals)
+    if not literals:
+        return literals
+    clean = simplify_literals(literals)
+    if clean is None or len(clean) != len(literals):
+        raise SolverError(f"literals {literals} repeat a variable")
+    if max(abs(literal) for literal in clean) > formula.num_variables:
+        raise SolverError(f"literals {literals} name a variable the formula has not allocated")
+    return list(clean)
 
 
 def encode_xor(formula: CNF, literals: Sequence[int], parity: bool) -> None:
@@ -22,7 +46,7 @@ def encode_xor(formula: CNF, literals: Sequence[int], parity: bool) -> None:
     Long XOR chains are broken into three-literal links with auxiliary
     variables so clause counts stay linear in the chain length.
     """
-    literals = list(literals)
+    literals = _check_literals(formula, literals)
     if not literals:
         if parity:
             raise SolverError("an empty XOR cannot have odd parity")
@@ -33,19 +57,19 @@ def encode_xor(formula: CNF, literals: Sequence[int], parity: bool) -> None:
         auxiliary = formula.new_variable()
         encode_xor_gate(formula, accumulator, literal, auxiliary)
         accumulator = auxiliary
-    formula.add_unit(accumulator if parity else -accumulator)
+    formula._append_clean(accumulator if parity else -accumulator)
 
 
 def encode_xor_gate(formula: CNF, left: int, right: int, result: int) -> None:
-    """Add the four clauses enforcing ``result = left XOR right``."""
-    formula.add_clauses(
-        [
-            [-left, -right, -result],
-            [left, right, -result],
-            [-left, right, result],
-            [left, -right, result],
-        ]
-    )
+    """Add the four clauses enforcing ``result = left XOR right``.
+
+    The three literals must be ints over three distinct variables that
+    ``formula`` has allocated; the clauses are appended unchecked.
+    """
+    formula._append_clean(-left, -right, -result)
+    formula._append_clean(left, right, -result)
+    formula._append_clean(-left, right, result)
+    formula._append_clean(left, -right, result)
 
 
 def encode_odd_weight(formula: CNF, literals: Sequence[int]) -> None:
@@ -65,10 +89,9 @@ def encode_not_weight_one(formula: CNF, literals: Sequence[int]) -> None:
     :func:`encode_odd_weight` it yields weight ≥ 3 — the two column
     design-space predicates of the built-in BEER-searchable code families.
     """
-    literals = list(literals)
+    literals = _check_literals(formula, literals)
     for index, literal in enumerate(literals):
-        others = literals[:index] + literals[index + 1 :]
-        formula.add_clause([-literal] + others)
+        formula._append_clean(-literal, *literals[:index], *literals[index + 1 :])
 
 
 def encode_column_design_space(
@@ -86,10 +109,13 @@ def encode_column_design_space(
             f"no CNF encoding registered for min_weight={min_weight} with "
             f"odd_weight={odd_weight}"
         )
+    literals = _check_literals(formula, literals)
     if odd_weight:
         encode_odd_weight(formula, literals)
+    elif not literals:
+        raise SolverError("a column over no variables cannot be non-zero")
     else:
-        formula.add_clause(literals)  # non-zero
+        formula._append_clean(*literals)  # non-zero
     if min_weight >= 2:
         encode_not_weight_one(formula, literals)
 
@@ -106,14 +132,16 @@ def encode_lex_geq(formula: CNF, left: Sequence[int], right: Sequence[int]) -> N
     left, right = list(left), list(right)
     if len(left) != len(right):
         raise SolverError("lexicographic comparison needs vectors of equal length")
+    checked = _check_literals(formula, left + right)
+    left, right = checked[: len(left)], checked[len(left) :]
     guard: List[int] = []  # [-prefix_equal], empty before position 0
     for position, (upper, lower) in enumerate(zip(left, right)):
-        formula.add_clause(guard + [upper, -lower])
+        formula._append_clean(*guard, upper, -lower)
         if position == len(left) - 1:
             break
         prefix_equal = formula.new_variable()
-        formula.add_clause(guard + [upper, prefix_equal])
-        formula.add_clause(guard + [-lower, prefix_equal])
+        formula._append_clean(*guard, upper, prefix_equal)
+        formula._append_clean(*guard, -lower, prefix_equal)
         guard = [-prefix_equal]
 
 

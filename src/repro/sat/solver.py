@@ -28,11 +28,21 @@ differential oracle for the incremental path.
 A per-call conflict budget is supported; exhausting it raises
 :class:`repro.exceptions.BudgetExhaustedError`, a dedicated indeterminate
 outcome distinct from encoding errors.
+
+The solver is pure Python, so its cost is interpreter work per clause and
+per watcher; the hot paths keep it down without changing a decision.
+``CDCLSolver(formula)`` grows its variable arrays in bulk and attaches the
+formula's own (already clean) clause list in one loop; only
+:meth:`~CDCLSolver.add_clause`, which outside callers and blocking clauses
+use, checks and simplifies each clause.  Propagation and backtracking read
+solver state through locals and enqueue inline.  The statistics and every
+decision are pinned by ``tests/test_sat_bit_identity.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -52,14 +62,14 @@ class Clause(list):
     Clauses are distinguished by identity, not value: two learned clauses
     with the same literals are distinct objects, so watch lists and reason
     pointers must be compared with ``is`` (see ``_remove_watch``).
+
+    ``learnt`` and ``activity`` default to the class attributes below and
+    are set on learned clauses only.  A Python-level ``__init__`` would
+    cost more than the list copy itself on every original clause.
     """
 
-    __slots__ = ("learnt", "activity")
-
-    def __init__(self, literals: Iterable[int], learnt: bool = False):
-        super().__init__(literals)
-        self.learnt = learnt
-        self.activity = 0.0
+    learnt = False
+    activity = 0.0
 
 
 @dataclass
@@ -134,14 +144,28 @@ class _VariableHeap:
         self._heap: List[int] = []
         self._position: List[int] = [-1]  # var -> heap index, -1 if absent
 
-    def grow_one(self) -> None:
-        self._position.append(-1)
+    def append_fresh(self, first: int, last: int) -> None:
+        """Add the new variables ``first..last``, each of zero activity.
 
-    def push(self, variable: int) -> None:
-        if self._position[variable] != -1:
-            return
-        self._heap.append(variable)
-        self._sift_up(len(self._heap) - 1)
+        Every activity is non-negative, so a zero-activity variable never
+        sifts up past its parent: pushing it is just an append.
+        """
+        size = len(self._heap)
+        self._heap.extend(range(first, last + 1))
+        self._position.extend(range(size, size + last - first + 1))
+
+    def push_all(self, variables: Iterable[int]) -> None:
+        """Push each of ``variables`` that is not in the heap, in order."""
+        heap, activity, position = self._heap, self._activity, self._position
+        for variable in variables:
+            if position[variable] != -1:
+                continue
+            index = len(heap)
+            heap.append(variable)
+            if activity[variable]:
+                self._sift_up(index)
+            else:
+                position[variable] = index  # zero activity never sifts up
 
     def pop(self) -> Optional[int]:
         if not self._heap:
@@ -232,7 +256,7 @@ class CDCLSolver:
         self._trail_limits: List[int] = []
         self._propagation_head = 0
 
-        self._watches: Dict[int, List[Clause]] = {}
+        self._watches: Dict[int, List[Clause]] = defaultdict(list)
         self._clauses: List[Clause] = []
         self._learnt: List[Clause] = []
         self._heap = _VariableHeap(self._activity)
@@ -244,12 +268,8 @@ class CDCLSolver:
         self._max_learnt_growth = 1.3
 
         if formula is not None:
-            # CNF.add_clause has already cleaned every clause and allocated
-            # its variables, and a new solver sits at the root level, so the
-            # clauses skip add_clause's checks.
             self._ensure_variables(formula.num_variables)
-            for clause in formula.clauses:
-                self._attach_at_root(clause)
+            self._attach_formula(formula)
         self._max_learnt = max(1000, len(self._clauses) // 2)
 
     # -- incremental clause API ---------------------------------------------------
@@ -268,19 +288,41 @@ class CDCLSolver:
         self._backtrack(0)
         self._attach_at_root(clause)
 
+    def _attach_formula(self, formula: CNF) -> None:
+        """Attach the clauses of ``formula`` to this new, root-level solver.
+
+        A formula's clauses are clean (distinct, non-complementary literals
+        over allocated variables), so they skip :meth:`add_clause`'s checks,
+        and they are read from the formula's own list without a copy.  Until
+        a unit clause is enqueued nothing is assigned, so a clause attaches
+        as it is; after that each one is simplified by :meth:`_attach_at_root`.
+        """
+        trail, attached, watches = self._trail, self._clauses, self._watches
+        for literals in formula._clauses:
+            if trail:
+                self._attach_at_root(literals)
+            elif len(literals) == 1:
+                self._enqueue(literals[0], reason=None)
+            else:
+                clause = Clause(literals)
+                attached.append(clause)
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+
     def _attach_at_root(self, clause: Sequence[int]) -> None:
         """Simplify a clean clause against the root assignment and attach it.
 
         The solver must be at the root level and cover every variable of
         ``clause``, whose literals must be distinct and non-complementary.
         """
+        assignment = self._assignment
         remaining: List[int] = []
         for literal in clause:
-            value = self._literal_value(literal)
-            if value is True:
-                return  # satisfied at the root level forever
+            value = assignment[literal if literal > 0 else -literal]
             if value is None:
                 remaining.append(literal)
+            elif value is (literal > 0):
+                return  # satisfied at the root level forever
         if not remaining:
             self._unsat = True
             return
@@ -384,8 +426,8 @@ class CDCLSolver:
 
     # -- clause bookkeeping -------------------------------------------------------
     def _watch(self, clause: Clause) -> None:
-        for literal in (clause[0], clause[1]):
-            self._watches.setdefault(literal, []).append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     def _remove_watch(self, literal: int, clause: Clause) -> None:
         watchers = self._watches.get(literal, [])
@@ -399,7 +441,8 @@ class CDCLSolver:
         if len(literals) == 1:
             self._enqueue(literals[0], reason=None)
             return
-        clause = Clause(literals, learnt=True)
+        clause = Clause(literals)
+        clause.learnt = True
         clause.activity = self._clause_increment
         self._learnt.append(clause)
         self._stats.learnt_total += 1
@@ -429,25 +472,20 @@ class CDCLSolver:
 
     # -- assignment machinery -----------------------------------------------------
     def _ensure_variables(self, count: int) -> None:
-        while self._num_variables < count:
-            self._num_variables += 1
-            self._assignment.append(None)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._saved_phase.append(False)
-            self._seen.append(0)
-            self._heap.grow_one()
-            self._heap.push(self._num_variables)
+        new = count - self._num_variables
+        if new <= 0:
+            return
+        self._assignment.extend([None] * new)
+        self._level.extend([0] * new)
+        self._reason.extend([None] * new)
+        self._activity.extend([0.0] * new)
+        self._saved_phase.extend([False] * new)
+        self._seen.extend(bytes(new))
+        self._heap.append_fresh(self._num_variables + 1, count)
+        self._num_variables = count
 
     def _decision_level(self) -> int:
         return len(self._trail_limits)
-
-    def _literal_value(self, literal: int) -> Optional[bool]:
-        value = self._assignment[abs(literal)]
-        if value is None:
-            return None
-        return value if literal > 0 else not value
 
     def _enqueue(self, literal: int, reason: Optional[Clause]) -> None:
         variable = abs(literal)
@@ -458,57 +496,74 @@ class CDCLSolver:
         self._trail.append(literal)
 
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        if len(self._trail_limits) <= target_level:
             return
+        trail, assignment, reason = self._trail, self._assignment, self._reason
         cutoff = self._trail_limits[target_level]
-        for literal in reversed(self._trail[cutoff:]):
-            variable = abs(literal)
-            self._assignment[variable] = None
-            self._reason[variable] = None
-            self._heap.push(variable)
-        del self._trail[cutoff:]
+        undone = [literal if literal > 0 else -literal for literal in reversed(trail[cutoff:])]
+        for variable in undone:
+            assignment[variable] = None
+            reason[variable] = None
+        self._heap.push_all(undone)
+        del trail[cutoff:]
         del self._trail_limits[target_level:]
         self._propagation_head = min(self._propagation_head, len(self._trail))
 
     # -- propagation --------------------------------------------------------------
     def _propagate(self) -> Optional[Clause]:
-        while self._propagation_head < len(self._trail):
-            literal = self._trail[self._propagation_head]
-            self._propagation_head += 1
-            self._stats.propagations += 1
-            false_literal = -literal
-            watching = self._watches.get(false_literal)
+        """Propagate the trail from the propagation head; return a conflict.
+
+        Solver state is read through locals and :meth:`_enqueue` is inlined;
+        the decision level is fixed for the whole call.
+        """
+        trail, watches = self._trail, self._watches
+        assignment, level, reason = self._assignment, self._level, self._reason
+        saved_phase = self._saved_phase
+        decision_level = len(self._trail_limits)
+        start = head = self._propagation_head
+        conflict: Optional[Clause] = None
+        while head < len(trail):
+            false_literal = -trail[head]
+            head += 1
+            watching = watches.get(false_literal)
             if not watching:
                 continue
             retained: List[Clause] = []
-            conflict: Optional[Clause] = None
-            for position, clause in enumerate(watching):
-                if clause[0] == false_literal:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first_value = self._literal_value(clause[0])
-                if first_value is True:
-                    retained.append(clause)
+            clauses = iter(watching)
+            for clause in clauses:
+                first = clause[0]
+                if first == false_literal:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_literal
+                first_value = assignment[first if first > 0 else -first]
+                if first_value is (first > 0):
+                    retained.append(clause)  # its first watch is true
                     continue
-                moved = False
                 for alternative in range(2, len(clause)):
-                    if self._literal_value(clause[alternative]) is not False:
-                        clause[1], clause[alternative] = clause[alternative], clause[1]
-                        self._watches.setdefault(clause[1], []).append(clause)
-                        moved = True
+                    candidate = clause[alternative]
+                    value = assignment[candidate if candidate > 0 else -candidate]
+                    if value is None or value is (candidate > 0):
+                        clause[1], clause[alternative] = candidate, false_literal
+                        watches[candidate].append(clause)
                         break
-                if moved:
-                    continue
-                retained.append(clause)
-                if first_value is None:
-                    self._enqueue(clause[0], reason=clause)
                 else:
-                    conflict = clause
-                    retained.extend(watching[position + 1 :])
-                    break
-            self._watches[false_literal] = retained
+                    retained.append(clause)
+                    if first_value is None:
+                        variable = first if first > 0 else -first
+                        assignment[variable] = saved_phase[variable] = first > 0
+                        level[variable] = decision_level
+                        reason[variable] = clause
+                        trail.append(first)
+                    else:
+                        conflict = clause
+                        retained.extend(clauses)
+                        break
+            watches[false_literal] = retained
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._stats.propagations += head - start
+        self._propagation_head = head
+        return conflict
 
     # -- conflict analysis --------------------------------------------------------
     def _analyze(self, conflict: Clause) -> tuple:

@@ -233,6 +233,35 @@ class TestIncrementalEnumeration:
         with pytest.raises(SolverError):
             SatBeerSolver(4, 3).solve(profile, known_columns={0: 1 << 7})
 
+    @pytest.mark.parametrize(
+        "pins",
+        [{True: 5}, {1.0: 5}, {1: 5.0}, {"1": 5}, {1: "5"}, {1: np.bool_(True)}],
+        ids=repr,
+    )
+    def test_known_columns_must_be_integers(self, pins, monkeypatch):
+        # {True: 5} used to pin column 1; {1.0: 5} and {1: 5.0} raised a bare
+        # TypeError from list indexing and from ``>>``.
+        def no_formula(*args):
+            raise AssertionError("the formula was built before the pins were checked")
+
+        monkeypatch.setattr(SatBeerSolver, "_build_formula", no_formula)
+        profile = profile_for(example_7_4_code(), [1])
+        with pytest.raises(SolverError, match="integer"):
+            SatBeerSolver(4, 3).solve(profile, known_columns=pins)
+
+    def test_known_columns_accept_numpy_integers(self):
+        code = example_7_4_code()
+        profile = profile_for(code, [1])
+        columns = code.parity_column_ints
+        plain = SatBeerSolver(4, 3).solve(profile, known_columns={1: columns[1]})
+        numpy = SatBeerSolver(4, 3).solve(
+            profile, known_columns={np.int64(1): np.uint8(columns[1])}
+        )
+        assert [c.parity_column_ints for c in numpy.codes] == [
+            c.parity_column_ints for c in plain.codes
+        ]
+        assert numpy.solver_stats == plain.solver_stats
+
 
 class TestOneModelPerEquivalenceClass:
     """Row-order symmetry breaking against the specialised ``BeerSolver``."""

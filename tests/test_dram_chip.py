@@ -365,6 +365,10 @@ class TestRetentionRounds:
             id="nan-temp",
         ),
         pytest.param(
+            [0, 1], np.ones((3, 16)), [[0, 1]], (90.0, np.inf), ChipConfigurationError,
+            id="inf-temp",
+        ),
+        pytest.param(
             [0], np.ones((3, 16)), np.zeros((0, 1), dtype=int), (-1.0,), ChipConfigurationError,
             id="negative-0-rounds",
         ),
@@ -533,6 +537,34 @@ class TestRetentionBehaviour:
             chip.inspect_pre_correction_errors(word) == ()
             for word in range(chip.num_words)
         )
+
+    @pytest.mark.parametrize("duration_s, temperature_c", [
+        (float("inf"), float("-inf")), (30.0, float("inf")), (0.0, float("-inf")),
+    ])
+    def test_infinite_temperature_pause_rejected(self, duration_s, temperature_c):
+        # pause_refresh(inf, -inf) used to decay nothing.
+        chip = make_chip(retention_model=FAST_FAILING)
+        chip.fill(np.ones(16, dtype=np.uint8))
+        with pytest.raises(ChipConfigurationError, match="finite"):
+            chip.pause_refresh(duration_s, temperature_c)
+        assert all(
+            chip.inspect_pre_correction_errors(word) == ()
+            for word in range(chip.num_words)
+        )
+        assert not chip._failing_masks
+
+    def test_extreme_temperature_pause_is_an_infinite_pause(self):
+        # pause_refresh(60.0, 1e5) used to raise OverflowError.
+        hot, endless = (make_chip(retention_model=FAST_FAILING, seed=4) for _ in range(2))
+        for chip in (hot, endless):
+            chip.fill(np.ones(16, dtype=np.uint8))
+        hot.pause_refresh(60.0, 1e5)
+        endless.pause_refresh(float("inf"))
+        errors = [hot.inspect_pre_correction_errors(word) for word in range(hot.num_words)]
+        assert all(errors)
+        assert errors == [
+            endless.inspect_pre_correction_errors(word) for word in range(endless.num_words)
+        ]
 
 
 class TestTransientFaults:

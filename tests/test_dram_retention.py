@@ -10,6 +10,7 @@ from repro.dram.retention import FAST_RETENTION, _normal_cdf, _normal_quantile
 from repro.exceptions import ValidationError
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestCalibration:
@@ -115,6 +116,57 @@ class TestFailureProbability:
         assert model.effective_window(float("inf"), 80.0) == float("inf")
         assert model.failure_probability(float("inf"), 80.0) == 1.0
         assert model.cells_failing(np.ones(1000), float("inf"), 80.0).all()
+
+    @pytest.mark.parametrize("temperature_c", [INF, -INF], ids=["inf", "-inf"])
+    @pytest.mark.parametrize(
+        ("method", "args"),
+        [
+            ("effective_window", (0.0,)),
+            ("effective_window", (INF,)),
+            ("effective_window", (60.0,)),
+            ("failure_probability", (60.0,)),
+            ("window_for_failure_probability", (0.5,)),
+            ("cells_failing", (np.ones(1000), 60.0)),
+        ],
+        ids=[
+            "effective_window-zero",
+            "effective_window-infinite",
+            "effective_window",
+            "failure_probability",
+            "window_for_failure_probability",
+            "cells_failing",
+        ],
+    )
+    def test_infinite_temperature_rejected(self, method, args, temperature_c):
+        # effective_window(0.0, inf) and (inf, -inf) used to return nan.
+        with pytest.raises(ValidationError, match="finite"):
+            getattr(DataRetentionModel(), method)(*args, temperature_c)
+
+    @pytest.mark.parametrize(
+        ("window", "temperature_c", "expected"),
+        [
+            (0.0, 1e5, 0.0),
+            (60.0, 1e5, INF),
+            (INF, 1e5, INF),
+            (0.0, -1e5, 0.0),
+            (60.0, -1e5, 0.0),
+            (INF, -1e5, INF),
+        ],
+    )
+    def test_extreme_temperature_gives_the_limit(self, window, temperature_c, expected):
+        # 2.0 ** exponent used to raise OverflowError past the float range.
+        model = DataRetentionModel()
+        assert model.effective_window(window, temperature_c) == expected
+        assert model.failure_probability(window, temperature_c) == float(expected > 0)
+        assert model.cells_failing(np.ones(8), window, temperature_c).all() == (expected > 0)
+
+    @pytest.mark.parametrize(
+        ("temperature_c", "expected"), [(1e5, 0.0), (-1e5, INF), (2e4, 0.0), (-2e4, INF)]
+    )
+    def test_extreme_temperature_window_is_the_limit(self, temperature_c, expected):
+        # -1e5 used to raise ZeroDivisionError and 1e5 OverflowError.
+        model = DataRetentionModel()
+        assert model.window_for_failure_probability(0.5, temperature_c) == expected
 
 
 class TestSampling:
