@@ -55,7 +55,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError, ReproError, ValidationError
+from repro.exceptions import (
+    CodeConstructionError, ProfileError, ReproError, SolverError, ValidationError,
+)
 from repro.ecc import FAMILY_NAMES, SystematicLinearCode, get_family
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
 from repro.dram.retention import FAST_RETENTION
@@ -504,28 +506,20 @@ def _run_solve(args) -> int:
     if args.sat_stats and args.backend != "sat":
         print("--sat-stats requires --backend sat", file=sys.stderr)
         return 2
-    family = get_family(args.code_family)
-    if not family.supports_beer:
-        print(f"code family {family.name!r} has a fixed structure; there is "
-              "no design space to solve for", file=sys.stderr)
-        return 2
-    profile = _load_profile(args.profile)
-    parity_bits = args.parity_bits or family.min_parity_bits(profile.num_data_bits)
-    if args.backend == "sat":
-        solver = SatBeerSolver(profile.num_data_bits, parity_bits, family=family)
-    else:
-        solver = BeerSolver(profile.num_data_bits, parity_bits, family=family)
+    backend = SatBeerSolver if args.backend == "sat" else BeerSolver
     try:
+        profile = _load_profile(args.profile)
+        solver = backend(profile.num_data_bits, args.parity_bits, family=args.code_family)
         solution = solver.solve(profile, max_solutions=args.max_solutions)
-    except ValidationError as error:
+    except (ProfileError, SolverError, ValidationError) as error:
         print(str(error), file=sys.stderr)
         return 2
 
     payload = {
         "num_data_bits": profile.num_data_bits,
-        "num_parity_bits": parity_bits,
+        "num_parity_bits": solver.num_parity_bits,
         "backend": args.backend,
-        "code_family": family.name,
+        "code_family": solver.family.name,
         "design_space_columns": solution.design_space_columns,
         "truncated": solution.truncated,
         "num_solutions": solution.num_solutions,
@@ -539,7 +533,7 @@ def _run_solve(args) -> int:
         print(f"profile: k={profile.num_data_bits}, {len(profile.patterns)} patterns, "
               f"{profile.total_miscorrections} miscorrection entries")
         print(f"solver backend: {args.backend}")
-        print(f"code family: {family.name} "
+        print(f"code family: {solver.family.name} "
               f"({solution.design_space_columns} legal column values)")
         print(f"candidate ECC functions found: {solution.num_solutions}"
               + (" (search truncated)" if solution.truncated else ""))
@@ -559,9 +553,15 @@ def _run_solve(args) -> int:
 
 
 def _run_verify(args) -> int:
-    profile = _load_profile(args.profile)
-    parity_bits = args.parity_bits or get_family("sec-hamming").min_parity_bits(
-        profile.num_data_bits
+    try:
+        profile = _load_profile(args.profile)
+    except ProfileError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    parity_bits = (
+        args.parity_bits
+        if args.parity_bits is not None
+        else get_family("sec-hamming").min_parity_bits(profile.num_data_bits)
     )
     try:
         columns = _parse_int_list(args.columns, "--columns")
@@ -1002,8 +1002,12 @@ def _run_store_migrate(args) -> int:
 
 # -- helpers -----------------------------------------------------------------------
 def _load_profile(path: str) -> MiscorrectionProfile:
-    with open(path) as handle:
-        payload = json.load(handle)
+    """The profile stored in ``path``; :class:`ProfileError` if unreadable or malformed."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProfileError(f"cannot read profile {path}: {error}") from error
     return MiscorrectionProfile.from_dict(payload)
 
 

@@ -30,10 +30,15 @@ exactly one leaf.  A class reached twice raises
 
 The CNF/SAT formulation that mirrors the paper's Z3 encoding lives in
 :mod:`repro.core.beer_sat` and is cross-checked against this solver in tests.
+Both backends share one front end, defined here: the problem checks of their
+constructors and requests, one reading of the profile
+(:func:`profile_entries`) and one answer builder, so the two refuse the same
+problems and read a profile the same way.  A backend owns only its search.
 """
 
 from __future__ import annotations
 
+import abc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +49,7 @@ from repro.exceptions import (
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import canonical_parity_columns
 from repro.ecc.family import CodeFamily, get_family
+from repro.predicates import is_integer
 from repro.core.profile import (
     MiscorrectionProfile, expected_miscorrection_profile, miscorrection_test,
 )
@@ -111,13 +117,15 @@ class BeerSolution:
         return self.codes[0]
 
 
-class BeerSolver:
-    """Forward-checking BEER solver over a family's standard-form parity-check columns.
+class _BeerBackend(abc.ABC):
+    """The BEER problem both backends solve: its checks and its answers.
 
-    ``family`` selects the design space searched: ``"sec-hamming"`` (the
-    paper's weight-≥2 columns, the default) or any registered correcting
-    family with a searchable column space such as
-    ``"secded-extended-hamming"`` (odd-weight-≥3 columns).
+    ``num_data_bits`` columns of the ``family``'s design space (a name or a
+    :class:`~repro.ecc.family.CodeFamily`) for ``num_parity_bits`` rows, the
+    family's minimum by default.  A k below 1, a k or r that is not an int,
+    an unknown or fixed-structure family and a k that does not fit in r
+    (r = 0 included) raise :class:`~repro.exceptions.SolverError`; the fit
+    is the design space's closed-form size, so nothing is enumerated.
     """
 
     def __init__(
@@ -126,33 +134,32 @@ class BeerSolver:
         num_parity_bits: Optional[int] = None,
         family: str = "sec-hamming",
     ):
-        if num_data_bits < 1:
+        if not is_integer(num_data_bits) or num_data_bits < 1:
             raise SolverError("the code must have at least one data bit")
-        self._family: CodeFamily = (
-            family if isinstance(family, CodeFamily) else get_family(family)
-        )
-        if not self._family.supports_beer:
-            raise SolverError(
-                f"code family {self._family.name!r} has a fixed structure; "
-                "there is no column design space for BEER to search"
-            )
-        self._num_data_bits = num_data_bits
+        if num_parity_bits is not None and not is_integer(num_parity_bits):
+            raise SolverError(f"the parity-bit count must be an integer, got {num_parity_bits!r}")
         try:
-            self._num_parity_bits = (
-                num_parity_bits
-                if num_parity_bits is not None
-                else self._family.min_parity_bits(num_data_bits)
+            self._family: CodeFamily = (
+                family if isinstance(family, CodeFamily) else get_family(family)
             )
-            self._candidates = self._family.candidate_columns(self._num_parity_bits)
+            if not self._family.supports_beer:
+                raise SolverError(
+                    f"code family {self._family.name!r} has a fixed structure; "
+                    "there is no column design space for BEER to search"
+                )
+            if num_parity_bits is None:
+                num_parity_bits = self._family.min_parity_bits(num_data_bits)
         except CodeConstructionError as error:
             raise SolverError(str(error)) from error
-        if num_data_bits > len(self._candidates):
+        self._num_data_bits = int(num_data_bits)
+        self._num_parity_bits = int(num_parity_bits)
+        self._design_space_columns = self._family.num_candidate_columns(self._num_parity_bits)
+        if self._num_data_bits > self._design_space_columns:
             raise SolverError(
-                f"k={num_data_bits} does not fit in r={self._num_parity_bits} "
+                f"k={self._num_data_bits} does not fit in r={self._num_parity_bits} "
                 f"parity bits for family {self._family.name!r}"
             )
 
-    # -- public API -----------------------------------------------------------
     @property
     def num_data_bits(self) -> int:
         """Dataword length ``k`` of the code being recovered."""
@@ -167,6 +174,105 @@ class BeerSolver:
     def family(self) -> CodeFamily:
         """The code family whose design space is searched."""
         return self._family
+
+    @abc.abstractmethod
+    def solve(
+        self, profile: MiscorrectionProfile, max_solutions: Optional[int] = None
+    ) -> BeerSolution:
+        """Every ECC function consistent with ``profile``, up to ``max_solutions``."""
+
+    def check_uniqueness(self, profile: MiscorrectionProfile) -> BeerSolution:
+        """Exhaustively search for *all* consistent functions (paper's uniqueness check)."""
+        return self.solve(profile, max_solutions=None)
+
+    @staticmethod
+    def verify(code: SystematicLinearCode, profile: MiscorrectionProfile) -> bool:
+        """Return True if ``code`` reproduces every entry of ``profile`` exactly."""
+        return expected_miscorrection_profile(code, profile.patterns) == profile
+
+    def _check_request(self, profile: MiscorrectionProfile, max_solutions: Optional[int]) -> None:
+        """Refuse a cap below one (``None`` is no cap) or a profile of another k."""
+        if max_solutions is not None and (not is_integer(max_solutions) or max_solutions < 1):
+            raise ValidationError(
+                f"max_solutions must be at least 1, got {max_solutions!r}; leave it "
+                "unset to find every candidate"
+            )
+        if profile.num_data_bits != self._num_data_bits:
+            raise ProfileError(
+                f"profile is for k={profile.num_data_bits}, solver expects "
+                f"k={self._num_data_bits}"
+            )
+
+    def _answer(
+        self, found: List[Tuple[int, ...]], nodes_visited: int, runtime_seconds: float,
+        truncated: bool, solver_stats: Optional[Dict[str, int]] = None,
+    ) -> BeerSolution:
+        """The solution of the parity-column tuples ``found``, in that order."""
+        return BeerSolution(
+            codes=[
+                SystematicLinearCode.from_parity_columns(
+                    columns, self._num_parity_bits, family=self._family.name,
+                    detect_only=not self._family.corrects,
+                )
+                for columns in found
+            ],
+            nodes_visited=nodes_visited,
+            runtime_seconds=runtime_seconds,
+            truncated=truncated,
+            solver_stats=solver_stats,
+            family=self._family.name,
+            design_space_columns=self._design_space_columns,
+        )
+
+
+def profile_entries(profile: MiscorrectionProfile) -> List[Tuple[Tuple[int, ...], int]]:
+    """The ``(CHARGED bits, observed-target mask)`` pairs both backends solve for.
+
+    In profile order, CHARGED bits ascending; every DISCHARGED bit outside
+    the mask reads as "cannot miscorrect".  A pattern that charges no bit
+    or every bit constrains nothing and is skipped.
+    """
+    num_data_bits = profile.num_data_bits
+    entries = []
+    for pattern, positions in profile.items():
+        charged = tuple(sorted(pattern.charged_bits))
+        if charged and len(charged) < num_data_bits:
+            entries.append((charged, sum(1 << bit for bit in positions)))
+    return entries
+
+
+#: Bytes the allowed-set tables of one :class:`BeerSolver` search may take.
+_MAX_TABLE_BYTES = 1 << 30
+
+
+class BeerSolver(_BeerBackend):
+    """Forward-checking BEER solver over a family's standard-form parity-check columns.
+
+    ``family`` selects the design space searched: ``"sec-hamming"`` (the
+    paper's weight-≥2 columns, the default) or any registered correcting
+    family with a searchable column space such as
+    ``"secded-extended-hamming"`` (odd-weight-≥3 columns).  An r whose
+    search tables would pass 2**30 bytes (r ≥ 16 for SEC) also raises
+    :class:`~repro.exceptions.SolverError`, before the space is listed.
+    """
+
+    def __init__(
+        self,
+        num_data_bits: int,
+        num_parity_bits: Optional[int] = None,
+        family: str = "sec-hamming",
+    ):
+        super().__init__(num_data_bits, num_parity_bits, family)
+        # ``setting`` and ``clearing`` hold 2**r bitsets each, one bit per
+        # design-space value, and CPython stores ints in 4-byte 30-bit digits.
+        digits = self._design_space_columns // 30 + 1
+        if 2 * (1 << self._num_parity_bits) * 4 * digits > _MAX_TABLE_BYTES:
+            raise SolverError(
+                f"r={self._num_parity_bits} parity bits need search tables of more "
+                f"than {_MAX_TABLE_BYTES} bytes; use SatBeerSolver, whose formula "
+                "grows linearly in r"
+            )
+        self._candidates = self._family.candidate_columns(self._num_parity_bits)
 
     def solve(
         self,
@@ -183,60 +289,16 @@ class BeerSolver:
         search effort and raises :class:`~repro.exceptions.SolverError` when
         exceeded.
         """
-        validate_max_solutions(max_solutions)
-        if profile.num_data_bits != self._num_data_bits:
-            raise ProfileError(
-                f"profile is for k={profile.num_data_bits}, solver expects "
-                f"k={self._num_data_bits}"
-            )
+        self._check_request(profile, max_solutions)
         start_time = time.perf_counter()
         state = _Search(
             self._candidates, self._num_parity_bits, profile, max_solutions, max_nodes
         )
         # Every parity row starts in one cell.
         state.search(_split_cells(((1 << self._num_parity_bits) - 1,), 0))
-        runtime = time.perf_counter() - start_time
-
-        codes = [
-            SystematicLinearCode.from_parity_columns(
-                columns, self._num_parity_bits, family=self._family.name,
-                detect_only=not self._family.corrects,
-            )
-            for columns in state.solutions
-        ]
-        return BeerSolution(
-            codes=codes,
-            nodes_visited=state.nodes_visited,
-            runtime_seconds=runtime,
-            truncated=state.truncated,
-            family=self._family.name,
-            design_space_columns=len(self._candidates),
-        )
-
-    def check_uniqueness(self, profile: MiscorrectionProfile) -> BeerSolution:
-        """Exhaustively search for *all* consistent functions (paper's uniqueness check)."""
-        return self.solve(profile, max_solutions=None)
-
-    @staticmethod
-    def verify(code: SystematicLinearCode, profile: MiscorrectionProfile) -> bool:
-        """Return True if ``code`` reproduces every entry of ``profile`` exactly."""
-        expected = expected_miscorrection_profile(code, profile.patterns)
-        for pattern in profile.patterns:
-            if expected.miscorrections(pattern) != profile.miscorrections(pattern):
-                return False
-        return True
-
-
-def validate_max_solutions(max_solutions: Optional[int]) -> None:
-    """Refuse a cap below one solution, which no search could honour.
-
-    Both BEER backends call this before any work, so they refuse the same
-    values; ``None`` means no cap.
-    """
-    if max_solutions is not None and max_solutions < 1:
-        raise ValidationError(
-            f"max_solutions must be at least 1, got {max_solutions}; leave it "
-            "unset to find every candidate"
+        return self._answer(
+            state.solutions, state.nodes_visited, time.perf_counter() - start_time,
+            state.truncated,
         )
 
 
@@ -244,7 +306,7 @@ class _Search:
     """Forward-checking search state (kept out of the public API).
 
     Bit ``i`` of a candidate bitset stands for ``values[i]``.  Patterns are
-    stored once each, with their observed targets as a bit mask.
+    stored once each, as :func:`profile_entries` reads them.
     """
 
     def __init__(
@@ -257,16 +319,12 @@ class _Search:
         self.max_solutions = max_solutions
         self.max_nodes = max_nodes
         #: (CHARGED bits, mask of observed targets) of every informative pattern.
-        self.patterns: List[Tuple[Tuple[int, ...], int]] = []
+        self.patterns = profile_entries(profile)
         #: Patterns charging each column, by index into ``patterns``.
         self.charging: List[List[int]] = [[] for _ in range(num_data_bits)]
-        for pattern, positions in profile.items():
-            charged = tuple(sorted(pattern.charged_bits))
-            if not charged or len(charged) == num_data_bits:
-                continue  # nothing can fail, or nothing can be miscorrected
+        for index, (charged, _) in enumerate(self.patterns):
             for bit in charged:
-                self.charging[bit].append(len(self.patterns))
-            self.patterns.append((charged, sum(1 << bit for bit in positions)))
+                self.charging[bit].append(index)
         self.open_charged = [len(charged) for charged, _ in self.patterns]
         #: Patterns with one open CHARGED column -> (that column, the others' values).
         self.one_open: Dict[int, Tuple[int, Tuple[int, ...]]] = {

@@ -28,6 +28,13 @@ equivalence class yields one model.  Pinned ``known_columns`` leave only the
 permutations of rows that carry the same bits in every pinned column, so only
 those rows are ordered.
 
+The front end both backends share (:mod:`repro.core.beer`) checks the
+problem and every request, reads the profile
+(:func:`~repro.core.beer.profile_entries`; targets are encoded ascending)
+and builds the answer; this module owns the encoding and the enumeration.
+A pattern of three or more CHARGED bits that leaves a bit DISCHARGED raises
+:class:`~repro.exceptions.SolverError`.
+
 Every clause the encoding builds joins distinct variables it allocated
 itself, so it is appended unchecked (``CNF._append_clean``); only the pins
 of ``known_columns`` go through the checked ``add_clause``, after the pins
@@ -44,71 +51,30 @@ is practical for the small-to-moderate code sizes used in tests.
 
 from __future__ import annotations
 
-import numbers
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.exceptions import CodeConstructionError, ProfileError, SolverError
-from repro.ecc.code import SystematicLinearCode
+from repro.exceptions import SolverError
 from repro.ecc.codespace import parity_rows
-from repro.ecc.family import CodeFamily, get_family
+from repro.predicates import is_integer
 from repro.sat import CNF, CDCLSolver, iterate_models
 from repro.sat.encoders import (
     encode_column_design_space, encode_lex_geq, encode_xor_gate, integer_of_bits,
 )
-from repro.core.beer import BeerSolution, validate_max_solutions
+from repro.core.beer import BeerSolution, _BeerBackend, profile_entries
 from repro.core.profile import MiscorrectionProfile
 
 
-class SatBeerSolver:
+class SatBeerSolver(_BeerBackend):
     """BEER solver backed by the CNF encoding and the CDCL SAT solver.
 
     ``family`` selects the column design space encoded as CNF, exactly
     mirroring the forward-checking backend: ``"sec-hamming"`` columns are
     non-zero with weight ≥ 2; ``"secded-extended-hamming"`` columns are
-    odd-weight with weight ≥ 3 (encoded with an XOR parity chain).
+    odd-weight with weight ≥ 3 (encoded with an XOR parity chain).  It
+    refuses what :class:`~repro.core.beer.BeerSolver` refuses but a large r:
+    the formula grows linearly in r.
     """
-
-    def __init__(
-        self,
-        num_data_bits: int,
-        num_parity_bits: Optional[int] = None,
-        family: str = "sec-hamming",
-    ):
-        if num_data_bits < 1:
-            raise SolverError("the code must have at least one data bit")
-        self._family: CodeFamily = (
-            family if isinstance(family, CodeFamily) else get_family(family)
-        )
-        if not self._family.supports_beer:
-            raise SolverError(
-                f"code family {self._family.name!r} has a fixed structure; "
-                "there is no column design space for BEER to search"
-            )
-        self._num_data_bits = num_data_bits
-        try:
-            self._num_parity_bits = (
-                num_parity_bits
-                if num_parity_bits is not None
-                else self._family.min_parity_bits(num_data_bits)
-            )
-        except CodeConstructionError as error:
-            raise SolverError(str(error)) from error
-
-    @property
-    def num_data_bits(self) -> int:
-        """Dataword length ``k`` of the code being recovered."""
-        return self._num_data_bits
-
-    @property
-    def num_parity_bits(self) -> int:
-        """Number of parity bits ``r`` assumed for the code."""
-        return self._num_parity_bits
-
-    @property
-    def family(self) -> CodeFamily:
-        """The code family whose design space is encoded."""
-        return self._family
 
     # -- public API ---------------------------------------------------------
     def solve(
@@ -143,12 +109,7 @@ class SatBeerSolver:
         (``None`` = exhaustive); a value below 1 raises
         :class:`~repro.exceptions.ValidationError`, as on :class:`BeerSolver`.
         """
-        validate_max_solutions(max_solutions)
-        if profile.num_data_bits != self._num_data_bits:
-            raise ProfileError(
-                f"profile is for k={profile.num_data_bits}, solver expects "
-                f"k={self._num_data_bits}"
-            )
+        self._check_request(profile, max_solutions)
         pinned = self._checked_pins(known_columns or {})
         start_time = time.perf_counter()
         formula, column_variables = self._build_formula(profile)
@@ -170,7 +131,7 @@ class SatBeerSolver:
             solver=solver,
         )
 
-        codes: List[SystematicLinearCode] = []
+        found: List[Tuple[int, ...]] = []
         truncated = False
         for model in models:
             columns = tuple(integer_of_bits(model, column) for column in column_variables)
@@ -180,27 +141,14 @@ class SatBeerSolver:
                     f"SAT model {columns} breaks the parity-row order the "
                     "encoding imposes; the symmetry-breaking clauses are unsound"
                 )
-            codes.append(
-                SystematicLinearCode.from_parity_columns(
-                    columns, self._num_parity_bits, family=self._family.name,
-                    detect_only=not self._family.corrects,
-                )
-            )
-            if max_solutions is not None and len(codes) >= max_solutions:
+            found.append(columns)
+            if max_solutions is not None and len(found) >= max_solutions:
                 truncated = True
                 break
         models.close()
-        runtime = time.perf_counter() - start_time
-        return BeerSolution(
-            codes=codes,
-            nodes_visited=len(codes),
-            runtime_seconds=runtime,
-            truncated=truncated,
-            solver_stats=solver.stats().as_dict() if solver is not None else None,
-            family=self._family.name,
-            design_space_columns=self._family.num_candidate_columns(
-                self._num_parity_bits
-            ),
+        return self._answer(
+            found, len(found), time.perf_counter() - start_time, truncated,
+            solver.stats().as_dict() if solver is not None else None,
         )
 
     def _checked_pins(self, known_columns: Mapping[int, int]) -> Dict[int, int]:
@@ -211,12 +159,11 @@ class SatBeerSolver:
         """
         pinned: Dict[int, int] = {}
         for column_index, value in known_columns.items():
-            for number in (column_index, value):
-                if isinstance(number, bool) or not isinstance(number, numbers.Integral):
-                    raise SolverError(
-                        f"known column {column_index!r}: {value!r} must map an "
-                        "integer index to an integer value"
-                    )
+            if not (is_integer(column_index) and is_integer(value)):
+                raise SolverError(
+                    f"known column {column_index!r}: {value!r} must map an "
+                    "integer index to an integer value"
+                )
             if not 0 <= column_index < self._num_data_bits:
                 raise SolverError(
                     f"known column {column_index} out of range for k={self._num_data_bits}"
@@ -267,17 +214,16 @@ class SatBeerSolver:
         ]
         self._encode_code_validity(formula, column_variables)
         xor_cache: Dict[Tuple[int, int], List[int]] = {}
-        for pattern, observed_positions in profile.items():
-            charged = tuple(sorted(pattern.charged_bits))
-            if len(charged) == 0:
-                continue
+        for charged, observed_targets in profile_entries(profile):
             if len(charged) > 2:
                 raise SolverError(
                     "the SAT backend supports 1- and 2-CHARGED patterns only; "
                     "use BeerSolver for higher-weight patterns"
                 )
-            for target in pattern.discharged_bits:
-                observed = target in observed_positions
+            for target in range(self._num_data_bits):
+                if target in charged:
+                    continue
+                observed = bool(observed_targets >> target & 1)
                 if len(charged) == 1:
                     self._encode_one_charged(
                         formula, column_variables, charged[0], target, observed

@@ -15,7 +15,6 @@ black box that only supports write / pause-refresh / read:
 from __future__ import annotations
 
 import functools
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,11 +27,11 @@ from repro.gf2.bits import as_bits, bits_to_int
 from repro.dram.cell import CellType
 from repro.dram.chip import SimulatedDramChip
 from repro.ecc.code import SystematicLinearCode
-from repro.ecc.hamming import min_parity_bits
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import DataRetentionInjector
 from repro.einsim.simulator import SimulationResult, simulate_segments
 from repro.obs import TRACER
+from repro.predicates import is_integer, is_real
 from repro.core.beer import BeerSolution, BeerSolver
 from repro.core.layout_re import discover_cell_types
 from repro.core.patterns import ChargedPattern, charged_bit_table, charged_patterns
@@ -42,12 +41,14 @@ from repro.core.profile import MiscorrectionCounts, MiscorrectionProfile
 #: Data bits one ``retention_rounds`` call holds at most; a window's rounds
 #: are split at whole rounds.  Perfbench's 512 words of k = 16 run a window's
 #: 64 rounds in one call, and a 4,096-word k = 128 chip four rounds per call.
-#: Larger calls pay in memory: with transient faults on, a call draws a
-#: ``float64`` per codeword bit, 18 MB on that chip at this split and 71 MB
-#: at ``2**23``.  There (2 vCPUs), four rounds per call measured a third
-#: faster than two without transient faults and no slower at p = 2e-3;
-#: eight were faster still without faults, but at p = 2e-3 eight or sixteen
-#: added 50-85 MB of peak RSS and no speed.
+#: The split was tuned when a call with transient faults on drew one
+#: ``float64`` per codeword bit at once (18 MB on that chip at this split,
+#: 71 MB at ``2**23``).  There (2 vCPUs), four rounds per call measured a
+#: third faster than two without transient faults and no slower at
+#: p = 2e-3; eight were faster still without faults, but at p = 2e-3 eight
+#: or sixteen added 50-85 MB of peak RSS and no speed.  The chip draws those
+#: uniforms in blocks of at most ``2**17`` (1 MB), so that memory does not
+#: depend on the split; the split has not been retuned since.
 _MAX_BITS_PER_CALL = 1 << 21
 
 #: Rounds whose anti-diagonal sums fit ``uint8``: no entry exceeds the
@@ -107,36 +108,26 @@ class ExperimentConfig:
         # profile, which every code satisfies; a value that would be
         # truncated (2.5 rounds, a True) is never the one that runs.
         rounds = self.rounds_per_window
-        if not _is_integer(rounds) or rounds < 1:
+        if not is_integer(rounds) or rounds < 1:
             raise ValidationError(
                 f"rounds_per_window must be a positive integer, got {rounds!r}"
             )
         if not self.refresh_windows_s:
             raise ValidationError("refresh_windows_s must name at least one window")
         for window in self.refresh_windows_s:
-            if not _is_real(window) or not window >= 0:
+            if not is_real(window) or not window >= 0:
                 raise ValidationError(
                     f"refresh window {window!r} must be a non-negative number of seconds"
                 )
         if not self.pattern_weights:
             raise ValidationError("pattern_weights must name at least one weight")
         for weight in self.pattern_weights:
-            if not _is_integer(weight):
+            if not is_integer(weight):
                 raise ValidationError(f"pattern weight {weight!r} must be an integer")
-        if not _is_real(self.threshold) or not 0 <= self.threshold < 1:
+        if not is_real(self.threshold) or not 0 <= self.threshold < 1:
             raise ValidationError(
                 f"threshold must be a number in [0, 1), got {self.threshold!r}"
             )
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a Python or numpy real number (a bool is not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -271,12 +262,7 @@ class BeerExperiment:
             profile = counts.to_profile(self._config.threshold)
         solution = None
         if solve:
-            solver = BeerSolver(
-                self._chip.num_data_bits,
-                self._config.num_parity_bits
-                if self._config.num_parity_bits is not None
-                else min_parity_bits(self._chip.num_data_bits),
-            )
+            solver = BeerSolver(self._chip.num_data_bits, self._config.num_parity_bits)
             with TRACER.span("beer.solve") as span:
                 solution = solver.solve(profile, max_solutions=max_solutions)
                 span.set_attr("nodes", solution.nodes_visited)

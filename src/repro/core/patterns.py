@@ -21,24 +21,36 @@ import numpy as np
 
 from repro.exceptions import ProfileError
 from repro.gf2.bits import as_bits
+from repro.predicates import is_integer
 from repro.dram.cell import CellType
 
 
 class ChargedPattern:
-    """A dataword test pattern expressed as the set of CHARGED data bits."""
+    """A dataword test pattern expressed as the set of CHARGED data bits.
+
+    The dataword length and every CHARGED bit must be a Python or numpy int;
+    a float (even ``1.0``), bool or string raises
+    :class:`~repro.exceptions.ProfileError` rather than being truncated.
+    """
 
     __slots__ = ("_num_data_bits", "_charged_bits")
 
     def __init__(self, num_data_bits: int, charged_bits: Iterable[int]):
-        if num_data_bits < 1:
-            raise ProfileError("a pattern needs at least one data bit")
-        charged = frozenset(int(b) for b in charged_bits)
+        if not is_integer(num_data_bits) or num_data_bits < 1:
+            raise ProfileError(
+                f"a pattern needs a positive integer dataword length, got {num_data_bits!r}"
+            )
+        bits = list(charged_bits)
+        for bit in bits:
+            if not is_integer(bit):
+                raise ProfileError(f"charged bit {bit!r} is not an integer")
+        charged = frozenset(int(b) for b in bits)
         for bit in sorted(charged):
             if not 0 <= bit < num_data_bits:
                 raise ProfileError(
                     f"charged bit {bit} out of range for a {num_data_bits}-bit dataword"
                 )
-        self._num_data_bits = num_data_bits
+        self._num_data_bits = int(num_data_bits)
         self._charged_bits = charged
 
     # -- accessors ---------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.dram.cell import CellType, charge_state_for_bit, ChargeState
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import DataRetentionInjector
 from repro.einsim.simulator import simulate_segments
+from repro.predicates import is_integer
 from repro.core.patterns import ChargedPattern, charged_bit_table
 
 
@@ -237,9 +238,11 @@ class MiscorrectionProfile:
         num_data_bits: int,
         mapping: Optional[Mapping[ChargedPattern, Iterable[int]]] = None,
     ):
-        if num_data_bits < 1:
-            raise ProfileError("a profile needs at least one data bit")
-        self._num_data_bits = num_data_bits
+        if not is_integer(num_data_bits) or num_data_bits < 1:
+            raise ProfileError(
+                f"a profile needs a positive integer dataword length, got {num_data_bits!r}"
+            )
+        self._num_data_bits = int(num_data_bits)
         self._mapping: Dict[ChargedPattern, FrozenSet[int]] = {}
         if mapping:
             for pattern, positions in mapping.items():
@@ -247,8 +250,17 @@ class MiscorrectionProfile:
 
     # -- construction -------------------------------------------------------
     def record(self, pattern: ChargedPattern, positions: Iterable[int]) -> None:
-        """Record (or extend) the miscorrection positions observed for a pattern."""
+        """Record (or extend) the miscorrection positions observed for a pattern.
+
+        Every position must be a Python or numpy int naming a DISCHARGED bit;
+        anything else (a float, bool or string among them) raises
+        :class:`ProfileError` before anything is recorded.
+        """
         self._validate_pattern(pattern)
+        positions = list(positions)
+        for position in positions:
+            if not is_integer(position):
+                raise ProfileError(f"miscorrection position {position!r} is not an integer")
         cleaned = frozenset(int(p) for p in positions)
         for position in sorted(cleaned):
             if not 0 <= position < self._num_data_bits:
@@ -335,15 +347,34 @@ class MiscorrectionProfile:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MiscorrectionProfile":
-        """Deserialise a profile produced by :meth:`to_dict`."""
-        try:
-            num_data_bits = int(payload["num_data_bits"])
-            entries = payload["entries"]
-        except (KeyError, TypeError) as error:
-            raise ProfileError(f"malformed profile payload: {error}") from error
-        profile = cls(num_data_bits)
-        for entry in entries:
-            pattern = ChargedPattern(num_data_bits, entry["charged_bits"])
+        """Deserialise a profile produced by :meth:`to_dict`.
+
+        Anything but that shape raises :class:`ProfileError`: a missing
+        field, entries that are not a list of objects, bit lists that are
+        not lists, and a dataword length or bit that is not an integer
+        (``8.9``, ``true`` and ``"3"`` are not read as 8, 1 and 3).
+        """
+        if not (
+            isinstance(payload, dict)
+            and "num_data_bits" in payload
+            and isinstance(payload.get("entries"), list)
+        ):
+            raise ProfileError(
+                "malformed profile payload: expected an object with 'num_data_bits' "
+                "and a list of 'entries'"
+            )
+        profile = cls(payload["num_data_bits"])
+        for entry in payload["entries"]:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("charged_bits"), list)
+                and isinstance(entry.get("miscorrections"), list)
+            ):
+                raise ProfileError(
+                    f"malformed profile entry {entry!r}: expected an object with "
+                    "'charged_bits' and 'miscorrections' lists"
+                )
+            pattern = ChargedPattern(profile.num_data_bits, entry["charged_bits"])
             profile.record(pattern, entry["miscorrections"])
         return profile
 

@@ -80,12 +80,19 @@ from repro.exceptions import (
 )
 from repro.gf2.bitpack import num_lanes, pack_rows
 from repro.gf2.bits import as_bits, is_binary
+from repro.predicates import is_integer
 from repro.ecc.code import SystematicLinearCode
 from repro.dram.cell import CellType
 from repro.dram.faults import TransientFaultModel
 from repro.dram.layout import ByteInterleavedWordLayout, CellTypeLayout
 from repro.dram.retention import DataRetentionModel
 from repro.einsim.engine import decode_lanes, encode_lanes
+
+#: Uniforms one block of a read's transient-flip draw holds at most (1 MB of
+#: ``float64``).  The blocks are whole rows drawn in order, so the numbers
+#: are those of one ``(rows, n)`` draw, and a call's peak memory does not
+#: grow with the bits it reads.
+_FLIP_BLOCK_UNIFORMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,9 @@ class SimulatedDramChip:
         bits and syndromes are never exposed.  Transient faults are drawn as
         :meth:`~repro.dram.faults.TransientFaultModel.corrupt` draws them —
         one uniform per codeword bit, and nothing at probability 0 — so the
-        chip's random stream does not depend on the storage format.
+        chip's random stream does not depend on the storage format.  The
+        uniforms are drawn and applied in blocks of whole words, at most
+        ``2**17`` at a time, which yields the same numbers in the same order.
         """
         return self._read(self._current[self._validate_indices(word_indices)])
 
@@ -408,8 +417,11 @@ class SimulatedDramChip:
         """
         probability = self._transient_faults.probability_per_bit
         if probability > 0:
-            flips = self._rng.random((lanes.shape[0], self._code.codeword_length))
-            lanes ^= pack_rows(flips < probability)
+            width = self._code.codeword_length
+            block = max(1, _FLIP_BLOCK_UNIFORMS // width)
+            for start in range(0, lanes.shape[0], block):
+                part = lanes[start : start + block]
+                part ^= pack_rows(self._rng.random((part.shape[0], width)) < probability)
         decode_lanes(self._code, lanes)
         return _unpack(lanes, self.num_data_bits)
 
@@ -438,7 +450,7 @@ class SimulatedDramChip:
         return self._word_layout
 
     def _check_word_index(self, word_index: int) -> None:
-        if not (_is_integer(word_index) and 0 <= word_index < self.num_words):
+        if not (is_integer(word_index) and 0 <= word_index < self.num_words):
             raise AddressError(
                 f"word index {word_index!r} is not an integer in range for "
                 f"{self.num_words} words"
@@ -465,11 +477,6 @@ class SimulatedDramChip:
         return indices
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _integers(values) -> np.ndarray:
     """``values`` (a range, an array or nested sequences) as an integer array.
 
@@ -481,7 +488,7 @@ def _integers(values) -> np.ndarray:
         return np.arange(values.start, values.stop, values.step)
     if not isinstance(values, np.ndarray):
         entries = np.array(list(values), dtype=object)
-        if not all(_is_integer(entry) for entry in entries.flat):
+        if not all(is_integer(entry) for entry in entries.flat):
             raise AddressError("word indices and pattern rows must be integers")
         try:
             values = entries.astype(np.int64)

@@ -10,12 +10,12 @@ exactly that kind of interference so the filtering path can be exercised.
 
 from __future__ import annotations
 
-import numbers
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ChipConfigurationError
+from repro.predicates import is_integer, is_real
 
 
 def validate_probability(value: float) -> None:
@@ -24,9 +24,7 @@ def validate_probability(value: float) -> None:
     The fault models here and the error injectors of
     :mod:`repro.einsim.injectors` check every probability they take with it.
     """
-    # bool passes as numbers.Real (it is an Integral), but True is never a
-    # probability anyone meant.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ChipConfigurationError(
             f"probability must be a real number, got {value!r}"
         )
@@ -42,7 +40,7 @@ def validate_integer(value: int, what: str) -> int:
     not, so a configuration never names a value other than the one that
     runs.  ``what`` names the parameter in the message.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ChipConfigurationError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -17,10 +17,10 @@ clean clause is exactly what ``add_clause`` would have stored.
 
 from __future__ import annotations
 
-import numbers
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
+from repro.predicates import is_integer
 
 
 def simplify_literals(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
@@ -40,7 +40,7 @@ def simplify_literals(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
     checked: List[int] = []
     for literal in literals:
         if type(literal) is not int:  # the fast path skips the ABC check
-            if isinstance(literal, bool) or not isinstance(literal, numbers.Integral):
+            if not is_integer(literal):
                 raise SolverError(f"literal {literal!r} is not an integer")
             literal = int(literal)
         if literal == 0:

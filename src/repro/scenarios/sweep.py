@@ -50,6 +50,7 @@ from repro.ecc.family import get_family
 from repro.einsim.engine import resolve_backend
 from repro.einsim.injectors import SAMPLER_VERSION
 from repro.core.experiment import ExperimentConfig
+from repro.predicates import is_integer
 from repro.scenarios.registry import build_injector, get_scenario
 
 #: Cell kinds the runner knows how to execute.
@@ -119,9 +120,13 @@ def make_einsim_cell(
     number.  A parameter the injector rejects, or one that does not fit the
     code (a candidate position or anti-cell column past the codeword, a
     per-bit probability list of another length), therefore fails now, as a
-    :class:`ScenarioError`, and not when a sweep reaches the cell.
+    :class:`ScenarioError`, and not when a sweep reaches the cell.  So does
+    a word count, seed or chunk size that is not an integer.
     """
     resolved = get_scenario(scenario).resolve_params(params)
+    num_words = _spec_integer(num_words, "num_words")
+    seed = _spec_integer(seed, "seed")
+    chunk_size = _spec_integer(chunk_size, "chunk_size")
     if num_words < 1:
         raise ScenarioError("a cell must simulate at least one word")
     if chunk_size < 1:
@@ -139,10 +144,10 @@ def make_einsim_cell(
             "params": _jsonify(resolved),
             "code": code_spec,
             "dataword": _normalise_dataword_spec(dataword, resolved_code.num_data_bits),
-            "num_words": int(num_words),
-            "seed": int(seed),
+            "num_words": num_words,
+            "seed": seed,
             "backend": str(backend),
-            "chunk_size": int(chunk_size),
+            "chunk_size": chunk_size,
             "sampler": SAMPLER_VERSION,
         }
     )
@@ -183,7 +188,8 @@ def make_beer_cell(
     :class:`~repro.core.experiment.ExperimentConfig` checks them, so a
     value it would refuse (0 or 2.5 rounds, a bool, no window, a threshold
     of 1.5) raises :class:`ScenarioError` while a spec is expanded, before
-    any cell runs.
+    any cell runs.  So does a dataword length, seed or geometry that is not
+    an integer.
 
     ``backend`` is checked and recorded in the config, so it is part of the
     content key, but it selects nothing: the simulated chip has one codec.
@@ -203,19 +209,30 @@ def make_beer_cell(
     config = {
         "kind": "beer",
         "vendor": vendor,
-        "data_bits": int(data_bits),
+        "data_bits": _spec_integer(data_bits, "data_bits"),
         "refresh_windows_s": [float(w) for w in campaign.refresh_windows_s],
         "pattern_weights": [int(w) for w in campaign.pattern_weights],
         "rounds_per_window": int(campaign.rounds_per_window),
         "threshold": float(campaign.threshold),
-        "seed": int(seed),
+        "seed": _spec_integer(seed, "seed"),
         "backend": str(backend),
-        "num_rows": int(num_rows),
-        "words_per_row": int(words_per_row),
+        "num_rows": _spec_integer(num_rows, "num_rows"),
+        "words_per_row": _spec_integer(words_per_row, "words_per_row"),
     }
     if solve:
         config["solve"] = True
     return ExperimentCell.from_config(config)
+
+
+def _spec_integer(value: Any, what: str) -> int:
+    """``value`` as an ``int``; :class:`ScenarioError` unless it is an integer.
+
+    A float (even ``2.0``), bool or string is refused rather than
+    truncated: the cell that runs must be the cell the spec names.
+    """
+    if not is_integer(value):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_backend(backend: str) -> None:
@@ -259,9 +276,12 @@ class SweepSpec:
         if not scenarios and not experiments:
             raise ScenarioError("sweep spec declares no scenarios or experiments")
 
-        num_words = int(payload.get("num_words", 10_000))
-        chunk_size = int(payload.get("chunk_size", 65536))
-        seeds = [int(s) for s in payload.get("seeds", [0])]
+        num_words = _spec_integer(payload.get("num_words", 10_000), "num_words")
+        chunk_size = _spec_integer(payload.get("chunk_size", 65536), "chunk_size")
+        seeds = payload.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise ScenarioError(f"seeds must be a list of integers, got {seeds!r}")
+        seeds = [_spec_integer(seed, "seed") for seed in seeds]
         backends = [str(b) for b in payload.get("backends", ["packed"])]
         codes = payload.get("codes", [{"data_bits": 16}])
         datawords = payload.get("datawords", ["ones"])
@@ -279,7 +299,7 @@ class SweepSpec:
                             scenario=entry["name"],
                             params=params,
                             code=code,
-                            num_words=int(entry.get("num_words", num_words)),
+                            num_words=entry.get("num_words", num_words),
                             seed=seed,
                             backend=backend,
                             dataword=dataword,
@@ -322,7 +342,9 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
     ``code_family`` name from :mod:`repro.ecc.family` (default
     ``"sec-hamming"``).  The family participates in the cell's canonical
     configuration, so sweeps over several families produce distinct
-    content-addressed store keys per family.
+    content-addressed store keys per family.  Every count, column and seed
+    must be an integer: a float, bool or string raises
+    :class:`ScenarioError`.
     """
     try:
         family = get_family(str(spec.get("code_family", "sec-hamming")))
@@ -332,18 +354,18 @@ def resolve_code(spec: Mapping[str, Any]) -> SystematicLinearCode:
         raise ScenarioError("code spec needs 'data_bits' or explicit 'parity_columns'")
     try:
         if "parity_columns" in spec:
-            columns = [int(c) for c in spec["parity_columns"]]
-            parity_bits = int(
-                spec.get("parity_bits", family.min_parity_bits(len(columns)))
+            columns = [_spec_integer(c, "parity column") for c in spec["parity_columns"]]
+            parity_bits = _spec_integer(
+                spec.get("parity_bits", family.min_parity_bits(len(columns))), "parity_bits"
             )
             if "code_family" in spec:
                 return family.construct(len(columns), parity_bits, columns=columns)
             return SystematicLinearCode.from_parity_columns(columns, parity_bits)
-        data_bits = int(spec["data_bits"])
+        data_bits = _spec_integer(spec["data_bits"], "data_bits")
         parity_bits = spec.get("parity_bits")
-        parity_bits = None if parity_bits is None else int(parity_bits)
+        parity_bits = None if parity_bits is None else _spec_integer(parity_bits, "parity_bits")
         if "code_seed" in spec:
-            rng = np.random.default_rng(int(spec["code_seed"]))
+            rng = np.random.default_rng(_spec_integer(spec["code_seed"], "code_seed"))
             return family.random(data_bits, parity_bits, rng=rng)
         return family.construct(data_bits, parity_bits)
     except (ReproError, TypeError, ValueError) as error:

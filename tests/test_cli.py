@@ -72,6 +72,22 @@ class TestSolveCommand:
         assert exit_code == 0
         assert "sat" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["fast", "sat"])
+    @pytest.mark.parametrize("parity_bits", [None, "5"])
+    def test_solve_reports_the_parity_bits_the_backend_assumed(
+        self, backend, parity_bits, profile_file, capsys
+    ):
+        path, code = profile_file
+        extra = [] if parity_bits is None else ["--parity-bits", parity_bits]
+        exit_code = main(
+            ["solve", "--profile", str(path), "--backend", backend, "--json", *extra]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["num_parity_bits"] == (
+            code.num_parity_bits if parity_bits is None else int(parity_bits)
+        )
+
     def test_solve_reports_failure_when_profile_inconsistent(self, tmp_path, capsys):
         # A self-contradictory profile: both containments => equal columns.
         payload = {
@@ -174,6 +190,68 @@ class TestBadInputExitsTwo:
         exit_code = main([
             "solve", "--profile", str(path), "--backend", backend, "--max-solutions", cap,
         ])
+        self._assert_usage_error(exit_code, capsys)
+
+    @pytest.mark.parametrize("backend", ["fast", "sat"])
+    @pytest.mark.parametrize("parity_bits", ["4", "0"])
+    def test_solve_refuses_a_code_that_does_not_fit(self, backend, parity_bits, tmp_path, capsys):
+        # k = 12 does not fit in r = 4: fast raised a traceback and sat
+        # printed "candidate ECC functions found: 0".  --parity-bits 0 used
+        # to be read as the default.
+        code = random_hamming_code(12, rng=np.random.default_rng(12))
+        profile = expected_miscorrection_profile(code, list(charged_patterns(12, [1])))
+        path = tmp_path / "k12.json"
+        path.write_text(json.dumps(profile.to_dict()))
+        exit_code = main([
+            "solve", "--profile", str(path), "--backend", backend,
+            "--parity-bits", parity_bits,
+        ])
+        self._assert_usage_error(exit_code, capsys)
+
+    BAD_PROFILES = {
+        "missing": None,
+        "not-json": "{not json",
+        "binary": b"\xff\xfe",
+        "fractional-bit": {"num_data_bits": 6, "entries": [
+            {"charged_bits": [0.9], "miscorrections": []}]},
+        "bool-position": {"num_data_bits": 6, "entries": [
+            {"charged_bits": [0], "miscorrections": [True]}]},
+        "fractional-k": {"num_data_bits": 6.9, "entries": []},
+        "not-an-object": [1, 2],
+    }
+
+    @classmethod
+    def _bad_profile(cls, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        content = cls.BAD_PROFILES[name]
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_text(json.dumps(content))
+        return path
+
+    @pytest.mark.parametrize("backend", ["fast", "sat"])
+    @pytest.mark.parametrize("name", sorted(BAD_PROFILES))
+    def test_solve_unreadable_or_malformed_profile(self, backend, name, tmp_path, capsys):
+        path = self._bad_profile(name, tmp_path)
+        exit_code = main(["solve", "--profile", str(path), "--backend", backend])
+        self._assert_usage_error(exit_code, capsys)
+
+    @pytest.mark.parametrize("name", sorted(BAD_PROFILES))
+    def test_verify_unreadable_or_malformed_profile(self, name, tmp_path, capsys):
+        path = self._bad_profile(name, tmp_path)
+        exit_code = main(["verify", "--profile", str(path), "--columns", "3,5,6,7,9,10"])
+        self._assert_usage_error(exit_code, capsys)
+
+    def test_solve_a_sat_refusal_exits_two(self, tmp_path, capsys):
+        # Three CHARGED bits of four: only the fast backend solves for it.
+        payload = {"num_data_bits": 4, "entries": [
+            {"charged_bits": [0, 1, 2], "miscorrections": []}]}
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(payload))
+        exit_code = main(["solve", "--profile", str(path), "--backend", "sat"])
         self._assert_usage_error(exit_code, capsys)
 
     def test_verify_non_integer_column(self, profile_file, capsys):

@@ -18,10 +18,11 @@ from repro.ecc import (
     random_hamming_code,
 )
 from repro.ecc.codespace import canonical_form, canonical_parity_columns
-from repro.ecc.family import get_family
+from repro.ecc.family import CodeFamily, get_family
 from repro.core import (
     BeerSolver,
     ChargedPattern,
+    SatBeerSolver,
     MiscorrectionProfile,
     charged_patterns,
     expected_miscorrection_profile,
@@ -50,6 +51,28 @@ class TestSolverBasics:
     def test_default_parity_bits_is_minimum(self):
         assert BeerSolver(16).num_parity_bits == 5
         assert BeerSolver(64).num_parity_bits == 7
+
+    @pytest.mark.parametrize(
+        "num_parity_bits, family",
+        [(16, "sec-hamming"), (40, "sec-hamming"), (17, "secded-extended-hamming")],
+    )
+    def test_a_parity_bit_count_past_the_tables_fails_before_listing(
+        self, num_parity_bits, family, monkeypatch
+    ):
+        # r = 40 used to list ~2**40 candidate values and never return.
+        def no_listing(self, num_parity_bits):
+            raise AssertionError("the design space was listed")
+
+        monkeypatch.setattr(CodeFamily, "candidate_columns", no_listing)
+        with pytest.raises(SolverError, match="search tables"):
+            BeerSolver(12, num_parity_bits, family=family)
+        # The SAT formula grows linearly in r, so that backend still takes it.
+        solver = SatBeerSolver(12, num_parity_bits, family=family)
+        assert solver.num_parity_bits == num_parity_bits
+
+    def test_the_largest_tables_are_accepted(self):
+        assert BeerSolver(12, 15).num_parity_bits == 15
+        assert BeerSolver(12, 16, family="secded-extended-hamming").num_parity_bits == 16
 
     def test_solution_code_property_raises_when_ambiguous(self):
         # An empty profile constrains nothing: many solutions exist.

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.beer_sat as beer_sat
+from repro.core.beer import profile_entries
 from repro.exceptions import ProfileError, SolverError, ValidationError
 from repro.ecc import (
     canonical_parity_columns,
@@ -185,6 +188,111 @@ class TestBackendAgreement:
         solution = backend(2, 3).solve(MiscorrectionProfile(2), max_solutions=1)
         assert solution.num_solutions == 1
         assert solution.truncated
+
+    @pytest.mark.parametrize(
+        "num_data_bits, num_parity_bits, family",
+        [
+            # The SAT backend used to accept these and return 0 candidates.
+            (12, 4, "sec-hamming"),  # r = 4 holds 11 SEC columns
+            (5, 4, "secded-extended-hamming"),  # and 4 SEC-DED ones
+            (4, 0, "sec-hamming"),
+            (4, -1, "sec-hamming"),
+            (4, None, "parity-detect"),
+            (4, None, "repetition"),
+            (4, None, "no-such-family"),
+            (0, None, "sec-hamming"),
+            (4.0, None, "sec-hamming"),
+            (4, 3.0, "sec-hamming"),
+            (4, True, "sec-hamming"),
+        ],
+        ids=repr,
+    )
+    def test_both_backends_refuse_the_same_problems(
+        self, num_data_bits, num_parity_bits, family
+    ):
+        messages = []
+        for backend in (BeerSolver, SatBeerSolver):
+            with pytest.raises(SolverError) as refused:
+                backend(num_data_bits, num_parity_bits, family=family)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("cap", [2.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("backend", [BeerSolver, SatBeerSolver], ids=["fast", "sat"])
+    def test_both_backends_refuse_a_cap_that_is_not_an_int(self, backend, cap):
+        with pytest.raises(ValidationError, match="max_solutions"):
+            backend(2, 3).solve(MiscorrectionProfile(2), max_solutions=cap)
+
+    @pytest.mark.parametrize("backend", [BeerSolver, SatBeerSolver], ids=["fast", "sat"])
+    def test_a_pattern_charging_every_bit_constrains_nothing(self, backend):
+        # A 3-CHARGED pattern of a 3-bit word leaves no bit to miscorrect;
+        # the SAT backend used to refuse it as a higher-weight pattern.
+        code = random_hamming_code(3, num_parity_bits=3, rng=np.random.default_rng(2))
+        profile = profile_for(code, [1])
+        padded = profile_for(code, [1])
+        padded.record(ChargedPattern(3, [0, 1, 2]), [])
+        padded.record(ChargedPattern(3, []), [])
+        assert [c.parity_column_ints for c in backend(3, 3).solve(padded).codes] == [
+            c.parity_column_ints for c in backend(3, 3).solve(profile).codes
+        ]
+
+
+@st.composite
+def perturbed_exact_profiles(draw):
+    """``(family, k, r, profile)``: an exact profile with entries dropped or added."""
+    family = draw(st.sampled_from(["sec-hamming", "secded-extended-hamming"]))
+    num_data_bits = draw(st.integers(min_value=2, max_value=6))
+    code = get_family(family).random(
+        num_data_bits, rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    )
+    weights = draw(st.sampled_from([[1], [2], [1, 2]]))
+    patterns = list(charged_patterns(num_data_bits, weights))
+    exact = expected_miscorrection_profile(code, patterns)
+    mapping = {pattern: set(exact.miscorrections(pattern)) for pattern in patterns}
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # Drop a whole pattern, or flip one (pattern, DISCHARGED bit) entry.
+        pattern = draw(st.sampled_from(sorted(mapping, key=lambda p: sorted(p.charged_bits))))
+        if draw(st.booleans()) or not pattern.discharged_bits:
+            if len(mapping) > 1:
+                del mapping[pattern]
+        else:
+            mapping[pattern] ^= {draw(st.sampled_from(sorted(pattern.discharged_bits)))}
+    profile = MiscorrectionProfile(num_data_bits, mapping)
+    return family, num_data_bits, code.num_parity_bits, profile
+
+
+class TestBackendAgreementProperty:
+    """Both backends read a profile one way, so they find the same candidates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_exact_profiles())
+    def test_same_canonical_candidates(self, case):
+        family, num_data_bits, num_parity_bits, profile = case
+        fast, sat = (
+            backend(num_data_bits, num_parity_bits, family=family).solve(profile)
+            for backend in (BeerSolver, SatBeerSolver)
+        )
+        assert not fast.truncated and not sat.truncated
+        assert fast.num_solutions == sat.num_solutions
+        assert sorted(canonical_form(code) for code in fast.codes) == sorted(
+            canonical_form(code) for code in sat.codes
+        )
+        assert (fast.family, fast.design_space_columns) == (
+            sat.family, sat.design_space_columns
+        )
+
+
+class TestProfileEntries:
+    def test_entries_in_profile_order_without_empty_or_full_patterns(self):
+        profile = MiscorrectionProfile(4)
+        profile.record(ChargedPattern(4, [2]), [0, 3])
+        profile.record(ChargedPattern(4, []), [])
+        profile.record(ChargedPattern(4, [3, 0]), [])
+        profile.record(ChargedPattern(4, [0, 1, 2, 3]), [])
+        profile.record(ChargedPattern(4, [1, 2, 0]), [3])
+        assert profile_entries(profile) == [
+            ((2,), 0b1001), ((0, 3), 0), ((0, 1, 2), 0b1000),
+        ]
 
 
 class TestIncrementalEnumeration:

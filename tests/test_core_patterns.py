@@ -27,6 +27,18 @@ class TestChargedPattern:
         with pytest.raises(ProfileError):
             ChargedPattern(0, [])
 
+    @pytest.mark.parametrize(
+        "num_data_bits, charged_bits",
+        [(4, [0.9]), (4, [1.0]), (4, [True]), (4, ["1"]), (4.0, [1]), (True, [0])],
+        ids=repr,
+    )
+    def test_non_integers_are_refused_not_truncated(self, num_data_bits, charged_bits):
+        with pytest.raises(ProfileError):
+            ChargedPattern(num_data_bits, charged_bits)
+
+    def test_numpy_integers_pass(self):
+        assert ChargedPattern(np.int64(4), np.array([0, 2])) == ChargedPattern(4, [0, 2])
+
     def test_true_cell_dataword_sets_charged_bits_to_one(self):
         pattern = ChargedPattern(4, [2])
         dataword = pattern.dataword(CellType.TRUE_CELL)

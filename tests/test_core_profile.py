@@ -199,6 +199,44 @@ class TestMiscorrectionProfile:
         with pytest.raises(ProfileError):
             MiscorrectionProfile.from_dict({"entries": []})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Each used to be truncated: bit 0.9 charged bit 0, a true
+            # miscorrection recorded bit 1, and k = 8.9 became 8.
+            {"num_data_bits": 4, "entries": [{"charged_bits": [0.9], "miscorrections": []}]},
+            {"num_data_bits": 4, "entries": [{"charged_bits": [0], "miscorrections": [True]}]},
+            {"num_data_bits": 8.9, "entries": []},
+            {"num_data_bits": True, "entries": []},
+            {"num_data_bits": "4", "entries": []},
+            {"num_data_bits": 4, "entries": [{"charged_bits": ["0"], "miscorrections": []}]},
+            {"num_data_bits": 4, "entries": [{"charged_bits": [0], "miscorrections": [1.0]}]},
+            # Shapes that used to escape as TypeError or KeyError.
+            [],
+            {"num_data_bits": 4, "entries": 3},
+            {"num_data_bits": 4, "entries": [7]},
+            {"num_data_bits": 4, "entries": [{"charged_bits": [0]}]},
+            {"num_data_bits": 4, "entries": [{"charged_bits": 0, "miscorrections": []}]},
+        ],
+        ids=repr,
+    )
+    def test_from_dict_refuses_what_it_would_have_to_guess(self, payload):
+        with pytest.raises(ProfileError):
+            MiscorrectionProfile.from_dict(payload)
+
+    @pytest.mark.parametrize("position", [1.0, True, "1", None])
+    def test_record_refuses_non_integer_positions(self, position):
+        profile = MiscorrectionProfile(4)
+        with pytest.raises(ProfileError, match="not an integer"):
+            profile.record(ChargedPattern(4, [0]), [2, position])
+        assert ChargedPattern(4, [0]) not in profile
+
+    def test_integer_fields_of_every_kind_still_pass(self):
+        profile = MiscorrectionProfile(np.int64(4))
+        profile.record(ChargedPattern(4, [np.uint8(0)]), [np.int64(1), 2])
+        assert profile.num_data_bits == 4 and type(profile.num_data_bits) is int
+        assert profile.miscorrections(ChargedPattern(4, [0])) == frozenset({1, 2})
+
     def test_equality(self, code_7_4):
         first = expected_miscorrection_profile(code_7_4, one_charged_patterns(4))
         second = expected_miscorrection_profile(code_7_4, one_charged_patterns(4))

@@ -589,6 +589,41 @@ class TestTransientFaults:
         for _ in range(5):
             assert (chip.read_all_datawords() == 1).all()
 
+    @pytest.mark.parametrize("block", [1, 50, 105])
+    def test_block_draws_are_the_one_draw(self, block, monkeypatch):
+        # Blocks of one, two and five of the 32 words of 21 bits (the last of
+        # those short) read what one (rows, n) draw reads.
+        from repro.dram import chip as chip_module
+
+        whole, blocked = _noisy_chip(), _noisy_chip()
+        expected = whole.read_all_datawords()
+        monkeypatch.setattr(chip_module, "_FLIP_BLOCK_UNIFORMS", block)
+        assert np.array_equal(blocked.read_all_datawords(), expected)
+        _assert_same_state(_chip_state(blocked), _chip_state(whole))
+
+    def test_a_call_draws_its_flips_in_bounded_memory(self):
+        # One uniform per codeword bit used to be drawn at once: a call's
+        # peak grew by 9 bytes per bit read (19 MB for these 2.15M bits).
+        import tracemalloc
+
+        def traced_peak(probability):
+            chip = make_chip(
+                num_rows=64, words_per_row=8, seed=1,
+                transient_faults=TransientFaultModel(probability),
+            )
+            patterns = (np.random.default_rng(0).random((8, 16)) < 0.5).astype(np.uint8)
+            assignment = np.zeros((200, chip.num_words), dtype=np.int64)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                chip.retention_rounds(range(chip.num_words), patterns, assignment, 1.0)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        bits = 200 * 512 * 21
+        assert traced_peak(1e-2) - traced_peak(0.0) < bits // 4
+
 
 class TestGroundTruthInspection:
     def test_inspect_retention_time_positive(self):

@@ -432,6 +432,78 @@ class TestBeerCellsRejectBadCampaigns:
         )
 
 
+class TestSpecsRefuseNonIntegers:
+    """A count, seed or size that is not an integer fails expansion, not truncation."""
+
+    # Each used to run as its truncation: 2.5 words as 2, true as 1, seed
+    # 1.7 as 1, a chunk of 100.9 as 100, k = 8.9 as 8 under a key that
+    # recorded 8.9, and code seed 3.3 as 3.
+    BAD_SPECS = [
+        {"num_words": 2.5},
+        {"num_words": True},
+        {"num_words": "300"},
+        {"seeds": [1.7]},
+        {"seeds": [True]},
+        {"seeds": ["1"]},
+        {"seeds": 1},
+        {"chunk_size": 100.9},
+        {"codes": [{"data_bits": 8.9}]},
+        {"codes": [{"data_bits": 8, "code_seed": 3.3}]},
+        {"codes": [{"data_bits": 8, "parity_bits": 5.0}]},
+        {"codes": [{"parity_columns": [3, 5.0, 6], "parity_bits": 3}]},
+        {"scenarios": [{"name": "burst", "num_words": 20.5,
+                        "params": {"burst_probability": 0.1}}]},
+    ]
+
+    @pytest.mark.parametrize("fields", BAD_SPECS, ids=repr)
+    def test_sweep_spec(self, fields):
+        with pytest.raises(ScenarioError, match="must be an integer|must be a list"):
+            SweepSpec.from_dict(dict(BASE_SWEEP, **fields))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"data_bits": 8.7}, {"num_rows": 8.2}, {"words_per_row": True}, {"seed": 2.0},
+         {"data_bits": "8"}],
+        ids=repr,
+    )
+    def test_experiment_entry(self, entry):
+        experiment = dict({"vendor": "A", "data_bits": 8, "num_rows": 8}, **entry)
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            SweepSpec.from_dict({"name": "beer", "experiments": [experiment]})
+
+    @pytest.mark.parametrize(
+        "fields", [{"num_words": 2.5}, {"seed": True}, {"chunk_size": 100.9}], ids=repr
+    )
+    def test_make_einsim_cell(self, fields):
+        arguments = {"num_words": 100, **fields}
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            make_einsim_cell(
+                "uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8}, **arguments
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"data_bits": 8.9}, {"data_bits": True}, {"data_bits": 8, "code_seed": 3.3},
+         {"data_bits": 8, "code_seed": "3"}, {"data_bits": 8, "parity_bits": 5.0},
+         {"parity_columns": [3, 5, 6], "parity_bits": 3.0}],
+        ids=repr,
+    )
+    def test_resolve_code(self, spec):
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            resolve_code(spec)
+
+    def test_integers_of_every_kind_still_pass(self):
+        cell = make_einsim_cell(
+            "uniform-random", {"bit_error_rate": 0.01}, {"data_bits": 8, "code_seed": 3},
+            num_words=np.int32(100), seed=np.int64(1), chunk_size=np.int16(64),
+        )
+        config = cell.config()
+        assert (config["num_words"], config["seed"], config["chunk_size"]) == (100, 1, 64)
+        assert resolve_code({"data_bits": 8, "code_seed": 3}) == resolve_code(
+            {"data_bits": np.int64(8), "code_seed": np.int64(3)}
+        )
+
+
 class TestCellResolution:
     @pytest.mark.parametrize(
         "columns", [[3, 99], [3, -1], [], ["x"]],
