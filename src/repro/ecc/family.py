@@ -138,13 +138,24 @@ class CodeFamily(abc.ABC):
         ]
 
     def num_candidate_columns(self, num_parity_bits: int) -> int:
-        """Size of the per-column design space for ``r`` parity bits."""
+        """Size of the per-column design space for ``r`` parity bits.
+
+        In closed form: the 2^r columns (2^(r-1) of odd weight, none at
+        r = 0) less those of a weight below the minimum, so 2^r - r - 1
+        for SEC and 2^(r-1) - r for SEC-DED.  Only the few weights below
+        the minimum are summed, so a large ``r`` costs no more than a small
+        one.  A negative ``r`` has no columns.
+        """
+        if num_parity_bits < 0:
+            return 0
         constraints = self.column_constraints()
-        return sum(
-            math.comb(num_parity_bits, weight)
-            for weight in range(num_parity_bits + 1)
-            if constraints.weight_is_legal(weight)
-        )
+        below = range(min(constraints.min_weight, num_parity_bits + 1))
+        if constraints.odd_weight:
+            total = (1 << num_parity_bits) >> 1
+            below = below[1::2]
+        else:
+            total = 1 << num_parity_bits
+        return total - sum(math.comb(num_parity_bits, weight) for weight in below)
 
     def design_space_size(self, num_data_bits: int, num_parity_bits: int) -> int:
         """Number of ordered legal column selections (standard-form matrices)."""

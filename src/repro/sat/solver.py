@@ -8,7 +8,9 @@ UNSAT.  The BEER encoding yields one model per equivalence class, so an
 exhaustive solve of a uniquely identified code is one model plus one UNSAT
 call.
 
-* two-watched-literal unit propagation,
+* two-watched-literal unit propagation, with each original two-literal
+  clause an implication: a bare literal in its two watch lists, not a
+  :class:`Clause`,
 * first-UIP conflict analysis with non-chronological backjumping,
 * activity-based (VSIDS-style) branching backed by an indexed binary max-heap
   (O(log V) decisions instead of an O(V) scan) with phase saving,
@@ -34,17 +36,25 @@ per watcher; the hot paths keep it down without changing a decision.
 ``CDCLSolver(formula)`` grows its variable arrays in bulk and attaches the
 formula's own (already clean) clause list in one loop; only
 :meth:`~CDCLSolver.add_clause`, which outside callers and blocking clauses
-use, checks and simplifies each clause.  Propagation and backtracking read
-solver state through locals and enqueue inline.  The statistics and every
-decision are pinned by ``tests/test_sat_bit_identity.py``.
+use, checks and simplifies each clause.  Literal truth and watch lists are
+indexed by the literal itself: entry ``l`` of a list covering ±1..V, the
+negative literals counted from the end, so ``value[v]`` for ``v > 0`` is the
+variable's assignment and no sign is tested on the hot path.  A watch list
+holds implications (ints) and clauses in the order they were watched, which
+is the order a clause-only watch scheme visits them, and a two-literal
+conflict presents its literals as that scheme's swap leaves them; so
+two-literal clauses as implications change no decision.  Propagation, the
+three-literal clause, backtracking and the branch heap's pop read solver
+state through locals and run inline.  The statistics and every decision are
+pinned by ``tests/test_sat_bit_identity.py`` and
+``tests/test_sat_solver_pins.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.exceptions import BudgetExhaustedError, SolverError
 from repro.obs import TRACER
@@ -58,6 +68,11 @@ STATS_SNAPSHOT_INTERVAL = 1024
 
 class Clause(list):
     """A clause attached to the solver: a literal list plus solver metadata.
+
+    Every learned clause and every original clause of three or more literals
+    is a ``Clause``; an original two-literal clause is not (it lives in the
+    watch lists as two implications).  A conflict on such an implication is
+    a fresh two-literal ``Clause`` for conflict analysis to read.
 
     Clauses are distinguished by identity, not value: two learned clauses
     with the same literals are distinct objects, so watch lists and reason
@@ -134,7 +149,8 @@ class _VariableHeap:
 
     Replaces the O(V) linear scan per decision with O(log V) pops; ``update``
     restores heap order after an activity bump (activities only grow between
-    rescales, and rescaling is uniform, so sift-up suffices).
+    rescales, and rescaling is uniform, so sift-up suffices).  The pop is
+    inlined in :meth:`CDCLSolver._pick_branch_variable`, the one caller.
     """
 
     __slots__ = ("_activity", "_heap", "_position")
@@ -167,18 +183,6 @@ class _VariableHeap:
             else:
                 position[variable] = index  # zero activity never sifts up
 
-    def pop(self) -> Optional[int]:
-        if not self._heap:
-            return None
-        top = self._heap[0]
-        last = self._heap.pop()
-        self._position[top] = -1
-        if self._heap:
-            self._heap[0] = last
-            self._position[last] = 0
-            self._sift_down(0)
-        return top
-
     def update(self, variable: int) -> None:
         position = self._position[variable]
         if position != -1:
@@ -199,27 +203,14 @@ class _VariableHeap:
         heap[index] = variable
         position[variable] = index
 
-    def _sift_down(self, index: int) -> None:
-        heap, activity, position = self._heap, self._activity, self._position
-        size = len(heap)
-        variable = heap[index]
-        key = activity[variable]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and activity[heap[right]] > activity[heap[child]]:
-                child = right
-            child_var = heap[child]
-            if key >= activity[child_var]:
-                break
-            heap[index] = child_var
-            position[child_var] = index
-            index = child
-        heap[index] = variable
-        position[variable] = index
 
+#: A watch-list entry: the other literal of an original two-literal clause
+#: (an implication), or a clause that watches the list's literal.
+_Watch = Union[int, Clause]
+
+#: Why a literal is assigned: None for a decision or a root-level unit, the
+#: false literal of the implication that propagated it, or its clause.
+_Reason = Union[None, int, Clause]
 
 #: Sentinel distinguishing "no budget override" from an explicit None.
 _UNSET = object()
@@ -240,10 +231,16 @@ class CDCLSolver:
         self._max_conflicts = max_conflicts
         self._num_variables = 0
 
+        # Literal-indexed state: entry ``l`` for each literal ``l`` in ±1..V,
+        # the negative literals counted from the end (slot 0 unused).
+        # ``_value[l]`` is True, False or None (unassigned), so ``_value[v]``
+        # for ``v > 0`` is the variable's assignment.
+        self._value: List[Optional[bool]] = [None]
+        self._watches: List[List[_Watch]] = [[]]
+
         # Variable-indexed state (slot 0 unused).
-        self._assignment: List[Optional[bool]] = [None]
         self._level: List[int] = [0]
-        self._reason: List[Optional[Clause]] = [None]
+        self._reason: List[_Reason] = [None]
         self._activity: List[float] = [0.0]
         self._saved_phase: List[bool] = [False]
 
@@ -256,8 +253,8 @@ class CDCLSolver:
         self._trail_limits: List[int] = []
         self._propagation_head = 0
 
-        self._watches: Dict[int, List[Clause]] = defaultdict(list)
-        self._clauses: List[Clause] = []
+        # Every original clause: a Clause, or a two-literal clause's literals.
+        self._clauses: List[Sequence[int]] = []
         self._learnt: List[Clause] = []
         self._heap = _VariableHeap(self._activity)
         self._seen = bytearray(1)  # persistent conflict-analysis scratch
@@ -299,9 +296,15 @@ class CDCLSolver:
         """
         trail, attached, watches = self._trail, self._clauses, self._watches
         for literals in formula._clauses:
+            size = len(literals)
             if trail:
                 self._attach_at_root(literals)
-            elif len(literals) == 1:
+            elif size == 2:
+                first, second = literals
+                attached.append(literals)
+                watches[first].append(second)
+                watches[second].append(first)
+            elif size == 1:
                 self._enqueue(literals[0], reason=None)
             else:
                 clause = Clause(literals)
@@ -314,20 +317,27 @@ class CDCLSolver:
 
         The solver must be at the root level and cover every variable of
         ``clause``, whose literals must be distinct and non-complementary.
+        Two remaining literals attach as a pair of implications.
         """
-        assignment = self._assignment
+        value = self._value
         remaining: List[int] = []
         for literal in clause:
-            value = assignment[literal if literal > 0 else -literal]
-            if value is None:
+            truth = value[literal]
+            if truth is None:
                 remaining.append(literal)
-            elif value is (literal > 0):
+            elif truth:
                 return  # satisfied at the root level forever
         if not remaining:
             self._unsat = True
             return
         if len(remaining) == 1:
             self._enqueue(remaining[0], reason=None)
+            return
+        if len(remaining) == 2:
+            first, second = remaining
+            self._clauses.append(remaining)
+            self._watches[first].append(second)
+            self._watches[second].append(first)
             return
         attached = Clause(remaining)
         self._clauses.append(attached)
@@ -415,11 +425,10 @@ class CDCLSolver:
 
             variable = self._pick_branch_variable()
             if variable is None:
-                model = {
-                    v: bool(self._assignment[v])
-                    for v in range(1, self._num_variables + 1)
-                }
-                return result(True, model)
+                # Every variable is assigned: the positive half of the
+                # literal values is the model.
+                count = self._num_variables
+                return result(True, dict(zip(range(1, count + 1), self._value[1 : count + 1])))
             self._stats.decisions += 1
             self._trail_limits.append(len(self._trail))
             self._enqueue(variable if self._saved_phase[variable] else -variable, reason=None)
@@ -430,7 +439,7 @@ class CDCLSolver:
         self._watches[clause[1]].append(clause)
 
     def _remove_watch(self, literal: int, clause: Clause) -> None:
-        watchers = self._watches.get(literal, [])
+        watchers = self._watches[literal]
         for index, candidate in enumerate(watchers):
             if candidate is clause:
                 watchers[index] = watchers[-1]
@@ -451,7 +460,7 @@ class CDCLSolver:
 
     def _is_locked(self, clause: Clause) -> bool:
         variable = abs(clause[0])
-        return self._assignment[variable] is not None and self._reason[variable] is clause
+        return self._value[variable] is not None and self._reason[variable] is clause
 
     def _reduce_learnt(self) -> None:
         """Delete the lowest-activity half of the learned clauses (reduceDB)."""
@@ -475,7 +484,12 @@ class CDCLSolver:
         new = count - self._num_variables
         if new <= 0:
             return
-        self._assignment.extend([None] * new)
+        # The literal-indexed lists grow in the middle: the new positive
+        # literals follow +V and the new negative ones precede -V, so the
+        # negative half stays counted from the end.
+        middle = self._num_variables + 1
+        self._value[middle:middle] = [None] * (2 * new)
+        self._watches[middle:middle] = [[] for _ in range(2 * new)]
         self._level.extend([0] * new)
         self._reason.extend([None] * new)
         self._activity.extend([0.0] * new)
@@ -487,9 +501,10 @@ class CDCLSolver:
     def _decision_level(self) -> int:
         return len(self._trail_limits)
 
-    def _enqueue(self, literal: int, reason: Optional[Clause]) -> None:
+    def _enqueue(self, literal: int, reason: _Reason) -> None:
         variable = abs(literal)
-        self._assignment[variable] = literal > 0
+        self._value[literal] = True
+        self._value[-literal] = False
         self._level[variable] = self._decision_level()
         self._reason[variable] = reason
         self._saved_phase[variable] = literal > 0
@@ -498,11 +513,11 @@ class CDCLSolver:
     def _backtrack(self, target_level: int) -> None:
         if len(self._trail_limits) <= target_level:
             return
-        trail, assignment, reason = self._trail, self._assignment, self._reason
+        trail, value, reason = self._trail, self._value, self._reason
         cutoff = self._trail_limits[target_level]
         undone = [literal if literal > 0 else -literal for literal in reversed(trail[cutoff:])]
         for variable in undone:
-            assignment[variable] = None
+            value[variable] = value[-variable] = None
             reason[variable] = None
         self._heap.push_all(undone)
         del trail[cutoff:]
@@ -513,51 +528,93 @@ class CDCLSolver:
     def _propagate(self) -> Optional[Clause]:
         """Propagate the trail from the propagation head; return a conflict.
 
+        Each false literal's watch list is visited in order.  An int entry
+        is the other literal of an original two-literal clause: true, it
+        stays; unassigned, it is enqueued with the false literal (an int) as
+        its reason; false, it is the conflict ``Clause([other, false])``, the
+        order in which a two-literal :class:`Clause` would present it.  A
+        clause entry moves its false watch to the front, stays if its first
+        literal is true, moves the watch to a non-false literal if it has
+        one (a three-literal clause checks its third without a loop), and
+        otherwise propagates its first literal or is the conflict.
+
         Solver state is read through locals and :meth:`_enqueue` is inlined;
         the decision level is fixed for the whole call.
         """
-        trail, watches = self._trail, self._watches
-        assignment, level, reason = self._assignment, self._level, self._reason
-        saved_phase = self._saved_phase
+        trail, watches, value = self._trail, self._watches, self._value
+        level, reason, saved_phase = self._level, self._reason, self._saved_phase
         decision_level = len(self._trail_limits)
         start = head = self._propagation_head
         conflict: Optional[Clause] = None
         while head < len(trail):
             false_literal = -trail[head]
             head += 1
-            watching = watches.get(false_literal)
+            watching = watches[false_literal]
             if not watching:
                 continue
-            retained: List[Clause] = []
-            clauses = iter(watching)
-            for clause in clauses:
+            retained: List[_Watch] = []
+            keep = retained.append
+            entries = iter(watching)
+            for entry in entries:
+                if type(entry) is not Clause:
+                    # An implication: the other literal of a two-literal clause.
+                    keep(entry)
+                    truth = value[entry]
+                    if truth:
+                        continue
+                    if truth is None:
+                        variable = entry if entry > 0 else -entry
+                        value[entry] = True
+                        value[-entry] = False
+                        saved_phase[variable] = entry > 0
+                        level[variable] = decision_level
+                        reason[variable] = false_literal
+                        trail.append(entry)
+                        continue
+                    conflict = Clause([entry, false_literal])
+                    retained.extend(entries)
+                    break
+                clause = entry
                 first = clause[0]
                 if first == false_literal:
                     first = clause[0] = clause[1]
                     clause[1] = false_literal
-                first_value = assignment[first if first > 0 else -first]
-                if first_value is (first > 0):
-                    retained.append(clause)  # its first watch is true
+                first_value = value[first]
+                if first_value:
+                    keep(clause)  # its first watch is true
                     continue
-                for alternative in range(2, len(clause)):
-                    candidate = clause[alternative]
-                    value = assignment[candidate if candidate > 0 else -candidate]
-                    if value is None or value is (candidate > 0):
-                        clause[1], clause[alternative] = candidate, false_literal
+                size = len(clause)
+                if size == 3:
+                    candidate = clause[2]
+                    if value[candidate] is not False:
+                        clause[1] = candidate
+                        clause[2] = false_literal
                         watches[candidate].append(clause)
-                        break
+                        continue
+                elif size > 3:
+                    moved = False
+                    for alternative in range(2, size):
+                        candidate = clause[alternative]
+                        if value[candidate] is not False:
+                            clause[1], clause[alternative] = candidate, false_literal
+                            watches[candidate].append(clause)
+                            moved = True
+                            break
+                    if moved:
+                        continue
+                keep(clause)
+                if first_value is None:
+                    variable = first if first > 0 else -first
+                    value[first] = True
+                    value[-first] = False
+                    saved_phase[variable] = first > 0
+                    level[variable] = decision_level
+                    reason[variable] = clause
+                    trail.append(first)
                 else:
-                    retained.append(clause)
-                    if first_value is None:
-                        variable = first if first > 0 else -first
-                        assignment[variable] = saved_phase[variable] = first > 0
-                        level[variable] = decision_level
-                        reason[variable] = clause
-                        trail.append(first)
-                    else:
-                        conflict = clause
-                        retained.extend(clauses)
-                        break
+                    conflict = clause
+                    retained.extend(entries)
+                    break
             watches[false_literal] = retained
             if conflict is not None:
                 break
@@ -567,46 +624,54 @@ class CDCLSolver:
 
     # -- conflict analysis --------------------------------------------------------
     def _analyze(self, conflict: Clause) -> tuple:
+        """First-UIP analysis of ``conflict``: the learnt clause and backjump level.
+
+        The conflict and each reason are resolved in their literal order;
+        an implication's reason (an int) is its one non-pivot literal.
+        """
         learnt: List[int] = []
         # Persistent scratch: current-level marks are all cleared by the trail
         # walk below (one per counter decrement), lower-level marks explicitly
         # at the end, keeping analysis O(clause sizes) instead of O(V).
-        seen = self._seen
+        seen, level, trail = self._seen, self._level, self._trail
         counter = 0
         literal: Optional[int] = None
-        clause: Clause = conflict
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        clause: _Reason = conflict
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_limits)
 
         while True:
-            if clause.learnt:
-                self._bump_clause_activity(clause)
-            for clause_literal in clause:
+            if type(clause) is Clause:
+                if clause.learnt:
+                    self._bump_clause_activity(clause)
+                others: Sequence[int] = clause
+            else:
+                assert clause is not None, "UIP literal must have a reason"
+                others = (clause,)
+            for clause_literal in others:
                 # Skip the literal this clause propagated (the resolvent pivot).
-                if literal is not None and clause_literal == literal:
+                if clause_literal == literal:
                     continue
                 variable = abs(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                if seen[variable] or level[variable] == 0:
                     continue
                 seen[variable] = True
                 self._bump_activity(variable)
-                if self._level[variable] == current_level:
+                if level[variable] == current_level:
                     counter += 1
                 else:
                     learnt.append(clause_literal)
 
-            while not seen[abs(self._trail[trail_index])]:
+            while not seen[abs(trail[trail_index])]:
                 trail_index -= 1
-            literal = self._trail[trail_index]
+            literal = trail[trail_index]
             variable = abs(literal)
             seen[variable] = False
             trail_index -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[variable]
-            assert reason is not None, "UIP literal must have a reason clause"
-            clause = reason
+            clause = self._reason[variable]
 
         for lower_literal in learnt:
             seen[abs(lower_literal)] = 0
@@ -648,12 +713,42 @@ class CDCLSolver:
         self._clause_increment /= self._clause_decay
 
     def _pick_branch_variable(self) -> Optional[int]:
-        while True:
-            variable = self._heap.pop()
-            if variable is None:
-                return None
-            if self._assignment[variable] is None:
-                return variable
+        """Pop the most active unassigned variable off the heap; None if none.
+
+        The heap's pop and sift-down run inline.  Assigned variables are
+        popped and dropped as they surface (lazy deletion): removing them
+        when assigned would reorder variables of equal activity, and with
+        them the decisions.
+        """
+        order = self._heap
+        heap, position, activity = order._heap, order._position, order._activity
+        value = self._value
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            position[top] = -1
+            size = len(heap)
+            if size:
+                key = activity[last]
+                index = 0
+                while True:
+                    child = 2 * index + 1
+                    if child >= size:
+                        break
+                    right = child + 1
+                    if right < size and activity[heap[right]] > activity[heap[child]]:
+                        child = right
+                    child_var = heap[child]
+                    if key >= activity[child_var]:
+                        break
+                    heap[index] = child_var
+                    position[child_var] = index
+                    index = child
+                heap[index] = last
+                position[last] = index
+            if value[top] is None:
+                return top
+        return None
 
 
 def iterate_models(

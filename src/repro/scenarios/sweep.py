@@ -133,8 +133,10 @@ def make_einsim_cell(
         raise ScenarioError(f"chunk size must be at least 1, got {chunk_size}")
     _check_backend(backend)
     # The canonical config keeps the *spec* (not the matrix) so cache keys
-    # stay readable and stable; resolving it validates it.
-    code_spec = {key: code[key] for key in sorted(code)}
+    # stay readable and stable; resolving it validates it.  Stored through
+    # ``_jsonify``, a numpy number or array in the spec is the Python number
+    # or list ``resolve_code`` reads it as.
+    code_spec = _jsonify({key: code[key] for key in sorted(code)})
     resolved_code = resolve_code(code_spec)
     codeword = np.zeros(resolved_code.codeword_length, dtype=np.uint8)
     cell = ExperimentCell.from_config(
@@ -182,7 +184,9 @@ def make_beer_cell(
     the solver's ``SolverStats`` in the cell result (surfaced by
     ``scenario report``).  The flag participates in the canonical config
     only when set, so historical solve-free cells keep their
-    content-addressed keys byte-for-byte.
+    content-addressed keys byte-for-byte.  It must be a Python or numpy
+    bool: anything else (``"no"``, 0.5, 1) raises :class:`ScenarioError`
+    rather than being read as true or false.
 
     The windows, weights, rounds and threshold are checked as
     :class:`~repro.core.experiment.ExperimentConfig` checks them, so a
@@ -196,6 +200,8 @@ def make_beer_cell(
     """
     if vendor not in ("A", "B", "C"):
         raise ScenarioError(f"unknown vendor {vendor!r}; expected A, B or C")
+    if not isinstance(solve, (bool, np.bool_)):
+        raise ScenarioError(f"solve must be true or false, got {solve!r}")
     _check_backend(backend)
     try:
         campaign = ExperimentConfig(
@@ -428,11 +434,19 @@ def _normalise_dataword_spec(spec: Any, num_data_bits: int) -> Any:
 
 
 def _jsonify(value: Any) -> Any:
-    """Coerce resolved params into JSON-stable plain types."""
+    """Coerce resolved params or a code spec into JSON-stable plain types.
+
+    A numpy bool, integer, float or array becomes the Python value it
+    holds, so it keys and is checked as that value.
+    """
     if isinstance(value, Mapping):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

@@ -1,5 +1,7 @@
 """Unit tests for the pluggable code-family registry (repro.ecc.family)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,43 @@ class TestTableSizeGuards:
             code.decode_action_table()
         with pytest.raises(CodeConstructionError, match="syndrome table"):
             code.syndrome_position_table()
+
+
+class TestDesignSpaceSize:
+    """``num_candidate_columns`` in closed form, against the binomial sum."""
+
+    FAMILIES = all_families() + [RepetitionFamily(2), RepetitionFamily(5)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.name)
+    def test_closed_form_matches_the_binomial_sum(self, family):
+        constraints = family.column_constraints()
+        for r in range(-2, 65):
+            expected = sum(
+                math.comb(r, weight)
+                for weight in range(r + 1)
+                if constraints.weight_is_legal(weight)
+            )
+            assert family.num_candidate_columns(r) == expected, r
+
+    def test_sec_and_secded_sizes(self):
+        sec, secded = get_family("sec-hamming"), get_family("secded-extended-hamming")
+        for r in range(1, 65):
+            assert sec.num_candidate_columns(r) == 2**r - r - 1
+            assert secded.num_candidate_columns(r) == 2 ** (r - 1) - r
+        assert sec.num_candidate_columns(0) == secded.num_candidate_columns(0) == 0
+
+    @pytest.mark.parametrize("family", ["sec-hamming", "secded-extended-hamming"])
+    def test_beer_constructors_do_not_sum_every_weight(self, family, monkeypatch):
+        from repro.core import BeerSolver, SatBeerSolver
+        from repro.exceptions import SolverError
+
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append(k) or comb(n, k))
+        # The table-driven solver refuses r = 8,000 after sizing the space.
+        with pytest.raises(SolverError, match="search tables"):
+            BeerSolver(8, num_parity_bits=8000, family=family)
+        assert len(calls) <= 3
+        calls.clear()
+        assert SatBeerSolver(8, num_parity_bits=8000, family=family).num_parity_bits == 8000
+        assert len(calls) <= 3

@@ -195,7 +195,9 @@ class TestCellsRejectBadParameters:
     """A parameter the injector rejects fails when the cell is made."""
 
     @pytest.mark.parametrize(
-        "rate", [2, "abc", True, None], ids=["two", "string", "true", "null"]
+        "rate",
+        [2, "abc", True, None, np.bool_(True)],
+        ids=["two", "string", "true", "null", "numpy-true"],
     )
     def test_make_einsim_cell(self, rate):
         with pytest.raises(ScenarioError, match="bit_error_rate"):
@@ -432,6 +434,39 @@ class TestBeerCellsRejectBadCampaigns:
         )
 
 
+class TestBeerCellSolveFlag:
+    """``solve`` is a bool: anything else used to run the SAT solve."""
+
+    NOT_BOOLS = ["no", "false", 0.5, 1, 0, None, np.int64(1)]
+
+    @pytest.mark.parametrize("solve", NOT_BOOLS, ids=repr)
+    def test_make_beer_cell(self, solve):
+        from repro.scenarios import make_beer_cell
+
+        with pytest.raises(ScenarioError, match="solve must be true or false"):
+            make_beer_cell("A", 8, solve=solve)
+
+    def test_sweep_spec_fails_before_any_commit(self, tmp_path):
+        payload = dict(
+            BASE_SWEEP, experiments=[{"vendor": "A", "data_bits": 8, "solve": "no"}]
+        )
+        store = CampaignStore(tmp_path / "camp")
+        with pytest.raises(ScenarioError, match="solve must be true or false"):
+            SweepRunner(store=store).run(SweepSpec.from_dict(payload))
+        assert len(store) == 0
+
+    def test_numpy_bools_key_as_python_bools(self):
+        from repro.scenarios import make_beer_cell
+
+        assert make_beer_cell("A", 8, solve=np.bool_(True)).key() == make_beer_cell(
+            "A", 8, solve=True
+        ).key()
+        assert make_beer_cell("A", 8, solve=np.bool_(False)).key() == make_beer_cell(
+            "A", 8
+        ).key()
+        assert "solve" not in make_beer_cell("A", 8, solve=False).config()
+
+
 class TestSpecsRefuseNonIntegers:
     """A count, seed or size that is not an integer fails expansion, not truncation."""
 
@@ -502,6 +537,33 @@ class TestSpecsRefuseNonIntegers:
         assert resolve_code({"data_bits": 8, "code_seed": 3}) == resolve_code(
             {"data_bits": np.int64(8), "code_seed": np.int64(3)}
         )
+
+    def test_numpy_code_specs_store_as_python_numbers(self):
+        # A numpy count in a code spec used to escape as a bare TypeError
+        # from the JSON encoder; a Python-int spec keeps the key it had.
+        arguments = ("uniform-random", {"bit_error_rate": 0.01})
+        python = make_einsim_cell(*arguments, {"data_bits": 8, "code_seed": 3}, num_words=100)
+        assert python.key() == (
+            "c20efd0f882a5ca113213ae2ed60202545e18774252fe99b1635991eddc4ce34"
+        )
+        numpy = make_einsim_cell(
+            *arguments, {"data_bits": np.int64(8), "code_seed": np.int32(3)}, num_words=100
+        )
+        assert numpy.config() == python.config()
+        assert numpy.key() == python.key()
+        columns = make_einsim_cell(
+            *arguments, {"parity_columns": [np.int64(3), 5, 6, 7], "parity_bits": np.int8(3)},
+            num_words=100,
+        )
+        assert columns.config()["code"] == {"parity_bits": 3, "parity_columns": [3, 5, 6, 7]}
+        assert columns.key() == (
+            "99fdf02832afeca814ac76b2a92d53e3b54144c97b3ef295324e95eeefba05f0"
+        )
+        array = make_einsim_cell(
+            *arguments, {"parity_columns": np.array([3, 5, 6, 7]), "parity_bits": 3},
+            num_words=100,
+        )
+        assert array.key() == columns.key()
 
 
 class TestCellResolution:
